@@ -12,17 +12,31 @@ from __future__ import annotations
 import numpy as np
 
 
+# Up to this many bins a value's bin is found by comparing it with each
+# interior edge (one vectorized pass per edge); above it, by binary search.
+COMPARE_MAX_BINS = 64
+
+
+def _bin_keys(edges: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``bin_indices`` as int8 from comparisons for small ``nbins``, as the
+    platform integer from ``searchsorted`` otherwise."""
+    inner = edges[1:-1]
+    if inner.size < COMPARE_MAX_BINS:
+        idx = np.zeros(u.shape, dtype=np.int8)
+        for e in inner:
+            idx += u >= e  # interior edges at or below u
+    else:
+        idx = np.searchsorted(inner, u, side="right")
+    idx[~((u >= edges[0]) & (u <= edges[-1]))] = -1  # NaN fails both tests
+    return idx
+
+
 def bin_indices(edges: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Owning bin per value: [b_k, b_{k+1}) except the last bin, which is
     right-closed; -1 outside the domain."""
     edges = np.asarray(edges, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
-    nbins = edges.size - 1
-    idx = np.searchsorted(edges, u, side="right") - 1
-    idx[u == edges[-1]] = nbins - 1
-    outside = (idx < 0) | (idx >= nbins)
-    idx[outside] = -1
-    return idx.astype(np.int64)
+    return _bin_keys(edges, u).astype(np.int64)
 
 
 def design_matrix(edges, centers, norm0, norm1, u) -> np.ndarray:
@@ -47,6 +61,7 @@ def binned_qr(edges, centers, norm0, norm1, u, x):
     z[k] = Q^T x restricted to the bin's two directions, counts[k] = samples
     owned by bin k.  Out-of-domain samples are skipped.
     """
+    edges = np.asarray(edges, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     centers = np.asarray(centers, dtype=np.float64)
@@ -57,12 +72,12 @@ def binned_qr(edges, centers, norm0, norm1, u, x):
     z = np.zeros((nbins, 2))
     counts = np.zeros(nbins, dtype=np.int64)
 
-    idx = bin_indices(edges, u)
-    inside = idx >= 0
-    idx_in, u_in, x_in = idx[inside], u[inside], x[inside]
-    order = np.argsort(idx_in, kind="stable")
-    idx_s, u_s, x_s = idx_in[order], u_in[order], x_in[order]
-    bounds = np.searchsorted(idx_s, np.arange(nbins + 1))
+    # narrowest signed type holding keys + 1, so the stable argsort is a radix sort
+    keys = _bin_keys(edges, u).astype(np.min_scalar_type(-nbins - 1), copy=False)
+    order = np.argsort(keys, kind="stable")  # out-of-domain (-1) first
+    u_s, x_s = u[order], x[order]
+    # bin k is order[bounds[k]:bounds[k + 1]]; slot 0 counts out-of-domain
+    bounds = np.cumsum(np.bincount(keys + 1, minlength=nbins + 1))
 
     for k in range(nbins):
         lo, hi = bounds[k], bounds[k + 1]

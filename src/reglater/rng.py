@@ -4,16 +4,22 @@ Every stream is a Philox generator keyed by a hash of ``(seed, *path)``, so
 any draw is a pure function of its key and never depends on execution order
 or worker count.  Bulk sampling splits the index range ``[0, n)`` into fixed
 blocks of ``BLOCK_SIZE`` draws; block ``j`` uses the substream keyed
-``(seed, *path, j)``, which keeps results bit-identical under any parallel
-schedule (and stable under growing ``n``).
+``(seed, *path, j)``.  Generator streams are prefix-consistent (drawing in
+chunks yields the one-shot sequence; Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3", SC'11), so each block requests only what it
+needs and draw ``i`` still depends only on ``(parts, i // BLOCK_SIZE)``:
+results are bit-identical under any parallel schedule and stable under
+growing ``n``.
 """
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 
 BLOCK_SIZE = 1 << 16
+MIN_ROUND = 64  # smallest rejection round, so a block's tail is not drawn in tiny rounds
 
 
 def philox_key(*parts) -> np.ndarray:
@@ -48,9 +54,10 @@ def block_map(n: int, draw_block, *parts) -> np.ndarray:
     """Fill ``n`` draws block by block.
 
     ``draw_block(gen, size)`` must return exactly ``size`` values using only
-    ``gen``.  Block ``j`` always requests the full ``BLOCK_SIZE`` (truncated
-    output for the tail block), so draw ``i`` depends only on
-    ``(parts, i // BLOCK_SIZE)``.
+    ``gen``, and be prefix-consistent: the values of a short request are the
+    leading values of a longer one.  Block ``j`` draws ``min(BLOCK_SIZE,
+    n - j * BLOCK_SIZE)`` values from substream ``(*parts, j)``, so draw ``i``
+    depends only on ``(parts, i // BLOCK_SIZE)``.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -58,10 +65,8 @@ def block_map(n: int, draw_block, *parts) -> np.ndarray:
     done = 0
     block = 0
     while done < n:
-        gen = substream(*parts, block)
-        vals = np.asarray(draw_block(gen, BLOCK_SIZE), dtype=np.float64)
         take = min(BLOCK_SIZE, n - done)
-        pieces.append(vals[:take])
+        pieces.append(np.asarray(draw_block(substream(*parts, block), take), dtype=np.float64))
         done += take
         block += 1
     if not pieces:
@@ -73,13 +78,33 @@ def block_standard_normal(n: int, *parts) -> np.ndarray:
     return block_map(n, lambda gen, m: gen.standard_normal(m), *parts)
 
 
+def _round_size(need: int, hits: int, drawn: int) -> int:
+    """Proposals for the next rejection round of a block.
+
+    Enough for ``need`` more hits with three binomial standard deviations to
+    spare at the acceptance seen so far in the block (``hits`` of ``drawn``,
+    taken as 1 before the first round), within ``[MIN_ROUND, BLOCK_SIZE]``.
+    Until the block has a hit there is no estimate, so a full block is drawn.
+    """
+    if drawn and not hits:
+        return BLOCK_SIZE
+    rate = hits / drawn if drawn else 1.0
+    m = (need + 3.0 * math.sqrt(need * (1.0 - rate))) / rate
+    return min(BLOCK_SIZE, max(MIN_ROUND, math.ceil(m)))
+
+
 def block_rejection(n: int, propose, accept, *parts) -> tuple[np.ndarray, int]:
     """Rejection-sample ``n`` values with per-block substreams.
 
-    ``propose(gen, m)`` draws ``m`` candidates; ``accept(values)`` returns a
-    boolean mask.  Each block keeps drawing full proposal rounds from its own
-    substream until its quota is filled, so the output is deterministic in
-    ``parts`` alone.  Returns ``(samples, proposals_used)``.
+    ``propose(gen, m)`` draws ``m`` candidates and must be prefix-consistent
+    like ``block_map``'s ``draw_block``; ``accept(values)`` returns a boolean
+    mask.  Block ``j`` (quota ``min(BLOCK_SIZE, n - j * BLOCK_SIZE)``) reads
+    one candidate sequence from substream ``(*parts, j)`` in rounds sized to
+    the remaining quota, and keeps its first ``quota`` accepted candidates.
+    The round sizes only decide where that sequence is cut, so sample ``i``
+    depends only on ``(parts, i // BLOCK_SIZE)``.  Returns
+    ``(samples, proposals_used)``, counting the candidates examined: each
+    block's sequence up to and including its last kept candidate.
     """
     out = []
     proposals = 0
@@ -90,8 +115,10 @@ def block_rejection(n: int, propose, accept, *parts) -> tuple[np.ndarray, int]:
         gen = substream(*parts, block)
         got = []
         have = 0
+        drawn = 0
         while have < quota:
-            cand = np.asarray(propose(gen, BLOCK_SIZE), dtype=np.float64)
+            cand = np.asarray(propose(gen, _round_size(quota - have, have, drawn)),
+                              dtype=np.float64)
             hits = np.nonzero(accept(cand))[0]
             if have + hits.size >= quota:
                 need = quota - have
@@ -102,6 +129,7 @@ def block_rejection(n: int, propose, accept, *parts) -> tuple[np.ndarray, int]:
                 proposals += cand.size
                 got.append(cand[hits])
                 have += hits.size
+            drawn += cand.size
         out.append(np.concatenate(got))
         done += quota
         block += 1

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -5,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reglater import cli
+from reglater import _kernels, cli
+from reglater._kernels import _py
 from reglater.config import load_config, validate_config_dict
 from reglater.errors import ConfigurationError
 
@@ -105,6 +107,20 @@ def test_run_writes_reports_atomically(tiny_config_path, tmp_path, capsys):
     assert doc["slope"] < -3.0
     assert doc["config"]["seed"] == 99
     assert not list(outdir.glob("*.tmp"))
+
+
+# sha256 of report.csv from `reglater run configs/figure1.json --set
+# repetitions=2` on the numpy kernels.  A report is a pure function of
+# (config, seed): a change here changes every report and must be deliberate.
+FIGURE1_REPS2_CSV_SHA256 = "4bb0b5bb7db1fa05525d0fb57ec87c638023dc830f99c7b8467d1d720fa7f815"
+
+
+def test_report_csv_golden_digest(tmp_path, monkeypatch):
+    monkeypatch.setattr(_kernels, "_impl", _py)
+    args = ["run", str(CONFIG_DIR / "figure1.json"), "--set", "repetitions=2", "-o", str(tmp_path)]
+    assert cli.main(args) == 0
+    digest = hashlib.sha256((tmp_path / "report.csv").read_bytes()).hexdigest()
+    assert digest == FIGURE1_REPS2_CSV_SHA256
 
 
 def test_run_malformed_config_exits_2_without_partial_files(tmp_path, capsys):

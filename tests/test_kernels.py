@@ -2,6 +2,8 @@
 agree with each other and with a dense orthogonal-decomposition solve."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reglater as rl
 from reglater._kernels import _py
@@ -78,3 +80,86 @@ def test_qr_factor_reproduces_gram(name, mod, problem):
         assert r11 * r12 == pytest.approx(G[2 * k, 2 * k + 1], rel=1e-8, abs=1e-8)
         assert r12**2 + r22**2 == pytest.approx(G[2 * k + 1, 2 * k + 1], rel=1e-9, abs=1e-9)
     assert counts.sum() == np.sum(mod.bin_indices(basis.partition.edges, u) >= 0)
+
+
+# ---------------------------------------------------------------------------
+# the numpy kernels against the searchsorted / int64-argsort versions they
+# replaced: same bins, bit-equal factors
+# ---------------------------------------------------------------------------
+
+def _searchsorted_bin_indices(edges, u):
+    nbins = edges.size - 1
+    idx = np.searchsorted(edges, u, side="right") - 1
+    idx[u == edges[-1]] = nbins - 1
+    idx[(idx < 0) | (idx >= nbins)] = -1
+    return idx.astype(np.int64)
+
+
+def _argsort_binned_qr(edges, centers, norm0, norm1, u, x):
+    nbins = centers.size
+    R, z, counts = np.zeros((nbins, 3)), np.zeros((nbins, 2)), np.zeros(nbins, dtype=np.int64)
+    idx = _searchsorted_bin_indices(edges, u)
+    inside = idx >= 0
+    idx_in, u_in, x_in = idx[inside], u[inside], x[inside]
+    order = np.argsort(idx_in, kind="stable")
+    idx_s, u_s, x_s = idx_in[order], u_in[order], x_in[order]
+    bounds = np.searchsorted(idx_s, np.arange(nbins + 1))
+    for k in range(nbins):
+        lo, hi = bounds[k], bounds[k + 1]
+        nk = hi - lo
+        counts[k] = nk
+        if nk == 0:
+            continue
+        d = norm1[k] * (u_s[lo:hi] - centers[k])
+        y = x_s[lo:hi]
+        sq = np.sqrt(nk)
+        r12 = np.sum(d) / sq
+        w = d - r12 / sq
+        r22 = np.sqrt(np.sum(w * w))
+        R[k] = (norm0[k] * sq, r12, r22)
+        z[k] = (np.sum(y) / sq, np.sum(w * y) / r22 if r22 > 0 else 0.0)
+    return R, z, counts
+
+
+def _kernel_case(data, lo_bins, hi_bins):
+    """Sorted edges, and values on every edge, next to every edge, outside
+    the domain, infinite, NaN and in between, in a drawn order."""
+    nbins = data.draw(st.integers(lo_bins, hi_bins), label="nbins")
+    gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    edges = data.draw(st.floats(-50.0, 50.0), label="a1") + np.cumsum(
+        np.concatenate([[0.0], gen.uniform(1e-3, 2.0, nbins)]))
+    u = np.concatenate([
+        edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+        [edges[0] - 1.0, edges[-1] + 1.0, -np.inf, np.inf, np.nan],
+        gen.uniform(edges[0] - 1.0, edges[-1] + 1.0, data.draw(st.integers(0, 500))),
+    ])
+    u = u[gen.permutation(u.size)]
+    return edges, u, gen
+
+
+@pytest.mark.parametrize("lo_bins,hi_bins", [(1, _py.COMPARE_MAX_BINS),
+                                             (_py.COMPARE_MAX_BINS + 1, 300)])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_bin_indices_match_searchsorted(lo_bins, hi_bins, data):
+    edges, u, _ = _kernel_case(data, lo_bins, hi_bins)
+    got = _py.bin_indices(edges, u)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, _searchsorted_bin_indices(edges, u))
+
+
+@pytest.mark.parametrize("lo_bins,hi_bins", [(1, _py.COMPARE_MAX_BINS),
+                                             (_py.COMPARE_MAX_BINS + 1, 300)])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_binned_qr_bit_equal_to_argsort_version(lo_bins, hi_bins, data):
+    edges, u, gen = _kernel_case(data, lo_bins, hi_bins)
+    nbins = edges.size - 1
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    norm0, norm1 = gen.uniform(0.5, 2.0, nbins), gen.uniform(0.5, 2.0, nbins)
+    x = np.tanh(u) + gen.standard_normal(u.size)
+    got = _py.binned_qr(edges, centers, norm0, norm1, u, x)
+    want = _argsort_binned_qr(edges, centers, norm0, norm1, u, x)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w)

@@ -1,36 +1,19 @@
-"""Kernel backend selection.
+"""Hot kernels: bin lookup, dense design assembly and the per-bin QR of the
+piecewise-linear regression augmented with its target (see ``_py``).
 
-The compiled extension is preferred when it imported cleanly; otherwise the
-pure-numpy implementation is used.  Set ``REGLATER_BACKEND=python`` or
-``=cython`` to force one (forcing cython raises if the extension is absent).
+Callers go through the wrappers below, which hand the implementation
+contiguous float64 arrays.  ``BACKEND`` names the implementation in reports.
 """
 from __future__ import annotations
 
-import os
+import numpy as np
 
-_requested = os.environ.get("REGLATER_BACKEND", "").strip().lower()
+from . import _py as _impl
 
-if _requested in ("python", "numpy"):
-    from . import _py as _impl
-    BACKEND = "python"
-elif _requested in ("", "cython", "compiled"):
-    try:
-        from . import _core as _impl  # type: ignore[attr-defined]
-        BACKEND = "cython"
-    except ImportError:
-        if _requested:
-            raise ImportError(
-                "REGLATER_BACKEND=cython but the compiled extension is not built; "
-                "run pip install -e . --no-build-isolation")
-        from . import _py as _impl
-        BACKEND = "python"
-else:
-    raise ImportError(f"REGLATER_BACKEND={_requested!r} not recognized (python|cython)")
+BACKEND = "python"
 
 
 def _as_f64(a):
-    import numpy as np
-
     return np.ascontiguousarray(a, dtype=np.float64)
 
 

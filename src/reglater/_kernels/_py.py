@@ -1,13 +1,15 @@
-"""Pure-numpy implementations of the hot kernels.
+"""Numpy implementations of the hot kernels.
 
-Same contract as the compiled backend in ``_core.pyx``: bin lookup with a
-right-closed top bin, dense design assembly, and a per-bin thin-QR
-accumulation of the piecewise-linear regression.  The QR here is modified
-Gram-Schmidt in two passes (the second column is centered against the bin
-mean explicitly, never via sums of squares), which matches the compiled
-backend's Givens factorization to floating-point noise.
+Bin lookup with a right-closed top bin, dense design assembly, and a per-bin
+thin QR of the piecewise-linear regression.  The QR is modified Gram-Schmidt
+(the second column is centered against the bin mean explicitly, never via
+sums of squares), augmented with the target as a third column: the squared
+residuals it leaves are accumulated from the residual vectors themselves, so
+a fit's residual norm needs no second bin lookup or prediction.
 """
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +31,12 @@ def _bin_keys(edges: np.ndarray, u: np.ndarray) -> np.ndarray:
         idx = np.searchsorted(inner, u, side="right")
     idx[~((u >= edges[0]) & (u <= edges[-1]))] = -1  # NaN fails both tests
     return idx
+
+
+def _sum_sq(a: np.ndarray) -> float:
+    # not a @ a: BLAS threads its dot above 1e4 elements, and those threads
+    # stall behind sweep workers that already keep every core busy
+    return float(np.einsum("i,i->", a, a))
 
 
 def bin_indices(edges: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -54,12 +62,28 @@ def design_matrix(edges, centers, norm0, norm1, u) -> np.ndarray:
     return out
 
 
-def binned_qr(edges, centers, norm0, norm1, u, x):
-    """Per-bin thin QR of the two-column design [e0, e1] against targets x.
+class BinnedQR(NamedTuple):
+    """Per-bin factors of the augmented design [e0, e1, x]."""
 
-    Returns (R, z, counts): R[k] = (r11, r12, r22) with nonnegative diagonal,
-    z[k] = Q^T x restricted to the bin's two directions, counts[k] = samples
-    owned by bin k.  Out-of-domain samples are skipped.
+    R: np.ndarray  # (K, 3): r11, r12, r22, nonnegative diagonal
+    z: np.ndarray  # (K, 2): Q^T x in the bin's two directions
+    counts: np.ndarray  # (K,): samples owned by each bin
+    # (K, 2): squared residual norm of x in the bin after fitting e0 alone,
+    # and after fitting [e0, e1] (r33^2 of the augmented QR; equal to the
+    # first when r22 = 0)
+    rss: np.ndarray
+    rss_outside: float  # sum of x^2 over out-of-domain samples (fit is 0 there)
+
+
+def binned_qr(edges, centers, norm0, norm1, u, x) -> BinnedQR:
+    """Per-bin thin QR of the two-column design [e0, e1] against targets x,
+    with the residuals each fit leaves (see ``BinnedQR``).
+
+    The residual after both columns is x - z1 q1 - z2 q2, exactly the
+    expression a prediction from the solved coefficients evaluates, so it
+    holds even where q2 is numerically not orthogonal to q1 (a bin whose
+    linear column is degenerate).  Such a bin's fit uses e0 alone, hence the
+    first residual.
     """
     edges = np.asarray(edges, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
@@ -71,6 +95,7 @@ def binned_qr(edges, centers, norm0, norm1, u, x):
     R = np.zeros((nbins, 3))
     z = np.zeros((nbins, 2))
     counts = np.zeros(nbins, dtype=np.int64)
+    rss = np.zeros((nbins, 2))
 
     # narrowest signed type holding keys + 1, so the stable argsort is a radix sort
     keys = _bin_keys(edges, u).astype(np.min_scalar_type(-nbins - 1), copy=False)
@@ -78,6 +103,7 @@ def binned_qr(edges, centers, norm0, norm1, u, x):
     u_s, x_s = u[order], x[order]
     # bin k is order[bounds[k]:bounds[k + 1]]; slot 0 counts out-of-domain
     bounds = np.cumsum(np.bincount(keys + 1, minlength=nbins + 1))
+    rss_outside = _sum_sq(x_s[:bounds[0]])
 
     for k in range(nbins):
         lo, hi = bounds[k], bounds[k + 1]
@@ -96,4 +122,9 @@ def binned_qr(edges, centers, norm0, norm1, u, x):
         z2 = np.sum(w * y) / r22 if r22 > 0 else 0.0
         R[k] = (r11, r12, r22)
         z[k] = (z1, z2)
-    return R, z, counts
+        v = y - z1 / sq  # residual after q1
+        rss1 = _sum_sq(v)
+        if r22 > 0:
+            v -= (z2 / r22) * w  # and after q2
+        rss[k] = (rss1, _sum_sq(v))
+    return BinnedQR(R, z, counts, rss, rss_outside)

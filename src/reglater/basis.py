@@ -225,9 +225,9 @@ def gram_diagnostics(basis: SieveBasis, sample) -> GramDiagnostics:
     if n < basis.dim:
         warnings.warn(f"sample size {n} below basis dimension {basis.dim}: "
                       "Gram matrix is rank deficient", RuntimeWarning, stacklevel=2)
-    R, _, _ = _kernels.binned_qr(basis.partition.edges, basis.centers,
-                                 basis.norm0, basis.norm1, u, np.zeros(n))
-    return _block_stats(_gram_blocks_from_qr(R, n))
+    qr = _kernels.binned_qr(basis.partition.edges, basis.centers,
+                            basis.norm0, basis.norm1, u, np.zeros(n))
+    return _block_stats(_gram_blocks_from_qr(qr.R, n))
 
 
 def _require_density(dist: DistSpec) -> None:

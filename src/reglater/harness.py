@@ -34,6 +34,12 @@ CSV_HEADER = "K,N,reps,mse_mean,mse_stderr,approx_l2,h_tilde"
 _POINT_ERRORS = (DegenerateDesignError, BasisConstructionError, SamplingError,
                  FloatingPointError)
 
+# Most samples one repetition may hold at once: N, or eval.multiplier * N
+# for fresh-sample evaluation.  Peak RSS grows by about 66 bytes per held
+# sample with fresh-sample evaluation (measured at 4.2e6 and 8.4e6) and by
+# about 51 for the fit alone, so two workers at the cap need about 4.4 GB.
+MAX_POINT_SAMPLES = 2**25
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -75,9 +81,14 @@ class ExperimentConfig:
             raise ConfigurationError("eval.multiplier: must be >= 1")
         if not (0 < self.domain_epsilon < 1):
             raise ConfigurationError("domain_epsilon: must lie in (0, 1)")
+        held_per_N = self.eval_multiplier if self.eval_method == "fresh_sample" else 1
         for K, N in self.points():
             if N < 2 * K + 1:
                 raise ConfigurationError(f"point (K={K}, N={N}): needs N >= 2K+1")
+            if held_per_N * N > MAX_POINT_SAMPLES:
+                raise ConfigurationError(
+                    f"point (K={K}, N={N}): {held_per_N * N} samples per repetition "
+                    f"exceed the cap of {MAX_POINT_SAMPLES}")
 
     def points(self) -> list[tuple[int, int]]:
         """(K, N) per sweep point, in report order."""

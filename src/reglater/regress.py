@@ -4,11 +4,14 @@
 with empty / collinear columns dropped at a 1e-10 relative tolerance and
 reported.  ``regress_later_fit`` / ``regress_now_fit`` exploit the disjoint
 bin supports of the sieve basis: the global least squares problem decouples
-into per-bin two-column problems, solved from the kernel backend's per-bin
-thin-QR factors (identical solution to a global orthogonal decomposition).
+into per-bin two-column problems, solved from the kernel's per-bin thin-QR
+factors (identical solution to a global orthogonal decomposition).  The same
+kernel pass carries the target as a third QR column, so the residual norm is
+summed from the per-bin residuals it leaves, with no prediction pass.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,10 +133,12 @@ def _fit_on_basis(u: np.ndarray, x: np.ndarray, basis: SieveBasis, mode: str) ->
     n = u.shape[0]
     if n < 1:
         raise ConfigurationError("need at least one sample")
-    R, z, _ = _kernels.binned_qr(basis.partition.edges, basis.centers,
-                                 basis.norm0, basis.norm1, u, x)
+    qr = _kernels.binned_qr(basis.partition.edges, basis.centers,
+                            basis.norm0, basis.norm1, u, x)
+    R, z = qr.R, qr.z
     coef = np.zeros(2 * basis.K)
     dropped: list[int] = []
+    rss = [qr.rss_outside]  # squared residual per bin, as the fit leaves it
     floor = COLUMN_NORM_TOL * np.sqrt(n)
     for k in range(basis.K):
         r11, r12, r22 = R[k]
@@ -145,19 +150,20 @@ def _fit_on_basis(u: np.ndarray, x: np.ndarray, basis: SieveBasis, mode: str) ->
             # centered-linear column degenerate within the bin
             dropped.append(2 * k + 1)
             coef[2 * k] = z[k, 0] / r11
+            rss.append(qr.rss[k, 0])
         else:
             a1 = z[k, 1] / r22
             coef[2 * k + 1] = a1
             coef[2 * k] = (z[k, 0] - r12 * a1) / r11
+            rss.append(qr.rss[k, 1])
     if len(dropped) == 2 * basis.K:
         raise DegenerateDesignError("every basis column is empty on this sample")
-    resid = x - predict(basis, coef, u)
     stats = _block_stats(_gram_blocks_from_qr(R, n))
     return FitResult(
         coefficients=coef,
         rank=2 * basis.K - len(dropped),
         dropped_columns=tuple(sorted(dropped)),
-        residual_l2=float(np.linalg.norm(resid)),
+        residual_l2=math.sqrt(math.fsum(rss)),
         gram_frobenius_dist=stats.frobenius_dist,
         gram_lambda_min=stats.lambda_min,
         mode=mode,

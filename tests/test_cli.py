@@ -1,12 +1,13 @@
 import hashlib
 import json
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from reglater import _kernels, cli
+from reglater import _kernels, cli, harness
 from reglater._kernels import _py
 from reglater.config import load_config, validate_config_dict
 from reglater.errors import ConfigurationError
@@ -129,6 +130,39 @@ def test_run_malformed_config_exits_2_without_partial_files(tmp_path, capsys):
     outdir = tmp_path / "out"
     assert cli.main(["run", str(bad), "-o", str(outdir)]) == 2
     assert not outdir.exists() or not list(outdir.iterdir())
+
+
+def test_run_oversized_point_exits_2_before_sampling(tmp_path, capsys, monkeypatch):
+    # N_rule gives N = 431,588,925 at K = 2000: tens of GB if it were sampled
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled an oversized point")
+
+    monkeypatch.setattr(harness, "simulate_conditional", no_sampling)
+    outdir = tmp_path / "out"
+    args = ["run", str(CONFIG_DIR / "figure1.json"), "--set", "K_list=[4,6,8,12,2000]",
+            "-o", str(outdir)]
+    tracemalloc.start()
+    try:
+        code = cli.main(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "point (K=2000, N=431588925)" in err
+    assert str(harness.MAX_POINT_SAMPLES) in err
+    assert peak < 2**20
+    assert not outdir.exists()
+
+
+def test_fresh_sample_multiplier_counts_against_the_cap():
+    doc = {key: v for key, v in TINY_CONFIG.items() if key != "N_rule"}
+    doc.update(sweep="fixed_K", K_list=[4], eval={"method": "fresh_sample", "multiplier": 10})
+    cap = harness.MAX_POINT_SAMPLES
+    validate_config_dict(dict(doc, N_list=[1000, cap // 10]))
+    with pytest.raises(ConfigurationError, match=f"N={cap // 10 + 1}"):
+        validate_config_dict(dict(doc, N_list=[1000, cap // 10 + 1]))
+    validate_config_dict(dict(doc, N_list=[cap], eval={"method": "quadrature"}))
 
 
 def test_run_seed_override_changes_mse_not_approx(tiny_config_path, tmp_path):

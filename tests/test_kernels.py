@@ -1,5 +1,6 @@
-"""Backend contract tests: the compiled kernels and the numpy fallback must
-agree with each other and with a dense orthogonal-decomposition solve."""
+"""Kernel contract tests: bin lookup conventions, agreement with a dense
+orthogonal-decomposition solve, and the numpy kernels against the versions
+they replaced."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,13 +8,6 @@ from hypothesis import strategies as st
 
 import reglater as rl
 from reglater._kernels import _py
-
-try:
-    from reglater._kernels import _core
-except ImportError:
-    _core = None
-
-BACKENDS = [("python", _py)] + ([("cython", _core)] if _core else [])
 
 
 @pytest.fixture(scope="module")
@@ -26,37 +20,19 @@ def problem(basis_cache, w10_law):
     return basis, u, x
 
 
-@pytest.mark.parametrize("name,mod", BACKENDS)
-def test_bin_indices_conventions(name, mod, basis_cache):
+def test_bin_indices_conventions(basis_cache):
     basis = basis_cache(4)
     e = basis.partition.edges
     u = np.array([e[0] - 1.0, e[0], 0.5 * (e[1] + e[2]), e[2], e[4], e[4] + 1e-9])
-    idx = mod.bin_indices(e, u)
+    idx = _py.bin_indices(e, u)
     assert list(idx) == [-1, 0, 1, 2, 3, -1]
 
 
-def test_backends_agree(problem):
-    if _core is None:
-        pytest.skip("compiled backend not built")
+def test_binned_qr_matches_dense_ols(problem):
     basis, u, x = problem
-    args = (basis.partition.edges, basis.centers, basis.norm0, basis.norm1)
-    assert np.array_equal(_py.bin_indices(args[0], u), _core.bin_indices(args[0], u))
-    Dp = _py.design_matrix(*args, u)
-    Dc = _core.design_matrix(*args, u)
-    assert np.array_equal(Dp, Dc)
-    Rp, zp, cp = _py.binned_qr(*args, u, x)
-    Rc, zc, cc = _core.binned_qr(*args, u, x)
-    assert np.array_equal(cp, cc)
-    assert np.max(np.abs(Rp - Rc)) < 1e-9
-    assert np.max(np.abs(zp - zc)) < 1e-9
-
-
-@pytest.mark.parametrize("name,mod", BACKENDS)
-def test_binned_qr_matches_dense_ols(name, mod, problem):
-    basis, u, x = problem
-    inside = mod.bin_indices(basis.partition.edges, u) >= 0
+    inside = _py.bin_indices(basis.partition.edges, u) >= 0
     u_in, x_in = u[inside], x[inside]
-    design = mod.design_matrix(basis.partition.edges, basis.centers, basis.norm0,
+    design = _py.design_matrix(basis.partition.edges, basis.centers, basis.norm0,
                                basis.norm1, u_in)
     dense = rl.ols_fit(design, x_in)
     samp = rl.SampleSet(u_in.reshape(-1, 1), x_in, 0, u_in.size)
@@ -66,12 +42,11 @@ def test_binned_qr_matches_dense_ols(name, mod, problem):
     assert dense.rank == binned.rank
 
 
-@pytest.mark.parametrize("name,mod", BACKENDS)
-def test_qr_factor_reproduces_gram(name, mod, problem):
+def test_qr_factor_reproduces_gram(problem):
     basis, u, x = problem
-    R, _, counts = mod.binned_qr(basis.partition.edges, basis.centers, basis.norm0,
-                                 basis.norm1, u, x)
-    D = mod.design_matrix(basis.partition.edges, basis.centers, basis.norm0,
+    R, _, counts, _, _ = _py.binned_qr(basis.partition.edges, basis.centers, basis.norm0,
+                                       basis.norm1, u, x)
+    D = _py.design_matrix(basis.partition.edges, basis.centers, basis.norm0,
                           basis.norm1, u)
     G = D.T @ D
     for k in range(basis.K):
@@ -79,7 +54,7 @@ def test_qr_factor_reproduces_gram(name, mod, problem):
         assert r11**2 == pytest.approx(G[2 * k, 2 * k], rel=1e-10, abs=1e-9)
         assert r11 * r12 == pytest.approx(G[2 * k, 2 * k + 1], rel=1e-8, abs=1e-8)
         assert r12**2 + r22**2 == pytest.approx(G[2 * k + 1, 2 * k + 1], rel=1e-9, abs=1e-9)
-    assert counts.sum() == np.sum(mod.bin_indices(basis.partition.edges, u) >= 0)
+    assert counts.sum() == np.sum(_py.bin_indices(basis.partition.edges, u) >= 0)
 
 
 # ---------------------------------------------------------------------------
@@ -157,9 +132,16 @@ def test_binned_qr_bit_equal_to_argsort_version(lo_bins, hi_bins, data):
     nbins = edges.size - 1
     centers = 0.5 * (edges[:-1] + edges[1:])
     norm0, norm1 = gen.uniform(0.5, 2.0, nbins), gen.uniform(0.5, 2.0, nbins)
+    if data.draw(st.booleans(), label="flat_bin"):  # every value at the center: r22 = 0
+        k = gen.integers(nbins)
+        u[(u >= edges[k]) & (u < edges[k + 1])] = centers[k]
     x = np.tanh(u) + gen.standard_normal(u.size)
     got = _py.binned_qr(edges, centers, norm0, norm1, u, x)
     want = _argsort_binned_qr(edges, centers, norm0, norm1, u, x)
-    for g, w in zip(got, want):
+    for g, w in zip((got.R, got.z, got.counts), want):
         assert g.dtype == w.dtype
         assert np.array_equal(g, w)
+    # a bin without a linear direction (r22 = 0) leaves its first residual
+    assert np.all(np.isfinite(got.rss))
+    flat = got.R[:, 2] == 0
+    assert np.array_equal(got.rss[flat, 1], got.rss[flat, 0])

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reglater as rl
+from reglater import _kernels
+from reglater._kernels import _py
+from reglater.distributions import Uniform
 from reglater.errors import ConfigurationError, DegenerateDesignError
 from conftest import slope_of
 
@@ -223,6 +228,71 @@ def test_now_in_span_measurable_payoff_has_no_projection_error(brownian10):
     fit, diag = rl.regress_now_fit(s.with_payoffs(x), basis_t)
     assert diag.residual_variance_estimate < 1e-8
     assert not diag.projection_error_present
+
+
+# ---------------------------------------------------------------------------
+# residual norm from the augmented kernel QR
+# ---------------------------------------------------------------------------
+
+def _residual_case(data, lo_bins, hi_bins):
+    """A sample on a uniform-law basis with out-of-domain values, empty bins,
+    a bin holding one distinct value (its linear column is dropped) and
+    targets that are either in the span of the basis or noisy."""
+    K = data.draw(st.integers(lo_bins, hi_bins), label="K")
+    gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    basis = rl.build_basis(Uniform(-1.0, 2.0), K)
+    edges = basis.partition.edges
+    full = gen.permutation(K)[:max(1, K - data.draw(st.integers(0, K - 1), label="empty"))]
+    k0 = full[0]
+    n_in = data.draw(st.integers(2 * K + 1, 40 * K), label="n_in")
+    k = full[gen.integers(0, full.size, n_in)]
+    u = edges[k] + gen.uniform(0.0, 1.0, n_in) * (edges[k + 1] - edges[k])
+    if data.draw(st.booleans(), label="one_distinct"):
+        u[k == k0] = edges[k0] + 0.37 * (edges[k0 + 1] - edges[k0])
+    n_out = data.draw(st.integers(0, 50), label="n_out")
+    u = np.concatenate([u, gen.uniform(-4.0, -1.001, n_out // 2),
+                        gen.uniform(2.001, 5.0, n_out - n_out // 2)])
+    u = u[gen.permutation(u.size)]
+    if data.draw(st.booleans(), label="in_span"):
+        x = rl.predict(basis, gen.standard_normal(2 * K), u)
+    else:
+        x = np.sin(3.0 * u) + gen.standard_normal(u.size)
+    return basis, rl.SampleSet(u.reshape(-1, 1), x, 0, u.size)
+
+
+@pytest.mark.parametrize("lo_bins,hi_bins", [(1, _py.COMPARE_MAX_BINS),
+                                             (_py.COMPARE_MAX_BINS + 1, 120)])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_residual_matches_prediction_residual(lo_bins, hi_bins, data):
+    basis, samp = _residual_case(data, lo_bins, hi_bins)
+    u, x = samp.feature_column(), samp.payoffs
+    floor = 1e-12 * (np.linalg.norm(x) + 1.0)
+    later = rl.regress_later_fit(samp, basis)
+    want = np.linalg.norm(x - rl.predict(basis, later.coefficients, u))
+    assert later.residual_l2 == pytest.approx(want, rel=1e-10, abs=floor)
+    now, diag = rl.regress_now_fit(samp, basis)
+    want = np.linalg.norm(x - rl.predict(basis, now.coefficients, u))
+    df = samp.n - now.rank
+    assert diag.residual_variance_estimate == pytest.approx(
+        want**2 / df, rel=1e-10, abs=floor**2 / df)
+
+
+def test_fits_make_no_bin_lookup(monkeypatch, basis_cache, w10_law, brownian10, terminal10):
+    calls = []
+    lookup = _kernels.bin_indices
+
+    def counting(edges, u):
+        calls.append(np.size(u))
+        return lookup(edges, u)
+
+    monkeypatch.setattr(_kernels, "bin_indices", counting)
+    samp = _tanh_sample(brownian10, terminal10, w10_law[1], 5000, 30)
+    rl.regress_later_fit(samp, basis_cache(8))
+    rl.regress_now_fit(samp, basis_cache(8))
+    assert calls == []
+    rl.predict(basis_cache(8), np.zeros(16), samp.feature_column())
+    assert calls == [5000]  # the wrapper is the one predict looks up
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,11 @@ thin QR of the piecewise-linear regression.  The QR is modified Gram-Schmidt
 sums of squares), augmented with the target as a third column: the squared
 residuals it leaves are accumulated from the residual vectors themselves, so
 a fit's residual norm needs no second bin lookup or prediction.
+
+Bin lookup and the sort by bin are vectorized over the samples; the QR then
+loops over the bins in Python, with vectorized sums inside each.  The fits
+call it on one rng block of samples at a time and merge the per-bin factors
+of consecutive blocks (``regress._binned_factors``).
 """
 from __future__ import annotations
 

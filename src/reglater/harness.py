@@ -3,18 +3,21 @@ sweeps, and the paired comparison of the two estimators.
 
 Every repetition draws its sample from a substream keyed by
 ``(seed, K, N, rep)``, so points are independently reproducible and a report
-is a pure function of (config, seed).  Repetitions may run on any number of
+is a pure function of (config, seed).  A repetition streams its sample: it
+draws, pays off and fits one ``rng.BLOCK_SIZE`` block at a time, so its
+memory does not grow with N.  Repetitions may run on any number of
 worker threads; aggregation sorts by repetition index and sums with
 ``math.fsum``, so the emitted CSV is byte-identical for any worker count.
 """
 from __future__ import annotations
 
+import ctypes
 import math
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -34,10 +37,12 @@ CSV_HEADER = "K,N,reps,mse_mean,mse_stderr,approx_l2,h_tilde"
 _POINT_ERRORS = (DegenerateDesignError, BasisConstructionError, SamplingError,
                  FloatingPointError)
 
-# Most samples one repetition may hold at once: N, or eval.multiplier * N
-# for fresh-sample evaluation.  Peak RSS grows by about 66 bytes per held
-# sample with fresh-sample evaluation (measured at 4.2e6 and 8.4e6) and by
-# about 51 for the fit alone, so two workers at the cap need about 4.4 GB.
+# Most samples one repetition may draw: N, or eval.multiplier * N for
+# fresh-sample evaluation.  Repetitions stream their samples one rng block at
+# a time, so memory does not grow with N (peak RSS about 5 MB above the import
+# floor at N = 2**20 and at 2**25); the cap bounds the time of one
+# repetition instead, about 2.3 s at the cap for a K = 5 fit on a 2-vCPU
+# x86-64 VM.
 MAX_POINT_SAMPLES = 2**25
 
 
@@ -214,26 +219,67 @@ def _later_point_setup(config: ExperimentConfig, dist, cache: dict) -> Callable:
     return setup
 
 
+def _keep_block_memory() -> None:
+    """Let the C allocator reuse one sample block's memory for the next.
+
+    A streamed repetition allocates and frees a few MB of block-sized numpy
+    temporaries per rng block.  Under glibc's default dynamic thresholds
+    such arrays are mmapped, or the freed top of the heap is handed back to
+    the system, so every block page-faults its memory in again (about 1e5
+    minor faults per fixed_k_large_n sweep), and the faults of two worker
+    threads serialize on the process's memory map.  Raising both thresholds
+    keeps that memory in the process.  A process-wide setting; nothing is
+    done where the C library has no ``mallopt``.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # no C library handle, or not glibc
+        return
+    block_bytes = 8 * rng.BLOCK_SIZE
+    mallopt(-3, 4 * block_bytes)  # M_MMAP_THRESHOLD: arrays up to 4 blocks from the heap
+    mallopt(-1, 32 * block_bytes)  # M_TRIM_THRESHOLD: keep up to 32 blocks of freed heap
+
+
+def _sample_blocks(proc: ProcessSpec, feat: FeatureSpec, dom: Domain, n: int,
+                   seed: int) -> Iterator[SampleSet]:
+    """``simulate_conditional(proc, feat, dom, n, seed)`` one rng block at a
+    time, so a repetition never holds more than ``rng.BLOCK_SIZE`` samples."""
+    size = rng.BLOCK_SIZE
+    for j in range(-(-n // size)):
+        yield simulate_conditional(proc, feat, dom, min(size, n - j * size), seed,
+                                   first_block=j)
+
+
+def _payoff_blocks(payoff: PayoffSpec, blocks: Iterable[SampleSet]) -> Iterator[SampleSet]:
+    """Each sample block with the payoff of its own feature attached."""
+    for block in blocks:
+        yield block.with_payoffs(eval_payoff(payoff, block.feature_column()))
+
+
 def _run_points(config: ExperimentConfig, dist, dom: Domain, workers: int,
                 sweep_variable: str) -> ConvergenceReport:
     start = time.perf_counter()
+    _keep_block_memory()
     setup = _later_point_setup(config, dist, {})
     setups = [setup(K, N) for K, N in config.points()]
 
     def one_rep(pt: _PointSetup, rep: int) -> float:
         sample_seed = rng.derive_seed(config.seed, pt.K, pt.N, rep)
-        sample = simulate_conditional(config.process, config.feature, dom, pt.N, sample_seed)
-        u = sample.feature_column()
-        fit = regress_later_fit(sample.with_payoffs(eval_payoff(config.payoff, u)), pt.basis)
+        fit = regress_later_fit(
+            _payoff_blocks(config.payoff, _sample_blocks(config.process, config.feature, dom,
+                                                         pt.N, sample_seed)),
+            pt.basis)
         if config.eval_method == "quadrature":
             return pt.approx_ms + coefficient_error(fit, pt.basis, config.payoff, dist,
                                                     true_coefficients=pt.alpha)
         eval_seed = rng.derive_seed(config.seed, pt.K, pt.N, rep, "eval")
-        fresh = simulate_conditional(config.process, config.feature, dom,
-                                     config.eval_multiplier * pt.N, eval_seed)
-        v = fresh.feature_column()
-        err = eval_payoff(config.payoff, v) - predict(pt.basis, fit.coefficients, v)
-        return float(np.mean(err * err))
+        n_eval = config.eval_multiplier * pt.N
+        sq = []
+        for fresh in _sample_blocks(config.process, config.feature, dom, n_eval, eval_seed):
+            v = fresh.feature_column()
+            err = eval_payoff(config.payoff, v) - predict(pt.basis, fit.coefficients, v)
+            sq.append(float(np.sum(err * err)))
+        return math.fsum(sq) / n_eval
 
     tasks = [(i, rep) for i, _ in enumerate(setups) for rep in range(config.repetitions)]
     results: dict[tuple[int, int], float] = {}
@@ -385,6 +431,7 @@ def now_vs_later_compare(config: ExperimentConfig, workers: int = 1) -> PairedRe
     motion (square or identity) and a pair_u_T feature fixing t and T.
     """
     start = time.perf_counter()
+    _keep_block_memory()
     if config.process.kind != "brownian":
         raise ConfigurationError("paired comparison runs on brownian features")
     if config.payoff.kind not in ("square", "identity"):
@@ -433,18 +480,18 @@ def now_vs_later_compare(config: ExperimentConfig, workers: int = 1) -> PairedRe
         basis_t, grid, wq, truth = now_setup(K)
         # Regress-Later: fit the payoff at T, transfer exactly to time t
         s_lat = rng.derive_seed(config.seed, "later", K, N, rep)
-        samp = simulate_conditional(proc, feat_T, dom_T, N, s_lat)
-        u = samp.feature_column()
-        fit_lat = regress_later_fit(samp.with_payoffs(eval_payoff(config.payoff, u)), basis_T)
+        fit_lat = regress_later_fit(
+            _payoff_blocks(config.payoff, _sample_blocks(proc, feat_T, dom_T, N, s_lat)),
+            basis_T)
         spec = TransferSpec(BrownianTransition(t, T), basis_T, fit_lat.coefficients)
         mse_lat = float(np.sum(wq * (truth - condexp_estimate(spec, grid)) ** 2))
         # Regress-Now: states at t, fresh continuations to T, direct regression
         s_now = rng.derive_seed(config.seed, "now", K, N, rep)
-        states = simulate_conditional(proc, feat_t, dom_t, N, s_now).feature_column()
-        xi = rng.block_standard_normal(N, rng.derive_seed(config.seed, "cont", K, N, rep))
-        x_now = eval_payoff(config.payoff, states + math.sqrt(T - t) * xi)
+        s_cont = rng.derive_seed(config.seed, "cont", K, N, rep)
         fit_now, _ = regress_now_fit(
-            _states_sample(states, x_now, s_now, dom_t), basis_t)
+            _continued_blocks(config.payoff, math.sqrt(T - t), s_cont,
+                              _sample_blocks(proc, feat_t, dom_t, N, s_now)),
+            basis_t)
         mse_now = float(np.sum(wq * (truth - predict(basis_t, fit_now.coefficients, grid)) ** 2))
         return mse_lat, mse_now
 
@@ -477,5 +524,12 @@ def now_vs_later_compare(config: ExperimentConfig, workers: int = 1) -> PairedRe
                         time.perf_counter() - start)
 
 
-def _states_sample(states: np.ndarray, payoffs: np.ndarray, seed: int, dom: Domain) -> SampleSet:
-    return SampleSet(states.reshape(-1, 1), payoffs, seed, states.size, domain_tag=dom)
+def _continued_blocks(payoff: PayoffSpec, scale: float, seed: int,
+                      blocks: Iterable[SampleSet]) -> Iterator[SampleSet]:
+    """Each block of states ``w`` with the payoff of ``w + scale * xi``
+    attached, where block ``j`` of the continuation normals ``xi`` is rng
+    block ``j`` of ``rng.block_standard_normal(n, seed)``."""
+    for j, block in enumerate(blocks):
+        w = block.feature_column()
+        xi = rng.block_standard_normal(w.size, seed, first_block=j)
+        yield block.with_payoffs(eval_payoff(payoff, w + scale * xi))

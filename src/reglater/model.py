@@ -215,8 +215,13 @@ def simulate_terminal(proc: ProcessSpec, feat: FeatureSpec, n: int, seed: int) -
 
 
 def simulate_conditional(proc: ProcessSpec, feat: FeatureSpec, dom: Domain,
-                         n: int, seed: int) -> SampleSet:
-    """Draws of the feature conditioned on landing in [a1, a2], via rejection."""
+                         n: int, seed: int, *, first_block: int = 0) -> SampleSet:
+    """Draws of the feature conditioned on landing in [a1, a2], via rejection.
+
+    With ``first_block=j`` the draws start at ``rng`` block ``j``: block ``j``
+    of an ``n``-sample draw, alone, is the call with ``min(rng.BLOCK_SIZE,
+    n - j * rng.BLOCK_SIZE)`` samples and ``first_block=j``.
+    """
     _check_pair(proc, feat)
     if n < 1:
         raise ConfigurationError("n: must be >= 1")
@@ -227,7 +232,8 @@ def simulate_conditional(proc: ProcessSpec, feat: FeatureSpec, dom: Domain,
             f"domain mass {dom.mass:g} below {MIN_CONDITIONAL_MASS:g}; rejection would stall")
     draw = _terminal_drawer(proc, feat)
     accept = lambda u: (u >= dom.a1) & (u <= dom.a2)
-    vals, proposals = rng.block_rejection(n, draw, accept, seed, "conditional", feat.kind)
+    vals, proposals = rng.block_rejection(n, draw, accept, seed, "conditional", feat.kind,
+                                          first_block=first_block)
     meta = {
         "measure": _measure_tag(proc) + f", conditioned on [{dom.a1:g}, {dom.a2:g}]",
         "feature": feat.kind,

@@ -8,16 +8,24 @@ into per-bin two-column problems, solved from the kernel's per-bin thin-QR
 factors (identical solution to a global orthogonal decomposition).  The same
 kernel pass carries the target as a third QR column, so the residual norm is
 summed from the per-bin residuals it leaves, with no prediction pass.
+
+The fits run block by block: the kernel sees consecutive blocks of at most
+``rng.BLOCK_SIZE`` samples, and each bin's factors are merged in block order
+(TSQR), so a fit holds one block at a time.  A fit of at most
+``rng.BLOCK_SIZE`` samples is one kernel pass, bit for bit; a longer one
+agrees with a single pass to rounding error (both are backward stable).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 import scipy.linalg
 
-from . import _kernels
+from . import _kernels, rng
+from ._kernels._py import BinnedQR
 from .basis import SieveBasis, _block_stats, _gram_blocks_from_qr, projection_coefficients
 from .distributions import DistSpec
 from .errors import ConfigurationError, DegenerateDesignError
@@ -26,6 +34,10 @@ from .model import SampleSet
 COLUMN_NORM_TOL = 1e-10
 RANK_TOL = 1e-10
 PROJECTION_ERROR_TOL = 1e-8
+# Block factors merged by one batched QR: fewer, larger merges cost less
+# interpreter time (which threads cannot share), and the held factors stay
+# O(K) at any N.
+MERGE_BLOCKS = 32
 
 
 @dataclass(frozen=True)
@@ -129,12 +141,80 @@ def predict(basis: SieveBasis, coefficients: np.ndarray, u) -> np.ndarray:
     return float(out[0]) if np.ndim(u) == 0 else out
 
 
-def _fit_on_basis(u: np.ndarray, x: np.ndarray, basis: SieveBasis, mode: str) -> FitResult:
-    n = u.shape[0]
-    if n < 1:
+def _feature_target_blocks(samples) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(features, targets) per block: a ``SampleSet`` sliced into consecutive
+    blocks of ``rng.BLOCK_SIZE`` samples, or one pair per set of an iterable
+    of per-block sample sets."""
+    if isinstance(samples, SampleSet):
+        u, x = _univariate_features(samples), _targets(samples)
+        size = rng.BLOCK_SIZE
+        for lo in range(0, samples.n, size):
+            yield u[lo:lo + size], x[lo:lo + size]
+    else:
+        for block in samples:
+            yield _univariate_features(block), _targets(block)
+
+
+def _merged(parts: list[BinnedQR]) -> BinnedQR:
+    """The factors of consecutive sample blocks merged into those of their
+    union: each bin's QR of its blocks' triangular factors stacked in block
+    order, a TSQR step (Demmel, Grigori, Hoemmen & Langou, SISC 2012).
+
+    The 3x3 factors of [e0 e1 x] and the 2x2 factors of [e0 x] are merged
+    apart (the 2x2 ones padded with a zero column, so one batched QR does
+    both), so both residuals of ``BinnedQR.rss`` survive.  Where a block's
+    linear column is degenerate (``r22`` within ``RANK_TOL`` of its column
+    norm, e.g. one distinct value), its ``q2`` means nothing: the kernel's
+    ``z2`` and ``r33`` then do not factor the block's Gram matrix, so its 3x3
+    factor takes the residual after ``e0`` as its ``x`` row instead.  That
+    drops ``q2 . x``, at most ``r22`` times that residual.
+    """
+    R = np.stack([p.R for p in parts], axis=1)  # (K, blocks, 3)
+    z = np.stack([p.z for p in parts], axis=1)
+    rss = np.stack([p.rss for p in parts], axis=1)
+    K, m = R.shape[:2]
+    r0 = np.sqrt(rss[..., 0])
+    degenerate = R[..., 2] <= RANK_TOL * np.hypot(R[..., 1], R[..., 2])
+    f = np.zeros((2, K, m, 3, 3))
+    f[0, ..., 0, :] = np.stack((R[..., 0], R[..., 1], z[..., 0]), axis=-1)
+    f[0, ..., 1, 1] = R[..., 2]
+    f[0, ..., 1, 2] = np.where(degenerate, 0.0, z[..., 1])
+    f[0, ..., 2, 2] = np.where(degenerate, r0, np.sqrt(rss[..., 1]))
+    f[1, ..., 0, :2] = np.stack((R[..., 0], z[..., 0]), axis=-1)
+    f[1, ..., 1, 1] = r0
+    T = np.linalg.qr(f.reshape(2 * K, 3 * m, 3), mode="r")
+    T *= np.where(np.diagonal(T, axis1=1, axis2=2) < 0.0, -1.0, 1.0)[:, :, None]
+    f3, f2 = T[:K], T[K:]
+    return BinnedQR(R=f3[:, [0, 0, 1], [0, 1, 1]], z=f3[:, [0, 1], [2, 2]],
+                    counts=np.sum([p.counts for p in parts], axis=0),
+                    rss=np.column_stack((f2[:, 1, 1] ** 2, f3[:, 2, 2] ** 2)),
+                    rss_outside=math.fsum(p.rss_outside for p in parts))
+
+
+def _binned_factors(samples, basis: SieveBasis) -> tuple[BinnedQR, int]:
+    """``_kernels.binned_qr`` folded over the sample blocks, with the sample
+    count.
+
+    Block factors are merged in block order, ``MERGE_BLOCKS`` at a time into
+    the merged factor so far, which keeps the result a pure function of the
+    samples and the held factors O(K); only one block of samples is held.
+    With one block nothing is merged: the result is the kernel's own.
+    """
+    parts: list[BinnedQR] = []
+    n = 0
+    for u, x in _feature_target_blocks(samples):
+        parts.append(_kernels.binned_qr(basis.partition.edges, basis.centers,
+                                        basis.norm0, basis.norm1, u, x))
+        n += u.shape[0]
+        if len(parts) > MERGE_BLOCKS:
+            parts = [_merged(parts)]
+    if not parts:
         raise ConfigurationError("need at least one sample")
-    qr = _kernels.binned_qr(basis.partition.edges, basis.centers,
-                            basis.norm0, basis.norm1, u, x)
+    return (parts[0] if len(parts) == 1 else _merged(parts)), n
+
+
+def _fit_on_basis(samples, basis: SieveBasis, mode: str) -> FitResult:
+    qr, n = _binned_factors(samples, basis)
     R, z = qr.R, qr.z
     coef = np.zeros(2 * basis.K)
     dropped: list[int] = []
@@ -183,18 +263,24 @@ def _targets(sample: SampleSet) -> np.ndarray:
     return sample.payoffs
 
 
-def regress_later_fit(sample: SampleSet, basis: SieveBasis) -> FitResult:
-    """Regress the payoff on basis functions of the same-date feature."""
-    return _fit_on_basis(_univariate_features(sample), _targets(sample), basis, "later")
+def regress_later_fit(samples, basis: SieveBasis) -> FitResult:
+    """Regress the payoff on basis functions of the same-date feature.
+
+    ``samples`` is a ``SampleSet`` or an iterable of per-block sample sets
+    (for example a generator, so only one block is ever held); either way
+    the fit runs block by block.
+    """
+    return _fit_on_basis(samples, basis, "later")
 
 
-def regress_now_fit(sample: SampleSet, basis: SieveBasis) -> tuple[FitResult, NowDiagnostics]:
+def regress_now_fit(samples, basis: SieveBasis) -> tuple[FitResult, NowDiagnostics]:
     """Regress the payoff on basis functions of the earlier-date feature.
 
-    The residual now contains an irreducible projection error; its variance
-    is estimated as RSS / (N - rank).
+    ``samples`` as for ``regress_later_fit``.  The residual now contains an
+    irreducible projection error; its variance is estimated as
+    RSS / (N - rank).
     """
-    fit = _fit_on_basis(_univariate_features(sample), _targets(sample), basis, "now")
+    fit = _fit_on_basis(samples, basis, "now")
     df = fit.n - fit.rank
     sigma2 = fit.residual_l2 ** 2 / df if df > 0 else float("nan")
     return fit, NowDiagnostics(float(sigma2), bool(sigma2 > PROJECTION_ERROR_TOL))

@@ -10,6 +10,13 @@ numbers: as easy as 1, 2, 3", SC'11), so each block requests only what it
 needs and draw ``i`` still depends only on ``(parts, i // BLOCK_SIZE)``:
 results are bit-identical under any parallel schedule and stable under
 growing ``n``.
+
+The same property lets a long draw be produced one block at a time: the
+samplers take a keyword ``first_block``, and block ``j`` of an ``n``-draw is
+the call with ``min(BLOCK_SIZE, n - j * BLOCK_SIZE)`` draws and
+``first_block=j``, bit-identical to the slice of the one-shot call.  This is
+how a repetition streams through sampling and fitting in O(``BLOCK_SIZE``)
+memory.
 """
 from __future__ import annotations
 
@@ -50,20 +57,20 @@ def derive_seed(*parts) -> int:
     return int(philox_key(*parts)[0] >> np.uint64(1))
 
 
-def block_map(n: int, draw_block, *parts) -> np.ndarray:
+def block_map(n: int, draw_block, *parts, first_block: int = 0) -> np.ndarray:
     """Fill ``n`` draws block by block.
 
     ``draw_block(gen, size)`` must return exactly ``size`` values using only
     ``gen``, and be prefix-consistent: the values of a short request are the
     leading values of a longer one.  Block ``j`` draws ``min(BLOCK_SIZE,
-    n - j * BLOCK_SIZE)`` values from substream ``(*parts, j)``, so draw ``i``
-    depends only on ``(parts, i // BLOCK_SIZE)``.
+    n - j * BLOCK_SIZE)`` values from substream ``(*parts, first_block + j)``,
+    so draw ``i`` depends only on ``(parts, first_block + i // BLOCK_SIZE)``.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     pieces = []
     done = 0
-    block = 0
+    block = first_block
     while done < n:
         take = min(BLOCK_SIZE, n - done)
         pieces.append(np.asarray(draw_block(substream(*parts, block), take), dtype=np.float64))
@@ -74,8 +81,8 @@ def block_map(n: int, draw_block, *parts) -> np.ndarray:
     return np.concatenate(pieces)
 
 
-def block_standard_normal(n: int, *parts) -> np.ndarray:
-    return block_map(n, lambda gen, m: gen.standard_normal(m), *parts)
+def block_standard_normal(n: int, *parts, first_block: int = 0) -> np.ndarray:
+    return block_map(n, lambda gen, m: gen.standard_normal(m), *parts, first_block=first_block)
 
 
 def _round_size(need: int, hits: int, drawn: int) -> int:
@@ -93,23 +100,25 @@ def _round_size(need: int, hits: int, drawn: int) -> int:
     return min(BLOCK_SIZE, max(MIN_ROUND, math.ceil(m)))
 
 
-def block_rejection(n: int, propose, accept, *parts) -> tuple[np.ndarray, int]:
+def block_rejection(n: int, propose, accept, *parts,
+                    first_block: int = 0) -> tuple[np.ndarray, int]:
     """Rejection-sample ``n`` values with per-block substreams.
 
     ``propose(gen, m)`` draws ``m`` candidates and must be prefix-consistent
     like ``block_map``'s ``draw_block``; ``accept(values)`` returns a boolean
     mask.  Block ``j`` (quota ``min(BLOCK_SIZE, n - j * BLOCK_SIZE)``) reads
-    one candidate sequence from substream ``(*parts, j)`` in rounds sized to
-    the remaining quota, and keeps its first ``quota`` accepted candidates.
-    The round sizes only decide where that sequence is cut, so sample ``i``
-    depends only on ``(parts, i // BLOCK_SIZE)``.  Returns
-    ``(samples, proposals_used)``, counting the candidates examined: each
-    block's sequence up to and including its last kept candidate.
+    one candidate sequence from substream ``(*parts, first_block + j)`` in
+    rounds sized to the remaining quota, and keeps its first ``quota``
+    accepted candidates.  The round sizes only decide where that sequence is
+    cut, so sample ``i`` depends only on ``(parts, first_block + i //
+    BLOCK_SIZE)``.  Returns ``(samples, proposals_used)``, counting the
+    candidates examined: each block's sequence up to and including its last
+    kept candidate.
     """
     out = []
     proposals = 0
     done = 0
-    block = 0
+    block = first_block
     while done < n:
         quota = min(BLOCK_SIZE, n - done)
         gen = substream(*parts, block)
@@ -130,9 +139,9 @@ def block_rejection(n: int, propose, accept, *parts) -> tuple[np.ndarray, int]:
                 got.append(cand[hits])
                 have += hits.size
             drawn += cand.size
-        out.append(np.concatenate(got))
+        out.append(got[0] if len(got) == 1 else np.concatenate(got))
         done += quota
         block += 1
     if not out:
         return np.empty(0, dtype=np.float64), 0
-    return np.concatenate(out), proposals
+    return (out[0] if len(out) == 1 else np.concatenate(out)), proposals

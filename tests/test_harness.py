@@ -1,3 +1,8 @@
+import platform
+import resource
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -139,10 +144,10 @@ def test_point_failures_are_flagged(monkeypatch):
     cfg = small_growing_config(seed=308, reps=2)
     real = harness.simulate_conditional
 
-    def failing(proc, feat, dom, n, seed):
+    def failing(proc, feat, dom, n, seed, **kwargs):
         if n == 3666:  # the K=6 point
             raise rl.SamplingError("synthetic failure")
-        return real(proc, feat, dom, n, seed)
+        return real(proc, feat, dom, n, seed, **kwargs)
 
     monkeypatch.setattr(harness, "simulate_conditional", failing)
     rep = rl.run_growing_K(cfg)
@@ -217,3 +222,72 @@ def test_paired_requires_supported_payoff():
         sweep="growing_K", K_list=(4,), repetitions=1, seed=1, N_rule=(100.0, 2.01))
     with pytest.raises(ConfigurationError):
         rl.now_vs_later_compare(cfg)
+
+
+# ---------------------------------------------------------------------------
+# streamed repetitions: one rng block at a time
+# ---------------------------------------------------------------------------
+
+def test_sample_blocks_concatenate_to_the_one_shot_draws():
+    proc, feat = rl.ProcessSpec("brownian", 10.0), rl.FeatureSpec("terminal", 1.0)
+    _, dom = rl.truncated_feature_law(proc, feat, 1e-4)
+    n = 2 * rl.rng.BLOCK_SIZE + 17
+    blocks = list(harness._sample_blocks(proc, feat, dom, n, 41))
+    assert [b.n for b in blocks] == [rl.rng.BLOCK_SIZE, rl.rng.BLOCK_SIZE, 17]
+    one_shot = rl.simulate_conditional(proc, feat, dom, n, 41)
+    w = one_shot.feature_column()
+    assert np.array_equal(np.concatenate([b.feature_column() for b in blocks]), w)
+    assert sum(b.meta["proposals"] for b in blocks) == one_shot.meta["proposals"]
+    # Regress-Now: states block j pairs with block j of the continuation normals
+    square = rl.PayoffSpec("square")
+    cont = harness._continued_blocks(square, 3.0, 42, iter(blocks))
+    x = rl.eval_payoff(square, w + 3.0 * rl.rng.block_standard_normal(n, 42))
+    assert np.array_equal(np.concatenate([b.payoffs for b in cont]), x)
+
+
+def _memory_config(paired: bool, n: int) -> rl.ExperimentConfig:
+    if paired:
+        return rl.ExperimentConfig(
+            name="t-memory", process=rl.ProcessSpec("brownian", 10.0),
+            payoff=rl.PayoffSpec("square"),
+            feature=rl.FeatureSpec("pair_u_T", 10.0, intermediate_time=1.0),
+            sweep="fixed_K", K_list=(8,), repetitions=1, seed=315, N_list=(n, n + 1, n + 2))
+    return rl.ExperimentConfig(
+        name="t-memory", process=rl.ProcessSpec("brownian", 10.0),
+        payoff=rl.PayoffSpec("tanh"), feature=rl.FeatureSpec("terminal", 10.0),
+        sweep="fixed_K", K_list=(5,), repetitions=1, seed=315, N_list=(n,))
+
+
+@pytest.mark.parametrize("paired", [False, True])
+def test_streamed_repetition_memory_is_flat_in_n(paired):
+    # one repetition at a time (workers=1): its samples stream through the fit
+    # block by block, so the traced peak does not grow with N
+    peaks = {}
+    for n in (2**17, 2**20):
+        cfg = _memory_config(paired, n)
+        tracemalloc.start()
+        try:
+            if paired:
+                rl.now_vs_later_compare(cfg)
+            else:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)  # one-point slope
+                    rl.run_fixed_K(cfg)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[2**20] <= 1.1 * peaks[2**17]
+    assert peaks[2**20] < 6 * 2**20
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="allocator thresholds are glibc's")
+def test_streamed_repetitions_reuse_block_memory():
+    # once one repetition has run, later blocks reuse the freed heap instead
+    # of page-faulting fresh memory in (about 2e4 faults per 2**20 samples)
+    cfg = _memory_config(False, 2**20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # one-point slope
+        rl.run_fixed_K(cfg)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        rl.run_fixed_K(cfg)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1000

@@ -296,6 +296,124 @@ def test_fits_make_no_bin_lookup(monkeypatch, basis_cache, w10_law, brownian10, 
 
 
 # ---------------------------------------------------------------------------
+# the block-wise fit against one kernel pass over the whole sample
+# ---------------------------------------------------------------------------
+
+def _fold_case(gen, K, block, n, in_span):
+    """n samples, read in consecutive blocks of ``block``, on a uniform-law
+    basis.  Every block holds out-of-domain values; one bin holds one
+    distinct value throughout (its linear column is dropped), one is empty
+    in some blocks, and one holds one distinct value in the first block only
+    (a degenerate linear column there, not overall)."""
+    basis = rl.build_basis(Uniform(-1.0, 2.0), K)
+    edges = basis.partition.edges
+    k = gen.integers(0, K, n)
+    u = edges[k] + gen.uniform(0.0, 1.0, n) * (edges[k + 1] - edges[k])
+    j = np.arange(n) // block
+    one, sparse, first = gen.permutation(K)[:3]
+    u[k == one] = edges[one] + 0.37 * (edges[one + 1] - edges[one])
+    absent = gen.random(j[-1] + 1) < 0.5
+    moved = (k == sparse) & absent[j]
+    u[moved] = gen.uniform(2.001, 5.0, int(moved.sum()))
+    u[(k == first) & (j == 0)] = edges[first] + 0.81 * (edges[first + 1] - edges[first])
+    out = (np.arange(n) % block == 0) | (gen.random(n) < 0.02)
+    u[out] = np.where(gen.random(int(out.sum())) < 0.5, -3.0, 4.5) + gen.uniform(0.0, 0.5)
+    if in_span:
+        x = rl.predict(basis, gen.standard_normal(2 * K), u)
+    else:
+        x = np.sin(3.0 * u) + gen.standard_normal(n)
+    return basis, rl.SampleSet(u.reshape(-1, 1), x, 0, n), one
+
+
+def _assert_fold_matches_single_pass(basis, samp, one_distinct_bin):
+    """The block-wise factors and fit (``rng.BLOCK_SIZE`` as set by the
+    caller) against a single ``_py.binned_qr`` pass and a one-block fit.
+
+    Each bin agrees to 1e-12 relative, times the squared condition number of
+    the bin's design (``col / r22``; 1 where the linear column is dropped):
+    both results are backward stable, so a bin holding two nearly equal
+    values may differ by that much.
+    """
+    u, x = samp.feature_column(), samp.payoffs
+    ref = _py.binned_qr(basis.partition.edges, basis.centers, basis.norm0, basis.norm1, u, x)
+    got, n = rl.regress._binned_factors(samp, basis)
+    assert n == samp.n
+    assert np.array_equal(got.counts, ref.counts)
+    assert got.rss_outside == pytest.approx(ref.rss_outside, rel=1e-12)
+    col = np.maximum(ref.R[:, 0], np.hypot(ref.R[:, 1], ref.R[:, 2]))  # design norm
+    xk = np.sqrt(ref.z[:, 0] ** 2 + ref.rss[:, 0])  # target norm in the bin
+    full = ref.R[:, 2] > 1e-8 * col  # the linear column is kept
+    cond = np.ones_like(col)
+    cond[full] = col[full] / ref.R[full, 2]
+    tol = 1e-12 * cond**2
+
+    def close(a, b, scale, rows=slice(None)):
+        assert np.all((np.abs(a - b) <= tol * scale)[rows])
+
+    close(got.R[:, 0], ref.R[:, 0], col)
+    close(got.R[:, 1], ref.R[:, 1], col)
+    close(got.z[:, 0], ref.z[:, 0], xk)
+    close(got.rss[:, 0], ref.rss[:, 0], xk**2)
+    close(got.R[:, 2], ref.R[:, 2], col, full)
+    close(got.z[:, 1], ref.z[:, 1], xk, full)
+    close(got.rss[:, 1], ref.rss[:, 1], xk**2, full)
+
+    blocked = rl.regress_later_fit(samp, basis)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rl.rng, "BLOCK_SIZE", samp.n)
+        single = rl.regress_later_fit(samp, basis)
+    assert 2 * one_distinct_bin + 1 in blocked.dropped_columns
+    assert blocked.dropped_columns == single.dropped_columns
+    assert blocked.rank == single.rank
+    pairs = single.coefficients.reshape(-1, 2)
+    worst = np.abs(blocked.coefficients.reshape(-1, 2) - pairs).max(axis=1)
+    close(worst, 0.0, np.abs(pairs).max(axis=1) + xk / np.where(col > 0, col, 1.0))
+    assert blocked.residual_l2 == pytest.approx(
+        single.residual_l2, rel=1e-12, abs=1e-12 * (np.linalg.norm(cond * xk) + np.linalg.norm(x)))
+    return blocked
+
+
+@settings(max_examples=60, deadline=None)
+@given(K=st.integers(3, 80), block=st.integers(16, 256),
+       size=st.sampled_from(["block", "block+1", "3*block+17"]), in_span=st.booleans(),
+       merge_blocks=st.sampled_from([1, 2, rl.regress.MERGE_BLOCKS]),
+       seed=st.integers(0, 2**32 - 1))
+def test_blockwise_fit_matches_single_pass(K, block, size, in_span, merge_blocks, seed):
+    n = {"block": block, "block+1": block + 1, "3*block+17": 3 * block + 17}[size]
+    basis, samp, one = _fold_case(np.random.default_rng(seed), K, block, n, in_span)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rl.rng, "BLOCK_SIZE", block)
+        mp.setattr(rl.regress, "MERGE_BLOCKS", merge_blocks)  # merges of merged factors too
+        blocked = _assert_fold_matches_single_pass(basis, samp, one)
+        blocks = [rl.SampleSet(samp.features[lo:lo + block], samp.payoffs[lo:lo + block], 0,
+                               min(block, n - lo)) for lo in range(0, n, block)]
+        from_blocks = rl.regress_later_fit(iter(blocks), basis)
+    # an iterable of block sample sets is the same fit as the sliced set
+    assert np.array_equal(from_blocks.coefficients, blocked.coefficients)
+    assert from_blocks.residual_l2 == blocked.residual_l2
+    assert from_blocks.n == n
+
+
+@pytest.mark.parametrize("extra", [0, 1, 2 * rl.rng.BLOCK_SIZE + 17])
+def test_blockwise_fit_at_the_rng_block_size(extra):
+    n = rl.rng.BLOCK_SIZE + extra
+    basis, samp, one = _fold_case(np.random.default_rng(extra), 12, rl.rng.BLOCK_SIZE, n, False)
+    _assert_fold_matches_single_pass(basis, samp, one)
+
+
+def test_single_block_fit_is_the_kernel_result(basis_cache, w10_law, brownian10, terminal10):
+    # with one block nothing is merged: the fit reads the kernel's own bits
+    samp = _tanh_sample(brownian10, terminal10, w10_law[1], rl.rng.BLOCK_SIZE, 31)
+    basis = basis_cache(8)
+    got, n = rl.regress._binned_factors(samp, basis)
+    ref = _py.binned_qr(basis.partition.edges, basis.centers, basis.norm0, basis.norm1,
+                        samp.feature_column(), samp.payoffs)
+    assert n == samp.n
+    for a, b in zip(got, ref):
+        assert np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
 # coefficient error
 # ---------------------------------------------------------------------------
 

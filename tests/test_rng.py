@@ -163,3 +163,33 @@ def test_block_rejection_matches_full_block_reference(n, p):
     assert used == ref_used
     # right-sizing may split a block's last full round, never much more
     assert new.rounds <= old.rounds + 2
+
+
+# ---------------------------------------------------------------------------
+# block offsets: a long draw produced one block at a time
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", (1, rng.BLOCK_SIZE, rng.BLOCK_SIZE + 1, 150_000))
+def test_first_block_calls_concatenate_to_the_one_shot_draw(n):
+    size = rng.BLOCK_SIZE
+    draw = lambda gen, m: gen.standard_normal(m)
+    accept = lambda v: v <= 0.3
+    starts = range(0, n, size)
+
+    pieces = [rng.block_map(min(size, n - lo), draw, 5, "map", first_block=lo // size)
+              for lo in starts]
+    one_shot = rng.block_map(n, draw, 5, "map")
+    assert np.array_equal(np.concatenate(pieces), one_shot)
+
+    parts = [rng.block_rejection(min(size, n - lo), draw, accept, 5, "rej", first_block=lo // size)
+             for lo in starts]
+    vals, used = rng.block_rejection(n, draw, accept, 5, "rej")
+    assert np.array_equal(np.concatenate([v for v, _ in parts]), vals)
+    assert sum(p for _, p in parts) == used
+
+    if n > size:  # an offset call spanning several blocks continues the draw
+        assert np.array_equal(rng.block_map(n - size, draw, 5, "map", first_block=1),
+                              one_shot[size:])
+        tail, tail_used = rng.block_rejection(n - size, draw, accept, 5, "rej", first_block=1)
+        assert np.array_equal(tail, vals[size:])
+        assert tail_used == used - parts[0][1]

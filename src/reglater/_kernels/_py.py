@@ -7,10 +7,14 @@ sums of squares), augmented with the target as a third column: the squared
 residuals it leaves are accumulated from the residual vectors themselves, so
 a fit's residual norm needs no second bin lookup or prediction.
 
-Bin lookup and the sort by bin are vectorized over the samples; the QR then
-loops over the bins in Python, with vectorized sums inside each.  The fits
-call it on one rng block of samples at a time and merge the per-bin factors
-of consecutive blocks (``regress._binned_factors``).
+Bin lookup, the sort by bin and every elementwise step of the QR are
+whole-block passes over the samples, with per-bin scalars spread over each
+bin's samples by ``np.repeat``; a non-empty bin costs two numpy reductions,
+and the residuals one ``np.add.reduceat`` per block.  Few calls matter
+because each numpy call on a large array hands the GIL to the other worker
+thread and back.  The fits call it on one rng block of samples at a time
+and merge the per-bin factors of consecutive blocks
+(``regress._binned_factors``).
 """
 from __future__ import annotations
 
@@ -99,37 +103,56 @@ def binned_qr(edges, centers, norm0, norm1, u, x) -> BinnedQR:
     nbins = centers.size
     R = np.zeros((nbins, 3))
     z = np.zeros((nbins, 2))
-    counts = np.zeros(nbins, dtype=np.int64)
     rss = np.zeros((nbins, 2))
 
     # narrowest signed type holding keys + 1, so the stable argsort is a radix sort
     keys = _bin_keys(edges, u).astype(np.min_scalar_type(-nbins - 1), copy=False)
     order = np.argsort(keys, kind="stable")  # out-of-domain (-1) first
-    u_s, x_s = u[order], x[order]
-    # bin k is order[bounds[k]:bounds[k + 1]]; slot 0 counts out-of-domain
-    bounds = np.cumsum(np.bincount(keys + 1, minlength=nbins + 1))
-    rss_outside = _sum_sq(x_s[:bounds[0]])
+    # bin k is order[bounds[k]:bounds[k + 1]]; order[:bounds[0]] is out of domain
+    bounds = np.searchsorted(keys[order], np.arange(nbins + 1, dtype=keys.dtype))
+    counts = bounds[1:] - bounds[:-1]
+    rss_outside = _sum_sq(x[order[:bounds[0]]])
+    inside = order[bounds[0]:]
 
-    for k in range(nbins):
-        lo, hi = bounds[k], bounds[k + 1]
-        nk = hi - lo
-        counts[k] = nk
-        if nk == 0:
-            continue
-        d = norm1[k] * (u_s[lo:hi] - centers[k])
-        y = x_s[lo:hi]
-        sq = np.sqrt(nk)
-        r11 = norm0[k] * sq
-        r12 = np.sum(d) / sq
-        w = d - r12 / sq          # MGS: subtract the q1 component elementwise
-        r22 = np.sqrt(np.sum(w * w))
-        z1 = np.sum(y) / sq
-        z2 = np.sum(w * y) / r22 if r22 > 0 else 0.0
-        R[k] = (r11, r12, r22)
-        z[k] = (z1, z2)
-        v = y - z1 / sq  # residual after q1
-        rss1 = _sum_sq(v)
-        if r22 > 0:
-            v -= (z2 / r22) * w  # and after q2
-        rss[k] = (rss1, _sum_sq(v))
+    # Whole-block passes over the in-domain samples in bin order, with each
+    # non-empty bin's scalars spread over its samples by np.repeat; per bin
+    # only the two reductions of _bin_sums, which give np.sum's bits.
+    full = np.flatnonzero(counts)
+    n = counts[full]
+    lo = bounds[full] - bounds[0]  # where each non-empty bin starts in `inside`
+    sq = np.sqrt(n)
+    a = np.empty((2, inside.size))  # rows [d; x], d = norm1 (u - c)
+    # mode="clip" only so that take writes straight into its out= buffer
+    np.take(u, inside, out=a[0], mode="clip")
+    a[0] -= np.repeat(centers[full], n)
+    a[0] *= np.repeat(norm1[full], n)
+    np.take(x, inside, out=a[1], mode="clip")
+    s1 = _bin_sums(a, lo, n)  # [sum d, sum x]
+    r12 = s1[:, 0] / sq
+    z1 = s1[:, 1] / sq
+    a[0] -= np.repeat(r12 / sq, n)  # w: MGS, subtract the q1 component elementwise
+    s2 = _bin_sums(np.multiply(a[0], a), lo, n)  # [sum w w, sum w x]
+    r22 = np.sqrt(s2[:, 0])
+    linear = r22 > 0
+    z2 = np.divide(s2[:, 1], r22, out=np.zeros_like(r22), where=linear)
+    R[full] = np.array((norm0[full] * sq, r12, r22)).T
+    z[full] = np.array((z1, z2)).T
+
+    # residuals v = x - z1 q1 into row 1, and v - z2 q2 (= v where r22 = 0)
+    # into row 0
+    a[1] -= np.repeat(z1 / sq, n)
+    a[0] *= np.repeat(np.divide(z2, r22, out=np.zeros_like(r22), where=linear), n)
+    np.subtract(a[1], a[0], out=a[0])
+    rss2, rss1 = np.add.reduceat(np.square(a, out=a), lo, axis=1)
+    rss[full] = np.array((rss1, rss2)).T
     return BinnedQR(R, z, counts, rss, rss_outside)
+
+
+def _bin_sums(rows: np.ndarray, lo: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Sums of each row over the spans [lo, lo + n): one np.add.reduce per
+    span, pairwise along each row, so the same bits as np.sum of the row's
+    slice."""
+    out = np.empty((lo.size, rows.shape[0]))
+    for i, (start, size) in enumerate(zip(lo.tolist(), n.tolist())):
+        np.add.reduce(rows[:, start:start + size], axis=1, out=out[i])
+    return out

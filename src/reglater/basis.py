@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -235,6 +236,16 @@ def _require_density(dist: DistSpec) -> None:
         raise ConfigurationError("operation requires an analytic feature law")
 
 
+@lru_cache(maxsize=32)
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights of order n on [-1, 1], computed once
+    per order and shared (read-only)."""
+    xg, wg = leggauss(n)
+    xg.setflags(write=False)
+    wg.setflags(write=False)
+    return xg, wg
+
+
 def quadrature_gram(basis: SieveBasis, dist: DistSpec, nodes_per_bin: int = 64) -> np.ndarray:
     """Full 2K x 2K Gram matrix by per-bin Gauss-Legendre integration.
 
@@ -245,7 +256,7 @@ def quadrature_gram(basis: SieveBasis, dist: DistSpec, nodes_per_bin: int = 64) 
     _require_density(dist)
     K = basis.K
     edges = basis.partition.edges
-    xg, wg = leggauss(nodes_per_bin)
+    xg, wg = gauss_legendre(nodes_per_bin)
     G = np.zeros((2 * K, 2 * K))
     for k in range(K):
         lo, hi = edges[k], edges[k + 1]
@@ -299,7 +310,7 @@ def _adaptive_bin_quad(f: Callable, lo: float, hi: float, tol: float = QUAD_TOL,
     prev = None
     n = start
     while True:
-        xg, wg = leggauss(n)
+        xg, wg = gauss_legendre(n)
         vals = np.asarray(f(mid + half * xg))
         est = half * (vals @ wg)
         if prev is not None and np.max(np.abs(est - prev)) <= tol:

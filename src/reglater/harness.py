@@ -20,10 +20,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from . import _kernels, rng
-from .basis import SieveBasis, approx_error_moments, build_basis, h_tilde, projection_coefficients
+from .basis import (SieveBasis, approx_error_moments, build_basis, gauss_legendre, h_tilde,
+                    projection_coefficients)
 from .condexp import BrownianTransition, TransferSpec, condexp_estimate
 from .distributions import TruncatedNormal
 from .errors import (BasisConstructionError, ConfigurationError, DegenerateDesignError,
@@ -223,13 +223,16 @@ def _keep_block_memory() -> None:
     """Let the C allocator reuse one sample block's memory for the next.
 
     A streamed repetition allocates and frees a few MB of block-sized numpy
-    temporaries per rng block.  Under glibc's default dynamic thresholds
-    such arrays are mmapped, or the freed top of the heap is handed back to
-    the system, so every block page-faults its memory in again (about 1e5
-    minor faults per fixed_k_large_n sweep), and the faults of two worker
-    threads serialize on the process's memory map.  Raising both thresholds
-    keeps that memory in the process.  A process-wide setting; nothing is
-    done where the C library has no ``mallopt``.
+    temporaries per rng block: the sampler's, and those of the whole-block
+    passes of ``_kernels.binned_qr`` (two arrays of two block-length rows
+    and the ``np.repeat`` spreads of per-bin scalars).  Under glibc's
+    default dynamic thresholds such arrays are mmapped, or the freed top of
+    the heap is handed back to the system, so every block page-faults its
+    memory in again (about 1e5 minor faults per fixed_k_large_n sweep), and
+    the faults of two worker threads serialize on the process's memory map.
+    Raising both thresholds keeps that memory in the process.  A
+    process-wide setting; nothing is done where the C library has no
+    ``mallopt``.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -460,7 +463,7 @@ def now_vs_later_compare(config: ExperimentConfig, workers: int = 1) -> PairedRe
     def now_setup(K):
         if K not in now_cache:
             basis_t = build_basis(dist_t, K)
-            xg, wg = leggauss(24)
+            xg, wg = gauss_legendre(24)
             edges = basis_t.partition.edges
             mid = 0.5 * (edges[1:] + edges[:-1])
             half = 0.5 * (edges[1:] - edges[:-1])

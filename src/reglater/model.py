@@ -11,6 +11,7 @@ arithmetic, both by node recursion and by flat leaf enumeration.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
@@ -124,13 +125,7 @@ class SampleSet:
         feats.setflags(write=False)
         object.__setattr__(self, "features", feats)
         if self.payoffs is not None:
-            pays = np.asarray(self.payoffs, dtype=np.float64).reshape(-1)
-            if pays.shape[0] != feats.shape[0]:
-                raise ConfigurationError("sample: payoff length differs from feature rows")
-            if not np.all(np.isfinite(pays)):
-                raise ConfigurationError("sample: non-finite payoff values")
-            pays.setflags(write=False)
-            object.__setattr__(self, "payoffs", pays)
+            object.__setattr__(self, "payoffs", _checked_payoffs(self.payoffs, self.n))
         object.__setattr__(self, "meta", MappingProxyType(dict(self.meta)))
 
     @property
@@ -141,8 +136,21 @@ class SampleSet:
         return self.features[:, j]
 
     def with_payoffs(self, payoffs) -> "SampleSet":
-        return SampleSet(self.features, np.asarray(payoffs, dtype=np.float64),
-                         self.seed, self.n, self.domain_tag, dict(self.meta))
+        """This sample with ``payoffs`` attached.  Only the payoffs are
+        checked: the features were checked when this sample was built."""
+        out = copy.copy(self)
+        object.__setattr__(out, "payoffs", _checked_payoffs(payoffs, self.n))
+        return out
+
+
+def _checked_payoffs(payoffs, n: int) -> np.ndarray:
+    pays = np.asarray(payoffs, dtype=np.float64).reshape(-1)
+    if pays.shape[0] != n:
+        raise ConfigurationError("sample: payoff length differs from feature rows")
+    if not np.all(np.isfinite(pays)):
+        raise ConfigurationError("sample: non-finite payoff values")
+    pays.setflags(write=False)
+    return pays
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import reglater as rl
-from reglater.basis import QUAD_TOL
+from reglater.basis import QUAD_TOL, gauss_legendre
 from reglater.errors import BasisConstructionError, ConfigurationError
 from conftest import slope_of
 
@@ -294,3 +294,30 @@ def test_quadrature_tolerance_honoured(w10_law, basis_cache, tanh_payoff):
         val = _adaptive_bin_quad(
             lambda u, k=k: np.tanh(u) * dist.density(u), edges[k], edges[k + 1], start=64)
         assert abs(val - a16[2 * k] / basis.norm0[k]) < 10 * QUAD_TOL
+
+
+def test_gauss_legendre_rule_is_cached_and_read_only():
+    from numpy.polynomial.legendre import leggauss
+    for n in (16, 24, 64, 2048):
+        xg, wg = gauss_legendre(n)
+        want = leggauss(n)
+        assert np.array_equal(xg, want[0]) and np.array_equal(wg, want[1])
+        assert not xg.flags.writeable and not wg.flags.writeable
+        with pytest.raises(ValueError):
+            xg[0] = 0.0
+        again = gauss_legendre(n)
+        assert again[0] is xg and again[1] is wg
+
+
+def test_quadrature_bits_do_not_depend_on_the_rule_cache(w10_law, basis_cache, tanh_payoff):
+    dist, _ = w10_law
+    basis = basis_cache(6)
+    gauss_legendre.cache_clear()
+    cold = (rl.projection_coefficients(tanh_payoff, basis, dist),
+            rl.approx_error_moments(tanh_payoff, basis, dist))
+    assert gauss_legendre.cache_info().currsize > 0
+    warm = (rl.projection_coefficients(tanh_payoff, basis, dist),
+            rl.approx_error_moments(tanh_payoff, basis, dist))
+    assert gauss_legendre.cache_info().hits > 0
+    assert cold[0].tobytes() == warm[0].tobytes()
+    assert (cold[1].l2, cold[1].fourth_root) == (warm[1].l2, warm[1].fourth_root)

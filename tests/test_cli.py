@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reglater import _kernels, cli, harness
+from reglater import _kernels, cli, harness, rng
 from reglater._kernels import _py
 from reglater.config import load_config, validate_config_dict
 from reglater.errors import ConfigurationError
@@ -122,6 +122,21 @@ def test_report_csv_golden_digest(tmp_path, monkeypatch):
     assert cli.main(args) == 0
     digest = hashlib.sha256((tmp_path / "report.csv").read_bytes()).hexdigest()
     assert digest == FIGURE1_REPS2_CSV_SHA256
+
+
+# sha256 of report.csv from `reglater run configs/figure2.json --set
+# N_list=[1000,10000,70000] --set repetitions=2`: the N = 70,000 fits span two
+# rng blocks, so this pins the merge of per-block factors as well.
+FIGURE2_TWO_BLOCK_CSV_SHA256 = "943409c6d184c62b283da1d9b892934281bdd4301dfb5bab5b2552a962695caf"
+
+
+def test_multi_block_report_csv_golden_digest(tmp_path):
+    assert 70_000 > rng.BLOCK_SIZE
+    args = ["run", str(CONFIG_DIR / "figure2.json"), "--set", "N_list=[1000,10000,70000]",
+            "--set", "repetitions=2", "-o", str(tmp_path)]
+    assert cli.main(args) == 0
+    digest = hashlib.sha256((tmp_path / "report.csv").read_bytes()).hexdigest()
+    assert digest == FIGURE2_TWO_BLOCK_CSV_SHA256
 
 
 def test_run_malformed_config_exits_2_without_partial_files(tmp_path, capsys):

@@ -291,3 +291,25 @@ def test_streamed_repetitions_reuse_block_memory():
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         rl.run_fixed_K(cfg)
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1000
+
+
+def test_streamed_block_checks_its_features_once(monkeypatch):
+    # the block simulate_conditional built is validated there; attaching its
+    # payoffs checks the payoffs only
+    built = []
+    post_init = rl.SampleSet.__post_init__
+
+    def counting(self):
+        built.append(self.n)
+        post_init(self)
+
+    monkeypatch.setattr(rl.SampleSet, "__post_init__", counting)
+    proc, feat = rl.ProcessSpec("brownian", 10.0), rl.FeatureSpec("terminal", 10.0)
+    _, dom = rl.truncated_feature_law(proc, feat, 1e-4)
+    n = 2 * rl.rng.BLOCK_SIZE + 5
+    blocks = list(harness._payoff_blocks(rl.PayoffSpec("tanh"),
+                                         harness._sample_blocks(proc, feat, dom, n, 43)))
+    assert built == [rl.rng.BLOCK_SIZE, rl.rng.BLOCK_SIZE, 5]
+    for b in blocks:
+        assert np.array_equal(b.payoffs, np.tanh(b.feature_column()))
+        assert not b.payoffs.flags.writeable

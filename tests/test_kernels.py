@@ -145,3 +145,61 @@ def test_binned_qr_bit_equal_to_argsort_version(lo_bins, hi_bins, data):
     assert np.all(np.isfinite(got.rss))
     flat = got.R[:, 2] == 0
     assert np.array_equal(got.rss[flat, 1], got.rss[flat, 0])
+
+
+def _einsum_rss(edges, centers, norm0, norm1, u, x):
+    """Per-bin residual sums of squares of the augmented QR, one bin at a
+    time: the factors from np.sum as in the bit-equality reference above,
+    the squared residual norms after fitting e0, and after [e0, e1] where
+    r22 > 0, from np.einsum."""
+    nbins = centers.size
+    idx = _searchsorted_bin_indices(edges, u)
+    rss = np.zeros((nbins, 2))
+    for k in range(nbins):
+        d = norm1[k] * (u[idx == k] - centers[k])
+        y = x[idx == k]
+        if y.size == 0:
+            continue
+        sq = np.sqrt(y.size)
+        w = d - np.sum(d) / sq / sq
+        r22 = np.sqrt(np.sum(w * w))
+        v = y - np.sum(y) / sq / sq
+        rss[k, 0] = np.einsum("i,i->", v, v)
+        if r22 > 0:
+            v = v - np.sum(w * y) / r22 / r22 * w
+        rss[k, 1] = np.einsum("i,i->", v, v)
+    out = x[idx < 0]
+    return rss, np.einsum("i,i->", out, out)
+
+
+@pytest.mark.parametrize("lo_bins,hi_bins", [(1, 40), (_py.COMPARE_MAX_BINS + 1, 120)])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_binned_qr_rss_matches_einsum_reference(lo_bins, hi_bins, data):
+    nbins = data.draw(st.integers(lo_bins, hi_bins), label="nbins")
+    gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    edges = data.draw(st.floats(-50.0, 50.0), label="a1") + np.cumsum(
+        np.concatenate([[0.0], gen.uniform(1e-3, 2.0, nbins)]))
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    norm0, norm1 = gen.uniform(0.5, 2.0, nbins), gen.uniform(0.5, 2.0, nbins)
+    n = data.draw(st.integers(1, 600), label="n")
+    u = gen.uniform(edges[0] - 1.0, edges[-1] + 1.0, n)
+    k = gen.integers(nbins, size=4)
+    u[(u >= edges[k[0]]) & (u < edges[k[0] + 1])] = centers[k[0]]  # flat bin: r22 = 0
+    u[(u >= edges[k[1]]) & (u < edges[k[1] + 1])] = np.nan  # empty bin
+    one = (u >= edges[k[2]]) & (u < edges[k[2] + 1])  # one-sample bin
+    u[one & (np.cumsum(one) > 1)] = edges[-1] + 0.5
+    if data.draw(st.booleans(), label="all_outside"):
+        u = np.where(gen.random(n) < 0.5, edges[0] - 1.0, edges[-1] + 1.0)
+    x = (np.tanh(np.nan_to_num(u)) if data.draw(st.booleans(), label="smooth") else
+         gen.standard_normal(n) * 10.0 ** gen.uniform(-6, 6))
+    got = _py.binned_qr(edges, centers, norm0, norm1, u, x)
+    rss, rss_outside = _einsum_rss(edges, centers, norm0, norm1, u, x)
+    assert np.all(got.rss >= 0)
+    assert np.allclose(got.rss, rss, rtol=1e-12, atol=0)
+    assert got.rss_outside == pytest.approx(rss_outside, rel=1e-12, abs=0)
+    assert np.array_equal(got.rss[got.counts == 0], np.zeros((np.sum(got.counts == 0), 2)))
+    flat = (got.counts > 0) & (got.R[:, 2] == 0)
+    assert np.array_equal(got.rss[flat, 1], got.rss[flat, 0])
+    assert got.counts[k[1]] == 0
+    assert got.counts.sum() == np.sum(_searchsorted_bin_indices(edges, u) >= 0)

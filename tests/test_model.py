@@ -183,3 +183,24 @@ def test_tree_sampling_matches_enumeration():
     s = rl.simulate_terminal(proc, rl.FeatureSpec("basket_sum", eval_time=2.0), 200_000, seed=6)
     mean_payoff = np.maximum(s.feature_column() - 10.0, 0.0).mean()
     assert abs(mean_payoff - 6.9375) < 0.05
+
+
+# ---------------------------------------------------------------------------
+# sample sets
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_with_payoffs_refuses_non_finite_payoffs(bad):
+    s = rl.SampleSet(np.arange(4.0).reshape(-1, 1), None, 7, 4, meta={"proposals": 4})
+    pays = np.ones(4)
+    pays[2] = bad
+    with pytest.raises(ConfigurationError, match="non-finite payoff"):
+        s.with_payoffs(pays)
+    with pytest.raises(ConfigurationError, match="payoff length"):
+        s.with_payoffs(np.ones(3))
+    paid = s.with_payoffs(np.ones(4))
+    assert paid.features is s.features and paid.payoffs is not None
+    assert (paid.seed, paid.n, dict(paid.meta)) == (7, 4, {"proposals": 4})
+    assert s.payoffs is None
+    with pytest.raises(ConfigurationError, match="non-finite feature"):
+        rl.SampleSet(np.array([[0.0], [np.nan]]), np.ones(2), 7, 2)

@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Verbs: run (sweep experiments to CSV/JSON reports), basket-check (exact
-two-asset tree table), basis-dump (serialized basis for audits), plot
-(CSV to SVG), validate-config.  Exit codes: 0 ok, 2 config error,
-3 numerical failure, 4 basket mismatch.  All file writes are atomic.
+Verbs: run (sweep experiments to CSV/JSON reports; pair_u_T configs run the
+paired Regress-Later/Regress-Now comparison), basket-check (exact two-asset
+tree table), basis-dump (serialized basis for audits), plot (CSV to SVG),
+validate-config.  Exit codes: 0 ok, 2 config error, 3 numerical failure
+(also after writing the reports of a run with a point that has no successful
+repetition), 4 basket mismatch.  All file writes are atomic.
 """
 from __future__ import annotations
 
@@ -59,7 +61,9 @@ def _cmd_run(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        if cfg.sweep == "growing_K":
+        if cfg.feature.kind == "pair_u_T":
+            report = harness.now_vs_later_compare(cfg, workers=args.workers)
+        elif cfg.sweep == "growing_K":
             report = harness.run_growing_K(cfg, workers=args.workers)
         else:
             report = harness.run_fixed_K(cfg, workers=args.workers)
@@ -72,8 +76,18 @@ def _cmd_run(args) -> int:
     outdir = _default_outdir(args.output_dir)
     atomic_write(outdir / "report.csv", report.to_csv_text())
     atomic_write(outdir / "report.json", json.dumps(report.to_json_dict(), indent=2) + "\n")
+    if isinstance(report, harness.PairedReport):
+        slopes = (f"slopes later {report.slope_later.slope:.3f}, "
+                  f"now {report.slope_now.slope:.3f}")
+    else:
+        slopes = f"slope {report.slope:.3f}"
     print(f"wrote {outdir / 'report.csv'} and {outdir / 'report.json'} "
-          f"(slope {report.slope:.3f})")
+          f"({slopes}, {len(report.failures)} failed repetitions)")
+    empty = [f"(K={r.K}, N={r.N})" for r in report.rows if r.reps == 0]
+    if empty:
+        print(f"numerical failure: no successful repetition at {', '.join(empty)}",
+              file=sys.stderr)
+        return EXIT_NUMERICAL
     return EXIT_OK
 
 
@@ -177,6 +191,16 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
+def _worker_count(text: str) -> int:
+    try:
+        workers = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if workers < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {workers}")
+    return workers
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="reglater",
@@ -188,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("-o", "--output-dir", default=None,
                      help="output directory (default: $REGLATER_OUTDIR or .)")
     run.add_argument("--seed", type=int, default=None, help="override the config seed")
-    run.add_argument("--workers", type=int, default=1, help="worker threads")
+    run.add_argument("--workers", type=_worker_count, default=1, help="worker threads (>= 1)")
     run.add_argument("--set", action="append", metavar="KEY=VALUE",
                      help="override a config entry (dotted path, JSON value)")
     run.set_defaults(func=_cmd_run)

@@ -5,13 +5,17 @@ Every repetition draws its sample from a substream keyed by
 ``(seed, K, N, rep)``, so points are independently reproducible and a report
 is a pure function of (config, seed).  A repetition streams its sample: it
 draws, pays off and fits one ``rng.BLOCK_SIZE`` block at a time, so its
-memory does not grow with N.  Repetitions may run on any number of
-worker threads; aggregation sorts by repetition index and sums with
-``math.fsum``, so the emitted CSV is byte-identical for any worker count.
+memory does not grow with N.  All three sweeps run on one engine,
+``_sweep``: serially or on any number of worker threads, with a failed
+repetition recorded in the report's ``failures`` (a point with none left
+reports ``reps=0`` and NaN means).  Aggregation takes values in repetition
+order and sums with ``math.fsum``, so the emitted CSV is byte-identical for
+any worker count.
 """
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
 import time
 import warnings
@@ -34,6 +38,7 @@ from .payoff import OracleSpec, PayoffSpec, eval_payoff, oracle_conditional
 from .regress import coefficient_error, predict, regress_later_fit, regress_now_fit
 
 CSV_HEADER = "K,N,reps,mse_mean,mse_stderr,approx_l2,h_tilde"
+PAIRED_CSV_HEADER = "K,N,reps,mse_later_mean,mse_later_stderr,mse_now_mean,mse_now_stderr"
 _POINT_ERRORS = (DegenerateDesignError, BasisConstructionError, SamplingError,
                  FloatingPointError)
 
@@ -141,11 +146,7 @@ class ConvergenceReport:
     plateau_statistic: float | None = None
 
     def to_csv_text(self) -> str:
-        lines = [CSV_HEADER]
-        for r in self.rows:
-            lines.append(f"{r.K},{r.N},{r.reps},{r.mse_mean!r},{r.mse_stderr!r},"
-                         f"{r.approx_l2!r},{r.h_tilde!r}")
-        return "\n".join(lines) + "\n"
+        return _csv_text(CSV_HEADER, self.rows)
 
     def to_json_dict(self) -> dict:
         return {
@@ -159,6 +160,12 @@ class ConvergenceReport:
             "plateau_statistic": self.plateau_statistic,
             "kernel_backend": _kernels.BACKEND,
         }
+
+
+def _csv_text(header: str, rows) -> str:
+    """The header, then per row the fields it names by ``repr`` (exact floats)."""
+    lines = [header] + [",".join(repr(getattr(r, n)) for n in header.split(",")) for r in rows]
+    return "\n".join(lines) + "\n"
 
 
 def fit_loglog_slope(xs, ys) -> SlopeFit:
@@ -190,6 +197,8 @@ def fit_loglog_slope(xs, ys) -> SlopeFit:
 
 def _mean_stderr(values: list[float]) -> tuple[float, float]:
     m = len(values)
+    if m == 0:
+        return float("nan"), float("nan")
     mean = math.fsum(values) / m
     if m < 2:
         return mean, 0.0
@@ -204,19 +213,46 @@ class _PointSetup:
     basis: SieveBasis
     alpha: np.ndarray
     approx_ms: float
-    h: float
 
 
-def _later_point_setup(config: ExperimentConfig, dist, cache: dict) -> Callable:
-    def setup(K: int, N: int) -> _PointSetup:
-        if K not in cache:
-            basis = build_basis(dist, K)
-            alpha = projection_coefficients(config.payoff, basis, dist)
-            approx = approx_error_moments(config.payoff, basis, dist, coefficients=alpha)
-            cache[K] = (basis, alpha, approx.mean_square)
-        basis, alpha, approx_ms = cache[K]
-        return _PointSetup(K, N, basis, alpha, approx_ms, h_tilde(basis, dist, N))
-    return setup
+def _slope_or_nan(xs, ys) -> SlopeFit:
+    """``fit_loglog_slope``, quiet, and all NaN below 3 usable points."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            return fit_loglog_slope(xs, ys)
+        except ConfigurationError:
+            return SlopeFit(*[float("nan")] * 4)
+
+
+def _sweep(setups: list, reps: int, one_rep: Callable, workers: int
+           ) -> tuple[list[list], list[str]]:
+    """``one_rep(setup, rep)`` for every point and repetition, serially or on
+    ``workers`` threads.  Returns each point's values in repetition order,
+    and one message per repetition that raised one of ``_POINT_ERRORS``."""
+    tasks = [(i, rep) for i in range(len(setups)) for rep in range(reps)]
+
+    def run_task(task):
+        i, rep = task
+        pt = setups[i]
+        try:
+            return i, one_rep(pt, rep), None
+        except _POINT_ERRORS as exc:
+            return i, None, f"point (K={pt.K}, N={pt.N}) rep {rep}: {exc}"
+
+    if workers <= 1:
+        outcomes = map(run_task, tasks)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(run_task, tasks))
+    values: list[list] = [[] for _ in setups]
+    failures = []
+    for i, value, failure in outcomes:
+        if failure is None:
+            values[i].append(value)
+        else:
+            failures.append(failure)
+    return values, failures
 
 
 def _keep_block_memory() -> None:
@@ -263,8 +299,15 @@ def _run_points(config: ExperimentConfig, dist, dom: Domain, workers: int,
                 sweep_variable: str) -> ConvergenceReport:
     start = time.perf_counter()
     _keep_block_memory()
-    setup = _later_point_setup(config, dist, {})
-    setups = [setup(K, N) for K, N in config.points()]
+
+    @functools.cache
+    def per_K(K: int) -> tuple[SieveBasis, np.ndarray, float]:
+        basis = build_basis(dist, K)
+        alpha = projection_coefficients(config.payoff, basis, dist)
+        approx = approx_error_moments(config.payoff, basis, dist, coefficients=alpha)
+        return basis, alpha, approx.mean_square
+
+    setups = [_PointSetup(K, N, *per_K(K)) for K, N in config.points()]
 
     def one_rep(pt: _PointSetup, rep: int) -> float:
         sample_seed = rng.derive_seed(config.seed, pt.K, pt.N, rep)
@@ -284,54 +327,22 @@ def _run_points(config: ExperimentConfig, dist, dom: Domain, workers: int,
             sq.append(float(np.sum(err * err)))
         return math.fsum(sq) / n_eval
 
-    tasks = [(i, rep) for i, _ in enumerate(setups) for rep in range(config.repetitions)]
-    results: dict[tuple[int, int], float] = {}
-    failures: list[str] = []
-
-    def run_task(key):
-        i, rep = key
-        try:
-            return key, one_rep(setups[i], rep), None
-        except _POINT_ERRORS as exc:
-            pt = setups[i]
-            return key, None, f"point (K={pt.K}, N={pt.N}) rep {rep}: {exc}"
-
-    if workers <= 1:
-        outcomes = map(run_task, tasks)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run_task, tasks))
-    for key, value, failure in outcomes:
-        if failure is None:
-            results[key] = value
-        else:
-            failures.append(failure)
-
+    values, failures = _sweep(setups, config.repetitions, one_rep, workers)
     rows = []
-    for i, pt in enumerate(setups):
-        vals = [results[(i, rep)] for rep in range(config.repetitions) if (i, rep) in results]
-        if vals:
-            mean, stderr = _mean_stderr(vals)
-            rows.append(ReportRow(pt.K, pt.N, len(vals), mean, stderr, pt.approx_ms, pt.h))
-        else:
-            rows.append(ReportRow(pt.K, pt.N, 0, float("nan"), float("nan"),
-                                  pt.approx_ms, pt.h, flagged=True))
+    for pt, vals in zip(setups, values):
+        mean, stderr = _mean_stderr(vals)
+        rows.append(ReportRow(pt.K, pt.N, len(vals), mean, stderr, pt.approx_ms,
+                              h_tilde(pt.basis, dist, pt.N), flagged=not vals))
 
-    xs = [r.K if sweep_variable == "K" else r.N for r in rows]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        try:
-            sf = fit_loglog_slope(xs, [r.mse_mean for r in rows])
-            slope, ci = sf.slope, (sf.ci_low, sf.ci_high)
-        except ConfigurationError:
-            slope, ci = float("nan"), (float("nan"), float("nan"))
-
+    sf = _slope_or_nan([r.K if sweep_variable == "K" else r.N for r in rows],
+                       [r.mse_mean for r in rows])
     plateau = None
     if config.sweep == "fixed_K":
         last = rows[-1]
         plateau = last.mse_mean / last.approx_l2 if last.approx_l2 > 0 else float("inf")
-    return ConvergenceReport(rows, slope, ci, sweep_variable, _config_echo(config),
-                             time.perf_counter() - start, failures, plateau)
+    return ConvergenceReport(rows, sf.slope, (sf.ci_low, sf.ci_high), sweep_variable,
+                             _config_echo(config), time.perf_counter() - start, failures,
+                             plateau)
 
 
 def _config_echo(config: ExperimentConfig) -> dict:
@@ -408,11 +419,15 @@ class PairedReport:
     slope_now: SlopeFit
     config_echo: dict
     wall_time: float
+    failures: list[str] = field(default_factory=list)
 
     @property
     def rate_gap(self) -> float:
         """How much steeper (more negative) the Regress-Later N-slope is."""
         return self.slope_now.slope - self.slope_later.slope
+
+    def to_csv_text(self) -> str:
+        return _csv_text(PAIRED_CSV_HEADER, self.rows)
 
     def to_json_dict(self) -> dict:
         return {
@@ -422,8 +437,20 @@ class PairedReport:
             "rate_gap": self.rate_gap,
             "config": self.config_echo,
             "wall_time": self.wall_time,
+            "failures": self.failures,
             "kernel_backend": _kernels.BACKEND,
         }
+
+
+@dataclass(frozen=True)
+class _PairedSetup:
+    K: int
+    N: int
+    basis_T: SieveBasis  # Regress-Later basis, on the law at T
+    basis_t: SieveBasis  # Regress-Now basis, on the law at t
+    grid: np.ndarray  # evaluation states at t: 24 Gauss-Legendre nodes per bin of basis_t
+    wq: np.ndarray  # quadrature weights times the density at t
+    truth: np.ndarray  # closed-form E[payoff | state at t] on the grid
 
 
 def now_vs_later_compare(config: ExperimentConfig, workers: int = 1) -> PairedReport:
@@ -431,7 +458,8 @@ def now_vs_later_compare(config: ExperimentConfig, workers: int = 1) -> PairedRe
     (K, N) points; MSEs against the closed-form truth, slopes versus N.
 
     Needs a payoff with a known conditional expectation under Brownian
-    motion (square or identity) and a pair_u_T feature fixing t and T.
+    motion (square or identity) and a pair_u_T feature fixing t and T.  A
+    failed repetition is left out of both estimators' means.
     """
     start = time.perf_counter()
     _keep_block_memory()
@@ -450,43 +478,30 @@ def now_vs_later_compare(config: ExperimentConfig, workers: int = 1) -> PairedRe
     feat_t = FeatureSpec("terminal", t)
     dist_T, dom_T = truncated_feature_law(proc, feat_T, eps)
     dist_t, dom_t = truncated_feature_law(proc, feat_t, eps)
-    truth_oracle = OracleSpec("closed_form")
 
-    later_cache: dict[int, tuple] = {}
-    now_cache: dict[int, tuple] = {}
+    @functools.cache
+    def per_K(K: int) -> tuple:
+        basis_T = build_basis(dist_T, K)
+        basis_t = build_basis(dist_t, K)
+        xg, wg = gauss_legendre(24)
+        edges = basis_t.partition.edges
+        mid = 0.5 * (edges[1:] + edges[:-1])
+        half = 0.5 * (edges[1:] - edges[:-1])
+        grid = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
+        wq = (half[:, None] * wg[None, :]).ravel() * dist_t.density(grid)
+        truth = oracle_conditional(config.payoff, proc, t, grid, OracleSpec("closed_form"))
+        return basis_T, basis_t, grid, wq, truth
 
-    def later_setup(K):
-        if K not in later_cache:
-            later_cache[K] = (build_basis(dist_T, K),)
-        return later_cache[K]
+    setups = [_PairedSetup(K, N, *per_K(K)) for K, N in config.points()]
 
-    def now_setup(K):
-        if K not in now_cache:
-            basis_t = build_basis(dist_t, K)
-            xg, wg = gauss_legendre(24)
-            edges = basis_t.partition.edges
-            mid = 0.5 * (edges[1:] + edges[:-1])
-            half = 0.5 * (edges[1:] - edges[:-1])
-            grid = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-            wq = (half[:, None] * wg[None, :]).ravel() * dist_t.density(grid)
-            truth = oracle_conditional(config.payoff, proc, t, grid, truth_oracle)
-            now_cache[K] = (basis_t, grid, wq, truth)
-        return now_cache[K]
-
-    points = config.points()
-    for K, _ in points:  # build caches up front, workers only read them
-        later_setup(K)
-        now_setup(K)
-
-    def one_rep(K: int, N: int, rep: int) -> tuple[float, float]:
-        (basis_T,) = later_setup(K)
-        basis_t, grid, wq, truth = now_setup(K)
+    def one_rep(pt: _PairedSetup, rep: int) -> tuple[float, float]:
+        K, N, grid, wq, truth = pt.K, pt.N, pt.grid, pt.wq, pt.truth
         # Regress-Later: fit the payoff at T, transfer exactly to time t
         s_lat = rng.derive_seed(config.seed, "later", K, N, rep)
         fit_lat = regress_later_fit(
             _payoff_blocks(config.payoff, _sample_blocks(proc, feat_T, dom_T, N, s_lat)),
-            basis_T)
-        spec = TransferSpec(BrownianTransition(t, T), basis_T, fit_lat.coefficients)
+            pt.basis_T)
+        spec = TransferSpec(BrownianTransition(t, T), pt.basis_T, fit_lat.coefficients)
         mse_lat = float(np.sum(wq * (truth - condexp_estimate(spec, grid)) ** 2))
         # Regress-Now: states at t, fresh continuations to T, direct regression
         s_now = rng.derive_seed(config.seed, "now", K, N, rep)
@@ -494,37 +509,21 @@ def now_vs_later_compare(config: ExperimentConfig, workers: int = 1) -> PairedRe
         fit_now, _ = regress_now_fit(
             _continued_blocks(config.payoff, math.sqrt(T - t), s_cont,
                               _sample_blocks(proc, feat_t, dom_t, N, s_now)),
-            basis_t)
-        mse_now = float(np.sum(wq * (truth - predict(basis_t, fit_now.coefficients, grid)) ** 2))
+            pt.basis_t)
+        mse_now = float(np.sum(wq * (truth - predict(pt.basis_t, fit_now.coefficients, grid)) ** 2))
         return mse_lat, mse_now
 
-    tasks = [(i, rep) for i in range(len(points)) for rep in range(config.repetitions)]
-
-    def run_task(key):
-        i, rep = key
-        K, N = points[i]
-        return key, one_rep(K, N, rep)
-
-    if workers <= 1:
-        outcomes = map(run_task, tasks)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run_task, tasks))
-    results = dict(outcomes)
-
+    values, failures = _sweep(setups, config.repetitions, one_rep, workers)
     rows = []
-    for i, (K, N) in enumerate(points):
-        lat = [results[(i, rep)][0] for rep in range(config.repetitions)]
-        now = [results[(i, rep)][1] for rep in range(config.repetitions)]
-        ml, sl = _mean_stderr(lat)
-        mn, sn = _mean_stderr(now)
-        rows.append(PairedRow(K, N, config.repetitions, ml, sl, mn, sn))
+    for pt, vals in zip(setups, values):
+        ml, sl = _mean_stderr([lat for lat, _ in vals])
+        mn, sn = _mean_stderr([now for _, now in vals])
+        rows.append(PairedRow(pt.K, pt.N, len(vals), ml, sl, mn, sn))
 
     ns = [r.N for r in rows]
-    slope_later = fit_loglog_slope(ns, [r.mse_later_mean for r in rows])
-    slope_now = fit_loglog_slope(ns, [r.mse_now_mean for r in rows])
-    return PairedReport(rows, slope_later, slope_now, _config_echo(config),
-                        time.perf_counter() - start)
+    return PairedReport(rows, _slope_or_nan(ns, [r.mse_later_mean for r in rows]),
+                        _slope_or_nan(ns, [r.mse_now_mean for r in rows]),
+                        _config_echo(config), time.perf_counter() - start, failures)
 
 
 def _continued_blocks(payoff: PayoffSpec, scale: float, seed: int,

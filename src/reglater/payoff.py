@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import ndtr, roots_hermite
 
 from .errors import ConfigurationError, UnsupportedOracleError
@@ -127,6 +126,8 @@ def _call_quadrature(spot: float, strike: float, total_vol: float, tolerance: fl
     Gauss-Hermite stalls on the kinked integrand, so integrate the smooth
     in-the-money branch in standardized log-space instead.
     """
+    from scipy.integrate import quad  # imported here: only GBM calls need it
+
     if strike <= 0:
         return spot - strike
     m = np.log(spot) - 0.5 * total_vol**2

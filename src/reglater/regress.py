@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
-import scipy.linalg
 
 from . import _kernels, rng
 from ._kernels._py import BinnedQR
@@ -92,6 +91,8 @@ def ols_fit(design_rows, targets, mode: str = "ols") -> FitResult:
     pivoted out at relative rank tolerance 1e-10 are dropped with exact zero
     coefficients.
     """
+    import scipy.linalg  # imported here: no sweep takes the dense path
+
     A = np.asarray(design_rows, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64).reshape(-1)
     if A.ndim != 2 or A.shape[0] != y.shape[0]:

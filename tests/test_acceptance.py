@@ -6,7 +6,6 @@ everything else is seconds.
 """
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -113,8 +112,7 @@ def test_criterion_6_gram_convergence(w10_law, basis_cache, brownian10, terminal
         fro_s, _ = rl.gram_diagnostics(basis, small)
         return fro_b, fro_s, lmin_b
 
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        rows = list(pool.map(one, range(100)))
+    rows = list(map(one, range(100)))
     fro_big = np.median([r[0] for r in rows])
     fro_small = np.median([r[1] for r in rows])
     lmin_med = np.median([r[2] for r in rows])
@@ -140,8 +138,7 @@ def test_criterion_7_now_rate_floor_and_paired(capsys):
         rep = rl.now_vs_later_compare(validate_config_dict(doc), workers=1)
         return rep.slope_later.slope < rep.slope_now.slope
 
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        wins = sum(pool.map(one_batch, range(100)))
+    wins = sum(map(one_batch, range(100)))
     elapsed = time.perf_counter() - start
     ok = (-1.3 <= slope_now <= -0.7) and wins >= 90
     with capsys.disabled():

@@ -10,7 +10,7 @@ import pytest
 from reglater import _kernels, cli, harness, rng
 from reglater._kernels import _py
 from reglater.config import load_config, validate_config_dict
-from reglater.errors import ConfigurationError
+from reglater.errors import ConfigurationError, SamplingError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -26,6 +26,10 @@ TINY_CONFIG = {
     "repetitions": 3,
     "seed": 99,
 }
+
+TINY_PAIRED_CONFIG = dict(
+    TINY_CONFIG, name="tiny-paired", payoff={"kind": "square"},
+    feature={"kind": "pair_u_T", "eval_time": 10.0, "intermediate_time": 1.0})
 
 
 @pytest.fixture()
@@ -193,11 +197,53 @@ def test_run_seed_override_changes_mse_not_approx(tiny_config_path, tmp_path):
         assert c1[6] == c2[6]  # h_tilde fixed
 
 
-def test_run_repeat_same_seed_byte_identical(tiny_config_path, tmp_path):
+@pytest.mark.parametrize("doc", [TINY_CONFIG, TINY_PAIRED_CONFIG], ids=["growing", "paired"])
+def test_run_repeat_same_seed_byte_identical(doc, tmp_path):
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(doc))
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert cli.main(["run", str(tiny_config_path), "-o", str(out1), "--workers", "1"]) == 0
-    assert cli.main(["run", str(tiny_config_path), "-o", str(out2), "--workers", "8"]) == 0
+    assert cli.main(["run", str(path), "-o", str(out1), "--workers", "1"]) == 0
+    assert cli.main(["run", str(path), "-o", str(out2), "--workers", "8"]) == 0
     assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["now_vs_later_fixed.json", "now_vs_later_growing.json"])
+def test_run_shipped_paired_configs(name, tmp_path, capsys):
+    args = ["run", str(CONFIG_DIR / name), "--set", "repetitions=2", "-o", str(tmp_path)]
+    assert cli.main(args) == 0
+    lines = (tmp_path / "report.csv").read_text().splitlines()
+    assert lines[0] == "K,N,reps,mse_later_mean,mse_later_stderr,mse_now_mean,mse_now_stderr"
+    assert len(lines) == 1 + len(load_config(CONFIG_DIR / name).points())
+    assert "slopes later" in capsys.readouterr().out
+
+
+def test_run_point_without_repetitions_exits_3_after_writing(tiny_config_path, tmp_path,
+                                                             monkeypatch, capsys):
+    real = harness.simulate_conditional
+
+    def failing(proc, feat, dom, n, seed, **kwargs):
+        if n == 1080:  # the K=6 point of TINY_CONFIG
+            raise SamplingError("synthetic failure")
+        return real(proc, feat, dom, n, seed, **kwargs)
+
+    monkeypatch.setattr(harness, "simulate_conditional", failing)
+    outdir = tmp_path / "out"
+    assert cli.main(["run", str(tiny_config_path), "-o", str(outdir)]) == 3
+    captured = capsys.readouterr()
+    assert "3 failed repetitions" in captured.out
+    assert "(K=6, N=1080)" in captured.err
+    doc = json.loads((outdir / "report.json").read_text())
+    assert [r["reps"] for r in doc["rows"]] == [3, 0, 3]
+    assert len(doc["failures"]) == 3
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_run_rejects_workers_below_one(workers, tiny_config_path, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["run", str(tiny_config_path), "-o", str(tmp_path / "o"), "--workers", workers])
+    assert exit_info.value.code == 2
+    assert f"--workers: must be at least 1, got {workers}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_set_override_applies(tiny_config_path, tmp_path, capsys):

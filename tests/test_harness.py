@@ -214,6 +214,28 @@ def test_paired_determinism():
     assert a.to_json_dict()["rows"] == b.to_json_dict()["rows"]
 
 
+def test_paired_failures_are_recorded_not_raised(monkeypatch):
+    cfg = paired_config("fixed_K", seed=314, reps=2)
+    real = harness.regress_now_fit
+
+    def failing(blocks, basis):
+        blocks = list(blocks)
+        if sum(b.n for b in blocks) == 10000:  # the middle point
+            raise rl.DegenerateDesignError("synthetic failure")
+        return real(iter(blocks), basis)
+
+    monkeypatch.setattr(harness, "regress_now_fit", failing)
+    rep = rl.now_vs_later_compare(cfg, workers=2)
+    assert [r.reps for r in rep.rows] == [2, 0, 2]
+    failed = rep.rows[1]
+    assert np.isnan(failed.mse_later_mean) and np.isnan(failed.mse_now_mean)
+    assert rep.failures == [f"point (K=8, N=10000) rep {r}: synthetic failure" for r in (0, 1)]
+    for row in (rep.rows[0], rep.rows[2]):
+        assert np.isfinite([row.mse_later_mean, row.mse_later_stderr,
+                            row.mse_now_mean, row.mse_now_stderr]).all()
+    assert rep.to_json_dict()["failures"] == rep.failures
+
+
 def test_paired_requires_supported_payoff():
     cfg = rl.ExperimentConfig(
         name="bad", process=rl.ProcessSpec("brownian", 10.0),

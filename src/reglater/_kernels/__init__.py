@@ -26,6 +26,9 @@ def design_matrix(edges, centers, norm0, norm1, u):
                                _as_f64(norm1), _as_f64(u))
 
 
-def binned_qr(edges, centers, norm0, norm1, u, x):
+def binned_qr(edges, centers, norm0, norm1, u, x, sizes=None):
+    """Factors of one fit, or of ``len(sizes)`` fits back to back in ``u``
+    and ``x`` (see ``_py.binned_qr``)."""
     return _impl.binned_qr(_as_f64(edges), _as_f64(centers), _as_f64(norm0),
-                           _as_f64(norm1), _as_f64(u), _as_f64(x))
+                           _as_f64(norm1), _as_f64(u), _as_f64(x),
+                           None if sizes is None else np.asarray(sizes, dtype=np.intp))

@@ -7,13 +7,18 @@ sums of squares), augmented with the target as a third column: the squared
 residuals it leaves are accumulated from the residual vectors themselves, so
 a fit's residual norm needs no second bin lookup or prediction.
 
-Bin lookup, the sort by bin and every elementwise step of the QR are
-whole-block passes over the samples, with per-bin scalars spread over each
-bin's samples by ``np.repeat``; a non-empty bin costs two numpy reductions,
-and the residuals one ``np.add.reduceat`` per block.  Few calls matter
-because each numpy call on a large array hands the GIL to the other worker
-thread and back.  The fits call it on one rng block of samples at a time
-and merge the per-bin factors of consecutive blocks
+One ``binned_qr`` call factors one fit, or several fits whose samples lie
+back to back (``sizes``): each sample's sort key is its bin offset by its
+fit, so the call sorts, reduces and factors every (fit, bin) segment of the
+batch at once, with the same values in the same order as separate calls
+would, and the same bits.  Bin lookup, the sort and every elementwise step of
+the QR are whole-batch passes over the samples, with per-segment scalars
+spread over each segment's samples by ``np.repeat``; a non-empty segment
+costs two numpy reductions, and the residuals one ``np.add.reduceat`` per
+call.  Few calls matter because each numpy call on a large array hands the
+GIL to the other worker thread and back.  The fits call it on one rng block
+of samples at a time, holding one repetition or several short ones, and
+merge the per-bin factors of consecutive blocks
 (``regress._binned_factors``).
 """
 from __future__ import annotations
@@ -22,24 +27,35 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .. import rng
 
-# Up to this many bins a value's bin is found by comparing it with each
-# interior edge (one vectorized pass per edge); above it, by binary search.
+# Up to this many bins a value's bin is counted from one comparison with
+# every bin's left edge; above it, it is found by binary search.
 COMPARE_MAX_BINS = 64
 
 
-def _bin_keys(edges: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``bin_indices`` as int8 from comparisons for small ``nbins``, as the
-    platform integer from ``searchsorted`` otherwise."""
-    inner = edges[1:-1]
-    if inner.size < COMPARE_MAX_BINS:
-        idx = np.zeros(u.shape, dtype=np.int8)
-        for e in inner:
-            idx += u >= e  # interior edges at or below u
-    else:
-        idx = np.searchsorted(inner, u, side="right")
-    idx[~((u >= edges[0]) & (u <= edges[-1]))] = -1  # NaN fails both tests
-    return idx
+def _bin_keys(edges: np.ndarray, u: np.ndarray, dtype, offsets=None) -> np.ndarray:
+    """Per value of a 1-D ``u``, one plus its bin (``bin_indices`` + 1) plus
+    its entry of ``offsets``, or 0 outside the domain, as ``dtype``.
+
+    Up to ``COMPARE_MAX_BINS`` bins the left edges at or below each value
+    are counted by one broadcast comparison and one reduction, over at most
+    ``rng.BLOCK_SIZE`` values at a time, so the (bins x values) mask stays
+    within 4 MiB; NaN compares below every edge.  Then one mask clears the
+    values above the top edge (and NaN, which binary search puts there).
+    """
+    left, top = edges[:-1], edges[-1]
+    keys = np.empty(u.shape, dtype)
+    for lo in range(0, u.size, rng.BLOCK_SIZE):
+        v, k = u[lo:lo + rng.BLOCK_SIZE], keys[lo:lo + rng.BLOCK_SIZE]
+        if left.size <= COMPARE_MAX_BINS:
+            np.add.reduce(v >= left[:, None], axis=0, dtype=dtype, out=k)
+        else:
+            k[...] = np.searchsorted(left, v, side="right")
+        k *= v <= top
+        if offsets is not None:
+            np.add(k, offsets[lo:lo + rng.BLOCK_SIZE], out=k, where=k > 0)
+    return keys
 
 
 def _sum_sq(a: np.ndarray) -> float:
@@ -53,7 +69,8 @@ def bin_indices(edges: np.ndarray, u: np.ndarray) -> np.ndarray:
     right-closed; -1 outside the domain."""
     edges = np.asarray(edges, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
-    return _bin_keys(edges, u).astype(np.int64)
+    keys = _bin_keys(edges, u.reshape(-1), np.min_scalar_type(edges.size - 1))
+    return np.subtract(keys, 1, dtype=np.int64).reshape(u.shape)
 
 
 def design_matrix(edges, centers, norm0, norm1, u) -> np.ndarray:
@@ -72,7 +89,8 @@ def design_matrix(edges, centers, norm0, norm1, u) -> np.ndarray:
 
 
 class BinnedQR(NamedTuple):
-    """Per-bin factors of the augmented design [e0, e1, x]."""
+    """Per-bin factors of the augmented design [e0, e1, x]; for a batch of
+    fits, every field has a leading fit axis."""
 
     R: np.ndarray  # (K, 3): r11, r12, r22, nonnegative diagonal
     z: np.ndarray  # (K, 2): Q^T x in the bin's two directions
@@ -84,9 +102,14 @@ class BinnedQR(NamedTuple):
     rss_outside: float  # sum of x^2 over out-of-domain samples (fit is 0 there)
 
 
-def binned_qr(edges, centers, norm0, norm1, u, x) -> BinnedQR:
+def binned_qr(edges, centers, norm0, norm1, u, x, sizes=None) -> BinnedQR:
     """Per-bin thin QR of the two-column design [e0, e1] against targets x,
     with the residuals each fit leaves (see ``BinnedQR``).
+
+    With ``sizes``, ``u`` and ``x`` hold ``len(sizes)`` fits back to back,
+    ``sizes[f]`` samples for fit ``f``, and every field of the result gets a
+    leading fit axis (``rss_outside`` becomes an array); each fit's factors,
+    counts and residuals are those of a call on its samples alone.
 
     The residual after both columns is x - z1 q1 - z2 q2, exactly the
     expression a prediction from the solved coefficients evaluates, so it
@@ -101,32 +124,37 @@ def binned_qr(edges, centers, norm0, norm1, u, x) -> BinnedQR:
     norm0 = np.asarray(norm0, dtype=np.float64)
     norm1 = np.asarray(norm1, dtype=np.float64)
     nbins = centers.size
-    R = np.zeros((nbins, 3))
-    z = np.zeros((nbins, 2))
-    rss = np.zeros((nbins, 2))
+    per_fit = np.asarray([u.size] if sizes is None else sizes)
+    if np.sum(per_fit) != u.size:
+        raise ValueError("binned_qr: sizes must add up to the number of samples")
+    fits = per_fit.size
+    segments = fits * nbins  # segment f * nbins + k is bin k of fit f
+    R = np.zeros((segments, 3))
+    z = np.zeros((segments, 2))
+    rss = np.zeros((segments, 2))
 
-    # narrowest signed type holding keys + 1, so the stable argsort is a radix sort
-    keys = _bin_keys(edges, u).astype(np.min_scalar_type(-nbins - 1), copy=False)
-    order = np.argsort(keys, kind="stable")  # out-of-domain (-1) first
-    # bin k is order[bounds[k]:bounds[k + 1]]; order[:bounds[0]] is out of domain
-    bounds = np.searchsorted(keys[order], np.arange(nbins + 1, dtype=keys.dtype))
-    counts = bounds[1:] - bounds[:-1]
-    rss_outside = _sum_sq(x[order[:bounds[0]]])
-    inside = order[bounds[0]:]
+    # Key 0 outside the domain, 1 + segment inside, in the narrowest unsigned
+    # type holding them, so the stable argsort is a radix sort.
+    key_type = np.min_scalar_type(segments)
+    offsets = None
+    if fits > 1:
+        offsets = np.repeat(np.arange(0, segments, nbins, dtype=key_type), per_fit)
+    keys = _bin_keys(edges, u, key_type, offsets)
+    counts = np.bincount(keys, minlength=segments + 1)
+    a, x_out = _sorted_rows(keys, u, x, counts[0])  # a: rows [u; x] in segment order
+    counts = counts[1:]
 
-    # Whole-block passes over the in-domain samples in bin order, with each
-    # non-empty bin's scalars spread over its samples by np.repeat; per bin
-    # only the two reductions of _bin_sums, which give np.sum's bits.
+    # Whole-batch passes over the in-domain samples in segment order, with
+    # each non-empty segment's scalars spread over its samples by np.repeat;
+    # per segment only the two reductions of _bin_sums, which give np.sum's
+    # bits.
     full = np.flatnonzero(counts)
     n = counts[full]
-    lo = bounds[full] - bounds[0]  # where each non-empty bin starts in `inside`
+    lo = np.cumsum(counts)[full] - n  # where each non-empty segment starts in `a`
+    k = full % nbins
     sq = np.sqrt(n)
-    a = np.empty((2, inside.size))  # rows [d; x], d = norm1 (u - c)
-    # mode="clip" only so that take writes straight into its out= buffer
-    np.take(u, inside, out=a[0], mode="clip")
-    a[0] -= np.repeat(centers[full], n)
-    a[0] *= np.repeat(norm1[full], n)
-    np.take(x, inside, out=a[1], mode="clip")
+    a[0] -= np.repeat(centers[k], n)  # row 0 becomes d = norm1 (u - c)
+    a[0] *= np.repeat(norm1[k], n)
     s1 = _bin_sums(a, lo, n)  # [sum d, sum x]
     r12 = s1[:, 0] / sq
     z1 = s1[:, 1] / sq
@@ -135,7 +163,7 @@ def binned_qr(edges, centers, norm0, norm1, u, x) -> BinnedQR:
     r22 = np.sqrt(s2[:, 0])
     linear = r22 > 0
     z2 = np.divide(s2[:, 1], r22, out=np.zeros_like(r22), where=linear)
-    R[full] = np.array((norm0[full] * sq, r12, r22)).T
+    R[full] = np.array((norm0[k] * sq, r12, r22)).T
     z[full] = np.array((z1, z2)).T
 
     # residuals v = x - z1 q1 into row 1, and v - z2 q2 (= v where r22 = 0)
@@ -145,7 +173,31 @@ def binned_qr(edges, centers, norm0, norm1, u, x) -> BinnedQR:
     np.subtract(a[1], a[0], out=a[0])
     rss2, rss1 = np.add.reduceat(np.square(a, out=a), lo, axis=1)
     rss[full] = np.array((rss1, rss2)).T
-    return BinnedQR(R, z, counts, rss, rss_outside)
+
+    # each fit's out-of-domain samples lie together, in fit order
+    out_counts = per_fit - counts.reshape(fits, nbins).sum(axis=1)
+    ends = np.cumsum(out_counts)
+    rss_outside = np.zeros(fits)
+    for f in np.flatnonzero(out_counts):
+        rss_outside[f] = _sum_sq(x_out[ends[f] - out_counts[f]:ends[f]])
+    if sizes is None:
+        return BinnedQR(R, z, counts, rss, float(rss_outside[0]))
+    return BinnedQR(R.reshape(fits, nbins, 3), z.reshape(fits, nbins, 2),
+                    counts.reshape(fits, nbins), rss.reshape(fits, nbins, 2), rss_outside)
+
+
+def _sorted_rows(keys: np.ndarray, u: np.ndarray, x: np.ndarray, n_out: int
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Rows [u; x] of the in-domain samples sorted by key (segment by
+    segment, input order within each), and x of the ``n_out`` out-of-domain
+    samples (key 0) in input order.  The sort order is dropped on return,
+    before the passes that need the most memory."""
+    order = np.argsort(keys, kind="stable")  # a radix sort for 8- and 16-bit keys
+    rows = np.empty((2, u.size - n_out))
+    # mode="clip" only so that take writes straight into its out= buffer
+    np.take(u, order[n_out:], out=rows[0], mode="clip")
+    np.take(x, order[n_out:], out=rows[1], mode="clip")
+    return rows, x[order[:n_out]]
 
 
 def _bin_sums(rows: np.ndarray, lo: np.ndarray, n: np.ndarray) -> np.ndarray:

@@ -201,20 +201,24 @@ class GramDiagnostics(NamedTuple):
 
 
 def _gram_blocks_from_qr(R: np.ndarray, n: int) -> np.ndarray:
-    """Per-bin 2x2 blocks of (1/n) E^T E recovered from the thin-QR factors."""
-    g = np.empty((R.shape[0], 3))
-    g[:, 0] = R[:, 0] ** 2 / n
-    g[:, 1] = R[:, 0] * R[:, 1] / n
-    g[:, 2] = (R[:, 1] ** 2 + R[:, 2] ** 2) / n
+    """Per-bin 2x2 blocks of (1/n) E^T E recovered from the thin-QR factors
+    (``R`` of shape (..., K, 3), leading axes kept)."""
+    g = np.empty(R.shape)
+    g[..., 0] = R[..., 0] ** 2 / n
+    g[..., 1] = R[..., 0] * R[..., 1] / n
+    g[..., 2] = (R[..., 1] ** 2 + R[..., 2] ** 2) / n
     return g
 
 
 def _block_stats(blocks: np.ndarray) -> GramDiagnostics:
-    fro2 = np.sum((blocks[:, 0] - 1.0) ** 2 + 2.0 * blocks[:, 1] ** 2 + (blocks[:, 2] - 1.0) ** 2)
-    tr = blocks[:, 0] + blocks[:, 2]
-    det = blocks[:, 0] * blocks[:, 2] - blocks[:, 1] ** 2
-    lmin = np.min(0.5 * tr - np.sqrt(np.maximum(0.25 * tr**2 - det, 0.0)))
-    return GramDiagnostics(float(np.sqrt(fro2)), float(lmin))
+    """``GramDiagnostics`` of the per-bin blocks over the bin axis, one per
+    entry of the leading axes (numpy values, not floats)."""
+    b0, b1, b2 = blocks[..., 0], blocks[..., 1], blocks[..., 2]
+    fro2 = np.sum((b0 - 1.0) ** 2 + 2.0 * b1 ** 2 + (b2 - 1.0) ** 2, axis=-1)
+    tr = b0 + b2
+    det = b0 * b2 - b1 ** 2
+    lmin = np.min(0.5 * tr - np.sqrt(np.maximum(0.25 * tr**2 - det, 0.0)), axis=-1)
+    return GramDiagnostics(np.sqrt(fro2), lmin)
 
 
 def gram_diagnostics(basis: SieveBasis, sample) -> GramDiagnostics:
@@ -228,7 +232,7 @@ def gram_diagnostics(basis: SieveBasis, sample) -> GramDiagnostics:
                       "Gram matrix is rank deficient", RuntimeWarning, stacklevel=2)
     qr = _kernels.binned_qr(basis.partition.edges, basis.centers,
                             basis.norm0, basis.norm1, u, np.zeros(n))
-    return _block_stats(_gram_blocks_from_qr(qr.R, n))
+    return GramDiagnostics(*map(float, _block_stats(_gram_blocks_from_qr(qr.R, n))))
 
 
 def _require_density(dist: DistSpec) -> None:

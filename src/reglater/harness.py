@@ -3,19 +3,25 @@ sweeps, and the paired comparison of the two estimators.
 
 Every repetition draws its sample from a substream keyed by
 ``(seed, K, N, rep)``, so points are independently reproducible and a report
-is a pure function of (config, seed).  A repetition streams its sample: it
-draws, pays off and fits one ``rng.BLOCK_SIZE`` block at a time, so its
-memory does not grow with N.  All three sweeps run on one engine,
-``_sweep``: serially or on any number of worker threads, with a failed
-repetition recorded in the report's ``failures`` (a point with none left
-reports ``reps=0`` and NaN means).  Aggregation takes values in repetition
-order and sums with ``math.fsum``, so the emitted CSV is byte-identical for
-any worker count.
+is a pure function of (config, seed).  All three sweeps run on one engine,
+``_sweep``, whose task is a batch: the consecutive repetitions of one point
+whose samples fill at most one ``rng.BLOCK_SIZE`` block together
+(``_batches``).  A batch draws each repetition's sample from its own
+substream, joins them (``_fit_batch``) and fits them in one kernel call per
+block (``regress_later_fit(..., fits=)``), each fit bit for bit the fit of
+its sample alone; Regress-Later pays off the joined samples once.  A repetition longer than half a block is a batch of
+its own and streams its sample one block at a time, so memory does not grow
+with N.  Batches run serially or on any number of worker threads; a failed
+repetition is recorded in the report's ``failures`` and its batch's other
+repetitions still count (a point with none left reports ``reps=0`` and NaN
+means).  Aggregation takes values in repetition order and sums with
+``math.fsum``, so the emitted CSV is byte-identical for any worker count.
 """
 from __future__ import annotations
 
 import ctypes
 import functools
+import itertools
 import math
 import time
 import warnings
@@ -225,20 +231,27 @@ def _slope_or_nan(xs, ys) -> SlopeFit:
             return SlopeFit(*[float("nan")] * 4)
 
 
-def _sweep(setups: list, reps: int, one_rep: Callable, workers: int
+def _batches(N: int, reps: int) -> list[range]:
+    """A point's repetitions in runs of consecutive ones whose samples fill
+    at most one rng block together: ``max(1, rng.BLOCK_SIZE // N)`` each."""
+    size = max(1, rng.BLOCK_SIZE // N)
+    return [range(lo, min(lo + size, reps)) for lo in range(0, reps, size)]
+
+
+def _sweep(setups: list, reps: int, run_batch: Callable, workers: int
            ) -> tuple[list[list], list[str]]:
-    """``one_rep(setup, rep)`` for every point and repetition, serially or on
-    ``workers`` threads.  Returns each point's values in repetition order,
-    and one message per repetition that raised one of ``_POINT_ERRORS``."""
-    tasks = [(i, rep) for i in range(len(setups)) for rep in range(reps)]
+    """``run_batch(setup, batch)`` for every point and every batch of its
+    repetitions (``_batches``), serially or on ``workers`` threads.
+
+    ``run_batch`` returns one entry per repetition of ``batch``: its value,
+    or the exception of ``_POINT_ERRORS`` that failed it.  Returns each
+    point's values in repetition order, and one message per failed
+    repetition."""
+    tasks = [(i, batch) for i, pt in enumerate(setups) for batch in _batches(pt.N, reps)]
 
     def run_task(task):
-        i, rep = task
-        pt = setups[i]
-        try:
-            return i, one_rep(pt, rep), None
-        except _POINT_ERRORS as exc:
-            return i, None, f"point (K={pt.K}, N={pt.N}) rep {rep}: {exc}"
+        i, batch = task
+        return i, batch, run_batch(setups[i], batch)
 
     if workers <= 1:
         outcomes = map(run_task, tasks)
@@ -247,28 +260,81 @@ def _sweep(setups: list, reps: int, one_rep: Callable, workers: int
             outcomes = list(pool.map(run_task, tasks))
     values: list[list] = [[] for _ in setups]
     failures = []
-    for i, value, failure in outcomes:
-        if failure is None:
-            values[i].append(value)
-        else:
-            failures.append(failure)
+    for i, batch, results in outcomes:
+        pt = setups[i]
+        for rep, result in zip(batch, results):
+            if isinstance(result, Exception):
+                failures.append(f"point (K={pt.K}, N={pt.N}) rep {rep}: {result}")
+            else:
+                values[i].append(result)
     return values, failures
+
+
+def _fit_batch(fit: Callable, streams: list) -> list:
+    """``fit(blocks, fits)`` of every repetition of a batch in one call.
+
+    ``streams`` has one entry per repetition: an iterator of its sample
+    blocks, or the exception that already failed it.  Block 0 of each
+    stream is drawn first, so a repetition whose sampling fails drops out
+    alone; the rest are fitted together on their blocks joined block by
+    block (only a repetition alone in its batch has more than one).
+    Returns one entry per repetition: what ``fit`` returned for it, or the
+    exception of ``_POINT_ERRORS`` that failed it; an exception the call
+    itself raises fails all of its repetitions."""
+    out = list(streams)
+    live, first = [], []
+    for i, stream in enumerate(streams):
+        if isinstance(stream, Exception):
+            continue
+        try:
+            first.append(next(stream))
+        except _POINT_ERRORS as exc:
+            out[i] = exc
+        else:
+            live.append(i)
+    if not live:
+        return out
+    blocks = itertools.chain([SampleSet.joined(first)],
+                             map(SampleSet.joined, zip(*(streams[i] for i in live))))
+    first.clear()  # the joined block holds these samples now
+    try:
+        results = fit(blocks, len(live))
+    except _POINT_ERRORS as exc:
+        results = [exc] * len(live)
+    for i, result in zip(live, results):
+        out[i] = result
+    return out
+
+
+def _each(fn: Callable, batch: range, results: list) -> list:
+    """``fn(rep, result)`` for every repetition of ``batch`` whose result is
+    not an exception; an exception of ``_POINT_ERRORS`` it raises takes the
+    repetition's place."""
+    out = []
+    for rep, result in zip(batch, results):
+        if not isinstance(result, Exception):
+            try:
+                result = fn(rep, result)
+            except _POINT_ERRORS as exc:
+                result = exc
+        out.append(result)
+    return out
 
 
 def _keep_block_memory() -> None:
     """Let the C allocator reuse one sample block's memory for the next.
 
-    A streamed repetition allocates and frees a few MB of block-sized numpy
-    temporaries per rng block: the sampler's, and those of the whole-block
-    passes of ``_kernels.binned_qr`` (two arrays of two block-length rows
-    and the ``np.repeat`` spreads of per-bin scalars).  Under glibc's
-    default dynamic thresholds such arrays are mmapped, or the freed top of
-    the heap is handed back to the system, so every block page-faults its
-    memory in again (about 1e5 minor faults per fixed_k_large_n sweep), and
-    the faults of two worker threads serialize on the process's memory map.
-    Raising both thresholds keeps that memory in the process.  A
-    process-wide setting; nothing is done where the C library has no
-    ``mallopt``.
+    A batch allocates and frees a few MB of block-sized numpy temporaries
+    per rng block: the sampler's, the joined sample and its payoffs, and
+    those of the whole-block passes of ``_kernels.binned_qr`` (two arrays of
+    two block-length rows and the ``np.repeat`` spreads of per-bin scalars).
+    Under glibc's default dynamic thresholds such arrays are mmapped, or the
+    freed top of the heap is handed back to the system, so every block
+    page-faults its memory in again (about 1e5 minor faults per
+    fixed_k_large_n sweep), and the faults of two worker threads serialize
+    on the process's memory map.  Raising both thresholds keeps that memory
+    in the process.  A process-wide setting; nothing is done where the C
+    library has no ``mallopt``.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -309,12 +375,7 @@ def _run_points(config: ExperimentConfig, dist, dom: Domain, workers: int,
 
     setups = [_PointSetup(K, N, *per_K(K)) for K, N in config.points()]
 
-    def one_rep(pt: _PointSetup, rep: int) -> float:
-        sample_seed = rng.derive_seed(config.seed, pt.K, pt.N, rep)
-        fit = regress_later_fit(
-            _payoff_blocks(config.payoff, _sample_blocks(config.process, config.feature, dom,
-                                                         pt.N, sample_seed)),
-            pt.basis)
+    def evaluate(pt: _PointSetup, rep: int, fit) -> float:
         if config.eval_method == "quadrature":
             return pt.approx_ms + coefficient_error(fit, pt.basis, config.payoff, dist,
                                                     true_coefficients=pt.alpha)
@@ -327,7 +388,15 @@ def _run_points(config: ExperimentConfig, dist, dom: Domain, workers: int,
             sq.append(float(np.sum(err * err)))
         return math.fsum(sq) / n_eval
 
-    values, failures = _sweep(setups, config.repetitions, one_rep, workers)
+    def run_batch(pt: _PointSetup, batch: range) -> list:
+        streams = [_sample_blocks(config.process, config.feature, dom, pt.N,
+                                  rng.derive_seed(config.seed, pt.K, pt.N, rep))
+                   for rep in batch]
+        fits = _fit_batch(lambda blocks, g: regress_later_fit(
+            _payoff_blocks(config.payoff, blocks), pt.basis, fits=g), streams)
+        return _each(lambda rep, fit: evaluate(pt, rep, fit), batch, fits)
+
+    values, failures = _sweep(setups, config.repetitions, run_batch, workers)
     rows = []
     for pt, vals in zip(setups, values):
         mean, stderr = _mean_stderr(vals)
@@ -494,26 +563,37 @@ def now_vs_later_compare(config: ExperimentConfig, workers: int = 1) -> PairedRe
 
     setups = [_PairedSetup(K, N, *per_K(K)) for K, N in config.points()]
 
-    def one_rep(pt: _PairedSetup, rep: int) -> tuple[float, float]:
+    scale = math.sqrt(T - t)
+
+    def run_batch(pt: _PairedSetup, batch: range) -> list:
         K, N, grid, wq, truth = pt.K, pt.N, pt.grid, pt.wq, pt.truth
         # Regress-Later: fit the payoff at T, transfer exactly to time t
-        s_lat = rng.derive_seed(config.seed, "later", K, N, rep)
-        fit_lat = regress_later_fit(
-            _payoff_blocks(config.payoff, _sample_blocks(proc, feat_T, dom_T, N, s_lat)),
-            pt.basis_T)
-        spec = TransferSpec(BrownianTransition(t, T), pt.basis_T, fit_lat.coefficients)
-        mse_lat = float(np.sum(wq * (truth - condexp_estimate(spec, grid)) ** 2))
-        # Regress-Now: states at t, fresh continuations to T, direct regression
-        s_now = rng.derive_seed(config.seed, "now", K, N, rep)
-        s_cont = rng.derive_seed(config.seed, "cont", K, N, rep)
-        fit_now, _ = regress_now_fit(
-            _continued_blocks(config.payoff, math.sqrt(T - t), s_cont,
-                              _sample_blocks(proc, feat_t, dom_t, N, s_now)),
-            pt.basis_t)
-        mse_now = float(np.sum(wq * (truth - predict(pt.basis_t, fit_now.coefficients, grid)) ** 2))
-        return mse_lat, mse_now
+        later = _fit_batch(lambda blocks, g: regress_later_fit(
+            _payoff_blocks(config.payoff, blocks), pt.basis_T, fits=g),
+            [_sample_blocks(proc, feat_T, dom_T, N,
+                            rng.derive_seed(config.seed, "later", K, N, rep)) for rep in batch])
 
-    values, failures = _sweep(setups, config.repetitions, one_rep, workers)
+        def transfer_mse(rep: int, fit) -> float:
+            spec = TransferSpec(BrownianTransition(t, T), pt.basis_T, fit.coefficients)
+            return float(np.sum(wq * (truth - condexp_estimate(spec, grid)) ** 2))
+
+        mse_lat = _each(transfer_mse, batch, later)
+        # Regress-Now: states at t, fresh continuations to T, direct regression
+        streams = [mse if isinstance(mse, Exception) else _continued_blocks(
+            config.payoff, scale, rng.derive_seed(config.seed, "cont", K, N, rep),
+            _sample_blocks(proc, feat_t, dom_t, N, rng.derive_seed(config.seed, "now", K, N, rep)))
+            for rep, mse in zip(batch, mse_lat)]
+        now = _fit_batch(lambda blocks, g: regress_now_fit(blocks, pt.basis_t, fits=g), streams)
+
+        def now_mse(rep: int, fit_diag) -> float:
+            coef = fit_diag[0].coefficients
+            return float(np.sum(wq * (truth - predict(pt.basis_t, coef, grid)) ** 2))
+
+        # a repetition that failed the Regress-Later stage failed this one too
+        return [mse if isinstance(mse, Exception) else (lat, mse)
+                for lat, mse in zip(mse_lat, _each(now_mse, batch, now))]
+
+    values, failures = _sweep(setups, config.repetitions, run_batch, workers)
     rows = []
     for pt, vals in zip(setups, values):
         ml, sl = _mean_stderr([lat for lat, _ in vals])

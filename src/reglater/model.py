@@ -15,7 +15,7 @@ import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from scipy.special import ndtri
@@ -140,6 +140,26 @@ class SampleSet:
         checked: the features were checked when this sample was built."""
         out = copy.copy(self)
         object.__setattr__(out, "payoffs", _checked_payoffs(payoffs, self.n))
+        return out
+
+    @staticmethod
+    def joined(parts: Sequence["SampleSet"]) -> "SampleSet":
+        """The samples of ``parts`` back to back, with payoffs where every
+        part has them, carrying the first part's seed and domain and no meta.
+        One part is returned as it is.  Each part was checked when it was
+        built, so nothing is checked again."""
+        if len(parts) == 1:
+            return parts[0]
+        out = copy.copy(parts[0])
+        features = np.concatenate([p.features for p in parts])
+        features.setflags(write=False)
+        payoffs = None
+        if all(p.payoffs is not None for p in parts):
+            payoffs = np.concatenate([p.payoffs for p in parts])
+            payoffs.setflags(write=False)
+        for name, value in (("features", features), ("payoffs", payoffs),
+                            ("n", features.shape[0]), ("meta", MappingProxyType({}))):
+            object.__setattr__(out, name, value)
         return out
 
 

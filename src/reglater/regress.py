@@ -14,6 +14,12 @@ The fits run block by block: the kernel sees consecutive blocks of at most
 (TSQR), so a fit holds one block at a time.  A fit of at most
 ``rng.BLOCK_SIZE`` samples is one kernel pass, bit for bit; a longer one
 agrees with a single pass to rounding error (both are backward stable).
+
+Several fits on one basis can share those passes (``fits=``): their samples
+lie back to back in every block, the kernel factors every bin of every fit
+in one call, and the per-bin solves are array operations over all of them.
+Each fit's result is bit for bit the one of its samples alone; a fit that
+is degenerate fails alone.
 """
 from __future__ import annotations
 
@@ -157,9 +163,10 @@ def _feature_target_blocks(samples) -> Iterator[tuple[np.ndarray, np.ndarray]]:
 
 
 def _merged(parts: list[BinnedQR]) -> BinnedQR:
-    """The factors of consecutive sample blocks merged into those of their
-    union: each bin's QR of its blocks' triangular factors stacked in block
-    order, a TSQR step (Demmel, Grigori, Hoemmen & Langou, SISC 2012).
+    """The factors of consecutive sample blocks of a batch of fits merged
+    into those of their union: each bin's QR of its blocks' triangular
+    factors stacked in block order, a TSQR step (Demmel, Grigori, Hoemmen &
+    Langou, SISC 2012).
 
     The 3x3 factors of [e0 e1 x] and the 2x2 factors of [e0 x] are merged
     apart (the 2x2 ones padded with a zero column, so one batched QR does
@@ -170,86 +177,108 @@ def _merged(parts: list[BinnedQR]) -> BinnedQR:
     factor takes the residual after ``e0`` as its ``x`` row instead.  That
     drops ``q2 . x``, at most ``r22`` times that residual.
     """
-    R = np.stack([p.R for p in parts], axis=1)  # (K, blocks, 3)
-    z = np.stack([p.z for p in parts], axis=1)
-    rss = np.stack([p.rss for p in parts], axis=1)
-    K, m = R.shape[:2]
+    R = np.stack([p.R for p in parts], axis=-2)  # (fits, K, blocks, 3)
+    z = np.stack([p.z for p in parts], axis=-2)
+    rss = np.stack([p.rss for p in parts], axis=-2)
+    lead, m = R.shape[:-2], R.shape[-2]
     r0 = np.sqrt(rss[..., 0])
     degenerate = R[..., 2] <= RANK_TOL * np.hypot(R[..., 1], R[..., 2])
-    f = np.zeros((2, K, m, 3, 3))
+    f = np.zeros((2, *lead, m, 3, 3))
     f[0, ..., 0, :] = np.stack((R[..., 0], R[..., 1], z[..., 0]), axis=-1)
     f[0, ..., 1, 1] = R[..., 2]
     f[0, ..., 1, 2] = np.where(degenerate, 0.0, z[..., 1])
     f[0, ..., 2, 2] = np.where(degenerate, r0, np.sqrt(rss[..., 1]))
     f[1, ..., 0, :2] = np.stack((R[..., 0], z[..., 0]), axis=-1)
     f[1, ..., 1, 1] = r0
-    T = np.linalg.qr(f.reshape(2 * K, 3 * m, 3), mode="r")
+    T = np.linalg.qr(f.reshape(-1, 3 * m, 3), mode="r")
     T *= np.where(np.diagonal(T, axis1=1, axis2=2) < 0.0, -1.0, 1.0)[:, :, None]
-    f3, f2 = T[:K], T[K:]
-    return BinnedQR(R=f3[:, [0, 0, 1], [0, 1, 1]], z=f3[:, [0, 1], [2, 2]],
+    f3, f2 = T.reshape(2, *lead, 3, 3)
+    outside = np.array([p.rss_outside for p in parts])  # (blocks, fits)
+    return BinnedQR(R=f3[..., [0, 0, 1], [0, 1, 1]], z=f3[..., [0, 1], [2, 2]],
                     counts=np.sum([p.counts for p in parts], axis=0),
-                    rss=np.column_stack((f2[:, 1, 1] ** 2, f3[:, 2, 2] ** 2)),
-                    rss_outside=math.fsum(p.rss_outside for p in parts))
+                    rss=np.stack((f2[..., 1, 1] ** 2, f3[..., 2, 2] ** 2), axis=-1),
+                    rss_outside=np.array([math.fsum(col) for col in outside.T]))
 
 
-def _binned_factors(samples, basis: SieveBasis) -> tuple[BinnedQR, int]:
+def _binned_factors(samples, basis: SieveBasis, fits: int | None = None
+                    ) -> tuple[BinnedQR, int]:
     """``_kernels.binned_qr`` folded over the sample blocks, with the sample
-    count.
+    count of one fit.
 
-    Block factors are merged in block order, ``MERGE_BLOCKS`` at a time into
-    the merged factor so far, which keeps the result a pure function of the
-    samples and the held factors O(K); only one block of samples is held.
-    With one block nothing is merged: the result is the kernel's own.
+    With ``fits``, every block holds that many fits' samples back to back,
+    in equal shares, and the factors carry a leading fit axis; without it,
+    the samples are one fit.  Block factors are merged in block order,
+    ``MERGE_BLOCKS`` at a time into the merged factor so far, which keeps
+    the result a pure function of the samples and the held factors O(K);
+    only one block of samples is held.  With one block nothing is merged:
+    the result is the kernel's own.
     """
+    count = fits or 1
     parts: list[BinnedQR] = []
     n = 0
     for u, x in _feature_target_blocks(samples):
+        size, rest = divmod(u.shape[0], count)
+        if rest:
+            raise ConfigurationError(f"a block of {u.shape[0]} samples does not hold "
+                                     f"{count} fits of equal size")
         parts.append(_kernels.binned_qr(basis.partition.edges, basis.centers,
-                                        basis.norm0, basis.norm1, u, x))
-        n += u.shape[0]
+                                        basis.norm0, basis.norm1, u, x,
+                                        np.full(count, size)))
+        n += size
         if len(parts) > MERGE_BLOCKS:
             parts = [_merged(parts)]
     if not parts:
         raise ConfigurationError("need at least one sample")
-    return (parts[0] if len(parts) == 1 else _merged(parts)), n
+    qr = parts[0] if len(parts) == 1 else _merged(parts)
+    if fits is None:
+        qr = BinnedQR(*(field[0] for field in qr))
+    return qr, n
 
 
-def _fit_on_basis(samples, basis: SieveBasis, mode: str) -> FitResult:
-    qr, n = _binned_factors(samples, basis)
-    R, z = qr.R, qr.z
-    coef = np.zeros(2 * basis.K)
-    dropped: list[int] = []
-    rss = [qr.rss_outside]  # squared residual per bin, as the fit leaves it
+def _fit_on_basis(samples, basis: SieveBasis, mode: str, fits: int) -> list:
+    """The fits of a batch (see ``_binned_factors``), solved bin by bin with
+    array operations over every bin of every fit: per fit its ``FitResult``,
+    or the ``DegenerateDesignError`` that fails it."""
+    qr, n = _binned_factors(samples, basis, fits)
+    r11, r12, r22 = qr.R[..., 0], qr.R[..., 1], qr.R[..., 2]
+    z0, z1 = qr.z[..., 0], qr.z[..., 1]
     floor = COLUMN_NORM_TOL * np.sqrt(n)
-    for k in range(basis.K):
-        r11, r12, r22 = R[k]
-        if r11 <= floor:  # empty bin: both columns gone
-            dropped.extend((2 * k, 2 * k + 1))
+    empty = r11 <= floor  # empty bin: both columns gone
+    # centered-linear column degenerate within the bin: the fit uses e0 alone
+    linear = ~empty & ~(r22 <= np.maximum(RANK_TOL * np.hypot(r12, r22), floor))
+    a1 = np.divide(z1, r22, out=np.zeros_like(r22), where=linear)
+    a0 = np.divide(np.where(linear, z0 - r12 * a1, z0), r11, out=np.zeros_like(r11),
+                   where=~empty)
+    coef = np.stack((a0, a1), axis=-1).reshape(fits, -1)
+    dropped = np.stack((empty, ~linear), axis=-1).reshape(fits, -1)
+    # squared residual per bin, as the fit leaves it
+    rss = np.where(linear, qr.rss[..., 1], np.where(empty, 0.0, qr.rss[..., 0]))
+    stats = _block_stats(_gram_blocks_from_qr(qr.R, n))
+    out: list = []
+    for f in range(fits):
+        cols = tuple(np.flatnonzero(dropped[f]).tolist())
+        if len(cols) == 2 * basis.K:
+            out.append(DegenerateDesignError("every basis column is empty on this sample"))
             continue
-        norm2 = np.hypot(r12, r22)
-        if r22 <= max(RANK_TOL * norm2, floor):
-            # centered-linear column degenerate within the bin
-            dropped.append(2 * k + 1)
-            coef[2 * k] = z[k, 0] / r11
-            rss.append(qr.rss[k, 0])
-        else:
-            a1 = z[k, 1] / r22
-            coef[2 * k + 1] = a1
-            coef[2 * k] = (z[k, 0] - r12 * a1) / r11
-            rss.append(qr.rss[k, 1])
-    if len(dropped) == 2 * basis.K:
-        raise DegenerateDesignError("every basis column is empty on this sample")
-    stats = _block_stats(_gram_blocks_from_qr(R, n))
-    return FitResult(
-        coefficients=coef,
-        rank=2 * basis.K - len(dropped),
-        dropped_columns=tuple(sorted(dropped)),
-        residual_l2=math.sqrt(math.fsum(rss)),
-        gram_frobenius_dist=stats.frobenius_dist,
-        gram_lambda_min=stats.lambda_min,
-        mode=mode,
-        n=n,
-    )
+        out.append(FitResult(
+            coefficients=coef[f],
+            rank=2 * basis.K - len(cols),
+            dropped_columns=cols,
+            residual_l2=math.sqrt(math.fsum([qr.rss_outside[f], *rss[f].tolist()])),
+            gram_frobenius_dist=float(stats.frobenius_dist[f]),
+            gram_lambda_min=float(stats.lambda_min[f]),
+            mode=mode,
+            n=n,
+        ))
+    return out
+
+
+def _single(results: list):
+    """The one entry of a one-fit batch; raises it if it is an error."""
+    (result,) = results
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def _univariate_features(sample: SampleSet) -> np.ndarray:
@@ -264,27 +293,39 @@ def _targets(sample: SampleSet) -> np.ndarray:
     return sample.payoffs
 
 
-def regress_later_fit(samples, basis: SieveBasis) -> FitResult:
+def regress_later_fit(samples, basis: SieveBasis, fits: int | None = None):
     """Regress the payoff on basis functions of the same-date feature.
 
     ``samples`` is a ``SampleSet`` or an iterable of per-block sample sets
     (for example a generator, so only one block is ever held); either way
-    the fit runs block by block.
+    the fit runs block by block.  Returns the ``FitResult``.
+
+    With ``fits``, every block holds that many fits' samples back to back,
+    in equal shares, all factored in one kernel call per block; returns one
+    entry per fit: its ``FitResult``, or the ``DegenerateDesignError`` that
+    fails it.  Each entry is the result of fitting that fit's samples alone.
     """
-    return _fit_on_basis(samples, basis, "later")
+    results = _fit_on_basis(samples, basis, "later", fits or 1)
+    return results if fits else _single(results)
 
 
-def regress_now_fit(samples, basis: SieveBasis) -> tuple[FitResult, NowDiagnostics]:
+def regress_now_fit(samples, basis: SieveBasis, fits: int | None = None):
     """Regress the payoff on basis functions of the earlier-date feature.
 
-    ``samples`` as for ``regress_later_fit``.  The residual now contains an
+    ``samples`` and ``fits`` as for ``regress_later_fit``; a result is the
+    pair ``(FitResult, NowDiagnostics)``.  The residual now contains an
     irreducible projection error; its variance is estimated as
     RSS / (N - rank).
     """
-    fit = _fit_on_basis(samples, basis, "now")
+    results = [fit if isinstance(fit, Exception) else (fit, _now_diagnostics(fit))
+               for fit in _fit_on_basis(samples, basis, "now", fits or 1)]
+    return results if fits else _single(results)
+
+
+def _now_diagnostics(fit: FitResult) -> NowDiagnostics:
     df = fit.n - fit.rank
     sigma2 = fit.residual_l2 ** 2 / df if df > 0 else float("nan")
-    return fit, NowDiagnostics(float(sigma2), bool(sigma2 > PROJECTION_ERROR_TOL))
+    return NowDiagnostics(float(sigma2), bool(sigma2 > PROJECTION_ERROR_TOL))
 
 
 def coefficient_error(fit: FitResult, basis: SieveBasis, gT, dist: DistSpec,

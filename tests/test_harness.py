@@ -159,6 +159,83 @@ def test_point_failures_are_flagged(monkeypatch):
     assert np.isfinite(rep.rows[0].mse_mean)
 
 
+def _rep_alone(cfg, K, N, rep):
+    """One repetition of a Regress-Later sweep point, sampled, paid off and
+    fitted on its own (no batch), as the sweep's value for it."""
+    dist, dom = rl.truncated_feature_law(cfg.process, cfg.feature, cfg.domain_epsilon)
+    basis = rl.build_basis(dist, K)
+    alpha = rl.projection_coefficients(cfg.payoff, basis, dist)
+    approx = rl.approx_error_moments(cfg.payoff, basis, dist, coefficients=alpha).mean_square
+    sample = rl.simulate_conditional(cfg.process, cfg.feature, dom, N,
+                                     rl.rng.derive_seed(cfg.seed, K, N, rep))
+    sample = sample.with_payoffs(rl.eval_payoff(cfg.payoff, sample.feature_column()))
+    fit = rl.regress_later_fit(sample, basis)
+    return approx + rl.coefficient_error(fit, basis, cfg.payoff, dist, true_coefficients=alpha)
+
+
+def test_failures_in_a_batch_stay_per_repetition(monkeypatch):
+    # K=4, N=1629: all five repetitions share one batch (one kernel call);
+    # rep 1 fails to sample, and rep 3's sample lies outside every bin
+    cfg = small_growing_config(seed=316, reps=5)
+    K, N = cfg.points()[0]
+    assert len(harness._batches(N, cfg.repetitions)) == 1
+    seeds = {rl.rng.derive_seed(cfg.seed, K, N, rep): rep for rep in range(cfg.repetitions)}
+    real = harness.simulate_conditional
+
+    def failing(proc, feat, dom, n, seed, **kwargs):
+        rep = seeds.get(seed) if n == N else None
+        if rep == 1:
+            raise rl.SamplingError("synthetic failure")
+        sample = real(proc, feat, dom, n, seed, **kwargs)
+        if rep == 3:
+            return rl.SampleSet(np.full((n, 1), 1e3), None, seed, n)
+        return sample
+
+    monkeypatch.setattr(harness, "simulate_conditional", failing)
+    report = rl.run_growing_K(cfg)
+    assert report.failures == [
+        f"point (K={K}, N={N}) rep 1: synthetic failure",
+        f"point (K={K}, N={N}) rep 3: every basis column is empty on this sample"]
+    row = report.rows[0]
+    assert row.reps == 3 and not row.flagged
+    want = harness._mean_stderr([_rep_alone(cfg, K, N, rep) for rep in (0, 2, 4)])
+    assert (row.mse_mean, row.mse_stderr) == want
+    assert [r.reps for r in report.rows[1:]] == [5, 5]
+
+
+def test_batches_that_do_not_divide_the_repetitions_are_worker_invariant():
+    # batches of 7, 3 and 1 repetitions: [0-6] [7]; [0-2] [3-5] [6-7]; one each
+    cfg = rl.ExperimentConfig(
+        name="t-batches", process=rl.ProcessSpec("brownian", 10.0),
+        payoff=rl.PayoffSpec("tanh"), feature=rl.FeatureSpec("terminal", 10.0),
+        sweep="fixed_K", K_list=(5,), repetitions=8, seed=317, N_list=(9000, 20000, 40000))
+    assert [len(harness._batches(N, 8)) for _, N in cfg.points()] == [2, 3, 8]
+    csv = {w: rl.run_fixed_K(cfg, workers=w).to_csv_text() for w in (1, 2, 8)}
+    assert csv[1] == csv[2] == csv[8]
+    row = rl.run_fixed_K(cfg).rows[0]
+    assert (row.mse_mean, row.mse_stderr) == harness._mean_stderr(
+        [_rep_alone(cfg, 5, 9000, rep) for rep in range(8)])
+
+
+def test_one_kernel_call_per_batch(monkeypatch):
+    cfg = small_growing_config(seed=318, reps=23)
+    sizes = []
+    kernel = rl._kernels.binned_qr
+
+    def counting(edges, centers, norm0, norm1, u, x, sizes_=None):
+        sizes.append((len(u), None if sizes_ is None else len(sizes_)))
+        return kernel(edges, centers, norm0, norm1, u, x, sizes_)
+
+    monkeypatch.setattr(rl._kernels, "binned_qr", counting)
+    rl.run_growing_K(cfg)
+    per_batch = [max(1, rl.rng.BLOCK_SIZE // N) for _, N in cfg.points()]
+    assert per_batch == [40, 17, 10]
+    assert len(sizes) == sum(-(-23 // b) for b in per_batch) == 6
+    want = [(N * len(batch), len(batch)) for _, N in cfg.points()
+            for batch in harness._batches(N, 23)]
+    assert sizes == want
+
+
 # ---------------------------------------------------------------------------
 # fixed-K runs
 # ---------------------------------------------------------------------------
@@ -218,11 +295,11 @@ def test_paired_failures_are_recorded_not_raised(monkeypatch):
     cfg = paired_config("fixed_K", seed=314, reps=2)
     real = harness.regress_now_fit
 
-    def failing(blocks, basis):
+    def failing(blocks, basis, fits=None):
         blocks = list(blocks)
-        if sum(b.n for b in blocks) == 10000:  # the middle point
+        if sum(b.n for b in blocks) == 10000 * (fits or 1):  # the middle point
             raise rl.DegenerateDesignError("synthetic failure")
-        return real(iter(blocks), basis)
+        return real(iter(blocks), basis, fits=fits)
 
     monkeypatch.setattr(harness, "regress_now_fit", failing)
     rep = rl.now_vs_later_compare(cfg, workers=2)

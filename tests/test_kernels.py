@@ -203,3 +203,63 @@ def test_binned_qr_rss_matches_einsum_reference(lo_bins, hi_bins, data):
     assert np.array_equal(got.rss[flat, 1], got.rss[flat, 0])
     assert got.counts[k[1]] == 0
     assert got.counts.sum() == np.sum(_searchsorted_bin_indices(edges, u) >= 0)
+
+
+# ---------------------------------------------------------------------------
+# one call over a batch of fits against one call per fit
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_batched_binned_qr_matches_one_call_per_fit(data):
+    nbins = data.draw(st.integers(1, _py.COMPARE_MAX_BINS + 20), label="nbins")
+    fits = data.draw(st.integers(1, 6), label="fits")
+    gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    edges = data.draw(st.floats(-50.0, 50.0), label="a1") + np.cumsum(
+        np.concatenate([[0.0], gen.uniform(1e-3, 2.0, nbins)]))
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    norm0, norm1 = gen.uniform(0.5, 2.0, nbins), gen.uniform(0.5, 2.0, nbins)
+    us = [gen.uniform(edges[0] - 1.0, edges[-1] + 1.0, data.draw(st.integers(1, 400)))
+          for _ in range(fits)]
+    k = gen.integers(nbins, size=2)
+    f = gen.integers(fits, size=3)
+    for u in us:  # every fit holds bin k[0] ...
+        u[0] = centers[k[0]]
+    inside = (us[f[0]] >= edges[k[0]]) & (us[f[0]] < edges[k[0] + 1])
+    us[f[0]][inside] = edges[-1] + 0.5  # ... but one, where it is empty
+    flat = (us[f[1]] >= edges[k[1]]) & (us[f[1]] < edges[k[1] + 1])
+    us[f[1]][flat] = centers[k[1]]  # one value in this bin of this fit: r22 = 0
+    if data.draw(st.booleans(), label="one_fit_outside"):
+        us[f[2]][:] = np.where(gen.random(us[f[2]].size) < 0.5, edges[0] - 1.0, edges[-1] + 1.0)
+    xs = [np.tanh(u) + gen.standard_normal(u.size) * 10.0 ** gen.uniform(-3, 3) for u in us]
+
+    got = _py.binned_qr(edges, centers, norm0, norm1, np.concatenate(us), np.concatenate(xs),
+                        np.array([u.size for u in us]))
+    assert got.R.shape == (fits, nbins, 3) and got.rss_outside.shape == (fits,)
+    for i, (u, x) in enumerate(zip(us, xs)):
+        want = _py.binned_qr(edges, centers, norm0, norm1, u, x)
+        for g, w in zip((got.R[i], got.z[i], got.counts[i]), want[:3]):
+            assert g.dtype == w.dtype
+            assert np.array_equal(g, w)
+        assert np.allclose(got.rss[i], want.rss, rtol=1e-12, atol=0)
+        assert got.rss_outside[i] == pytest.approx(want.rss_outside, rel=1e-12, abs=0)
+    assert got.counts[f[0], k[0]] == 0
+    assert got.R[f[1], k[1], 2] == 0
+
+
+def test_batched_binned_qr_checks_the_sizes():
+    e = np.linspace(0.0, 1.0, 5)
+    c, ones = 0.5 * (e[1:] + e[:-1]), np.ones(4)
+    with pytest.raises(ValueError, match="sizes"):
+        _py.binned_qr(e, c, ones, ones, np.full(5, 0.5), np.ones(5), np.array([2, 2]))
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_bin_indices_in_chunks_match_searchsorted(data):
+    # a lookup longer than one rng block is made block by block
+    edges, u, _ = _kernel_case(data, 1, _py.COMPARE_MAX_BINS + 20)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rl.rng, "BLOCK_SIZE", data.draw(st.integers(1, 64), label="block"))
+        got = _py.bin_indices(edges, u)
+    assert np.array_equal(got, _searchsorted_bin_indices(edges, u))

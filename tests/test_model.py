@@ -70,6 +70,20 @@ def test_sampleset_is_immutable(brownian10, terminal10):
         s.features[0, 0] = 99.0
 
 
+def test_joined_samples_lie_back_to_back_unchecked(monkeypatch):
+    a = rl.SampleSet(np.array([[1.0], [2.0]]), np.array([10.0, 20.0]), 5, 2, meta={"k": 1})
+    b = rl.SampleSet(np.array([[3.0]]), np.array([30.0]), 6, 1)
+    bare = rl.SampleSet(np.array([[4.0]]), None, 7, 1)
+    assert rl.SampleSet.joined([a]) is a
+    monkeypatch.setattr(rl.SampleSet, "__post_init__", lambda self: pytest.fail("checked"))
+    ab = rl.SampleSet.joined([a, b])
+    assert ab.n == 3 and ab.seed == 5 and dict(ab.meta) == {}
+    assert np.array_equal(ab.feature_column(), [1.0, 2.0, 3.0])
+    assert np.array_equal(ab.payoffs, [10.0, 20.0, 30.0])
+    assert not ab.features.flags.writeable and not ab.payoffs.flags.writeable
+    assert rl.SampleSet.joined([a, bare]).payoffs is None
+
+
 # ---------------------------------------------------------------------------
 # conditional simulation
 # ---------------------------------------------------------------------------

@@ -413,6 +413,41 @@ def test_single_block_fit_is_the_kernel_result(basis_cache, w10_law, brownian10,
         assert np.array_equal(a, b)
 
 
+@settings(max_examples=40, deadline=None)
+@given(K=st.integers(1, 80), fits=st.integers(1, 5), n=st.integers(3, 400),
+       seed=st.integers(0, 2**32 - 1))
+def test_batched_fits_are_the_fits_of_each_sample_alone(K, fits, n, seed):
+    # one fit of the batch lies outside the domain: it alone is degenerate
+    gen = np.random.default_rng(seed)
+    basis = rl.build_basis(Uniform(-1.0, 2.0), K)
+    samples = [rl.SampleSet(u.reshape(-1, 1), np.sin(3.0 * u) + gen.standard_normal(n), 0, n)
+               for u in gen.uniform(-1.5, 2.5, (fits, n))]
+    if fits > 1:
+        samples[1] = rl.SampleSet(np.full((n, 1), 5.0), np.ones(n), 0, n)
+    batch = rl.SampleSet.joined(samples)
+    later = rl.regress_later_fit(batch, basis, fits=fits)
+    now = rl.regress_now_fit(batch, basis, fits=fits)
+    assert len(later) == len(now) == fits
+    for sample, got_later, got_now in zip(samples, later, now):
+        try:
+            want = rl.regress_later_fit(sample, basis)
+        except DegenerateDesignError as exc:  # the fit outside, or by chance
+            assert repr(got_later) == repr(got_now) == repr(exc)
+            continue
+        assert got_later.to_json_dict() == want.to_json_dict()
+        fit, diag = rl.regress_now_fit(sample, basis)
+        assert got_now[0].to_json_dict() == fit.to_json_dict()
+        assert repr(got_now[1]) == repr(diag)  # sigma2 is NaN when n = rank
+    if fits > 1:
+        assert isinstance(later[1], DegenerateDesignError)
+
+
+def test_batched_fit_needs_equal_shares(basis_cache):
+    samp = rl.SampleSet(np.zeros((7, 1)), np.zeros(7), 0, 7)
+    with pytest.raises(ConfigurationError, match="equal size"):
+        rl.regress_later_fit(samp, basis_cache(2), fits=2)
+
+
 # ---------------------------------------------------------------------------
 # coefficient error
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@ piecewise-linear sieve basis, with a convergence-rate experiment harness."""
 
 from ._kernels import BACKEND as kernel_backend
 from .basis import (ApproxErrorMoments, BinPartition, SieveBasis, approx_error_moments,
-                    bin_moments, build_basis, build_partition, eval_basis, gram_diagnostics,
-                    h_tilde, projection_coefficients, quadrature_gram)
+                    bin_moments, build_basis, build_partition, gram_diagnostics, h_tilde,
+                    projection_coefficients, quadrature_gram)
 from .condexp import (BrownianTransition, GbmTransition, TransferSpec, basis_condexp,
                       condexp_estimate, jensen_check)
 from .distributions import DistSpec, Empirical, TruncatedNormal, Uniform
@@ -18,7 +18,7 @@ from .model import (Domain, FeatureSpec, ProcessSpec, SampleSet, basket_tree_exp
                     central_domain, simulate_conditional, simulate_path_integral,
                     simulate_terminal, truncated_feature_law)
 from .payoff import OracleSpec, PayoffSpec, eval_payoff, oracle_conditional
-from .regress import (FitResult, NowDiagnostics, coefficient_error, ols_fit, predict,
+from .regress import (FitResult, NowDiagnostics, coefficient_error, predict,
                       regress_later_fit, regress_now_fit)
 
 __version__ = "0.1.0"

@@ -1,24 +1,27 @@
-"""Numpy implementations of the hot kernels.
+"""Hot kernels: bin lookup with a right-closed top bin, and the per-bin thin
+QR of the piecewise-linear regression augmented with its target.
 
-Bin lookup with a right-closed top bin, dense design assembly, and a per-bin
-thin QR of the piecewise-linear regression.  The QR is modified Gram-Schmidt
-(the second column is centered against the bin mean explicitly, never via
-sums of squares), augmented with the target as a third column: the squared
-residuals it leaves are accumulated from the residual vectors themselves, so
-a fit's residual norm needs no second bin lookup or prediction.
+Each kernel converts its own inputs to contiguous float64.  ``BACKEND``
+names the implementation in reports.
 
-One ``binned_qr`` call factors one fit, or several fits whose samples lie
-back to back (``sizes``): each sample's sort key is its bin offset by its
-fit, so the call sorts, reduces and factors every (fit, bin) segment of the
-batch at once, with the same values in the same order as separate calls
-would, and the same bits.  Bin lookup, the sort and every elementwise step of
-the QR are whole-batch passes over the samples, with per-segment scalars
-spread over each segment's samples by ``np.repeat``; a non-empty segment
-costs two numpy reductions, and the residuals one ``np.add.reduceat`` per
-call.  Few calls matter because each numpy call on a large array hands the
-GIL to the other worker thread and back.  The fits call it on one rng block
-of samples at a time, holding one repetition or several short ones, and
-merge the per-bin factors of consecutive blocks
+The QR is modified Gram-Schmidt (the second column is centered against the
+bin mean explicitly, never via sums of squares), augmented with the target
+as a third column: the squared residuals it leaves are accumulated from the
+residual vectors themselves, so a fit's residual norm needs no second bin
+lookup or prediction.
+
+One ``binned_qr`` call factors a batch of fits whose samples lie back to
+back (``sizes``; one fit is a batch of one): each sample's sort key is its
+bin offset by its fit, so the call sorts, reduces and factors every (fit,
+bin) segment of the batch at once, with the same values in the same order
+as separate calls would, and the same bits.  Bin lookup, the sort and every
+elementwise step of the QR are whole-batch passes over the samples, with
+per-segment scalars spread over each segment's samples by ``np.repeat``; a
+non-empty segment costs two numpy reductions, and the residuals one
+``np.add.reduceat`` per call.  Few calls matter because each numpy call on a
+large array hands the GIL to the other worker thread and back.  The fits
+call it on one rng block of samples at a time, holding one repetition or
+several short ones, and merge the per-bin factors of consecutive blocks
 (``regress._binned_factors``).
 """
 from __future__ import annotations
@@ -27,7 +30,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .. import rng
+from . import rng
+
+BACKEND = "python"
 
 # Up to this many bins a value's bin is counted from one comparison with
 # every bin's left edge; above it, it is found by binary search.
@@ -58,6 +63,10 @@ def _bin_keys(edges: np.ndarray, u: np.ndarray, dtype, offsets=None) -> np.ndarr
     return keys
 
 
+def _f64(a) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=np.float64)
+
+
 def _sum_sq(a: np.ndarray) -> float:
     # not a @ a: BLAS threads its dot above 1e4 elements, and those threads
     # stall behind sweep workers that already keep every core busy
@@ -67,49 +76,32 @@ def _sum_sq(a: np.ndarray) -> float:
 def bin_indices(edges: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Owning bin per value: [b_k, b_{k+1}) except the last bin, which is
     right-closed; -1 outside the domain."""
-    edges = np.asarray(edges, dtype=np.float64)
-    u = np.asarray(u, dtype=np.float64)
+    edges, u = _f64(edges), _f64(u)
     keys = _bin_keys(edges, u.reshape(-1), np.min_scalar_type(edges.size - 1))
     return np.subtract(keys, 1, dtype=np.int64).reshape(u.shape)
 
 
-def design_matrix(edges, centers, norm0, norm1, u) -> np.ndarray:
-    """Dense (n, 2K) basis matrix; at most two nonzeros per row, interleaved
-    as (indicator, centered-linear) per bin."""
-    u = np.asarray(u, dtype=np.float64)
-    nbins = len(centers)
-    idx = bin_indices(edges, u)
-    out = np.zeros((u.size, 2 * nbins))
-    inside = idx >= 0
-    rows = np.nonzero(inside)[0]
-    k = idx[inside]
-    out[rows, 2 * k] = np.asarray(norm0)[k]
-    out[rows, 2 * k + 1] = np.asarray(norm1)[k] * (u[inside] - np.asarray(centers)[k])
-    return out
-
-
 class BinnedQR(NamedTuple):
-    """Per-bin factors of the augmented design [e0, e1, x]; for a batch of
-    fits, every field has a leading fit axis."""
+    """Per-bin factors of the augmented design [e0, e1, x] of a batch of
+    fits; every field has a leading fit axis."""
 
-    R: np.ndarray  # (K, 3): r11, r12, r22, nonnegative diagonal
-    z: np.ndarray  # (K, 2): Q^T x in the bin's two directions
-    counts: np.ndarray  # (K,): samples owned by each bin
-    # (K, 2): squared residual norm of x in the bin after fitting e0 alone,
-    # and after fitting [e0, e1] (r33^2 of the augmented QR; equal to the
-    # first when r22 = 0)
+    R: np.ndarray  # (fits, K, 3): r11, r12, r22, nonnegative diagonal
+    z: np.ndarray  # (fits, K, 2): Q^T x in the bin's two directions
+    counts: np.ndarray  # (fits, K): samples owned by each bin
+    # (fits, K, 2): squared residual norm of x in the bin after fitting e0
+    # alone, and after fitting [e0, e1] (r33^2 of the augmented QR; equal to
+    # the first when r22 = 0)
     rss: np.ndarray
-    rss_outside: float  # sum of x^2 over out-of-domain samples (fit is 0 there)
+    rss_outside: np.ndarray  # (fits,): sum of x^2 over out-of-domain samples (fit is 0 there)
 
 
-def binned_qr(edges, centers, norm0, norm1, u, x, sizes=None) -> BinnedQR:
+def binned_qr(edges, centers, norm0, norm1, u, x, sizes) -> BinnedQR:
     """Per-bin thin QR of the two-column design [e0, e1] against targets x,
     with the residuals each fit leaves (see ``BinnedQR``).
 
-    With ``sizes``, ``u`` and ``x`` hold ``len(sizes)`` fits back to back,
-    ``sizes[f]`` samples for fit ``f``, and every field of the result gets a
-    leading fit axis (``rss_outside`` becomes an array); each fit's factors,
-    counts and residuals are those of a call on its samples alone.
+    ``u`` and ``x`` hold ``len(sizes)`` fits back to back, ``sizes[f]``
+    samples for fit ``f``; each fit's factors, counts and residuals are
+    those of a call on its samples alone.
 
     The residual after both columns is x - z1 q1 - z2 q2, exactly the
     expression a prediction from the solved coefficients evaluates, so it
@@ -117,14 +109,9 @@ def binned_qr(edges, centers, norm0, norm1, u, x, sizes=None) -> BinnedQR:
     linear column is degenerate).  Such a bin's fit uses e0 alone, hence the
     first residual.
     """
-    edges = np.asarray(edges, dtype=np.float64)
-    u = np.asarray(u, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    centers = np.asarray(centers, dtype=np.float64)
-    norm0 = np.asarray(norm0, dtype=np.float64)
-    norm1 = np.asarray(norm1, dtype=np.float64)
+    edges, centers, norm0, norm1, u, x = map(_f64, (edges, centers, norm0, norm1, u, x))
     nbins = centers.size
-    per_fit = np.asarray([u.size] if sizes is None else sizes)
+    per_fit = np.asarray(sizes, dtype=np.intp)
     if np.sum(per_fit) != u.size:
         raise ValueError("binned_qr: sizes must add up to the number of samples")
     fits = per_fit.size
@@ -180,8 +167,6 @@ def binned_qr(edges, centers, norm0, norm1, u, x, sizes=None) -> BinnedQR:
     rss_outside = np.zeros(fits)
     for f in np.flatnonzero(out_counts):
         rss_outside[f] = _sum_sq(x_out[ends[f] - out_counts[f]:ends[f]])
-    if sizes is None:
-        return BinnedQR(R, z, counts, rss, float(rss_outside[0]))
     return BinnedQR(R.reshape(fits, nbins, 3), z.reshape(fits, nbins, 2),
                     counts.reshape(fits, nbins), rss.reshape(fits, nbins, 2), rss_outside)
 

@@ -183,17 +183,8 @@ def build_basis(dist: DistSpec, K: int) -> SieveBasis:
 
 
 # ---------------------------------------------------------------------------
-# evaluation & diagnostics
+# Gram diagnostics and the admissible-growth net
 # ---------------------------------------------------------------------------
-
-def eval_basis(basis: SieveBasis, u) -> np.ndarray:
-    """Basis vector(s) at u: zero outside the domain, at most two nonzero
-    entries (the owning bin's pair), top bin right-closed."""
-    arr = np.atleast_1d(np.asarray(u, dtype=np.float64))
-    mat = _kernels.design_matrix(basis.partition.edges, basis.centers,
-                                 basis.norm0, basis.norm1, arr)
-    return mat[0] if np.ndim(u) == 0 else mat
-
 
 class GramDiagnostics(NamedTuple):
     frobenius_dist: float
@@ -231,8 +222,8 @@ def gram_diagnostics(basis: SieveBasis, sample) -> GramDiagnostics:
         warnings.warn(f"sample size {n} below basis dimension {basis.dim}: "
                       "Gram matrix is rank deficient", RuntimeWarning, stacklevel=2)
     qr = _kernels.binned_qr(basis.partition.edges, basis.centers,
-                            basis.norm0, basis.norm1, u, np.zeros(n))
-    return GramDiagnostics(*map(float, _block_stats(_gram_blocks_from_qr(qr.R, n))))
+                            basis.norm0, basis.norm1, u, np.zeros(n), [n])
+    return GramDiagnostics(*map(float, _block_stats(_gram_blocks_from_qr(qr.R[0], n))))
 
 
 def _require_density(dist: DistSpec) -> None:

@@ -55,6 +55,12 @@ _POINT_ERRORS = (DegenerateDesignError, BasisConstructionError, SamplingError,
 # repetition instead, about 2.3 s at the cap for a K = 5 fit on a 2-vCPU
 # x86-64 VM.
 MAX_POINT_SAMPLES = 2**25
+# Most repetitions per point.  A sweep builds every point's batch tasks up
+# front, and on worker threads holds a future per task.  Where each
+# repetition is a batch of its own (N above half an rng block) that costs
+# about 4.7 KB of RSS per repetition with 2 or 8 workers on a 2-vCPU x86-64
+# VM (1.9 KB traced by tracemalloc), so about 0.47 GB per point at the cap.
+MAX_REPETITIONS = 10**5
 
 
 @dataclass(frozen=True)
@@ -80,8 +86,18 @@ class ExperimentConfig:
             raise ConfigurationError(f"sweep: unknown kind {self.sweep!r}")
         if self.repetitions < 1:
             raise ConfigurationError("repetitions: must be >= 1")
+        if self.repetitions > MAX_REPETITIONS:
+            raise ConfigurationError(f"repetitions: {self.repetitions} exceed the cap of "
+                                     f"{MAX_REPETITIONS}")
+        seed_bound = 1 << (rng.KEY_INT_BITS - 1)
+        if not -seed_bound <= self.seed < seed_bound:
+            raise ConfigurationError(
+                f"seed: {self.seed} lies outside the signed {rng.KEY_INT_BITS}-bit range "
+                f"of the rng's keys [-2**{rng.KEY_INT_BITS - 1}, 2**{rng.KEY_INT_BITS - 1})")
         if not self.K_list or any(k < 1 for k in self.K_list):
             raise ConfigurationError("K_list: needs at least one K >= 1")
+        if self.N_rule is not None and not all(map(math.isfinite, self.N_rule)):
+            raise ConfigurationError(f"N_rule: c and b must be finite, got {self.N_rule}")
         if self.sweep == "growing_K":
             if self.N_rule is None and (self.N_list is None or len(self.N_list) != len(self.K_list)):
                 raise ConfigurationError(
@@ -112,8 +128,16 @@ class ExperimentConfig:
             return [(self.K_list[0], int(n)) for n in self.N_list]
         if self.N_list is not None:
             return list(zip(self.K_list, (int(n) for n in self.N_list)))
-        c, b = self.N_rule
-        return [(K, int(math.ceil(c * K**b))) for K in self.K_list]
+        return [(K, _ruled_N(*self.N_rule, K)) for K in self.K_list]
+
+
+def _ruled_N(c: float, b: float, K: int) -> int:
+    """N = ceil(c * K**b) of a sweep point; ``ConfigurationError`` where it
+    is not finite."""
+    try:
+        return int(math.ceil(c * K**b))
+    except OverflowError:
+        raise ConfigurationError(f"N_rule: N = ceil({c!r} * {K}**{b!r}) is not finite") from None
 
 
 @dataclass(frozen=True)
@@ -361,10 +385,13 @@ def _payoff_blocks(payoff: PayoffSpec, blocks: Iterable[SampleSet]) -> Iterator[
         yield block.with_payoffs(eval_payoff(payoff, block.feature_column()))
 
 
-def _run_points(config: ExperimentConfig, dist, dom: Domain, workers: int,
-                sweep_variable: str) -> ConvergenceReport:
+def _run_points(config: ExperimentConfig, workers: int) -> ConvergenceReport:
+    """The growing-K or fixed-K sweep of ``config``, on the feature law at
+    the payoff date; its slope is against K or N, as ``config.sweep`` says."""
     start = time.perf_counter()
     _keep_block_memory()
+    dist, dom = _later_law(config)
+    sweep_variable = "K" if config.sweep == "growing_K" else "N"
 
     @functools.cache
     def per_K(K: int) -> tuple[SieveBasis, np.ndarray, float]:
@@ -446,8 +473,7 @@ def run_growing_K(config: ExperimentConfig, workers: int = 1) -> ConvergenceRepo
     representation against the truth, floor and net attached per row."""
     if config.sweep != "growing_K":
         raise ConfigurationError("run_growing_K needs a growing_K config")
-    dist, dom = _later_law(config)
-    return _run_points(config, dist, dom, workers, "K")
+    return _run_points(config, workers)
 
 
 def run_fixed_K(config: ExperimentConfig, workers: int = 1) -> ConvergenceReport:
@@ -455,8 +481,7 @@ def run_fixed_K(config: ExperimentConfig, workers: int = 1) -> ConvergenceReport
     mse(N_max) / approx_l2."""
     if config.sweep != "fixed_K":
         raise ConfigurationError("run_fixed_K needs a fixed_K config")
-    dist, dom = _later_law(config)
-    return _run_points(config, dist, dom, workers, "N")
+    return _run_points(config, workers)
 
 
 # ---------------------------------------------------------------------------

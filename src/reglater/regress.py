@@ -1,13 +1,13 @@
-"""Least squares core and the two estimator assemblies.
+"""The two estimator assemblies: least squares on the sieve basis.
 
-``ols_fit`` is the generic dense path: pivoted QR, never normal equations,
-with empty / collinear columns dropped at a 1e-10 relative tolerance and
-reported.  ``regress_later_fit`` / ``regress_now_fit`` exploit the disjoint
-bin supports of the sieve basis: the global least squares problem decouples
-into per-bin two-column problems, solved from the kernel's per-bin thin-QR
-factors (identical solution to a global orthogonal decomposition).  The same
-kernel pass carries the target as a third QR column, so the residual norm is
-summed from the per-bin residuals it leaves, with no prediction pass.
+``regress_later_fit`` / ``regress_now_fit`` exploit the disjoint bin
+supports of the sieve basis: the global least squares problem decouples into
+per-bin two-column problems, solved from the kernel's per-bin thin-QR
+factors (identical solution to a global orthogonal decomposition).  Empty
+bins and numerically degenerate linear columns are dropped at a 1e-10
+relative tolerance and reported.  The same kernel pass carries the target as
+a third QR column, so the residual norm is summed from the per-bin residuals
+it leaves, with no prediction pass.
 
 The fits run block by block: the kernel sees consecutive blocks of at most
 ``rng.BLOCK_SIZE`` samples, and each bin's factors are merged in block order
@@ -30,7 +30,7 @@ from typing import Iterator
 import numpy as np
 
 from . import _kernels, rng
-from ._kernels._py import BinnedQR
+from ._kernels import BinnedQR
 from .basis import SieveBasis, _block_stats, _gram_blocks_from_qr, projection_coefficients
 from .distributions import DistSpec
 from .errors import ConfigurationError, DegenerateDesignError
@@ -55,7 +55,7 @@ class FitResult:
     residual_l2: float
     gram_frobenius_dist: float
     gram_lambda_min: float
-    mode: str  # later | now | ols
+    mode: str  # later | now
     n: int
 
     def __post_init__(self):
@@ -88,51 +88,6 @@ class NowDiagnostics:
 
     residual_variance_estimate: float
     projection_error_present: bool
-
-
-def ols_fit(design_rows, targets, mode: str = "ols") -> FitResult:
-    """Dense least squares via column-pivoted QR.
-
-    Columns with norm below 1e-10 sqrt(N) (e.g. empty bins) and columns
-    pivoted out at relative rank tolerance 1e-10 are dropped with exact zero
-    coefficients.
-    """
-    import scipy.linalg  # imported here: no sweep takes the dense path
-
-    A = np.asarray(design_rows, dtype=np.float64)
-    y = np.asarray(targets, dtype=np.float64).reshape(-1)
-    if A.ndim != 2 or A.shape[0] != y.shape[0]:
-        raise ConfigurationError("design rows and targets disagree on the sample size")
-    n, p = A.shape
-    if n < 1:
-        raise ConfigurationError("need at least one sample")
-    norms = np.linalg.norm(A, axis=0)
-    keep = np.nonzero(norms > COLUMN_NORM_TOL * np.sqrt(n))[0]
-    if keep.size == 0:
-        raise DegenerateDesignError("all design columns are numerically zero")
-    Q, R, piv = scipy.linalg.qr(A[:, keep], mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    if diag.size == 0 or diag[0] == 0.0:
-        raise DegenerateDesignError("design has no usable pivot")
-    rank = int(np.sum(diag > RANK_TOL * diag[0]))
-    z = Q.T @ y
-    sub = scipy.linalg.solve_triangular(R[:rank, :rank], z[:rank])
-    coef = np.zeros(p)
-    coef[keep[piv[:rank]]] = sub
-    dropped = sorted(set(range(p)) - set(keep[piv[:rank]].tolist()))
-    resid = y - A @ coef
-    gram = A.T @ A / n
-    eig = np.linalg.eigvalsh(gram)
-    return FitResult(
-        coefficients=coef,
-        rank=rank,
-        dropped_columns=tuple(dropped),
-        residual_l2=float(np.linalg.norm(resid)),
-        gram_frobenius_dist=float(np.linalg.norm(gram - np.eye(p), "fro")),
-        gram_lambda_min=float(eig[0]),
-        mode=mode,
-        n=n,
-    )
 
 
 def predict(basis: SieveBasis, coefficients: np.ndarray, u) -> np.ndarray:
@@ -200,39 +155,33 @@ def _merged(parts: list[BinnedQR]) -> BinnedQR:
                     rss_outside=np.array([math.fsum(col) for col in outside.T]))
 
 
-def _binned_factors(samples, basis: SieveBasis, fits: int | None = None
-                    ) -> tuple[BinnedQR, int]:
+def _binned_factors(samples, basis: SieveBasis, fits: int) -> tuple[BinnedQR, int]:
     """``_kernels.binned_qr`` folded over the sample blocks, with the sample
     count of one fit.
 
-    With ``fits``, every block holds that many fits' samples back to back,
-    in equal shares, and the factors carry a leading fit axis; without it,
-    the samples are one fit.  Block factors are merged in block order,
-    ``MERGE_BLOCKS`` at a time into the merged factor so far, which keeps
-    the result a pure function of the samples and the held factors O(K);
-    only one block of samples is held.  With one block nothing is merged:
-    the result is the kernel's own.
+    Every block holds ``fits`` fits' samples back to back, in equal shares,
+    and the factors carry a leading fit axis.  Block factors are merged in
+    block order, ``MERGE_BLOCKS`` at a time into the merged factor so far,
+    which keeps the result a pure function of the samples and the held
+    factors O(K); only one block of samples is held.  With one block nothing
+    is merged: the result is the kernel's own.
     """
-    count = fits or 1
     parts: list[BinnedQR] = []
     n = 0
     for u, x in _feature_target_blocks(samples):
-        size, rest = divmod(u.shape[0], count)
+        size, rest = divmod(u.shape[0], fits)
         if rest:
             raise ConfigurationError(f"a block of {u.shape[0]} samples does not hold "
-                                     f"{count} fits of equal size")
+                                     f"{fits} fits of equal size")
         parts.append(_kernels.binned_qr(basis.partition.edges, basis.centers,
                                         basis.norm0, basis.norm1, u, x,
-                                        np.full(count, size)))
+                                        np.full(fits, size)))
         n += size
         if len(parts) > MERGE_BLOCKS:
             parts = [_merged(parts)]
     if not parts:
         raise ConfigurationError("need at least one sample")
-    qr = parts[0] if len(parts) == 1 else _merged(parts)
-    if fits is None:
-        qr = BinnedQR(*(field[0] for field in qr))
-    return qr, n
+    return (parts[0] if len(parts) == 1 else _merged(parts)), n
 
 
 def _fit_on_basis(samples, basis: SieveBasis, mode: str, fits: int) -> list:

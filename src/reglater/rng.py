@@ -27,17 +27,19 @@ import numpy as np
 
 BLOCK_SIZE = 1 << 16
 MIN_ROUND = 64  # smallest rejection round, so a block's tail is not drawn in tiny rounds
+KEY_INT_BITS = 128  # an integer key part is hashed as this many bits, signed
 
 
 def philox_key(*parts) -> np.ndarray:
-    """Derive a 128-bit Philox key from integers and/or short strings."""
+    """Derive a 128-bit Philox key from integers (each within the signed
+    ``KEY_INT_BITS``-bit range) and/or short strings."""
     h = hashlib.blake2b(digest_size=16)
     for p in parts:
         if isinstance(p, (bool, np.bool_)):
             p = int(p)
         if isinstance(p, (int, np.integer)):
             h.update(b"i")
-            h.update(int(p).to_bytes(16, "little", signed=True))
+            h.update(int(p).to_bytes(KEY_INT_BITS // 8, "little", signed=True))
         elif isinstance(p, str):
             raw = p.encode("utf-8")
             h.update(b"s" + len(raw).to_bytes(4, "little"))

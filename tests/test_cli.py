@@ -7,8 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reglater import _kernels, cli, harness, rng
-from reglater._kernels import _py
+from reglater import cli, harness, rng
 from reglater.config import load_config, validate_config_dict
 from reglater.errors import ConfigurationError, SamplingError
 
@@ -120,8 +119,7 @@ def test_run_writes_reports_atomically(tiny_config_path, tmp_path, capsys):
 FIGURE1_REPS2_CSV_SHA256 = "4bb0b5bb7db1fa05525d0fb57ec87c638023dc830f99c7b8467d1d720fa7f815"
 
 
-def test_report_csv_golden_digest(tmp_path, monkeypatch):
-    monkeypatch.setattr(_kernels, "_impl", _py)
+def test_report_csv_golden_digest(tmp_path):
     args = ["run", str(CONFIG_DIR / "figure1.json"), "--set", "repetitions=2", "-o", str(tmp_path)]
     assert cli.main(args) == 0
     digest = hashlib.sha256((tmp_path / "report.csv").read_bytes()).hexdigest()
@@ -182,6 +180,59 @@ def test_fresh_sample_multiplier_counts_against_the_cap():
     with pytest.raises(ConfigurationError, match=f"N={cap // 10 + 1}"):
         validate_config_dict(dict(doc, N_list=[1000, cap // 10 + 1]))
     validate_config_dict(dict(doc, N_list=[cap], eval={"method": "quadrature"}))
+
+
+def _run_refused_before_sampling(args, tmp_path, monkeypatch, capsys) -> str:
+    """Runs ``args`` (config and overrides) and checks that it exits 2 with
+    nothing sampled, little allocated and no report written; returns stderr."""
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled a refused config")
+
+    monkeypatch.setattr(harness, "simulate_conditional", no_sampling)
+    outdir = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = cli.main(["run", *args, "-o", str(outdir)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 2**20
+    assert not outdir.exists()
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override", ["N_rule.c=NaN", "N_rule.b=Infinity", "N_rule.b=1000"])
+def test_non_finite_N_rule_exits_2(override, tmp_path, monkeypatch, capsys):
+    figure1 = str(CONFIG_DIR / "figure1.json")
+    assert cli.main(["validate-config", figure1, "--set", override]) == 2
+    assert "config error: N_rule" in capsys.readouterr().err
+    err = _run_refused_before_sampling([figure1, "--set", override], tmp_path, monkeypatch,
+                                       capsys)
+    assert "config error: N_rule" in err
+
+
+def test_seed_outside_the_rng_key_range_exits_2(tmp_path, monkeypatch, capsys):
+    err = _run_refused_before_sampling([str(CONFIG_DIR / "figure1.json"), "--seed", str(2**200)],
+                                       tmp_path, monkeypatch, capsys)
+    assert "config error: seed" in err
+    for seed in (2**127, -2**127 - 1):
+        with pytest.raises(ConfigurationError, match="seed"):
+            validate_config_dict(dict(TINY_CONFIG, seed=seed))
+    for seed in (2**127 - 1, -2**127, 0, -1):  # every seed the rng can key stays valid
+        assert validate_config_dict(dict(TINY_CONFIG, seed=seed)).seed == seed
+        rng.derive_seed(seed, 4, 480, 0)
+
+
+def test_repetitions_cap_exits_2_before_any_allocation(tmp_path, monkeypatch, capsys):
+    cap = harness.MAX_REPETITIONS
+    err = _run_refused_before_sampling([str(CONFIG_DIR / "figure1.json"), "--set",
+                                        "repetitions=100000000000"], tmp_path, monkeypatch, capsys)
+    assert "config error: repetitions" in err
+    assert str(cap) in err
+    assert validate_config_dict(dict(TINY_CONFIG, repetitions=cap)).repetitions == cap
+    with pytest.raises(ConfigurationError, match="repetitions"):
+        validate_config_dict(dict(TINY_CONFIG, repetitions=cap + 1))
 
 
 def test_run_seed_override_changes_mse_not_approx(tiny_config_path, tmp_path):
@@ -330,3 +381,19 @@ def test_oracle_spec_validation():
         rl.OracleSpec("montecarlo")
     with pytest.raises(ConfigurationError):
         rl.OracleSpec(tolerance=0.0)
+
+
+def test_import_leaves_scipy_linalg_and_integrate_unloaded():
+    # no sweep needs them: a fresh `import reglater` must not pay for them
+    import os
+    import subprocess
+    import sys
+
+    import reglater
+
+    code = ("import sys, reglater; "
+            "print(sorted(m for m in ('scipy.linalg', 'scipy.integrate') if m in sys.modules))")
+    src = str(Path(reglater.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert out.stdout.strip() == "[]"

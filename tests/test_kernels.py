@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reglater as rl
-from reglater._kernels import _py
+from reglater import _kernels
+from reference import design_matrix, first_fit, ols_fit
 
 
 @pytest.fixture(scope="module")
@@ -24,17 +25,17 @@ def test_bin_indices_conventions(basis_cache):
     basis = basis_cache(4)
     e = basis.partition.edges
     u = np.array([e[0] - 1.0, e[0], 0.5 * (e[1] + e[2]), e[2], e[4], e[4] + 1e-9])
-    idx = _py.bin_indices(e, u)
+    idx = _kernels.bin_indices(e, u)
     assert list(idx) == [-1, 0, 1, 2, 3, -1]
 
 
 def test_binned_qr_matches_dense_ols(problem):
     basis, u, x = problem
-    inside = _py.bin_indices(basis.partition.edges, u) >= 0
+    inside = _kernels.bin_indices(basis.partition.edges, u) >= 0
     u_in, x_in = u[inside], x[inside]
-    design = _py.design_matrix(basis.partition.edges, basis.centers, basis.norm0,
-                               basis.norm1, u_in)
-    dense = rl.ols_fit(design, x_in)
+    design = design_matrix(basis.partition.edges, basis.centers, basis.norm0,
+                           basis.norm1, u_in)
+    dense = ols_fit(design, x_in)
     samp = rl.SampleSet(u_in.reshape(-1, 1), x_in, 0, u_in.size)
     binned = rl.regress_later_fit(samp, basis)
     assert np.max(np.abs(dense.coefficients - binned.coefficients)) < 1e-9
@@ -44,17 +45,16 @@ def test_binned_qr_matches_dense_ols(problem):
 
 def test_qr_factor_reproduces_gram(problem):
     basis, u, x = problem
-    R, _, counts, _, _ = _py.binned_qr(basis.partition.edges, basis.centers, basis.norm0,
-                                       basis.norm1, u, x)
-    D = _py.design_matrix(basis.partition.edges, basis.centers, basis.norm0,
-                          basis.norm1, u)
+    R, _, counts, _, _ = first_fit(_kernels.binned_qr(
+        basis.partition.edges, basis.centers, basis.norm0, basis.norm1, u, x, [u.size]))
+    D = design_matrix(basis.partition.edges, basis.centers, basis.norm0, basis.norm1, u)
     G = D.T @ D
     for k in range(basis.K):
         r11, r12, r22 = R[k]
         assert r11**2 == pytest.approx(G[2 * k, 2 * k], rel=1e-10, abs=1e-9)
         assert r11 * r12 == pytest.approx(G[2 * k, 2 * k + 1], rel=1e-8, abs=1e-8)
         assert r12**2 + r22**2 == pytest.approx(G[2 * k + 1, 2 * k + 1], rel=1e-9, abs=1e-9)
-    assert counts.sum() == np.sum(_py.bin_indices(basis.partition.edges, u) >= 0)
+    assert counts.sum() == np.sum(_kernels.bin_indices(basis.partition.edges, u) >= 0)
 
 
 # ---------------------------------------------------------------------------
@@ -112,19 +112,19 @@ def _kernel_case(data, lo_bins, hi_bins):
     return edges, u, gen
 
 
-@pytest.mark.parametrize("lo_bins,hi_bins", [(1, _py.COMPARE_MAX_BINS),
-                                             (_py.COMPARE_MAX_BINS + 1, 300)])
+@pytest.mark.parametrize("lo_bins,hi_bins", [(1, _kernels.COMPARE_MAX_BINS),
+                                             (_kernels.COMPARE_MAX_BINS + 1, 300)])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_bin_indices_match_searchsorted(lo_bins, hi_bins, data):
     edges, u, _ = _kernel_case(data, lo_bins, hi_bins)
-    got = _py.bin_indices(edges, u)
+    got = _kernels.bin_indices(edges, u)
     assert got.dtype == np.int64
     assert np.array_equal(got, _searchsorted_bin_indices(edges, u))
 
 
-@pytest.mark.parametrize("lo_bins,hi_bins", [(1, _py.COMPARE_MAX_BINS),
-                                             (_py.COMPARE_MAX_BINS + 1, 300)])
+@pytest.mark.parametrize("lo_bins,hi_bins", [(1, _kernels.COMPARE_MAX_BINS),
+                                             (_kernels.COMPARE_MAX_BINS + 1, 300)])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_binned_qr_bit_equal_to_argsort_version(lo_bins, hi_bins, data):
@@ -136,7 +136,7 @@ def test_binned_qr_bit_equal_to_argsort_version(lo_bins, hi_bins, data):
         k = gen.integers(nbins)
         u[(u >= edges[k]) & (u < edges[k + 1])] = centers[k]
     x = np.tanh(u) + gen.standard_normal(u.size)
-    got = _py.binned_qr(edges, centers, norm0, norm1, u, x)
+    got = first_fit(_kernels.binned_qr(edges, centers, norm0, norm1, u, x, [u.size]))
     want = _argsort_binned_qr(edges, centers, norm0, norm1, u, x)
     for g, w in zip((got.R, got.z, got.counts), want):
         assert g.dtype == w.dtype
@@ -172,7 +172,8 @@ def _einsum_rss(edges, centers, norm0, norm1, u, x):
     return rss, np.einsum("i,i->", out, out)
 
 
-@pytest.mark.parametrize("lo_bins,hi_bins", [(1, 40), (_py.COMPARE_MAX_BINS + 1, 120)])
+@pytest.mark.parametrize("lo_bins,hi_bins", [(1, 40),
+                                             (_kernels.COMPARE_MAX_BINS + 1, 120)])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_binned_qr_rss_matches_einsum_reference(lo_bins, hi_bins, data):
@@ -193,7 +194,7 @@ def test_binned_qr_rss_matches_einsum_reference(lo_bins, hi_bins, data):
         u = np.where(gen.random(n) < 0.5, edges[0] - 1.0, edges[-1] + 1.0)
     x = (np.tanh(np.nan_to_num(u)) if data.draw(st.booleans(), label="smooth") else
          gen.standard_normal(n) * 10.0 ** gen.uniform(-6, 6))
-    got = _py.binned_qr(edges, centers, norm0, norm1, u, x)
+    got = first_fit(_kernels.binned_qr(edges, centers, norm0, norm1, u, x, [u.size]))
     rss, rss_outside = _einsum_rss(edges, centers, norm0, norm1, u, x)
     assert np.all(got.rss >= 0)
     assert np.allclose(got.rss, rss, rtol=1e-12, atol=0)
@@ -212,7 +213,7 @@ def test_binned_qr_rss_matches_einsum_reference(lo_bins, hi_bins, data):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_batched_binned_qr_matches_one_call_per_fit(data):
-    nbins = data.draw(st.integers(1, _py.COMPARE_MAX_BINS + 20), label="nbins")
+    nbins = data.draw(st.integers(1, _kernels.COMPARE_MAX_BINS + 20), label="nbins")
     fits = data.draw(st.integers(1, 6), label="fits")
     gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     edges = data.draw(st.floats(-50.0, 50.0), label="a1") + np.cumsum(
@@ -233,11 +234,11 @@ def test_batched_binned_qr_matches_one_call_per_fit(data):
         us[f[2]][:] = np.where(gen.random(us[f[2]].size) < 0.5, edges[0] - 1.0, edges[-1] + 1.0)
     xs = [np.tanh(u) + gen.standard_normal(u.size) * 10.0 ** gen.uniform(-3, 3) for u in us]
 
-    got = _py.binned_qr(edges, centers, norm0, norm1, np.concatenate(us), np.concatenate(xs),
-                        np.array([u.size for u in us]))
+    got = _kernels.binned_qr(edges, centers, norm0, norm1, np.concatenate(us),
+                             np.concatenate(xs), [u.size for u in us])
     assert got.R.shape == (fits, nbins, 3) and got.rss_outside.shape == (fits,)
     for i, (u, x) in enumerate(zip(us, xs)):
-        want = _py.binned_qr(edges, centers, norm0, norm1, u, x)
+        want = first_fit(_kernels.binned_qr(edges, centers, norm0, norm1, u, x, [u.size]))
         for g, w in zip((got.R[i], got.z[i], got.counts[i]), want[:3]):
             assert g.dtype == w.dtype
             assert np.array_equal(g, w)
@@ -251,15 +252,15 @@ def test_batched_binned_qr_checks_the_sizes():
     e = np.linspace(0.0, 1.0, 5)
     c, ones = 0.5 * (e[1:] + e[:-1]), np.ones(4)
     with pytest.raises(ValueError, match="sizes"):
-        _py.binned_qr(e, c, ones, ones, np.full(5, 0.5), np.ones(5), np.array([2, 2]))
+        _kernels.binned_qr(e, c, ones, ones, np.full(5, 0.5), np.ones(5), np.array([2, 2]))
 
 
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_bin_indices_in_chunks_match_searchsorted(data):
     # a lookup longer than one rng block is made block by block
-    edges, u, _ = _kernel_case(data, 1, _py.COMPARE_MAX_BINS + 20)
+    edges, u, _ = _kernel_case(data, 1, _kernels.COMPARE_MAX_BINS + 20)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rl.rng, "BLOCK_SIZE", data.draw(st.integers(1, 64), label="block"))
-        got = _py.bin_indices(edges, u)
+        got = _kernels.bin_indices(edges, u)
     assert np.array_equal(got, _searchsorted_bin_indices(edges, u))

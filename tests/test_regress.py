@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 import reglater as rl
 from reglater import _kernels
-from reglater._kernels import _py
 from reglater.distributions import Uniform
 from reglater.errors import ConfigurationError, DegenerateDesignError
 from conftest import slope_of
+from reference import eval_basis, first_fit, ols_fit
 
 
 def _tanh_sample(brownian10, terminal10, dom, n, seed):
@@ -17,12 +17,12 @@ def _tanh_sample(brownian10, terminal10, dom, n, seed):
 
 
 # ---------------------------------------------------------------------------
-# generic OLS
+# the dense pivoted-QR reference solver (reference.ols_fit)
 # ---------------------------------------------------------------------------
 
 def test_constant_column_recovers_mean():
     y = np.array([1.0, 2.0, 4.0, 5.0])
-    fit = rl.ols_fit(np.ones((4, 1)), y)
+    fit = ols_fit(np.ones((4, 1)), y)
     assert fit.coefficients[0] == pytest.approx(y.mean(), rel=1e-14)
     assert fit.rank == 1
 
@@ -31,7 +31,7 @@ def test_exact_interpolation_recovers_coefficients():
     gen = np.random.default_rng(0)
     A = gen.standard_normal((200, 6))
     alpha = gen.standard_normal(6)
-    fit = rl.ols_fit(A, A @ alpha)
+    fit = ols_fit(A, A @ alpha)
     assert np.max(np.abs(fit.coefficients - alpha)) < 1e-8 * max(1.0, np.abs(alpha).max())
     assert fit.residual_l2 < 1e-8
 
@@ -40,8 +40,8 @@ def test_duplicate_column_dropped_fitted_values_unchanged():
     gen = np.random.default_rng(1)
     A = gen.standard_normal((300, 4))
     y = gen.standard_normal(300)
-    base = rl.ols_fit(A, y)
-    dup = rl.ols_fit(np.column_stack([A, A[:, 2]]), y)
+    base = ols_fit(A, y)
+    dup = ols_fit(np.column_stack([A, A[:, 2]]), y)
     assert len(dup.dropped_columns) == 1
     assert dup.dropped_columns[0] in (2, 4)
     assert dup.rank == 4
@@ -54,21 +54,21 @@ def test_zero_norm_column_dropped_with_zero_coefficient():
     gen = np.random.default_rng(2)
     A = gen.standard_normal((100, 3))
     A[:, 1] = 0.0
-    fit = rl.ols_fit(A, gen.standard_normal(100))
+    fit = ols_fit(A, gen.standard_normal(100))
     assert 1 in fit.dropped_columns
     assert fit.coefficients[1] == 0.0
 
 
 def test_all_columns_dropped_is_degenerate():
     with pytest.raises(DegenerateDesignError):
-        rl.ols_fit(np.zeros((10, 2)), np.ones(10))
+        ols_fit(np.zeros((10, 2)), np.ones(10))
 
 
 def test_residual_orthogonal_to_design():
     gen = np.random.default_rng(3)
     A = gen.standard_normal((500, 8))
     y = gen.standard_normal(500)
-    fit = rl.ols_fit(A, y)
+    fit = ols_fit(A, y)
     resid = y - A @ fit.coefficients
     assert np.max(np.abs(A.T @ resid)) <= 1e-8 * np.linalg.norm(y)
 
@@ -78,8 +78,8 @@ def test_fitted_values_invariant_under_column_permutation():
     A = gen.standard_normal((200, 5))
     y = gen.standard_normal(200)
     perm = np.array([3, 0, 4, 2, 1])
-    f1 = rl.ols_fit(A, y)
-    f2 = rl.ols_fit(A[:, perm], y)
+    f1 = ols_fit(A, y)
+    f2 = ols_fit(A[:, perm], y)
     assert np.allclose(A @ f1.coefficients, A[:, perm] @ f2.coefficients, atol=1e-10)
 
 
@@ -92,7 +92,7 @@ def test_single_basis_function_payoff_recovered_exactly(basis_cache, w10_law,
     dist, dom = w10_law
     basis = basis_cache(6)
     s = rl.simulate_conditional(brownian10, terminal10, dom, 5000, seed=9)
-    x = rl.eval_basis(basis, s.feature_column())[:, 0]  # X = e_{0,1}(W_T)
+    x = eval_basis(basis, s.feature_column())[:, 0]  # X = e_{0,1}(W_T)
     fit = rl.regress_later_fit(s.with_payoffs(x), basis)
     expected = np.zeros(12)
     expected[0] = 1.0
@@ -107,7 +107,7 @@ def test_in_span_payoff_zero_residual(basis_cache, w10_law, brownian10, terminal
     n = 50 * K
     s = rl.simulate_conditional(brownian10, terminal10, dom, n, seed=10)
     alpha = np.arange(2 * K, dtype=float) / 7.0 - 1.0
-    x = rl.eval_basis(basis, s.feature_column()) @ alpha
+    x = eval_basis(basis, s.feature_column()) @ alpha
     fit = rl.regress_later_fit(s.with_payoffs(x), basis)
     assert fit.residual_l2 / np.sqrt(n) < 1e-8
 
@@ -224,7 +224,7 @@ def test_now_in_span_measurable_payoff_has_no_projection_error(brownian10):
     dist_t, dom_t = rl.truncated_feature_law(brownian10, feat_t, 1e-4)
     basis_t = rl.build_basis(dist_t, 6)
     s = rl.simulate_conditional(brownian10, feat_t, dom_t, 4000, seed=22)
-    x = rl.eval_basis(basis_t, s.feature_column())[:, 0]  # t-measurable, in span
+    x = eval_basis(basis_t, s.feature_column())[:, 0]  # t-measurable, in span
     fit, diag = rl.regress_now_fit(s.with_payoffs(x), basis_t)
     assert diag.residual_variance_estimate < 1e-8
     assert not diag.projection_error_present
@@ -260,8 +260,8 @@ def _residual_case(data, lo_bins, hi_bins):
     return basis, rl.SampleSet(u.reshape(-1, 1), x, 0, u.size)
 
 
-@pytest.mark.parametrize("lo_bins,hi_bins", [(1, _py.COMPARE_MAX_BINS),
-                                             (_py.COMPARE_MAX_BINS + 1, 120)])
+@pytest.mark.parametrize("lo_bins,hi_bins", [(1, _kernels.COMPARE_MAX_BINS),
+                                             (_kernels.COMPARE_MAX_BINS + 1, 120)])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_residual_matches_prediction_residual(lo_bins, hi_bins, data):
@@ -292,7 +292,7 @@ def test_fits_make_no_bin_lookup(monkeypatch, basis_cache, w10_law, brownian10, 
     rl.regress_now_fit(samp, basis_cache(8))
     assert calls == []
     rl.predict(basis_cache(8), np.zeros(16), samp.feature_column())
-    assert calls == [5000]  # the wrapper is the one predict looks up
+    assert calls == [5000]  # predict looks the kernel up at call time
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +327,7 @@ def _fold_case(gen, K, block, n, in_span):
 
 def _assert_fold_matches_single_pass(basis, samp, one_distinct_bin):
     """The block-wise factors and fit (``rng.BLOCK_SIZE`` as set by the
-    caller) against a single ``_py.binned_qr`` pass and a one-block fit.
+    caller) against a single ``_kernels.binned_qr`` pass and a one-block fit.
 
     Each bin agrees to 1e-12 relative, times the squared condition number of
     the bin's design (``col / r22``; 1 where the linear column is dropped):
@@ -335,8 +335,10 @@ def _assert_fold_matches_single_pass(basis, samp, one_distinct_bin):
     values may differ by that much.
     """
     u, x = samp.feature_column(), samp.payoffs
-    ref = _py.binned_qr(basis.partition.edges, basis.centers, basis.norm0, basis.norm1, u, x)
-    got, n = rl.regress._binned_factors(samp, basis)
+    ref = first_fit(_kernels.binned_qr(basis.partition.edges, basis.centers, basis.norm0,
+                                       basis.norm1, u, x, [u.size]))
+    got, n = rl.regress._binned_factors(samp, basis, 1)
+    got = first_fit(got)
     assert n == samp.n
     assert np.array_equal(got.counts, ref.counts)
     assert got.rss_outside == pytest.approx(ref.rss_outside, rel=1e-12)
@@ -405,9 +407,9 @@ def test_single_block_fit_is_the_kernel_result(basis_cache, w10_law, brownian10,
     # with one block nothing is merged: the fit reads the kernel's own bits
     samp = _tanh_sample(brownian10, terminal10, w10_law[1], rl.rng.BLOCK_SIZE, 31)
     basis = basis_cache(8)
-    got, n = rl.regress._binned_factors(samp, basis)
-    ref = _py.binned_qr(basis.partition.edges, basis.centers, basis.norm0, basis.norm1,
-                        samp.feature_column(), samp.payoffs)
+    got, n = rl.regress._binned_factors(samp, basis, 1)
+    ref = _kernels.binned_qr(basis.partition.edges, basis.centers, basis.norm0, basis.norm1,
+                             samp.feature_column(), samp.payoffs, [samp.n])
     assert n == samp.n
     for a, b in zip(got, ref):
         assert np.array_equal(a, b)

@@ -3,9 +3,12 @@
 Verbs: run (sweep experiments to CSV/JSON reports; pair_u_T configs run the
 paired Regress-Later/Regress-Now comparison), basket-check (exact two-asset
 tree table), basis-dump (serialized basis for audits), plot (CSV to SVG),
-validate-config.  Exit codes: 0 ok, 2 config error, 3 numerical failure
-(also after writing the reports of a run with a point that has no successful
-repetition), 4 basket mismatch.  All file writes are atomic.
+validate-config (every check that run makes before sampling).  Exit codes,
+mapped from exceptions once in ``main``: 0 ok, 2 config error
+(``ConfigurationError``), 3 numerical failure (any other ``ReglaterError``
+or a ``FloatingPointError``; also after writing the reports of a run with a
+point that has no successful repetition), 4 basket mismatch.  All file
+writes are atomic.
 """
 from __future__ import annotations
 
@@ -52,27 +55,16 @@ def _default_outdir(arg: str | None) -> Path:
 
 
 def _cmd_run(args) -> int:
-    try:
-        overrides = list(args.set or [])
-        if args.seed is not None:
-            overrides.append(f"seed={args.seed}")
-        cfg = config_mod.load_config(args.config, overrides)
-    except ConfigurationError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        if cfg.feature.kind == "pair_u_T":
-            report = harness.now_vs_later_compare(cfg, workers=args.workers)
-        elif cfg.sweep == "growing_K":
-            report = harness.run_growing_K(cfg, workers=args.workers)
-        else:
-            report = harness.run_fixed_K(cfg, workers=args.workers)
-    except ConfigurationError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ReglaterError, FloatingPointError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    overrides = list(args.set or [])
+    if args.seed is not None:
+        overrides.append(f"seed={args.seed}")
+    cfg = config_mod.load_config(args.config, overrides)
+    if cfg.feature.kind == "pair_u_T":
+        report = harness.now_vs_later_compare(cfg, workers=args.workers)
+    elif cfg.sweep == "growing_K":
+        report = harness.run_growing_K(cfg, workers=args.workers)
+    else:
+        report = harness.run_fixed_K(cfg, workers=args.workers)
     outdir = _default_outdir(args.output_dir)
     atomic_write(outdir / "report.csv", report.to_csv_text())
     atomic_write(outdir / "report.json", json.dumps(report.to_json_dict(), indent=2) + "\n")
@@ -121,17 +113,9 @@ def _cmd_basket_check(_args) -> int:
 
 
 def _cmd_basis_dump(args) -> int:
-    try:
-        cfg = config_mod.load_config(args.config, args.set or [])
-        dist, _ = harness._later_law(cfg)
-        basis = build_basis(dist, args.K)
-    except ConfigurationError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ReglaterError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    text = basis.to_json() + "\n"
+    cfg = config_mod.load_config(args.config, args.set or [])
+    dist, _ = harness._later_law(cfg)
+    text = build_basis(dist, args.K).to_json() + "\n"
     if args.output:
         atomic_write(Path(args.output), text)
         print(f"wrote {args.output}")
@@ -148,23 +132,18 @@ def _cmd_plot(args) -> int:
             header = next(reader, None)
             rows = list(reader)
     except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigurationError(str(exc)) from exc
     if header != harness.CSV_HEADER.split(","):
-        print(f"config error: CSV header must be exactly {harness.CSV_HEADER!r}",
-              file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigurationError(f"CSV header must be exactly {harness.CSV_HEADER!r}")
     if len(rows) < 2:
-        print("config error: cannot plot a line through fewer than 2 rows", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigurationError("cannot plot a line through fewer than 2 rows")
     try:
         ks = [int(r[0]) for r in rows]
         ns = [int(r[1]) for r in rows]
         mse = [float(r[3]) for r in rows]
         approx = [float(r[5]) for r in rows]
     except (ValueError, IndexError) as exc:
-        print(f"config error: malformed CSV row ({exc})", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigurationError(f"malformed CSV row ({exc})") from exc
     if len(set(ks)) > 1:
         xs, x_label = [float(k) for k in ks], "K"
     else:
@@ -173,19 +152,14 @@ def _cmd_plot(args) -> int:
         text = svgplot.render_loglog(xs, {"mse_mean": mse, "approx_l2": approx},
                                      x_label, title=path.stem)
     except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigurationError(str(exc)) from exc
     atomic_write(Path(args.out_svg), text)
     print(f"wrote {args.out_svg}")
     return EXIT_OK
 
 
 def _cmd_validate(args) -> int:
-    try:
-        cfg = config_mod.load_config(args.config, args.set or [])
-    except ConfigurationError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = config_mod.load_config(args.config, args.set or [])
     points = ", ".join(f"(K={k}, N={n})" for k, n in cfg.points())
     print(f"ok: {cfg.name} [{cfg.sweep}] points {points}")
     return EXIT_OK
@@ -241,7 +215,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigurationError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (ReglaterError, FloatingPointError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -82,21 +82,19 @@ def validate_config_dict(doc: dict) -> ExperimentConfig:
             f"config.schema_version: expected {SCHEMA_VERSION}, got {version!r}")
 
     p = _require_mapping(doc["process"], "process")
-    _check_keys(p, "process", {"kind", "horizon"}, {"volatility", "dimension"})
+    _check_keys(p, "process", {"kind", "horizon"}, {"volatility"})
     process = ProcessSpec(
         kind=_string(p, "process", "kind"),
         horizon=_number(p, "process", "horizon"),
         volatility=_number(p, "process", "volatility"),
-        dimension=_integer(p, "process", "dimension", 1),
     )
 
     f = _require_mapping(doc["feature"], "feature")
-    _check_keys(f, "feature", {"kind", "eval_time"}, {"intermediate_time", "output_dim"})
+    _check_keys(f, "feature", {"kind", "eval_time"}, {"intermediate_time"})
     feature = FeatureSpec(
         kind=_string(f, "feature", "kind"),
         eval_time=_number(f, "feature", "eval_time"),
         intermediate_time=_number(f, "feature", "intermediate_time"),
-        output_dim=_integer(f, "feature", "output_dim", 0),
     )
 
     g = _require_mapping(doc["payoff"], "payoff")

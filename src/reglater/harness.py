@@ -26,7 +26,7 @@ import math
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -38,8 +38,8 @@ from .condexp import BrownianTransition, TransferSpec, condexp_estimate
 from .distributions import TruncatedNormal
 from .errors import (BasisConstructionError, ConfigurationError, DegenerateDesignError,
                      SamplingError)
-from .model import (Domain, FeatureSpec, ProcessSpec, SampleSet, simulate_conditional,
-                    truncated_feature_law)
+from .model import (Domain, FeatureSpec, ProcessSpec, SampleSet, _check_pair,
+                    simulate_conditional, truncated_feature_law)
 from .payoff import OracleSpec, PayoffSpec, eval_payoff, oracle_conditional
 from .regress import coefficient_error, predict, regress_later_fit, regress_now_fit
 
@@ -63,9 +63,11 @@ MAX_POINT_SAMPLES = 2**25
 MAX_REPETITIONS = 10**5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
-    """Everything a sweep needs; validated on construction."""
+    """Everything a sweep needs.  Construction makes every check a sweep
+    makes before sampling, raising ``ConfigurationError`` naming the field.
+    Fields are in the order ``report.json`` echoes them (``asdict``)."""
 
     name: str
     process: ProcessSpec
@@ -73,10 +75,10 @@ class ExperimentConfig:
     feature: FeatureSpec
     sweep: str  # growing_K | fixed_K
     K_list: tuple[int, ...]
-    repetitions: int
-    seed: int
     N_rule: tuple[float, float] | None = None  # N = ceil(c * K**b)
     N_list: tuple[int, ...] | None = None
+    repetitions: int
+    seed: int
     eval_method: str = "quadrature"  # quadrature | fresh_sample
     eval_multiplier: int = 10
     domain_epsilon: float = 1e-4
@@ -121,6 +123,15 @@ class ExperimentConfig:
                 raise ConfigurationError(
                     f"point (K={K}, N={N}): {held_per_N * N} samples per repetition "
                     f"exceed the cap of {MAX_POINT_SAMPLES}")
+        _check_pair(self.process, self.feature)
+        _later_law(self)  # raises where the sweep has no feature law to fit on
+        if self.payoff.kind == "basket_call":
+            raise ConfigurationError("payoff.kind: basket_call needs a vector feature, and "
+                                     "every sweep regresses on a univariate one")
+        if self.feature.kind == "pair_u_T" and self.payoff.kind not in ("square", "identity"):
+            raise ConfigurationError(
+                f"payoff.kind: the paired comparison needs a closed-form oracle payoff "
+                f"(square or identity), not {self.payoff.kind!r}")
 
     def points(self) -> list[tuple[int, int]]:
         """(K, N) per sweep point, in report order."""
@@ -151,11 +162,6 @@ class ReportRow:
     h_tilde: float
     flagged: bool = False
 
-    def to_json_dict(self) -> dict:
-        return {"K": self.K, "N": self.N, "reps": self.reps, "mse_mean": self.mse_mean,
-                "mse_stderr": self.mse_stderr, "approx_l2": self.approx_l2,
-                "h_tilde": self.h_tilde, "flagged": self.flagged}
-
 
 class SlopeFit(NamedTuple):
     slope: float
@@ -180,7 +186,7 @@ class ConvergenceReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "rows": [r.to_json_dict() for r in self.rows],
+            "rows": [asdict(r) for r in self.rows],
             "slope": self.slope,
             "slope_ci": list(self.slope_ci),
             "sweep_variable": self.sweep_variable,
@@ -437,31 +443,12 @@ def _run_points(config: ExperimentConfig, workers: int) -> ConvergenceReport:
         last = rows[-1]
         plateau = last.mse_mean / last.approx_l2 if last.approx_l2 > 0 else float("inf")
     return ConvergenceReport(rows, sf.slope, (sf.ci_low, sf.ci_high), sweep_variable,
-                             _config_echo(config), time.perf_counter() - start, failures,
+                             asdict(config), time.perf_counter() - start, failures,
                              plateau)
 
 
-def _config_echo(config: ExperimentConfig) -> dict:
-    return {
-        "name": config.name,
-        "process": {"kind": config.process.kind, "horizon": config.process.horizon,
-                    "volatility": config.process.volatility},
-        "payoff": {"kind": config.payoff.kind, "strike": config.payoff.strike},
-        "feature": {"kind": config.feature.kind, "eval_time": config.feature.eval_time,
-                    "intermediate_time": config.feature.intermediate_time},
-        "sweep": config.sweep,
-        "K_list": list(config.K_list),
-        "N_rule": list(config.N_rule) if config.N_rule else None,
-        "N_list": list(config.N_list) if config.N_list else None,
-        "repetitions": config.repetitions,
-        "seed": config.seed,
-        "eval_method": config.eval_method,
-        "eval_multiplier": config.eval_multiplier,
-        "domain_epsilon": config.domain_epsilon,
-    }
-
-
 def _later_law(config: ExperimentConfig) -> tuple[TruncatedNormal, Domain]:
+    """The truncated feature law at the payoff date that a sweep fits on."""
     feat = config.feature
     if feat.kind == "pair_u_T":
         feat = FeatureSpec("terminal", feat.eval_time)
@@ -498,13 +485,6 @@ class PairedRow:
     mse_now_mean: float
     mse_now_stderr: float
 
-    def to_json_dict(self) -> dict:
-        return {"K": self.K, "N": self.N, "reps": self.reps,
-                "mse_later_mean": self.mse_later_mean,
-                "mse_later_stderr": self.mse_later_stderr,
-                "mse_now_mean": self.mse_now_mean,
-                "mse_now_stderr": self.mse_now_stderr}
-
 
 @dataclass
 class PairedReport:
@@ -525,7 +505,7 @@ class PairedReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "rows": [r.to_json_dict() for r in self.rows],
+            "rows": [asdict(r) for r in self.rows],
             "slope_later": list(self.slope_later),
             "slope_now": list(self.slope_now),
             "rate_gap": self.rate_gap,
@@ -551,16 +531,13 @@ def now_vs_later_compare(config: ExperimentConfig, workers: int = 1) -> PairedRe
     """Both estimators of the time-t conditional expectation on matched
     (K, N) points; MSEs against the closed-form truth, slopes versus N.
 
-    Needs a payoff with a known conditional expectation under Brownian
-    motion (square or identity) and a pair_u_T feature fixing t and T.  A
-    failed repetition is left out of both estimators' means.
+    Needs a pair_u_T feature fixing t and T; ``ExperimentConfig`` then holds
+    a Brownian process and a payoff with a closed-form conditional
+    expectation (square or identity).  A failed repetition is left out of
+    both estimators' means.
     """
     start = time.perf_counter()
     _keep_block_memory()
-    if config.process.kind != "brownian":
-        raise ConfigurationError("paired comparison runs on brownian features")
-    if config.payoff.kind not in ("square", "identity"):
-        raise ConfigurationError("paired comparison needs a closed-form oracle payoff")
     if config.feature.kind != "pair_u_T":
         raise ConfigurationError("paired comparison needs a pair_u_T feature (fixes t and T)")
     t = config.feature.intermediate_time
@@ -628,7 +605,7 @@ def now_vs_later_compare(config: ExperimentConfig, workers: int = 1) -> PairedRe
     ns = [r.N for r in rows]
     return PairedReport(rows, _slope_or_nan(ns, [r.mse_later_mean for r in rows]),
                         _slope_or_nan(ns, [r.mse_now_mean for r in rows]),
-                        _config_echo(config), time.perf_counter() - start, failures)
+                        asdict(config), time.perf_counter() - start, failures)
 
 
 def _continued_blocks(payoff: PayoffSpec, scale: float, seed: int,

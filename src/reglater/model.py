@@ -39,7 +39,6 @@ class ProcessSpec:
     kind: str
     horizon: float
     volatility: float | None = None
-    dimension: int = 1
 
     def __post_init__(self):
         if self.kind not in PROCESS_KINDS:
@@ -47,15 +46,13 @@ class ProcessSpec:
         if not (np.isfinite(self.horizon) and self.horizon > 0):
             raise ConfigurationError("process.horizon: must be > 0")
         if self.kind == "gbm":
-            if self.volatility is None or not (self.volatility > 0):
-                raise ConfigurationError("process.volatility: must be > 0 for gbm")
-        if self.kind == "basket_tree":
-            if self.dimension != 2:
-                raise ConfigurationError("process.dimension: basket_tree is fixed at d=2")
-            if self.horizon != 2:
-                raise ConfigurationError("process.horizon: basket_tree runs over 2 periods")
-        elif self.dimension != 1:
-            raise ConfigurationError("process.dimension: only d=1 is simulated for this kind")
+            sig = self.volatility
+            if sig is None or not (np.isfinite(sig) and sig > 0):
+                raise ConfigurationError("process.volatility: gbm needs a finite volatility > 0")
+        elif self.volatility is not None:
+            raise ConfigurationError(f"process.volatility: not meaningful for {self.kind!r}")
+        if self.kind == "basket_tree" and self.horizon != 2:
+            raise ConfigurationError("process.horizon: basket_tree runs over 2 periods")
 
 
 @dataclass(frozen=True)
@@ -65,27 +62,22 @@ class FeatureSpec:
     kind: str
     eval_time: float
     intermediate_time: float | None = None
-    output_dim: int = 0
 
     def __post_init__(self):
         if self.kind not in FEATURE_KINDS:
             raise ConfigurationError(f"feature.kind: unknown kind {self.kind!r}")
-        if not (np.isfinite(self.eval_time) and self.eval_time >= 0):
-            raise ConfigurationError("feature.eval_time: must be >= 0")
+        if not (np.isfinite(self.eval_time) and self.eval_time > 0):
+            raise ConfigurationError("feature.eval_time: must be > 0")
         if self.kind == "pair_u_T":
-            if self.intermediate_time is None or not (0 <= self.intermediate_time < self.eval_time):
-                raise ConfigurationError("feature.intermediate_time: pair_u_T needs 0 <= u < eval_time")
+            if self.intermediate_time is None or not (0 < self.intermediate_time < self.eval_time):
+                raise ConfigurationError("feature.intermediate_time: pair_u_T needs 0 < u < eval_time")
         elif self.intermediate_time is not None:
             raise ConfigurationError("feature.intermediate_time: only valid for pair_u_T")
-        expected = {"terminal": 1, "basket_sum": 1, "pair_u_T": 2}.get(self.kind)
-        dim = self.output_dim
-        if dim == 0:
-            dim = expected if expected is not None else 1
-            object.__setattr__(self, "output_dim", dim)
-        if expected is not None and dim != expected:
-            raise ConfigurationError(f"feature.output_dim: {self.kind} has dimension {expected}")
-        if self.kind == "path_integral" and dim not in (1, 2):
-            raise ConfigurationError("feature.output_dim: path_integral has dimension 1 or 2")
+
+    @property
+    def dim(self) -> int:
+        """Number of coordinates of one feature value: 2 for ``(W_u, W_T)``."""
+        return 2 if self.kind == "pair_u_T" else 1
 
 
 @dataclass(frozen=True)
@@ -187,9 +179,6 @@ def _check_pair(proc: ProcessSpec, feat: FeatureSpec) -> None:
         raise ConfigurationError(f"feature.kind: {feat.kind!r} not available for {proc.kind!r}")
     if feat.eval_time > proc.horizon:
         raise ConfigurationError("feature.eval_time: beyond the process horizon")
-    if feat.kind == "path_integral" and feat.output_dim == 2:
-        raise ConfigurationError(
-            "feature: the time-t (integral, level) pair is declared but not simulated")
     if proc.kind == "basket_tree" and feat.eval_time not in (1, 2):
         raise ConfigurationError("feature.eval_time: tree features exist at t=1 or t=2 only")
 
@@ -253,7 +242,7 @@ def simulate_conditional(proc: ProcessSpec, feat: FeatureSpec, dom: Domain,
     _check_pair(proc, feat)
     if n < 1:
         raise ConfigurationError("n: must be >= 1")
-    if feat.output_dim != 1:
+    if feat.dim != 1:
         raise ConfigurationError("conditioning is defined for univariate features only")
     if dom.mass < MIN_CONDITIONAL_MASS:
         raise SamplingError(
@@ -326,12 +315,13 @@ def simulate_path_integral(proc: ProcessSpec, T: float, steps: int, n: int, seed
 def _gaussian_feature_params(proc: ProcessSpec, feat: FeatureSpec) -> tuple[float, float]:
     """(mean, var) of the feature when it is exactly Gaussian."""
     if proc.kind != "brownian":
-        raise ConfigurationError("analytic feature law available for brownian features only")
+        raise ConfigurationError(
+            f"process.kind: analytic feature law available for brownian only, not {proc.kind!r}")
     if feat.kind == "terminal":
         return 0.0, feat.eval_time
-    if feat.kind == "path_integral" and feat.output_dim == 1:
+    if feat.kind == "path_integral":
         return 0.0, feat.eval_time ** 3 / 3.0  # continuum law of the integral
-    raise ConfigurationError(f"no analytic law for feature kind {feat.kind!r}")
+    raise ConfigurationError(f"feature.kind: no analytic law for {feat.kind!r}")
 
 
 def central_domain(proc: ProcessSpec, feat: FeatureSpec, epsilon: float = 1e-4) -> Domain:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -42,12 +43,12 @@ def tiny_config_path(tmp_path):
 # config validation
 # ---------------------------------------------------------------------------
 
-def test_all_shipped_configs_validate():
+def test_all_shipped_configs_validate(capsys):
     shipped = sorted(CONFIG_DIR.glob("*.json"))
     assert len(shipped) >= 4
     for path in shipped:
-        cfg = load_config(path)
-        assert cfg.repetitions >= 1
+        assert cli.main(["validate-config", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("ok: ")
 
 
 MUTATIONS = [
@@ -63,14 +64,35 @@ MUTATIONS = [
     ("typo_key=1", "typo_key"),
     ("eval.method=\"bootstrap\"", "eval.method"),
     ("domain_epsilon=2.0", "domain_epsilon"),
+    # configs no sweep can run
+    ('process={"kind":"gbm","horizon":10.0,"volatility":0.2}', "process.kind"),
+    pytest.param(('process={"kind":"basket_tree","horizon":2}',
+                  'feature={"kind":"basket_sum","eval_time":2}'), "process.kind",
+                 id="basket_tree-process.kind"),
+    ('payoff={"kind":"basket_call","strike":1}', "payoff.kind"),
+    ("feature.eval_time=20", "feature.eval_time"),
+    ('feature={"kind":"pair_u_T","eval_time":10.0,"intermediate_time":1.0}', "payoff.kind"),
+    pytest.param(('payoff={"kind":"square"}',
+                  'feature={"kind":"pair_u_T","eval_time":10.0,"intermediate_time":0}'),
+                 "feature.intermediate_time", id="pair_u_T_at_0-feature.intermediate_time"),
+    # removed keys, and volatilities that no sampler reads or that are not finite
+    ("process.dimension=1", "process.dimension"),
+    ("feature.output_dim=1", "feature.output_dim"),
+    ("process.volatility=0.2", "process.volatility"),
+    ('process={"kind":"gbm","horizon":10.0,"volatility":Infinity}', "process.volatility"),
 ]
+
+
+def _override_list(override) -> list[str]:
+    """A ``MUTATIONS`` override, one string or a tuple of them, as a list."""
+    return [override] if isinstance(override, str) else list(override)
 
 
 @pytest.mark.parametrize("override,needle", MUTATIONS)
 def test_mutated_configs_rejected_with_field_message(override, needle):
     from reglater.config import apply_overrides
 
-    doc = apply_overrides(TINY_CONFIG, [override])
+    doc = apply_overrides(TINY_CONFIG, _override_list(override))
     with pytest.raises(ConfigurationError) as err:
         validate_config_dict(doc)
     key = needle.split("=")[0].split(".")[-1].replace(" >= 2K+1", "")
@@ -91,6 +113,18 @@ def test_unknown_nested_key_rejected():
 def test_validate_config_verb(tiny_config_path, capsys):
     assert cli.main(["validate-config", str(tiny_config_path)]) == 0
     assert "ok" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("override,needle", MUTATIONS)
+def test_validate_config_and_run_refuse_alike(override, needle, tiny_config_path, tmp_path,
+                                              monkeypatch, capsys):
+    sets = [arg for item in _override_list(override) for arg in ("--set", item)]
+    assert cli.main(["validate-config", str(tiny_config_path), *sets]) == 2
+    refused = capsys.readouterr().err
+    assert refused.startswith("config error: ") and needle in refused
+    err = _run_refused_before_sampling([str(tiny_config_path), *sets], tmp_path, monkeypatch,
+                                       capsys)
+    assert err == refused
 
 
 def test_validate_config_rejects_malformed(tmp_path, capsys):
@@ -124,6 +158,27 @@ def test_report_csv_golden_digest(tmp_path):
     assert cli.main(args) == 0
     digest = hashlib.sha256((tmp_path / "report.csv").read_bytes()).hexdigest()
     assert digest == FIGURE1_REPS2_CSV_SHA256
+
+
+# sha256 of report.json, its "wall_time" line removed, from `reglater run` on
+# TINY_CONFIG and TINY_PAIRED_CONFIG: pins the rows, slopes, failures and the
+# config echo, byte for byte.
+TINY_REPORT_JSON_SHA256 = {
+    "growing": "3598f4be6d52c882cddf7a5f8d808fce1d9d6e59d15130155215bd474cefddbb",
+    "paired": "0b1e93f27c22efe8c224f1cbadcda94f4a6f540e36bcb0703612027463f41f53",
+}
+
+
+@pytest.mark.parametrize("doc,kind", [(TINY_CONFIG, "growing"), (TINY_PAIRED_CONFIG, "paired")],
+                         ids=["growing", "paired"])
+def test_report_json_golden_digest(doc, kind, tmp_path):
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["run", str(path), "-o", str(tmp_path / "out")]) == 0
+    text = (tmp_path / "out" / "report.json").read_text()
+    text, removed = re.subn(r'^  "wall_time": .*\n', "", text, flags=re.M)
+    assert removed == 1
+    assert hashlib.sha256(text.encode()).hexdigest() == TINY_REPORT_JSON_SHA256[kind]
 
 
 # sha256 of report.csv from `reglater run configs/figure2.json --set

@@ -314,13 +314,12 @@ def test_paired_failures_are_recorded_not_raised(monkeypatch):
 
 
 def test_paired_requires_supported_payoff():
-    cfg = rl.ExperimentConfig(
-        name="bad", process=rl.ProcessSpec("brownian", 10.0),
-        payoff=rl.PayoffSpec("tanh"),
-        feature=rl.FeatureSpec("pair_u_T", 10.0, intermediate_time=1.0),
-        sweep="growing_K", K_list=(4,), repetitions=1, seed=1, N_rule=(100.0, 2.01))
     with pytest.raises(ConfigurationError):
-        rl.now_vs_later_compare(cfg)
+        rl.ExperimentConfig(
+            name="bad", process=rl.ProcessSpec("brownian", 10.0),
+            payoff=rl.PayoffSpec("tanh"),
+            feature=rl.FeatureSpec("pair_u_T", 10.0, intermediate_time=1.0),
+            sweep="growing_K", K_list=(4,), repetitions=1, seed=1, N_rule=(100.0, 2.01))
 
 
 # ---------------------------------------------------------------------------

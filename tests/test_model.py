@@ -64,6 +64,33 @@ def test_inconsistent_pair_is_refused(brownian10):
                              rl.FeatureSpec("pair_u_T", 10.0, intermediate_time=1.0), 10, 0)
 
 
+@pytest.mark.parametrize("vol", [None, 0.0, -0.2, np.inf, np.nan])
+def test_gbm_needs_a_finite_positive_volatility(vol):
+    with pytest.raises(ConfigurationError, match="process.volatility"):
+        rl.ProcessSpec("gbm", 10.0, volatility=vol)
+
+
+@pytest.mark.parametrize("kind,horizon", [("brownian", 10.0), ("basket_tree", 2)])
+def test_volatility_refused_where_no_sampler_reads_it(kind, horizon):
+    with pytest.raises(ConfigurationError, match="process.volatility: not meaningful"):
+        rl.ProcessSpec(kind, horizon, volatility=0.2)
+    assert rl.ProcessSpec(kind, horizon).volatility is None
+
+
+def test_feature_dim_follows_the_kind():
+    assert rl.FeatureSpec("pair_u_T", 10.0, intermediate_time=1.0).dim == 2
+    for kind in ("terminal", "path_integral", "basket_sum"):
+        assert rl.FeatureSpec(kind, 2.0).dim == 1
+
+
+def test_feature_times_are_positive():
+    # at time 0 every feature is a constant, with no law to fit on
+    with pytest.raises(ConfigurationError, match="feature.eval_time"):
+        rl.FeatureSpec("terminal", 0.0)
+    with pytest.raises(ConfigurationError, match="feature.intermediate_time"):
+        rl.FeatureSpec("pair_u_T", 10.0, intermediate_time=0.0)
+
+
 def test_sampleset_is_immutable(brownian10, terminal10):
     s = rl.simulate_terminal(brownian10, terminal10, 100, seed=1)
     with pytest.raises(ValueError):
@@ -154,7 +181,7 @@ def test_path_integral_validations(brownian10):
     with pytest.raises(ConfigurationError):
         rl.simulate_path_integral(brownian10, T=1.0, steps=1, n=10, seed=0)
     with pytest.raises(ConfigurationError):
-        rl.simulate_path_integral(rl.ProcessSpec("basket_tree", 2, dimension=2),
+        rl.simulate_path_integral(rl.ProcessSpec("basket_tree", 2),
                                   T=1.0, steps=16, n=10, seed=0)
 
 
@@ -193,7 +220,7 @@ def test_tree_tower_property():
 
 
 def test_tree_sampling_matches_enumeration():
-    proc = rl.ProcessSpec("basket_tree", horizon=2, dimension=2)
+    proc = rl.ProcessSpec("basket_tree", horizon=2)
     s = rl.simulate_terminal(proc, rl.FeatureSpec("basket_sum", eval_time=2.0), 200_000, seed=6)
     mean_payoff = np.maximum(s.feature_column() - 10.0, 0.0).mean()
     assert abs(mean_payoff - 6.9375) < 0.05

@@ -64,8 +64,8 @@ DRAWERS = {
     "gbm-terminal": (ProcessSpec("gbm", horizon=2.0, volatility=0.3),
                      FeatureSpec("terminal", eval_time=2.0)),
     "path-integral": (ProcessSpec("brownian", horizon=1.0),
-                      FeatureSpec("path_integral", eval_time=1.0, output_dim=1)),
-    "basket-sum": (ProcessSpec("basket_tree", horizon=2.0, dimension=2),
+                      FeatureSpec("path_integral", eval_time=1.0)),
+    "basket-sum": (ProcessSpec("basket_tree", horizon=2.0),
                    FeatureSpec("basket_sum", eval_time=2.0)),
 }
 

@@ -82,12 +82,9 @@ def validate_config_dict(doc: dict) -> ExperimentConfig:
             f"config.schema_version: expected {SCHEMA_VERSION}, got {version!r}")
 
     p = _require_mapping(doc["process"], "process")
-    _check_keys(p, "process", {"kind", "horizon"}, {"volatility"})
-    process = ProcessSpec(
-        kind=_string(p, "process", "kind"),
-        horizon=_number(p, "process", "horizon"),
-        volatility=_number(p, "process", "volatility"),
-    )
+    _check_keys(p, "process", {"kind", "horizon"}, set())
+    process = ProcessSpec(kind=_string(p, "process", "kind"),
+                          horizon=_number(p, "process", "horizon"))
 
     f = _require_mapping(doc["feature"], "feature")
     _check_keys(f, "feature", {"kind", "eval_time"}, {"intermediate_time"})

@@ -101,14 +101,17 @@ class ExperimentConfig:
         if self.N_rule is not None and not all(map(math.isfinite, self.N_rule)):
             raise ConfigurationError(f"N_rule: c and b must be finite, got {self.N_rule}")
         if self.sweep == "growing_K":
-            if self.N_rule is None and (self.N_list is None or len(self.N_list) != len(self.K_list)):
-                raise ConfigurationError(
-                    "growing_K: needs N_rule or an N_list matching K_list")
+            if (self.N_rule is None) == (self.N_list is None):
+                raise ConfigurationError("N_rule, N_list: growing_K needs exactly one of them")
+            if self.N_list is not None and len(self.N_list) != len(self.K_list):
+                raise ConfigurationError("N_list: growing_K needs one N per K in K_list")
         else:
             if len(self.K_list) != 1:
                 raise ConfigurationError("fixed_K: exactly one K")
             if not self.N_list:
                 raise ConfigurationError("fixed_K: needs an explicit N_list")
+            if self.N_rule is not None:
+                raise ConfigurationError("N_rule: fixed_K takes its N from N_list, not a rule")
         if self.eval_method not in ("quadrature", "fresh_sample"):
             raise ConfigurationError(f"eval.method: unknown kind {self.eval_method!r}")
         if self.eval_multiplier < 1:
@@ -124,14 +127,18 @@ class ExperimentConfig:
                     f"point (K={K}, N={N}): {held_per_N * N} samples per repetition "
                     f"exceed the cap of {MAX_POINT_SAMPLES}")
         _check_pair(self.process, self.feature)
-        _later_law(self)  # raises where the sweep has no feature law to fit on
-        if self.payoff.kind == "basket_call":
-            raise ConfigurationError("payoff.kind: basket_call needs a vector feature, and "
-                                     "every sweep regresses on a univariate one")
         if self.feature.kind == "pair_u_T" and self.payoff.kind not in ("square", "identity"):
             raise ConfigurationError(
                 f"payoff.kind: the paired comparison needs a closed-form oracle payoff "
                 f"(square or identity), not {self.payoff.kind!r}")
+        # every basis the sweep builds, on every law it fits on; no quadrature
+        for (dist, _), K in itertools.product(_sweep_laws(self), sorted(set(self.K_list))):
+            try:
+                build_basis(dist, K)
+            except BasisConstructionError as exc:
+                raise ConfigurationError(
+                    f"domain_epsilon: {self.domain_epsilon!r} leaves no basis at K={K} ({exc})"
+                ) from None
 
     def points(self) -> list[tuple[int, int]]:
         """(K, N) per sweep point, in report order."""
@@ -396,7 +403,7 @@ def _run_points(config: ExperimentConfig, workers: int) -> ConvergenceReport:
     the payoff date; its slope is against K or N, as ``config.sweep`` says."""
     start = time.perf_counter()
     _keep_block_memory()
-    dist, dom = _later_law(config)
+    dist, dom = _sweep_laws(config)[0]
     sweep_variable = "K" if config.sweep == "growing_K" else "N"
 
     @functools.cache
@@ -447,12 +454,16 @@ def _run_points(config: ExperimentConfig, workers: int) -> ConvergenceReport:
                              plateau)
 
 
-def _later_law(config: ExperimentConfig) -> tuple[TruncatedNormal, Domain]:
-    """The truncated feature law at the payoff date that a sweep fits on."""
+def _sweep_laws(config: ExperimentConfig) -> list[tuple[TruncatedNormal, Domain]]:
+    """The truncated feature laws a sweep fits on: the law of the feature,
+    or for ``pair_u_T`` the laws of W at its payoff date and at its
+    intermediate date, in that order."""
     feat = config.feature
-    if feat.kind == "pair_u_T":
-        feat = FeatureSpec("terminal", feat.eval_time)
-    return truncated_feature_law(config.process, feat, config.domain_epsilon)
+    if feat.kind != "pair_u_T":
+        return [truncated_feature_law(config.process, feat, config.domain_epsilon)]
+    return [truncated_feature_law(config.process, FeatureSpec("terminal", t),
+                                  config.domain_epsilon)
+            for t in (feat.eval_time, feat.intermediate_time)]
 
 
 def run_growing_K(config: ExperimentConfig, workers: int = 1) -> ConvergenceReport:
@@ -542,13 +553,11 @@ def now_vs_later_compare(config: ExperimentConfig, workers: int = 1) -> PairedRe
         raise ConfigurationError("paired comparison needs a pair_u_T feature (fixes t and T)")
     t = config.feature.intermediate_time
     T = config.feature.eval_time
-    eps = config.domain_epsilon
     proc = config.process
 
     feat_T = FeatureSpec("terminal", T)
     feat_t = FeatureSpec("terminal", t)
-    dist_T, dom_T = truncated_feature_law(proc, feat_T, eps)
-    dist_t, dom_t = truncated_feature_law(proc, feat_t, eps)
+    (dist_T, dom_T), (dist_t, dom_t) = _sweep_laws(config)
 
     @functools.cache
     def per_K(K: int) -> tuple:

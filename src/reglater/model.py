@@ -1,13 +1,15 @@
 """Process simulation and path functionals.
 
-Simulators produce i.i.d. draws of the feature a payoff depends on (terminal
-value, path integral, (u, T) pair, basket sum).  All sampling is built on
-counter-based substreams, so a ``SampleSet`` is a pure function of
-``(spec, n, seed)`` whatever the execution schedule.
+The process is a driftless Brownian motion.  Simulators produce i.i.d.
+draws of the feature a payoff depends on (terminal value, path integral, or
+the (u, T) pair).  All sampling is built on counter-based substreams, so a
+``SampleSet`` is a pure function of ``(spec, n, seed)`` whatever the
+execution schedule.
 
 The discrete two-asset tree used to show that a basket sum at an early date
 does not determine the conditional expectation is evaluated in exact rational
-arithmetic, both by node recursion and by flat leaf enumeration.
+arithmetic, both by node recursion and by flat leaf enumeration; it is a
+table, not a process that is sampled.
 """
 from __future__ import annotations
 
@@ -24,8 +26,8 @@ from . import rng
 from .distributions import TruncatedNormal
 from .errors import ConfigurationError, SamplingError
 
-PROCESS_KINDS = ("brownian", "gbm", "basket_tree")
-FEATURE_KINDS = ("terminal", "path_integral", "pair_u_T", "basket_sum")
+PROCESS_KINDS = ("brownian",)
+FEATURE_KINDS = ("terminal", "path_integral", "pair_u_T")
 
 DEFAULT_INTEGRAL_STEPS = 256
 MIN_CONDITIONAL_MASS = 1e-6
@@ -33,26 +35,16 @@ MIN_CONDITIONAL_MASS = 1e-6
 
 @dataclass(frozen=True)
 class ProcessSpec:
-    """Underlying process: driftless Brownian motion, martingale GBM with
-    S(0)=1 (exact log-normal terminal law), or the discrete two-asset tree."""
+    """Underlying process: driftless Brownian motion W with W(0)=0."""
 
     kind: str
     horizon: float
-    volatility: float | None = None
 
     def __post_init__(self):
         if self.kind not in PROCESS_KINDS:
             raise ConfigurationError(f"process.kind: unknown kind {self.kind!r}")
         if not (np.isfinite(self.horizon) and self.horizon > 0):
             raise ConfigurationError("process.horizon: must be > 0")
-        if self.kind == "gbm":
-            sig = self.volatility
-            if sig is None or not (np.isfinite(sig) and sig > 0):
-                raise ConfigurationError("process.volatility: gbm needs a finite volatility > 0")
-        elif self.volatility is not None:
-            raise ConfigurationError(f"process.volatility: not meaningful for {self.kind!r}")
-        if self.kind == "basket_tree" and self.horizon != 2:
-            raise ConfigurationError("process.horizon: basket_tree runs over 2 periods")
 
 
 @dataclass(frozen=True)
@@ -170,43 +162,23 @@ def _checked_payoffs(payoffs, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _check_pair(proc: ProcessSpec, feat: FeatureSpec) -> None:
-    allowed = {
-        "brownian": {"terminal", "path_integral", "pair_u_T"},
-        "gbm": {"terminal", "path_integral"},
-        "basket_tree": {"basket_sum"},
-    }[proc.kind]
-    if feat.kind not in allowed:
-        raise ConfigurationError(f"feature.kind: {feat.kind!r} not available for {proc.kind!r}")
     if feat.eval_time > proc.horizon:
         raise ConfigurationError("feature.eval_time: beyond the process horizon")
-    if proc.kind == "basket_tree" and feat.eval_time not in (1, 2):
-        raise ConfigurationError("feature.eval_time: tree features exist at t=1 or t=2 only")
 
 
 def _measure_tag(proc: ProcessSpec) -> str:
-    if proc.kind == "brownian":
-        return f"brownian(T={proc.horizon:g}), driftless"
-    if proc.kind == "gbm":
-        return f"gbm(sigma={proc.volatility:g}, T={proc.horizon:g}), martingale with S(0)=1"
-    return "basket_tree, equiprobable branches"
+    return f"brownian(T={proc.horizon:g}), driftless"
 
 
 def _terminal_drawer(proc: ProcessSpec, feat: FeatureSpec) -> Callable:
     """Closure drawing m feature values (univariate kinds) from a generator."""
     t = feat.eval_time
-    if proc.kind == "brownian" and feat.kind == "terminal":
+    if feat.kind == "terminal":
         scale = np.sqrt(t)
         return lambda gen, m: scale * gen.standard_normal(m)
-    if proc.kind == "gbm" and feat.kind == "terminal":
-        sig = proc.volatility
-        return lambda gen, m: np.exp(-0.5 * sig * sig * t + sig * np.sqrt(t) * gen.standard_normal(m))
     if feat.kind == "path_integral":
         steps = DEFAULT_INTEGRAL_STEPS
-        return lambda gen, m: _draw_path_integrals(proc, t, steps, gen, m)
-    if proc.kind == "basket_tree" and feat.kind == "basket_sum":
-        sums = np.array([float(leaf.z1_values[int(t) - 1] + leaf.z2_values[int(t) - 1])
-                         for leaf in basket_tree_leaf_enumeration()])
-        return lambda gen, m: sums[gen.integers(0, len(sums), size=m)]
+        return lambda gen, m: _draw_path_integrals(t, steps, gen, m)
     raise ConfigurationError(f"no sampler for ({proc.kind}, {feat.kind})")
 
 
@@ -260,44 +232,31 @@ def simulate_conditional(proc: ProcessSpec, feat: FeatureSpec, dom: Domain,
     return SampleSet(vals.reshape(-1, 1), None, seed, n, domain_tag=dom, meta=meta)
 
 
-def _draw_path_integrals(proc: ProcessSpec, T: float, steps: int,
-                         gen: np.random.Generator, m: int) -> np.ndarray:
+def _draw_path_integrals(T: float, steps: int, gen: np.random.Generator, m: int) -> np.ndarray:
     """Trapezoidal integral of m paths on an equispaced grid, drawn from gen."""
     dt = T / steps
     out = np.empty(m)
     chunk = max(1, (1 << 22) // max(steps, 1))  # cap transient path storage
     done = 0
-    sig = proc.volatility
     while done < m:
         rows = min(chunk, m - done)
         z = gen.standard_normal((rows, steps))
         w = np.cumsum(z, axis=1) * np.sqrt(dt)
-        if proc.kind == "brownian":
-            grid = w
-            start = 0.0
-        elif proc.kind == "gbm":
-            tgrid = dt * np.arange(1, steps + 1)
-            grid = np.exp(-0.5 * sig * sig * tgrid + sig * w)
-            start = 1.0
-        else:
-            raise ConfigurationError("path integral requires brownian or gbm")
-        inner = np.sum(grid[:, :-1], axis=1)
-        out[done:done + rows] = dt * (0.5 * start + inner + 0.5 * grid[:, -1])
+        inner = np.sum(w[:, :-1], axis=1)  # W(0) = 0 adds nothing
+        out[done:done + rows] = dt * (inner + 0.5 * w[:, -1])
         done += rows
     return out
 
 
 def simulate_path_integral(proc: ProcessSpec, T: float, steps: int, n: int, seed: int) -> SampleSet:
-    """Feature = integral of Z over [0, T], trapezoid on ``steps`` intervals."""
-    if proc.kind not in ("brownian", "gbm"):
-        raise ConfigurationError("path integral requires brownian or gbm")
+    """Feature = integral of W over [0, T], trapezoid on ``steps`` intervals."""
     if steps < 2:
         raise ConfigurationError("steps: must be >= 2")
     if n < 1:
         raise ConfigurationError("n: must be >= 1")
     if not (0 < T <= proc.horizon):
         raise ConfigurationError("T: must lie in (0, horizon]")
-    vals = rng.block_map(n, lambda gen, m: _draw_path_integrals(proc, T, steps, gen, m),
+    vals = rng.block_map(n, lambda gen, m: _draw_path_integrals(T, steps, gen, m),
                          seed, "path-integral", steps)
     meta = {
         "measure": _measure_tag(proc),
@@ -312,11 +271,8 @@ def simulate_path_integral(proc: ProcessSpec, T: float, steps: int, n: int, seed
 # truncation defaults
 # ---------------------------------------------------------------------------
 
-def _gaussian_feature_params(proc: ProcessSpec, feat: FeatureSpec) -> tuple[float, float]:
-    """(mean, var) of the feature when it is exactly Gaussian."""
-    if proc.kind != "brownian":
-        raise ConfigurationError(
-            f"process.kind: analytic feature law available for brownian only, not {proc.kind!r}")
+def _gaussian_feature_params(feat: FeatureSpec) -> tuple[float, float]:
+    """(mean, var) of a univariate feature of Brownian motion (exactly Gaussian)."""
     if feat.kind == "terminal":
         return 0.0, feat.eval_time
     if feat.kind == "path_integral":
@@ -329,12 +285,7 @@ def central_domain(proc: ProcessSpec, feat: FeatureSpec, epsilon: float = 1e-4) 
     if not (0 < epsilon < 1):
         raise ConfigurationError("epsilon: must lie in (0, 1)")
     z = float(ndtri(1.0 - epsilon / 2.0))
-    if proc.kind == "gbm" and feat.kind == "terminal":
-        sig, t = proc.volatility, feat.eval_time
-        half = sig * np.sqrt(t) * z
-        mid = -0.5 * sig * sig * t
-        return Domain(float(np.exp(mid - half)), float(np.exp(mid + half)), 1.0 - epsilon)
-    mean, var = _gaussian_feature_params(proc, feat)
+    mean, var = _gaussian_feature_params(feat)
     half = z * float(np.sqrt(var))
     return Domain(mean - half, mean + half, 1.0 - epsilon)
 
@@ -342,7 +293,7 @@ def central_domain(proc: ProcessSpec, feat: FeatureSpec, epsilon: float = 1e-4) 
 def truncated_feature_law(proc: ProcessSpec, feat: FeatureSpec,
                           epsilon: float = 1e-4) -> tuple[TruncatedNormal, Domain]:
     """Analytic truncated law of a Gaussian feature plus its domain."""
-    mean, var = _gaussian_feature_params(proc, feat)
+    mean, var = _gaussian_feature_params(feat)
     dom = central_domain(proc, feat, epsilon)
     return TruncatedNormal(mean, var, dom.a1, dom.a2), dom
 

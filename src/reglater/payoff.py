@@ -2,10 +2,10 @@
 
 ``eval_payoff`` is exact pointwise evaluation of the payoff on feature
 values.  ``oracle_conditional`` supplies the *true* conditional expectation
-g(t, state) wherever it is knowable: closed forms for identity / square
-payoffs under Brownian motion and calls under GBM, and adaptive quadrature
-against the Gaussian transition density otherwise (used as ground truth for
-tanh, which admits no closed form).
+g(t, state) of a payoff of the Brownian state at the horizon wherever it is
+knowable: closed forms for identity / square payoffs, and adaptive
+Gauss-Hermite quadrature against the Gaussian transition density for those
+and tanh (used as ground truth for tanh, which admits no closed form).
 """
 from __future__ import annotations
 
@@ -13,13 +13,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import ndtr, roots_hermite
+from scipy.special import roots_hermite
 
 from .errors import ConfigurationError, UnsupportedOracleError
 from .model import ProcessSpec
 
-PAYOFF_KINDS = ("call", "basket_call", "asian_call", "tanh", "square", "identity")
-_CALL_KINDS = ("call", "basket_call", "asian_call")
+PAYOFF_KINDS = ("call", "asian_call", "tanh", "square", "identity")
+_CALL_KINDS = ("call", "asian_call")
 _MAX_HERMITE_POINTS = 1 << 13
 
 
@@ -56,18 +56,9 @@ class OracleSpec:
 
 
 def eval_payoff(spec: PayoffSpec, feature) -> np.ndarray | float:
-    """Pointwise payoff value(s).
-
-    Scalar payoff kinds apply elementwise; ``basket_call`` sums the last axis
-    of a vector feature first.
-    """
+    """Pointwise payoff value(s), elementwise."""
     x = np.asarray(feature, dtype=np.float64)
-    if spec.kind == "basket_call":
-        if x.ndim == 0:
-            raise ConfigurationError("payoff: basket_call expects a vector feature")
-        x = np.sum(x, axis=-1)
-        out = np.maximum(x - spec.strike, 0.0)
-    elif spec.kind in ("call", "asian_call"):
+    if spec.kind in _CALL_KINDS:
         out = np.maximum(x - spec.strike, 0.0)
     elif spec.kind == "tanh":
         out = np.tanh(x)
@@ -77,19 +68,6 @@ def eval_payoff(spec: PayoffSpec, feature) -> np.ndarray | float:
         out = x + 0.0
     else:  # pragma: no cover - blocked by PayoffSpec validation
         raise ConfigurationError(spec.kind)
-    return float(out) if out.ndim == 0 else out
-
-
-def gbm_call_closed_form(spot, strike: float, total_vol: float):
-    """E[(S_T - strike)^+ | S_t = spot] for a log-normal martingale,
-    total_vol = sigma * sqrt(T - t)."""
-    spot = np.asarray(spot, dtype=np.float64)
-    if np.any(spot <= 0):
-        raise ConfigurationError("gbm state must be positive")
-    if strike <= 0:
-        return spot - strike
-    d1 = (np.log(spot / strike) + 0.5 * total_vol**2) / total_vol
-    out = spot * ndtr(d1) - strike * ndtr(d1 - total_vol)
     return float(out) if out.ndim == 0 else out
 
 
@@ -103,59 +81,29 @@ def gauss_hermite_expectation(f, mean, sd, points: int, tolerance: float | None 
     """E[f(mean + sd * Z)] by Gauss-Hermite; doubles the rule until the
     change drops below ``tolerance`` (vectorized over mean/sd arrays)."""
     mean = np.asarray(mean, dtype=np.float64)
-    x, w = _hermite_rule(points)
-    shift = np.multiply.outer(sd * np.sqrt(2.0), x)
-    est = np.tensordot(f(mean[..., None] + shift), w, axes=([-1], [0]))
-    if tolerance is None:
-        return est
-    n = points
-    while n < _MAX_HERMITE_POINTS:
-        n *= 2
+    n, est = points, None
+    while True:
         x, w = _hermite_rule(n)
         shift = np.multiply.outer(sd * np.sqrt(2.0), x)
         new = np.tensordot(f(mean[..., None] + shift), w, axes=([-1], [0]))
-        if np.max(np.abs(new - est)) <= tolerance:
+        if (tolerance is None or n >= _MAX_HERMITE_POINTS
+                or (est is not None and np.max(np.abs(new - est)) <= tolerance)):
             return new
-        est = new
-    return est
-
-
-def _call_quadrature(spot: float, strike: float, total_vol: float, tolerance: float) -> float:
-    """Adaptive quadrature for the call under GBM, split at the payoff kink.
-
-    Gauss-Hermite stalls on the kinked integrand, so integrate the smooth
-    in-the-money branch in standardized log-space instead.
-    """
-    from scipy.integrate import quad  # imported here: only GBM calls need it
-
-    if strike <= 0:
-        return spot - strike
-    m = np.log(spot) - 0.5 * total_vol**2
-    zstar = (np.log(strike) - m) / total_vol
-    hi = max(zstar, total_vol) + 40.0
-    val, _ = quad(
-        lambda z: (spot * np.exp(-0.5 * total_vol**2 + total_vol * z) - strike)
-        * np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi),
-        zstar, hi, epsabs=0.1 * tolerance, epsrel=1e-13, limit=300)
-    return val
+        n, est = 2 * n, new
 
 
 def oracle_conditional(spec: PayoffSpec, proc: ProcessSpec, t: float, state,
                        oracle: OracleSpec = OracleSpec()) -> np.ndarray | float:
     """True conditional expectation of the payoff given the state at time t.
 
-    Supported pairs: identity / square / tanh under Brownian motion, call
-    under GBM.  ``closed_form`` raises for tanh; ``gauss_quadrature`` works
-    for any supported pair and must reproduce the closed forms.
+    Supported payoffs: identity / square / tanh.  ``closed_form`` raises for
+    tanh; ``gauss_quadrature`` works for every supported payoff and must
+    reproduce the closed forms.
     """
     T = proc.horizon
     if not (0 <= t <= T):
         raise ConfigurationError("oracle: t must lie in [0, horizon]")
-    supported = (
-        (proc.kind == "brownian" and spec.kind in ("identity", "square", "tanh"))
-        or (proc.kind == "gbm" and spec.kind == "call")
-    )
-    if not supported:
+    if spec.kind not in ("identity", "square", "tanh"):
         raise UnsupportedOracleError(
             f"no conditional-expectation oracle for ({spec.kind}, {proc.kind})")
     state_arr = np.asarray(state, dtype=np.float64)
@@ -167,19 +115,11 @@ def oracle_conditional(spec: PayoffSpec, proc: ProcessSpec, t: float, state,
             out = state_arr + 0.0
         elif spec.kind == "square":
             out = np.square(state_arr) + (T - t)
-        elif spec.kind == "call":
-            out = gbm_call_closed_form(state_arr, spec.strike, proc.volatility * np.sqrt(T - t))
         else:
             raise UnsupportedOracleError(
                 f"{spec.kind} has no closed form; use the quadrature oracle")
-        return float(out) if np.ndim(out) == 0 else out
-
-    if spec.kind == "call":  # kink-aware quadrature in log-space
-        vol = proc.volatility * np.sqrt(T - t)
-        flat = np.atleast_1d(state_arr)
-        vals = np.array([_call_quadrature(s, spec.strike, vol, oracle.tolerance) for s in flat])
-        return float(vals[0]) if state_arr.ndim == 0 else vals.reshape(state_arr.shape)
-    sd = np.sqrt(T - t)
-    out = gauss_hermite_expectation(lambda u: eval_payoff(spec, u), state_arr, sd,
-                                    oracle.quadrature_points, oracle.tolerance)
+    else:
+        out = gauss_hermite_expectation(lambda u: eval_payoff(spec, u), state_arr,
+                                        np.sqrt(T - t), oracle.quadrature_points,
+                                        oracle.tolerance)
     return float(out) if np.ndim(out) == 0 else out

@@ -65,7 +65,7 @@ MUTATIONS = [
     ("eval.method=\"bootstrap\"", "eval.method"),
     ("domain_epsilon=2.0", "domain_epsilon"),
     # configs no sweep can run
-    ('process={"kind":"gbm","horizon":10.0,"volatility":0.2}', "process.kind"),
+    ('process={"kind":"gbm","horizon":10.0}', "process.kind"),
     pytest.param(('process={"kind":"basket_tree","horizon":2}',
                   'feature={"kind":"basket_sum","eval_time":2}'), "process.kind",
                  id="basket_tree-process.kind"),
@@ -75,7 +75,12 @@ MUTATIONS = [
     pytest.param(('payoff={"kind":"square"}',
                   'feature={"kind":"pair_u_T","eval_time":10.0,"intermediate_time":0}'),
                  "feature.intermediate_time", id="pair_u_T_at_0-feature.intermediate_time"),
-    # removed keys, and volatilities that no sampler reads or that are not finite
+    # sweep points that would be dropped, and bases the sweep cannot build
+    ("N_list=[1000]", "N_list"),
+    pytest.param(('sweep="fixed_K"', "K_list=[4]", "N_list=[100,1000]"), "N_rule",
+                 id="fixed_K_with_N_rule-N_rule"),
+    ("domain_epsilon=0.99999", "domain_epsilon"),
+    # removed keys
     ("process.dimension=1", "process.dimension"),
     ("feature.output_dim=1", "feature.output_dim"),
     ("process.volatility=0.2", "process.volatility"),
@@ -162,10 +167,11 @@ def test_report_csv_golden_digest(tmp_path):
 
 # sha256 of report.json, its "wall_time" line removed, from `reglater run` on
 # TINY_CONFIG and TINY_PAIRED_CONFIG: pins the rows, slopes, failures and the
-# config echo, byte for byte.
+# config echo, byte for byte.  The config echo has no "volatility" key since
+# ProcessSpec lost that field; the rest of the text is unchanged.
 TINY_REPORT_JSON_SHA256 = {
-    "growing": "3598f4be6d52c882cddf7a5f8d808fce1d9d6e59d15130155215bd474cefddbb",
-    "paired": "0b1e93f27c22efe8c224f1cbadcda94f4a6f540e36bcb0703612027463f41f53",
+    "growing": "dff5b11b2600193c7ae6cb0ad922e6e207e2d7067d5dde26d40a0b510beb38e4",
+    "paired": "6e7d98ecc3e30f2c5534c97cf675a882ec0b5238f2f42825d26b456b0b5c2ba1",
 }
 
 

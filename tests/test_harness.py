@@ -80,6 +80,23 @@ def test_config_rejects_mismatched_lists():
             sweep="growing_K", K_list=(4, 8), repetitions=1, seed=1, N_list=(100,))
 
 
+@pytest.mark.parametrize("feature", [rl.FeatureSpec("terminal", 10.0),
+                                     rl.FeatureSpec("pair_u_T", 10.0, intermediate_time=1.0)],
+                         ids=["terminal", "pair_u_T"])
+def test_config_builds_every_basis_of_the_sweep(feature):
+    # at domain_epsilon = 0.99999 the K = 8 partition misses 1/K by 5.55e-12
+    def config(K_list):
+        return rl.ExperimentConfig(
+            name="t", process=rl.ProcessSpec("brownian", 10.0), payoff=rl.PayoffSpec("square"),
+            feature=feature, sweep="growing_K", K_list=K_list, repetitions=1, seed=1,
+            N_rule=(100.0, 2.01), domain_epsilon=0.99999)
+
+    config((4, 6, 12))  # these partitions hold their masses
+    with pytest.raises(ConfigurationError,
+                       match=r"^domain_epsilon: 0\.99999 leaves no basis at K=8 \(partition"):
+        config((4, 8, 12))
+
+
 def test_points_follow_the_rule():
     cfg = small_growing_config()
     assert cfg.points() == [(4, 1623), (6, 3666), (8, 6535)]

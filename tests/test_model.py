@@ -23,14 +23,6 @@ def test_brownian_terminal_variance_closed_form(brownian10, terminal10):
     assert abs(s.feature_column().var() - 10.0) < 0.02 * 10.0
 
 
-def test_gbm_terminal_is_martingale():
-    proc = rl.ProcessSpec("gbm", horizon=10.0, volatility=0.2)
-    s = rl.simulate_terminal(proc, rl.FeatureSpec("terminal", 10.0), 400_000, seed=5)
-    v = s.feature_column()
-    stderr = v.std(ddof=1) / np.sqrt(v.size)
-    assert abs(v.mean() - 1.0) < 3.0 * stderr
-
-
 def test_brownian_terminal_matches_normal_cdf(brownian10, terminal10):
     s = rl.simulate_terminal(brownian10, terminal10, 100_000, seed=17)
     stat = kstest(s.feature_column(), "norm", args=(0.0, np.sqrt(10.0))).statistic
@@ -57,29 +49,17 @@ def test_pair_feature_has_correlated_columns(brownian10):
 
 
 def test_inconsistent_pair_is_refused(brownian10):
-    with pytest.raises(ConfigurationError):
-        rl.simulate_terminal(brownian10, rl.FeatureSpec("basket_sum", 1.0), 10, 0)
-    with pytest.raises(ConfigurationError):
-        rl.simulate_terminal(rl.ProcessSpec("gbm", 10.0, volatility=0.2),
-                             rl.FeatureSpec("pair_u_T", 10.0, intermediate_time=1.0), 10, 0)
-
-
-@pytest.mark.parametrize("vol", [None, 0.0, -0.2, np.inf, np.nan])
-def test_gbm_needs_a_finite_positive_volatility(vol):
-    with pytest.raises(ConfigurationError, match="process.volatility"):
-        rl.ProcessSpec("gbm", 10.0, volatility=vol)
-
-
-@pytest.mark.parametrize("kind,horizon", [("brownian", 10.0), ("basket_tree", 2)])
-def test_volatility_refused_where_no_sampler_reads_it(kind, horizon):
-    with pytest.raises(ConfigurationError, match="process.volatility: not meaningful"):
-        rl.ProcessSpec(kind, horizon, volatility=0.2)
-    assert rl.ProcessSpec(kind, horizon).volatility is None
+    # a feature dated after the process horizon has no law under the process
+    late = rl.FeatureSpec("terminal", 20.0)
+    with pytest.raises(ConfigurationError, match="feature.eval_time: beyond the process horizon"):
+        rl.simulate_terminal(brownian10, late, 10, 0)
+    with pytest.raises(ConfigurationError, match="feature.eval_time: beyond the process horizon"):
+        rl.simulate_conditional(brownian10, late, rl.Domain(-1.0, 1.0, 0.5), 10, 0)
 
 
 def test_feature_dim_follows_the_kind():
     assert rl.FeatureSpec("pair_u_T", 10.0, intermediate_time=1.0).dim == 2
-    for kind in ("terminal", "path_integral", "basket_sum"):
+    for kind in ("terminal", "path_integral"):
         assert rl.FeatureSpec(kind, 2.0).dim == 1
 
 
@@ -181,8 +161,7 @@ def test_path_integral_validations(brownian10):
     with pytest.raises(ConfigurationError):
         rl.simulate_path_integral(brownian10, T=1.0, steps=1, n=10, seed=0)
     with pytest.raises(ConfigurationError):
-        rl.simulate_path_integral(rl.ProcessSpec("basket_tree", 2),
-                                  T=1.0, steps=16, n=10, seed=0)
+        rl.simulate_path_integral(brownian10, T=20.0, steps=16, n=10, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -217,13 +196,6 @@ def test_tree_tower_property():
     e_tower = sum((r.probability * r.expectation for r in rl.basket_tree_expectations()),
                   Fraction(0))
     assert e_direct == e_tower
-
-
-def test_tree_sampling_matches_enumeration():
-    proc = rl.ProcessSpec("basket_tree", horizon=2)
-    s = rl.simulate_terminal(proc, rl.FeatureSpec("basket_sum", eval_time=2.0), 200_000, seed=6)
-    mean_payoff = np.maximum(s.feature_column() - 10.0, 0.0).mean()
-    assert abs(mean_payoff - 6.9375) < 0.05
 
 
 # ---------------------------------------------------------------------------

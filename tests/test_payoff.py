@@ -3,7 +3,6 @@ import pytest
 
 import reglater as rl
 from reglater.errors import ConfigurationError, UnsupportedOracleError
-from reglater.payoff import gbm_call_closed_form
 
 
 def test_call_on_tree_leaf_sum():
@@ -16,15 +15,6 @@ def test_tanh_and_friends_pointwise():
     assert rl.eval_payoff(rl.PayoffSpec("tanh"), 0.0) == 0.0
     assert rl.eval_payoff(rl.PayoffSpec("square"), -3.0) == 9.0
     assert rl.eval_payoff(rl.PayoffSpec("identity"), 2.5) == 2.5
-
-
-def test_basket_call_sums_vector_feature():
-    spec = rl.PayoffSpec("basket_call", strike=10.0)
-    assert rl.eval_payoff(spec, np.array([14.0, 8.0])) == 12.0
-    out = rl.eval_payoff(spec, np.array([[14.0, 8.0], [3.0, 3.0]]))
-    assert np.allclose(out, [12.0, 0.0])
-    with pytest.raises(ConfigurationError):
-        rl.eval_payoff(spec, 5.0)
 
 
 def test_payoff_spec_validation():
@@ -69,11 +59,10 @@ def test_degenerate_oracle_returns_payoff(brownian10):
 
 
 def test_unsupported_pairs_raise(brownian10):
-    gbm = rl.ProcessSpec("gbm", horizon=10.0, volatility=0.2)
     with pytest.raises(UnsupportedOracleError):
         rl.oracle_conditional(rl.PayoffSpec("call", strike=1.0), brownian10, 1.0, 0.0)
     with pytest.raises(UnsupportedOracleError):
-        rl.oracle_conditional(rl.PayoffSpec("tanh"), gbm, 1.0, 1.0)
+        rl.oracle_conditional(rl.PayoffSpec("asian_call", strike=1.0), brownian10, 1.0, 1.0)
     with pytest.raises(UnsupportedOracleError):
         rl.oracle_conditional(rl.PayoffSpec("tanh"), brownian10, 1.0, 0.0,
                               rl.OracleSpec("closed_form"))
@@ -92,19 +81,6 @@ def test_quadrature_matches_closed_form_brownian(brownian10, kind):
         assert abs(cf - gq) < 1e-8 * max(1.0, abs(cf))
 
 
-def test_quadrature_matches_closed_form_gbm_call():
-    proc = rl.ProcessSpec("gbm", horizon=10.0, volatility=0.2)
-    spec = rl.PayoffSpec("call", strike=1.0)
-    gen = np.random.default_rng(2)
-    quad_oracle = rl.OracleSpec("gauss_quadrature", 128, 1e-9)
-    for _ in range(100):
-        t = gen.uniform(0.0, 9.9)
-        s = np.exp(gen.normal(-0.02 * t, 0.2 * np.sqrt(max(t, 0.05))))
-        cf = rl.oracle_conditional(spec, proc, t, s)
-        gq = rl.oracle_conditional(spec, proc, t, s, quad_oracle)
-        assert abs(cf - gq) < 1e-8
-
-
 def test_quadrature_point_doubling_converged(brownian10):
     spec = rl.PayoffSpec("tanh")
     a = rl.oracle_conditional(spec, brownian10, 1.0, 0.8, rl.OracleSpec("gauss_quadrature", 128, 1e-9))
@@ -121,8 +97,3 @@ def test_oracle_vectorizes_over_states(brownian10):
     assert np.all(np.diff(out) > 0)  # monotone in the state
     assert out[3] == pytest.approx(0.0, abs=1e-12)  # odd symmetry at 0
 
-
-def test_gbm_closed_form_edge_cases():
-    assert gbm_call_closed_form(2.0, 0.0, 0.3) == pytest.approx(2.0)
-    with pytest.raises(ConfigurationError):
-        gbm_call_closed_form(-1.0, 1.0, 0.3)

@@ -61,12 +61,8 @@ CHUNKS = (1, 63, 64, 1000, 7, 4096, 3)
 DRAWERS = {
     "brownian-terminal": (ProcessSpec("brownian", horizon=10.0),
                           FeatureSpec("terminal", eval_time=10.0)),
-    "gbm-terminal": (ProcessSpec("gbm", horizon=2.0, volatility=0.3),
-                     FeatureSpec("terminal", eval_time=2.0)),
     "path-integral": (ProcessSpec("brownian", horizon=1.0),
                       FeatureSpec("path_integral", eval_time=1.0)),
-    "basket-sum": (ProcessSpec("basket_tree", horizon=2.0),
-                   FeatureSpec("basket_sum", eval_time=2.0)),
 }
 
 

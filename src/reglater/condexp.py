@@ -6,6 +6,12 @@ fitted coefficient vector maps to the earlier-date conditional-expectation
 function with no additional projection error.  The transition is applied
 untruncated even though the basis lives on a truncated domain; the induced
 bias is of the order of the truncation mass.
+
+The matrix of transferred basis functions (``basis_condexp``) holds no
+coefficients: on a set of states it depends only on the basis, the states
+and the transition (for Brownian motion, on T - t alone), so a sweep builds
+it once per basis and evaluation grid and each fit's transfer is one
+matrix-vector product.
 """
 from __future__ import annotations
 
@@ -13,20 +19,13 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtr
 
+from ._normal import ndtr_array, phi
 from .basis import SieveBasis
 from .errors import ConfigurationError, JensenViolationError
 from .model import ProcessSpec, SampleSet
 from .payoff import OracleSpec, PayoffSpec, oracle_conditional
 from .regress import FitResult, predict
-
-_SQRT2PI = np.sqrt(2.0 * np.pi)
-
-
-def _phi(z):
-    return np.exp(-0.5 * np.square(z)) / _SQRT2PI
-
 
 @dataclass(frozen=True)
 class BrownianTransition:
@@ -77,8 +76,8 @@ def _brownian_bin_expectations(basis: SieveBasis, mu: np.ndarray, s: float) -> n
     edges = basis.partition.edges
     alpha = (edges[:-1][None, :] - mu[:, None]) / s
     beta = (edges[1:][None, :] - mu[:, None]) / s
-    mass = ndtr(beta) - ndtr(alpha)
-    first = (mu[:, None] - basis.centers[None, :]) * mass + s * (_phi(alpha) - _phi(beta))
+    mass = ndtr_array(beta) - ndtr_array(alpha)
+    first = (mu[:, None] - basis.centers[None, :]) * mass + s * (phi(alpha) - phi(beta))
     out = np.empty((mu.size, basis.dim))
     out[:, 0::2] = basis.norm0[None, :] * mass
     out[:, 1::2] = basis.norm1[None, :] * first
@@ -95,8 +94,8 @@ def _gbm_bin_expectations(basis: SieveBasis, spot: np.ndarray, v: float) -> np.n
     m = np.log(spot) - 0.5 * v * v
     a = (np.log(edges[:-1])[None, :] - m[:, None]) / v
     b = (np.log(edges[1:])[None, :] - m[:, None]) / v
-    mass = ndtr(b) - ndtr(a)
-    level = spot[:, None] * (ndtr(b - v) - ndtr(a - v))  # E[S 1_bin | state]
+    mass = ndtr_array(b) - ndtr_array(a)
+    level = spot[:, None] * (ndtr_array(b - v) - ndtr_array(a - v))  # E[S 1_bin | state]
     out = np.empty((spot.size, basis.dim))
     out[:, 0::2] = basis.norm0[None, :] * mass
     out[:, 1::2] = basis.norm1[None, :] * (level - basis.centers[None, :] * mass)

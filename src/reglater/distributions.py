@@ -8,24 +8,19 @@ normalization constants carry no quadrature error.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import comb
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
+from ._normal import ndtr, ndtri, phi
 from .errors import ConfigurationError
-
-_SQRT2PI = np.sqrt(2.0 * np.pi)
-
-
-def _phi(z):
-    return np.exp(-0.5 * np.square(z)) / _SQRT2PI
 
 
 def _gaussian_power_integrals(alpha: float, beta: float, jmax: int) -> list[float]:
     """I_j = int_alpha^beta z^j phi(z) dz for j = 0..jmax (stable recursion)."""
-    pa, pb = float(_phi(alpha)), float(_phi(beta))
-    out = [float(ndtr(beta) - ndtr(alpha))]
+    pa, pb = float(phi(alpha)), float(phi(beta))
+    out = [ndtr(beta) - ndtr(alpha)]
     if jmax >= 1:
         out.append(pa - pb)
     for j in range(2, jmax + 1):
@@ -91,19 +86,21 @@ class TruncatedNormal:
         if mass <= 0:
             raise ConfigurationError("truncation interval carries no probability mass")
 
-    @property
+    # The law's constants are computed once per instance (fields are frozen;
+    # equality and hashing see only the fields).
+    @cached_property
     def sigma(self) -> float:
         return float(np.sqrt(self.var))
 
-    @property
+    @cached_property
     def _f1(self) -> float:
-        return float(ndtr((self.lower - self.mean) / self.sigma))
+        return ndtr((self.lower - self.mean) / self.sigma)
 
-    @property
+    @cached_property
     def _f2(self) -> float:
-        return float(ndtr((self.upper - self.mean) / self.sigma))
+        return ndtr((self.upper - self.mean) / self.sigma)
 
-    @property
+    @cached_property
     def truncation_mass(self) -> float:
         """Mass of [lower, upper] under the untruncated normal."""
         return self._f2 - self._f1
@@ -118,12 +115,12 @@ class TruncatedNormal:
 
     def quantile(self, p: float) -> float:
         level = self._f1 + p * (self._f2 - self._f1)
-        return self.mean + self.sigma * float(ndtri(level))
+        return self.mean + self.sigma * ndtri(level)
 
     def density(self, u):
         u = np.asarray(u, dtype=np.float64)
         inside = (u >= self.lower) & (u <= self.upper)
-        vals = _phi((u - self.mean) / self.sigma) / (self.sigma * self.truncation_mass)
+        vals = phi((u - self.mean) / self.sigma) / (self.sigma * self.truncation_mass)
         return np.where(inside, vals, 0.0)
 
     def partial_central_moments(self, lo: float, hi: float, center: float, jmax: int) -> list[float]:

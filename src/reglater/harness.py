@@ -34,7 +34,8 @@ import numpy as np
 from . import _kernels, rng
 from .basis import (SieveBasis, approx_error_moments, build_basis, gauss_legendre, h_tilde,
                     projection_coefficients)
-from .condexp import BrownianTransition, TransferSpec, condexp_estimate
+from .condexp import BrownianTransition, TransferSpec, basis_condexp
+from .condexp import condexp_estimate  # noqa: F401  (not called; perfbench/tracer.py wraps it here)
 from .distributions import TruncatedNormal
 from .errors import (BasisConstructionError, ConfigurationError, DegenerateDesignError,
                      SamplingError)
@@ -134,7 +135,7 @@ class ExperimentConfig:
         # every basis the sweep builds, on every law it fits on; no quadrature
         for (dist, _), K in itertools.product(_sweep_laws(self), sorted(set(self.K_list))):
             try:
-                build_basis(dist, K)
+                _basis(dist, K)
             except BasisConstructionError as exc:
                 raise ConfigurationError(
                     f"domain_epsilon: {self.domain_epsilon!r} leaves no basis at K={K} ({exc})"
@@ -147,6 +148,14 @@ class ExperimentConfig:
         if self.N_list is not None:
             return list(zip(self.K_list, (int(n) for n in self.N_list)))
         return [(K, _ruled_N(*self.N_rule, K)) for K in self.K_list]
+
+
+@functools.lru_cache(maxsize=64)
+def _basis(dist: TruncatedNormal, K: int) -> SieveBasis:
+    """``build_basis(dist, K)``, built once per process: the config gate
+    builds every basis of a sweep and the sweep reuses them.  Sharing is safe,
+    a ``SieveBasis`` holds only read-only arrays."""
+    return build_basis(dist, K)
 
 
 def _ruled_N(c: float, b: float, K: int) -> int:
@@ -401,6 +410,9 @@ def _payoff_blocks(payoff: PayoffSpec, blocks: Iterable[SampleSet]) -> Iterator[
 def _run_points(config: ExperimentConfig, workers: int) -> ConvergenceReport:
     """The growing-K or fixed-K sweep of ``config``, on the feature law at
     the payoff date; its slope is against K or N, as ``config.sweep`` says."""
+    if config.feature.kind == "pair_u_T":
+        raise ConfigurationError("feature.kind: a 'pair_u_T' config is the paired comparison's; "
+                                 "run it with now_vs_later_compare")
     start = time.perf_counter()
     _keep_block_memory()
     dist, dom = _sweep_laws(config)[0]
@@ -408,7 +420,7 @@ def _run_points(config: ExperimentConfig, workers: int) -> ConvergenceReport:
 
     @functools.cache
     def per_K(K: int) -> tuple[SieveBasis, np.ndarray, float]:
-        basis = build_basis(dist, K)
+        basis = _basis(dist, K)
         alpha = projection_coefficients(config.payoff, basis, dist)
         approx = approx_error_moments(config.payoff, basis, dist, coefficients=alpha)
         return basis, alpha, approx.mean_square
@@ -536,6 +548,7 @@ class _PairedSetup:
     grid: np.ndarray  # evaluation states at t: 24 Gauss-Legendre nodes per bin of basis_t
     wq: np.ndarray  # quadrature weights times the density at t
     truth: np.ndarray  # closed-form E[payoff | state at t] on the grid
+    transfer: np.ndarray  # E[e_k(W_T) | W_t = grid], one row per grid state
 
 
 def now_vs_later_compare(config: ExperimentConfig, workers: int = 1) -> PairedReport:
@@ -561,8 +574,8 @@ def now_vs_later_compare(config: ExperimentConfig, workers: int = 1) -> PairedRe
 
     @functools.cache
     def per_K(K: int) -> tuple:
-        basis_T = build_basis(dist_T, K)
-        basis_t = build_basis(dist_t, K)
+        basis_T = _basis(dist_T, K)
+        basis_t = _basis(dist_t, K)
         xg, wg = gauss_legendre(24)
         edges = basis_t.partition.edges
         mid = 0.5 * (edges[1:] + edges[:-1])
@@ -570,7 +583,10 @@ def now_vs_later_compare(config: ExperimentConfig, workers: int = 1) -> PairedRe
         grid = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
         wq = (half[:, None] * wg[None, :]).ravel() * dist_t.density(grid)
         truth = oracle_conditional(config.payoff, proc, t, grid, OracleSpec("closed_form"))
-        return basis_T, basis_t, grid, wq, truth
+        # coefficient-free, so every fit at this K transfers by one product with it
+        transfer = basis_condexp(
+            TransferSpec(BrownianTransition(t, T), basis_T, np.zeros(basis_T.dim)), grid)
+        return basis_T, basis_t, grid, wq, truth, transfer
 
     setups = [_PairedSetup(K, N, *per_K(K)) for K, N in config.points()]
 
@@ -585,8 +601,7 @@ def now_vs_later_compare(config: ExperimentConfig, workers: int = 1) -> PairedRe
                             rng.derive_seed(config.seed, "later", K, N, rep)) for rep in batch])
 
         def transfer_mse(rep: int, fit) -> float:
-            spec = TransferSpec(BrownianTransition(t, T), pt.basis_T, fit.coefficients)
-            return float(np.sum(wq * (truth - condexp_estimate(spec, grid)) ** 2))
+            return float(np.sum(wq * (truth - pt.transfer @ fit.coefficients) ** 2))
 
         mse_lat = _each(transfer_mse, batch, later)
         # Regress-Now: states at t, fresh continuations to T, direct regression

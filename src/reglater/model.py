@@ -20,9 +20,9 @@ from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import rng
+from ._normal import ndtri
 from .distributions import TruncatedNormal
 from .errors import ConfigurationError, SamplingError
 
@@ -284,7 +284,7 @@ def central_domain(proc: ProcessSpec, feat: FeatureSpec, epsilon: float = 1e-4) 
     """Central 1-epsilon interval of the feature law (inverse-CDF edges)."""
     if not (0 < epsilon < 1):
         raise ConfigurationError("epsilon: must lie in (0, 1)")
-    z = float(ndtri(1.0 - epsilon / 2.0))
+    z = ndtri(1.0 - epsilon / 2.0)
     mean, var = _gaussian_feature_params(feat)
     half = z * float(np.sqrt(var))
     return Domain(mean - half, mean + half, 1.0 - epsilon)

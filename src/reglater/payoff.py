@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_hermite
 
 from .errors import ConfigurationError, UnsupportedOracleError
 from .model import ProcessSpec
@@ -73,6 +72,8 @@ def eval_payoff(spec: PayoffSpec, feature) -> np.ndarray | float:
 
 @lru_cache(maxsize=16)
 def _hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    from scipy.special import roots_hermite  # only the quadrature oracle needs scipy
+
     x, w = roots_hermite(n)
     return x, w / np.sqrt(np.pi)
 

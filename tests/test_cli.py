@@ -444,17 +444,38 @@ def test_oracle_spec_validation():
         rl.OracleSpec(tolerance=0.0)
 
 
-def test_import_leaves_scipy_linalg_and_integrate_unloaded():
-    # no sweep needs them: a fresh `import reglater` must not pay for them
+NO_SCIPY_CHILD = """
+import sys
+from pathlib import Path
+import reglater
+from reglater import cli
+from reglater.config import load_config
+configs, out = Path(sys.argv[1]), Path(sys.argv[2])
+for path in sorted(configs.glob("*.json")):
+    load_config(path)
+for name, sets in (("figure1", ["K_list=[4,6,8]", "repetitions=2"]),
+                   ("now_vs_later_fixed", ["N_list=[100,200,400]", "repetitions=2"])):
+    argv = ["run", str(configs / f"{name}.json"), "-o", str(out / name)]
+    for item in sets:
+        argv += ["--set", item]
+    assert cli.main(argv) == 0, name
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
+
+
+def test_import_config_and_runs_load_no_scipy(tmp_path):
+    # the normal CDF and quantile are ported; only the Gauss-Hermite oracle
+    # and the tests need scipy, so a fresh import, every shipped config and a
+    # sweep of each kind must not pay for it
     import os
     import subprocess
     import sys
 
     import reglater
 
-    code = ("import sys, reglater; "
-            "print(sorted(m for m in ('scipy.linalg', 'scipy.integrate') if m in sys.modules))")
     src = str(Path(reglater.__file__).resolve().parent.parent)
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
-    assert out.stdout.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", NO_SCIPY_CHILD, str(CONFIG_DIR), str(tmp_path)],
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert out.stdout.strip().splitlines()[-1] == "[]"
+    assert (tmp_path / "now_vs_later_fixed" / "report.csv").is_file()

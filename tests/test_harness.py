@@ -2,12 +2,14 @@ import platform
 import resource
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import reglater as rl
 from reglater import harness
+from reglater.config import load_config
 from reglater.errors import ConfigurationError
 
 
@@ -337,6 +339,37 @@ def test_paired_requires_supported_payoff():
             payoff=rl.PayoffSpec("tanh"),
             feature=rl.FeatureSpec("pair_u_T", 10.0, intermediate_time=1.0),
             sweep="growing_K", K_list=(4,), repetitions=1, seed=1, N_rule=(100.0, 2.01))
+
+
+@pytest.mark.parametrize("sweep", ["growing_K", "fixed_K"])
+def test_univariate_sweeps_refuse_a_paired_config(sweep, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        pytest.fail("sampled before refusing the config")
+
+    monkeypatch.setattr(harness, "simulate_conditional", no_sampling)
+    run = rl.run_growing_K if sweep == "growing_K" else rl.run_fixed_K
+    with pytest.raises(ConfigurationError,
+                       match=r"^feature\.kind: .*'pair_u_T'.*now_vs_later_compare"):
+        run(paired_config(sweep, reps=1))
+
+
+@pytest.mark.parametrize("name", ["figure1", "now_vs_later_fixed"])
+def test_each_basis_is_built_once_per_law_and_k(name, monkeypatch):
+    harness._basis.cache_clear()
+    built = []
+    real = harness.build_basis
+
+    def counting(dist, K):
+        built.append((dist, K))
+        return real(dist, K)
+
+    monkeypatch.setattr(harness, "build_basis", counting)
+    cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / f"{name}.json",
+                      ["repetitions=1"])
+    run = rl.now_vs_later_compare if cfg.feature.kind == "pair_u_T" else rl.run_growing_K
+    run(cfg)
+    expected = [(dist, K) for dist, _ in harness._sweep_laws(cfg) for K in cfg.K_list]
+    assert sorted(built, key=repr) == sorted(expected, key=repr)
 
 
 # ---------------------------------------------------------------------------

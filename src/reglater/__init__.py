@@ -1,26 +1,55 @@
 """Regress-Later / Regress-Now least squares Monte Carlo on an orthonormal
-piecewise-linear sieve basis, with a convergence-rate experiment harness."""
+piecewise-linear sieve basis, with a convergence-rate experiment harness.
 
-from ._kernels import BACKEND as kernel_backend
-from .basis import (ApproxErrorMoments, BinPartition, SieveBasis, approx_error_moments,
-                    bin_moments, build_basis, build_partition, gram_diagnostics, h_tilde,
-                    projection_coefficients, quadrature_gram)
-from .condexp import (BrownianTransition, GbmTransition, TransferSpec, basis_condexp,
-                      condexp_estimate, jensen_check)
-from .distributions import DistSpec, Empirical, TruncatedNormal, Uniform
+Only the error classes load with the package.  Every other public name, and
+every submodule, is imported on first access (PEP 562), so validating a
+config (``reglater.config``) never loads the sweep engine (``harness``).
+"""
+import importlib
+
 from .errors import (BasisConstructionError, ConfigurationError, DegenerateDesignError,
                      JensenViolationError, ReglaterError, SamplingError,
                      UnsupportedOracleError)
-from .harness import (ConvergenceReport, ExperimentConfig, PairedReport, fit_loglog_slope,
-                      now_vs_later_compare, run_fixed_K, run_growing_K)
-from .model import (Domain, FeatureSpec, ProcessSpec, SampleSet, basket_tree_expectations,
-                    basket_tree_expectations_from_leaves, basket_tree_leaf_enumeration,
-                    central_domain, simulate_conditional, simulate_path_integral,
-                    simulate_terminal, truncated_feature_law)
-from .payoff import OracleSpec, PayoffSpec, eval_payoff, oracle_conditional
-from .regress import (FitResult, NowDiagnostics, coefficient_error, predict,
-                      regress_later_fit, regress_now_fit)
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+_ERRORS = ("BasisConstructionError", "ConfigurationError", "DegenerateDesignError",
+           "JensenViolationError", "ReglaterError", "SamplingError", "UnsupportedOracleError")
+
+# public name -> the submodule that defines it
+_EXPORTS = {name: module for module, names in {
+    "basis": ("ApproxErrorMoments", "BinPartition", "SieveBasis", "approx_error_moments",
+              "bin_moments", "build_basis", "build_partition", "gram_diagnostics", "h_tilde",
+              "projection_coefficients", "quadrature_gram"),
+    "condexp": ("BrownianTransition", "GbmTransition", "TransferSpec", "basis_condexp",
+                "condexp_estimate", "jensen_check"),
+    "config": ("ExperimentConfig",),
+    "distributions": ("DistSpec", "Empirical", "TruncatedNormal", "Uniform"),
+    "harness": ("ConvergenceReport", "PairedReport", "fit_loglog_slope",
+                "now_vs_later_compare", "run_fixed_K", "run_growing_K"),
+    "model": ("Domain", "FeatureSpec", "ProcessSpec", "SampleSet", "central_domain",
+              "simulate_conditional", "simulate_path_integral", "simulate_terminal",
+              "truncated_feature_law"),
+    "payoff": ("OracleSpec", "PayoffSpec", "eval_payoff", "oracle_conditional"),
+    "regress": ("FitResult", "NowDiagnostics", "coefficient_error", "predict",
+                "regress_later_fit", "regress_now_fit"),
+    "tree": ("basket_tree_expectations", "basket_tree_expectations_from_leaves",
+             "basket_tree_leaf_enumeration"),
+}.items() for name in names}
+
+_SUBMODULES = ("_kernels", "_normal", "basis", "cli", "condexp", "config", "distributions",
+               "errors", "harness", "model", "payoff", "regress", "rng", "svgplot", "tree")
+
+__all__ = sorted((*_ERRORS, *_EXPORTS))
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:  # not cached here: the name stays its module's attribute
+        return getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -16,7 +16,6 @@ from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from . import _kernels
 from .distributions import DistSpec, Empirical
@@ -235,6 +234,8 @@ def _require_density(dist: DistSpec) -> None:
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights of order n on [-1, 1], computed once
     per order and shared (read-only)."""
+    from numpy.polynomial.legendre import leggauss  # loads numpy.polynomial; the gate needs none
+
     xg, wg = leggauss(n)
     xg.setflags(write=False)
     wg.setflags(write=False)

@@ -18,11 +18,10 @@ import json
 import os
 import sys
 import tempfile
-from fractions import Fraction
 from pathlib import Path
 
 from . import config as config_mod
-from . import harness, model, svgplot
+from . import harness, svgplot
 from .basis import build_basis
 from .errors import ConfigurationError, ReglaterError
 
@@ -30,8 +29,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_BASKET = 4
-
-_EXPECTED_TREE_VALUES = {(12, 6): Fraction(25, 4), (6, 12): Fraction(7)}
 
 
 def atomic_write(path: Path, text: str) -> None:
@@ -84,8 +81,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_basket_check(_args) -> int:
-    recursive = model.basket_tree_expectations()
-    flat = model.basket_tree_expectations_from_leaves()
+    from . import tree  # rational arithmetic (fractions): only this verb loads it
+
+    recursive = tree.basket_tree_expectations()
+    flat = tree.basket_tree_expectations_from_leaves()
     by_node = {(row.z1, row.z2): row for row in recursive}
     flat_by_node = {(row.z1, row.z2): row for row in flat}
     if set(by_node) != set(flat_by_node) or any(
@@ -93,18 +92,18 @@ def _cmd_basket_check(_args) -> int:
         print("basket-check: recursive and leaf enumerations disagree", file=sys.stderr)
         return EXIT_BASKET
 
-    total = Fraction(0)
+    total = 0
     for (z1, z2), row in sorted(by_node.items(), reverse=True):
         total += row.probability * row.expectation
         print(f"node Z1(1)={z1:>2d} Z2(1)={z2:>2d}  prob={row.probability}  "
               f"E[X|node]={row.expectation} ({float(row.expectation):g})")
-    leaf_total = sum((leaf.probability * leaf.payoff
-                      for leaf in model.basket_tree_leaf_enumeration()), Fraction(0))
+    leaf_total = sum(leaf.probability * leaf.payoff
+                     for leaf in tree.basket_tree_leaf_enumeration())
     print(f"E[X] = {total} ({float(total):g}); leaf enumeration gives {leaf_total}")
     if total != leaf_total:
         print("basket-check: tower property violated", file=sys.stderr)
         return EXIT_BASKET
-    for node, expected in _EXPECTED_TREE_VALUES.items():
+    for node, expected in tree.REFERENCE_VALUES.items():
         if by_node[node].expectation != expected:
             print(f"basket-check: node {node} expected {expected}, "
                   f"got {by_node[node].expectation}", file=sys.stderr)
@@ -114,7 +113,7 @@ def _cmd_basket_check(_args) -> int:
 
 def _cmd_basis_dump(args) -> int:
     cfg = config_mod.load_config(args.config, args.set or [])
-    dist, _ = harness._sweep_laws(cfg)[0]
+    dist, _ = config_mod._sweep_laws(cfg)[0]
     text = build_basis(dist, args.K).to_json() + "\n"
     if args.output:
         atomic_write(Path(args.output), text)

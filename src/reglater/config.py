@@ -1,20 +1,160 @@
-"""Versioned JSON experiment configs.
+"""Versioned JSON experiment configs, and the one config gate.
 
 Validation is fail-closed: unknown keys anywhere in the document are
 rejected, and every complaint names the offending field.  A silent typo in a
 rate experiment would corrupt the whole report, so nothing is guessed.
+``ExperimentConfig`` makes every check a sweep makes before sampling, and
+builds every basis the sweep will fit on; the sweep engine (``harness``)
+is not imported to validate a config.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import json
+import math
+from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ConfigurationError
-from .harness import ExperimentConfig
-from .model import FeatureSpec, ProcessSpec
+from . import rng
+from .basis import SieveBasis, build_basis
+from .distributions import TruncatedNormal
+from .errors import BasisConstructionError, ConfigurationError
+from .model import Domain, FeatureSpec, ProcessSpec, _check_pair, truncated_feature_law
 from .payoff import PayoffSpec
 
 SCHEMA_VERSION = 1
+
+# Most samples one repetition may draw: N, or eval.multiplier * N for
+# fresh-sample evaluation.  Repetitions stream their samples one rng block at
+# a time, so memory does not grow with N (peak RSS about 5 MB above the import
+# floor at N = 2**20 and at 2**25); the cap bounds the time of one
+# repetition instead, about 2.3 s at the cap for a K = 5 fit on a 2-vCPU
+# x86-64 VM.
+MAX_POINT_SAMPLES = 2**25
+# Most repetitions per point.  A sweep holds every repetition's value until
+# it aggregates, and each point's list of batches while it runs the point;
+# worker threads keep only a few tasks per worker in flight.  Where each
+# repetition is a batch of its own (N above half an rng block) that costs
+# about 150 B per repetition (230 B for the paired comparison's value pairs),
+# traced by tracemalloc and in RSS alike, at 1, 2 or 8 workers on a 2-vCPU
+# x86-64 VM: about 0.15-0.25 GB per point at the cap.
+MAX_REPETITIONS = 10**6
+
+
+@dataclass(frozen=True, kw_only=True)
+class ExperimentConfig:
+    """Everything a sweep needs.  Construction makes every check a sweep
+    makes before sampling, raising ``ConfigurationError`` naming the field.
+    Fields are in the order ``report.json`` echoes them (``asdict``)."""
+
+    name: str
+    process: ProcessSpec
+    payoff: PayoffSpec
+    feature: FeatureSpec
+    sweep: str  # growing_K | fixed_K
+    K_list: tuple[int, ...]
+    N_rule: tuple[float, float] | None = None  # N = ceil(c * K**b)
+    N_list: tuple[int, ...] | None = None
+    repetitions: int
+    seed: int
+    eval_method: str = "quadrature"  # quadrature | fresh_sample
+    eval_multiplier: int = 10
+    domain_epsilon: float = 1e-4
+
+    def __post_init__(self):
+        if self.sweep not in ("growing_K", "fixed_K"):
+            raise ConfigurationError(f"sweep: unknown kind {self.sweep!r}")
+        if self.repetitions < 1:
+            raise ConfigurationError("repetitions: must be >= 1")
+        if self.repetitions > MAX_REPETITIONS:
+            raise ConfigurationError(f"repetitions: {self.repetitions} exceed the cap of "
+                                     f"{MAX_REPETITIONS}")
+        seed_bound = 1 << (rng.KEY_INT_BITS - 1)
+        if not -seed_bound <= self.seed < seed_bound:
+            raise ConfigurationError(
+                f"seed: {self.seed} lies outside the signed {rng.KEY_INT_BITS}-bit range "
+                f"of the rng's keys [-2**{rng.KEY_INT_BITS - 1}, 2**{rng.KEY_INT_BITS - 1})")
+        if not self.K_list or any(k < 1 for k in self.K_list):
+            raise ConfigurationError("K_list: needs at least one K >= 1")
+        if self.N_rule is not None and not all(map(math.isfinite, self.N_rule)):
+            raise ConfigurationError(f"N_rule: c and b must be finite, got {self.N_rule}")
+        if self.sweep == "growing_K":
+            if (self.N_rule is None) == (self.N_list is None):
+                raise ConfigurationError("N_rule, N_list: growing_K needs exactly one of them")
+            if self.N_list is not None and len(self.N_list) != len(self.K_list):
+                raise ConfigurationError("N_list: growing_K needs one N per K in K_list")
+        else:
+            if len(self.K_list) != 1:
+                raise ConfigurationError("fixed_K: exactly one K")
+            if not self.N_list:
+                raise ConfigurationError("fixed_K: needs an explicit N_list")
+            if self.N_rule is not None:
+                raise ConfigurationError("N_rule: fixed_K takes its N from N_list, not a rule")
+        if self.eval_method not in ("quadrature", "fresh_sample"):
+            raise ConfigurationError(f"eval.method: unknown kind {self.eval_method!r}")
+        if self.eval_multiplier < 1:
+            raise ConfigurationError("eval.multiplier: must be >= 1")
+        if not (0 < self.domain_epsilon < 1):
+            raise ConfigurationError("domain_epsilon: must lie in (0, 1)")
+        held_per_N = self.eval_multiplier if self.eval_method == "fresh_sample" else 1
+        for K, N in self.points():
+            if N < 2 * K + 1:
+                raise ConfigurationError(f"point (K={K}, N={N}): needs N >= 2K+1")
+            if held_per_N * N > MAX_POINT_SAMPLES:
+                raise ConfigurationError(
+                    f"point (K={K}, N={N}): {held_per_N * N} samples per repetition "
+                    f"exceed the cap of {MAX_POINT_SAMPLES}")
+        _check_pair(self.process, self.feature)
+        if self.feature.kind == "pair_u_T" and self.payoff.kind not in ("square", "identity"):
+            raise ConfigurationError(
+                f"payoff.kind: the paired comparison needs a closed-form oracle payoff "
+                f"(square or identity), not {self.payoff.kind!r}")
+        # every basis the sweep builds, on every law it fits on; no quadrature
+        for (dist, _), K in itertools.product(_sweep_laws(self), sorted(set(self.K_list))):
+            try:
+                _basis(dist, K)
+            except BasisConstructionError as exc:
+                raise ConfigurationError(
+                    f"domain_epsilon: {self.domain_epsilon!r} leaves no basis at K={K} ({exc})"
+                ) from None
+
+    def points(self) -> list[tuple[int, int]]:
+        """(K, N) per sweep point, in report order."""
+        if self.sweep == "fixed_K":
+            return [(self.K_list[0], int(n)) for n in self.N_list]
+        if self.N_list is not None:
+            return list(zip(self.K_list, (int(n) for n in self.N_list)))
+        return [(K, _ruled_N(*self.N_rule, K)) for K in self.K_list]
+
+
+@functools.lru_cache(maxsize=64)
+def _basis(dist: TruncatedNormal, K: int) -> SieveBasis:
+    """``build_basis(dist, K)``, built once per process: the config gate
+    builds every basis of a sweep and the sweep reuses them.  Sharing is safe,
+    a ``SieveBasis`` holds only read-only arrays."""
+    return build_basis(dist, K)
+
+
+def _ruled_N(c: float, b: float, K: int) -> int:
+    """N = ceil(c * K**b) of a sweep point; ``ConfigurationError`` where it
+    is not finite."""
+    try:
+        return int(math.ceil(c * K**b))
+    except OverflowError:
+        raise ConfigurationError(f"N_rule: N = ceil({c!r} * {K}**{b!r}) is not finite") from None
+
+
+def _sweep_laws(config: ExperimentConfig) -> list[tuple[TruncatedNormal, Domain]]:
+    """The truncated feature laws a sweep fits on: the law of the feature,
+    or for ``pair_u_T`` the laws of W at its payoff date and at its
+    intermediate date, in that order."""
+    feat = config.feature
+    if feat.kind != "pair_u_T":
+        return [truncated_feature_law(config.process, feat, config.domain_epsilon)]
+    return [truncated_feature_law(config.process, FeatureSpec("terminal", t),
+                                  config.domain_epsilon)
+            for t in (feat.eval_time, feat.intermediate_time)]
 
 
 def _require_mapping(doc, where: str) -> dict:

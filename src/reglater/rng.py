@@ -20,7 +20,6 @@ memory.
 """
 from __future__ import annotations
 
-import hashlib
 import math
 
 import numpy as np
@@ -33,6 +32,8 @@ KEY_INT_BITS = 128  # an integer key part is hashed as this many bits, signed
 def philox_key(*parts) -> np.ndarray:
     """Derive a 128-bit Philox key from integers (each within the signed
     ``KEY_INT_BITS``-bit range) and/or short strings."""
+    import hashlib  # here: it loads OpenSSL, and validating a config draws nothing
+
     h = hashlib.blake2b(digest_size=16)
     for p in parts:
         if isinstance(p, (bool, np.bool_)):

@@ -7,7 +7,6 @@ guide of slope -4 through the first MSE point.
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
 
 WIDTH, HEIGHT = 640, 480
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 20, 50
@@ -16,6 +15,13 @@ SERIES_STYLE = {
     "approx_l2": 'fill="none" stroke="#7f7f7f" stroke-width="1.5" stroke-dasharray="6 3"',
 }
 GUIDE_SLOPE = -4.0
+
+
+def escape(text: str) -> str:
+    """``&``, ``<`` and ``>`` as XML entities, in that order: what
+    ``xml.sax.saxutils.escape`` does, without loading ``xml.sax`` (which pulls
+    in ``urllib`` and the network stack)."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _decades(lo: float, hi: float) -> list[int]:

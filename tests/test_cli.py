@@ -7,9 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from reglater import cli, harness, rng
-from reglater.config import load_config, validate_config_dict
+from reglater import cli, harness, rng, svgplot
+from reglater.config import MAX_POINT_SAMPLES, MAX_REPETITIONS, load_config, validate_config_dict
 from reglater.errors import ConfigurationError, SamplingError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -228,7 +230,7 @@ def test_run_oversized_point_exits_2_before_sampling(tmp_path, capsys, monkeypat
     assert code == 2
     err = capsys.readouterr().err
     assert "point (K=2000, N=431588925)" in err
-    assert str(harness.MAX_POINT_SAMPLES) in err
+    assert str(MAX_POINT_SAMPLES) in err
     assert peak < 2**20
     assert not outdir.exists()
 
@@ -236,7 +238,7 @@ def test_run_oversized_point_exits_2_before_sampling(tmp_path, capsys, monkeypat
 def test_fresh_sample_multiplier_counts_against_the_cap():
     doc = {key: v for key, v in TINY_CONFIG.items() if key != "N_rule"}
     doc.update(sweep="fixed_K", K_list=[4], eval={"method": "fresh_sample", "multiplier": 10})
-    cap = harness.MAX_POINT_SAMPLES
+    cap = MAX_POINT_SAMPLES
     validate_config_dict(dict(doc, N_list=[1000, cap // 10]))
     with pytest.raises(ConfigurationError, match=f"N={cap // 10 + 1}"):
         validate_config_dict(dict(doc, N_list=[1000, cap // 10 + 1]))
@@ -286,7 +288,7 @@ def test_seed_outside_the_rng_key_range_exits_2(tmp_path, monkeypatch, capsys):
 
 
 def test_repetitions_cap_exits_2_before_any_allocation(tmp_path, monkeypatch, capsys):
-    cap = harness.MAX_REPETITIONS
+    cap = MAX_REPETITIONS
     err = _run_refused_before_sampling([str(CONFIG_DIR / "figure1.json"), "--set",
                                         "repetitions=100000000000"], tmp_path, monkeypatch, capsys)
     assert "config error: repetitions" in err
@@ -410,6 +412,13 @@ def test_plot_rejects_wrong_header(tmp_path, capsys):
     csv = tmp_path / "bad.csv"
     csv.write_text("K,N,mse\n4,100,0.1\n8,400,0.01\n")
     assert cli.main(["plot", str(csv), "-o", str(tmp_path / "x.svg")]) == 2
+
+
+@given(st.text())
+def test_svg_escape_matches_saxutils(text):
+    from xml.sax.saxutils import escape
+
+    assert svgplot.escape(text) == escape(text)
 
 
 def test_outdir_env_var_used(tiny_config_path, tmp_path, monkeypatch):

@@ -1,14 +1,16 @@
 import platform
 import resource
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import reglater as rl
-from reglater import harness
+from reglater import config, harness
 from reglater.config import load_config
 from reglater.errors import ConfigurationError
 
@@ -355,21 +357,53 @@ def test_univariate_sweeps_refuse_a_paired_config(sweep, monkeypatch):
 
 @pytest.mark.parametrize("name", ["figure1", "now_vs_later_fixed"])
 def test_each_basis_is_built_once_per_law_and_k(name, monkeypatch):
-    harness._basis.cache_clear()
+    # the config gate's basis cache calls the builder, so it is counted there
+    config._basis.cache_clear()
     built = []
-    real = harness.build_basis
+    real = config.build_basis
 
     def counting(dist, K):
         built.append((dist, K))
         return real(dist, K)
 
-    monkeypatch.setattr(harness, "build_basis", counting)
+    monkeypatch.setattr(config, "build_basis", counting)
     cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / f"{name}.json",
                       ["repetitions=1"])
     run = rl.now_vs_later_compare if cfg.feature.kind == "pair_u_T" else rl.run_growing_K
     run(cfg)
-    expected = [(dist, K) for dist, _ in harness._sweep_laws(cfg) for K in cfg.K_list]
+    expected = [(dist, K) for dist, _ in config._sweep_laws(cfg) for K in cfg.K_list]
     assert sorted(built, key=repr) == sorted(expected, key=repr)
+
+
+@pytest.mark.parametrize("workers", [2, 8])
+def test_threaded_sweep_keeps_a_bounded_window_of_tasks(workers):
+    # one repetition per batch: while the head task waits, only the tasks of
+    # its window may start; with every task submitted up front all would
+    window = harness._TASKS_PER_WORKER * workers
+    setups = [SimpleNamespace(K=K, N=rl.rng.BLOCK_SIZE) for K in (1, 2, 3)]
+    reps = 4 * window
+    lock = threading.Lock()
+    others = threading.Condition(lock)
+    state = {"started": 0, "head_done": False, "ahead": 0}
+
+    def run_batch(pt, batch):
+        if pt is setups[0] and batch[0] == 0:
+            with others:  # head: wait until its window is full, then a little more
+                others.wait_for(lambda: state["started"] >= window - 1, timeout=5.0)
+                others.wait(timeout=0.05)
+                state["ahead"] = state["started"]
+                state["head_done"] = True
+        else:
+            with others:
+                if not state["head_done"]:
+                    state["started"] += 1
+                    others.notify_all()
+        return [float(rep) for rep in batch]
+
+    values, failures = harness._sweep(setups, reps, run_batch, workers)
+    assert failures == []
+    assert values == [[float(rep) for rep in range(reps)]] * 3
+    assert state["ahead"] == window - 1
 
 
 # ---------------------------------------------------------------------------

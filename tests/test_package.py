@@ -1,0 +1,83 @@
+"""The package namespace and what importing it loads."""
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import reglater
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+SRC = str(Path(reglater.__file__).resolve().parent.parent)
+
+
+def _child_modules(code: str, *args: str) -> set[str]:
+    """The modules a fresh interpreter holds after running ``code``."""
+    code += "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
+    out = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=120)
+    return set(json.loads(out.stdout.strip().splitlines()[-1]))
+
+
+GATE_CHILD = """
+import sys
+from pathlib import Path
+import reglater, reglater.config
+for path in sorted(Path(sys.argv[1]).glob("*.json")):
+    reglater.config.load_config(path)
+"""
+
+# what the config gate does not need: the sweep engine and what only it loads
+NOT_LOADED_BY_THE_GATE = ("reglater.harness", "reglater.regress", "reglater.condexp",
+                          "reglater.cli", "reglater.svgplot", "reglater.tree",
+                          "concurrent.futures", "numpy.polynomial", "fractions")
+
+
+def test_import_and_load_config_leave_the_sweep_engine_unloaded():
+    loaded = _child_modules(GATE_CHILD, str(CONFIG_DIR))
+    assert "reglater.config" in loaded and "reglater.basis" in loaded
+    assert sorted(loaded.intersection(NOT_LOADED_BY_THE_GATE)) == []
+    assert sorted(m for m in loaded if m.partition(".")[0] == "scipy") == []
+
+
+def test_cli_import_loads_no_network_or_xml_module():
+    # urllib.parse is left out: pathlib imports it, with or without reglater
+    loaded = _child_modules("import reglater.cli")
+    network = {m for m in loaded
+               if m.partition(".")[0] in ("http", "email", "ssl", "xml")
+               or (m.startswith("urllib.") and m != "urllib.parse")}
+    assert sorted(network) == []
+
+
+def test_every_exported_name_is_its_defining_modules_attribute():
+    for name in reglater.__all__:
+        module = importlib.import_module(f"reglater.{reglater._EXPORTS.get(name, 'errors')}")
+        assert getattr(reglater, name) is getattr(module, name), name
+
+
+def test_dir_lists_every_exported_name_and_submodule():
+    names = dir(reglater)
+    assert "__all__" in names and set(reglater.__all__) <= set(names)
+    assert {"harness", "config", "_kernels", "__version__"} <= set(names)
+
+
+def test_star_import_binds_every_exported_name():
+    namespace: dict = {}
+    exec("from reglater import *", namespace)
+    assert set(reglater.__all__) <= set(namespace)
+    assert namespace["run_growing_K"] is reglater.harness.run_growing_K
+
+
+def test_submodules_resolve_as_attributes():
+    code = ("import reglater\n"
+            "assert reglater.harness.now_vs_later_compare\n"
+            "assert reglater._kernels.BACKEND\n")
+    assert "reglater.harness" in _child_modules(code)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
+        reglater.not_a_name

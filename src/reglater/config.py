@@ -36,9 +36,9 @@ MAX_POINT_SAMPLES = 2**25
 # it aggregates, and each point's list of batches while it runs the point;
 # worker threads keep only a few tasks per worker in flight.  Where each
 # repetition is a batch of its own (N above half an rng block) that costs
-# about 150 B per repetition (230 B for the paired comparison's value pairs),
-# traced by tracemalloc and in RSS alike, at 1, 2 or 8 workers on a 2-vCPU
-# x86-64 VM: about 0.15-0.25 GB per point at the cap.
+# about 160 B of RSS per repetition (260 B for the paired comparison's value
+# pairs; 150 and 230 B traced by tracemalloc) at 1, 2 or 8 workers on a
+# 2-vCPU x86-64 VM: about 0.16-0.26 GB per point at the cap.
 MAX_REPETITIONS = 10**6
 
 

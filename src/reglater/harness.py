@@ -206,7 +206,7 @@ def _in_order(fn: Callable, tasks: Iterable, workers: int) -> Iterator:
     """``fn(task)`` of every task on ``workers`` threads, yielded in task
     order.  At most ``_TASKS_PER_WORKER * workers`` tasks are submitted and
     not yet yielded, so the futures held do not grow with the task count."""
-    from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import ThreadPoolExecutor  # only threaded sweeps load it
 
     window = _TASKS_PER_WORKER * workers
     pending: collections.deque = collections.deque()

@@ -24,7 +24,7 @@ _EXPORTS = {name: module for module, names in {
     "condexp": ("BrownianTransition", "GbmTransition", "TransferSpec", "basis_condexp",
                 "condexp_estimate", "jensen_check"),
     "config": ("ExperimentConfig",),
-    "distributions": ("DistSpec", "Empirical", "TruncatedNormal", "Uniform"),
+    "distributions": ("DistSpec", "TruncatedNormal", "Uniform"),
     "harness": ("ConvergenceReport", "PairedReport", "fit_loglog_slope",
                 "now_vs_later_compare", "run_fixed_K", "run_growing_K"),
     "model": ("Domain", "FeatureSpec", "ProcessSpec", "SampleSet", "central_domain",

@@ -18,14 +18,12 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import _kernels
-from .distributions import DistSpec, Empirical
+from .distributions import DistSpec
 from .errors import BasisConstructionError, ConfigurationError
 from .model import Domain, SampleSet
 from .payoff import PayoffSpec, eval_payoff
 
 ANALYTIC_MASS_TOL = 1e-12
-EMPIRICAL_MASS_TOL = 1e-3
-MIN_PILOT_FACTOR = 10
 QUAD_TOL = 1e-10
 
 
@@ -36,7 +34,6 @@ class BinPartition:
     edges: np.ndarray
     K: int
     domain: Domain
-    mode: str  # analytic | empirical
 
     def __post_init__(self):
         edges = np.asarray(self.edges, dtype=np.float64)
@@ -46,14 +43,8 @@ class BinPartition:
             raise BasisConstructionError("partition: edges must be strictly increasing")
         if edges[0] != self.domain.a1 or edges[-1] != self.domain.a2:
             raise BasisConstructionError("partition: edges must span the domain exactly")
-        if self.mode not in ("analytic", "empirical"):
-            raise BasisConstructionError(f"partition: unknown mode {self.mode!r}")
         edges.setflags(write=False)
         object.__setattr__(self, "edges", edges)
-
-    @property
-    def widths(self) -> np.ndarray:
-        return np.diff(self.edges)
 
 
 @dataclass(frozen=True)
@@ -97,7 +88,6 @@ class SieveBasis:
         dom = self.partition.domain
         return {
             "K": self.K,
-            "mode": self.partition.mode,
             "domain": {"a1": dom.a1, "a2": dom.a2, "mass": dom.mass},
             "edges": self.partition.edges.tolist(),
             "centers": self.centers.tolist(),
@@ -109,51 +99,25 @@ class SieveBasis:
         return json.dumps(self.to_json_dict(), indent=indent)
 
 
-def basis_from_json_dict(doc: dict) -> SieveBasis:
-    dom = Domain(doc["domain"]["a1"], doc["domain"]["a2"], doc["domain"]["mass"])
-    part = BinPartition(np.asarray(doc["edges"], dtype=np.float64), int(doc["K"]), dom, doc["mode"])
-    return SieveBasis(part, np.asarray(doc["centers"]), np.asarray(doc["norm0"]),
-                      np.asarray(doc["norm1"]))
-
-
 # ---------------------------------------------------------------------------
 # construction
 # ---------------------------------------------------------------------------
 
-def _law_mass(dist: DistSpec) -> float:
-    """Mass of the support under the original (untruncated) feature law."""
-    return getattr(dist, "truncation_mass", 1.0)
-
-
 def build_partition(dist: DistSpec, K: int) -> BinPartition:
-    """Equal-probability edges: inverse CDF for analytic laws, order
-    statistics of the pilot for empirical ones."""
+    """Equal-probability edges from the law's inverse CDF."""
     if K < 1:
         raise ConfigurationError("K: must be >= 1")
     a1, a2 = dist.support
-    if isinstance(dist, Empirical):
-        n = dist.sample.size
-        if n < MIN_PILOT_FACTOR * K:
-            raise ConfigurationError(
-                f"empirical partition needs a pilot of at least {MIN_PILOT_FACTOR * K} "
-                f"points for K={K}, got {n}")
-        edges = np.array([a1] + [dist.quantile(k / K) for k in range(1, K)] + [a2])
-        if not np.all(np.diff(edges) > 0):
-            raise BasisConstructionError("empirical partition degenerate: repeated edges")
-        mode = "empirical"
-        tol = max(EMPIRICAL_MASS_TOL, 2.0 / n)
-    else:
-        edges = np.array([dist.quantile(k / K) for k in range(K + 1)])
-        edges[0], edges[-1] = a1, a2  # pin the outer edges exactly
-        mode = "analytic"
-        tol = ANALYTIC_MASS_TOL
-    part = BinPartition(edges, K, Domain(a1, a2, _law_mass(dist)), mode)
+    edges = np.array([dist.quantile(k / K) for k in range(K + 1)])
+    edges[0], edges[-1] = a1, a2  # pin the outer edges exactly
+    # the domain's mass under the untruncated law (1 for a uniform law)
+    part = BinPartition(edges, K, Domain(a1, a2, getattr(dist, "truncation_mass", 1.0)))
     masses = np.array([dist.partial_central_moments(lo, hi, 0.0, 0)[0]
                        for lo, hi in zip(edges[:-1], edges[1:])])
-    if np.max(np.abs(masses - 1.0 / K)) > tol:
+    if np.max(np.abs(masses - 1.0 / K)) > ANALYTIC_MASS_TOL:
         raise BasisConstructionError(
             f"partition masses deviate from 1/K by {np.max(np.abs(masses - 1.0/K)):.2e} "
-            f"(tolerance {tol:.0e})")
+            f"(tolerance {ANALYTIC_MASS_TOL:.0e})")
     return part
 
 
@@ -225,11 +189,6 @@ def gram_diagnostics(basis: SieveBasis, sample) -> GramDiagnostics:
     return GramDiagnostics(*map(float, _block_stats(_gram_blocks_from_qr(qr.R[0], n))))
 
 
-def _require_density(dist: DistSpec) -> None:
-    if not dist.analytic:
-        raise ConfigurationError("operation requires an analytic feature law")
-
-
 @lru_cache(maxsize=32)
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights of order n on [-1, 1], computed once
@@ -249,7 +208,6 @@ def quadrature_gram(basis: SieveBasis, dist: DistSpec, nodes_per_bin: int = 64) 
     entries are structurally zero (disjoint supports), within-bin entries are
     integrated against the density.
     """
-    _require_density(dist)
     K = basis.K
     edges = basis.partition.edges
     xg, wg = gauss_legendre(nodes_per_bin)
@@ -273,8 +231,6 @@ def h_tilde(basis: SieveBasis, dist: DistSpec, N: int) -> float:
     Disjoint supports reduce the square of the 2K-term sum to per-bin terms
     K^2 1_k + 2 K C1_k^2 1_k (U-c_k)^2 + C1_k^4 1_k (U-c_k)^4.
     """
-    if basis.partition.mode != "analytic":
-        raise ConfigurationError("h_tilde requires an analytic basis")
     if N < 1:
         raise ConfigurationError("N: must be >= 1")
     K = basis.K
@@ -319,7 +275,6 @@ def _adaptive_bin_quad(f: Callable, lo: float, hi: float, tol: float = QUAD_TOL,
 
 def projection_coefficients(g, basis: SieveBasis, dist: DistSpec) -> np.ndarray:
     """True (population) coefficients alpha_k = E[g e_k] by quadrature."""
-    _require_density(dist)
     gf = _as_function(g)
     K = basis.K
     edges = basis.partition.edges
@@ -355,7 +310,6 @@ class ApproxErrorMoments:
 def approx_error_moments(gT, basis: SieveBasis, dist: DistSpec,
                          coefficients: np.ndarray | None = None) -> ApproxErrorMoments:
     """L2 and fourth-moment errors of the quadrature projection of gT."""
-    _require_density(dist)
     gf = _as_function(gT)
     alpha = projection_coefficients(gf, basis, dist) if coefficients is None else coefficients
     K = basis.K

@@ -21,7 +21,6 @@ import tempfile
 from pathlib import Path
 
 from . import config as config_mod
-from . import harness, svgplot
 from .basis import build_basis
 from .errors import ConfigurationError, ReglaterError
 
@@ -52,6 +51,8 @@ def _default_outdir(arg: str | None) -> Path:
 
 
 def _cmd_run(args) -> int:
+    from . import harness  # the sweep engine: only run and plot load it
+
     overrides = list(args.set or [])
     if args.seed is not None:
         overrides.append(f"seed={args.seed}")
@@ -124,6 +125,8 @@ def _cmd_basis_dump(args) -> int:
 
 
 def _cmd_plot(args) -> int:
+    from . import harness, svgplot  # harness only for CSV_HEADER
+
     path = Path(args.report_csv)
     try:
         with open(path, newline="") as fh:

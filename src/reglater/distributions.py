@@ -1,13 +1,13 @@
 """Feature laws the sieve basis can be built on.
 
-Three laws are supported: uniform, normal truncated to a compact interval,
-and the empirical law of a pilot sample.  The first two are *analytic*: bin
-masses and partial central moments come from closed forms, so the basis
-normalization constants carry no quadrature error.
+Two laws are supported: uniform, and normal truncated to a compact
+interval.  Both are analytic: bin masses and partial central moments come
+from closed forms, so the basis normalization constants carry no quadrature
+error, and both have a density for the quadratures.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 
@@ -42,10 +42,6 @@ class Uniform:
     @property
     def support(self) -> tuple[float, float]:
         return (self.a, self.b)
-
-    @property
-    def analytic(self) -> bool:
-        return True
 
     def quantile(self, p: float) -> float:
         return self.a + (self.b - self.a) * p
@@ -109,10 +105,6 @@ class TruncatedNormal:
     def support(self) -> tuple[float, float]:
         return (self.lower, self.upper)
 
-    @property
-    def analytic(self) -> bool:
-        return True
-
     def quantile(self, p: float) -> float:
         level = self._f1 + p * (self._f2 - self._f1)
         return self.mean + self.sigma * ndtri(level)
@@ -141,49 +133,4 @@ class TruncatedNormal:
         return out
 
 
-@dataclass(frozen=True)
-class Empirical:
-    """Empirical law of a pilot sample; moments are pilot averages."""
-
-    sample: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        arr = np.sort(np.asarray(self.sample, dtype=np.float64))
-        if arr.ndim != 1 or arr.size < 2:
-            raise ConfigurationError("empirical law needs a 1-d pilot of size >= 2")
-        if not np.all(np.isfinite(arr)):
-            raise ConfigurationError("pilot sample contains non-finite values")
-        object.__setattr__(self, "sample", arr)
-        self.sample.setflags(write=False)
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return (float(self.sample[0]), float(self.sample[-1]))
-
-    @property
-    def analytic(self) -> bool:
-        return False
-
-    def quantile(self, p: float) -> float:
-        n = self.sample.size
-        if p <= 0.0:
-            return float(self.sample[0])
-        if p >= 1.0:
-            return float(self.sample[-1])
-        return float(self.sample[min(int(np.ceil(p * n)) - 1, n - 1)])
-
-    def density(self, u):
-        raise ConfigurationError("empirical law has no density; use an analytic law")
-
-    def partial_central_moments(self, lo: float, hi: float, center: float, jmax: int) -> list[float]:
-        hi_edge = self.support[1]
-        if hi >= hi_edge:
-            mask = (self.sample >= lo) & (self.sample <= hi)  # close the top bin
-        else:
-            mask = (self.sample >= lo) & (self.sample < hi)
-        d = self.sample[mask] - center
-        n = self.sample.size
-        return [float(np.sum(d**j)) / n for j in range(jmax + 1)]
-
-
-DistSpec = Uniform | TruncatedNormal | Empirical
+DistSpec = Uniform | TruncatedNormal

@@ -14,7 +14,7 @@ class SamplingError(ReglaterError):
 
 
 class BasisConstructionError(ReglaterError):
-    """Sieve basis cannot be built (degenerate bins, bad pilot, ...)."""
+    """Sieve basis cannot be built (degenerate bins, bin masses off 1/K, ...)."""
 
 
 class DegenerateDesignError(ReglaterError):

@@ -38,7 +38,6 @@ from .model import SampleSet
 
 COLUMN_NORM_TOL = 1e-10
 RANK_TOL = 1e-10
-PROJECTION_ERROR_TOL = 1e-8
 # Block factors merged by one batched QR: fewer, larger merges cost less
 # interpreter time (which threads cannot share), and the held factors stay
 # O(K) at any N.
@@ -63,31 +62,17 @@ class FitResult:
         coef.setflags(write=False)
         object.__setattr__(self, "coefficients", coef)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "n": self.n,
-            "rank": self.rank,
-            "dropped_columns": list(self.dropped_columns),
-            "residual_l2": self.residual_l2,
-            "gram_frobenius_dist": self.gram_frobenius_dist,
-            "gram_lambda_min": self.gram_lambda_min,
-            "coefficients": self.coefficients.tolist(),
-        }
-
 
 @dataclass(frozen=True)
 class NowDiagnostics:
     """Residual variance estimate of the time-t regression.
 
-    sigma2 estimates the projection-error variance; the flag is a heuristic
-    (sigma2 above 1e-8).  Constancy of the conditional variance is assumed by
-    the rate theory but not tested here: it fails for most payoffs, and only
-    the average enters the K/N term.
+    sigma2 estimates the projection-error variance.  Constancy of the
+    conditional variance is assumed by the rate theory but not tested here:
+    it fails for most payoffs, and only the average enters the K/N term.
     """
 
     residual_variance_estimate: float
-    projection_error_present: bool
 
 
 def predict(basis: SieveBasis, coefficients: np.ndarray, u) -> np.ndarray:
@@ -274,7 +259,7 @@ def regress_now_fit(samples, basis: SieveBasis, fits: int | None = None):
 def _now_diagnostics(fit: FitResult) -> NowDiagnostics:
     df = fit.n - fit.rank
     sigma2 = fit.residual_l2 ** 2 / df if df > 0 else float("nan")
-    return NowDiagnostics(float(sigma2), bool(sigma2 > PROJECTION_ERROR_TOL))
+    return NowDiagnostics(float(sigma2))
 
 
 def coefficient_error(fit: FitResult, basis: SieveBasis, gT, dist: DistSpec,

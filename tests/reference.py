@@ -1,7 +1,8 @@
 """Dense references that the tests check the per-bin kernels and fits
 against: the dense design matrix of the sieve basis, basis evaluation, and
-least squares by column-pivoted QR.  No sweep takes these paths, so they
-live with the tests, not in the package."""
+least squares by column-pivoted QR; also the JSON forms of a basis (read
+back) and of a fit.  No sweep takes these paths, so they live with the
+tests, not in the package."""
 from __future__ import annotations
 
 from typing import NamedTuple
@@ -11,9 +12,10 @@ import scipy.linalg
 
 from reglater import _kernels
 from reglater._kernels import BinnedQR
-from reglater.basis import SieveBasis
+from reglater.basis import BinPartition, SieveBasis
 from reglater.errors import ConfigurationError, DegenerateDesignError
-from reglater.regress import COLUMN_NORM_TOL, RANK_TOL
+from reglater.model import Domain
+from reglater.regress import COLUMN_NORM_TOL, RANK_TOL, FitResult
 
 
 def first_fit(qr: BinnedQR) -> BinnedQR:
@@ -97,3 +99,25 @@ def ols_fit(design_rows, targets) -> DenseFit:
         gram_lambda_min=float(eig[0]),
         n=n,
     )
+
+
+def basis_from_json_dict(doc: dict) -> SieveBasis:
+    """The basis that ``SieveBasis.to_json_dict`` serialized."""
+    dom = Domain(doc["domain"]["a1"], doc["domain"]["a2"], doc["domain"]["mass"])
+    part = BinPartition(np.asarray(doc["edges"], dtype=np.float64), int(doc["K"]), dom)
+    return SieveBasis(part, np.asarray(doc["centers"]), np.asarray(doc["norm0"]),
+                      np.asarray(doc["norm1"]))
+
+
+def fit_json_dict(fit: FitResult) -> dict:
+    """A fit's coefficients and diagnostics as plain JSON values."""
+    return {
+        "mode": fit.mode,
+        "n": fit.n,
+        "rank": fit.rank,
+        "dropped_columns": list(fit.dropped_columns),
+        "residual_l2": fit.residual_l2,
+        "gram_frobenius_dist": fit.gram_frobenius_dist,
+        "gram_lambda_min": fit.gram_lambda_min,
+        "coefficients": fit.coefficients.tolist(),
+    }

@@ -383,6 +383,7 @@ def test_basis_dump_verb(tiny_config_path, tmp_path, capsys):
     assert cli.main(["basis-dump", str(tiny_config_path), "-K", "8",
                      "-o", str(target)]) == 0
     doc = json.loads(target.read_text())
+    assert set(doc) == {"K", "domain", "edges", "centers", "norm0", "norm1"}
     assert doc["K"] == 8
     assert len(doc["edges"]) == 9
     assert len(doc["centers"]) == 8
@@ -436,7 +437,6 @@ def test_numerical_failure_exits_3(tiny_config_path, tmp_path, monkeypatch, caps
         raise SamplingError("synthetic stall")
 
     monkeypatch.setattr(harness, "run_growing_K", boom)
-    monkeypatch.setattr(cli.harness, "run_growing_K", boom)
     assert cli.main(["run", str(tiny_config_path), "-o", str(tmp_path / "o")]) == 3
     assert "numerical failure" in capsys.readouterr().err
 

@@ -43,6 +43,21 @@ def test_import_and_load_config_leave_the_sweep_engine_unloaded():
     assert sorted(m for m in loaded if m.partition(".")[0] == "scipy") == []
 
 
+VALIDATE_CHILD = """
+import sys
+from pathlib import Path
+import reglater.cli
+for path in sorted(Path(sys.argv[1]).glob("*.json")):
+    assert reglater.cli.main(["validate-config", str(path)]) == 0, path
+"""
+
+
+def test_validate_config_verb_leaves_the_sweep_engine_unloaded():
+    loaded = _child_modules(VALIDATE_CHILD, str(CONFIG_DIR))
+    assert "reglater.cli" in loaded
+    assert sorted(loaded.intersection(NOT_LOADED_BY_THE_GATE) - {"reglater.cli"}) == []
+
+
 def test_cli_import_loads_no_network_or_xml_module():
     # urllib.parse is left out: pathlib imports it, with or without reglater
     loaded = _child_modules("import reglater.cli")

@@ -31,7 +31,7 @@ _EXPORTS = {name: module for module, names in {
               "simulate_conditional", "simulate_path_integral", "simulate_terminal",
               "truncated_feature_law"),
     "payoff": ("OracleSpec", "PayoffSpec", "eval_payoff", "oracle_conditional"),
-    "regress": ("FitResult", "NowDiagnostics", "coefficient_error", "predict",
+    "regress": ("FitResult", "coefficient_error", "predict",
                 "regress_later_fit", "regress_now_fit"),
     "tree": ("basket_tree_expectations", "basket_tree_expectations_from_leaves",
              "basket_tree_leaf_enumeration"),

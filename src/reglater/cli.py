@@ -51,7 +51,7 @@ def _default_outdir(arg: str | None) -> Path:
 
 
 def _cmd_run(args) -> int:
-    from . import harness  # the sweep engine: only run and plot load it
+    from . import harness  # the sweep engine: only run loads it
 
     overrides = list(args.set or [])
     if args.seed is not None:
@@ -125,7 +125,7 @@ def _cmd_basis_dump(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    from . import harness, svgplot  # harness only for CSV_HEADER
+    from . import svgplot
 
     path = Path(args.report_csv)
     try:
@@ -135,8 +135,8 @@ def _cmd_plot(args) -> int:
             rows = list(reader)
     except OSError as exc:
         raise ConfigurationError(str(exc)) from exc
-    if header != harness.CSV_HEADER.split(","):
-        raise ConfigurationError(f"CSV header must be exactly {harness.CSV_HEADER!r}")
+    if header != config_mod.CSV_HEADER.split(","):
+        raise ConfigurationError(f"CSV header must be exactly {config_mod.CSV_HEADER!r}")
     if len(rows) < 2:
         raise ConfigurationError("cannot plot a line through fewer than 2 rows")
     try:
@@ -174,6 +174,9 @@ def _worker_count(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if workers < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {workers}")
+    if workers > config_mod.MAX_WORKERS:
+        raise argparse.ArgumentTypeError(
+            f"must be at most {config_mod.MAX_WORKERS}, got {workers}")
     return workers
 
 
@@ -188,7 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("-o", "--output-dir", default=None,
                      help="output directory (default: $REGLATER_OUTDIR or .)")
     run.add_argument("--seed", type=int, default=None, help="override the config seed")
-    run.add_argument("--workers", type=_worker_count, default=1, help="worker threads (>= 1)")
+    run.add_argument("--workers", type=_worker_count, default=1,
+                     help=f"worker threads (1 to {config_mod.MAX_WORKERS})")
     run.add_argument("--set", action="append", metavar="KEY=VALUE",
                      help="override a config entry (dotted path, JSON value)")
     run.set_defaults(func=_cmd_run)

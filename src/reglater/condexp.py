@@ -102,21 +102,21 @@ def _gbm_bin_expectations(basis: SieveBasis, spot: np.ndarray, v: float) -> np.n
     return out
 
 
-def basis_condexp(spec: TransferSpec, state) -> np.ndarray:
+def basis_condexp(transition: Transition, basis: SieveBasis, state) -> np.ndarray:
     """Conditional expectation of every basis function given the state at t."""
     arr = np.atleast_1d(np.asarray(state, dtype=np.float64))
-    tr = spec.transition
-    if isinstance(tr, BrownianTransition):
-        out = _brownian_bin_expectations(spec.basis, arr, np.sqrt(tr.T - tr.t))
+    scale = np.sqrt(transition.T - transition.t)
+    if isinstance(transition, BrownianTransition):
+        out = _brownian_bin_expectations(basis, arr, scale)
     else:
-        out = _gbm_bin_expectations(spec.basis, arr, tr.sigma * np.sqrt(tr.T - tr.t))
+        out = _gbm_bin_expectations(basis, arr, transition.sigma * scale)
     return out[0] if np.ndim(state) == 0 else out
 
 
 def condexp_estimate(spec: TransferSpec, state) -> np.ndarray | float:
     """Estimated conditional expectation: coefficients dotted with the
     transferred basis."""
-    vals = basis_condexp(spec, state) @ spec.coefficients
+    vals = basis_condexp(spec.transition, spec.basis, state) @ spec.coefficients
     return float(vals) if np.ndim(state) == 0 else vals
 
 

@@ -24,6 +24,9 @@ from .model import Domain, FeatureSpec, ProcessSpec, _check_pair, truncated_feat
 from .payoff import PayoffSpec
 
 SCHEMA_VERSION = 1
+# report.csv headers, here so that ``reglater plot`` needs no sweep engine
+CSV_HEADER = "K,N,reps,mse_mean,mse_stderr,approx_l2,h_tilde"
+PAIRED_CSV_HEADER = "K,N,reps,mse_later_mean,mse_later_stderr,mse_now_mean,mse_now_stderr"
 
 # Most samples one repetition may draw: N, or eval.multiplier * N for
 # fresh-sample evaluation.  Repetitions stream their samples one rng block at
@@ -40,6 +43,11 @@ MAX_POINT_SAMPLES = 2**25
 # pairs; 150 and 230 B traced by tracemalloc) at 1, 2 or 8 workers on a
 # 2-vCPU x86-64 VM: about 0.16-0.26 GB per point at the cap.
 MAX_REPETITIONS = 10**6
+# Most worker threads (``reglater run --workers``).  The pool starts a thread per
+# submitted task up to ``workers``, so an uncapped count near the task count (up to
+# MAX_REPETITIONS per point) asks for more threads than a Linux host allows (a few
+# 10**4); threads share one interpreter, so a sweep gains little past a few.
+MAX_WORKERS = 64
 
 
 @dataclass(frozen=True, kw_only=True)

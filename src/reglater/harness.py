@@ -37,9 +37,9 @@ from .basis import (SieveBasis, approx_error_moments, gauss_legendre, h_tilde,
 # build_basis and truncated_feature_law are not called here (the config gate
 # builds the bases and laws); perfbench/tracer.py still looks them up here
 from .basis import build_basis  # noqa: F401
-from .condexp import BrownianTransition, TransferSpec, basis_condexp
+from .condexp import BrownianTransition, basis_condexp
 from .condexp import condexp_estimate  # noqa: F401  (not called; perfbench/tracer.py wraps it here)
-from .config import ExperimentConfig, _basis, _sweep_laws
+from .config import CSV_HEADER, PAIRED_CSV_HEADER, ExperimentConfig, _basis, _sweep_laws
 from .errors import (BasisConstructionError, ConfigurationError, DegenerateDesignError,
                      SamplingError)
 from .model import Domain, FeatureSpec, ProcessSpec, SampleSet, simulate_conditional
@@ -47,8 +47,6 @@ from .model import truncated_feature_law  # noqa: F401
 from .payoff import OracleSpec, PayoffSpec, eval_payoff, oracle_conditional
 from .regress import coefficient_error, predict, regress_later_fit, regress_now_fit
 
-CSV_HEADER = "K,N,reps,mse_mean,mse_stderr,approx_l2,h_tilde"
-PAIRED_CSV_HEADER = "K,N,reps,mse_later_mean,mse_later_stderr,mse_now_mean,mse_now_stderr"
 _POINT_ERRORS = (DegenerateDesignError, BasisConstructionError, SamplingError,
                  FloatingPointError)
 # Tasks per worker thread that a threaded sweep keeps submitted and not yet
@@ -112,7 +110,8 @@ def _csv_text(header: str, rows) -> str:
 
 def fit_loglog_slope(xs, ys) -> SlopeFit:
     """Unweighted least squares of log y on log x; CI from the slope's
-    standard error (plus/minus 1.96 se)."""
+    standard error (plus/minus 1.96 se).  Needs at least 3 usable points
+    and 2 distinct x values."""
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     ok = np.isfinite(ys) & (ys > 0) & np.isfinite(xs) & (xs > 0)
@@ -123,6 +122,8 @@ def fit_loglog_slope(xs, ys) -> SlopeFit:
     if xs.size < 3:
         raise ConfigurationError("slope fit needs at least 3 usable points")
     lx, ly = np.log(xs), np.log(ys)
+    if lx.min() == lx.max():
+        raise ConfigurationError("slope fit needs at least 2 distinct x values")
     vx = lx - lx.mean()
     sxx = float(vx @ vx)
     slope = float(vx @ (ly - ly.mean()) / sxx)
@@ -332,8 +333,7 @@ def _run_points(config: ExperimentConfig, workers: int) -> ConvergenceReport:
 
     def evaluate(pt: _PointSetup, rep: int, fit) -> float:
         if config.eval_method == "quadrature":
-            return pt.approx_ms + coefficient_error(fit, pt.basis, config.payoff, dist,
-                                                    true_coefficients=pt.alpha)
+            return pt.approx_ms + coefficient_error(fit, pt.alpha)
         eval_seed = rng.derive_seed(config.seed, pt.K, pt.N, rep, "eval")
         n_eval = config.eval_multiplier * pt.N
         sq = []
@@ -474,9 +474,7 @@ def now_vs_later_compare(config: ExperimentConfig, workers: int = 1) -> PairedRe
         grid = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
         wq = (half[:, None] * wg[None, :]).ravel() * dist_t.density(grid)
         truth = oracle_conditional(config.payoff, proc, t, grid, OracleSpec("closed_form"))
-        # coefficient-free, so every fit at this K transfers by one product with it
-        transfer = basis_condexp(
-            TransferSpec(BrownianTransition(t, T), basis_T, np.zeros(basis_T.dim)), grid)
+        transfer = basis_condexp(BrownianTransition(t, T), basis_T, grid)
         return basis_T, basis_t, grid, wq, truth, transfer
 
     setups = [_PairedSetup(K, N, *per_K(K)) for K, N in config.points()]
@@ -502,9 +500,8 @@ def now_vs_later_compare(config: ExperimentConfig, workers: int = 1) -> PairedRe
             for rep, mse in zip(batch, mse_lat)]
         now = _fit_batch(lambda blocks, g: regress_now_fit(blocks, pt.basis_t, fits=g), streams)
 
-        def now_mse(rep: int, fit_diag) -> float:
-            coef = fit_diag[0].coefficients
-            return float(np.sum(wq * (truth - predict(pt.basis_t, coef, grid)) ** 2))
+        def now_mse(rep: int, fit) -> float:
+            return float(np.sum(wq * (truth - predict(pt.basis_t, fit.coefficients, grid)) ** 2))
 
         # a repetition that failed the Regress-Later stage failed this one too
         return [mse if isinstance(mse, Exception) else (lat, mse)

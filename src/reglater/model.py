@@ -84,21 +84,19 @@ class Domain:
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Immutable i.i.d. draws of (feature value, payoff)."""
+    """Immutable i.i.d. draws of (feature value, payoff): one row of
+    ``features`` per draw, and a 1-D array is one column."""
 
     features: np.ndarray
-    payoffs: np.ndarray | None
-    seed: int
-    n: int
-    domain_tag: Domain | None = None
+    payoffs: np.ndarray | None = None
     meta: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
-        feats = np.atleast_2d(np.asarray(self.features, dtype=np.float64))
-        if feats.shape[0] == 1 and self.n != 1:
-            feats = feats.T
-        if feats.shape[0] != self.n:
-            raise ConfigurationError("sample: feature row count differs from n")
+        feats = np.asarray(self.features, dtype=np.float64)
+        if feats.ndim == 1:
+            feats = feats.reshape(-1, 1)
+        elif feats.ndim != 2:
+            raise ConfigurationError("sample: features must be a 1-D or 2-D array")
         if not np.all(np.isfinite(feats)):
             raise ConfigurationError("sample: non-finite feature values")
         feats.setflags(write=False)
@@ -106,6 +104,10 @@ class SampleSet:
         if self.payoffs is not None:
             object.__setattr__(self, "payoffs", _checked_payoffs(self.payoffs, self.n))
         object.__setattr__(self, "meta", MappingProxyType(dict(self.meta)))
+
+    @property
+    def n(self) -> int:
+        return self.features.shape[0]
 
     @property
     def dim(self) -> int:
@@ -124,9 +126,8 @@ class SampleSet:
     @staticmethod
     def joined(parts: Sequence["SampleSet"]) -> "SampleSet":
         """The samples of ``parts`` back to back, with payoffs where every
-        part has them, carrying the first part's seed and domain and no meta.
-        One part is returned as it is.  Each part was checked when it was
-        built, so nothing is checked again."""
+        part has them, and no meta.  One part is returned as it is.  Each
+        part was checked when it was built, so nothing is checked again."""
         if len(parts) == 1:
             return parts[0]
         out = copy.copy(parts[0])
@@ -137,7 +138,7 @@ class SampleSet:
             payoffs = np.concatenate([p.payoffs for p in parts])
             payoffs.setflags(write=False)
         for name, value in (("features", features), ("payoffs", payoffs),
-                            ("n", features.shape[0]), ("meta", MappingProxyType({}))):
+                            ("meta", MappingProxyType({}))):
             object.__setattr__(out, name, value)
         return out
 
@@ -161,10 +162,6 @@ def _check_pair(proc: ProcessSpec, feat: FeatureSpec) -> None:
         raise ConfigurationError("feature.eval_time: beyond the process horizon")
 
 
-def _measure_tag(proc: ProcessSpec) -> str:
-    return f"brownian(T={proc.horizon:g}), driftless"
-
-
 def _terminal_drawer(proc: ProcessSpec, feat: FeatureSpec) -> Callable:
     """Closure drawing m feature values (univariate kinds) from a generator."""
     t = feat.eval_time
@@ -182,20 +179,18 @@ def simulate_terminal(proc: ProcessSpec, feat: FeatureSpec, n: int, seed: int) -
     _check_pair(proc, feat)
     if n < 1:
         raise ConfigurationError("n: must be >= 1")
-    meta = {"measure": _measure_tag(proc), "feature": feat.kind}
     if feat.kind == "pair_u_T":
         u, t = feat.intermediate_time, feat.eval_time
         z1 = rng.block_standard_normal(n, seed, "pair-u")
         z2 = rng.block_standard_normal(n, seed, "pair-T")
         w_u = np.sqrt(u) * z1
         w_t = w_u + np.sqrt(t - u) * z2
-        feats = np.column_stack([w_u, w_t])
-        return SampleSet(feats, None, seed, n, meta=meta)
+        return SampleSet(np.column_stack([w_u, w_t]))
     if feat.kind == "path_integral":
         return simulate_path_integral(proc, feat.eval_time, DEFAULT_INTEGRAL_STEPS, n, seed)
     draw = _terminal_drawer(proc, feat)
     vals = rng.block_map(n, draw, seed, "terminal", feat.kind)
-    return SampleSet(vals.reshape(-1, 1), None, seed, n, meta=meta)
+    return SampleSet(vals)
 
 
 def simulate_conditional(proc: ProcessSpec, feat: FeatureSpec, dom: Domain,
@@ -218,13 +213,7 @@ def simulate_conditional(proc: ProcessSpec, feat: FeatureSpec, dom: Domain,
     accept = lambda u: (u >= dom.a1) & (u <= dom.a2)
     vals, proposals = rng.block_rejection(n, draw, accept, seed, "conditional", feat.kind,
                                           first_block=first_block)
-    meta = {
-        "measure": _measure_tag(proc) + f", conditioned on [{dom.a1:g}, {dom.a2:g}]",
-        "feature": feat.kind,
-        "proposals": proposals,
-        "acceptance_rate": n / proposals,
-    }
-    return SampleSet(vals.reshape(-1, 1), None, seed, n, domain_tag=dom, meta=meta)
+    return SampleSet(vals, meta={"proposals": proposals, "acceptance_rate": n / proposals})
 
 
 def _draw_path_integrals(T: float, steps: int, gen: np.random.Generator, m: int) -> np.ndarray:
@@ -253,13 +242,7 @@ def simulate_path_integral(proc: ProcessSpec, T: float, steps: int, n: int, seed
         raise ConfigurationError("T: must lie in (0, horizon]")
     vals = rng.block_map(n, lambda gen, m: _draw_path_integrals(T, steps, gen, m),
                          seed, "path-integral", steps)
-    meta = {
-        "measure": _measure_tag(proc),
-        "feature": "path_integral",
-        "discretization": "trapezoid, equispaced grid",
-        "steps": steps,
-    }
-    return SampleSet(vals.reshape(-1, 1), None, seed, n, meta=meta)
+    return SampleSet(vals, meta={"steps": steps})
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,7 @@ import numpy as np
 
 from . import _kernels, rng
 from ._kernels import BinnedQR
-from .basis import SieveBasis, _block_stats, _gram_blocks_from_qr, projection_coefficients
-from .distributions import DistSpec
+from .basis import SieveBasis, _block_stats, _gram_blocks_from_qr
 from .errors import ConfigurationError, DegenerateDesignError
 from .model import SampleSet
 
@@ -62,17 +61,13 @@ class FitResult:
         coef.setflags(write=False)
         object.__setattr__(self, "coefficients", coef)
 
-
-@dataclass(frozen=True)
-class NowDiagnostics:
-    """Residual variance estimate of the time-t regression.
-
-    sigma2 estimates the projection-error variance.  Constancy of the
-    conditional variance is assumed by the rate theory but not tested here:
-    it fails for most payoffs, and only the average enters the K/N term.
-    """
-
-    residual_variance_estimate: float
+    @property
+    def residual_variance(self) -> float:
+        """RSS / (n - rank), NaN if n <= rank.  Of a Regress-Now fit, sigma2:
+        the mean projection-error variance, the one that enters the K/N term
+        (the rate theory's constant conditional variance is not tested)."""
+        df = self.n - self.rank
+        return float(self.residual_l2 ** 2 / df) if df > 0 else float("nan")
 
 
 def predict(basis: SieveBasis, coefficients: np.ndarray, u) -> np.ndarray:
@@ -169,11 +164,13 @@ def _binned_factors(samples, basis: SieveBasis, fits: int) -> tuple[BinnedQR, in
     return (parts[0] if len(parts) == 1 else _merged(parts)), n
 
 
-def _fit_on_basis(samples, basis: SieveBasis, mode: str, fits: int) -> list:
+def _fit_on_basis(samples, basis: SieveBasis, mode: str, fits: int | None):
     """The fits of a batch (see ``_binned_factors``), solved bin by bin with
     array operations over every bin of every fit: per fit its ``FitResult``,
-    or the ``DegenerateDesignError`` that fails it."""
-    qr, n = _binned_factors(samples, basis, fits)
+    or the ``DegenerateDesignError`` that fails it.  Without ``fits``, the
+    one fit's ``FitResult``, or its error raised."""
+    batch = fits or 1
+    qr, n = _binned_factors(samples, basis, batch)
     r11, r12, r22 = qr.R[..., 0], qr.R[..., 1], qr.R[..., 2]
     z0, z1 = qr.z[..., 0], qr.z[..., 1]
     floor = COLUMN_NORM_TOL * np.sqrt(n)
@@ -183,13 +180,13 @@ def _fit_on_basis(samples, basis: SieveBasis, mode: str, fits: int) -> list:
     a1 = np.divide(z1, r22, out=np.zeros_like(r22), where=linear)
     a0 = np.divide(np.where(linear, z0 - r12 * a1, z0), r11, out=np.zeros_like(r11),
                    where=~empty)
-    coef = np.stack((a0, a1), axis=-1).reshape(fits, -1)
-    dropped = np.stack((empty, ~linear), axis=-1).reshape(fits, -1)
+    coef = np.stack((a0, a1), axis=-1).reshape(batch, -1)
+    dropped = np.stack((empty, ~linear), axis=-1).reshape(batch, -1)
     # squared residual per bin, as the fit leaves it
     rss = np.where(linear, qr.rss[..., 1], np.where(empty, 0.0, qr.rss[..., 0]))
     stats = _block_stats(_gram_blocks_from_qr(qr.R, n))
     out: list = []
-    for f in range(fits):
+    for f in range(batch):
         cols = tuple(np.flatnonzero(dropped[f]).tolist())
         if len(cols) == 2 * basis.K:
             out.append(DegenerateDesignError("every basis column is empty on this sample"))
@@ -204,15 +201,9 @@ def _fit_on_basis(samples, basis: SieveBasis, mode: str, fits: int) -> list:
             mode=mode,
             n=n,
         ))
-    return out
-
-
-def _single(results: list):
-    """The one entry of a one-fit batch; raises it if it is an error."""
-    (result,) = results
-    if isinstance(result, Exception):
-        raise result
-    return result
+    if not fits and isinstance(out[0], Exception):
+        raise out[0]
+    return out if fits else out[0]
 
 
 def _univariate_features(sample: SampleSet) -> np.ndarray:
@@ -239,35 +230,23 @@ def regress_later_fit(samples, basis: SieveBasis, fits: int | None = None):
     entry per fit: its ``FitResult``, or the ``DegenerateDesignError`` that
     fails it.  Each entry is the result of fitting that fit's samples alone.
     """
-    results = _fit_on_basis(samples, basis, "later", fits or 1)
-    return results if fits else _single(results)
+    return _fit_on_basis(samples, basis, "later", fits)
 
 
 def regress_now_fit(samples, basis: SieveBasis, fits: int | None = None):
     """Regress the payoff on basis functions of the earlier-date feature.
 
-    ``samples`` and ``fits`` as for ``regress_later_fit``; a result is the
-    pair ``(FitResult, NowDiagnostics)``.  The residual now contains an
-    irreducible projection error; its variance is estimated as
-    RSS / (N - rank).
+    ``samples``, ``fits`` and the results as for ``regress_later_fit``.  The
+    residual now contains an irreducible projection error; its variance is
+    ``FitResult.residual_variance``.
     """
-    results = [fit if isinstance(fit, Exception) else (fit, _now_diagnostics(fit))
-               for fit in _fit_on_basis(samples, basis, "now", fits or 1)]
-    return results if fits else _single(results)
+    return _fit_on_basis(samples, basis, "now", fits)
 
 
-def _now_diagnostics(fit: FitResult) -> NowDiagnostics:
-    df = fit.n - fit.rank
-    sigma2 = fit.residual_l2 ** 2 / df if df > 0 else float("nan")
-    return NowDiagnostics(float(sigma2))
-
-
-def coefficient_error(fit: FitResult, basis: SieveBasis, gT, dist: DistSpec,
-                      true_coefficients: np.ndarray | None = None) -> float:
-    """(alpha_hat - alpha)^T (alpha_hat - alpha) against the quadrature
-    projection coefficients; dropped coordinates enter at zero."""
-    alpha = projection_coefficients(gT, basis, dist) if true_coefficients is None \
-        else np.asarray(true_coefficients, dtype=np.float64)
+def coefficient_error(fit: FitResult, alpha: np.ndarray) -> float:
+    """(alpha_hat - alpha)^T (alpha_hat - alpha) against the true
+    coefficients ``alpha``; dropped coordinates enter at zero."""
+    alpha = np.asarray(alpha, dtype=np.float64)
     if alpha.shape != fit.coefficients.shape:
         raise ConfigurationError("coefficient vectors disagree in length")
     diff = fit.coefficients - alpha

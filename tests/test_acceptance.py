@@ -203,22 +203,20 @@ def test_criterion_9_closed_form_transfer(w10_law, basis_cache, capsys):
 
     basis_w = basis_cache(10)
     tr_w = rl.BrownianTransition(1.0, 10.0)
-    spec_w = rl.TransferSpec(tr_w, basis_w, np.zeros(20))
     s = 3.0
     for state in np.linspace(-10.0, 10.0, 50):
         dens = lambda u: np.exp(-0.5 * ((u - state) / s) ** 2) / (s * np.sqrt(2 * np.pi))
         worst = max(worst, float(np.max(np.abs(
-            rl.basis_condexp(spec_w, state) - reference(basis_w, dens)))))
+            rl.basis_condexp(tr_w, basis_w, state) - reference(basis_w, dens)))))
 
     basis_s = rl.build_basis(rl.Uniform(0.25, 2.5), 8)
     tr_s = rl.GbmTransition(1.0, 10.0, sigma=0.2)
-    spec_s = rl.TransferSpec(tr_s, basis_s, np.zeros(16))
     v = 0.2 * 3.0
     for spot in np.linspace(0.3, 2.4, 50):
         m = np.log(spot) - 0.5 * v * v
         dens = lambda u: np.exp(-0.5 * ((np.log(u) - m) / v) ** 2) / (u * v * np.sqrt(2 * np.pi))
         worst = max(worst, float(np.max(np.abs(
-            rl.basis_condexp(spec_s, spot) - reference(basis_s, dens)))))
+            rl.basis_condexp(tr_s, basis_s, spot) - reference(basis_s, dens)))))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-6
     with capsys.disabled():

@@ -11,7 +11,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from reglater import cli, harness, rng, svgplot
-from reglater.config import MAX_POINT_SAMPLES, MAX_REPETITIONS, load_config, validate_config_dict
+from reglater.config import (MAX_POINT_SAMPLES, MAX_REPETITIONS, MAX_WORKERS, load_config,
+                             validate_config_dict)
 from reglater.errors import ConfigurationError, SamplingError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -351,13 +352,28 @@ def test_run_point_without_repetitions_exits_3_after_writing(tiny_config_path, t
     assert len(doc["failures"]) == 3
 
 
-@pytest.mark.parametrize("workers", ["0", "-1"])
+@pytest.mark.parametrize("workers", ["0", "-1", str(MAX_WORKERS + 1)])
 def test_run_rejects_workers_below_one(workers, tiny_config_path, tmp_path, capsys):
+    # also above the cap: argparse refuses the count, so no thread starts
     with pytest.raises(SystemExit) as exit_info:
         cli.main(["run", str(tiny_config_path), "-o", str(tmp_path / "o"), "--workers", workers])
     assert exit_info.value.code == 2
-    assert f"--workers: must be at least 1, got {workers}" in capsys.readouterr().err
+    bound = "at least 1" if int(workers) < 1 else f"at most {MAX_WORKERS}"
+    assert f"--workers: must be {bound}, got {workers}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("doc", [TINY_CONFIG, TINY_PAIRED_CONFIG], ids=["growing", "paired"])
+def test_run_with_one_distinct_sweep_value_reports_nan_slope(doc, tmp_path, capsys):
+    # K = 4 three times: one K, and so one N, for the slope's abscissa
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(dict(doc, K_list=[4, 4, 4], repetitions=2)))
+    assert cli.main(["run", str(path), "-o", str(tmp_path / "o")]) == 0
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert [r["reps"] for r in report["rows"]] == [2, 2, 2]
+    slopes = [report["slope"]] if "slope" in report else [*report["slope_later"],
+                                                           *report["slope_now"]]
+    assert np.isnan(slopes).all()
 
 
 def test_set_override_applies(tiny_config_path, tmp_path, capsys):

@@ -53,9 +53,8 @@ def test_transfer_spec_checks_length(basis_cache):
 def test_degenerate_transition_tends_to_eval_basis(basis_cache):
     basis = basis_cache(8)
     tr = rl.BrownianTransition(10.0 - 1e-12, 10.0)  # s = 1e-6
-    spec = rl.TransferSpec(tr, basis, np.zeros(16))
     for state in (-3.0, 0.4, 2.2):
-        vec = rl.basis_condexp(spec, state)
+        vec = rl.basis_condexp(tr, basis, state)
         direct = eval_basis(basis, state)
         assert np.max(np.abs(vec - direct)) < 1e-6
 
@@ -63,11 +62,10 @@ def test_degenerate_transition_tends_to_eval_basis(basis_cache):
 def test_indicator_entries_telescope_to_domain_mass(basis_cache):
     basis = basis_cache(16)
     tr = rl.BrownianTransition(1.0, 10.0)
-    spec = rl.TransferSpec(tr, basis, np.zeros(32))
     s = 3.0
     dom = basis.partition.domain
     for state in (-4.0, 0.0, 1.7):
-        vec = rl.basis_condexp(spec, state)
+        vec = rl.basis_condexp(tr, basis, state)
         total = np.sum(vec[0::2] / basis.norm0)
         expected = ndtr((dom.a2 - state) / s) - ndtr((dom.a1 - state) / s)
         assert abs(total - expected) < 1e-10
@@ -75,9 +73,8 @@ def test_indicator_entries_telescope_to_domain_mass(basis_cache):
 
 def test_indicator_entries_bounded(basis_cache):
     basis = basis_cache(8)
-    spec = rl.TransferSpec(rl.BrownianTransition(2.0, 10.0), basis, np.zeros(16))
     grid = np.linspace(-15, 15, 101)
-    vecs = rl.basis_condexp(spec, grid)
+    vecs = rl.basis_condexp(rl.BrownianTransition(2.0, 10.0), basis, grid)
     ind = vecs[:, 0::2]
     assert np.all(ind >= -1e-15)
     assert np.all(ind <= np.sqrt(8) + 1e-12)
@@ -86,28 +83,25 @@ def test_indicator_entries_bounded(basis_cache):
 def test_brownian_transfer_matches_quadrature(basis_cache):
     basis = basis_cache(10)
     tr = rl.BrownianTransition(1.0, 10.0)
-    spec = rl.TransferSpec(tr, basis, np.zeros(20))
     s = 3.0
     for state in np.linspace(-10, 10, 50):
-        vec = rl.basis_condexp(spec, state)
+        vec = rl.basis_condexp(tr, basis, state)
         ref = quad_condexp_reference(basis, normal_density(state, s))
         assert np.max(np.abs(vec - ref)) < 1e-6
 
 
 def test_gbm_transfer_matches_quadrature(gbm_basis):
     tr = rl.GbmTransition(1.0, 10.0, sigma=0.2)
-    spec = rl.TransferSpec(tr, gbm_basis, np.zeros(gbm_basis.dim))
     v = 0.2 * 3.0
     for spot in np.linspace(0.3, 2.4, 50):
-        vec = rl.basis_condexp(spec, spot)
+        vec = rl.basis_condexp(tr, gbm_basis, spot)
         ref = quad_condexp_reference(gbm_basis, lognormal_density(spot, v))
         assert np.max(np.abs(vec - ref)) < 1e-6
 
 
 def test_gbm_transfer_needs_positive_domain(basis_cache):
-    spec = rl.TransferSpec(rl.GbmTransition(1.0, 10.0, 0.2), basis_cache(4), np.zeros(8))
     with pytest.raises(ConfigurationError):
-        rl.basis_condexp(spec, 1.0)
+        rl.basis_condexp(rl.GbmTransition(1.0, 10.0, 0.2), basis_cache(4), 1.0)
 
 
 def test_estimate_is_linear_in_coefficients(basis_cache):
@@ -150,7 +144,8 @@ def test_identity_payoff_estimate_tracks_state(w10_law, basis_cache, brownian10,
     fit = rl.regress_later_fit(s.with_payoffs(s.feature_column().copy()), basis)
     spec = rl.TransferSpec(rl.BrownianTransition(1.0, 10.0), basis, fit.coefficients)
     approx = rl.approx_error_moments(rl.PayoffSpec("identity"), basis, dist)
-    coef_err = rl.coefficient_error(fit, basis, rl.PayoffSpec("identity"), dist)
+    coef_err = rl.coefficient_error(
+        fit, rl.projection_coefficients(rl.PayoffSpec("identity"), basis, dist))
 
     def tail_term(w):
         # E[|W_T| 1{W_T outside D} | W_t = w], exact normal partial moments

@@ -36,7 +36,7 @@ def test_binned_qr_matches_dense_ols(problem):
     design = design_matrix(basis.partition.edges, basis.centers, basis.norm0,
                            basis.norm1, u_in)
     dense = ols_fit(design, x_in)
-    samp = rl.SampleSet(u_in.reshape(-1, 1), x_in, 0, u_in.size)
+    samp = rl.SampleSet(u_in.reshape(-1, 1), x_in)
     binned = rl.regress_later_fit(samp, basis)
     assert np.max(np.abs(dense.coefficients - binned.coefficients)) < 1e-9
     assert binned.residual_l2 == pytest.approx(dense.residual_l2, rel=1e-10)

@@ -78,13 +78,13 @@ def test_sampleset_is_immutable(brownian10, terminal10):
 
 
 def test_joined_samples_lie_back_to_back_unchecked(monkeypatch):
-    a = rl.SampleSet(np.array([[1.0], [2.0]]), np.array([10.0, 20.0]), 5, 2, meta={"k": 1})
-    b = rl.SampleSet(np.array([[3.0]]), np.array([30.0]), 6, 1)
-    bare = rl.SampleSet(np.array([[4.0]]), None, 7, 1)
+    a = rl.SampleSet(np.array([[1.0], [2.0]]), np.array([10.0, 20.0]), meta={"k": 1})
+    b = rl.SampleSet(np.array([[3.0]]), np.array([30.0]))
+    bare = rl.SampleSet(np.array([[4.0]]))
     assert rl.SampleSet.joined([a]) is a
     monkeypatch.setattr(rl.SampleSet, "__post_init__", lambda self: pytest.fail("checked"))
     ab = rl.SampleSet.joined([a, b])
-    assert ab.n == 3 and ab.seed == 5 and dict(ab.meta) == {}
+    assert ab.n == 3 and dict(ab.meta) == {}
     assert np.array_equal(ab.feature_column(), [1.0, 2.0, 3.0])
     assert np.array_equal(ab.payoffs, [10.0, 20.0, 30.0])
     assert not ab.features.flags.writeable and not ab.payoffs.flags.writeable
@@ -106,7 +106,6 @@ def test_conditional_stays_inside_domain(brownian10, terminal10):
     s = rl.simulate_conditional(brownian10, terminal10, dom, 30_000, seed=8)
     w = s.feature_column()
     assert w.min() >= dom.a1 and w.max() <= dom.a2
-    assert s.domain_tag == dom
 
 
 def test_conditional_on_near_full_support_matches_unconditional(brownian10, terminal10):
@@ -204,7 +203,7 @@ def test_tree_tower_property():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_with_payoffs_refuses_non_finite_payoffs(bad):
-    s = rl.SampleSet(np.arange(4.0).reshape(-1, 1), None, 7, 4, meta={"proposals": 4})
+    s = rl.SampleSet(np.arange(4.0).reshape(-1, 1), meta={"proposals": 4})
     pays = np.ones(4)
     pays[2] = bad
     with pytest.raises(ConfigurationError, match="non-finite payoff"):
@@ -213,7 +212,19 @@ def test_with_payoffs_refuses_non_finite_payoffs(bad):
         s.with_payoffs(np.ones(3))
     paid = s.with_payoffs(np.ones(4))
     assert paid.features is s.features and paid.payoffs is not None
-    assert (paid.seed, paid.n, dict(paid.meta)) == (7, 4, {"proposals": 4})
+    assert (paid.n, dict(paid.meta)) == (4, {"proposals": 4})
     assert s.payoffs is None
     with pytest.raises(ConfigurationError, match="non-finite feature"):
-        rl.SampleSet(np.array([[0.0], [np.nan]]), np.ones(2), 7, 2)
+        rl.SampleSet(np.array([[0.0], [np.nan]]), np.ones(2))
+
+
+def test_sample_set_shape_comes_from_its_features():
+    s = rl.SampleSet(np.arange(5.0), np.ones(5))
+    assert s.features.shape == (5, 1) and (s.n, s.dim) == (5, 1)
+    assert np.array_equal(s.feature_column(), np.arange(5.0))
+    pair = rl.SampleSet(np.zeros((3, 2)))
+    assert (pair.n, pair.dim) == (3, 2)
+    with pytest.raises(ConfigurationError, match="1-D or 2-D"):
+        rl.SampleSet(np.zeros((2, 2, 1)))
+    with pytest.raises(ConfigurationError, match="payoff length"):
+        rl.SampleSet(np.arange(5.0), np.ones(4))

@@ -58,6 +58,25 @@ def test_validate_config_verb_leaves_the_sweep_engine_unloaded():
     assert sorted(loaded.intersection(NOT_LOADED_BY_THE_GATE) - {"reglater.cli"}) == []
 
 
+PLOT_CHILD = """
+import sys
+from pathlib import Path
+import reglater.cli
+out = Path(sys.argv[1])
+(out / "report.csv").write_text("K,N,reps,mse_mean,mse_stderr,approx_l2,h_tilde\\n"
+                                "4,480,3,0.01,0.001,0.008,0.5\\n"
+                                "8,1920,3,0.001,0.0001,0.0008,0.5\\n")
+assert reglater.cli.main(["plot", str(out / "report.csv"), "-o", str(out / "r.svg")]) == 0
+"""
+
+
+def test_plot_verb_leaves_the_sweep_engine_unloaded(tmp_path):
+    loaded = _child_modules(PLOT_CHILD, str(tmp_path))
+    assert "reglater.svgplot" in loaded and (tmp_path / "r.svg").exists()
+    assert sorted(loaded.intersection(("reglater.harness", "reglater.regress",
+                                       "reglater.condexp"))) == []
+
+
 def test_cli_import_loads_no_network_or_xml_module():
     # urllib.parse is left out: pathlib imports it, with or without reglater
     loaded = _child_modules("import reglater.cli")

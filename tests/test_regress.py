@@ -132,7 +132,7 @@ def test_empty_bins_reported_dropped(basis_cache, w10_law):
     # only populate bins 0 and 1
     gen = np.random.default_rng(5)
     u = gen.uniform(edges[0], edges[2], 400)
-    samp = rl.SampleSet(u.reshape(-1, 1), np.tanh(u), 0, u.size)
+    samp = rl.SampleSet(u.reshape(-1, 1), np.tanh(u))
     fit = rl.regress_later_fit(samp, basis)
     assert set(fit.dropped_columns) == set(range(4, 16))
     assert np.all(fit.coefficients[4:] == 0.0)
@@ -198,11 +198,11 @@ def test_now_identity_target_fits_identity(brownian10):
     s = rl.simulate_conditional(brownian10, feat_t, dom_t, n, seed=20)
     w = s.feature_column()
     x = w + 3.0 * rl.rng.block_standard_normal(n, 20, "cont")
-    fit, diag = rl.regress_now_fit(s.with_payoffs(x), basis_t)
+    fit = rl.regress_now_fit(s.with_payoffs(x), basis_t)
     stderr = 3.0 * np.sqrt(2 * 8 / n)  # noise sd over sqrt(per-coef sample size), rough
     assert abs(rl.predict(basis_t, fit.coefficients, 0.0)) < 4.0 * stderr
     assert fit.mode == "now"
-    assert diag.residual_variance_estimate > 1e-8
+    assert fit.residual_variance > 1e-8
 
 
 def test_now_mse_improves_with_sample_size(brownian10):
@@ -212,9 +212,10 @@ def test_now_mse_improves_with_sample_size(brownian10):
         errs = {}
         for n in (1_000, 100_000):
             samp, basis_t, dist_t = _now_problem(brownian10, n, 3000 + seed, K=8)
-            fit, _ = rl.regress_now_fit(samp, basis_t)
+            fit = rl.regress_now_fit(samp, basis_t)
             approx = rl.approx_error_moments(g0t, basis_t, dist_t)
-            errs[n] = approx.mean_square + rl.coefficient_error(fit, basis_t, g0t, dist_t)
+            errs[n] = approx.mean_square + rl.coefficient_error(
+                fit, rl.projection_coefficients(g0t, basis_t, dist_t))
         wins += errs[100_000] < errs[1_000]
     assert wins >= 95
 
@@ -225,8 +226,8 @@ def test_now_in_span_measurable_payoff_has_no_projection_error(brownian10):
     basis_t = rl.build_basis(dist_t, 6)
     s = rl.simulate_conditional(brownian10, feat_t, dom_t, 4000, seed=22)
     x = eval_basis(basis_t, s.feature_column())[:, 0]  # t-measurable, in span
-    fit, diag = rl.regress_now_fit(s.with_payoffs(x), basis_t)
-    assert diag.residual_variance_estimate < 1e-8
+    fit = rl.regress_now_fit(s.with_payoffs(x), basis_t)
+    assert fit.residual_variance < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +257,7 @@ def _residual_case(data, lo_bins, hi_bins):
         x = rl.predict(basis, gen.standard_normal(2 * K), u)
     else:
         x = np.sin(3.0 * u) + gen.standard_normal(u.size)
-    return basis, rl.SampleSet(u.reshape(-1, 1), x, 0, u.size)
+    return basis, rl.SampleSet(u.reshape(-1, 1), x)
 
 
 @pytest.mark.parametrize("lo_bins,hi_bins", [(1, _kernels.COMPARE_MAX_BINS),
@@ -270,10 +271,10 @@ def test_residual_matches_prediction_residual(lo_bins, hi_bins, data):
     later = rl.regress_later_fit(samp, basis)
     want = np.linalg.norm(x - rl.predict(basis, later.coefficients, u))
     assert later.residual_l2 == pytest.approx(want, rel=1e-10, abs=floor)
-    now, diag = rl.regress_now_fit(samp, basis)
+    now = rl.regress_now_fit(samp, basis)
     want = np.linalg.norm(x - rl.predict(basis, now.coefficients, u))
     df = samp.n - now.rank
-    assert diag.residual_variance_estimate == pytest.approx(
+    assert now.residual_variance == pytest.approx(
         want**2 / df, rel=1e-10, abs=floor**2 / df)
 
 
@@ -321,7 +322,7 @@ def _fold_case(gen, K, block, n, in_span):
         x = rl.predict(basis, gen.standard_normal(2 * K), u)
     else:
         x = np.sin(3.0 * u) + gen.standard_normal(n)
-    return basis, rl.SampleSet(u.reshape(-1, 1), x, 0, n), one
+    return basis, rl.SampleSet(u.reshape(-1, 1), x), one
 
 
 def _assert_fold_matches_single_pass(basis, samp, one_distinct_bin):
@@ -386,8 +387,8 @@ def test_blockwise_fit_matches_single_pass(K, block, size, in_span, merge_blocks
         mp.setattr(rl.rng, "BLOCK_SIZE", block)
         mp.setattr(rl.regress, "MERGE_BLOCKS", merge_blocks)  # merges of merged factors too
         blocked = _assert_fold_matches_single_pass(basis, samp, one)
-        blocks = [rl.SampleSet(samp.features[lo:lo + block], samp.payoffs[lo:lo + block], 0,
-                               min(block, n - lo)) for lo in range(0, n, block)]
+        blocks = [rl.SampleSet(samp.features[lo:lo + block], samp.payoffs[lo:lo + block])
+                  for lo in range(0, n, block)]
         from_blocks = rl.regress_later_fit(iter(blocks), basis)
     # an iterable of block sample sets is the same fit as the sliced set
     assert np.array_equal(from_blocks.coefficients, blocked.coefficients)
@@ -421,10 +422,10 @@ def test_batched_fits_are_the_fits_of_each_sample_alone(K, fits, n, seed):
     # one fit of the batch lies outside the domain: it alone is degenerate
     gen = np.random.default_rng(seed)
     basis = rl.build_basis(Uniform(-1.0, 2.0), K)
-    samples = [rl.SampleSet(u.reshape(-1, 1), np.sin(3.0 * u) + gen.standard_normal(n), 0, n)
+    samples = [rl.SampleSet(u.reshape(-1, 1), np.sin(3.0 * u) + gen.standard_normal(n))
                for u in gen.uniform(-1.5, 2.5, (fits, n))]
     if fits > 1:
-        samples[1] = rl.SampleSet(np.full((n, 1), 5.0), np.ones(n), 0, n)
+        samples[1] = rl.SampleSet(np.full((n, 1), 5.0), np.ones(n))
     batch = rl.SampleSet.joined(samples)
     later = rl.regress_later_fit(batch, basis, fits=fits)
     now = rl.regress_now_fit(batch, basis, fits=fits)
@@ -436,15 +437,15 @@ def test_batched_fits_are_the_fits_of_each_sample_alone(K, fits, n, seed):
             assert repr(got_later) == repr(got_now) == repr(exc)
             continue
         assert fit_json_dict(got_later) == fit_json_dict(want)
-        fit, diag = rl.regress_now_fit(sample, basis)
-        assert fit_json_dict(got_now[0]) == fit_json_dict(fit)
-        assert repr(got_now[1]) == repr(diag)  # sigma2 is NaN when n = rank
+        fit = rl.regress_now_fit(sample, basis)
+        assert fit_json_dict(got_now) == fit_json_dict(fit)
+        assert repr(got_now.residual_variance) == repr(fit.residual_variance)  # NaN if n = rank
     if fits > 1:
         assert isinstance(later[1], DegenerateDesignError)
 
 
 def test_batched_fit_needs_equal_shares(basis_cache):
-    samp = rl.SampleSet(np.zeros((7, 1)), np.zeros(7), 0, 7)
+    samp = rl.SampleSet(np.zeros((7, 1)), np.zeros(7))
     with pytest.raises(ConfigurationError, match="equal size"):
         rl.regress_later_fit(samp, basis_cache(2), fits=2)
 
@@ -460,7 +461,7 @@ def test_coefficient_error_zero_for_exact_span(basis_cache, w10_law,
     s = rl.simulate_conditional(brownian10, terminal10, dom, 2000, seed=23)
     g = lambda u: rl.predict(basis, np.ones(8), np.atleast_1d(u))
     fit = rl.regress_later_fit(s.with_payoffs(g(s.feature_column())), basis)
-    assert rl.coefficient_error(fit, basis, g, dist) < 1e-12
+    assert rl.coefficient_error(fit, rl.projection_coefficients(g, basis, dist)) < 1e-12
 
 
 def test_coefficient_error_shrinks_with_n(basis_cache, w10_law, brownian10,
@@ -473,8 +474,7 @@ def test_coefficient_error_shrinks_with_n(basis_cache, w10_law, brownian10,
         for n in errs:
             samp = _tanh_sample(brownian10, terminal10, dom, n, 5000 + seed + n)
             fit = rl.regress_later_fit(samp, basis)
-            errs[n].append(rl.coefficient_error(fit, basis, tanh_payoff, dist,
-                                                true_coefficients=alpha))
+            errs[n].append(rl.coefficient_error(fit, alpha))
     assert np.median(errs[100_000]) < np.median(errs[1_000])
 
 
@@ -503,8 +503,7 @@ def test_now_coefficient_error_scales_like_one_over_n(brownian10):
         errs = []
         for seed in range(15):
             samp, _, _ = _now_problem(brownian10, n, 7000 + seed, K=8)
-            fit, _ = rl.regress_now_fit(samp, basis_t)
-            errs.append(rl.coefficient_error(fit, basis_t, g0t, dist_t,
-                                             true_coefficients=alpha))
+            fit = rl.regress_now_fit(samp, basis_t)
+            errs.append(rl.coefficient_error(fit, alpha))
         medians.append(np.median(errs))
     assert -1.3 <= slope_of(ns, medians) <= -0.7

@@ -16,8 +16,10 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import rng
-from .basis import SieveBasis, build_basis
+from .basis import SieveBasis, build_basis, h_tilde
 from .distributions import TruncatedNormal
 from .errors import BasisConstructionError, ConfigurationError
 from .model import Domain, FeatureSpec, ProcessSpec, _check_pair, truncated_feature_law
@@ -35,6 +37,12 @@ PAIRED_CSV_HEADER = "K,N,reps,mse_later_mean,mse_later_stderr,mse_now_mean,mse_n
 # repetition instead, about 2.3 s at the cap for a K = 5 fit on a 2-vCPU
 # x86-64 VM.
 MAX_POINT_SAMPLES = 2**25
+# Most rejection proposals one repetition may draw: its samples over the
+# domain's mass, 1 - domain_epsilon.  Rejection draws every proposal, and a
+# mass near 0 multiplies the time of a repetition without bound where the
+# sample cap does not see it; at 2**26 any mass of at least 0.5 fits at the
+# sample cap.
+MAX_POINT_PROPOSALS = 2**26
 # Most repetitions per point.  A sweep holds every repetition's value until
 # it aggregates, and each point's list of batches while it runs the point;
 # worker threads keep only a few tasks per worker in flight.  Where each
@@ -106,6 +114,9 @@ class ExperimentConfig:
         if not (0 < self.domain_epsilon < 1):
             raise ConfigurationError("domain_epsilon: must lie in (0, 1)")
         held_per_N = self.eval_multiplier if self.eval_method == "fresh_sample" else 1
+        laws = _sweep_laws(self)
+        mass = min(dom.mass for _, dom in laws)
+        seen = set()
         for K, N in self.points():
             if N < 2 * K + 1:
                 raise ConfigurationError(f"point (K={K}, N={N}): needs N >= 2K+1")
@@ -113,19 +124,32 @@ class ExperimentConfig:
                 raise ConfigurationError(
                     f"point (K={K}, N={N}): {held_per_N * N} samples per repetition "
                     f"exceed the cap of {MAX_POINT_SAMPLES}")
+            if held_per_N * N / mass > MAX_POINT_PROPOSALS:
+                raise ConfigurationError(
+                    f"domain_epsilon: {self.domain_epsilon!r} makes point (K={K}, N={N}) draw "
+                    f"about {held_per_N * N / mass:.3g} rejection proposals per repetition, "
+                    f"above the cap of {MAX_POINT_PROPOSALS}")
+            if (K, N) in seen:  # its repetitions would redraw the same samples
+                field = "N_list" if self.sweep == "fixed_K" else "K_list"
+                raise ConfigurationError(f"{field}: point (K={K}, N={N}) repeats")
+            seen.add((K, N))
         _check_pair(self.process, self.feature)
         if self.feature.kind == "pair_u_T" and self.payoff.kind not in ("square", "identity"):
             raise ConfigurationError(
                 f"payoff.kind: the paired comparison needs a closed-form oracle payoff "
                 f"(square or identity), not {self.payoff.kind!r}")
         # every basis the sweep builds, on every law it fits on; no quadrature
-        for (dist, _), K in itertools.product(_sweep_laws(self), sorted(set(self.K_list))):
+        for (dist, _), K in itertools.product(laws, sorted(set(self.K_list))):
             try:
-                _basis(dist, K)
+                basis = _basis(dist, K)
             except BasisConstructionError as exc:
                 raise ConfigurationError(
                     f"domain_epsilon: {self.domain_epsilon!r} leaves no basis at K={K} ({exc})"
                 ) from None
+            if self.feature.kind != "pair_u_T" and not _finite_h_tilde(basis, dist):
+                raise ConfigurationError(
+                    f"feature.eval_time: {self.feature.eval_time!r} gives a non-finite "
+                    f"h_tilde at K={K}")
 
     def points(self) -> list[tuple[int, int]]:
         """(K, N) per sweep point, in report order."""
@@ -142,6 +166,17 @@ def _basis(dist: TruncatedNormal, K: int) -> SieveBasis:
     builds every basis of a sweep and the sweep reuses them.  Sharing is safe,
     a ``SieveBasis`` holds only read-only arrays."""
     return build_basis(dist, K)
+
+
+def _finite_h_tilde(basis: SieveBasis, dist: TruncatedNormal) -> bool:
+    """Whether the report's ``h_tilde`` column is finite on ``basis``.  It is
+    a closed form over N, so N = 1 stands for every point; at a time scale
+    far from 1 its fourth moments overflow or underflow."""
+    try:
+        with np.errstate(all="ignore"):  # the value is checked, not warned about
+            return math.isfinite(h_tilde(basis, dist, 1))
+    except OverflowError:
+        return False
 
 
 def _ruled_N(c: float, b: float, K: int) -> int:

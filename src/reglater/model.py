@@ -1,8 +1,8 @@
 """Process simulation and path functionals.
 
 The process is a driftless Brownian motion.  Simulators produce i.i.d.
-draws of the feature a payoff depends on (terminal value, path integral, or
-the (u, T) pair).  All sampling is built on counter-based substreams, so a
+draws of the feature a payoff depends on (the terminal value, or the (u, T)
+pair).  All sampling is built on counter-based substreams, so a
 ``SampleSet`` is a pure function of ``(spec, n, seed)`` whatever the
 execution schedule.  The exact two-asset tree is a table, not a process that
 is sampled; it lives in ``tree``.
@@ -22,9 +22,8 @@ from .distributions import TruncatedNormal
 from .errors import ConfigurationError, SamplingError
 
 PROCESS_KINDS = ("brownian",)
-FEATURE_KINDS = ("terminal", "path_integral", "pair_u_T")
+FEATURE_KINDS = ("terminal", "pair_u_T")
 
-DEFAULT_INTEGRAL_STEPS = 256
 MIN_CONDITIONAL_MASS = 1e-6
 
 
@@ -162,16 +161,10 @@ def _check_pair(proc: ProcessSpec, feat: FeatureSpec) -> None:
         raise ConfigurationError("feature.eval_time: beyond the process horizon")
 
 
-def _terminal_drawer(proc: ProcessSpec, feat: FeatureSpec) -> Callable:
-    """Closure drawing m feature values (univariate kinds) from a generator."""
-    t = feat.eval_time
-    if feat.kind == "terminal":
-        scale = np.sqrt(t)
-        return lambda gen, m: scale * gen.standard_normal(m)
-    if feat.kind == "path_integral":
-        steps = DEFAULT_INTEGRAL_STEPS
-        return lambda gen, m: _draw_path_integrals(t, steps, gen, m)
-    raise ConfigurationError(f"no sampler for ({proc.kind}, {feat.kind})")
+def _terminal_drawer(feat: FeatureSpec) -> Callable:
+    """Closure drawing m terminal values W(eval_time) from a generator."""
+    scale = np.sqrt(feat.eval_time)
+    return lambda gen, m: scale * gen.standard_normal(m)
 
 
 def simulate_terminal(proc: ProcessSpec, feat: FeatureSpec, n: int, seed: int) -> SampleSet:
@@ -186,10 +179,7 @@ def simulate_terminal(proc: ProcessSpec, feat: FeatureSpec, n: int, seed: int) -
         w_u = np.sqrt(u) * z1
         w_t = w_u + np.sqrt(t - u) * z2
         return SampleSet(np.column_stack([w_u, w_t]))
-    if feat.kind == "path_integral":
-        return simulate_path_integral(proc, feat.eval_time, DEFAULT_INTEGRAL_STEPS, n, seed)
-    draw = _terminal_drawer(proc, feat)
-    vals = rng.block_map(n, draw, seed, "terminal", feat.kind)
+    vals = rng.block_map(n, _terminal_drawer(feat), seed, "terminal", feat.kind)
     return SampleSet(vals)
 
 
@@ -209,40 +199,11 @@ def simulate_conditional(proc: ProcessSpec, feat: FeatureSpec, dom: Domain,
     if dom.mass < MIN_CONDITIONAL_MASS:
         raise SamplingError(
             f"domain mass {dom.mass:g} below {MIN_CONDITIONAL_MASS:g}; rejection would stall")
-    draw = _terminal_drawer(proc, feat)
+    draw = _terminal_drawer(feat)
     accept = lambda u: (u >= dom.a1) & (u <= dom.a2)
     vals, proposals = rng.block_rejection(n, draw, accept, seed, "conditional", feat.kind,
                                           first_block=first_block)
     return SampleSet(vals, meta={"proposals": proposals, "acceptance_rate": n / proposals})
-
-
-def _draw_path_integrals(T: float, steps: int, gen: np.random.Generator, m: int) -> np.ndarray:
-    """Trapezoidal integral of m paths on an equispaced grid, drawn from gen."""
-    dt = T / steps
-    out = np.empty(m)
-    chunk = max(1, (1 << 22) // max(steps, 1))  # cap transient path storage
-    done = 0
-    while done < m:
-        rows = min(chunk, m - done)
-        z = gen.standard_normal((rows, steps))
-        w = np.cumsum(z, axis=1) * np.sqrt(dt)
-        inner = np.sum(w[:, :-1], axis=1)  # W(0) = 0 adds nothing
-        out[done:done + rows] = dt * (inner + 0.5 * w[:, -1])
-        done += rows
-    return out
-
-
-def simulate_path_integral(proc: ProcessSpec, T: float, steps: int, n: int, seed: int) -> SampleSet:
-    """Feature = integral of W over [0, T], trapezoid on ``steps`` intervals."""
-    if steps < 2:
-        raise ConfigurationError("steps: must be >= 2")
-    if n < 1:
-        raise ConfigurationError("n: must be >= 1")
-    if not (0 < T <= proc.horizon):
-        raise ConfigurationError("T: must lie in (0, horizon]")
-    vals = rng.block_map(n, lambda gen, m: _draw_path_integrals(T, steps, gen, m),
-                         seed, "path-integral", steps)
-    return SampleSet(vals, meta={"steps": steps})
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +214,6 @@ def _gaussian_feature_params(feat: FeatureSpec) -> tuple[float, float]:
     """(mean, var) of a univariate feature of Brownian motion (exactly Gaussian)."""
     if feat.kind == "terminal":
         return 0.0, feat.eval_time
-    if feat.kind == "path_integral":
-        return 0.0, feat.eval_time ** 3 / 3.0  # continuum law of the integral
     raise ConfigurationError(f"feature.kind: no analytic law for {feat.kind!r}")
 
 

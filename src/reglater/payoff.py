@@ -17,8 +17,7 @@ import numpy as np
 from .errors import ConfigurationError, UnsupportedOracleError
 from .model import ProcessSpec
 
-PAYOFF_KINDS = ("call", "asian_call", "tanh", "square", "identity")
-_CALL_KINDS = ("call", "asian_call")
+PAYOFF_KINDS = ("call", "tanh", "square", "identity")
 _MAX_HERMITE_POINTS = 1 << 13
 
 
@@ -30,9 +29,9 @@ class PayoffSpec:
     def __post_init__(self):
         if self.kind not in PAYOFF_KINDS:
             raise ConfigurationError(f"payoff.kind: unknown kind {self.kind!r}")
-        if self.kind in _CALL_KINDS:
+        if self.kind == "call":
             if self.strike is None or not np.isfinite(self.strike):
-                raise ConfigurationError("payoff.strike: call variants need a finite strike")
+                raise ConfigurationError("payoff.strike: call needs a finite strike")
         elif self.strike is not None:
             raise ConfigurationError(f"payoff.strike: not meaningful for {self.kind!r}")
 
@@ -57,7 +56,7 @@ class OracleSpec:
 def eval_payoff(spec: PayoffSpec, feature) -> np.ndarray | float:
     """Pointwise payoff value(s), elementwise."""
     x = np.asarray(feature, dtype=np.float64)
-    if spec.kind in _CALL_KINDS:
+    if spec.kind == "call":
         out = np.maximum(x - spec.strike, 0.0)
     elif spec.kind == "tanh":
         out = np.tanh(x)

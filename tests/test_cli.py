@@ -11,8 +11,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from reglater import cli, harness, rng, svgplot
-from reglater.config import (MAX_POINT_SAMPLES, MAX_REPETITIONS, MAX_WORKERS, load_config,
-                             validate_config_dict)
+from reglater.config import (MAX_POINT_PROPOSALS, MAX_POINT_SAMPLES, MAX_REPETITIONS,
+                             MAX_WORKERS, load_config, validate_config_dict)
 from reglater.errors import ConfigurationError, SamplingError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -82,7 +82,26 @@ MUTATIONS = [
     ("N_list=[1000]", "N_list"),
     pytest.param(('sweep="fixed_K"', "K_list=[4]", "N_list=[100,1000]"), "N_rule",
                  id="fixed_K_with_N_rule-N_rule"),
-    ("domain_epsilon=0.99999", "domain_epsilon"),
+    # N = 4 K^2 keeps rejection within MAX_POINT_PROPOSALS, so the K = 8 basis is what fails
+    pytest.param(("domain_epsilon=0.99999", "N_rule.c=4"),
+                 "domain_epsilon: 0.99999 leaves no basis at K=8",
+                 id="domain_epsilon=0.99999-domain_epsilon"),
+    # closed-form row values that are not finite at extreme time scales
+    pytest.param(("process.horizon=1e300", "feature.eval_time=5e299",
+                  'payoff={"kind":"call","strike":1}'), "feature.eval_time",
+                 id="overflowing_moments-feature.eval_time"),
+    ("feature.eval_time=1e-300", "feature.eval_time"),
+    # rejection proposals beyond MAX_POINT_PROPOSALS: 7,680 / 1e-4 at K = 16
+    pytest.param(("domain_epsilon=0.9999", "K_list=[16]"), "domain_epsilon",
+                 id="runaway_rejection-domain_epsilon"),
+    pytest.param(('payoff={"kind":"square"}', "domain_epsilon=0.9999", "N_rule.c=3000",
+                  'feature={"kind":"pair_u_T","eval_time":10.0,"intermediate_time":1.0}'),
+                 "domain_epsilon", id="paired_runaway_rejection-domain_epsilon"),
+    # a repeated point redraws the same samples
+    ("K_list=[4,4,8]", "K_list"),
+    # removed kinds
+    ('feature.kind="path_integral"', "feature.kind"),
+    ('payoff={"kind":"asian_call","strike":1}', "payoff.kind"),
     # removed keys
     ("process.dimension=1", "process.dimension"),
     ("feature.output_dim=1", "feature.output_dim"),
@@ -246,6 +265,33 @@ def test_fresh_sample_multiplier_counts_against_the_cap():
     validate_config_dict(dict(doc, N_list=[cap], eval={"method": "quadrature"}))
 
 
+@pytest.mark.parametrize("name,sets,needle", [
+    ("figure2.json", ["K_list=[1]", "N_list=[3000,10000,30000]", "domain_epsilon=0.999999"],
+     "domain_epsilon: 0.999999 makes point (K=1, N=3000)"),
+    ("now_vs_later_fixed.json", ["domain_epsilon=0.9999"],
+     "domain_epsilon: 0.9999 makes point (K=8, N=10000)"),
+    ("figure2.json", ["N_list=[1000,1000,1000]"], "N_list: point (K=5, N=1000) repeats"),
+    ("now_vs_later_fixed.json", ["N_list=[1000,10000,1000]"],
+     "N_list: point (K=8, N=1000) repeats"),
+], ids=["runaway_rejection", "paired_runaway_rejection", "repeated_N", "paired_repeated_N"])
+def test_fixed_K_refusals_name_the_field(name, sets, needle, capsys):
+    args = [arg for item in sets for arg in ("--set", item)]
+    assert cli.main(["validate-config", str(CONFIG_DIR / name), *args]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {needle}")
+
+
+def test_rejection_proposals_count_against_their_cap():
+    # domain mass 0.25: 4 proposals per sample, so the proposal cap binds first
+    doc = {key: v for key, v in TINY_CONFIG.items() if key != "N_rule"}
+    doc.update(sweep="fixed_K", K_list=[4], domain_epsilon=0.75)
+    n = MAX_POINT_PROPOSALS // 4
+    assert n < MAX_POINT_SAMPLES
+    validate_config_dict(dict(doc, N_list=[1000, n]))
+    with pytest.raises(ConfigurationError, match=f"domain_epsilon: 0.75 makes point "
+                                                 fr"\(K=4, N={n + 1}\)"):
+        validate_config_dict(dict(doc, N_list=[1000, n + 1]))
+
+
 def _run_refused_before_sampling(args, tmp_path, monkeypatch, capsys) -> str:
     """Runs ``args`` (config and overrides) and checks that it exits 2 with
     nothing sampled, little allocated and no report written; returns stderr."""
@@ -363,11 +409,19 @@ def test_run_rejects_workers_below_one(workers, tiny_config_path, tmp_path, caps
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("doc", [TINY_CONFIG, TINY_PAIRED_CONFIG], ids=["growing", "paired"])
+def _with_N_list(doc: dict, K_list: list[int], N_list: list[int]) -> dict:
+    """``doc`` sweeping the points of ``K_list`` and ``N_list`` instead of its ``N_rule``."""
+    return dict({key: v for key, v in doc.items() if key != "N_rule"}, K_list=K_list,
+                N_list=N_list, repetitions=2)
+
+
+# distinct points on one abscissa: K for the growing sweep's slope, N for the paired slopes
+@pytest.mark.parametrize("doc", [_with_N_list(TINY_CONFIG, [4, 4, 4], [200, 400, 800]),
+                                 _with_N_list(TINY_PAIRED_CONFIG, [4, 6, 8], [480, 480, 480])],
+                         ids=["growing", "paired"])
 def test_run_with_one_distinct_sweep_value_reports_nan_slope(doc, tmp_path, capsys):
-    # K = 4 three times: one K, and so one N, for the slope's abscissa
     path = tmp_path / "tiny.json"
-    path.write_text(json.dumps(dict(doc, K_list=[4, 4, 4], repetitions=2)))
+    path.write_text(json.dumps(doc))
     assert cli.main(["run", str(path), "-o", str(tmp_path / "o")]) == 0
     report = json.loads((tmp_path / "o" / "report.json").read_text())
     assert [r["reps"] for r in report["rows"]] == [2, 2, 2]

@@ -90,12 +90,13 @@ def test_config_rejects_mismatched_lists():
                                      rl.FeatureSpec("pair_u_T", 10.0, intermediate_time=1.0)],
                          ids=["terminal", "pair_u_T"])
 def test_config_builds_every_basis_of_the_sweep(feature):
-    # at domain_epsilon = 0.99999 the K = 8 partition misses 1/K by 5.55e-12
+    # at domain_epsilon = 0.99999 the K = 8 partition misses 1/K by 5.55e-12;
+    # N = 4 K^2 keeps rejection within MAX_POINT_PROPOSALS at that mass
     def config(K_list):
         return rl.ExperimentConfig(
             name="t", process=rl.ProcessSpec("brownian", 10.0), payoff=rl.PayoffSpec("square"),
             feature=feature, sweep="growing_K", K_list=K_list, repetitions=1, seed=1,
-            N_rule=(100.0, 2.01), domain_epsilon=0.99999)
+            N_rule=(4.0, 2.0), domain_epsilon=0.99999)
 
     config((4, 6, 12))  # these partitions hold their masses
     with pytest.raises(ConfigurationError,

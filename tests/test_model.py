@@ -59,8 +59,7 @@ def test_inconsistent_pair_is_refused(brownian10):
 
 def test_feature_dim_follows_the_kind():
     assert rl.FeatureSpec("pair_u_T", 10.0, intermediate_time=1.0).dim == 2
-    for kind in ("terminal", "path_integral"):
-        assert rl.FeatureSpec(kind, 2.0).dim == 1
+    assert rl.FeatureSpec("terminal", 2.0).dim == 1
 
 
 def test_feature_times_are_positive():
@@ -128,39 +127,6 @@ def test_tiny_mass_is_refused(brownian10, terminal10):
     dom = rl.Domain(8.0, 8.001, 1e-8)
     with pytest.raises(SamplingError):
         rl.simulate_conditional(brownian10, terminal10, dom, 10, seed=0)
-
-
-# ---------------------------------------------------------------------------
-# path integrals
-# ---------------------------------------------------------------------------
-
-def test_path_integral_mean_zero(brownian10):
-    s = rl.simulate_path_integral(brownian10, T=1.0, steps=256, n=100_000, seed=13)
-    v = s.feature_column()
-    assert abs(v.mean()) < 4.0 * v.std(ddof=1) / np.sqrt(v.size)
-    assert s.meta["steps"] == 256
-
-
-def test_path_integral_variance_closed_form(brownian10):
-    # Var of the integral of W over [0,1] is 1/3
-    s = rl.simulate_path_integral(brownian10, T=1.0, steps=256, n=400_000, seed=14)
-    assert abs(s.feature_column().var() - 1.0 / 3.0) < 0.03 / 3.0
-
-
-def test_path_integral_refinement_stable(brownian10):
-    a = rl.simulate_path_integral(brownian10, T=1.0, steps=128, n=200_000, seed=15)
-    b = rl.simulate_path_integral(brownian10, T=1.0, steps=256, n=200_000, seed=15)
-    va, vb = a.feature_column().var(ddof=1), b.feature_column().var(ddof=1)
-    # variance of a variance estimate: ~ sqrt(2/(n-1)) * var relative error
-    stderr = np.sqrt(2.0 / (a.n - 1)) * va
-    assert abs(va - vb) < stderr
-
-
-def test_path_integral_validations(brownian10):
-    with pytest.raises(ConfigurationError):
-        rl.simulate_path_integral(brownian10, T=1.0, steps=1, n=10, seed=0)
-    with pytest.raises(ConfigurationError):
-        rl.simulate_path_integral(brownian10, T=20.0, steps=16, n=10, seed=0)
 
 
 # ---------------------------------------------------------------------------

@@ -62,8 +62,6 @@ def test_unsupported_pairs_raise(brownian10):
     with pytest.raises(UnsupportedOracleError):
         rl.oracle_conditional(rl.PayoffSpec("call", strike=1.0), brownian10, 1.0, 0.0)
     with pytest.raises(UnsupportedOracleError):
-        rl.oracle_conditional(rl.PayoffSpec("asian_call", strike=1.0), brownian10, 1.0, 1.0)
-    with pytest.raises(UnsupportedOracleError):
         rl.oracle_conditional(rl.PayoffSpec("tanh"), brownian10, 1.0, 0.0,
                               rl.OracleSpec("closed_form"))
 

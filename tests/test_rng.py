@@ -3,7 +3,7 @@ import pytest
 from scipy.special import ndtri
 
 from reglater import model, rng
-from reglater.model import FeatureSpec, ProcessSpec
+from reglater.model import FeatureSpec
 
 
 def test_substream_is_reproducible():
@@ -58,12 +58,7 @@ def test_block_rejection_deterministic_and_within_bounds():
 
 CHUNKS = (1, 63, 64, 1000, 7, 4096, 3)
 
-DRAWERS = {
-    "brownian-terminal": (ProcessSpec("brownian", horizon=10.0),
-                          FeatureSpec("terminal", eval_time=10.0)),
-    "path-integral": (ProcessSpec("brownian", horizon=1.0),
-                      FeatureSpec("path_integral", eval_time=1.0)),
-}
+DRAWERS = {"brownian-terminal": FeatureSpec("terminal", eval_time=10.0)}
 
 
 def _chunked(draw, chunks, *parts):
@@ -73,7 +68,7 @@ def _chunked(draw, chunks, *parts):
 
 @pytest.mark.parametrize("name", sorted(DRAWERS))
 def test_terminal_drawers_are_prefix_consistent(name):
-    draw = model._terminal_drawer(*DRAWERS[name])
+    draw = model._terminal_drawer(DRAWERS[name])
     one_shot = np.asarray(draw(rng.substream(3, name), sum(CHUNKS)), dtype=np.float64)
     assert np.array_equal(_chunked(draw, CHUNKS, 3, name), one_shot)
 

@@ -27,7 +27,7 @@ _EXPORTS = {name: module for module, names in {
     "distributions": ("DistSpec", "TruncatedNormal", "Uniform"),
     "harness": ("ConvergenceReport", "PairedReport", "fit_loglog_slope",
                 "now_vs_later_compare", "run_fixed_K", "run_growing_K"),
-    "model": ("Domain", "FeatureSpec", "ProcessSpec", "SampleSet", "central_domain",
+    "model": ("Domain", "FeatureSpec", "SampleSet", "central_domain",
               "simulate_conditional", "simulate_terminal", "truncated_feature_law"),
     "payoff": ("OracleSpec", "PayoffSpec", "eval_payoff", "oracle_conditional"),
     "regress": ("FitResult", "coefficient_error", "predict",

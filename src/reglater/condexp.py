@@ -23,7 +23,7 @@ import numpy as np
 from ._normal import ndtr_array, phi
 from .basis import SieveBasis
 from .errors import ConfigurationError, JensenViolationError
-from .model import ProcessSpec, SampleSet
+from .model import SampleSet
 from .payoff import OracleSpec, PayoffSpec, oracle_conditional
 from .regress import FitResult, predict
 
@@ -127,7 +127,7 @@ class JensenCheck(NamedTuple):
 
 
 def jensen_check(fit: FitResult, basis: SieveBasis, transition: Transition,
-                 payoff: PayoffSpec, proc: ProcessSpec, paired: SampleSet,
+                 payoff: PayoffSpec, paired: SampleSet,
                  oracle: OracleSpec = OracleSpec("gauss_quadrature"),
                  truth=None) -> JensenCheck:
     """Check that conditioning can only shrink the mean-square error.
@@ -155,7 +155,7 @@ def jensen_check(fit: FitResult, basis: SieveBasis, transition: Transition,
     spec = TransferSpec(transition, basis, fit.coefficients)
     estimate = condexp_estimate(spec, states)
     if truth is None:
-        target = oracle_conditional(payoff, proc, transition.t, states, oracle)
+        target = oracle_conditional(payoff, transition.t, transition.T, states, oracle)
     else:
         target = np.asarray(truth(states), dtype=np.float64)
     mse_cond = float(np.mean((target - estimate) ** 2))

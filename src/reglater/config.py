@@ -22,19 +22,18 @@ from . import rng
 from .basis import SieveBasis, build_basis, h_tilde
 from .distributions import TruncatedNormal
 from .errors import BasisConstructionError, ConfigurationError
-from .model import Domain, FeatureSpec, ProcessSpec, _check_pair, truncated_feature_law
-from .payoff import PayoffSpec
+from .model import Domain, FeatureSpec, truncated_feature_law
+from .payoff import PayoffSpec, eval_payoff
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 # report.csv headers, here so that ``reglater plot`` needs no sweep engine
 CSV_HEADER = "K,N,reps,mse_mean,mse_stderr,approx_l2,h_tilde"
 PAIRED_CSV_HEADER = "K,N,reps,mse_later_mean,mse_later_stderr,mse_now_mean,mse_now_stderr"
 
-# Most samples one repetition may draw: N, or eval.multiplier * N for
-# fresh-sample evaluation.  Repetitions stream their samples one rng block at
-# a time, so memory does not grow with N (peak RSS about 5 MB above the import
-# floor at N = 2**20 and at 2**25); the cap bounds the time of one
-# repetition instead, about 2.3 s at the cap for a K = 5 fit on a 2-vCPU
+# Most samples one repetition may draw: N.  Repetitions stream their samples
+# one rng block at a time, so memory does not grow with N (peak RSS about 5 MB
+# above the import floor at N = 2**20 and at 2**25); the cap bounds the time
+# of one repetition instead, about 2.3 s at the cap for a K = 5 fit on a 2-vCPU
 # x86-64 VM.
 MAX_POINT_SAMPLES = 2**25
 # Most rejection proposals one repetition may draw: its samples over the
@@ -65,7 +64,6 @@ class ExperimentConfig:
     Fields are in the order ``report.json`` echoes them (``asdict``)."""
 
     name: str
-    process: ProcessSpec
     payoff: PayoffSpec
     feature: FeatureSpec
     sweep: str  # growing_K | fixed_K
@@ -74,8 +72,6 @@ class ExperimentConfig:
     N_list: tuple[int, ...] | None = None
     repetitions: int
     seed: int
-    eval_method: str = "quadrature"  # quadrature | fresh_sample
-    eval_multiplier: int = 10
     domain_epsilon: float = 1e-4
 
     def __post_init__(self):
@@ -107,37 +103,39 @@ class ExperimentConfig:
                 raise ConfigurationError("fixed_K: needs an explicit N_list")
             if self.N_rule is not None:
                 raise ConfigurationError("N_rule: fixed_K takes its N from N_list, not a rule")
-        if self.eval_method not in ("quadrature", "fresh_sample"):
-            raise ConfigurationError(f"eval.method: unknown kind {self.eval_method!r}")
-        if self.eval_multiplier < 1:
-            raise ConfigurationError("eval.multiplier: must be >= 1")
         if not (0 < self.domain_epsilon < 1):
             raise ConfigurationError("domain_epsilon: must lie in (0, 1)")
-        held_per_N = self.eval_multiplier if self.eval_method == "fresh_sample" else 1
         laws = _sweep_laws(self)
         mass = min(dom.mass for _, dom in laws)
         seen = set()
         for K, N in self.points():
             if N < 2 * K + 1:
                 raise ConfigurationError(f"point (K={K}, N={N}): needs N >= 2K+1")
-            if held_per_N * N > MAX_POINT_SAMPLES:
+            if N > MAX_POINT_SAMPLES:
                 raise ConfigurationError(
-                    f"point (K={K}, N={N}): {held_per_N * N} samples per repetition "
+                    f"point (K={K}, N={N}): {N} samples per repetition "
                     f"exceed the cap of {MAX_POINT_SAMPLES}")
-            if held_per_N * N / mass > MAX_POINT_PROPOSALS:
+            if N / mass > MAX_POINT_PROPOSALS:
                 raise ConfigurationError(
                     f"domain_epsilon: {self.domain_epsilon!r} makes point (K={K}, N={N}) draw "
-                    f"about {held_per_N * N / mass:.3g} rejection proposals per repetition, "
+                    f"about {N / mass:.3g} rejection proposals per repetition, "
                     f"above the cap of {MAX_POINT_PROPOSALS}")
             if (K, N) in seen:  # its repetitions would redraw the same samples
                 field = "N_list" if self.sweep == "fixed_K" else "K_list"
                 raise ConfigurationError(f"{field}: point (K={K}, N={N}) repeats")
             seen.add((K, N))
-        _check_pair(self.process, self.feature)
         if self.feature.kind == "pair_u_T" and self.payoff.kind not in ("square", "identity"):
             raise ConfigurationError(
                 f"payoff.kind: the paired comparison needs a closed-form oracle payoff "
                 f"(square or identity), not {self.payoff.kind!r}")
+        dom_T = laws[0][1]  # the fit domain at the payoff date
+        if not _finite_mse_spread(self.payoff, dom_T):
+            strike = self.payoff.strike
+            field = ("payoff.strike" if strike is not None and abs(strike) > dom_T.a2
+                     else "feature.eval_time")
+            raise ConfigurationError(
+                f"{field}: the {self.payoff.kind} payoff is too large on the domain at "
+                f"eval_time {self.feature.eval_time!r} for the MSE's standard error to be finite")
         # every basis the sweep builds, on every law it fits on; no quadrature
         for (dist, _), K in itertools.product(laws, sorted(set(self.K_list))):
             try:
@@ -146,7 +144,7 @@ class ExperimentConfig:
                 raise ConfigurationError(
                     f"domain_epsilon: {self.domain_epsilon!r} leaves no basis at K={K} ({exc})"
                 ) from None
-            if self.feature.kind != "pair_u_T" and not _finite_h_tilde(basis, dist):
+            if not _finite_h_tilde(basis, dist):
                 raise ConfigurationError(
                     f"feature.eval_time: {self.feature.eval_time!r} gives a non-finite "
                     f"h_tilde at K={K}")
@@ -179,6 +177,21 @@ def _finite_h_tilde(basis: SieveBasis, dist: TruncatedNormal) -> bool:
         return False
 
 
+def _finite_mse_spread(payoff: PayoffSpec, dom: Domain) -> bool:
+    """Whether the square of a squared payoff-scale error is finite on ``dom``.
+
+    A repetition's MSE is a mean of squared errors between payoff-scale values
+    (for ``square`` of order eval_time**2), and its standard error squares the
+    deviations of those MSEs once more (``harness._mean_stderr``, on Python
+    floats, which raise ``OverflowError``).  Every payoff kind is largest in
+    magnitude at an end of an interval, so ``2 * max |g(a1)|, |g(a2)|``
+    bounds the scale of an error."""
+    with np.errstate(all="ignore"):  # the value is checked, not warned about
+        g = max(abs(eval_payoff(payoff, dom.a1)), abs(eval_payoff(payoff, dom.a2)))
+    err = (2.0 * g) * (2.0 * g)
+    return math.isfinite(err * err)
+
+
 def _ruled_N(c: float, b: float, K: int) -> int:
     """N = ceil(c * K**b) of a sweep point; ``ConfigurationError`` where it
     is not finite."""
@@ -194,9 +207,8 @@ def _sweep_laws(config: ExperimentConfig) -> list[tuple[TruncatedNormal, Domain]
     intermediate date, in that order."""
     feat = config.feature
     if feat.kind != "pair_u_T":
-        return [truncated_feature_law(config.process, feat, config.domain_epsilon)]
-    return [truncated_feature_law(config.process, FeatureSpec("terminal", t),
-                                  config.domain_epsilon)
+        return [truncated_feature_law(feat, config.domain_epsilon)]
+    return [truncated_feature_law(FeatureSpec("terminal", t), config.domain_epsilon)
             for t in (feat.eval_time, feat.intermediate_time)]
 
 
@@ -255,19 +267,15 @@ def _int_list(doc: dict, where: str, key: str):
 def validate_config_dict(doc: dict) -> ExperimentConfig:
     """Turn a parsed JSON document into a validated ExperimentConfig."""
     _require_mapping(doc, "config")
-    _check_keys(doc, "config",
-                required={"schema_version", "process", "feature", "payoff", "sweep",
-                          "K_list", "repetitions", "seed"},
-                optional={"name", "N_rule", "N_list", "eval", "domain_epsilon"})
+    # before the keys: a document of another version fails once, on its version
     version = _integer(doc, "config", "schema_version")
     if version != SCHEMA_VERSION:
         raise ConfigurationError(
             f"config.schema_version: expected {SCHEMA_VERSION}, got {version!r}")
-
-    p = _require_mapping(doc["process"], "process")
-    _check_keys(p, "process", {"kind", "horizon"}, set())
-    process = ProcessSpec(kind=_string(p, "process", "kind"),
-                          horizon=_number(p, "process", "horizon"))
+    _check_keys(doc, "config",
+                required={"schema_version", "feature", "payoff", "sweep", "K_list",
+                          "repetitions", "seed"},
+                optional={"name", "N_rule", "N_list", "domain_epsilon"})
 
     f = _require_mapping(doc["feature"], "feature")
     _check_keys(f, "feature", {"kind", "eval_time"}, {"intermediate_time"})
@@ -287,16 +295,8 @@ def validate_config_dict(doc: dict) -> ExperimentConfig:
         _check_keys(r, "N_rule", {"c", "b"}, set())
         n_rule = (float(_number(r, "N_rule", "c")), float(_number(r, "N_rule", "b")))
 
-    eval_method, eval_multiplier = "quadrature", 10
-    if "eval" in doc:
-        e = _require_mapping(doc["eval"], "eval")
-        _check_keys(e, "eval", {"method"}, {"multiplier"})
-        eval_method = _string(e, "eval", "method")
-        eval_multiplier = _integer(e, "eval", "multiplier", 10)
-
     return ExperimentConfig(
         name=_string(doc, "config", "name", "experiment"),
-        process=process,
         payoff=payoff,
         feature=feature,
         sweep=_string(doc, "config", "sweep"),
@@ -305,8 +305,6 @@ def validate_config_dict(doc: dict) -> ExperimentConfig:
         seed=_integer(doc, "config", "seed"),
         N_rule=n_rule,
         N_list=_int_list(doc, "config", "N_list"),
-        eval_method=eval_method,
-        eval_multiplier=eval_multiplier,
         domain_epsilon=float(_number(doc, "config", "domain_epsilon", 1e-4)),
     )
 

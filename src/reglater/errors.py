@@ -22,7 +22,7 @@ class DegenerateDesignError(ReglaterError):
 
 
 class UnsupportedOracleError(ReglaterError):
-    """No conditional-expectation oracle for the requested payoff/process pair."""
+    """No conditional-expectation oracle for the requested payoff."""
 
 
 class JensenViolationError(ReglaterError):

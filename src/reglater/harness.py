@@ -42,7 +42,7 @@ from .condexp import condexp_estimate  # noqa: F401  (not called; perfbench/trac
 from .config import CSV_HEADER, PAIRED_CSV_HEADER, ExperimentConfig, _basis, _sweep_laws
 from .errors import (BasisConstructionError, ConfigurationError, DegenerateDesignError,
                      SamplingError)
-from .model import Domain, FeatureSpec, ProcessSpec, SampleSet, simulate_conditional
+from .model import Domain, FeatureSpec, SampleSet, simulate_conditional
 from .model import truncated_feature_law  # noqa: F401
 from .payoff import OracleSpec, PayoffSpec, eval_payoff, oracle_conditional
 from .regress import coefficient_error, predict, regress_later_fit, regress_now_fit
@@ -295,14 +295,12 @@ def _keep_block_memory() -> None:
     mallopt(-1, 32 * block_bytes)  # M_TRIM_THRESHOLD: keep up to 32 blocks of freed heap
 
 
-def _sample_blocks(proc: ProcessSpec, feat: FeatureSpec, dom: Domain, n: int,
-                   seed: int) -> Iterator[SampleSet]:
-    """``simulate_conditional(proc, feat, dom, n, seed)`` one rng block at a
-    time, so a repetition never holds more than ``rng.BLOCK_SIZE`` samples."""
+def _sample_blocks(feat: FeatureSpec, dom: Domain, n: int, seed: int) -> Iterator[SampleSet]:
+    """``simulate_conditional(feat, dom, n, seed)`` one rng block at a time,
+    so a repetition never holds more than ``rng.BLOCK_SIZE`` samples."""
     size = rng.BLOCK_SIZE
     for j in range(-(-n // size)):
-        yield simulate_conditional(proc, feat, dom, min(size, n - j * size), seed,
-                                   first_block=j)
+        yield simulate_conditional(feat, dom, min(size, n - j * size), seed, first_block=j)
 
 
 def _payoff_blocks(payoff: PayoffSpec, blocks: Iterable[SampleSet]) -> Iterator[SampleSet]:
@@ -331,25 +329,16 @@ def _run_points(config: ExperimentConfig, workers: int) -> ConvergenceReport:
 
     setups = [_PointSetup(K, N, *per_K(K)) for K, N in config.points()]
 
-    def evaluate(pt: _PointSetup, rep: int, fit) -> float:
-        if config.eval_method == "quadrature":
-            return pt.approx_ms + coefficient_error(fit, pt.alpha)
-        eval_seed = rng.derive_seed(config.seed, pt.K, pt.N, rep, "eval")
-        n_eval = config.eval_multiplier * pt.N
-        sq = []
-        for fresh in _sample_blocks(config.process, config.feature, dom, n_eval, eval_seed):
-            v = fresh.feature_column()
-            err = eval_payoff(config.payoff, v) - predict(pt.basis, fit.coefficients, v)
-            sq.append(float(np.sum(err * err)))
-        return math.fsum(sq) / n_eval
-
     def run_batch(pt: _PointSetup, batch: range) -> list:
-        streams = [_sample_blocks(config.process, config.feature, dom, pt.N,
+        streams = [_sample_blocks(config.feature, dom, pt.N,
                                   rng.derive_seed(config.seed, pt.K, pt.N, rep))
                    for rep in batch]
         fits = _fit_batch(lambda blocks, g: regress_later_fit(
             _payoff_blocks(config.payoff, blocks), pt.basis, fits=g), streams)
-        return _each(lambda rep, fit: evaluate(pt, rep, fit), batch, fits)
+        # the basis is orthonormal, so the MSE is the floor plus the
+        # coefficients' squared error, exactly
+        return _each(lambda rep, fit: pt.approx_ms + coefficient_error(fit, pt.alpha),
+                     batch, fits)
 
     values, failures = _sweep(setups, config.repetitions, run_batch, workers)
     rows = []
@@ -447,9 +436,8 @@ def now_vs_later_compare(config: ExperimentConfig, workers: int = 1) -> PairedRe
     (K, N) points; MSEs against the closed-form truth, slopes versus N.
 
     Needs a pair_u_T feature fixing t and T; ``ExperimentConfig`` then holds
-    a Brownian process and a payoff with a closed-form conditional
-    expectation (square or identity).  A failed repetition is left out of
-    both estimators' means.
+    a payoff with a closed-form conditional expectation (square or
+    identity).  A failed repetition is left out of both estimators' means.
     """
     start = time.perf_counter()
     _keep_block_memory()
@@ -457,7 +445,6 @@ def now_vs_later_compare(config: ExperimentConfig, workers: int = 1) -> PairedRe
         raise ConfigurationError("paired comparison needs a pair_u_T feature (fixes t and T)")
     t = config.feature.intermediate_time
     T = config.feature.eval_time
-    proc = config.process
 
     feat_T = FeatureSpec("terminal", T)
     feat_t = FeatureSpec("terminal", t)
@@ -473,7 +460,7 @@ def now_vs_later_compare(config: ExperimentConfig, workers: int = 1) -> PairedRe
         half = 0.5 * (edges[1:] - edges[:-1])
         grid = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
         wq = (half[:, None] * wg[None, :]).ravel() * dist_t.density(grid)
-        truth = oracle_conditional(config.payoff, proc, t, grid, OracleSpec("closed_form"))
+        truth = oracle_conditional(config.payoff, t, T, grid, OracleSpec("closed_form"))
         transfer = basis_condexp(BrownianTransition(t, T), basis_T, grid)
         return basis_T, basis_t, grid, wq, truth, transfer
 
@@ -486,7 +473,7 @@ def now_vs_later_compare(config: ExperimentConfig, workers: int = 1) -> PairedRe
         # Regress-Later: fit the payoff at T, transfer exactly to time t
         later = _fit_batch(lambda blocks, g: regress_later_fit(
             _payoff_blocks(config.payoff, blocks), pt.basis_T, fits=g),
-            [_sample_blocks(proc, feat_T, dom_T, N,
+            [_sample_blocks(feat_T, dom_T, N,
                             rng.derive_seed(config.seed, "later", K, N, rep)) for rep in batch])
 
         def transfer_mse(rep: int, fit) -> float:
@@ -496,7 +483,7 @@ def now_vs_later_compare(config: ExperimentConfig, workers: int = 1) -> PairedRe
         # Regress-Now: states at t, fresh continuations to T, direct regression
         streams = [mse if isinstance(mse, Exception) else _continued_blocks(
             config.payoff, scale, rng.derive_seed(config.seed, "cont", K, N, rep),
-            _sample_blocks(proc, feat_t, dom_t, N, rng.derive_seed(config.seed, "now", K, N, rep)))
+            _sample_blocks(feat_t, dom_t, N, rng.derive_seed(config.seed, "now", K, N, rep)))
             for rep, mse in zip(batch, mse_lat)]
         now = _fit_batch(lambda blocks, g: regress_now_fit(blocks, pt.basis_t, fits=g), streams)
 

@@ -1,11 +1,11 @@
-"""Process simulation and path functionals.
+"""Features of a driftless Brownian motion W with W(0) = 0, and their samplers.
 
-The process is a driftless Brownian motion.  Simulators produce i.i.d.
-draws of the feature a payoff depends on (the terminal value, or the (u, T)
-pair).  All sampling is built on counter-based substreams, so a
-``SampleSet`` is a pure function of ``(spec, n, seed)`` whatever the
-execution schedule.  The exact two-asset tree is a table, not a process that
-is sampled; it lives in ``tree``.
+Simulators produce i.i.d. draws of the feature a payoff depends on (the
+value at the payoff date, or the (u, T) pair); the feature fixes every date.
+All sampling is built on counter-based substreams, so a ``SampleSet`` is a
+pure function of ``(spec, n, seed)`` whatever the execution schedule.  The
+exact two-asset tree is a table, not a process that is sampled; it lives in
+``tree``.
 """
 from __future__ import annotations
 
@@ -21,29 +21,15 @@ from ._normal import ndtri
 from .distributions import TruncatedNormal
 from .errors import ConfigurationError, SamplingError
 
-PROCESS_KINDS = ("brownian",)
 FEATURE_KINDS = ("terminal", "pair_u_T")
 
 MIN_CONDITIONAL_MASS = 1e-6
 
 
 @dataclass(frozen=True)
-class ProcessSpec:
-    """Underlying process: driftless Brownian motion W with W(0)=0."""
-
-    kind: str
-    horizon: float
-
-    def __post_init__(self):
-        if self.kind not in PROCESS_KINDS:
-            raise ConfigurationError(f"process.kind: unknown kind {self.kind!r}")
-        if not (np.isfinite(self.horizon) and self.horizon > 0):
-            raise ConfigurationError("process.horizon: must be > 0")
-
-
-@dataclass(frozen=True)
 class FeatureSpec:
-    """Path functional mapping a path to R^dim, evaluated at ``eval_time``."""
+    """Path functional mapping a path to R^dim, evaluated at ``eval_time``,
+    the payoff date T; ``pair_u_T`` also fixes the earlier date u."""
 
     kind: str
     eval_time: float
@@ -156,20 +142,14 @@ def _checked_payoffs(payoffs, n: int) -> np.ndarray:
 # simulation
 # ---------------------------------------------------------------------------
 
-def _check_pair(proc: ProcessSpec, feat: FeatureSpec) -> None:
-    if feat.eval_time > proc.horizon:
-        raise ConfigurationError("feature.eval_time: beyond the process horizon")
-
-
 def _terminal_drawer(feat: FeatureSpec) -> Callable:
     """Closure drawing m terminal values W(eval_time) from a generator."""
     scale = np.sqrt(feat.eval_time)
     return lambda gen, m: scale * gen.standard_normal(m)
 
 
-def simulate_terminal(proc: ProcessSpec, feat: FeatureSpec, n: int, seed: int) -> SampleSet:
+def simulate_terminal(feat: FeatureSpec, n: int, seed: int) -> SampleSet:
     """n i.i.d. draws of the feature value; deterministic in (spec, n, seed)."""
-    _check_pair(proc, feat)
     if n < 1:
         raise ConfigurationError("n: must be >= 1")
     if feat.kind == "pair_u_T":
@@ -183,15 +163,14 @@ def simulate_terminal(proc: ProcessSpec, feat: FeatureSpec, n: int, seed: int) -
     return SampleSet(vals)
 
 
-def simulate_conditional(proc: ProcessSpec, feat: FeatureSpec, dom: Domain,
-                         n: int, seed: int, *, first_block: int = 0) -> SampleSet:
+def simulate_conditional(feat: FeatureSpec, dom: Domain, n: int, seed: int, *,
+                         first_block: int = 0) -> SampleSet:
     """Draws of the feature conditioned on landing in [a1, a2], via rejection.
 
     With ``first_block=j`` the draws start at ``rng`` block ``j``: block ``j``
     of an ``n``-sample draw, alone, is the call with ``min(rng.BLOCK_SIZE,
     n - j * rng.BLOCK_SIZE)`` samples and ``first_block=j``.
     """
-    _check_pair(proc, feat)
     if n < 1:
         raise ConfigurationError("n: must be >= 1")
     if feat.dim != 1:
@@ -217,7 +196,7 @@ def _gaussian_feature_params(feat: FeatureSpec) -> tuple[float, float]:
     raise ConfigurationError(f"feature.kind: no analytic law for {feat.kind!r}")
 
 
-def central_domain(proc: ProcessSpec, feat: FeatureSpec, epsilon: float = 1e-4) -> Domain:
+def central_domain(feat: FeatureSpec, epsilon: float) -> Domain:
     """Central 1-epsilon interval of the feature law (inverse-CDF edges)."""
     if not (0 < epsilon < 1):
         raise ConfigurationError("epsilon: must lie in (0, 1)")
@@ -227,9 +206,8 @@ def central_domain(proc: ProcessSpec, feat: FeatureSpec, epsilon: float = 1e-4) 
     return Domain(mean - half, mean + half, 1.0 - epsilon)
 
 
-def truncated_feature_law(proc: ProcessSpec, feat: FeatureSpec,
-                          epsilon: float = 1e-4) -> tuple[TruncatedNormal, Domain]:
+def truncated_feature_law(feat: FeatureSpec, epsilon: float) -> tuple[TruncatedNormal, Domain]:
     """Analytic truncated law of a Gaussian feature plus its domain."""
     mean, var = _gaussian_feature_params(feat)
-    dom = central_domain(proc, feat, epsilon)
+    dom = central_domain(feat, epsilon)
     return TruncatedNormal(mean, var, dom.a1, dom.a2), dom

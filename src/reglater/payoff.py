@@ -2,8 +2,8 @@
 
 ``eval_payoff`` is exact pointwise evaluation of the payoff on feature
 values.  ``oracle_conditional`` supplies the *true* conditional expectation
-g(t, state) of a payoff of the Brownian state at the horizon wherever it is
-knowable: closed forms for identity / square payoffs, and adaptive
+g(t, state) of a payoff of the Brownian state at the payoff date T wherever
+it is knowable: closed forms for identity / square payoffs, and adaptive
 Gauss-Hermite quadrature against the Gaussian transition density for those
 and tanh (used as ground truth for tanh, which admits no closed form).
 """
@@ -15,7 +15,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigurationError, UnsupportedOracleError
-from .model import ProcessSpec
 
 PAYOFF_KINDS = ("call", "tanh", "square", "identity")
 _MAX_HERMITE_POINTS = 1 << 13
@@ -92,20 +91,18 @@ def gauss_hermite_expectation(f, mean, sd, points: int, tolerance: float | None 
         n, est = 2 * n, new
 
 
-def oracle_conditional(spec: PayoffSpec, proc: ProcessSpec, t: float, state,
+def oracle_conditional(spec: PayoffSpec, t: float, T: float, state,
                        oracle: OracleSpec = OracleSpec()) -> np.ndarray | float:
-    """True conditional expectation of the payoff given the state at time t.
+    """True conditional expectation of the payoff of W(T) given W(t) = state.
 
     Supported payoffs: identity / square / tanh.  ``closed_form`` raises for
     tanh; ``gauss_quadrature`` works for every supported payoff and must
     reproduce the closed forms.
     """
-    T = proc.horizon
     if not (0 <= t <= T):
-        raise ConfigurationError("oracle: t must lie in [0, horizon]")
+        raise ConfigurationError("oracle: t must lie in [0, T]")
     if spec.kind not in ("identity", "square", "tanh"):
-        raise UnsupportedOracleError(
-            f"no conditional-expectation oracle for ({spec.kind}, {proc.kind})")
+        raise UnsupportedOracleError(f"no conditional-expectation oracle for {spec.kind}")
     state_arr = np.asarray(state, dtype=np.float64)
     if t == T:
         return eval_payoff(spec, state_arr)

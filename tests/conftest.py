@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from reglater import (FeatureSpec, PayoffSpec, ProcessSpec, build_basis,
-                      truncated_feature_law)
-
-
-@pytest.fixture(scope="session")
-def brownian10():
-    return ProcessSpec("brownian", horizon=10.0)
+from reglater import FeatureSpec, PayoffSpec, build_basis, truncated_feature_law
 
 
 @pytest.fixture(scope="session")
@@ -21,9 +15,9 @@ def tanh_payoff():
 
 
 @pytest.fixture(scope="session")
-def w10_law(brownian10, terminal10):
+def w10_law(terminal10):
     """Truncated N(0, 10) law of the terminal value plus its domain."""
-    return truncated_feature_law(brownian10, terminal10, 1e-4)
+    return truncated_feature_law(terminal10, 1e-4)
 
 
 @pytest.fixture(scope="session")

@@ -100,14 +100,14 @@ def test_criterion_5_fixed_k_reproduction(capsys):
                        f"MSE drop 1e4->1e5 = {100*drop:.2f}% <= 10%, {elapsed:.0f}s")
 
 
-def test_criterion_6_gram_convergence(w10_law, basis_cache, brownian10, terminal10, capsys):
+def test_criterion_6_gram_convergence(w10_law, basis_cache, terminal10, capsys):
     start = time.perf_counter()
     _, dom = w10_law
     basis = basis_cache(5)
 
     def one(seed):
-        big = rl.simulate_conditional(brownian10, terminal10, dom, 100_000, 50_000 + seed)
-        small = rl.simulate_conditional(brownian10, terminal10, dom, 1_000, 60_000 + seed)
+        big = rl.simulate_conditional(terminal10, dom, 100_000, 50_000 + seed)
+        small = rl.simulate_conditional(terminal10, dom, 1_000, 60_000 + seed)
         fro_b, lmin_b = rl.gram_diagnostics(basis, big)
         fro_s, _ = rl.gram_diagnostics(basis, small)
         return fro_b, fro_s, lmin_b
@@ -146,14 +146,14 @@ def test_criterion_7_now_rate_floor_and_paired(capsys):
                        f"Regress-Later steeper in {wins}/100 seed batches, {elapsed:.0f}s")
 
 
-def test_criterion_8_jensen_transfer(w10_law, basis_cache, brownian10, terminal10, capsys):
+def test_criterion_8_jensen_transfer(w10_law, basis_cache, terminal10, capsys):
     start = time.perf_counter()
     _, dom = w10_law
     results = []
 
     def run_case(payoff, K, n, t, truth=None, oracle=rl.OracleSpec("gauss_quadrature")):
         basis = basis_cache(K)
-        train = rl.simulate_conditional(brownian10, terminal10, dom, n, 70_000 + K)
+        train = rl.simulate_conditional(terminal10, dom, n, 70_000 + K)
         if isinstance(payoff, rl.PayoffSpec):
             x = rl.eval_payoff(payoff, train.feature_column())
             spec = payoff
@@ -162,11 +162,11 @@ def test_criterion_8_jensen_transfer(w10_law, basis_cache, brownian10, terminal1
             spec = rl.PayoffSpec("identity")
         fit = rl.regress_later_fit(train.with_payoffs(x), basis)
         feat = rl.FeatureSpec("pair_u_T", 10.0, intermediate_time=t)
-        s = rl.simulate_terminal(brownian10, feat, n, 80_000 + K)
+        s = rl.simulate_terminal(feat, n, 80_000 + K)
         cont = s.features[:, 1]
         paired = s.with_payoffs(rl.eval_payoff(spec, cont) if truth is None else payoff(cont))
-        res = rl.jensen_check(fit, basis, rl.BrownianTransition(t, 10.0), spec,
-                              brownian10, paired, oracle, truth=truth)
+        res = rl.jensen_check(fit, basis, rl.BrownianTransition(t, 10.0), spec, paired, oracle,
+                              truth=truth)
         results.append(res)
 
     run_case(rl.PayoffSpec("square"), 8, 10_000, 1.0, oracle=rl.OracleSpec("closed_form"))

@@ -113,14 +113,14 @@ def test_quadrature_gram_identity_truncnorm(K, w10_law, basis_cache):
     assert np.max(np.abs(G - np.eye(2 * K))) < 1e-8
 
 
-def test_gram_diagnostics_on_sample_converges(w10_law, basis_cache, brownian10, terminal10):
+def test_gram_diagnostics_on_sample_converges(w10_law, basis_cache, terminal10):
     dist, dom = w10_law
     basis = basis_cache(5)
     wins = 0
     lmins = []
     for seed in range(100):
-        big = rl.simulate_conditional(brownian10, terminal10, dom, 100_000, 1000 + seed)
-        small = rl.simulate_conditional(brownian10, terminal10, dom, 1_000, 2000 + seed)
+        big = rl.simulate_conditional(terminal10, dom, 100_000, 1000 + seed)
+        small = rl.simulate_conditional(terminal10, dom, 1_000, 2000 + seed)
         fro_big, lmin_big = rl.gram_diagnostics(basis, big)
         fro_small, _ = rl.gram_diagnostics(basis, small)
         wins += fro_big < fro_small
@@ -225,12 +225,12 @@ def test_ratio_moment_bound_grows_linearly(w10_law, basis_cache):
 
 
 def test_projection_coefficients_match_sample_projection(w10_law, basis_cache, tanh_payoff,
-                                                         brownian10, terminal10):
+                                                         terminal10):
     # quadrature alpha should agree with a huge-sample regression closely
     dist, dom = w10_law
     basis = basis_cache(4)
     alpha = rl.projection_coefficients(tanh_payoff, basis, dist)
-    samp = rl.simulate_conditional(brownian10, terminal10, dom, 400_000, seed=77)
+    samp = rl.simulate_conditional(terminal10, dom, 400_000, seed=77)
     fit = rl.regress_later_fit(
         samp.with_payoffs(rl.eval_payoff(tanh_payoff, samp.feature_column())), basis)
     assert np.max(np.abs(fit.coefficients - alpha)) < 0.01

@@ -18,9 +18,8 @@ from reglater.errors import ConfigurationError, SamplingError
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 TINY_CONFIG = {
-    "schema_version": 1,
+    "schema_version": 2,
     "name": "tiny",
-    "process": {"kind": "brownian", "horizon": 10.0},
     "feature": {"kind": "terminal", "eval_time": 10.0},
     "payoff": {"kind": "tanh"},
     "sweep": "growing_K",
@@ -54,26 +53,30 @@ def test_all_shipped_configs_validate(capsys):
         assert capsys.readouterr().out.startswith("ok: ")
 
 
+# a config as schema 1 wrote it: the version is refused before its removed keys
+SCHEMA_1_OVERRIDES = ("schema_version=1", 'process={"kind":"brownian","horizon":10.0}',
+                      'eval={"method":"quadrature"}')
+PAIRED_SQUARE = 'payoff={"kind":"square"}'
+
+
+def _pair(T: float, t: float) -> str:
+    return f'feature={{"kind":"pair_u_T","eval_time":{T!r},"intermediate_time":{t!r}}}'
+
+
 MUTATIONS = [
-    ("schema_version=2", "schema_version"),
+    ("schema_version=1", "schema_version"),
+    pytest.param(SCHEMA_1_OVERRIDES, "config.schema_version: expected 2, got 1",
+                 id="schema_1_document-schema_version"),
     ("sweep=\"shrinking_K\"", "sweep"),
-    ("process.kind=\"levy\"", "process.kind"),
-    ("process.horizon=-1", "process.horizon"),
     ("payoff.kind=\"digital\"", "payoff.kind"),
     ("payoff.strike=\"ten\"", "payoff.strike"),
     ("repetitions=0", "repetitions"),
     ("K_list=[]", "K_list"),
     ("N_rule.c=0.001", "N >= 2K+1"),
     ("typo_key=1", "typo_key"),
-    ("eval.method=\"bootstrap\"", "eval.method"),
     ("domain_epsilon=2.0", "domain_epsilon"),
     # configs no sweep can run
-    ('process={"kind":"gbm","horizon":10.0}', "process.kind"),
-    pytest.param(('process={"kind":"basket_tree","horizon":2}',
-                  'feature={"kind":"basket_sum","eval_time":2}'), "process.kind",
-                 id="basket_tree-process.kind"),
     ('payoff={"kind":"basket_call","strike":1}', "payoff.kind"),
-    ("feature.eval_time=20", "feature.eval_time"),
     ('feature={"kind":"pair_u_T","eval_time":10.0,"intermediate_time":1.0}', "payoff.kind"),
     pytest.param(('payoff={"kind":"square"}',
                   'feature={"kind":"pair_u_T","eval_time":10.0,"intermediate_time":0}'),
@@ -87,10 +90,20 @@ MUTATIONS = [
                  "domain_epsilon: 0.99999 leaves no basis at K=8",
                  id="domain_epsilon=0.99999-domain_epsilon"),
     # closed-form row values that are not finite at extreme time scales
-    pytest.param(("process.horizon=1e300", "feature.eval_time=5e299",
-                  'payoff={"kind":"call","strike":1}'), "feature.eval_time",
-                 id="overflowing_moments-feature.eval_time"),
+    pytest.param(("feature.eval_time=5e299", 'payoff={"kind":"call","strike":1}'),
+                 "feature.eval_time", id="overflowing_moments-feature.eval_time"),
     ("feature.eval_time=1e-300", "feature.eval_time"),
+    pytest.param((PAIRED_SQUARE, _pair(5e299, 1e299)), "feature.eval_time",
+                 id="paired_overflowing_moments-feature.eval_time"),
+    pytest.param((PAIRED_SQUARE, _pair(1e-300, 1e-301)), "feature.eval_time",
+                 id="paired_underflowing_moments-feature.eval_time"),
+    # MSEs whose standard error squares past the float range (OverflowError)
+    pytest.param((PAIRED_SQUARE, _pair(1e80, 1e79)), "feature.eval_time",
+                 id="paired_overflowing_stderr-feature.eval_time"),
+    pytest.param((PAIRED_SQUARE, "feature.eval_time=1e80"), "feature.eval_time",
+                 id="overflowing_stderr-feature.eval_time"),
+    pytest.param('payoff={"kind":"call","strike":-1e160}', "payoff.strike",
+                 id="overflowing_stderr-payoff.strike"),
     # rejection proposals beyond MAX_POINT_PROPOSALS: 7,680 / 1e-4 at K = 16
     pytest.param(("domain_epsilon=0.9999", "K_list=[16]"), "domain_epsilon",
                  id="runaway_rejection-domain_epsilon"),
@@ -102,11 +115,10 @@ MUTATIONS = [
     # removed kinds
     ('feature.kind="path_integral"', "feature.kind"),
     ('payoff={"kind":"asian_call","strike":1}', "payoff.kind"),
-    # removed keys
-    ("process.dimension=1", "process.dimension"),
+    # removed keys; schema 2 dates everything from the feature and evaluates by quadrature
     ("feature.output_dim=1", "feature.output_dim"),
-    ("process.volatility=0.2", "process.volatility"),
-    ('process={"kind":"gbm","horizon":10.0,"volatility":Infinity}', "process.volatility"),
+    ('process={"kind":"brownian","horizon":10.0}', "config.process"),
+    ('eval={"method":"quadrature"}', "config.eval"),
 ]
 
 
@@ -128,8 +140,8 @@ def test_mutated_configs_rejected_with_field_message(override, needle):
 
 def test_unknown_nested_key_rejected():
     doc = json.loads(json.dumps(TINY_CONFIG))
-    doc["process"]["drift"] = 0.1
-    with pytest.raises(ConfigurationError, match="process.drift"):
+    doc["feature"]["drift"] = 0.1
+    with pytest.raises(ConfigurationError, match="feature.drift"):
         validate_config_dict(doc)
 
 
@@ -189,11 +201,12 @@ def test_report_csv_golden_digest(tmp_path):
 
 # sha256 of report.json, its "wall_time" line removed, from `reglater run` on
 # TINY_CONFIG and TINY_PAIRED_CONFIG: pins the rows, slopes, failures and the
-# config echo, byte for byte.  The config echo has no "volatility" key since
-# ProcessSpec lost that field; the rest of the text is unchanged.
+# config echo, byte for byte.  Since schema 2 the config echo has no
+# "process" block and no "eval_method" or "eval_multiplier" line; the rest of
+# the text is as schema 1 wrote it.
 TINY_REPORT_JSON_SHA256 = {
-    "growing": "dff5b11b2600193c7ae6cb0ad922e6e207e2d7067d5dde26d40a0b510beb38e4",
-    "paired": "6e7d98ecc3e30f2c5534c97cf675a882ec0b5238f2f42825d26b456b0b5c2ba1",
+    "growing": "f99f1e97e431008b2a545367814c1c312eb4e55698a3daaa404d93c61e8282b1",
+    "paired": "d162fbab5d911b6994eef4c0a2dc3ff89059c32a1e5355d3b8448d4f6403fcf2",
 }
 
 
@@ -226,7 +239,7 @@ def test_multi_block_report_csv_golden_digest(tmp_path):
 
 def test_run_malformed_config_exits_2_without_partial_files(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text('{"schema_version": 1,')
+    bad.write_text('{"schema_version": 2,')
     outdir = tmp_path / "out"
     assert cli.main(["run", str(bad), "-o", str(outdir)]) == 2
     assert not outdir.exists() or not list(outdir.iterdir())
@@ -253,16 +266,6 @@ def test_run_oversized_point_exits_2_before_sampling(tmp_path, capsys, monkeypat
     assert str(MAX_POINT_SAMPLES) in err
     assert peak < 2**20
     assert not outdir.exists()
-
-
-def test_fresh_sample_multiplier_counts_against_the_cap():
-    doc = {key: v for key, v in TINY_CONFIG.items() if key != "N_rule"}
-    doc.update(sweep="fixed_K", K_list=[4], eval={"method": "fresh_sample", "multiplier": 10})
-    cap = MAX_POINT_SAMPLES
-    validate_config_dict(dict(doc, N_list=[1000, cap // 10]))
-    with pytest.raises(ConfigurationError, match=f"N={cap // 10 + 1}"):
-        validate_config_dict(dict(doc, N_list=[1000, cap // 10 + 1]))
-    validate_config_dict(dict(doc, N_list=[cap], eval={"method": "quadrature"}))
 
 
 @pytest.mark.parametrize("name,sets,needle", [
@@ -378,14 +381,28 @@ def test_run_shipped_paired_configs(name, tmp_path, capsys):
     assert "slopes later" in capsys.readouterr().out
 
 
+def test_paired_truth_is_at_the_feature_payoff_date(tmp_path, capsys):
+    # the truth and the samples both take T from feature.eval_time: a payoff
+    # date of 5 in place of 10 keeps the Regress-Later MSE near its floor
+    # (0.003-0.016 here), where a truth at another date is off by about
+    # (10 - 5)**2 = 25 on every row
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(TINY_PAIRED_CONFIG))
+    args = ["run", str(path), "--set", "feature.eval_time=5.0", "-o", str(tmp_path / "o")]
+    assert cli.main(args) == 0
+    rows = json.loads((tmp_path / "o" / "report.json").read_text())["rows"]
+    assert len(rows) == 3
+    assert all(r["mse_later_mean"] < 0.1 for r in rows)
+
+
 def test_run_point_without_repetitions_exits_3_after_writing(tiny_config_path, tmp_path,
                                                              monkeypatch, capsys):
     real = harness.simulate_conditional
 
-    def failing(proc, feat, dom, n, seed, **kwargs):
+    def failing(feat, dom, n, seed, **kwargs):
         if n == 1080:  # the K=6 point of TINY_CONFIG
             raise SamplingError("synthetic failure")
-        return real(proc, feat, dom, n, seed, **kwargs)
+        return real(feat, dom, n, seed, **kwargs)
 
     monkeypatch.setattr(harness, "simulate_conditional", failing)
     outdir = tmp_path / "out"

@@ -133,14 +133,14 @@ def test_unit_coefficient_gives_bin_transition_mass(basis_cache):
         assert rl.condexp_estimate(spec, state) == pytest.approx(expected, abs=1e-12)
 
 
-def test_identity_payoff_estimate_tracks_state(w10_law, basis_cache, brownian10, terminal10):
+def test_identity_payoff_estimate_tracks_state(w10_law, basis_cache, terminal10):
     # X = W(T): fitted transfer should track the martingale E[X | W_t] = w
     # up to the fit error band plus the (documented) truncation-tail term:
     # the transferred estimate sees ghat = 0 outside the basis domain.
     dist, dom = w10_law
     basis = basis_cache(32)
     s_cond = 3.0  # sd of W(10) given W(1)
-    s = rl.simulate_conditional(brownian10, terminal10, dom, 200_000, seed=50)
+    s = rl.simulate_conditional(terminal10, dom, 200_000, seed=50)
     fit = rl.regress_later_fit(s.with_payoffs(s.feature_column().copy()), basis)
     spec = rl.TransferSpec(rl.BrownianTransition(1.0, 10.0), basis, fit.coefficients)
     approx = rl.approx_error_moments(rl.PayoffSpec("identity"), basis, dist)
@@ -165,70 +165,67 @@ def test_identity_payoff_estimate_tracks_state(w10_law, basis_cache, brownian10,
 # jensen transfer check
 # ---------------------------------------------------------------------------
 
-def _paired_sample(brownian10, t, n, seed, payoff):
+def _paired_sample(t, n, seed, payoff):
     feat = rl.FeatureSpec("pair_u_T", 10.0, intermediate_time=t)
-    s = rl.simulate_terminal(brownian10, feat, n, seed)
+    s = rl.simulate_terminal(feat, n, seed)
     return s.with_payoffs(rl.eval_payoff(payoff, s.features[:, 1]))
 
 
-def test_jensen_square_payoff(w10_law, basis_cache, brownian10, terminal10):
+def test_jensen_square_payoff(w10_law, basis_cache, terminal10):
     _, dom = w10_law
     payoff = rl.PayoffSpec("square")
     basis = basis_cache(8)
-    train = rl.simulate_conditional(brownian10, terminal10, dom, 10_000, seed=60)
+    train = rl.simulate_conditional(terminal10, dom, 10_000, seed=60)
     fit = rl.regress_later_fit(
         train.with_payoffs(rl.eval_payoff(payoff, train.feature_column())), basis)
-    paired = _paired_sample(brownian10, 1.0, 10_000, 61, payoff)
-    res = rl.jensen_check(fit, basis, rl.BrownianTransition(1.0, 10.0), payoff,
-                          brownian10, paired, rl.OracleSpec("closed_form"))
+    paired = _paired_sample(1.0, 10_000, 61, payoff)
+    res = rl.jensen_check(fit, basis, rl.BrownianTransition(1.0, 10.0), payoff, paired,
+                          rl.OracleSpec("closed_form"))
     assert res.mse_cond <= res.mse_payoff + 3.0 * res.mse_payoff_stderr
 
 
-def test_jensen_exact_span_both_errors_vanish(w10_law, basis_cache, brownian10, terminal10):
+def test_jensen_exact_span_both_errors_vanish(w10_law, basis_cache, terminal10):
     # payoff inside the span: the fit interpolates, and the consistent truth
     # is the exact transfer of the true coefficients, so both sides vanish
     dist, dom = w10_law
     basis = basis_cache(8)
     alpha = np.linspace(-1.0, 1.0, 16)
     payoff_fn = lambda u: rl.predict(basis, alpha, np.atleast_1d(u))
-    train = rl.simulate_conditional(brownian10, terminal10, dom, 30_000, seed=62)
+    train = rl.simulate_conditional(terminal10, dom, 30_000, seed=62)
     fit = rl.regress_later_fit(train.with_payoffs(payoff_fn(train.feature_column())), basis)
     tr = rl.BrownianTransition(1.0, 10.0)
     feat = rl.FeatureSpec("pair_u_T", 10.0, intermediate_time=1.0)
-    s = rl.simulate_terminal(brownian10, feat, 5_000, 63)
+    s = rl.simulate_terminal(feat, 5_000, 63)
     paired = s.with_payoffs(payoff_fn(s.features[:, 1]))
     truth = lambda w: rl.condexp_estimate(rl.TransferSpec(tr, basis, alpha), w)
-    res = rl.jensen_check(fit, basis, tr, rl.PayoffSpec("identity"), brownian10,
-                          paired, truth=truth)
+    res = rl.jensen_check(fit, basis, tr, rl.PayoffSpec("identity"), paired, truth=truth)
     assert res.mse_payoff < 1e-20
     assert res.mse_cond <= res.mse_payoff + 3.0 * res.mse_payoff_stderr + 1e-20
 
 
-def test_jensen_degenerate_time_ratio_near_one(w10_law, basis_cache, brownian10, terminal10,
-                                               tanh_payoff):
+def test_jensen_degenerate_time_ratio_near_one(w10_law, basis_cache, terminal10, tanh_payoff):
     # t -> T: conditioning vanishes and both errors coincide
     _, dom = w10_law
     basis = basis_cache(8)
     t = 10.0 - 1e-6  # s = 1e-3
-    train = rl.simulate_conditional(brownian10, terminal10, dom, 20_000, seed=64)
+    train = rl.simulate_conditional(terminal10, dom, 20_000, seed=64)
     fit = rl.regress_later_fit(
         train.with_payoffs(rl.eval_payoff(tanh_payoff, train.feature_column())), basis)
-    paired = _paired_sample(brownian10, t, 20_000, 65, tanh_payoff)
-    res = rl.jensen_check(fit, basis, rl.BrownianTransition(t, 10.0), tanh_payoff,
-                          brownian10, paired,
+    paired = _paired_sample(t, 20_000, 65, tanh_payoff)
+    res = rl.jensen_check(fit, basis, rl.BrownianTransition(t, 10.0), tanh_payoff, paired,
                           rl.OracleSpec("gauss_quadrature", 128, 1e-9))
     assert 0.9 <= res.mse_cond / res.mse_payoff <= 1.0
 
 
-def test_jensen_violation_raises(basis_cache, w10_law, brownian10, terminal10):
+def test_jensen_violation_raises(basis_cache, w10_law, terminal10):
     # a deliberately wrong truth makes the conditional side blow up
     _, dom = w10_law
     basis = basis_cache(4)
     payoff = rl.PayoffSpec("identity")
-    train = rl.simulate_conditional(brownian10, terminal10, dom, 5_000, seed=66)
+    train = rl.simulate_conditional(terminal10, dom, 5_000, seed=66)
     fit = rl.regress_later_fit(
         train.with_payoffs(rl.eval_payoff(payoff, train.feature_column())), basis)
-    paired = _paired_sample(brownian10, 1.0, 2_000, 67, payoff)
+    paired = _paired_sample(1.0, 2_000, 67, payoff)
     with pytest.raises(JensenViolationError):
-        rl.jensen_check(fit, basis, rl.BrownianTransition(1.0, 10.0), payoff,
-                        brownian10, paired, truth=lambda w: np.asarray(w) + 1e3)
+        rl.jensen_check(fit, basis, rl.BrownianTransition(1.0, 10.0), payoff, paired,
+                        truth=lambda w: np.asarray(w) + 1e3)

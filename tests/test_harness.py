@@ -17,16 +17,14 @@ from reglater.errors import ConfigurationError
 
 def small_growing_config(seed=301, reps=5, payoff="tanh"):
     return rl.ExperimentConfig(
-        name="t-growing", process=rl.ProcessSpec("brownian", 10.0),
-        payoff=rl.PayoffSpec(payoff), feature=rl.FeatureSpec("terminal", 10.0),
+        name="t-growing", payoff=rl.PayoffSpec(payoff), feature=rl.FeatureSpec("terminal", 10.0),
         sweep="growing_K", K_list=(4, 6, 8), repetitions=reps, seed=seed,
         N_rule=(100.0, 2.01))
 
 
 def small_fixed_config(seed=302, reps=5, payoff="tanh"):
     return rl.ExperimentConfig(
-        name="t-fixed", process=rl.ProcessSpec("brownian", 10.0),
-        payoff=rl.PayoffSpec(payoff), feature=rl.FeatureSpec("terminal", 10.0),
+        name="t-fixed", payoff=rl.PayoffSpec(payoff), feature=rl.FeatureSpec("terminal", 10.0),
         sweep="fixed_K", K_list=(5,), repetitions=reps, seed=seed,
         N_list=(1000, 4000, 16000))
 
@@ -73,16 +71,14 @@ def test_slope_excludes_nonpositive_and_errors_when_starved():
 def test_config_rejects_undersized_n():
     with pytest.raises(ConfigurationError):
         rl.ExperimentConfig(
-            name="bad", process=rl.ProcessSpec("brownian", 10.0),
-            payoff=rl.PayoffSpec("tanh"), feature=rl.FeatureSpec("terminal", 10.0),
+            name="bad", payoff=rl.PayoffSpec("tanh"), feature=rl.FeatureSpec("terminal", 10.0),
             sweep="fixed_K", K_list=(8,), repetitions=1, seed=1, N_list=(10,))
 
 
 def test_config_rejects_mismatched_lists():
     with pytest.raises(ConfigurationError):
         rl.ExperimentConfig(
-            name="bad", process=rl.ProcessSpec("brownian", 10.0),
-            payoff=rl.PayoffSpec("tanh"), feature=rl.FeatureSpec("terminal", 10.0),
+            name="bad", payoff=rl.PayoffSpec("tanh"), feature=rl.FeatureSpec("terminal", 10.0),
             sweep="growing_K", K_list=(4, 8), repetitions=1, seed=1, N_list=(100,))
 
 
@@ -94,7 +90,7 @@ def test_config_builds_every_basis_of_the_sweep(feature):
     # N = 4 K^2 keeps rejection within MAX_POINT_PROPOSALS at that mass
     def config(K_list):
         return rl.ExperimentConfig(
-            name="t", process=rl.ProcessSpec("brownian", 10.0), payoff=rl.PayoffSpec("square"),
+            name="t", payoff=rl.PayoffSpec("square"),
             feature=feature, sweep="growing_K", K_list=K_list, repetitions=1, seed=1,
             N_rule=(4.0, 2.0), domain_epsilon=0.99999)
 
@@ -152,26 +148,14 @@ def test_in_span_payoff_mse_is_negligible():
         assert row.mse_mean < 1e-10
 
 
-def test_fresh_sample_eval_agrees_with_quadrature():
-    base = small_growing_config(seed=307, reps=3)
-    quad = rl.run_growing_K(base)
-    fresh_cfg = rl.ExperimentConfig(
-        name=base.name, process=base.process, payoff=base.payoff, feature=base.feature,
-        sweep=base.sweep, K_list=base.K_list, repetitions=3, seed=307,
-        N_rule=base.N_rule, eval_method="fresh_sample", eval_multiplier=10)
-    fresh = rl.run_growing_K(fresh_cfg)
-    for rq, rf in zip(quad.rows, fresh.rows):
-        assert rf.mse_mean == pytest.approx(rq.mse_mean, rel=0.2)
-
-
 def test_point_failures_are_flagged(monkeypatch):
     cfg = small_growing_config(seed=308, reps=2)
     real = harness.simulate_conditional
 
-    def failing(proc, feat, dom, n, seed, **kwargs):
+    def failing(feat, dom, n, seed, **kwargs):
         if n == 3666:  # the K=6 point
             raise rl.SamplingError("synthetic failure")
-        return real(proc, feat, dom, n, seed, **kwargs)
+        return real(feat, dom, n, seed, **kwargs)
 
     monkeypatch.setattr(harness, "simulate_conditional", failing)
     rep = rl.run_growing_K(cfg)
@@ -183,18 +167,38 @@ def test_point_failures_are_flagged(monkeypatch):
     assert np.isfinite(rep.rows[0].mse_mean)
 
 
-def _rep_alone(cfg, K, N, rep):
+def _fit_alone(cfg, K, N, rep):
     """One repetition of a Regress-Later sweep point, sampled, paid off and
-    fitted on its own (no batch), as the sweep's value for it."""
-    dist, dom = rl.truncated_feature_law(cfg.process, cfg.feature, cfg.domain_epsilon)
+    fitted on its own (no batch): its basis, fit, projection coefficients
+    and approximation floor."""
+    dist, dom = rl.truncated_feature_law(cfg.feature, cfg.domain_epsilon)
     basis = rl.build_basis(dist, K)
     alpha = rl.projection_coefficients(cfg.payoff, basis, dist)
     approx = rl.approx_error_moments(cfg.payoff, basis, dist, coefficients=alpha).mean_square
-    sample = rl.simulate_conditional(cfg.process, cfg.feature, dom, N,
-                                     rl.rng.derive_seed(cfg.seed, K, N, rep))
+    sample = rl.simulate_conditional(cfg.feature, dom, N, rl.rng.derive_seed(cfg.seed, K, N, rep))
     sample = sample.with_payoffs(rl.eval_payoff(cfg.payoff, sample.feature_column()))
-    fit = rl.regress_later_fit(sample, basis)
+    return basis, rl.regress_later_fit(sample, basis), alpha, approx
+
+
+def _rep_alone(cfg, K, N, rep):
+    """The sweep's value for one repetition fitted on its own (``_fit_alone``)."""
+    _, fit, alpha, approx = _fit_alone(cfg, K, N, rep)
     return approx + rl.coefficient_error(fit, alpha)
+
+
+def test_fresh_sample_eval_agrees_with_quadrature():
+    # the sweep's exact MSE, approx_l2 + |alpha_hat - alpha|^2 (the basis is
+    # orthonormal), against the mean squared error on 10 N fresh samples
+    cfg = small_growing_config(seed=307)
+    _, dom = rl.truncated_feature_law(cfg.feature, cfg.domain_epsilon)
+    for K, N in cfg.points():
+        basis, fit, alpha, approx = _fit_alone(cfg, K, N, 0)
+        fresh = rl.simulate_conditional(cfg.feature, dom, 10 * N,
+                                        rl.rng.derive_seed(cfg.seed, K, N, 0, "eval"))
+        v = fresh.feature_column()
+        err = rl.eval_payoff(cfg.payoff, v) - rl.predict(basis, fit.coefficients, v)
+        assert np.mean(err * err) == pytest.approx(approx + rl.coefficient_error(fit, alpha),
+                                                   rel=0.2)
 
 
 def test_failures_in_a_batch_stay_per_repetition(monkeypatch):
@@ -206,11 +210,11 @@ def test_failures_in_a_batch_stay_per_repetition(monkeypatch):
     seeds = {rl.rng.derive_seed(cfg.seed, K, N, rep): rep for rep in range(cfg.repetitions)}
     real = harness.simulate_conditional
 
-    def failing(proc, feat, dom, n, seed, **kwargs):
+    def failing(feat, dom, n, seed, **kwargs):
         rep = seeds.get(seed) if n == N else None
         if rep == 1:
             raise rl.SamplingError("synthetic failure")
-        sample = real(proc, feat, dom, n, seed, **kwargs)
+        sample = real(feat, dom, n, seed, **kwargs)
         if rep == 3:
             return rl.SampleSet(np.full((n, 1), 1e3))
         return sample
@@ -230,8 +234,7 @@ def test_failures_in_a_batch_stay_per_repetition(monkeypatch):
 def test_batches_that_do_not_divide_the_repetitions_are_worker_invariant():
     # batches of 7, 3 and 1 repetitions: [0-6] [7]; [0-2] [3-5] [6-7]; one each
     cfg = rl.ExperimentConfig(
-        name="t-batches", process=rl.ProcessSpec("brownian", 10.0),
-        payoff=rl.PayoffSpec("tanh"), feature=rl.FeatureSpec("terminal", 10.0),
+        name="t-batches", payoff=rl.PayoffSpec("tanh"), feature=rl.FeatureSpec("terminal", 10.0),
         sweep="fixed_K", K_list=(5,), repetitions=8, seed=317, N_list=(9000, 20000, 40000))
     assert [len(harness._batches(N, 8)) for _, N in cfg.points()] == [2, 3, 8]
     csv = {w: rl.run_fixed_K(cfg, workers=w).to_csv_text() for w in (1, 2, 8)}
@@ -285,8 +288,7 @@ def test_fixed_k_in_span_payoff_no_plateau_above_zero():
 
 def paired_config(sweep, seed=311, reps=3):
     kwargs = dict(
-        name="t-paired", process=rl.ProcessSpec("brownian", 10.0),
-        payoff=rl.PayoffSpec("square"),
+        name="t-paired", payoff=rl.PayoffSpec("square"),
         feature=rl.FeatureSpec("pair_u_T", 10.0, intermediate_time=1.0),
         repetitions=reps, seed=seed)
     if sweep == "growing_K":
@@ -340,8 +342,7 @@ def test_paired_failures_are_recorded_not_raised(monkeypatch):
 def test_paired_requires_supported_payoff():
     with pytest.raises(ConfigurationError):
         rl.ExperimentConfig(
-            name="bad", process=rl.ProcessSpec("brownian", 10.0),
-            payoff=rl.PayoffSpec("tanh"),
+            name="bad", payoff=rl.PayoffSpec("tanh"),
             feature=rl.FeatureSpec("pair_u_T", 10.0, intermediate_time=1.0),
             sweep="growing_K", K_list=(4,), repetitions=1, seed=1, N_rule=(100.0, 2.01))
 
@@ -414,12 +415,12 @@ def test_threaded_sweep_keeps_a_bounded_window_of_tasks(workers):
 # ---------------------------------------------------------------------------
 
 def test_sample_blocks_concatenate_to_the_one_shot_draws():
-    proc, feat = rl.ProcessSpec("brownian", 10.0), rl.FeatureSpec("terminal", 1.0)
-    _, dom = rl.truncated_feature_law(proc, feat, 1e-4)
+    feat = rl.FeatureSpec("terminal", 1.0)
+    _, dom = rl.truncated_feature_law(feat, 1e-4)
     n = 2 * rl.rng.BLOCK_SIZE + 17
-    blocks = list(harness._sample_blocks(proc, feat, dom, n, 41))
+    blocks = list(harness._sample_blocks(feat, dom, n, 41))
     assert [b.n for b in blocks] == [rl.rng.BLOCK_SIZE, rl.rng.BLOCK_SIZE, 17]
-    one_shot = rl.simulate_conditional(proc, feat, dom, n, 41)
+    one_shot = rl.simulate_conditional(feat, dom, n, 41)
     w = one_shot.feature_column()
     assert np.array_equal(np.concatenate([b.feature_column() for b in blocks]), w)
     assert sum(b.meta["proposals"] for b in blocks) == one_shot.meta["proposals"]
@@ -433,13 +434,11 @@ def test_sample_blocks_concatenate_to_the_one_shot_draws():
 def _memory_config(paired: bool, n: int) -> rl.ExperimentConfig:
     if paired:
         return rl.ExperimentConfig(
-            name="t-memory", process=rl.ProcessSpec("brownian", 10.0),
-            payoff=rl.PayoffSpec("square"),
+            name="t-memory", payoff=rl.PayoffSpec("square"),
             feature=rl.FeatureSpec("pair_u_T", 10.0, intermediate_time=1.0),
             sweep="fixed_K", K_list=(8,), repetitions=1, seed=315, N_list=(n, n + 1, n + 2))
     return rl.ExperimentConfig(
-        name="t-memory", process=rl.ProcessSpec("brownian", 10.0),
-        payoff=rl.PayoffSpec("tanh"), feature=rl.FeatureSpec("terminal", 10.0),
+        name="t-memory", payoff=rl.PayoffSpec("tanh"), feature=rl.FeatureSpec("terminal", 10.0),
         sweep="fixed_K", K_list=(5,), repetitions=1, seed=315, N_list=(n,))
 
 
@@ -489,11 +488,11 @@ def test_streamed_block_checks_its_features_once(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(rl.SampleSet, "__post_init__", counting)
-    proc, feat = rl.ProcessSpec("brownian", 10.0), rl.FeatureSpec("terminal", 10.0)
-    _, dom = rl.truncated_feature_law(proc, feat, 1e-4)
+    feat = rl.FeatureSpec("terminal", 10.0)
+    _, dom = rl.truncated_feature_law(feat, 1e-4)
     n = 2 * rl.rng.BLOCK_SIZE + 5
     blocks = list(harness._payoff_blocks(rl.PayoffSpec("tanh"),
-                                         harness._sample_blocks(proc, feat, dom, n, 43)))
+                                         harness._sample_blocks(feat, dom, n, 43)))
     assert built == [rl.rng.BLOCK_SIZE, rl.rng.BLOCK_SIZE, 5]
     for b in blocks:
         assert np.array_equal(b.payoffs, np.tanh(b.feature_column()))

@@ -12,49 +12,40 @@ from reglater.errors import ConfigurationError, SamplingError
 # terminal simulation
 # ---------------------------------------------------------------------------
 
-def test_brownian_terminal_mean_within_band(brownian10, terminal10):
-    s = rl.simulate_terminal(brownian10, terminal10, 50_000, seed=11)
+def test_brownian_terminal_mean_within_band(terminal10):
+    s = rl.simulate_terminal(terminal10, 50_000, seed=11)
     w = s.feature_column()
     assert abs(w.mean()) < 4.0 * np.sqrt(10.0 / w.size)
 
 
-def test_brownian_terminal_variance_closed_form(brownian10, terminal10):
-    s = rl.simulate_terminal(brownian10, terminal10, 1_000_000, seed=3)
+def test_brownian_terminal_variance_closed_form(terminal10):
+    s = rl.simulate_terminal(terminal10, 1_000_000, seed=3)
     assert abs(s.feature_column().var() - 10.0) < 0.02 * 10.0
 
 
-def test_brownian_terminal_matches_normal_cdf(brownian10, terminal10):
-    s = rl.simulate_terminal(brownian10, terminal10, 100_000, seed=17)
+def test_brownian_terminal_matches_normal_cdf(terminal10):
+    s = rl.simulate_terminal(terminal10, 100_000, seed=17)
     stat = kstest(s.feature_column(), "norm", args=(0.0, np.sqrt(10.0))).statistic
     # 1% critical value of the one-sample KS statistic
     assert stat < 1.63 / np.sqrt(s.n)
 
 
-def test_simulation_is_deterministic(brownian10, terminal10):
-    a = rl.simulate_terminal(brownian10, terminal10, 4096, seed=123)
-    b = rl.simulate_terminal(brownian10, terminal10, 4096, seed=123)
+def test_simulation_is_deterministic(terminal10):
+    a = rl.simulate_terminal(terminal10, 4096, seed=123)
+    b = rl.simulate_terminal(terminal10, 4096, seed=123)
     assert np.array_equal(a.features, b.features)
     assert not np.array_equal(
-        a.features, rl.simulate_terminal(brownian10, terminal10, 4096, seed=124).features)
+        a.features, rl.simulate_terminal(terminal10, 4096, seed=124).features)
 
 
-def test_pair_feature_has_correlated_columns(brownian10):
+def test_pair_feature_has_correlated_columns():
     feat = rl.FeatureSpec("pair_u_T", eval_time=10.0, intermediate_time=1.0)
-    s = rl.simulate_terminal(brownian10, feat, 200_000, seed=2)
+    s = rl.simulate_terminal(feat, 200_000, seed=2)
     wu, wt = s.features[:, 0], s.features[:, 1]
     assert abs(wu.var() - 1.0) < 0.05
     assert abs(wt.var() - 10.0) < 0.3
     # Cov(W_u, W_T) = u
     assert abs(np.mean(wu * wt) - 1.0) < 0.05
-
-
-def test_inconsistent_pair_is_refused(brownian10):
-    # a feature dated after the process horizon has no law under the process
-    late = rl.FeatureSpec("terminal", 20.0)
-    with pytest.raises(ConfigurationError, match="feature.eval_time: beyond the process horizon"):
-        rl.simulate_terminal(brownian10, late, 10, 0)
-    with pytest.raises(ConfigurationError, match="feature.eval_time: beyond the process horizon"):
-        rl.simulate_conditional(brownian10, late, rl.Domain(-1.0, 1.0, 0.5), 10, 0)
 
 
 def test_feature_dim_follows_the_kind():
@@ -70,8 +61,8 @@ def test_feature_times_are_positive():
         rl.FeatureSpec("pair_u_T", 10.0, intermediate_time=0.0)
 
 
-def test_sampleset_is_immutable(brownian10, terminal10):
-    s = rl.simulate_terminal(brownian10, terminal10, 100, seed=1)
+def test_sampleset_is_immutable(terminal10):
+    s = rl.simulate_terminal(terminal10, 100, seed=1)
     with pytest.raises(ValueError):
         s.features[0, 0] = 99.0
 
@@ -94,39 +85,39 @@ def test_joined_samples_lie_back_to_back_unchecked(monkeypatch):
 # conditional simulation
 # ---------------------------------------------------------------------------
 
-def test_conditional_acceptance_rate_matches_mass(brownian10, terminal10, w10_law):
+def test_conditional_acceptance_rate_matches_mass(terminal10, w10_law):
     _, dom = w10_law
-    s = rl.simulate_conditional(brownian10, terminal10, dom, 100_000, seed=21)
+    s = rl.simulate_conditional(terminal10, dom, 100_000, seed=21)
     assert abs(s.meta["acceptance_rate"] - dom.mass) < 0.01 * dom.mass
 
 
-def test_conditional_stays_inside_domain(brownian10, terminal10):
+def test_conditional_stays_inside_domain(terminal10):
     dom = rl.Domain(-1.0, 2.0, 0.842)
-    s = rl.simulate_conditional(brownian10, terminal10, dom, 30_000, seed=8)
+    s = rl.simulate_conditional(terminal10, dom, 30_000, seed=8)
     w = s.feature_column()
     assert w.min() >= dom.a1 and w.max() <= dom.a2
 
 
-def test_conditional_on_near_full_support_matches_unconditional(brownian10, terminal10):
-    dom = rl.central_domain(brownian10, terminal10, epsilon=1e-9)
-    cond = rl.simulate_conditional(brownian10, terminal10, dom, 50_000, seed=31)
-    free = rl.simulate_terminal(brownian10, terminal10, 50_000, seed=32)
+def test_conditional_on_near_full_support_matches_unconditional(terminal10):
+    dom = rl.central_domain(terminal10, epsilon=1e-9)
+    cond = rl.simulate_conditional(terminal10, dom, 50_000, seed=31)
+    free = rl.simulate_terminal(terminal10, 50_000, seed=32)
     stat = ks_2samp(cond.feature_column(), free.feature_column()).statistic
     # 1% critical value for the two-sample statistic
     assert stat < 1.63 * np.sqrt(2.0 / 50_000)
 
 
-def test_conditional_symmetric_mean(brownian10, terminal10, w10_law):
+def test_conditional_symmetric_mean(terminal10, w10_law):
     _, dom = w10_law
-    s = rl.simulate_conditional(brownian10, terminal10, dom, 40_000, seed=4)
+    s = rl.simulate_conditional(terminal10, dom, 40_000, seed=4)
     w = s.feature_column()
     assert abs(w.mean()) < 4.0 * w.std(ddof=1) / np.sqrt(w.size)
 
 
-def test_tiny_mass_is_refused(brownian10, terminal10):
+def test_tiny_mass_is_refused(terminal10):
     dom = rl.Domain(8.0, 8.001, 1e-8)
     with pytest.raises(SamplingError):
-        rl.simulate_conditional(brownian10, terminal10, dom, 10, seed=0)
+        rl.simulate_conditional(terminal10, dom, 10, seed=0)
 
 
 # ---------------------------------------------------------------------------

@@ -41,55 +41,55 @@ def test_call_payoffs_nonnegative_and_convex():
 # oracles
 # ---------------------------------------------------------------------------
 
-def test_square_oracle_at_origin(brownian10):
+def test_square_oracle_at_origin():
     spec = rl.PayoffSpec("square")
-    assert rl.oracle_conditional(spec, brownian10, 0.0, 0.0) == pytest.approx(10.0, abs=1e-12)
+    assert rl.oracle_conditional(spec, 0.0, 10.0, 0.0) == pytest.approx(10.0, abs=1e-12)
 
 
-def test_identity_oracle_is_martingale(brownian10):
+def test_identity_oracle_is_martingale():
     spec = rl.PayoffSpec("identity")
     for t, w in [(0.0, 0.0), (1.0, -2.5), (9.9, 4.0)]:
-        assert rl.oracle_conditional(spec, brownian10, t, w) == pytest.approx(w, abs=1e-12)
+        assert rl.oracle_conditional(spec, t, 10.0, w) == pytest.approx(w, abs=1e-12)
 
 
-def test_degenerate_oracle_returns_payoff(brownian10):
+def test_degenerate_oracle_returns_payoff():
     spec = rl.PayoffSpec("tanh")
-    out = rl.oracle_conditional(spec, brownian10, 10.0, 0.7)
+    out = rl.oracle_conditional(spec, 10.0, 10.0, 0.7)
     assert out == pytest.approx(np.tanh(0.7), abs=1e-15)
 
 
-def test_unsupported_pairs_raise(brownian10):
+def test_unsupported_pairs_raise():
     with pytest.raises(UnsupportedOracleError):
-        rl.oracle_conditional(rl.PayoffSpec("call", strike=1.0), brownian10, 1.0, 0.0)
+        rl.oracle_conditional(rl.PayoffSpec("call", strike=1.0), 1.0, 10.0, 0.0)
     with pytest.raises(UnsupportedOracleError):
-        rl.oracle_conditional(rl.PayoffSpec("tanh"), brownian10, 1.0, 0.0,
+        rl.oracle_conditional(rl.PayoffSpec("tanh"), 1.0, 10.0, 0.0,
                               rl.OracleSpec("closed_form"))
 
 
 @pytest.mark.parametrize("kind", ["identity", "square"])
-def test_quadrature_matches_closed_form_brownian(brownian10, kind):
+def test_quadrature_matches_closed_form_brownian(kind):
     spec = rl.PayoffSpec(kind)
     gen = np.random.default_rng(1)
     quad_oracle = rl.OracleSpec("gauss_quadrature", 128, 1e-9)
     for _ in range(50):
         t = gen.uniform(0.0, 9.99)
         w = gen.normal(0.0, np.sqrt(max(t, 0.1)))
-        cf = rl.oracle_conditional(spec, brownian10, t, w)
-        gq = rl.oracle_conditional(spec, brownian10, t, w, quad_oracle)
+        cf = rl.oracle_conditional(spec, t, 10.0, w)
+        gq = rl.oracle_conditional(spec, t, 10.0, w, quad_oracle)
         assert abs(cf - gq) < 1e-8 * max(1.0, abs(cf))
 
 
-def test_quadrature_point_doubling_converged(brownian10):
+def test_quadrature_point_doubling_converged():
     spec = rl.PayoffSpec("tanh")
-    a = rl.oracle_conditional(spec, brownian10, 1.0, 0.8, rl.OracleSpec("gauss_quadrature", 128, 1e-9))
-    b = rl.oracle_conditional(spec, brownian10, 1.0, 0.8, rl.OracleSpec("gauss_quadrature", 256, 1e-9))
+    a = rl.oracle_conditional(spec, 1.0, 10.0, 0.8, rl.OracleSpec("gauss_quadrature", 128, 1e-9))
+    b = rl.oracle_conditional(spec, 1.0, 10.0, 0.8, rl.OracleSpec("gauss_quadrature", 256, 1e-9))
     assert abs(a - b) < 1e-9
 
 
-def test_oracle_vectorizes_over_states(brownian10):
+def test_oracle_vectorizes_over_states():
     spec = rl.PayoffSpec("tanh")
     states = np.linspace(-3, 3, 7)
-    out = rl.oracle_conditional(spec, brownian10, 5.0, states,
+    out = rl.oracle_conditional(spec, 5.0, 10.0, states,
                                 rl.OracleSpec("gauss_quadrature", 128, 1e-9))
     assert out.shape == states.shape
     assert np.all(np.diff(out) > 0)  # monotone in the state

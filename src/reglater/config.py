@@ -29,6 +29,11 @@ SCHEMA_VERSION = 2
 # report.csv headers, here so that ``reglater plot`` needs no sweep engine
 CSV_HEADER = "K,N,reps,mse_mean,mse_stderr,approx_l2,h_tilde"
 PAIRED_CSV_HEADER = "K,N,reps,mse_later_mean,mse_later_stderr,mse_now_mean,mse_now_stderr"
+# schema-1 sections that schema 2 deleted, and what took their place
+REMOVED_SECTIONS = {
+    "process": "every date comes from the feature",
+    "eval": "every point is evaluated by quadrature",
+}
 
 # Most samples one repetition may draw: N.  Repetitions stream their samples
 # one rng block at a time, so memory does not grow with N (peak RSS about 5 MB
@@ -272,6 +277,13 @@ def validate_config_dict(doc: dict) -> ExperimentConfig:
     if version != SCHEMA_VERSION:
         raise ConfigurationError(
             f"config.schema_version: expected {SCHEMA_VERSION}, got {version!r}")
+    for section, instead in REMOVED_SECTIONS.items():
+        if section in doc:
+            held = doc[section] if isinstance(doc[section], dict) else {}
+            holds = ", ".join(f"{section}.{key}" for key in held)
+            raise ConfigurationError(
+                f"config.{section}: removed in schema {SCHEMA_VERSION} ({instead}); delete it"
+                + (f" and the keys it holds: {holds}" if holds else ""))
     _check_keys(doc, "config",
                 required={"schema_version", "feature", "payoff", "sweep", "K_list",
                           "repetitions", "seed"},

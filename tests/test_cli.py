@@ -115,10 +115,21 @@ MUTATIONS = [
     # removed kinds
     ('feature.kind="path_integral"', "feature.kind"),
     ('payoff={"kind":"asian_call","strike":1}', "payoff.kind"),
-    # removed keys; schema 2 dates everything from the feature and evaluates by quadrature
+    # removed keys; schema 2 dates everything from the feature and evaluates by quadrature,
+    # and a removed section is refused naming each key it holds
     ("feature.output_dim=1", "feature.output_dim"),
     ('process={"kind":"brownian","horizon":10.0}', "config.process"),
     ('eval={"method":"quadrature"}', "config.eval"),
+    ("process.kind=\"levy\"", "process.kind"),
+    ("process.horizon=-1", "process.horizon"),
+    ("process.dimension=1", "process.dimension"),
+    ("process.volatility=0.2", "process.volatility"),
+    ('process={"kind":"gbm","horizon":10.0}', "process.kind"),
+    ('process={"kind":"gbm","horizon":10.0,"volatility":Infinity}', "process.volatility"),
+    pytest.param(('process={"kind":"basket_tree","horizon":2}',
+                  'feature={"kind":"basket_sum","eval_time":2}'), "process.kind",
+                 id="basket_tree-process.kind"),
+    ("eval.method=\"bootstrap\"", "eval.method"),
 ]
 
 

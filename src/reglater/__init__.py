@@ -19,16 +19,17 @@ _ERRORS = ("BasisConstructionError", "ConfigurationError", "DegenerateDesignErro
 # public name -> the submodule that defines it
 _EXPORTS = {name: module for module, names in {
     "basis": ("ApproxErrorMoments", "BinPartition", "SieveBasis", "approx_error_moments",
-              "bin_moments", "build_basis", "build_partition", "gram_diagnostics", "h_tilde",
-              "projection_coefficients", "quadrature_gram"),
+              "bin_central_moments", "bin_moments", "bin_quadrature", "build_basis",
+              "build_partition", "gram_diagnostics", "h_tilde", "projection_coefficients",
+              "quadrature_gram"),
     "condexp": ("BrownianTransition", "GbmTransition", "TransferSpec", "basis_condexp",
                 "condexp_estimate", "jensen_check"),
     "config": ("ExperimentConfig",),
     "distributions": ("DistSpec", "TruncatedNormal", "Uniform"),
     "harness": ("ConvergenceReport", "PairedReport", "fit_loglog_slope",
                 "now_vs_later_compare", "run_fixed_K", "run_growing_K"),
-    "model": ("Domain", "FeatureSpec", "SampleSet", "central_domain",
-              "simulate_conditional", "simulate_terminal", "truncated_feature_law"),
+    "model": ("FeatureSpec", "SampleSet", "simulate_conditional", "simulate_terminal",
+              "truncated_feature_law"),
     "payoff": ("OracleSpec", "PayoffSpec", "eval_payoff", "oracle_conditional"),
     "regress": ("FitResult", "coefficient_error", "predict",
                 "regress_later_fit", "regress_now_fit"),

@@ -20,7 +20,7 @@ import numpy as np
 from . import _kernels
 from .distributions import DistSpec
 from .errors import BasisConstructionError, ConfigurationError
-from .model import Domain, SampleSet
+from .model import SampleSet
 from .payoff import PayoffSpec, eval_payoff
 
 ANALYTIC_MASS_TOL = 1e-12
@@ -29,11 +29,12 @@ QUAD_TOL = 1e-10
 
 @dataclass(frozen=True)
 class BinPartition:
-    """Equal-probability bin edges over a compact domain."""
+    """Equal-probability bin edges over the fit domain ``[edges[0], edges[-1]]``,
+    and that domain's mass under the untruncated law (1 for a uniform law)."""
 
     edges: np.ndarray
     K: int
-    domain: Domain
+    mass: float
 
     def __post_init__(self):
         edges = np.asarray(self.edges, dtype=np.float64)
@@ -41,8 +42,8 @@ class BinPartition:
             raise BasisConstructionError("partition: needs K+1 edges")
         if not np.all(np.diff(edges) > 0):
             raise BasisConstructionError("partition: edges must be strictly increasing")
-        if edges[0] != self.domain.a1 or edges[-1] != self.domain.a2:
-            raise BasisConstructionError("partition: edges must span the domain exactly")
+        if not (0 < self.mass <= 1):
+            raise BasisConstructionError("partition: domain mass must lie in (0, 1]")
         edges.setflags(write=False)
         object.__setattr__(self, "edges", edges)
 
@@ -85,11 +86,11 @@ class SieveBasis:
         return 2 * self.partition.K
 
     def to_json_dict(self) -> dict:
-        dom = self.partition.domain
+        edges = self.partition.edges.tolist()
         return {
             "K": self.K,
-            "domain": {"a1": dom.a1, "a2": dom.a2, "mass": dom.mass},
-            "edges": self.partition.edges.tolist(),
+            "domain": {"a1": edges[0], "a2": edges[-1], "mass": self.partition.mass},
+            "edges": edges,
             "centers": self.centers.tolist(),
             "norm0": self.norm0.tolist(),
             "norm1": self.norm1.tolist(),
@@ -110,8 +111,7 @@ def build_partition(dist: DistSpec, K: int) -> BinPartition:
     a1, a2 = dist.support
     edges = np.array([dist.quantile(k / K) for k in range(K + 1)])
     edges[0], edges[-1] = a1, a2  # pin the outer edges exactly
-    # the domain's mass under the untruncated law (1 for a uniform law)
-    part = BinPartition(edges, K, Domain(a1, a2, getattr(dist, "truncation_mass", 1.0)))
+    part = BinPartition(edges, K, getattr(dist, "truncation_mass", 1.0))
     masses = np.array([dist.partial_central_moments(lo, hi, 0.0, 0)[0]
                        for lo, hi in zip(edges[:-1], edges[1:])])
     if np.max(np.abs(masses - 1.0 / K)) > ANALYTIC_MASS_TOL:
@@ -201,6 +201,20 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return xg, wg
 
 
+def bin_quadrature(basis: SieveBasis, dist: DistSpec, nodes_per_bin: int
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre rule of ``nodes_per_bin`` nodes on every bin of
+    ``basis``: the nodes, bin after bin, and their weights times the
+    density of ``dist``.  ``sum(weights * f(nodes))`` is ``E[f(U)]``."""
+    xg, wg = gauss_legendre(nodes_per_bin)
+    edges = basis.partition.edges
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
+    weights = (half[:, None] * wg[None, :]).ravel() * dist.density(nodes)
+    return nodes, weights
+
+
 def quadrature_gram(basis: SieveBasis, dist: DistSpec, nodes_per_bin: int = 64) -> np.ndarray:
     """Full 2K x 2K Gram matrix by per-bin Gauss-Legendre integration.
 
@@ -209,36 +223,40 @@ def quadrature_gram(basis: SieveBasis, dist: DistSpec, nodes_per_bin: int = 64) 
     integrated against the density.
     """
     K = basis.K
-    edges = basis.partition.edges
-    xg, wg = gauss_legendre(nodes_per_bin)
+    u, w = (a.reshape(K, nodes_per_bin) for a in bin_quadrature(basis, dist, nodes_per_bin))
+    e0 = basis.norm0[:, None]
+    e1 = basis.norm1[:, None] * (u - basis.centers[:, None])
     G = np.zeros((2 * K, 2 * K))
-    for k in range(K):
-        lo, hi = edges[k], edges[k + 1]
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        u = mid + half * xg
-        w = half * wg * dist.density(u)
-        e0 = np.full_like(u, basis.norm0[k])
-        e1 = basis.norm1[k] * (u - basis.centers[k])
-        G[2 * k, 2 * k] = np.sum(w * e0 * e0)
-        G[2 * k, 2 * k + 1] = G[2 * k + 1, 2 * k] = np.sum(w * e0 * e1)
-        G[2 * k + 1, 2 * k + 1] = np.sum(w * e1 * e1)
+    i = 2 * np.arange(K)
+    G[i, i] = np.sum(w * e0 * e0, axis=1)
+    G[i, i + 1] = G[i + 1, i] = np.sum(w * e0 * e1, axis=1)
+    G[i + 1, i + 1] = np.sum(w * e1 * e1, axis=1)
     return G
 
 
-def h_tilde(basis: SieveBasis, dist: DistSpec, N: int) -> float:
+def bin_central_moments(basis: SieveBasis, dist: DistSpec) -> list[list[float]]:
+    """Per bin k, E[1_k(U) (U - c_k)^j] for j = 0..4."""
+    edges = basis.partition.edges
+    return [dist.partial_central_moments(edges[k], edges[k + 1], basis.centers[k], 4)
+            for k in range(basis.K)]
+
+
+def h_tilde(basis: SieveBasis, dist: DistSpec, N: int,
+            moments: list[list[float]] | None = None) -> float:
     """(1/N) E[(e^T e)^2]: the net controlling admissible growth of K with N.
 
     Disjoint supports reduce the square of the 2K-term sum to per-bin terms
-    K^2 1_k + 2 K C1_k^2 1_k (U-c_k)^2 + C1_k^4 1_k (U-c_k)^4.
+    K^2 1_k + 2 K C1_k^2 1_k (U-c_k)^2 + C1_k^4 1_k (U-c_k)^4, from the
+    bins' central moments (``bin_central_moments``, computed if not given).
     """
     if N < 1:
         raise ConfigurationError("N: must be >= 1")
     K = basis.K
-    edges = basis.partition.edges
+    if moments is None:
+        moments = bin_central_moments(basis, dist)
     total = 0.0
-    for k in range(K):
-        m = dist.partial_central_moments(edges[k], edges[k + 1], basis.centers[k], 4)
-        total += K * K * m[0] + 2.0 * K * basis.norm1[k] ** 2 * m[2] + basis.norm1[k] ** 4 * m[4]
+    for m, c1 in zip(moments, basis.norm1):
+        total += K * K * m[0] + 2.0 * K * c1 ** 2 * m[2] + c1 ** 4 * m[4]
     return float(total) / N
 
 

@@ -114,7 +114,7 @@ def _cmd_basket_check(_args) -> int:
 
 def _cmd_basis_dump(args) -> int:
     cfg = config_mod.load_config(args.config, args.set or [])
-    dist, _ = config_mod._sweep_laws(cfg)[0]
+    dist = config_mod._sweep_laws(cfg)[0]
     text = build_basis(dist, args.K).to_json() + "\n"
     if args.output:
         atomic_write(Path(args.output), text)

@@ -19,10 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from . import rng
-from .basis import SieveBasis, build_basis, h_tilde
+from .basis import SieveBasis, bin_central_moments, build_basis, h_tilde
 from .distributions import TruncatedNormal
 from .errors import BasisConstructionError, ConfigurationError
-from .model import Domain, FeatureSpec, truncated_feature_law
+from .model import MIN_CONDITIONAL_MASS, FeatureSpec, truncated_feature_law
 from .payoff import PayoffSpec, eval_payoff
 
 SCHEMA_VERSION = 2
@@ -110,16 +110,21 @@ class ExperimentConfig:
                 raise ConfigurationError("N_rule: fixed_K takes its N from N_list, not a rule")
         if not (0 < self.domain_epsilon < 1):
             raise ConfigurationError("domain_epsilon: must lie in (0, 1)")
+        mass = 1.0 - self.domain_epsilon
+        if mass < MIN_CONDITIONAL_MASS:  # the sampler refuses it, rejection would stall
+            raise ConfigurationError(
+                f"domain_epsilon: {self.domain_epsilon!r} leaves a domain mass of {mass:.3g}, "
+                f"below the {MIN_CONDITIONAL_MASS:g} that rejection sampling needs")
         laws = _sweep_laws(self)
-        mass = min(dom.mass for _, dom in laws)
+        n_field = "N_rule" if self.N_list is None else "N_list"  # where each N comes from
         seen = set()
         for K, N in self.points():
             if N < 2 * K + 1:
-                raise ConfigurationError(f"point (K={K}, N={N}): needs N >= 2K+1")
+                raise ConfigurationError(f"{n_field}: point (K={K}, N={N}) needs N >= 2K+1")
             if N > MAX_POINT_SAMPLES:
                 raise ConfigurationError(
-                    f"point (K={K}, N={N}): {N} samples per repetition "
-                    f"exceed the cap of {MAX_POINT_SAMPLES}")
+                    f"{n_field}: point (K={K}, N={N}) draws {N} samples per repetition, "
+                    f"above the cap of {MAX_POINT_SAMPLES}")
             if N / mass > MAX_POINT_PROPOSALS:
                 raise ConfigurationError(
                     f"domain_epsilon: {self.domain_epsilon!r} makes point (K={K}, N={N}) draw "
@@ -133,26 +138,35 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"payoff.kind: the paired comparison needs a closed-form oracle payoff "
                 f"(square or identity), not {self.payoff.kind!r}")
-        dom_T = laws[0][1]  # the fit domain at the payoff date
-        if not _finite_mse_spread(self.payoff, dom_T):
-            strike = self.payoff.strike
-            field = ("payoff.strike" if strike is not None and abs(strike) > dom_T.a2
+        law_T = laws[0]  # the fit law at the payoff date
+        strike = self.payoff.strike
+        if not _finite_mse_spread(self.payoff, law_T):
+            field = ("payoff.strike" if strike is not None and abs(strike) > law_T.upper
                      else "feature.eval_time")
             raise ConfigurationError(
                 f"{field}: the {self.payoff.kind} payoff is too large on the domain at "
                 f"eval_time {self.feature.eval_time!r} for the MSE's standard error to be finite")
+        if self.payoff.kind == "call" and strike >= law_T.upper:
+            raise ConfigurationError(
+                f"payoff.strike: {strike!r} is at or above the fit domain's upper end "
+                f"{law_T.upper!r}, so the call pays nothing on it and every row is 0")
         # every basis the sweep builds, on every law it fits on; no quadrature
-        for (dist, _), K in itertools.product(laws, sorted(set(self.K_list))):
+        for dist, K in itertools.product(laws, sorted(set(self.K_list))):
             try:
                 basis = _basis(dist, K)
             except BasisConstructionError as exc:
                 raise ConfigurationError(
                     f"domain_epsilon: {self.domain_epsilon!r} leaves no basis at K={K} ({exc})"
                 ) from None
-            if not _finite_h_tilde(basis, dist):
+            moments = _bin_moments(basis, dist)
+            if moments is None:
                 raise ConfigurationError(
                     f"feature.eval_time: {self.feature.eval_time!r} gives a non-finite "
                     f"h_tilde at K={K}")
+            if not _sound_moments(basis, moments):
+                raise ConfigurationError(
+                    f"domain_epsilon: {self.domain_epsilon!r} makes the bins at K={K} too "
+                    f"narrow for their moments; their basis and h_tilde would be wrong")
 
     def points(self) -> list[tuple[int, int]]:
         """(K, N) per sweep point, in report order."""
@@ -171,28 +185,47 @@ def _basis(dist: TruncatedNormal, K: int) -> SieveBasis:
     return build_basis(dist, K)
 
 
-def _finite_h_tilde(basis: SieveBasis, dist: TruncatedNormal) -> bool:
-    """Whether the report's ``h_tilde`` column is finite on ``basis``.  It is
-    a closed form over N, so N = 1 stands for every point; at a time scale
-    far from 1 its fourth moments overflow or underflow."""
+def _bin_moments(basis: SieveBasis, dist: TruncatedNormal) -> list[list[float]] | None:
+    """Each bin's central moments to order 4 (``bin_central_moments``), or
+    None where the report's ``h_tilde`` column, a sum of them, is not finite.
+    It is a closed form over N, so N = 1 stands for every point; at a time
+    scale far from 1 its fourth moments overflow or underflow."""
     try:
         with np.errstate(all="ignore"):  # the value is checked, not warned about
-            return math.isfinite(h_tilde(basis, dist, 1))
+            moments = bin_central_moments(basis, dist)
+            return moments if math.isfinite(h_tilde(basis, dist, 1, moments)) else None
     except OverflowError:
-        return False
+        return None
 
 
-def _finite_mse_spread(payoff: PayoffSpec, dom: Domain) -> bool:
-    """Whether the square of a squared payoff-scale error is finite on ``dom``.
+def _sound_moments(basis: SieveBasis, moments: list[list[float]]) -> bool:
+    """Whether every bin's moments ``m_j`` obey the bounds of a mass ``m0``
+    on an interval of width ``w`` about a point inside it: ``0 < m2 <=
+    m0 w^2 / 4`` and ``m2^2 <= m0 m4 <= m0 w^2 m2`` (the latter within a
+    relative 1e-9).  On a narrow domain the moments' binomial expansion
+    cancels (each is of order ``w^(j+1)``, formed from terms of order
+    ``w``), and the bounds fail long before ``bin_moments`` sees a
+    non-positive m2."""
+    m0, m2, m4 = np.array(moments)[:, [0, 2, 4]].T
+    w2 = np.diff(basis.partition.edges) ** 2
+    slack = 1.0 + 1e-9
+    with np.errstate(all="ignore"):  # a NaN fails the comparisons
+        return bool(np.all((m2 > 0) & (m2 <= m0 * w2 / 4) & (m2 * m2 <= m0 * m4 * slack)
+                           & (m0 * m4 <= m0 * w2 * m2 * slack)))
+
+
+def _finite_mse_spread(payoff: PayoffSpec, law: TruncatedNormal) -> bool:
+    """Whether the square of a squared payoff-scale error is finite on the
+    fit domain ``[law.lower, law.upper]``.
 
     A repetition's MSE is a mean of squared errors between payoff-scale values
     (for ``square`` of order eval_time**2), and its standard error squares the
     deviations of those MSEs once more (``harness._mean_stderr``, on Python
     floats, which raise ``OverflowError``).  Every payoff kind is largest in
-    magnitude at an end of an interval, so ``2 * max |g(a1)|, |g(a2)|``
+    magnitude at an end of an interval, so ``2 * max |g(lower)|, |g(upper)|``
     bounds the scale of an error."""
     with np.errstate(all="ignore"):  # the value is checked, not warned about
-        g = max(abs(eval_payoff(payoff, dom.a1)), abs(eval_payoff(payoff, dom.a2)))
+        g = max(abs(eval_payoff(payoff, law.lower)), abs(eval_payoff(payoff, law.upper)))
     err = (2.0 * g) * (2.0 * g)
     return math.isfinite(err * err)
 
@@ -206,7 +239,7 @@ def _ruled_N(c: float, b: float, K: int) -> int:
         raise ConfigurationError(f"N_rule: N = ceil({c!r} * {K}**{b!r}) is not finite") from None
 
 
-def _sweep_laws(config: ExperimentConfig) -> list[tuple[TruncatedNormal, Domain]]:
+def _sweep_laws(config: ExperimentConfig) -> list[TruncatedNormal]:
     """The truncated feature laws a sweep fits on: the law of the feature,
     or for ``pair_u_T`` the laws of W at its payoff date and at its
     intermediate date, in that order."""

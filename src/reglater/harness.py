@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 import numpy as np
 
 from . import _kernels, rng
-from .basis import (SieveBasis, approx_error_moments, gauss_legendre, h_tilde,
+from .basis import (SieveBasis, approx_error_moments, bin_quadrature, h_tilde,
                     projection_coefficients)
 # build_basis and truncated_feature_law are not called here (the config gate
 # builds the bases and laws); perfbench/tracer.py still looks them up here
@@ -42,7 +42,8 @@ from .condexp import condexp_estimate  # noqa: F401  (not called; perfbench/trac
 from .config import CSV_HEADER, PAIRED_CSV_HEADER, ExperimentConfig, _basis, _sweep_laws
 from .errors import (BasisConstructionError, ConfigurationError, DegenerateDesignError,
                      SamplingError)
-from .model import Domain, FeatureSpec, SampleSet, simulate_conditional
+from .distributions import TruncatedNormal
+from .model import SampleSet, simulate_conditional
 from .model import truncated_feature_law  # noqa: F401
 from .payoff import OracleSpec, PayoffSpec, eval_payoff, oracle_conditional
 from .regress import coefficient_error, predict, regress_later_fit, regress_now_fit
@@ -295,12 +296,12 @@ def _keep_block_memory() -> None:
     mallopt(-1, 32 * block_bytes)  # M_TRIM_THRESHOLD: keep up to 32 blocks of freed heap
 
 
-def _sample_blocks(feat: FeatureSpec, dom: Domain, n: int, seed: int) -> Iterator[SampleSet]:
-    """``simulate_conditional(feat, dom, n, seed)`` one rng block at a time,
-    so a repetition never holds more than ``rng.BLOCK_SIZE`` samples."""
+def _sample_blocks(law: TruncatedNormal, n: int, seed: int) -> Iterator[SampleSet]:
+    """``simulate_conditional(law, n, seed)`` one rng block at a time, so a
+    repetition never holds more than ``rng.BLOCK_SIZE`` samples."""
     size = rng.BLOCK_SIZE
     for j in range(-(-n // size)):
-        yield simulate_conditional(feat, dom, min(size, n - j * size), seed, first_block=j)
+        yield simulate_conditional(law, min(size, n - j * size), seed, first_block=j)
 
 
 def _payoff_blocks(payoff: PayoffSpec, blocks: Iterable[SampleSet]) -> Iterator[SampleSet]:
@@ -317,7 +318,7 @@ def _run_points(config: ExperimentConfig, workers: int) -> ConvergenceReport:
                                  "run it with now_vs_later_compare")
     start = time.perf_counter()
     _keep_block_memory()
-    dist, dom = _sweep_laws(config)[0]
+    dist = _sweep_laws(config)[0]
     sweep_variable = "K" if config.sweep == "growing_K" else "N"
 
     @functools.cache
@@ -330,8 +331,7 @@ def _run_points(config: ExperimentConfig, workers: int) -> ConvergenceReport:
     setups = [_PointSetup(K, N, *per_K(K)) for K, N in config.points()]
 
     def run_batch(pt: _PointSetup, batch: range) -> list:
-        streams = [_sample_blocks(config.feature, dom, pt.N,
-                                  rng.derive_seed(config.seed, pt.K, pt.N, rep))
+        streams = [_sample_blocks(dist, pt.N, rng.derive_seed(config.seed, pt.K, pt.N, rep))
                    for rep in batch]
         fits = _fit_batch(lambda blocks, g: regress_later_fit(
             _payoff_blocks(config.payoff, blocks), pt.basis, fits=g), streams)
@@ -445,21 +445,13 @@ def now_vs_later_compare(config: ExperimentConfig, workers: int = 1) -> PairedRe
         raise ConfigurationError("paired comparison needs a pair_u_T feature (fixes t and T)")
     t = config.feature.intermediate_time
     T = config.feature.eval_time
-
-    feat_T = FeatureSpec("terminal", T)
-    feat_t = FeatureSpec("terminal", t)
-    (dist_T, dom_T), (dist_t, dom_t) = _sweep_laws(config)
+    dist_T, dist_t = _sweep_laws(config)
 
     @functools.cache
     def per_K(K: int) -> tuple:
         basis_T = _basis(dist_T, K)
         basis_t = _basis(dist_t, K)
-        xg, wg = gauss_legendre(24)
-        edges = basis_t.partition.edges
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        grid = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-        wq = (half[:, None] * wg[None, :]).ravel() * dist_t.density(grid)
+        grid, wq = bin_quadrature(basis_t, dist_t, 24)
         truth = oracle_conditional(config.payoff, t, T, grid, OracleSpec("closed_form"))
         transfer = basis_condexp(BrownianTransition(t, T), basis_T, grid)
         return basis_T, basis_t, grid, wq, truth, transfer
@@ -473,8 +465,8 @@ def now_vs_later_compare(config: ExperimentConfig, workers: int = 1) -> PairedRe
         # Regress-Later: fit the payoff at T, transfer exactly to time t
         later = _fit_batch(lambda blocks, g: regress_later_fit(
             _payoff_blocks(config.payoff, blocks), pt.basis_T, fits=g),
-            [_sample_blocks(feat_T, dom_T, N,
-                            rng.derive_seed(config.seed, "later", K, N, rep)) for rep in batch])
+            [_sample_blocks(dist_T, N, rng.derive_seed(config.seed, "later", K, N, rep))
+             for rep in batch])
 
         def transfer_mse(rep: int, fit) -> float:
             return float(np.sum(wq * (truth - pt.transfer @ fit.coefficients) ** 2))
@@ -483,7 +475,7 @@ def now_vs_later_compare(config: ExperimentConfig, workers: int = 1) -> PairedRe
         # Regress-Now: states at t, fresh continuations to T, direct regression
         streams = [mse if isinstance(mse, Exception) else _continued_blocks(
             config.payoff, scale, rng.derive_seed(config.seed, "cont", K, N, rep),
-            _sample_blocks(feat_t, dom_t, N, rng.derive_seed(config.seed, "now", K, N, rep)))
+            _sample_blocks(dist_t, N, rng.derive_seed(config.seed, "now", K, N, rep)))
             for rep, mse in zip(batch, mse_lat)]
         now = _fit_batch(lambda blocks, g: regress_now_fit(blocks, pt.basis_t, fits=g), streams)
 

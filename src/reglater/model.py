@@ -53,21 +53,6 @@ class FeatureSpec:
 
 
 @dataclass(frozen=True)
-class Domain:
-    """Compact truncation interval together with its probability mass."""
-
-    a1: float
-    a2: float
-    mass: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.a1) and np.isfinite(self.a2) and self.a1 < self.a2):
-            raise ConfigurationError("domain: requires finite a1 < a2")
-        if not (0 < self.mass <= 1):
-            raise ConfigurationError("domain.mass: must lie in (0, 1]")
-
-
-@dataclass(frozen=True)
 class SampleSet:
     """Immutable i.i.d. draws of (feature value, payoff): one row of
     ``features`` per draw, and a 1-D array is one column."""
@@ -163,9 +148,10 @@ def simulate_terminal(feat: FeatureSpec, n: int, seed: int) -> SampleSet:
     return SampleSet(vals)
 
 
-def simulate_conditional(feat: FeatureSpec, dom: Domain, n: int, seed: int, *,
+def simulate_conditional(law: TruncatedNormal, n: int, seed: int, *,
                          first_block: int = 0) -> SampleSet:
-    """Draws of the feature conditioned on landing in [a1, a2], via rejection.
+    """Draws of a centred normal conditioned on ``[law.lower, law.upper]``,
+    via rejection from the untruncated ``N(0, law.var)``.
 
     With ``first_block=j`` the draws start at ``rng`` block ``j``: block ``j``
     of an ``n``-sample draw, alone, is the call with ``min(rng.BLOCK_SIZE,
@@ -173,41 +159,25 @@ def simulate_conditional(feat: FeatureSpec, dom: Domain, n: int, seed: int, *,
     """
     if n < 1:
         raise ConfigurationError("n: must be >= 1")
-    if feat.dim != 1:
-        raise ConfigurationError("conditioning is defined for univariate features only")
-    if dom.mass < MIN_CONDITIONAL_MASS:
-        raise SamplingError(
-            f"domain mass {dom.mass:g} below {MIN_CONDITIONAL_MASS:g}; rejection would stall")
-    draw = _terminal_drawer(feat)
-    accept = lambda u: (u >= dom.a1) & (u <= dom.a2)
-    vals, proposals = rng.block_rejection(n, draw, accept, seed, "conditional", feat.kind,
+    if law.mean != 0:  # every Brownian feature law is centred
+        raise ConfigurationError(f"law.mean: conditioning needs a centred law, got {law.mean!r}")
+    if law.truncation_mass < MIN_CONDITIONAL_MASS:
+        raise SamplingError(f"domain mass {law.truncation_mass:g} below "
+                            f"{MIN_CONDITIONAL_MASS:g}; rejection would stall")
+    sigma, lower, upper = law.sigma, law.lower, law.upper
+    draw = lambda gen, m: sigma * gen.standard_normal(m)
+    accept = lambda u: (u >= lower) & (u <= upper)
+    vals, proposals = rng.block_rejection(n, draw, accept, seed, "conditional", "terminal",
                                           first_block=first_block)
     return SampleSet(vals, meta={"proposals": proposals, "acceptance_rate": n / proposals})
 
 
-# ---------------------------------------------------------------------------
-# truncation defaults
-# ---------------------------------------------------------------------------
-
-def _gaussian_feature_params(feat: FeatureSpec) -> tuple[float, float]:
-    """(mean, var) of a univariate feature of Brownian motion (exactly Gaussian)."""
-    if feat.kind == "terminal":
-        return 0.0, feat.eval_time
-    raise ConfigurationError(f"feature.kind: no analytic law for {feat.kind!r}")
-
-
-def central_domain(feat: FeatureSpec, epsilon: float) -> Domain:
-    """Central 1-epsilon interval of the feature law (inverse-CDF edges)."""
+def truncated_feature_law(feat: FeatureSpec, epsilon: float) -> TruncatedNormal:
+    """Law of a univariate feature of Brownian motion, exactly N(0, eval_time),
+    conditioned on its central 1 - epsilon mass (inverse-CDF edges)."""
+    if feat.kind != "terminal":
+        raise ConfigurationError(f"feature.kind: no analytic law for {feat.kind!r}")
     if not (0 < epsilon < 1):
         raise ConfigurationError("epsilon: must lie in (0, 1)")
-    z = ndtri(1.0 - epsilon / 2.0)
-    mean, var = _gaussian_feature_params(feat)
-    half = z * float(np.sqrt(var))
-    return Domain(mean - half, mean + half, 1.0 - epsilon)
-
-
-def truncated_feature_law(feat: FeatureSpec, epsilon: float) -> tuple[TruncatedNormal, Domain]:
-    """Analytic truncated law of a Gaussian feature plus its domain."""
-    mean, var = _gaussian_feature_params(feat)
-    dom = central_domain(feat, epsilon)
-    return TruncatedNormal(mean, var, dom.a1, dom.a2), dom
+    half = ndtri(1.0 - epsilon / 2.0) * float(np.sqrt(feat.eval_time))
+    return TruncatedNormal(0.0, feat.eval_time, -half, half)

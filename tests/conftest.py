@@ -16,19 +16,18 @@ def tanh_payoff():
 
 @pytest.fixture(scope="session")
 def w10_law(terminal10):
-    """Truncated N(0, 10) law of the terminal value plus its domain."""
+    """Truncated N(0, 10) law of the terminal value."""
     return truncated_feature_law(terminal10, 1e-4)
 
 
 @pytest.fixture(scope="session")
 def basis_cache(w10_law):
     """Bases on the truncated N(0,10) law, built once per session."""
-    dist, _ = w10_law
     cache = {}
 
     def get(K: int):
         if K not in cache:
-            cache[K] = build_basis(dist, K)
+            cache[K] = build_basis(w10_law, K)
         return cache[K]
 
     return get

@@ -14,7 +14,6 @@ from reglater import _kernels
 from reglater._kernels import BinnedQR
 from reglater.basis import BinPartition, SieveBasis
 from reglater.errors import ConfigurationError, DegenerateDesignError
-from reglater.model import Domain
 from reglater.regress import COLUMN_NORM_TOL, RANK_TOL, FitResult
 
 
@@ -103,8 +102,8 @@ def ols_fit(design_rows, targets) -> DenseFit:
 
 def basis_from_json_dict(doc: dict) -> SieveBasis:
     """The basis that ``SieveBasis.to_json_dict`` serialized."""
-    dom = Domain(doc["domain"]["a1"], doc["domain"]["a2"], doc["domain"]["mass"])
-    part = BinPartition(np.asarray(doc["edges"], dtype=np.float64), int(doc["K"]), dom)
+    part = BinPartition(np.asarray(doc["edges"], dtype=np.float64), int(doc["K"]),
+                        doc["domain"]["mass"])
     return SieveBasis(part, np.asarray(doc["centers"]), np.asarray(doc["norm0"]),
                       np.asarray(doc["norm1"]))
 

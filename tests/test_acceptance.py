@@ -40,7 +40,7 @@ def test_criterion_1_basket_exactness(capsys):
 
 def test_criterion_2_orthonormality(w10_law, basis_cache, capsys):
     start = time.perf_counter()
-    dist, _ = w10_law
+    dist = w10_law
     unif = rl.Uniform(0.0, 1.0)
     worst = 0.0
     for K in (2, 5, 16, 64):
@@ -56,7 +56,7 @@ def test_criterion_2_orthonormality(w10_law, basis_cache, capsys):
 
 def test_criterion_3_approximation_rates(w10_law, basis_cache, tanh_payoff, capsys):
     start = time.perf_counter()
-    dist, _ = w10_law
+    dist = w10_law
     Ks = [4, 8, 16, 32, 64]
     l2s, fourths = [], []
     for K in Ks:
@@ -100,14 +100,14 @@ def test_criterion_5_fixed_k_reproduction(capsys):
                        f"MSE drop 1e4->1e5 = {100*drop:.2f}% <= 10%, {elapsed:.0f}s")
 
 
-def test_criterion_6_gram_convergence(w10_law, basis_cache, terminal10, capsys):
+def test_criterion_6_gram_convergence(w10_law, basis_cache, capsys):
     start = time.perf_counter()
-    _, dom = w10_law
+    law = w10_law
     basis = basis_cache(5)
 
     def one(seed):
-        big = rl.simulate_conditional(terminal10, dom, 100_000, 50_000 + seed)
-        small = rl.simulate_conditional(terminal10, dom, 1_000, 60_000 + seed)
+        big = rl.simulate_conditional(law, 100_000, 50_000 + seed)
+        small = rl.simulate_conditional(law, 1_000, 60_000 + seed)
         fro_b, lmin_b = rl.gram_diagnostics(basis, big)
         fro_s, _ = rl.gram_diagnostics(basis, small)
         return fro_b, fro_s, lmin_b
@@ -146,14 +146,14 @@ def test_criterion_7_now_rate_floor_and_paired(capsys):
                        f"Regress-Later steeper in {wins}/100 seed batches, {elapsed:.0f}s")
 
 
-def test_criterion_8_jensen_transfer(w10_law, basis_cache, terminal10, capsys):
+def test_criterion_8_jensen_transfer(w10_law, basis_cache, capsys):
     start = time.perf_counter()
-    _, dom = w10_law
+    law = w10_law
     results = []
 
     def run_case(payoff, K, n, t, truth=None, oracle=rl.OracleSpec("gauss_quadrature")):
         basis = basis_cache(K)
-        train = rl.simulate_conditional(terminal10, dom, n, 70_000 + K)
+        train = rl.simulate_conditional(law, n, 70_000 + K)
         if isinstance(payoff, rl.PayoffSpec):
             x = rl.eval_payoff(payoff, train.feature_column())
             spec = payoff

@@ -30,7 +30,7 @@ def test_symmetric_truncnorm_middle_edge_is_zero():
 
 
 def test_truncnorm_bin_masses_recomputed(w10_law):
-    dist, _ = w10_law
+    dist = w10_law
     part = rl.build_partition(dist, 10)
     for lo, hi in zip(part.edges[:-1], part.edges[1:]):
         mass = dist.partial_central_moments(lo, hi, 0.0, 0)[0]
@@ -106,21 +106,49 @@ def test_quadrature_gram_identity_uniform(K):
     assert np.max(np.abs(G - np.eye(2 * K))) < 1e-8
 
 
+@pytest.mark.parametrize("K", [1, 5, 16])
+def test_bin_quadrature_integrates_each_bin(K, w10_law, basis_cache):
+    basis = basis_cache(K)
+    nodes, weights = rl.bin_quadrature(basis, w10_law, 24)
+    assert nodes.shape == weights.shape == (24 * K,)
+    edges = basis.partition.edges
+    per_bin = nodes.reshape(K, 24)
+    assert np.all((per_bin > edges[:-1, None]) & (per_bin < edges[1:, None]))
+    # each bin carries 1/K of the law, and its mean is the basis center
+    masses = weights.reshape(K, 24).sum(axis=1)
+    assert np.max(np.abs(masses - 1.0 / K)) < 1e-12
+    means = (weights * nodes).reshape(K, 24).sum(axis=1) / masses
+    assert np.max(np.abs(means - basis.centers)) < 1e-10
+
+
+def test_h_tilde_reads_the_given_bin_moments(w10_law, basis_cache):
+    basis = basis_cache(8)
+    moments = rl.bin_central_moments(basis, w10_law)
+    assert len(moments) == 8 and all(len(m) == 5 for m in moments)
+    assert rl.h_tilde(basis, w10_law, 100, moments) == rl.h_tilde(basis, w10_law, 100)
+
+
+@pytest.mark.parametrize("mass", [0.0, -0.5, 1.5])
+def test_partition_refuses_a_mass_outside_the_unit_interval(mass):
+    with pytest.raises(BasisConstructionError, match="domain mass"):
+        rl.BinPartition(np.array([0.0, 0.5, 1.0]), 2, mass)
+
+
 @pytest.mark.parametrize("K", [2, 5, 16, 64])
 def test_quadrature_gram_identity_truncnorm(K, w10_law, basis_cache):
-    dist, _ = w10_law
+    dist = w10_law
     G = rl.quadrature_gram(basis_cache(K), dist)
     assert np.max(np.abs(G - np.eye(2 * K))) < 1e-8
 
 
-def test_gram_diagnostics_on_sample_converges(w10_law, basis_cache, terminal10):
-    dist, dom = w10_law
+def test_gram_diagnostics_on_sample_converges(w10_law, basis_cache):
+    dist = w10_law
     basis = basis_cache(5)
     wins = 0
     lmins = []
     for seed in range(100):
-        big = rl.simulate_conditional(terminal10, dom, 100_000, 1000 + seed)
-        small = rl.simulate_conditional(terminal10, dom, 1_000, 2000 + seed)
+        big = rl.simulate_conditional(dist, 100_000, 1000 + seed)
+        small = rl.simulate_conditional(dist, 1_000, 2000 + seed)
         fro_big, lmin_big = rl.gram_diagnostics(basis, big)
         fro_small, _ = rl.gram_diagnostics(basis, small)
         wins += fro_big < fro_small
@@ -149,7 +177,7 @@ def test_h_tilde_uniform_golden_value():
 
 
 def test_h_tilde_halves_when_n_doubles(w10_law, basis_cache):
-    dist, _ = w10_law
+    dist = w10_law
     basis = basis_cache(8)
     assert rl.h_tilde(basis, dist, 2000) == pytest.approx(rl.h_tilde(basis, dist, 1000) / 2.0)
 
@@ -166,7 +194,7 @@ def test_h_tilde_decreases_along_admissible_growth():
 
 def test_h_tilde_matches_brute_force_quadrature(w10_law, basis_cache):
     # independent check: integrate (e^T e)^2 on a fine global grid
-    dist, _ = w10_law
+    dist = w10_law
     basis = basis_cache(6)
     edges = basis.partition.edges
     total = 0.0
@@ -186,7 +214,7 @@ def test_h_tilde_matches_brute_force_quadrature(w10_law, basis_cache):
 # ---------------------------------------------------------------------------
 
 def test_in_span_payoff_has_zero_approx_error(basis_cache, w10_law):
-    dist, _ = w10_law
+    dist = w10_law
     basis = basis_cache(8)
     alpha = np.zeros(16)
     alpha[[0, 3, 11]] = (0.7, -1.2, 0.4)
@@ -197,7 +225,7 @@ def test_in_span_payoff_has_zero_approx_error(basis_cache, w10_law):
 
 
 def test_tanh_approx_rate_windows(w10_law, basis_cache, tanh_payoff):
-    dist, _ = w10_law
+    dist = w10_law
     Ks = [4, 8, 16, 32, 64]
     l2s, fourths = [], []
     for K in Ks:
@@ -210,7 +238,7 @@ def test_tanh_approx_rate_windows(w10_law, basis_cache, tanh_payoff):
 
 def test_ratio_moment_bound_grows_linearly(w10_law, basis_cache):
     # max_k E[1_k (U-c)^4] / (E[1_k (U-c)^2])^2 should grow like K
-    dist, _ = w10_law
+    dist = w10_law
     Ks = [4, 8, 16, 32, 64]
     ratios = []
     for K in Ks:
@@ -224,13 +252,12 @@ def test_ratio_moment_bound_grows_linearly(w10_law, basis_cache):
     assert 0.8 <= slope_of(Ks, ratios) <= 1.2
 
 
-def test_projection_coefficients_match_sample_projection(w10_law, basis_cache, tanh_payoff,
-                                                         terminal10):
+def test_projection_coefficients_match_sample_projection(w10_law, basis_cache, tanh_payoff):
     # quadrature alpha should agree with a huge-sample regression closely
-    dist, dom = w10_law
+    dist = w10_law
     basis = basis_cache(4)
     alpha = rl.projection_coefficients(tanh_payoff, basis, dist)
-    samp = rl.simulate_conditional(terminal10, dom, 400_000, seed=77)
+    samp = rl.simulate_conditional(dist, 400_000, seed=77)
     fit = rl.regress_later_fit(
         samp.with_payoffs(rl.eval_payoff(tanh_payoff, samp.feature_column())), basis)
     assert np.max(np.abs(fit.coefficients - alpha)) < 0.01
@@ -246,7 +273,7 @@ def test_basis_json_roundtrip(basis_cache):
 
 def test_quadrature_tolerance_honoured(w10_law, basis_cache, tanh_payoff):
     # doubling the quadrature start order moves integrals by less than QUAD_TOL-ish
-    dist, _ = w10_law
+    dist = w10_law
     basis = basis_cache(8)
     a16 = rl.projection_coefficients(tanh_payoff, basis, dist)
     from reglater.basis import _adaptive_bin_quad
@@ -271,7 +298,7 @@ def test_gauss_legendre_rule_is_cached_and_read_only():
 
 
 def test_quadrature_bits_do_not_depend_on_the_rule_cache(w10_law, basis_cache, tanh_payoff):
-    dist, _ = w10_law
+    dist = w10_law
     basis = basis_cache(6)
     gauss_legendre.cache_clear()
     cold = (rl.projection_coefficients(tanh_payoff, basis, dist),

@@ -86,9 +86,27 @@ MUTATIONS = [
     pytest.param(('sweep="fixed_K"', "K_list=[4]", "N_list=[100,1000]"), "N_rule",
                  id="fixed_K_with_N_rule-N_rule"),
     # N = 4 K^2 keeps rejection within MAX_POINT_PROPOSALS, so the K = 8 basis is what fails
-    pytest.param(("domain_epsilon=0.99999", "N_rule.c=4"),
+    # (at K = 4 and 6 the bins' moments fail first, below)
+    pytest.param(("domain_epsilon=0.99999", "N_rule.c=4", "K_list=[8]"),
                  "domain_epsilon: 0.99999 leaves no basis at K=8",
                  id="domain_epsilon=0.99999-domain_epsilon"),
+    # too little mass for rejection sampling, though the proposals stay under their cap
+    pytest.param(("domain_epsilon=0.9999999", "K_list=[1]", 'N_rule={"c":3,"b":0}'),
+                 "domain_epsilon: 0.9999999 leaves a domain mass of 1e-07",
+                 id="too_little_mass-domain_epsilon"),
+    # bins so narrow that their moments cancel: wrong bases and a wrong (or negative) h_tilde
+    pytest.param(("domain_epsilon=0.99999", "K_list=[4]", 'N_rule={"c":9,"b":0}'),
+                 "domain_epsilon: 0.99999 makes the bins at K=4 too narrow",
+                 id="narrow_bins_K4-domain_epsilon"),
+    pytest.param(("domain_epsilon=0.9999", "K_list=[16]", 'N_rule={"c":1000,"b":0}'),
+                 "domain_epsilon: 0.9999 makes the bins at K=16 too narrow",
+                 id="narrow_bins_K16-domain_epsilon"),
+    pytest.param(("domain_epsilon=0.999", "K_list=[16]", 'N_rule={"c":1000,"b":0}'),
+                 "domain_epsilon: 0.999 makes the bins at K=16 too narrow",
+                 id="narrow_bins_eps_1e-3-domain_epsilon"),
+    # a payoff that is 0 on the whole fit domain (upper end about 12.3 at eval_time 10)
+    pytest.param('payoff={"kind":"call","strike":100}', "payoff.strike: 100 is at or above",
+                 id="zero_payoff-payoff.strike"),
     # closed-form row values that are not finite at extreme time scales
     pytest.param(("feature.eval_time=5e299", 'payoff={"kind":"call","strike":1}'),
                  "feature.eval_time", id="overflowing_moments-feature.eval_time"),
@@ -410,10 +428,10 @@ def test_run_point_without_repetitions_exits_3_after_writing(tiny_config_path, t
                                                              monkeypatch, capsys):
     real = harness.simulate_conditional
 
-    def failing(feat, dom, n, seed, **kwargs):
+    def failing(law, n, seed, **kwargs):
         if n == 1080:  # the K=6 point of TINY_CONFIG
             raise SamplingError("synthetic failure")
-        return real(feat, dom, n, seed, **kwargs)
+        return real(law, n, seed, **kwargs)
 
     monkeypatch.setattr(harness, "simulate_conditional", failing)
     outdir = tmp_path / "out"

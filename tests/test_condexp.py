@@ -63,11 +63,11 @@ def test_indicator_entries_telescope_to_domain_mass(basis_cache):
     basis = basis_cache(16)
     tr = rl.BrownianTransition(1.0, 10.0)
     s = 3.0
-    dom = basis.partition.domain
+    a1, a2 = basis.partition.edges[0], basis.partition.edges[-1]
     for state in (-4.0, 0.0, 1.7):
         vec = rl.basis_condexp(tr, basis, state)
         total = np.sum(vec[0::2] / basis.norm0)
-        expected = ndtr((dom.a2 - state) / s) - ndtr((dom.a1 - state) / s)
+        expected = ndtr((a2 - state) / s) - ndtr((a1 - state) / s)
         assert abs(total - expected) < 1e-10
 
 
@@ -133,14 +133,14 @@ def test_unit_coefficient_gives_bin_transition_mass(basis_cache):
         assert rl.condexp_estimate(spec, state) == pytest.approx(expected, abs=1e-12)
 
 
-def test_identity_payoff_estimate_tracks_state(w10_law, basis_cache, terminal10):
+def test_identity_payoff_estimate_tracks_state(w10_law, basis_cache):
     # X = W(T): fitted transfer should track the martingale E[X | W_t] = w
     # up to the fit error band plus the (documented) truncation-tail term:
     # the transferred estimate sees ghat = 0 outside the basis domain.
-    dist, dom = w10_law
+    dist = w10_law
     basis = basis_cache(32)
     s_cond = 3.0  # sd of W(10) given W(1)
-    s = rl.simulate_conditional(terminal10, dom, 200_000, seed=50)
+    s = rl.simulate_conditional(dist, 200_000, seed=50)
     fit = rl.regress_later_fit(s.with_payoffs(s.feature_column().copy()), basis)
     spec = rl.TransferSpec(rl.BrownianTransition(1.0, 10.0), basis, fit.coefficients)
     approx = rl.approx_error_moments(rl.PayoffSpec("identity"), basis, dist)
@@ -149,8 +149,8 @@ def test_identity_payoff_estimate_tracks_state(w10_law, basis_cache, terminal10)
 
     def tail_term(w):
         # E[|W_T| 1{W_T outside D} | W_t = w], exact normal partial moments
-        alpha = (dom.a1 - w) / s_cond
-        beta = (dom.a2 - w) / s_cond
+        alpha = (dist.lower - w) / s_cond
+        beta = (dist.upper - w) / s_cond
         phi = lambda z: np.exp(-0.5 * z * z) / np.sqrt(2 * np.pi)
         upper = w * (1.0 - ndtr(beta)) + s_cond * phi(beta)
         lower = s_cond * phi(alpha) - w * ndtr(alpha)
@@ -171,11 +171,11 @@ def _paired_sample(t, n, seed, payoff):
     return s.with_payoffs(rl.eval_payoff(payoff, s.features[:, 1]))
 
 
-def test_jensen_square_payoff(w10_law, basis_cache, terminal10):
-    _, dom = w10_law
+def test_jensen_square_payoff(w10_law, basis_cache):
+    law = w10_law
     payoff = rl.PayoffSpec("square")
     basis = basis_cache(8)
-    train = rl.simulate_conditional(terminal10, dom, 10_000, seed=60)
+    train = rl.simulate_conditional(law, 10_000, seed=60)
     fit = rl.regress_later_fit(
         train.with_payoffs(rl.eval_payoff(payoff, train.feature_column())), basis)
     paired = _paired_sample(1.0, 10_000, 61, payoff)
@@ -184,14 +184,14 @@ def test_jensen_square_payoff(w10_law, basis_cache, terminal10):
     assert res.mse_cond <= res.mse_payoff + 3.0 * res.mse_payoff_stderr
 
 
-def test_jensen_exact_span_both_errors_vanish(w10_law, basis_cache, terminal10):
+def test_jensen_exact_span_both_errors_vanish(w10_law, basis_cache):
     # payoff inside the span: the fit interpolates, and the consistent truth
     # is the exact transfer of the true coefficients, so both sides vanish
-    dist, dom = w10_law
+    dist = w10_law
     basis = basis_cache(8)
     alpha = np.linspace(-1.0, 1.0, 16)
     payoff_fn = lambda u: rl.predict(basis, alpha, np.atleast_1d(u))
-    train = rl.simulate_conditional(terminal10, dom, 30_000, seed=62)
+    train = rl.simulate_conditional(dist, 30_000, seed=62)
     fit = rl.regress_later_fit(train.with_payoffs(payoff_fn(train.feature_column())), basis)
     tr = rl.BrownianTransition(1.0, 10.0)
     feat = rl.FeatureSpec("pair_u_T", 10.0, intermediate_time=1.0)
@@ -203,12 +203,12 @@ def test_jensen_exact_span_both_errors_vanish(w10_law, basis_cache, terminal10):
     assert res.mse_cond <= res.mse_payoff + 3.0 * res.mse_payoff_stderr + 1e-20
 
 
-def test_jensen_degenerate_time_ratio_near_one(w10_law, basis_cache, terminal10, tanh_payoff):
+def test_jensen_degenerate_time_ratio_near_one(w10_law, basis_cache, tanh_payoff):
     # t -> T: conditioning vanishes and both errors coincide
-    _, dom = w10_law
+    law = w10_law
     basis = basis_cache(8)
     t = 10.0 - 1e-6  # s = 1e-3
-    train = rl.simulate_conditional(terminal10, dom, 20_000, seed=64)
+    train = rl.simulate_conditional(law, 20_000, seed=64)
     fit = rl.regress_later_fit(
         train.with_payoffs(rl.eval_payoff(tanh_payoff, train.feature_column())), basis)
     paired = _paired_sample(t, 20_000, 65, tanh_payoff)
@@ -217,12 +217,12 @@ def test_jensen_degenerate_time_ratio_near_one(w10_law, basis_cache, terminal10,
     assert 0.9 <= res.mse_cond / res.mse_payoff <= 1.0
 
 
-def test_jensen_violation_raises(basis_cache, w10_law, terminal10):
+def test_jensen_violation_raises(basis_cache, w10_law):
     # a deliberately wrong truth makes the conditional side blow up
-    _, dom = w10_law
+    law = w10_law
     basis = basis_cache(4)
     payoff = rl.PayoffSpec("identity")
-    train = rl.simulate_conditional(terminal10, dom, 5_000, seed=66)
+    train = rl.simulate_conditional(law, 5_000, seed=66)
     fit = rl.regress_later_fit(
         train.with_payoffs(rl.eval_payoff(payoff, train.feature_column())), basis)
     paired = _paired_sample(1.0, 2_000, 67, payoff)

@@ -86,18 +86,37 @@ def test_config_rejects_mismatched_lists():
                                      rl.FeatureSpec("pair_u_T", 10.0, intermediate_time=1.0)],
                          ids=["terminal", "pair_u_T"])
 def test_config_builds_every_basis_of_the_sweep(feature):
-    # at domain_epsilon = 0.99999 the K = 8 partition misses 1/K by 5.55e-12;
-    # N = 4 K^2 keeps rejection within MAX_POINT_PROPOSALS at that mass
-    def config(K_list):
+    # N = 4 K^2 keeps rejection within MAX_POINT_PROPOSALS at these masses
+    def config(K_list, epsilon):
         return rl.ExperimentConfig(
             name="t", payoff=rl.PayoffSpec("square"),
             feature=feature, sweep="growing_K", K_list=K_list, repetitions=1, seed=1,
-            N_rule=(4.0, 2.0), domain_epsilon=0.99999)
+            N_rule=(4.0, 2.0), domain_epsilon=epsilon)
 
-    config((4, 6, 12))  # these partitions hold their masses
+    config((4,), 0.999)  # its bins hold their masses and moments
+    # the bins of the second K are too narrow for their moments
+    with pytest.raises(ConfigurationError,
+                       match=r"^domain_epsilon: 0\.999 makes the bins at K=8 too narrow"):
+        config((4, 8), 0.999)
+    # at domain_epsilon = 0.99999 the K = 8 partition misses 1/K by 5.55e-12
     with pytest.raises(ConfigurationError,
                        match=r"^domain_epsilon: 0\.99999 leaves no basis at K=8 \(partition"):
-        config((4, 8, 12))
+        config((8,), 0.99999)
+
+
+def test_call_struck_at_the_domain_end_is_refused():
+    # the call pays 0 on the whole fit domain [-a, a] from a strike of a on
+    law = rl.truncated_feature_law(rl.FeatureSpec("terminal", 10.0), 1e-4)
+
+    def config(strike):
+        return rl.ExperimentConfig(
+            name="t", payoff=rl.PayoffSpec("call", strike),
+            feature=rl.FeatureSpec("terminal", 10.0), sweep="growing_K", K_list=(4,),
+            repetitions=1, seed=1, N_rule=(100.0, 0.0))
+
+    config(np.nextafter(law.upper, 0.0))
+    with pytest.raises(ConfigurationError, match=r"^payoff\.strike: .* at or above"):
+        config(law.upper)
 
 
 def test_points_follow_the_rule():
@@ -152,10 +171,10 @@ def test_point_failures_are_flagged(monkeypatch):
     cfg = small_growing_config(seed=308, reps=2)
     real = harness.simulate_conditional
 
-    def failing(feat, dom, n, seed, **kwargs):
+    def failing(law, n, seed, **kwargs):
         if n == 3666:  # the K=6 point
             raise rl.SamplingError("synthetic failure")
-        return real(feat, dom, n, seed, **kwargs)
+        return real(law, n, seed, **kwargs)
 
     monkeypatch.setattr(harness, "simulate_conditional", failing)
     rep = rl.run_growing_K(cfg)
@@ -171,11 +190,11 @@ def _fit_alone(cfg, K, N, rep):
     """One repetition of a Regress-Later sweep point, sampled, paid off and
     fitted on its own (no batch): its basis, fit, projection coefficients
     and approximation floor."""
-    dist, dom = rl.truncated_feature_law(cfg.feature, cfg.domain_epsilon)
+    dist = rl.truncated_feature_law(cfg.feature, cfg.domain_epsilon)
     basis = rl.build_basis(dist, K)
     alpha = rl.projection_coefficients(cfg.payoff, basis, dist)
     approx = rl.approx_error_moments(cfg.payoff, basis, dist, coefficients=alpha).mean_square
-    sample = rl.simulate_conditional(cfg.feature, dom, N, rl.rng.derive_seed(cfg.seed, K, N, rep))
+    sample = rl.simulate_conditional(dist, N, rl.rng.derive_seed(cfg.seed, K, N, rep))
     sample = sample.with_payoffs(rl.eval_payoff(cfg.payoff, sample.feature_column()))
     return basis, rl.regress_later_fit(sample, basis), alpha, approx
 
@@ -190,11 +209,10 @@ def test_fresh_sample_eval_agrees_with_quadrature():
     # the sweep's exact MSE, approx_l2 + |alpha_hat - alpha|^2 (the basis is
     # orthonormal), against the mean squared error on 10 N fresh samples
     cfg = small_growing_config(seed=307)
-    _, dom = rl.truncated_feature_law(cfg.feature, cfg.domain_epsilon)
+    law = rl.truncated_feature_law(cfg.feature, cfg.domain_epsilon)
     for K, N in cfg.points():
         basis, fit, alpha, approx = _fit_alone(cfg, K, N, 0)
-        fresh = rl.simulate_conditional(cfg.feature, dom, 10 * N,
-                                        rl.rng.derive_seed(cfg.seed, K, N, 0, "eval"))
+        fresh = rl.simulate_conditional(law, 10 * N, rl.rng.derive_seed(cfg.seed, K, N, 0, "eval"))
         v = fresh.feature_column()
         err = rl.eval_payoff(cfg.payoff, v) - rl.predict(basis, fit.coefficients, v)
         assert np.mean(err * err) == pytest.approx(approx + rl.coefficient_error(fit, alpha),
@@ -210,11 +228,11 @@ def test_failures_in_a_batch_stay_per_repetition(monkeypatch):
     seeds = {rl.rng.derive_seed(cfg.seed, K, N, rep): rep for rep in range(cfg.repetitions)}
     real = harness.simulate_conditional
 
-    def failing(feat, dom, n, seed, **kwargs):
+    def failing(law, n, seed, **kwargs):
         rep = seeds.get(seed) if n == N else None
         if rep == 1:
             raise rl.SamplingError("synthetic failure")
-        sample = real(feat, dom, n, seed, **kwargs)
+        sample = real(law, n, seed, **kwargs)
         if rep == 3:
             return rl.SampleSet(np.full((n, 1), 1e3))
         return sample
@@ -375,7 +393,7 @@ def test_each_basis_is_built_once_per_law_and_k(name, monkeypatch):
                       ["repetitions=1"])
     run = rl.now_vs_later_compare if cfg.feature.kind == "pair_u_T" else rl.run_growing_K
     run(cfg)
-    expected = [(dist, K) for dist, _ in config._sweep_laws(cfg) for K in cfg.K_list]
+    expected = [(dist, K) for dist in config._sweep_laws(cfg) for K in cfg.K_list]
     assert sorted(built, key=repr) == sorted(expected, key=repr)
 
 
@@ -415,12 +433,11 @@ def test_threaded_sweep_keeps_a_bounded_window_of_tasks(workers):
 # ---------------------------------------------------------------------------
 
 def test_sample_blocks_concatenate_to_the_one_shot_draws():
-    feat = rl.FeatureSpec("terminal", 1.0)
-    _, dom = rl.truncated_feature_law(feat, 1e-4)
+    law = rl.truncated_feature_law(rl.FeatureSpec("terminal", 1.0), 1e-4)
     n = 2 * rl.rng.BLOCK_SIZE + 17
-    blocks = list(harness._sample_blocks(feat, dom, n, 41))
+    blocks = list(harness._sample_blocks(law, n, 41))
     assert [b.n for b in blocks] == [rl.rng.BLOCK_SIZE, rl.rng.BLOCK_SIZE, 17]
-    one_shot = rl.simulate_conditional(feat, dom, n, 41)
+    one_shot = rl.simulate_conditional(law, n, 41)
     w = one_shot.feature_column()
     assert np.array_equal(np.concatenate([b.feature_column() for b in blocks]), w)
     assert sum(b.meta["proposals"] for b in blocks) == one_shot.meta["proposals"]
@@ -488,11 +505,10 @@ def test_streamed_block_checks_its_features_once(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(rl.SampleSet, "__post_init__", counting)
-    feat = rl.FeatureSpec("terminal", 10.0)
-    _, dom = rl.truncated_feature_law(feat, 1e-4)
+    law = rl.truncated_feature_law(rl.FeatureSpec("terminal", 10.0), 1e-4)
     n = 2 * rl.rng.BLOCK_SIZE + 5
     blocks = list(harness._payoff_blocks(rl.PayoffSpec("tanh"),
-                                         harness._sample_blocks(feat, dom, n, 43)))
+                                         harness._sample_blocks(law, n, 43)))
     assert built == [rl.rng.BLOCK_SIZE, rl.rng.BLOCK_SIZE, 5]
     for b in blocks:
         assert np.array_equal(b.payoffs, np.tanh(b.feature_column()))

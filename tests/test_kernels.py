@@ -15,7 +15,7 @@ from reference import design_matrix, first_fit, ols_fit
 def problem(basis_cache, w10_law):
     basis = basis_cache(12)
     gen = np.random.default_rng(42)
-    a1, a2 = basis.partition.domain.a1, basis.partition.domain.a2
+    a1, a2 = basis.partition.edges[0], basis.partition.edges[-1]
     u = gen.uniform(a1 - 1.0, a2 + 1.0, 20_000)  # includes out-of-domain points
     x = np.tanh(u) + 0.1 * gen.standard_normal(u.size)
     return basis, u, x

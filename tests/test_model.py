@@ -85,39 +85,66 @@ def test_joined_samples_lie_back_to_back_unchecked(monkeypatch):
 # conditional simulation
 # ---------------------------------------------------------------------------
 
-def test_conditional_acceptance_rate_matches_mass(terminal10, w10_law):
-    _, dom = w10_law
-    s = rl.simulate_conditional(terminal10, dom, 100_000, seed=21)
-    assert abs(s.meta["acceptance_rate"] - dom.mass) < 0.01 * dom.mass
+def test_conditional_acceptance_rate_matches_mass(w10_law):
+    s = rl.simulate_conditional(w10_law, 100_000, seed=21)
+    mass = w10_law.truncation_mass
+    assert abs(s.meta["acceptance_rate"] - mass) < 0.01 * mass
 
 
-def test_conditional_stays_inside_domain(terminal10):
-    dom = rl.Domain(-1.0, 2.0, 0.842)
-    s = rl.simulate_conditional(terminal10, dom, 30_000, seed=8)
+def test_conditional_stays_inside_domain():
+    law = rl.TruncatedNormal(0.0, 10.0, -1.0, 2.0)
+    s = rl.simulate_conditional(law, 30_000, seed=8)
     w = s.feature_column()
-    assert w.min() >= dom.a1 and w.max() <= dom.a2
+    assert w.min() >= law.lower and w.max() <= law.upper
 
 
 def test_conditional_on_near_full_support_matches_unconditional(terminal10):
-    dom = rl.central_domain(terminal10, epsilon=1e-9)
-    cond = rl.simulate_conditional(terminal10, dom, 50_000, seed=31)
+    law = rl.truncated_feature_law(terminal10, epsilon=1e-9)
+    cond = rl.simulate_conditional(law, 50_000, seed=31)
     free = rl.simulate_terminal(terminal10, 50_000, seed=32)
     stat = ks_2samp(cond.feature_column(), free.feature_column()).statistic
     # 1% critical value for the two-sample statistic
     assert stat < 1.63 * np.sqrt(2.0 / 50_000)
 
 
-def test_conditional_symmetric_mean(terminal10, w10_law):
-    _, dom = w10_law
-    s = rl.simulate_conditional(terminal10, dom, 40_000, seed=4)
+def test_conditional_draws_are_the_terminal_stream_kept(terminal10, w10_law):
+    # rejection keeps, in order, the in-domain values of the terminal drawer's
+    # stream under the ("conditional", "terminal") key
+    n = 1000
+    s = rl.simulate_conditional(w10_law, n, seed=5)
+    drawn = rl.rng.block_map(s.meta["proposals"], rl.model._terminal_drawer(terminal10), 5,
+                             "conditional", "terminal")
+    kept = drawn[(drawn >= w10_law.lower) & (drawn <= w10_law.upper)]
+    assert np.array_equal(s.feature_column(), kept[:n])
+
+
+def test_conditional_symmetric_mean(w10_law):
+    s = rl.simulate_conditional(w10_law, 40_000, seed=4)
     w = s.feature_column()
     assert abs(w.mean()) < 4.0 * w.std(ddof=1) / np.sqrt(w.size)
 
 
-def test_tiny_mass_is_refused(terminal10):
-    dom = rl.Domain(8.0, 8.001, 1e-8)
+def test_tiny_mass_is_refused():
+    law = rl.TruncatedNormal(0.0, 10.0, 12.0, 12.001)
+    assert law.truncation_mass < rl.model.MIN_CONDITIONAL_MASS
     with pytest.raises(SamplingError):
-        rl.simulate_conditional(terminal10, dom, 10, seed=0)
+        rl.simulate_conditional(law, 10, seed=0)
+
+
+def test_non_centred_law_is_refused():
+    # every Brownian feature law is centred; the sampler draws N(0, var)
+    with pytest.raises(ConfigurationError, match="law.mean"):
+        rl.simulate_conditional(rl.TruncatedNormal(1.0, 10.0, -1.0, 2.0), 10, seed=0)
+
+
+def test_truncated_feature_law_is_the_central_mass(terminal10):
+    law = rl.truncated_feature_law(terminal10, 1e-4)
+    assert (law.mean, law.var, law.lower) == (0.0, 10.0, -law.upper)
+    assert law.truncation_mass == pytest.approx(1.0 - 1e-4, rel=1e-12)
+    with pytest.raises(ConfigurationError, match="epsilon"):
+        rl.truncated_feature_law(terminal10, 1.0)
+    with pytest.raises(ConfigurationError, match="feature.kind"):
+        rl.truncated_feature_law(rl.FeatureSpec("pair_u_T", 10.0, intermediate_time=1.0), 1e-4)
 
 
 # ---------------------------------------------------------------------------

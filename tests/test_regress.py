@@ -11,8 +11,8 @@ from conftest import slope_of
 from reference import eval_basis, first_fit, fit_json_dict, ols_fit
 
 
-def _tanh_sample(terminal10, dom, n, seed):
-    s = rl.simulate_conditional(terminal10, dom, n, seed)
+def _tanh_sample(law, n, seed):
+    s = rl.simulate_conditional(law, n, seed)
     return s.with_payoffs(np.tanh(s.feature_column()))
 
 
@@ -87,10 +87,10 @@ def test_fitted_values_invariant_under_column_permutation():
 # Regress-Later
 # ---------------------------------------------------------------------------
 
-def test_single_basis_function_payoff_recovered_exactly(basis_cache, w10_law, terminal10):
-    dist, dom = w10_law
+def test_single_basis_function_payoff_recovered_exactly(basis_cache, w10_law):
+    dist = w10_law
     basis = basis_cache(6)
-    s = rl.simulate_conditional(terminal10, dom, 5000, seed=9)
+    s = rl.simulate_conditional(dist, 5000, seed=9)
     x = eval_basis(basis, s.feature_column())[:, 0]  # X = e_{0,1}(W_T)
     fit = rl.regress_later_fit(s.with_payoffs(x), basis)
     expected = np.zeros(12)
@@ -99,25 +99,25 @@ def test_single_basis_function_payoff_recovered_exactly(basis_cache, w10_law, te
     assert fit.mode == "later"
 
 
-def test_in_span_payoff_zero_residual(basis_cache, w10_law, terminal10):
-    dist, dom = w10_law
+def test_in_span_payoff_zero_residual(basis_cache, w10_law):
+    dist = w10_law
     K = 8
     basis = basis_cache(K)
     n = 50 * K
-    s = rl.simulate_conditional(terminal10, dom, n, seed=10)
+    s = rl.simulate_conditional(dist, n, seed=10)
     alpha = np.arange(2 * K, dtype=float) / 7.0 - 1.0
     x = eval_basis(basis, s.feature_column()) @ alpha
     fit = rl.regress_later_fit(s.with_payoffs(x), basis)
     assert fit.residual_l2 / np.sqrt(n) < 1e-8
 
 
-def test_tanh_out_of_sample_mse_near_approx_floor(basis_cache, w10_law, terminal10, tanh_payoff):
-    dist, dom = w10_law
+def test_tanh_out_of_sample_mse_near_approx_floor(basis_cache, w10_law, tanh_payoff):
+    dist = w10_law
     basis = basis_cache(5)
-    samp = _tanh_sample(terminal10, dom, 10_000, 12)
+    samp = _tanh_sample(dist, 10_000, 12)
     fit = rl.regress_later_fit(samp, basis)
     approx = rl.approx_error_moments(tanh_payoff, basis, dist).mean_square
-    fresh = rl.simulate_conditional(terminal10, dom, 100_000, 13)
+    fresh = rl.simulate_conditional(dist, 100_000, 13)
     v = fresh.feature_column()
     mse = float(np.mean((np.tanh(v) - rl.predict(basis, fit.coefficients, v)) ** 2))
     assert mse <= 2.0 * approx
@@ -138,10 +138,10 @@ def test_empty_bins_reported_dropped(basis_cache, w10_law):
     assert fit.gram_lambda_min == 0.0
 
 
-def test_later_in_sample_mse_non_increasing_under_refinement(w10_law, basis_cache, terminal10):
+def test_later_in_sample_mse_non_increasing_under_refinement(w10_law, basis_cache):
     # nested equal-probability partitions: span(K) inside span(2K)
-    _, dom = w10_law
-    samp = _tanh_sample(terminal10, dom, 20_000, 14)
+    law = w10_law
+    samp = _tanh_sample(law, 20_000, 14)
     prev = np.inf
     for K in (4, 8, 16, 32):
         fit = rl.regress_later_fit(samp, basis_cache(K))
@@ -150,12 +150,10 @@ def test_later_in_sample_mse_non_increasing_under_refinement(w10_law, basis_cach
         prev = rss
 
 
-def test_later_residual_variance_vanishes_jointly(w10_law, basis_cache, terminal10):
-    _, dom = w10_law
-    small = rl.regress_later_fit(_tanh_sample(terminal10, dom, 1_000, 15),
-                                 basis_cache(4))
-    big = rl.regress_later_fit(_tanh_sample(terminal10, dom, 100_000, 16),
-                               basis_cache(32))
+def test_later_residual_variance_vanishes_jointly(w10_law, basis_cache):
+    law = w10_law
+    small = rl.regress_later_fit(_tanh_sample(law, 1_000, 15), basis_cache(4))
+    big = rl.regress_later_fit(_tanh_sample(law, 100_000, 16), basis_cache(32))
     assert (big.residual_l2**2 / big.n) < 0.1 * (small.residual_l2**2 / small.n)
 
 
@@ -176,9 +174,9 @@ def test_later_requires_univariate_payoff_bearing_sample(basis_cache):
 def _now_problem(n, seed, K, eps=1e-4):
     """States W(1), targets X = W(10)^2; basis on the truncated law of W(1)."""
     feat_t = rl.FeatureSpec("terminal", 1.0)
-    dist_t, dom_t = rl.truncated_feature_law(feat_t, eps)
+    dist_t = rl.truncated_feature_law(feat_t, eps)
     basis_t = rl.build_basis(dist_t, K)
-    s = rl.simulate_conditional(feat_t, dom_t, n, seed)
+    s = rl.simulate_conditional(dist_t, n, seed)
     w = s.feature_column()
     xi = rl.rng.block_standard_normal(n, seed, "cont")
     x = (w + 3.0 * xi) ** 2
@@ -188,10 +186,10 @@ def _now_problem(n, seed, K, eps=1e-4):
 def test_now_identity_target_fits_identity():
     # X = W(10), features W(1): the projection is the identity map
     feat_t = rl.FeatureSpec("terminal", 1.0)
-    dist_t, dom_t = rl.truncated_feature_law(feat_t, 1e-4)
+    dist_t = rl.truncated_feature_law(feat_t, 1e-4)
     basis_t = rl.build_basis(dist_t, 8)
     n = 50_000
-    s = rl.simulate_conditional(feat_t, dom_t, n, seed=20)
+    s = rl.simulate_conditional(dist_t, n, seed=20)
     w = s.feature_column()
     x = w + 3.0 * rl.rng.block_standard_normal(n, 20, "cont")
     fit = rl.regress_now_fit(s.with_payoffs(x), basis_t)
@@ -218,9 +216,9 @@ def test_now_mse_improves_with_sample_size():
 
 def test_now_in_span_measurable_payoff_has_no_projection_error():
     feat_t = rl.FeatureSpec("terminal", 1.0)
-    dist_t, dom_t = rl.truncated_feature_law(feat_t, 1e-4)
+    dist_t = rl.truncated_feature_law(feat_t, 1e-4)
     basis_t = rl.build_basis(dist_t, 6)
-    s = rl.simulate_conditional(feat_t, dom_t, 4000, seed=22)
+    s = rl.simulate_conditional(dist_t, 4000, seed=22)
     x = eval_basis(basis_t, s.feature_column())[:, 0]  # t-measurable, in span
     fit = rl.regress_now_fit(s.with_payoffs(x), basis_t)
     assert fit.residual_variance < 1e-8
@@ -274,7 +272,7 @@ def test_residual_matches_prediction_residual(lo_bins, hi_bins, data):
         want**2 / df, rel=1e-10, abs=floor**2 / df)
 
 
-def test_fits_make_no_bin_lookup(monkeypatch, basis_cache, w10_law, terminal10):
+def test_fits_make_no_bin_lookup(monkeypatch, basis_cache, w10_law):
     calls = []
     lookup = _kernels.bin_indices
 
@@ -283,7 +281,7 @@ def test_fits_make_no_bin_lookup(monkeypatch, basis_cache, w10_law, terminal10):
         return lookup(edges, u)
 
     monkeypatch.setattr(_kernels, "bin_indices", counting)
-    samp = _tanh_sample(terminal10, w10_law[1], 5000, 30)
+    samp = _tanh_sample(w10_law, 5000, 30)
     rl.regress_later_fit(samp, basis_cache(8))
     rl.regress_now_fit(samp, basis_cache(8))
     assert calls == []
@@ -399,9 +397,9 @@ def test_blockwise_fit_at_the_rng_block_size(extra):
     _assert_fold_matches_single_pass(basis, samp, one)
 
 
-def test_single_block_fit_is_the_kernel_result(basis_cache, w10_law, terminal10):
+def test_single_block_fit_is_the_kernel_result(basis_cache, w10_law):
     # with one block nothing is merged: the fit reads the kernel's own bits
-    samp = _tanh_sample(terminal10, w10_law[1], rl.rng.BLOCK_SIZE, 31)
+    samp = _tanh_sample(w10_law, rl.rng.BLOCK_SIZE, 31)
     basis = basis_cache(8)
     got, n = rl.regress._binned_factors(samp, basis, 1)
     ref = _kernels.binned_qr(basis.partition.edges, basis.centers, basis.norm0, basis.norm1,
@@ -450,33 +448,33 @@ def test_batched_fit_needs_equal_shares(basis_cache):
 # coefficient error
 # ---------------------------------------------------------------------------
 
-def test_coefficient_error_zero_for_exact_span(basis_cache, w10_law, terminal10):
-    dist, dom = w10_law
+def test_coefficient_error_zero_for_exact_span(basis_cache, w10_law):
+    dist = w10_law
     basis = basis_cache(4)
-    s = rl.simulate_conditional(terminal10, dom, 2000, seed=23)
+    s = rl.simulate_conditional(dist, 2000, seed=23)
     g = lambda u: rl.predict(basis, np.ones(8), np.atleast_1d(u))
     fit = rl.regress_later_fit(s.with_payoffs(g(s.feature_column())), basis)
     assert rl.coefficient_error(fit, rl.projection_coefficients(g, basis, dist)) < 1e-12
 
 
-def test_coefficient_error_shrinks_with_n(basis_cache, w10_law, terminal10, tanh_payoff):
-    dist, dom = w10_law
+def test_coefficient_error_shrinks_with_n(basis_cache, w10_law, tanh_payoff):
+    dist = w10_law
     basis = basis_cache(5)
     alpha = rl.projection_coefficients(tanh_payoff, basis, dist)
     errs = {1_000: [], 100_000: []}
     for seed in range(50):
         for n in errs:
-            samp = _tanh_sample(terminal10, dom, n, 5000 + seed + n)
+            samp = _tanh_sample(dist, n, 5000 + seed + n)
             fit = rl.regress_later_fit(samp, basis)
             errs[n].append(rl.coefficient_error(fit, alpha))
     assert np.median(errs[100_000]) < np.median(errs[1_000])
 
 
-def test_fit_result_serializes_to_json(basis_cache, w10_law, terminal10):
+def test_fit_result_serializes_to_json(basis_cache, w10_law):
     import json
 
-    _, dom = w10_law
-    samp = _tanh_sample(terminal10, dom, 2000, 30)
+    law = w10_law
+    samp = _tanh_sample(law, 2000, 30)
     fit = rl.regress_later_fit(samp, basis_cache(4))
     doc = json.loads(json.dumps(fit_json_dict(fit)))
     assert doc["mode"] == "later"
@@ -490,7 +488,7 @@ def test_now_coefficient_error_scales_like_one_over_n():
     ns = (1_000, 10_000, 100_000)
     medians = []
     feat_t = rl.FeatureSpec("terminal", 1.0)
-    dist_t, _ = rl.truncated_feature_law(feat_t, 1e-4)
+    dist_t = rl.truncated_feature_law(feat_t, 1e-4)
     basis_t = rl.build_basis(dist_t, 8)
     alpha = rl.projection_coefficients(g0t, basis_t, dist_t)
     for n in ns:

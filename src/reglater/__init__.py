@@ -22,15 +22,15 @@ _EXPORTS = {name: module for module, names in {
               "bin_central_moments", "bin_moments", "bin_quadrature", "build_basis",
               "build_partition", "gram_diagnostics", "h_tilde", "projection_coefficients",
               "quadrature_gram"),
-    "condexp": ("BrownianTransition", "GbmTransition", "TransferSpec", "basis_condexp",
-                "condexp_estimate", "jensen_check"),
+    "condexp": ("BrownianTransition", "GbmTransition", "basis_condexp", "condexp_estimate",
+                "jensen_check"),
     "config": ("ExperimentConfig",),
     "distributions": ("DistSpec", "TruncatedNormal", "Uniform"),
     "harness": ("ConvergenceReport", "PairedReport", "fit_loglog_slope",
                 "now_vs_later_compare", "run_fixed_K", "run_growing_K"),
     "model": ("FeatureSpec", "SampleSet", "simulate_conditional", "simulate_terminal",
               "truncated_feature_law"),
-    "payoff": ("OracleSpec", "PayoffSpec", "eval_payoff", "oracle_conditional"),
+    "payoff": ("PayoffSpec", "eval_payoff", "oracle_conditional"),
     "regress": ("FitResult", "coefficient_error", "predict",
                 "regress_later_fit", "regress_now_fit"),
     "tree": ("basket_tree_expectations", "basket_tree_expectations_from_leaves",

@@ -272,42 +272,41 @@ def _as_function(g) -> Callable:
     raise ConfigurationError("expected a PayoffSpec or a callable")
 
 
-def _adaptive_bin_quad(f: Callable, lo: float, hi: float, tol: float = QUAD_TOL,
-                       start: int = 16, cap: int = 2048) -> np.ndarray:
-    """Integrate a vector-valued integrand over [lo, hi], doubling the
-    Gauss-Legendre order until the change falls below tol."""
-    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    prev = None
-    n = start
-    while True:
-        xg, wg = gauss_legendre(n)
-        vals = np.asarray(f(mid + half * xg))
-        est = half * (vals @ wg)
-        if prev is not None and np.max(np.abs(est - prev)) <= tol:
-            return est
-        if n >= cap:
-            return est
-        prev = est
-        n *= 2
+def _adaptive_bin_quad(integrand: Callable, basis: SieveBasis, dist: DistSpec,
+                       start: int = 16) -> np.ndarray:
+    """Per bin k, E[1_k(U) integrand(k, U)] for a vector-valued integrand
+    (one row per bin): Gauss-Legendre on the bin from ``start`` nodes,
+    doubling the order until the change falls below QUAD_TOL (at most 2048)."""
+    edges = basis.partition.edges
+    rows = []
+    for k in range(basis.K):
+        mid, half = 0.5 * (edges[k + 1] + edges[k]), 0.5 * (edges[k + 1] - edges[k])
+        prev = None
+        n = start
+        while True:
+            xg, wg = gauss_legendre(n)
+            u = mid + half * xg
+            est = half * ((integrand(k, u) * dist.density(u)) @ wg)
+            if (prev is not None and np.max(np.abs(est - prev)) <= QUAD_TOL) or n >= 2048:
+                break
+            prev = est
+            n *= 2
+        rows.append(est)
+    return np.array(rows)
 
 
 def projection_coefficients(g, basis: SieveBasis, dist: DistSpec) -> np.ndarray:
     """True (population) coefficients alpha_k = E[g e_k] by quadrature."""
     gf = _as_function(g)
-    K = basis.K
-    edges = basis.partition.edges
-    alpha = np.zeros(2 * K)
-    for k in range(K):
-        lo, hi = edges[k], edges[k + 1]
 
-        def integrand(u, k=k):
-            gu = gf(u)
-            f = dist.density(u)
-            return np.stack([gu * f, gu * (u - basis.centers[k]) * f])
+    def moments(k, u):
+        gu = gf(u)
+        return np.stack([gu, gu * (u - basis.centers[k])])
 
-        pair = _adaptive_bin_quad(integrand, lo, hi)
-        alpha[2 * k] = basis.norm0[k] * pair[0]
-        alpha[2 * k + 1] = basis.norm1[k] * pair[1]
+    pairs = _adaptive_bin_quad(moments, basis, dist)
+    alpha = np.empty(basis.dim)
+    alpha[0::2] = basis.norm0 * pairs[:, 0]
+    alpha[1::2] = basis.norm1 * pairs[:, 1]
     return alpha
 
 
@@ -330,21 +329,16 @@ def approx_error_moments(gT, basis: SieveBasis, dist: DistSpec,
     """L2 and fourth-moment errors of the quadrature projection of gT."""
     gf = _as_function(gT)
     alpha = projection_coefficients(gf, basis, dist) if coefficients is None else coefficients
-    K = basis.K
-    edges = basis.partition.edges
+
+    def moments(k, u):
+        err = (gf(u) - alpha[2 * k] * basis.norm0[k]
+               - alpha[2 * k + 1] * basis.norm1[k] * (u - basis.centers[k]))
+        e2 = err * err
+        return np.stack([e2, e2 * e2])
+
     m2 = 0.0
     m4 = 0.0
-    for k in range(K):
-        lo, hi = edges[k], edges[k + 1]
-        a0, a1 = alpha[2 * k], alpha[2 * k + 1]
-
-        def integrand(u, k=k, a0=a0, a1=a1):
-            err = gf(u) - a0 * basis.norm0[k] - a1 * basis.norm1[k] * (u - basis.centers[k])
-            f = dist.density(u)
-            e2 = err * err
-            return np.stack([e2 * f, e2 * e2 * f])
-
-        pair = _adaptive_bin_quad(integrand, lo, hi)
+    for pair in _adaptive_bin_quad(moments, basis, dist):  # in bin order, not np.sum
         m2 += pair[0]
         m4 += pair[1]
     return ApproxErrorMoments(float(np.sqrt(max(m2, 0.0))), float(np.sqrt(max(m4, 0.0))))

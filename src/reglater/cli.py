@@ -5,7 +5,8 @@ paired Regress-Later/Regress-Now comparison), basket-check (exact two-asset
 tree table), basis-dump (serialized basis for audits), plot (CSV to SVG),
 validate-config (every check that run makes before sampling).  Exit codes,
 mapped from exceptions once in ``main``: 0 ok, 2 config error
-(``ConfigurationError``), 3 numerical failure (any other ``ReglaterError``
+(``ConfigurationError``, also an input or output path that cannot be read or
+written), 3 numerical failure (any other ``ReglaterError``
 or a ``FloatingPointError``; also after writing the reports of a run with a
 point that has no successful repetition), 4 basket mismatch.  All file
 writes are atomic.
@@ -21,7 +22,6 @@ import tempfile
 from pathlib import Path
 
 from . import config as config_mod
-from .basis import build_basis
 from .errors import ConfigurationError, ReglaterError
 
 EXIT_OK = 0
@@ -31,17 +31,23 @@ EXIT_BASKET = 4
 
 
 def atomic_write(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file beside it, making
+    its directory first; ``ConfigurationError`` naming ``path`` where it
+    cannot be written."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ConfigurationError(f"output {path}: cannot write it ({exc})") from None
 
 
 def _default_outdir(arg: str | None) -> Path:
@@ -57,13 +63,17 @@ def _cmd_run(args) -> int:
     if args.seed is not None:
         overrides.append(f"seed={args.seed}")
     cfg = config_mod.load_config(args.config, overrides)
+    outdir = _default_outdir(args.output_dir)
+    try:  # before the sweep, so an unusable path costs no sampling
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"output {outdir}: cannot make the directory ({exc})") from None
     if cfg.feature.kind == "pair_u_T":
         report = harness.now_vs_later_compare(cfg, workers=args.workers)
     elif cfg.sweep == "growing_K":
         report = harness.run_growing_K(cfg, workers=args.workers)
     else:
         report = harness.run_fixed_K(cfg, workers=args.workers)
-    outdir = _default_outdir(args.output_dir)
     atomic_write(outdir / "report.csv", report.to_csv_text())
     atomic_write(outdir / "report.json", json.dumps(report.to_json_dict(), indent=2) + "\n")
     if isinstance(report, harness.PairedReport):
@@ -114,8 +124,8 @@ def _cmd_basket_check(_args) -> int:
 
 def _cmd_basis_dump(args) -> int:
     cfg = config_mod.load_config(args.config, args.set or [])
-    dist = config_mod._sweep_laws(cfg)[0]
-    text = build_basis(dist, args.K).to_json() + "\n"
+    basis = config_mod.checked_basis(cfg, config_mod._sweep_laws(cfg)[0], args.K)
+    text = basis.to_json() + "\n"
     if args.output:
         atomic_write(Path(args.output), text)
         print(f"wrote {args.output}")

@@ -24,7 +24,7 @@ from ._normal import ndtr_array, phi
 from .basis import SieveBasis
 from .errors import ConfigurationError, JensenViolationError
 from .model import SampleSet
-from .payoff import OracleSpec, PayoffSpec, oracle_conditional
+from .payoff import PayoffSpec, oracle_conditional
 from .regress import FitResult, predict
 
 @dataclass(frozen=True)
@@ -55,20 +55,6 @@ class GbmTransition:
 
 
 Transition = BrownianTransition | GbmTransition
-
-
-@dataclass(frozen=True)
-class TransferSpec:
-    transition: Transition
-    basis: SieveBasis
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        coef = np.asarray(self.coefficients, dtype=np.float64)
-        if coef.shape != (self.basis.dim,):
-            raise ConfigurationError("transfer: coefficient length must equal basis dimension")
-        coef.setflags(write=False)
-        object.__setattr__(self, "coefficients", coef)
 
 
 def _brownian_bin_expectations(basis: SieveBasis, mu: np.ndarray, s: float) -> np.ndarray:
@@ -113,10 +99,14 @@ def basis_condexp(transition: Transition, basis: SieveBasis, state) -> np.ndarra
     return out[0] if np.ndim(state) == 0 else out
 
 
-def condexp_estimate(spec: TransferSpec, state) -> np.ndarray | float:
-    """Estimated conditional expectation: coefficients dotted with the
-    transferred basis."""
-    vals = basis_condexp(spec.transition, spec.basis, state) @ spec.coefficients
+def condexp_estimate(transition: Transition, basis: SieveBasis, coefficients,
+                     state) -> np.ndarray | float:
+    """Estimated conditional expectation: the fitted coefficients dotted with
+    the transferred basis."""
+    coefficients = np.asarray(coefficients, dtype=np.float64)
+    if coefficients.shape != (basis.dim,):
+        raise ConfigurationError("transfer: coefficient length must equal basis dimension")
+    vals = basis_condexp(transition, basis, state) @ coefficients
     return float(vals) if np.ndim(state) == 0 else vals
 
 
@@ -127,9 +117,7 @@ class JensenCheck(NamedTuple):
 
 
 def jensen_check(fit: FitResult, basis: SieveBasis, transition: Transition,
-                 payoff: PayoffSpec, paired: SampleSet,
-                 oracle: OracleSpec = OracleSpec("gauss_quadrature"),
-                 truth=None) -> JensenCheck:
+                 payoff: PayoffSpec, paired: SampleSet, truth=None) -> JensenCheck:
     """Check that conditioning can only shrink the mean-square error.
 
     ``paired`` holds states at t in column 0, matched time-T continuations in
@@ -152,10 +140,9 @@ def jensen_check(fit: FitResult, basis: SieveBasis, transition: Transition,
     mse_payoff = float(np.mean(sq_pay))
     stderr = float(np.std(sq_pay, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
 
-    spec = TransferSpec(transition, basis, fit.coefficients)
-    estimate = condexp_estimate(spec, states)
+    estimate = condexp_estimate(transition, basis, fit.coefficients, states)
     if truth is None:
-        target = oracle_conditional(payoff, transition.t, transition.T, states, oracle)
+        target = oracle_conditional(payoff, transition.t, transition.T, states)
     else:
         target = np.asarray(truth(states), dtype=np.float64)
     mse_cond = float(np.mean((target - estimate) ** 2))

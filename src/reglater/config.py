@@ -152,21 +152,7 @@ class ExperimentConfig:
                 f"{law_T.upper!r}, so the call pays nothing on it and every row is 0")
         # every basis the sweep builds, on every law it fits on; no quadrature
         for dist, K in itertools.product(laws, sorted(set(self.K_list))):
-            try:
-                basis = _basis(dist, K)
-            except BasisConstructionError as exc:
-                raise ConfigurationError(
-                    f"domain_epsilon: {self.domain_epsilon!r} leaves no basis at K={K} ({exc})"
-                ) from None
-            moments = _bin_moments(basis, dist)
-            if moments is None:
-                raise ConfigurationError(
-                    f"feature.eval_time: {self.feature.eval_time!r} gives a non-finite "
-                    f"h_tilde at K={K}")
-            if not _sound_moments(basis, moments):
-                raise ConfigurationError(
-                    f"domain_epsilon: {self.domain_epsilon!r} makes the bins at K={K} too "
-                    f"narrow for their moments; their basis and h_tilde would be wrong")
+            checked_basis(self, dist, K)
 
     def points(self) -> list[tuple[int, int]]:
         """(K, N) per sweep point, in report order."""
@@ -175,6 +161,29 @@ class ExperimentConfig:
         if self.N_list is not None:
             return list(zip(self.K_list, (int(n) for n in self.N_list)))
         return [(K, _ruled_N(*self.N_rule, K)) for K in self.K_list]
+
+
+def checked_basis(config: ExperimentConfig, dist: TruncatedNormal, K: int) -> SieveBasis:
+    """The basis at ``K`` on ``dist``, one of the fit laws of ``config``,
+    once the checks a sweep makes on it pass: it is built, its ``h_tilde`` is
+    finite and its bins' moments are sound.  ``ConfigurationError`` naming
+    the field otherwise."""
+    try:
+        basis = _basis(dist, K)
+    except BasisConstructionError as exc:
+        raise ConfigurationError(
+            f"domain_epsilon: {config.domain_epsilon!r} leaves no basis at K={K} ({exc})"
+        ) from None
+    moments = _bin_moments(basis, dist)
+    if moments is None:
+        raise ConfigurationError(
+            f"feature.eval_time: {config.feature.eval_time!r} gives a non-finite "
+            f"h_tilde at K={K}")
+    if not _sound_moments(basis, moments):
+        raise ConfigurationError(
+            f"domain_epsilon: {config.domain_epsilon!r} makes the bins at K={K} too "
+            f"narrow for their moments; their basis and h_tilde would be wrong")
+    return basis
 
 
 @functools.lru_cache(maxsize=64)

@@ -45,7 +45,7 @@ from .errors import (BasisConstructionError, ConfigurationError, DegenerateDesig
 from .distributions import TruncatedNormal
 from .model import SampleSet, simulate_conditional
 from .model import truncated_feature_law  # noqa: F401
-from .payoff import OracleSpec, PayoffSpec, eval_payoff, oracle_conditional
+from .payoff import PayoffSpec, eval_payoff, oracle_conditional
 from .regress import coefficient_error, predict, regress_later_fit, regress_now_fit
 
 _POINT_ERRORS = (DegenerateDesignError, BasisConstructionError, SamplingError,
@@ -452,7 +452,7 @@ def now_vs_later_compare(config: ExperimentConfig, workers: int = 1) -> PairedRe
         basis_T = _basis(dist_T, K)
         basis_t = _basis(dist_t, K)
         grid, wq = bin_quadrature(basis_t, dist_t, 24)
-        truth = oracle_conditional(config.payoff, t, T, grid, OracleSpec("closed_form"))
+        truth = oracle_conditional(config.payoff, t, T, grid)
         transfer = basis_condexp(BrownianTransition(t, T), basis_T, grid)
         return basis_T, basis_t, grid, wq, truth, transfer
 

@@ -1,11 +1,11 @@
-"""Payoff functions and conditional-expectation oracles.
+"""Payoff functions and the conditional-expectation oracle.
 
 ``eval_payoff`` is exact pointwise evaluation of the payoff on feature
 values.  ``oracle_conditional`` supplies the *true* conditional expectation
 g(t, state) of a payoff of the Brownian state at the payoff date T wherever
-it is knowable: closed forms for identity / square payoffs, and adaptive
-Gauss-Hermite quadrature against the Gaussian transition density for those
-and tanh (used as ground truth for tanh, which admits no closed form).
+it is knowable, by the payoff: closed forms for identity and square, and
+adaptive Gauss-Hermite quadrature against the Gaussian transition density for
+tanh, which admits no closed form.
 """
 from __future__ import annotations
 
@@ -17,6 +17,10 @@ import numpy as np
 from .errors import ConfigurationError, UnsupportedOracleError
 
 PAYOFF_KINDS = ("call", "tanh", "square", "identity")
+# The Gauss-Hermite oracle starts at HERMITE_POINTS nodes and doubles them
+# until the estimate changes by at most HERMITE_TOLERANCE (or reaches the cap).
+HERMITE_POINTS = 128
+HERMITE_TOLERANCE = 1e-9
 _MAX_HERMITE_POINTS = 1 << 13
 
 
@@ -33,23 +37,6 @@ class PayoffSpec:
                 raise ConfigurationError("payoff.strike: call needs a finite strike")
         elif self.strike is not None:
             raise ConfigurationError(f"payoff.strike: not meaningful for {self.kind!r}")
-
-
-@dataclass(frozen=True)
-class OracleSpec:
-    """How to obtain the true conditional expectation in test problems."""
-
-    kind: str = "closed_form"
-    quadrature_points: int = 128
-    tolerance: float = 1e-9
-
-    def __post_init__(self):
-        if self.kind not in ("closed_form", "gauss_quadrature"):
-            raise ConfigurationError(f"oracle.kind: unknown kind {self.kind!r}")
-        if self.kind == "gauss_quadrature" and self.quadrature_points < 16:
-            raise ConfigurationError("oracle.quadrature_points: must be >= 16")
-        if not (self.tolerance > 0):
-            raise ConfigurationError("oracle.tolerance: must be > 0")
 
 
 def eval_payoff(spec: PayoffSpec, feature) -> np.ndarray | float:
@@ -76,28 +63,27 @@ def _hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w / np.sqrt(np.pi)
 
 
-def gauss_hermite_expectation(f, mean, sd, points: int, tolerance: float | None = None):
-    """E[f(mean + sd * Z)] by Gauss-Hermite; doubles the rule until the
-    change drops below ``tolerance`` (vectorized over mean/sd arrays)."""
+def gauss_hermite_expectation(f, mean, sd, points: int = HERMITE_POINTS):
+    """E[f(mean + sd * Z)] by Gauss-Hermite from ``points`` nodes; doubles the
+    rule until the change drops below ``HERMITE_TOLERANCE`` (vectorized over
+    mean/sd arrays)."""
     mean = np.asarray(mean, dtype=np.float64)
     n, est = points, None
     while True:
         x, w = _hermite_rule(n)
         shift = np.multiply.outer(sd * np.sqrt(2.0), x)
         new = np.tensordot(f(mean[..., None] + shift), w, axes=([-1], [0]))
-        if (tolerance is None or n >= _MAX_HERMITE_POINTS
-                or (est is not None and np.max(np.abs(new - est)) <= tolerance)):
+        if n >= _MAX_HERMITE_POINTS or (
+                est is not None and np.max(np.abs(new - est)) <= HERMITE_TOLERANCE):
             return new
         n, est = 2 * n, new
 
 
-def oracle_conditional(spec: PayoffSpec, t: float, T: float, state,
-                       oracle: OracleSpec = OracleSpec()) -> np.ndarray | float:
+def oracle_conditional(spec: PayoffSpec, t: float, T: float, state) -> np.ndarray | float:
     """True conditional expectation of the payoff of W(T) given W(t) = state.
 
-    Supported payoffs: identity / square / tanh.  ``closed_form`` raises for
-    tanh; ``gauss_quadrature`` works for every supported payoff and must
-    reproduce the closed forms.
+    Supported payoffs: identity and square, in closed form, and tanh, by
+    ``gauss_hermite_expectation``.
     """
     if not (0 <= t <= T):
         raise ConfigurationError("oracle: t must lie in [0, T]")
@@ -106,17 +92,11 @@ def oracle_conditional(spec: PayoffSpec, t: float, T: float, state,
     state_arr = np.asarray(state, dtype=np.float64)
     if t == T:
         return eval_payoff(spec, state_arr)
-
-    if oracle.kind == "closed_form":
-        if spec.kind == "identity":
-            out = state_arr + 0.0
-        elif spec.kind == "square":
-            out = np.square(state_arr) + (T - t)
-        else:
-            raise UnsupportedOracleError(
-                f"{spec.kind} has no closed form; use the quadrature oracle")
+    if spec.kind == "identity":
+        out = state_arr + 0.0
+    elif spec.kind == "square":
+        out = np.square(state_arr) + (T - t)
     else:
         out = gauss_hermite_expectation(lambda u: eval_payoff(spec, u), state_arr,
-                                        np.sqrt(T - t), oracle.quadrature_points,
-                                        oracle.tolerance)
+                                        np.sqrt(T - t))
     return float(out) if np.ndim(out) == 0 else out

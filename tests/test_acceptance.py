@@ -151,7 +151,7 @@ def test_criterion_8_jensen_transfer(w10_law, basis_cache, capsys):
     law = w10_law
     results = []
 
-    def run_case(payoff, K, n, t, truth=None, oracle=rl.OracleSpec("gauss_quadrature")):
+    def run_case(payoff, K, n, t, truth=None):
         basis = basis_cache(K)
         train = rl.simulate_conditional(law, n, 70_000 + K)
         if isinstance(payoff, rl.PayoffSpec):
@@ -165,18 +165,18 @@ def test_criterion_8_jensen_transfer(w10_law, basis_cache, capsys):
         s = rl.simulate_terminal(feat, n, 80_000 + K)
         cont = s.features[:, 1]
         paired = s.with_payoffs(rl.eval_payoff(spec, cont) if truth is None else payoff(cont))
-        res = rl.jensen_check(fit, basis, rl.BrownianTransition(t, 10.0), spec, paired, oracle,
+        res = rl.jensen_check(fit, basis, rl.BrownianTransition(t, 10.0), spec, paired,
                               truth=truth)
         results.append(res)
 
-    run_case(rl.PayoffSpec("square"), 8, 10_000, 1.0, oracle=rl.OracleSpec("closed_form"))
+    run_case(rl.PayoffSpec("square"), 8, 10_000, 1.0)
     run_case(rl.PayoffSpec("tanh"), 5, 20_000, 5.0)
     run_case(rl.PayoffSpec("tanh"), 8, 20_000, 10.0 - 1e-6)
     span_basis = basis_cache(8)
     alpha = np.linspace(-0.5, 0.5, 16)
     tr = rl.BrownianTransition(1.0, 10.0)
     run_case(lambda u: rl.predict(span_basis, alpha, np.atleast_1d(u)), 8, 10_000, 1.0,
-             truth=lambda w: rl.condexp_estimate(rl.TransferSpec(tr, span_basis, alpha), w))
+             truth=lambda w: rl.condexp_estimate(tr, span_basis, alpha, w))
     elapsed = time.perf_counter() - start
     margins = [r.mse_payoff + 3 * r.mse_payoff_stderr - r.mse_cond for r in results]
     ok = all(m >= -1e-20 for m in margins)

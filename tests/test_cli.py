@@ -531,6 +531,57 @@ def test_plot_rejects_wrong_header(tmp_path, capsys):
     assert cli.main(["plot", str(csv), "-o", str(tmp_path / "x.svg")]) == 2
 
 
+# ---------------------------------------------------------------------------
+# output paths that cannot be written, and basis-dump's per-K checks
+# ---------------------------------------------------------------------------
+
+PLOT_CSV = ("K,N,reps,mse_mean,mse_stderr,approx_l2,h_tilde\n"
+            "4,480,3,0.01,0.001,0.008,0.5\n8,1920,3,0.001,0.0001,0.0008,0.5\n")
+
+
+@pytest.fixture()
+def blocker(tmp_path):
+    """A file where an output directory is wanted."""
+    path = tmp_path / "blocker"
+    path.write_text("")
+    return path
+
+
+def test_run_into_a_file_exits_2_before_sampling(tiny_config_path, blocker, capsys,
+                                                monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the output directory was made")
+
+    monkeypatch.setattr(harness, "simulate_conditional", no_sampling)
+    assert cli.main(["run", str(tiny_config_path), "-o", str(blocker)]) == 2
+    assert f"config error: output {blocker}: " in capsys.readouterr().err
+    assert blocker.read_text() == ""
+
+
+def test_basis_dump_under_a_file_exits_2_naming_the_path(tiny_config_path, blocker, capsys):
+    target = blocker / "x.json"
+    assert cli.main(["basis-dump", str(tiny_config_path), "-K", "4", "-o", str(target)]) == 2
+    assert f"config error: output {target}: " in capsys.readouterr().err
+
+
+def test_plot_under_a_file_exits_2_naming_the_path(tmp_path, blocker, capsys):
+    csv = tmp_path / "report.csv"
+    csv.write_text(PLOT_CSV)
+    target = blocker / "p.svg"
+    assert cli.main(["plot", str(csv), "-o", str(target)]) == 2
+    assert f"config error: output {target}: " in capsys.readouterr().err
+
+
+def test_basis_dump_refuses_a_K_the_gate_refuses(capsys):
+    # figure1 and figure2 fit on one law; at K=1024 its bins are too narrow
+    args = ["--set", "K_list=[1024]", "--set", "N_list=[100000]"]
+    assert cli.main(["validate-config", str(CONFIG_DIR / "figure2.json"), *args]) == 2
+    gate = capsys.readouterr().err
+    assert "domain_epsilon: 0.0001 makes the bins at K=1024 too narrow" in gate
+    assert cli.main(["basis-dump", str(CONFIG_DIR / "figure1.json"), "-K", "1024"]) == 2
+    assert capsys.readouterr() == ("", gate)
+
+
 @given(st.text())
 def test_svg_escape_matches_saxutils(text):
     from xml.sax.saxutils import escape
@@ -555,18 +606,6 @@ def test_numerical_failure_exits_3(tiny_config_path, tmp_path, monkeypatch, caps
     monkeypatch.setattr(harness, "run_growing_K", boom)
     assert cli.main(["run", str(tiny_config_path), "-o", str(tmp_path / "o")]) == 3
     assert "numerical failure" in capsys.readouterr().err
-
-
-def test_oracle_spec_validation():
-    import reglater as rl
-    from reglater.errors import ConfigurationError
-
-    with pytest.raises(ConfigurationError):
-        rl.OracleSpec("gauss_quadrature", quadrature_points=8)
-    with pytest.raises(ConfigurationError):
-        rl.OracleSpec("montecarlo")
-    with pytest.raises(ConfigurationError):
-        rl.OracleSpec(tolerance=0.0)
 
 
 NO_SCIPY_CHILD = """

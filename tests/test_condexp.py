@@ -45,9 +45,9 @@ def test_transition_validation():
         rl.GbmTransition(1.0, 10.0, sigma=-0.1)
 
 
-def test_transfer_spec_checks_length(basis_cache):
-    with pytest.raises(ConfigurationError):
-        rl.TransferSpec(rl.BrownianTransition(1.0, 10.0), basis_cache(4), np.zeros(3))
+def test_condexp_estimate_checks_length(basis_cache):
+    with pytest.raises(ConfigurationError, match="coefficient length"):
+        rl.condexp_estimate(rl.BrownianTransition(1.0, 10.0), basis_cache(4), np.zeros(3), 0.3)
 
 
 def test_degenerate_transition_tends_to_eval_basis(basis_cache):
@@ -110,15 +110,15 @@ def test_estimate_is_linear_in_coefficients(basis_cache):
     gen = np.random.default_rng(0)
     a, b = gen.standard_normal(12), gen.standard_normal(12)
     states = gen.uniform(-5, 5, 20)
-    ea = rl.condexp_estimate(rl.TransferSpec(tr, basis, a), states)
-    eb = rl.condexp_estimate(rl.TransferSpec(tr, basis, b), states)
-    eab = rl.condexp_estimate(rl.TransferSpec(tr, basis, a + b), states)
+    ea = rl.condexp_estimate(tr, basis, a, states)
+    eb = rl.condexp_estimate(tr, basis, b, states)
+    eab = rl.condexp_estimate(tr, basis, a + b, states)
     assert np.allclose(eab, ea + eb, rtol=0, atol=1e-12)
 
 
 def test_zero_coefficients_estimate_zero(basis_cache):
-    spec = rl.TransferSpec(rl.BrownianTransition(1.0, 10.0), basis_cache(4), np.zeros(8))
-    assert rl.condexp_estimate(spec, 0.3) == 0.0
+    tr = rl.BrownianTransition(1.0, 10.0)
+    assert rl.condexp_estimate(tr, basis_cache(4), np.zeros(8), 0.3) == 0.0
 
 
 def test_unit_coefficient_gives_bin_transition_mass(basis_cache):
@@ -126,11 +126,10 @@ def test_unit_coefficient_gives_bin_transition_mass(basis_cache):
     coef = np.zeros(8)
     coef[0] = 1.0
     tr = rl.BrownianTransition(1.0, 10.0)
-    spec = rl.TransferSpec(tr, basis, coef)
     edges = basis.partition.edges
     for state in (-2.0, 0.5, 3.0):
         expected = np.sqrt(4) * (ndtr((edges[1] - state) / 3.0) - ndtr((edges[0] - state) / 3.0))
-        assert rl.condexp_estimate(spec, state) == pytest.approx(expected, abs=1e-12)
+        assert rl.condexp_estimate(tr, basis, coef, state) == pytest.approx(expected, abs=1e-12)
 
 
 def test_identity_payoff_estimate_tracks_state(w10_law, basis_cache):
@@ -142,7 +141,7 @@ def test_identity_payoff_estimate_tracks_state(w10_law, basis_cache):
     s_cond = 3.0  # sd of W(10) given W(1)
     s = rl.simulate_conditional(dist, 200_000, seed=50)
     fit = rl.regress_later_fit(s.with_payoffs(s.feature_column().copy()), basis)
-    spec = rl.TransferSpec(rl.BrownianTransition(1.0, 10.0), basis, fit.coefficients)
+    tr = rl.BrownianTransition(1.0, 10.0)
     approx = rl.approx_error_moments(rl.PayoffSpec("identity"), basis, dist)
     coef_err = rl.coefficient_error(
         fit, rl.projection_coefficients(rl.PayoffSpec("identity"), basis, dist))
@@ -158,7 +157,8 @@ def test_identity_payoff_estimate_tracks_state(w10_law, basis_cache):
 
     band = 3.0 * np.sqrt(approx.mean_square + coef_err)
     for w in np.linspace(-2, 2, 9):
-        assert abs(rl.condexp_estimate(spec, w) - w) < band + tail_term(w) + 1e-9
+        assert abs(rl.condexp_estimate(tr, basis, fit.coefficients, w) - w) < (
+            band + tail_term(w) + 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +179,7 @@ def test_jensen_square_payoff(w10_law, basis_cache):
     fit = rl.regress_later_fit(
         train.with_payoffs(rl.eval_payoff(payoff, train.feature_column())), basis)
     paired = _paired_sample(1.0, 10_000, 61, payoff)
-    res = rl.jensen_check(fit, basis, rl.BrownianTransition(1.0, 10.0), payoff, paired,
-                          rl.OracleSpec("closed_form"))
+    res = rl.jensen_check(fit, basis, rl.BrownianTransition(1.0, 10.0), payoff, paired)
     assert res.mse_cond <= res.mse_payoff + 3.0 * res.mse_payoff_stderr
 
 
@@ -197,7 +196,7 @@ def test_jensen_exact_span_both_errors_vanish(w10_law, basis_cache):
     feat = rl.FeatureSpec("pair_u_T", 10.0, intermediate_time=1.0)
     s = rl.simulate_terminal(feat, 5_000, 63)
     paired = s.with_payoffs(payoff_fn(s.features[:, 1]))
-    truth = lambda w: rl.condexp_estimate(rl.TransferSpec(tr, basis, alpha), w)
+    truth = lambda w: rl.condexp_estimate(tr, basis, alpha, w)
     res = rl.jensen_check(fit, basis, tr, rl.PayoffSpec("identity"), paired, truth=truth)
     assert res.mse_payoff < 1e-20
     assert res.mse_cond <= res.mse_payoff + 3.0 * res.mse_payoff_stderr + 1e-20
@@ -212,8 +211,7 @@ def test_jensen_degenerate_time_ratio_near_one(w10_law, basis_cache, tanh_payoff
     fit = rl.regress_later_fit(
         train.with_payoffs(rl.eval_payoff(tanh_payoff, train.feature_column())), basis)
     paired = _paired_sample(t, 20_000, 65, tanh_payoff)
-    res = rl.jensen_check(fit, basis, rl.BrownianTransition(t, 10.0), tanh_payoff, paired,
-                          rl.OracleSpec("gauss_quadrature", 128, 1e-9))
+    res = rl.jensen_check(fit, basis, rl.BrownianTransition(t, 10.0), tanh_payoff, paired)
     assert 0.9 <= res.mse_cond / res.mse_payoff <= 1.0
 
 

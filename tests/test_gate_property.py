@@ -8,19 +8,23 @@ Refusals are checked through ``validate-config`` alone: ``run`` refuses
 alike (``test_cli.test_validate_config_and_run_refuse_alike``), and a
 refused config may be slow or huge to sample.  Sizes are tiny, and N
 exceeds 2K + 1 by at most ``2e5 (1 - domain_epsilon)``, so no accepted
-config draws more than about 1e6 rejection proposals per repetition.
+config draws more than about 1e6 rejection proposals per repetition; the
+proposals a run draws are counted per repetition seed and checked against
+the gate's cap.
 """
 import contextlib
 import io
 import json
 import math
 import tempfile
+from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reglater import cli
+from reglater import cli, config, harness
 
 # every field a refusal may name: the text before its first ": "
 FIELDS = {"schema_version", "sweep", "K_list", "N_rule", "N_list", "repetitions", "seed",
@@ -85,8 +89,19 @@ def test_gate_accepts_only_what_runs_and_names_what_it_refuses(doc):
             return
         assert code == 0, err
         outdir = Path(tmp) / "out"
-        code, err = _main(["run", str(path), "-o", str(outdir)])
+        proposals = Counter()  # rejection proposals per repetition seed
+        sample = harness.simulate_conditional
+
+        def counted(law, n, seed, **kwargs):
+            out = sample(law, n, seed, **kwargs)
+            proposals[seed] += out.meta["proposals"]
+            return out
+
+        # patched here, not by a fixture: hypothesis refuses function-scoped ones
+        with mock.patch.object(harness, "simulate_conditional", counted):
+            code, err = _main(["run", str(path), "-o", str(outdir)])
         assert code in (0, 3), err
+        assert proposals and max(proposals.values()) <= config.MAX_POINT_PROPOSALS, proposals
         if code == 3:
             return
         report = json.loads((outdir / "report.json").read_text())

@@ -1,5 +1,7 @@
 """The package namespace and what importing it loads."""
 import importlib
+import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -11,6 +13,7 @@ import pytest
 import reglater
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 SRC = str(Path(reglater.__file__).resolve().parent.parent)
 
 
@@ -115,3 +118,25 @@ def test_submodules_resolve_as_attributes():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
         reglater.not_a_name
+
+
+# the call arguments each benchmark counter reads, by counter
+COUNTER_READS = {"_count_rejection": {"n", "propose"}, "_count_block_map": {"n", "draw_block"},
+                 "_count_binned_qr": {"u"}, "_count_bin_indices": {"u"},
+                 "_count_condexp": {"state"}}
+
+
+def test_benchmark_hooks_resolve(monkeypatch):
+    # the benchmark's tracer wraps these names and reads these arguments, and its
+    # metadata reads the kernel backend: a rename must fail here, not in a benchmark run
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)  # its dataclass looks itself up
+    spec.loader.exec_module(tracer)
+    for module_name, attr, _layer, counter in tracer.TARGETS:
+        target = getattr(importlib.import_module(module_name), attr, None)
+        assert target is not None, f"{module_name}.{attr}"
+        if counter is not None:
+            params = set(inspect.signature(target).parameters)
+            assert COUNTER_READS[counter.__name__] <= params, f"{module_name}.{attr}"
+    assert reglater._kernels.BACKEND

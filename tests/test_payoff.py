@@ -3,6 +3,7 @@ import pytest
 
 import reglater as rl
 from reglater.errors import ConfigurationError, UnsupportedOracleError
+from reglater.payoff import gauss_hermite_expectation
 
 
 def test_call_on_tree_leaf_sum():
@@ -61,36 +62,31 @@ def test_degenerate_oracle_returns_payoff():
 def test_unsupported_pairs_raise():
     with pytest.raises(UnsupportedOracleError):
         rl.oracle_conditional(rl.PayoffSpec("call", strike=1.0), 1.0, 10.0, 0.0)
-    with pytest.raises(UnsupportedOracleError):
-        rl.oracle_conditional(rl.PayoffSpec("tanh"), 1.0, 10.0, 0.0,
-                              rl.OracleSpec("closed_form"))
 
 
 @pytest.mark.parametrize("kind", ["identity", "square"])
 def test_quadrature_matches_closed_form_brownian(kind):
     spec = rl.PayoffSpec(kind)
     gen = np.random.default_rng(1)
-    quad_oracle = rl.OracleSpec("gauss_quadrature", 128, 1e-9)
     for _ in range(50):
         t = gen.uniform(0.0, 9.99)
         w = gen.normal(0.0, np.sqrt(max(t, 0.1)))
         cf = rl.oracle_conditional(spec, t, 10.0, w)
-        gq = rl.oracle_conditional(spec, t, 10.0, w, quad_oracle)
+        gq = gauss_hermite_expectation(lambda u: rl.eval_payoff(spec, u), w, np.sqrt(10.0 - t))
         assert abs(cf - gq) < 1e-8 * max(1.0, abs(cf))
 
 
 def test_quadrature_point_doubling_converged():
     spec = rl.PayoffSpec("tanh")
-    a = rl.oracle_conditional(spec, 1.0, 10.0, 0.8, rl.OracleSpec("gauss_quadrature", 128, 1e-9))
-    b = rl.oracle_conditional(spec, 1.0, 10.0, 0.8, rl.OracleSpec("gauss_quadrature", 256, 1e-9))
+    a = rl.oracle_conditional(spec, 1.0, 10.0, 0.8)  # from 128 nodes
+    b = gauss_hermite_expectation(lambda u: rl.eval_payoff(spec, u), 0.8, 3.0, points=256)
     assert abs(a - b) < 1e-9
 
 
 def test_oracle_vectorizes_over_states():
     spec = rl.PayoffSpec("tanh")
     states = np.linspace(-3, 3, 7)
-    out = rl.oracle_conditional(spec, 5.0, 10.0, states,
-                                rl.OracleSpec("gauss_quadrature", 128, 1e-9))
+    out = rl.oracle_conditional(spec, 5.0, 10.0, states)
     assert out.shape == states.shape
     assert np.all(np.diff(out) > 0)  # monotone in the state
     assert out[3] == pytest.approx(0.0, abs=1e-12)  # odd symmetry at 0

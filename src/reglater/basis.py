@@ -3,9 +3,11 @@
 The domain is split into K bins carrying mass 1/K each under the feature
 law.  Bin k carries two functions: a normalized indicator (constant sqrt(K))
 and a normalized centered-linear term.  With centers at the bin conditional
-means and closed-form normalization constants the 2K functions form an
-orthonormal system, so the population Gram matrix is the identity and the
-sample Gram converges to it.
+means and normalization constants from each bin's second moment the 2K
+functions form an orthonormal system, so the population Gram matrix is the
+identity and the sample Gram converges to it.  The bins' moments, the
+projection coefficients and the approximation error are integrated bin by
+bin in one adaptive Gauss-Legendre loop, ``_adaptive_bin_quad``.
 """
 from __future__ import annotations
 
@@ -66,8 +68,8 @@ class SieveBasis:
             raise BasisConstructionError("basis: per-bin arrays must have length K")
         if not np.allclose(norm0, np.sqrt(K), rtol=0, atol=0):
             raise BasisConstructionError("basis: indicator normalization must be sqrt(K)")
-        if not np.all(norm1 > 0):
-            raise BasisConstructionError("basis: linear normalization must be positive")
+        if not np.all((norm1 > 0) & np.isfinite(norm1)):
+            raise BasisConstructionError("basis: linear normalization must be positive and finite")
         edges = self.partition.edges
         if np.any(centers < edges[:-1]) or np.any(centers > edges[1:]):
             raise BasisConstructionError("basis: centers must lie inside their bins")
@@ -105,15 +107,15 @@ class SieveBasis:
 # ---------------------------------------------------------------------------
 
 def build_partition(dist: DistSpec, K: int) -> BinPartition:
-    """Equal-probability edges from the law's inverse CDF."""
+    """Equal-probability edges from the law's inverse CDF, each bin's mass
+    checked against 1/K by CDF differences."""
     if K < 1:
         raise ConfigurationError("K: must be >= 1")
     a1, a2 = dist.support
     edges = np.array([dist.quantile(k / K) for k in range(K + 1)])
     edges[0], edges[-1] = a1, a2  # pin the outer edges exactly
     part = BinPartition(edges, K, getattr(dist, "truncation_mass", 1.0))
-    masses = np.array([dist.partial_central_moments(lo, hi, 0.0, 0)[0]
-                       for lo, hi in zip(edges[:-1], edges[1:])])
+    masses = np.diff([dist.cdf(u) for u in edges])
     if np.max(np.abs(masses - 1.0 / K)) > ANALYTIC_MASS_TOL:
         raise BasisConstructionError(
             f"partition masses deviate from 1/K by {np.max(np.abs(masses - 1.0/K)):.2e} "
@@ -122,21 +124,16 @@ def build_partition(dist: DistSpec, K: int) -> BinPartition:
 
 
 def bin_moments(partition: BinPartition, dist: DistSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Centers and normalization constants (c, C0, C1) from partial moments."""
+    """Centers and normalization constants (c, C0, C1): each bin's center is
+    its conditional mean m1 / m0, and C1 is one over the root of its second
+    moment about that center, both by per-bin quadrature."""
     K = partition.K
     edges = partition.edges
-    c = np.empty(K)
-    c1 = np.empty(K)
-    for k in range(K):
-        lo, hi = edges[k], edges[k + 1]
-        first = dist.partial_central_moments(lo, hi, 0.0, 1)[1]
-        c[k] = K * first
-        m2 = dist.partial_central_moments(lo, hi, c[k], 2)[2]
-        if not (m2 > 0 and np.isfinite(m2)):
-            raise BasisConstructionError(f"bin {k}: degenerate second moment {m2!r}")
-        c1[k] = 1.0 / np.sqrt(m2)
+    m01 = _adaptive_bin_quad(lambda ks, u: np.stack([np.ones_like(u), u], axis=1), edges, dist)
+    c = m01[:, 1] / m01[:, 0]
+    m2 = _adaptive_bin_quad(lambda ks, u: (u - c[ks, None]) ** 2, edges, dist)[:, 0]
     c0 = np.full(K, np.sqrt(K))
-    return c, c0, c1
+    return c, c0, 1.0 / np.sqrt(m2)
 
 
 def build_basis(dist: DistSpec, K: int) -> SieveBasis:
@@ -193,7 +190,7 @@ def gram_diagnostics(basis: SieveBasis, sample) -> GramDiagnostics:
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights of order n on [-1, 1], computed once
     per order and shared (read-only)."""
-    from numpy.polynomial.legendre import leggauss  # loads numpy.polynomial; the gate needs none
+    from numpy.polynomial.legendre import leggauss  # loaded when a rule is first needed
 
     xg, wg = leggauss(n)
     xg.setflags(write=False)
@@ -218,8 +215,8 @@ def bin_quadrature(basis: SieveBasis, dist: DistSpec, nodes_per_bin: int
 def quadrature_gram(basis: SieveBasis, dist: DistSpec, nodes_per_bin: int = 64) -> np.ndarray:
     """Full 2K x 2K Gram matrix by per-bin Gauss-Legendre integration.
 
-    Independent numeric check of the closed-form normalization: cross-bin
-    entries are structurally zero (disjoint supports), within-bin entries are
+    Numeric check of the normalization at one fixed order: cross-bin entries
+    are structurally zero (disjoint supports), within-bin entries are
     integrated against the density.
     """
     K = basis.K
@@ -234,28 +231,25 @@ def quadrature_gram(basis: SieveBasis, dist: DistSpec, nodes_per_bin: int = 64) 
     return G
 
 
-def bin_central_moments(basis: SieveBasis, dist: DistSpec) -> list[list[float]]:
-    """Per bin k, E[1_k(U) (U - c_k)^j] for j = 0..4."""
-    edges = basis.partition.edges
-    return [dist.partial_central_moments(edges[k], edges[k + 1], basis.centers[k], 4)
-            for k in range(basis.K)]
+def bin_central_moments(basis: SieveBasis, dist: DistSpec) -> np.ndarray:
+    """Per bin k (one row each), E[1_k(U) (U - c_k)^j] for j = 0..4."""
+    powers = np.arange(5)[:, None]
+    return _adaptive_bin_quad(lambda ks, u: (u - basis.centers[ks, None])[:, None] ** powers,
+                              basis.partition.edges, dist)
 
 
-def h_tilde(basis: SieveBasis, dist: DistSpec, N: int,
-            moments: list[list[float]] | None = None) -> float:
+def h_tilde(basis: SieveBasis, dist: DistSpec, N: int) -> float:
     """(1/N) E[(e^T e)^2]: the net controlling admissible growth of K with N.
 
     Disjoint supports reduce the square of the 2K-term sum to per-bin terms
     K^2 1_k + 2 K C1_k^2 1_k (U-c_k)^2 + C1_k^4 1_k (U-c_k)^4, from the
-    bins' central moments (``bin_central_moments``, computed if not given).
+    bins' central moments (``bin_central_moments``).
     """
     if N < 1:
         raise ConfigurationError("N: must be >= 1")
     K = basis.K
-    if moments is None:
-        moments = bin_central_moments(basis, dist)
     total = 0.0
-    for m, c1 in zip(moments, basis.norm1):
+    for m, c1 in zip(bin_central_moments(basis, dist), basis.norm1):
         total += K * K * m[0] + 2.0 * K * c1 ** 2 * m[2] + c1 ** 4 * m[4]
     return float(total) / N
 
@@ -265,45 +259,51 @@ def h_tilde(basis: SieveBasis, dist: DistSpec, N: int,
 # ---------------------------------------------------------------------------
 
 def _as_function(g) -> Callable:
+    """``g`` as an elementwise function of an array of any shape."""
     if isinstance(g, PayoffSpec):
         return lambda u: np.asarray(eval_payoff(g, u), dtype=np.float64)
     if callable(g):
-        return g
+        return lambda u: np.asarray(g(u.ravel()), dtype=np.float64).reshape(u.shape)
     raise ConfigurationError("expected a PayoffSpec or a callable")
 
 
-def _adaptive_bin_quad(integrand: Callable, basis: SieveBasis, dist: DistSpec,
+def _adaptive_bin_quad(integrand: Callable, edges: np.ndarray, dist: DistSpec,
                        start: int = 16) -> np.ndarray:
-    """Per bin k, E[1_k(U) integrand(k, U)] for a vector-valued integrand
-    (one row per bin): Gauss-Legendre on the bin from ``start`` nodes,
-    doubling the order until the change falls below QUAD_TOL (at most 2048)."""
-    edges = basis.partition.edges
-    rows = []
-    for k in range(basis.K):
-        mid, half = 0.5 * (edges[k + 1] + edges[k]), 0.5 * (edges[k + 1] - edges[k])
-        prev = None
-        n = start
-        while True:
-            xg, wg = gauss_legendre(n)
-            u = mid + half * xg
-            est = half * ((integrand(k, u) * dist.density(u)) @ wg)
-            if (prev is not None and np.max(np.abs(est - prev)) <= QUAD_TOL) or n >= 2048:
-                break
-            prev = est
-            n *= 2
-        rows.append(est)
-    return np.array(rows)
+    """Per bin k between ``edges``, E[1_k(U) integrand(k, U)] for a
+    vector-valued integrand, one row per bin.  ``integrand(ks, u)`` takes bin
+    indices and their nodes (one row of ``u`` per bin) and gives one row of
+    values per bin, or a stack of rows.  Gauss-Legendre on every bin from
+    ``start`` nodes, doubling the order of each bin until its change falls
+    below QUAD_TOL (at most 2048)."""
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    rows = {}
+    todo = np.arange(mid.size)
+    prev = None
+    n = start
+    while todo.size:
+        xg, wg = gauss_legendre(n)
+        u = mid[todo, None] + half[todo, None] * xg
+        values = np.reshape(integrand(todo, u), (todo.size, -1, n))
+        est = half[todo, None] * ((values * dist.density(u)[:, None]) @ wg)
+        done = np.full(todo.size, n >= 2048)
+        if prev is not None:
+            done |= np.max(np.abs(est - prev), axis=1) <= QUAD_TOL
+        rows.update(zip(todo[done], est[done]))
+        todo, prev = todo[~done], est[~done]
+        n *= 2
+    return np.array([rows[k] for k in range(mid.size)])
 
 
 def projection_coefficients(g, basis: SieveBasis, dist: DistSpec) -> np.ndarray:
     """True (population) coefficients alpha_k = E[g e_k] by quadrature."""
     gf = _as_function(g)
 
-    def moments(k, u):
+    def moments(ks, u):
         gu = gf(u)
-        return np.stack([gu, gu * (u - basis.centers[k])])
+        return np.stack([gu, gu * (u - basis.centers[ks, None])], axis=1)
 
-    pairs = _adaptive_bin_quad(moments, basis, dist)
+    pairs = _adaptive_bin_quad(moments, basis.partition.edges, dist)
     alpha = np.empty(basis.dim)
     alpha[0::2] = basis.norm0 * pairs[:, 0]
     alpha[1::2] = basis.norm1 * pairs[:, 1]
@@ -330,15 +330,16 @@ def approx_error_moments(gT, basis: SieveBasis, dist: DistSpec,
     gf = _as_function(gT)
     alpha = projection_coefficients(gf, basis, dist) if coefficients is None else coefficients
 
-    def moments(k, u):
-        err = (gf(u) - alpha[2 * k] * basis.norm0[k]
-               - alpha[2 * k + 1] * basis.norm1[k] * (u - basis.centers[k]))
+    def moments(ks, u):
+        err = (gf(u) - (alpha[2 * ks] * basis.norm0[ks])[:, None]
+               - (alpha[2 * ks + 1] * basis.norm1[ks])[:, None] * (u - basis.centers[ks, None]))
         e2 = err * err
-        return np.stack([e2, e2 * e2])
+        return np.stack([e2, e2 * e2], axis=1)
 
     m2 = 0.0
     m4 = 0.0
-    for pair in _adaptive_bin_quad(moments, basis, dist):  # in bin order, not np.sum
+    edges = basis.partition.edges
+    for pair in _adaptive_bin_quad(moments, edges, dist):  # in bin order, not np.sum
         m2 += pair[0]
         m4 += pair[1]
     return ApproxErrorMoments(float(np.sqrt(max(m2, 0.0))), float(np.sqrt(max(m4, 0.0))))

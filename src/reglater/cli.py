@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
 import os
+import secrets
 import sys
 import tempfile
 from pathlib import Path
@@ -33,11 +35,13 @@ EXIT_BASKET = 4
 def atomic_write(path: Path, text: str) -> None:
     """Write ``text`` to ``path`` through a temporary file beside it, making
     its directory first; ``ConfigurationError`` naming ``path`` where it
-    cannot be written."""
+    cannot be written.  The file gets the mode ``open`` gives a new file
+    (0666 less the umask)."""
     path = Path(path)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+        tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w") as fh:
                 fh.write(text)
@@ -46,6 +50,18 @@ def atomic_write(path: Path, text: str) -> None:
             if os.path.exists(tmp):
                 os.unlink(tmp)
             raise
+    except OSError as exc:
+        raise ConfigurationError(f"output {path}: cannot write it ({exc})") from None
+
+
+def _check_writable(path: Path) -> None:
+    """``ConfigurationError`` naming ``path`` where ``atomic_write`` could not
+    replace it: a directory stands in its place, or its directory takes no
+    new file."""
+    try:
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        tempfile.TemporaryFile(dir=path.parent).close()
     except OSError as exc:
         raise ConfigurationError(f"output {path}: cannot write it ({exc})") from None
 
@@ -68,6 +84,8 @@ def _cmd_run(args) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigurationError(f"output {outdir}: cannot make the directory ({exc})") from None
+    for name in ("report.csv", "report.json"):
+        _check_writable(outdir / name)
     if cfg.feature.kind == "pair_u_T":
         report = harness.now_vs_later_compare(cfg, workers=args.workers)
     elif cfg.sweep == "growing_K":

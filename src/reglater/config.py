@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rng
-from .basis import SieveBasis, bin_central_moments, build_basis, h_tilde
+from .basis import SieveBasis, build_basis, h_tilde
 from .distributions import TruncatedNormal
 from .errors import BasisConstructionError, ConfigurationError
 from .model import MIN_CONDITIONAL_MASS, FeatureSpec, truncated_feature_law
@@ -150,7 +150,7 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"payoff.strike: {strike!r} is at or above the fit domain's upper end "
                 f"{law_T.upper!r}, so the call pays nothing on it and every row is 0")
-        # every basis the sweep builds, on every law it fits on; no quadrature
+        # every basis the sweep builds, on every law it fits on
         for dist, K in itertools.product(laws, sorted(set(self.K_list))):
             checked_basis(self, dist, K)
 
@@ -165,24 +165,23 @@ class ExperimentConfig:
 
 def checked_basis(config: ExperimentConfig, dist: TruncatedNormal, K: int) -> SieveBasis:
     """The basis at ``K`` on ``dist``, one of the fit laws of ``config``,
-    once the checks a sweep makes on it pass: it is built, its ``h_tilde`` is
-    finite and its bins' moments are sound.  ``ConfigurationError`` naming
-    the field otherwise."""
+    once the checks a sweep makes on it pass: it is built and its
+    ``h_tilde`` is finite.  ``ConfigurationError`` naming the field
+    otherwise."""
     try:
         basis = _basis(dist, K)
     except BasisConstructionError as exc:
         raise ConfigurationError(
             f"domain_epsilon: {config.domain_epsilon!r} leaves no basis at K={K} ({exc})"
         ) from None
-    moments = _bin_moments(basis, dist)
-    if moments is None:
-        raise ConfigurationError(
-            f"feature.eval_time: {config.feature.eval_time!r} gives a non-finite "
-            f"h_tilde at K={K}")
-    if not _sound_moments(basis, moments):
-        raise ConfigurationError(
-            f"domain_epsilon: {config.domain_epsilon!r} makes the bins at K={K} too "
-            f"narrow for their moments; their basis and h_tilde would be wrong")
+    # the report's h_tilde column is h_tilde(N=1) / N, so N = 1 stands for
+    # every point; at a time scale far from 1 its fourth moments overflow or
+    # underflow
+    with np.errstate(all="ignore"):  # the value is checked, not warned about
+        if not math.isfinite(h_tilde(basis, dist, 1)):
+            raise ConfigurationError(
+                f"feature.eval_time: {config.feature.eval_time!r} gives a non-finite "
+                f"h_tilde at K={K}")
     return basis
 
 
@@ -192,35 +191,6 @@ def _basis(dist: TruncatedNormal, K: int) -> SieveBasis:
     builds every basis of a sweep and the sweep reuses them.  Sharing is safe,
     a ``SieveBasis`` holds only read-only arrays."""
     return build_basis(dist, K)
-
-
-def _bin_moments(basis: SieveBasis, dist: TruncatedNormal) -> list[list[float]] | None:
-    """Each bin's central moments to order 4 (``bin_central_moments``), or
-    None where the report's ``h_tilde`` column, a sum of them, is not finite.
-    It is a closed form over N, so N = 1 stands for every point; at a time
-    scale far from 1 its fourth moments overflow or underflow."""
-    try:
-        with np.errstate(all="ignore"):  # the value is checked, not warned about
-            moments = bin_central_moments(basis, dist)
-            return moments if math.isfinite(h_tilde(basis, dist, 1, moments)) else None
-    except OverflowError:
-        return None
-
-
-def _sound_moments(basis: SieveBasis, moments: list[list[float]]) -> bool:
-    """Whether every bin's moments ``m_j`` obey the bounds of a mass ``m0``
-    on an interval of width ``w`` about a point inside it: ``0 < m2 <=
-    m0 w^2 / 4`` and ``m2^2 <= m0 m4 <= m0 w^2 m2`` (the latter within a
-    relative 1e-9).  On a narrow domain the moments' binomial expansion
-    cancels (each is of order ``w^(j+1)``, formed from terms of order
-    ``w``), and the bounds fail long before ``bin_moments`` sees a
-    non-positive m2."""
-    m0, m2, m4 = np.array(moments)[:, [0, 2, 4]].T
-    w2 = np.diff(basis.partition.edges) ** 2
-    slack = 1.0 + 1e-9
-    with np.errstate(all="ignore"):  # a NaN fails the comparisons
-        return bool(np.all((m2 > 0) & (m2 <= m0 * w2 / 4) & (m2 * m2 <= m0 * m4 * slack)
-                           & (m0 * m4 <= m0 * w2 * m2 * slack)))
 
 
 def _finite_mse_spread(payoff: PayoffSpec, law: TruncatedNormal) -> bool:

@@ -1,31 +1,19 @@
 """Feature laws the sieve basis can be built on.
 
 Two laws are supported: uniform, and normal truncated to a compact
-interval.  Both are analytic: bin masses and partial central moments come
-from closed forms, so the basis normalization constants carry no quadrature
-error, and both have a density for the quadratures.
+interval.  Each has a quantile for the bin edges, a CDF for the bins'
+masses, and a density that every per-bin integral (the basis's moments,
+its projection and its error) is taken against by quadrature.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb
 
 import numpy as np
 
 from ._normal import ndtr, ndtri, phi
 from .errors import ConfigurationError
-
-
-def _gaussian_power_integrals(alpha: float, beta: float, jmax: int) -> list[float]:
-    """I_j = int_alpha^beta z^j phi(z) dz for j = 0..jmax (stable recursion)."""
-    pa, pb = float(phi(alpha)), float(phi(beta))
-    out = [ndtr(beta) - ndtr(alpha)]
-    if jmax >= 1:
-        out.append(pa - pb)
-    for j in range(2, jmax + 1):
-        out.append((j - 1) * out[j - 2] + alpha ** (j - 1) * pa - beta ** (j - 1) * pb)
-    return out
 
 
 @dataclass(frozen=True)
@@ -51,17 +39,9 @@ class Uniform:
         inside = (u >= self.a) & (u <= self.b)
         return np.where(inside, 1.0 / (self.b - self.a), 0.0)
 
-    def partial_central_moments(self, lo: float, hi: float, center: float, jmax: int) -> list[float]:
-        """E[1_{[lo,hi)}(U) (U - center)^j] for j = 0..jmax."""
-        lo = max(lo, self.a)
-        hi = min(hi, self.b)
-        if hi <= lo:
-            return [0.0] * (jmax + 1)
-        scale = self.b - self.a
-        return [
-            ((hi - center) ** (j + 1) - (lo - center) ** (j + 1)) / ((j + 1) * scale)
-            for j in range(jmax + 1)
-        ]
+    def cdf(self, u: float) -> float:
+        """P(U <= u) for u on the support."""
+        return (u - self.a) / (self.b - self.a)
 
 
 @dataclass(frozen=True)
@@ -115,22 +95,9 @@ class TruncatedNormal:
         vals = phi((u - self.mean) / self.sigma) / (self.sigma * self.truncation_mass)
         return np.where(inside, vals, 0.0)
 
-    def partial_central_moments(self, lo: float, hi: float, center: float, jmax: int) -> list[float]:
-        lo = max(lo, self.lower)
-        hi = min(hi, self.upper)
-        if hi <= lo:
-            return [0.0] * (jmax + 1)
-        s = self.sigma
-        alpha = (lo - self.mean) / s
-        beta = (hi - self.mean) / s
-        shift = self.mean - center
-        ints = _gaussian_power_integrals(alpha, beta, jmax)
-        out = []
-        for j in range(jmax + 1):
-            # (U - center)^j = (s Z + shift)^j expanded in standardized Z
-            total = sum(comb(j, i) * s**i * shift ** (j - i) * ints[i] for i in range(j + 1))
-            out.append(total / self.truncation_mass)
-        return out
+    def cdf(self, u: float) -> float:
+        """P(U <= u) for u on the support."""
+        return (ndtr((u - self.mean) / self.sigma) - self._f1) / self.truncation_mass
 
 
 DistSpec = Uniform | TruncatedNormal

@@ -1,8 +1,8 @@
 """Dense references that the tests check the per-bin kernels and fits
 against: the dense design matrix of the sieve basis, basis evaluation, and
-least squares by column-pivoted QR; also the JSON forms of a basis (read
-back) and of a fit.  No sweep takes these paths, so they live with the
-tests, not in the package."""
+least squares by column-pivoted QR; the adaptive per-bin quadrature one bin
+at a time; also the JSON forms of a basis (read back) and of a fit.  No
+sweep takes these paths, so they live with the tests, not in the package."""
 from __future__ import annotations
 
 from typing import NamedTuple
@@ -12,7 +12,7 @@ import scipy.linalg
 
 from reglater import _kernels
 from reglater._kernels import BinnedQR
-from reglater.basis import BinPartition, SieveBasis
+from reglater.basis import QUAD_TOL, BinPartition, SieveBasis, gauss_legendre
 from reglater.errors import ConfigurationError, DegenerateDesignError
 from reglater.regress import COLUMN_NORM_TOL, RANK_TOL, FitResult
 
@@ -35,6 +35,27 @@ def design_matrix(edges, centers, norm0, norm1, u) -> np.ndarray:
     out[rows, 2 * k] = np.asarray(norm0)[k]
     out[rows, 2 * k + 1] = np.asarray(norm1)[k] * (u[inside] - np.asarray(centers)[k])
     return out
+
+
+def adaptive_bin_quad_per_bin(integrand, edges, dist, start: int = 16) -> np.ndarray:
+    """``basis._adaptive_bin_quad`` one bin at a time: the same nodes,
+    products and stopping rule, with ``integrand`` called on one bin."""
+    rows = []
+    for k in range(len(edges) - 1):
+        mid, half = 0.5 * (edges[k + 1] + edges[k]), 0.5 * (edges[k + 1] - edges[k])
+        prev = None
+        n = start
+        while True:
+            xg, wg = gauss_legendre(n)
+            u = (mid + half * xg)[None]
+            values = np.reshape(integrand(np.array([k]), u), (-1, n))
+            est = half * ((values * dist.density(u)) @ wg)
+            if (prev is not None and np.max(np.abs(est - prev)) <= QUAD_TOL) or n >= 2048:
+                break
+            prev = est
+            n *= 2
+        rows.append(est)
+    return np.array(rows)
 
 
 def eval_basis(basis: SieveBasis, u) -> np.ndarray:

@@ -7,7 +7,7 @@ import reglater as rl
 from reglater.basis import QUAD_TOL, gauss_legendre
 from reglater.errors import BasisConstructionError
 from conftest import slope_of
-from reference import basis_from_json_dict, eval_basis
+from reference import adaptive_bin_quad_per_bin, basis_from_json_dict, eval_basis
 
 
 UNIF = rl.Uniform(0.0, 1.0)
@@ -33,7 +33,7 @@ def test_truncnorm_bin_masses_recomputed(w10_law):
     dist = w10_law
     part = rl.build_partition(dist, 10)
     for lo, hi in zip(part.edges[:-1], part.edges[1:]):
-        mass = dist.partial_central_moments(lo, hi, 0.0, 0)[0]
+        mass = dist.cdf(hi) - dist.cdf(lo)
         assert abs(mass - 0.1) < 1e-12
 
 
@@ -50,13 +50,18 @@ def test_uniform_centers_and_norms(K):
     assert np.allclose(basis.norm1, np.sqrt(12.0 * K**3), rtol=1e-12)
 
 
-def test_degenerate_bin_raises():
-    # a window 29 sd into the tail, finely split: the bin masses hold to
-    # 1e-12, but expanding each bin's second central moment about the far
-    # mean cancels to a non-positive value in many bins
+def test_far_tail_window_builds_an_orthonormal_basis():
+    # a window 29 sd into the tail, finely split: each bin's moments are
+    # integrated about its own center, so nothing cancels against the far mean
     dist = rl.TruncatedNormal(0.0, 1.0, -30.0, -29.0)
-    with pytest.raises(BasisConstructionError, match="degenerate second moment"):
-        rl.build_basis(dist, 256)
+    basis = rl.build_basis(dist, 256)
+    assert np.max(np.abs(rl.quadrature_gram(basis, dist) - np.eye(512))) <= 1e-9
+
+
+@pytest.mark.parametrize("K", [128, 256, 512])
+def test_fine_bases_are_orthonormal_to_rounding(K, w10_law):
+    G = rl.quadrature_gram(rl.build_basis(w10_law, K), w10_law)
+    assert np.max(np.abs(G - np.eye(2 * K))) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -119,13 +124,6 @@ def test_bin_quadrature_integrates_each_bin(K, w10_law, basis_cache):
     assert np.max(np.abs(masses - 1.0 / K)) < 1e-12
     means = (weights * nodes).reshape(K, 24).sum(axis=1) / masses
     assert np.max(np.abs(means - basis.centers)) < 1e-10
-
-
-def test_h_tilde_reads_the_given_bin_moments(w10_law, basis_cache):
-    basis = basis_cache(8)
-    moments = rl.bin_central_moments(basis, w10_law)
-    assert len(moments) == 8 and all(len(m) == 5 for m in moments)
-    assert rl.h_tilde(basis, w10_law, 100, moments) == rl.h_tilde(basis, w10_law, 100)
 
 
 @pytest.mark.parametrize("mass", [0.0, -0.5, 1.5])
@@ -209,6 +207,30 @@ def test_h_tilde_matches_brute_force_quadrature(w10_law, basis_cache):
     assert rl.h_tilde(basis, dist, n) == pytest.approx(total / n, rel=1e-9)
 
 
+@pytest.mark.parametrize("eval_time", [1.0, 10.0])
+def test_h_tilde_on_narrow_bins_matches_scipy_quad(eval_time):
+    # domain_epsilon 0.999: four bins on the central 0.1% of the law, each
+    # about 6e-4 sd wide; the reference integrates every moment with
+    # scipy.integrate.quad about the bin's own quad-computed mean
+    from scipy.integrate import quad
+
+    dist = rl.truncated_feature_law(rl.FeatureSpec("terminal", eval_time), 0.999)
+    K = 4
+    basis = rl.build_basis(dist, K)
+    edges = basis.partition.edges
+    total = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        def moment(f):
+            return quad(lambda u: f(u) * float(dist.density(u)), lo, hi,
+                        epsabs=0.0, epsrel=1e-13)[0]
+
+        m0, m1 = moment(lambda u: 1.0), moment(lambda u: u)
+        c = m1 / m0
+        m2, m4 = moment(lambda u: (u - c) ** 2), moment(lambda u: (u - c) ** 4)
+        total += K * K * m0 + 2.0 * K * m2 / m2 + m4 / m2 ** 2
+    assert rl.h_tilde(basis, dist, 1) == pytest.approx(total, rel=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # deterministic approximation error
 # ---------------------------------------------------------------------------
@@ -242,13 +264,8 @@ def test_ratio_moment_bound_grows_linearly(w10_law, basis_cache):
     Ks = [4, 8, 16, 32, 64]
     ratios = []
     for K in Ks:
-        basis = basis_cache(K)
-        edges = basis.partition.edges
-        worst = 0.0
-        for k in range(K):
-            m = dist.partial_central_moments(edges[k], edges[k + 1], basis.centers[k], 4)
-            worst = max(worst, m[4] / m[2] ** 2)
-        ratios.append(worst)
+        m = rl.bin_central_moments(basis_cache(K), dist)
+        ratios.append(np.max(m[:, 4] / m[:, 2] ** 2))
     assert 0.8 <= slope_of(Ks, ratios) <= 1.2
 
 
@@ -277,9 +294,22 @@ def test_quadrature_tolerance_honoured(w10_law, basis_cache, tanh_payoff):
     basis = basis_cache(8)
     a16 = rl.projection_coefficients(tanh_payoff, basis, dist)
     from reglater.basis import _adaptive_bin_quad
-    a64 = _adaptive_bin_quad(lambda k, u: np.tanh(u), basis, dist, start=64)
+    a64 = _adaptive_bin_quad(lambda ks, u: np.tanh(u), basis.partition.edges, dist, start=64)
     for k in (0, 4, 7):
-        assert abs(a64[k] - a16[2 * k] / basis.norm0[k]) < 10 * QUAD_TOL
+        assert abs(a64[k, 0] - a16[2 * k] / basis.norm0[k]) < 10 * QUAD_TOL
+
+
+@pytest.mark.parametrize("K", [1, 7, 64])
+def test_adaptive_quadrature_of_all_bins_is_the_per_bin_loop(K, w10_law, tanh_payoff):
+    # one array pass over the bins still being refined gives each bin the
+    # bits of its own loop, for one integrand row and for a stack of them
+    from reglater.basis import _adaptive_bin_quad
+
+    edges = rl.build_partition(w10_law, K).edges
+    for integrand in (lambda ks, u: np.tanh(u),
+                      lambda ks, u: np.stack([np.tanh(u), (u - edges[ks, None]) ** 3], axis=1)):
+        assert np.array_equal(_adaptive_bin_quad(integrand, edges, w10_law),
+                              adaptive_bin_quad_per_bin(integrand, edges, w10_law))
 
 
 def test_gauss_legendre_rule_is_cached_and_read_only():

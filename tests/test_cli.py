@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import re
 import tracemalloc
 import xml.etree.ElementTree as ET
@@ -86,7 +87,7 @@ MUTATIONS = [
     pytest.param(('sweep="fixed_K"', "K_list=[4]", "N_list=[100,1000]"), "N_rule",
                  id="fixed_K_with_N_rule-N_rule"),
     # N = 4 K^2 keeps rejection within MAX_POINT_PROPOSALS, so the K = 8 basis is what fails
-    # (at K = 4 and 6 the bins' moments fail first, below)
+    # (its partition misses 1/K by 5.55e-12)
     pytest.param(("domain_epsilon=0.99999", "N_rule.c=4", "K_list=[8]"),
                  "domain_epsilon: 0.99999 leaves no basis at K=8",
                  id="domain_epsilon=0.99999-domain_epsilon"),
@@ -94,16 +95,6 @@ MUTATIONS = [
     pytest.param(("domain_epsilon=0.9999999", "K_list=[1]", 'N_rule={"c":3,"b":0}'),
                  "domain_epsilon: 0.9999999 leaves a domain mass of 1e-07",
                  id="too_little_mass-domain_epsilon"),
-    # bins so narrow that their moments cancel: wrong bases and a wrong (or negative) h_tilde
-    pytest.param(("domain_epsilon=0.99999", "K_list=[4]", 'N_rule={"c":9,"b":0}'),
-                 "domain_epsilon: 0.99999 makes the bins at K=4 too narrow",
-                 id="narrow_bins_K4-domain_epsilon"),
-    pytest.param(("domain_epsilon=0.9999", "K_list=[16]", 'N_rule={"c":1000,"b":0}'),
-                 "domain_epsilon: 0.9999 makes the bins at K=16 too narrow",
-                 id="narrow_bins_K16-domain_epsilon"),
-    pytest.param(("domain_epsilon=0.999", "K_list=[16]", 'N_rule={"c":1000,"b":0}'),
-                 "domain_epsilon: 0.999 makes the bins at K=16 too narrow",
-                 id="narrow_bins_eps_1e-3-domain_epsilon"),
     # a payoff that is 0 on the whole fit domain (upper end about 12.3 at eval_time 10)
     pytest.param('payoff={"kind":"call","strike":100}', "payoff.strike: 100 is at or above",
                  id="zero_payoff-payoff.strike"),
@@ -218,7 +209,7 @@ def test_run_writes_reports_atomically(tiny_config_path, tmp_path, capsys):
 # sha256 of report.csv from `reglater run configs/figure1.json --set
 # repetitions=2` on the numpy kernels.  A report is a pure function of
 # (config, seed): a change here changes every report and must be deliberate.
-FIGURE1_REPS2_CSV_SHA256 = "4bb0b5bb7db1fa05525d0fb57ec87c638023dc830f99c7b8467d1d720fa7f815"
+FIGURE1_REPS2_CSV_SHA256 = "690deec32de12601f3f23347ac3c7b9f8c0047e744151bac3c7dde21cde11280"
 
 
 def test_report_csv_golden_digest(tmp_path):
@@ -234,8 +225,8 @@ def test_report_csv_golden_digest(tmp_path):
 # "process" block and no "eval_method" or "eval_multiplier" line; the rest of
 # the text is as schema 1 wrote it.
 TINY_REPORT_JSON_SHA256 = {
-    "growing": "f99f1e97e431008b2a545367814c1c312eb4e55698a3daaa404d93c61e8282b1",
-    "paired": "d162fbab5d911b6994eef4c0a2dc3ff89059c32a1e5355d3b8448d4f6403fcf2",
+    "growing": "28c7e5a814730ff864bb049a076c585790e6c2402e2c257ba2630faa816e043e",
+    "paired": "c7fe78550adad1928d0699d038b92b87532fec186b45ae3a4f1449b4a23da144",
 }
 
 
@@ -254,7 +245,7 @@ def test_report_json_golden_digest(doc, kind, tmp_path):
 # sha256 of report.csv from `reglater run configs/figure2.json --set
 # N_list=[1000,10000,70000] --set repetitions=2`: the N = 70,000 fits span two
 # rng blocks, so this pins the merge of per-block factors as well.
-FIGURE2_TWO_BLOCK_CSV_SHA256 = "943409c6d184c62b283da1d9b892934281bdd4301dfb5bab5b2552a962695caf"
+FIGURE2_TWO_BLOCK_CSV_SHA256 = "e9b87f7d61be0897a657ace23c2cf77ccc8b10a25bc5f4c31307e66efee521b3"
 
 
 def test_multi_block_report_csv_golden_digest(tmp_path):
@@ -558,6 +549,30 @@ def test_run_into_a_file_exits_2_before_sampling(tiny_config_path, blocker, caps
     assert blocker.read_text() == ""
 
 
+def test_run_with_a_directory_for_a_report_exits_2_before_sampling(tiny_config_path, tmp_path,
+                                                                   capsys, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the report targets were checked")
+
+    monkeypatch.setattr(harness, "simulate_conditional", no_sampling)
+    outdir = tmp_path / "o"
+    (outdir / "report.json").mkdir(parents=True)
+    assert cli.main(["run", str(tiny_config_path), "-o", str(outdir)]) == 2
+    assert f"config error: output {outdir / 'report.json'}: " in capsys.readouterr().err
+    assert sorted(p.name for p in outdir.iterdir()) == ["report.json"]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask_022", "umask_077"])
+def test_reports_get_the_mode_of_a_new_file(umask, tmp_path):
+    old = os.umask(umask)
+    try:
+        cli.atomic_write(tmp_path / "report.csv", "K\n")
+    finally:
+        os.umask(old)
+    assert (tmp_path / "report.csv").stat().st_mode & 0o777 == 0o666 & ~umask
+    assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
+
+
 def test_basis_dump_under_a_file_exits_2_naming_the_path(tiny_config_path, blocker, capsys):
     target = blocker / "x.json"
     assert cli.main(["basis-dump", str(tiny_config_path), "-K", "4", "-o", str(target)]) == 2
@@ -573,13 +588,23 @@ def test_plot_under_a_file_exits_2_naming_the_path(tmp_path, blocker, capsys):
 
 
 def test_basis_dump_refuses_a_K_the_gate_refuses(capsys):
-    # figure1 and figure2 fit on one law; at K=1024 its bins are too narrow
-    args = ["--set", "K_list=[1024]", "--set", "N_list=[100000]"]
-    assert cli.main(["validate-config", str(CONFIG_DIR / "figure2.json"), *args]) == 2
+    # at domain_epsilon 0.99999 the gate accepts the K = 4 partition and
+    # refuses the K = 8 one; basis-dump -K 8 refuses it alike
+    law = ["--set", "domain_epsilon=0.99999", "--set", "N_list=[100]"]
+    assert cli.main(["validate-config", str(CONFIG_DIR / "figure2.json"), *law,
+                     "--set", "K_list=[8]"]) == 2
     gate = capsys.readouterr().err
-    assert "domain_epsilon: 0.0001 makes the bins at K=1024 too narrow" in gate
-    assert cli.main(["basis-dump", str(CONFIG_DIR / "figure1.json"), "-K", "1024"]) == 2
+    assert "domain_epsilon: 0.99999 leaves no basis at K=8 (partition" in gate
+    assert cli.main(["basis-dump", str(CONFIG_DIR / "figure2.json"), *law,
+                     "--set", "K_list=[4]", "-K", "8"]) == 2
     assert capsys.readouterr() == ("", gate)
+
+
+def test_basis_dump_builds_a_fine_basis(capsys):
+    # 1024 bins of the shipped law: each bin's moments are integrated about its own center
+    assert cli.main(["basis-dump", str(CONFIG_DIR / "figure1.json"), "-K", "1024"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["K"] == 1024 and len(doc["centers"]) == 1024
 
 
 @given(st.text())

@@ -36,7 +36,7 @@ for path in sorted(Path(sys.argv[1]).glob("*.json")):
 # what the config gate does not need: the sweep engine and what only it loads
 NOT_LOADED_BY_THE_GATE = ("reglater.harness", "reglater.regress", "reglater.condexp",
                           "reglater.cli", "reglater.svgplot", "reglater.tree",
-                          "concurrent.futures", "numpy.polynomial", "fractions")
+                          "concurrent.futures", "fractions")
 
 
 def test_import_and_load_config_leave_the_sweep_engine_unloaded():

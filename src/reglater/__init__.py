@@ -8,28 +8,24 @@ config (``reglater.config``) never loads the sweep engine (``harness``).
 import importlib
 
 from .errors import (BasisConstructionError, ConfigurationError, DegenerateDesignError,
-                     JensenViolationError, ReglaterError, SamplingError,
-                     UnsupportedOracleError)
+                     ReglaterError, SamplingError, UnsupportedOracleError)
 
 __version__ = "0.1.0"
 
 _ERRORS = ("BasisConstructionError", "ConfigurationError", "DegenerateDesignError",
-           "JensenViolationError", "ReglaterError", "SamplingError", "UnsupportedOracleError")
+           "ReglaterError", "SamplingError", "UnsupportedOracleError")
 
 # public name -> the submodule that defines it
 _EXPORTS = {name: module for module, names in {
     "basis": ("ApproxErrorMoments", "BinPartition", "SieveBasis", "approx_error_moments",
               "bin_central_moments", "bin_moments", "bin_quadrature", "build_basis",
-              "build_partition", "gram_diagnostics", "h_tilde", "projection_coefficients",
-              "quadrature_gram"),
-    "condexp": ("BrownianTransition", "GbmTransition", "basis_condexp", "condexp_estimate",
-                "jensen_check"),
+              "build_partition", "h_tilde", "projection_coefficients"),
+    "condexp": ("BrownianTransition", "basis_condexp", "condexp_estimate"),
     "config": ("ExperimentConfig",),
-    "distributions": ("DistSpec", "TruncatedNormal", "Uniform"),
+    "distributions": ("TruncatedNormal",),
     "harness": ("ConvergenceReport", "PairedReport", "fit_loglog_slope",
                 "now_vs_later_compare", "run_fixed_K", "run_growing_K"),
-    "model": ("FeatureSpec", "SampleSet", "simulate_conditional", "simulate_terminal",
-              "truncated_feature_law"),
+    "model": ("FeatureSpec", "SampleSet", "simulate_conditional", "truncated_feature_law"),
     "payoff": ("PayoffSpec", "eval_payoff", "oracle_conditional"),
     "regress": ("FitResult", "coefficient_error", "predict",
                 "regress_later_fit", "regress_now_fit"),

@@ -12,17 +12,14 @@ bin in one adaptive Gauss-Legendre loop, ``_adaptive_bin_quad``.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import _kernels
-from .distributions import DistSpec
+from .distributions import TruncatedNormal
 from .errors import BasisConstructionError, ConfigurationError
-from .model import SampleSet
 from .payoff import PayoffSpec, eval_payoff
 
 ANALYTIC_MASS_TOL = 1e-12
@@ -32,7 +29,7 @@ QUAD_TOL = 1e-10
 @dataclass(frozen=True)
 class BinPartition:
     """Equal-probability bin edges over the fit domain ``[edges[0], edges[-1]]``,
-    and that domain's mass under the untruncated law (1 for a uniform law)."""
+    and that domain's mass under the untruncated law."""
 
     edges: np.ndarray
     K: int
@@ -106,15 +103,14 @@ class SieveBasis:
 # construction
 # ---------------------------------------------------------------------------
 
-def build_partition(dist: DistSpec, K: int) -> BinPartition:
+def build_partition(dist: TruncatedNormal, K: int) -> BinPartition:
     """Equal-probability edges from the law's inverse CDF, each bin's mass
     checked against 1/K by CDF differences."""
     if K < 1:
         raise ConfigurationError("K: must be >= 1")
-    a1, a2 = dist.support
     edges = np.array([dist.quantile(k / K) for k in range(K + 1)])
-    edges[0], edges[-1] = a1, a2  # pin the outer edges exactly
-    part = BinPartition(edges, K, getattr(dist, "truncation_mass", 1.0))
+    edges[0], edges[-1] = dist.lower, dist.upper  # pin the outer edges exactly
+    part = BinPartition(edges, K, dist.truncation_mass)
     masses = np.diff([dist.cdf(u) for u in edges])
     if np.max(np.abs(masses - 1.0 / K)) > ANALYTIC_MASS_TOL:
         raise BasisConstructionError(
@@ -123,7 +119,8 @@ def build_partition(dist: DistSpec, K: int) -> BinPartition:
     return part
 
 
-def bin_moments(partition: BinPartition, dist: DistSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def bin_moments(partition: BinPartition, dist: TruncatedNormal
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Centers and normalization constants (c, C0, C1): each bin's center is
     its conditional mean m1 / m0, and C1 is one over the root of its second
     moment about that center, both by per-bin quadrature."""
@@ -136,7 +133,7 @@ def bin_moments(partition: BinPartition, dist: DistSpec) -> tuple[np.ndarray, np
     return c, c0, 1.0 / np.sqrt(m2)
 
 
-def build_basis(dist: DistSpec, K: int) -> SieveBasis:
+def build_basis(dist: TruncatedNormal, K: int) -> SieveBasis:
     part = build_partition(dist, K)
     c, c0, c1 = bin_moments(part, dist)
     return SieveBasis(part, c, c0, c1)
@@ -172,20 +169,6 @@ def _block_stats(blocks: np.ndarray) -> GramDiagnostics:
     return GramDiagnostics(np.sqrt(fro2), lmin)
 
 
-def gram_diagnostics(basis: SieveBasis, sample) -> GramDiagnostics:
-    """Frobenius distance of the sample Gram matrix from the identity and its
-    smallest eigenvalue.  The Gram is block-diagonal (disjoint bin supports),
-    so both statistics reduce to per-bin 2x2 blocks."""
-    u = sample.feature_column() if isinstance(sample, SampleSet) else np.asarray(sample, dtype=np.float64)
-    n = u.shape[0]
-    if n < basis.dim:
-        warnings.warn(f"sample size {n} below basis dimension {basis.dim}: "
-                      "Gram matrix is rank deficient", RuntimeWarning, stacklevel=2)
-    qr = _kernels.binned_qr(basis.partition.edges, basis.centers,
-                            basis.norm0, basis.norm1, u, np.zeros(n), [n])
-    return GramDiagnostics(*map(float, _block_stats(_gram_blocks_from_qr(qr.R[0], n))))
-
-
 @lru_cache(maxsize=32)
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights of order n on [-1, 1], computed once
@@ -198,7 +181,7 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return xg, wg
 
 
-def bin_quadrature(basis: SieveBasis, dist: DistSpec, nodes_per_bin: int
+def bin_quadrature(basis: SieveBasis, dist: TruncatedNormal, nodes_per_bin: int
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre rule of ``nodes_per_bin`` nodes on every bin of
     ``basis``: the nodes, bin after bin, and their weights times the
@@ -212,46 +195,26 @@ def bin_quadrature(basis: SieveBasis, dist: DistSpec, nodes_per_bin: int
     return nodes, weights
 
 
-def quadrature_gram(basis: SieveBasis, dist: DistSpec, nodes_per_bin: int = 64) -> np.ndarray:
-    """Full 2K x 2K Gram matrix by per-bin Gauss-Legendre integration.
-
-    Numeric check of the normalization at one fixed order: cross-bin entries
-    are structurally zero (disjoint supports), within-bin entries are
-    integrated against the density.
-    """
-    K = basis.K
-    u, w = (a.reshape(K, nodes_per_bin) for a in bin_quadrature(basis, dist, nodes_per_bin))
-    e0 = basis.norm0[:, None]
-    e1 = basis.norm1[:, None] * (u - basis.centers[:, None])
-    G = np.zeros((2 * K, 2 * K))
-    i = 2 * np.arange(K)
-    G[i, i] = np.sum(w * e0 * e0, axis=1)
-    G[i, i + 1] = G[i + 1, i] = np.sum(w * e0 * e1, axis=1)
-    G[i + 1, i + 1] = np.sum(w * e1 * e1, axis=1)
-    return G
-
-
-def bin_central_moments(basis: SieveBasis, dist: DistSpec) -> np.ndarray:
+def bin_central_moments(basis: SieveBasis, dist: TruncatedNormal) -> np.ndarray:
     """Per bin k (one row each), E[1_k(U) (U - c_k)^j] for j = 0..4."""
     powers = np.arange(5)[:, None]
     return _adaptive_bin_quad(lambda ks, u: (u - basis.centers[ks, None])[:, None] ** powers,
                               basis.partition.edges, dist)
 
 
-def h_tilde(basis: SieveBasis, dist: DistSpec, N: int) -> float:
-    """(1/N) E[(e^T e)^2]: the net controlling admissible growth of K with N.
+def h_tilde(basis: SieveBasis, dist: TruncatedNormal) -> float:
+    """E[(e^T e)^2]; divided by N, the net controlling admissible growth of
+    K with N.
 
     Disjoint supports reduce the square of the 2K-term sum to per-bin terms
     K^2 1_k + 2 K C1_k^2 1_k (U-c_k)^2 + C1_k^4 1_k (U-c_k)^4, from the
     bins' central moments (``bin_central_moments``).
     """
-    if N < 1:
-        raise ConfigurationError("N: must be >= 1")
     K = basis.K
     total = 0.0
     for m, c1 in zip(bin_central_moments(basis, dist), basis.norm1):
         total += K * K * m[0] + 2.0 * K * c1 ** 2 * m[2] + c1 ** 4 * m[4]
-    return float(total) / N
+    return float(total)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +230,7 @@ def _as_function(g) -> Callable:
     raise ConfigurationError("expected a PayoffSpec or a callable")
 
 
-def _adaptive_bin_quad(integrand: Callable, edges: np.ndarray, dist: DistSpec,
+def _adaptive_bin_quad(integrand: Callable, edges: np.ndarray, dist: TruncatedNormal,
                        start: int = 16) -> np.ndarray:
     """Per bin k between ``edges``, E[1_k(U) integrand(k, U)] for a
     vector-valued integrand, one row per bin.  ``integrand(ks, u)`` takes bin
@@ -295,7 +258,7 @@ def _adaptive_bin_quad(integrand: Callable, edges: np.ndarray, dist: DistSpec,
     return np.array([rows[k] for k in range(mid.size)])
 
 
-def projection_coefficients(g, basis: SieveBasis, dist: DistSpec) -> np.ndarray:
+def projection_coefficients(g, basis: SieveBasis, dist: TruncatedNormal) -> np.ndarray:
     """True (population) coefficients alpha_k = E[g e_k] by quadrature."""
     gf = _as_function(g)
 
@@ -324,7 +287,7 @@ class ApproxErrorMoments:
         return self.l2 ** 2
 
 
-def approx_error_moments(gT, basis: SieveBasis, dist: DistSpec,
+def approx_error_moments(gT, basis: SieveBasis, dist: TruncatedNormal,
                          coefficients: np.ndarray | None = None) -> ApproxErrorMoments:
     """L2 and fourth-moment errors of the quadrature projection of gT."""
     gf = _as_function(gT)

@@ -174,11 +174,11 @@ def checked_basis(config: ExperimentConfig, dist: TruncatedNormal, K: int) -> Si
         raise ConfigurationError(
             f"domain_epsilon: {config.domain_epsilon!r} leaves no basis at K={K} ({exc})"
         ) from None
-    # the report's h_tilde column is h_tilde(N=1) / N, so N = 1 stands for
-    # every point; at a time scale far from 1 its fourth moments overflow or
-    # underflow
+    # the report's h_tilde column is h_tilde(basis, dist) / N, finite for
+    # every N once this is; at a time scale far from 1 its fourth moments
+    # overflow or underflow
     with np.errstate(all="ignore"):  # the value is checked, not warned about
-        if not math.isfinite(h_tilde(basis, dist, 1)):
+        if not math.isfinite(h_tilde(basis, dist)):
             raise ConfigurationError(
                 f"feature.eval_time: {config.feature.eval_time!r} gives a non-finite "
                 f"h_tilde at K={K}")

@@ -1,9 +1,9 @@
-"""Feature laws the sieve basis can be built on.
+"""The feature law the sieve basis is built on.
 
-Two laws are supported: uniform, and normal truncated to a compact
-interval.  Each has a quantile for the bin edges, a CDF for the bins'
-masses, and a density that every per-bin integral (the basis's moments,
-its projection and its error) is taken against by quadrature.
+Every sweep fits on one law: a normal truncated to a compact interval.  It
+has a quantile for the bin edges, a CDF for the bins' masses, and a density
+that every per-bin integral (the basis's moments, its projection and its
+error) is taken against by quadrature.
 """
 from __future__ import annotations
 
@@ -14,34 +14,6 @@ import numpy as np
 
 from ._normal import ndtr, ndtri, phi
 from .errors import ConfigurationError
-
-
-@dataclass(frozen=True)
-class Uniform:
-    """Uniform law on [a, b]."""
-
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.a) and np.isfinite(self.b) and self.a < self.b):
-            raise ConfigurationError("uniform law requires finite a < b")
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return (self.a, self.b)
-
-    def quantile(self, p: float) -> float:
-        return self.a + (self.b - self.a) * p
-
-    def density(self, u):
-        u = np.asarray(u, dtype=np.float64)
-        inside = (u >= self.a) & (u <= self.b)
-        return np.where(inside, 1.0 / (self.b - self.a), 0.0)
-
-    def cdf(self, u: float) -> float:
-        """P(U <= u) for u on the support."""
-        return (u - self.a) / (self.b - self.a)
 
 
 @dataclass(frozen=True)
@@ -81,10 +53,6 @@ class TruncatedNormal:
         """Mass of [lower, upper] under the untruncated normal."""
         return self._f2 - self._f1
 
-    @property
-    def support(self) -> tuple[float, float]:
-        return (self.lower, self.upper)
-
     def quantile(self, p: float) -> float:
         level = self._f1 + p * (self._f2 - self._f1)
         return self.mean + self.sigma * ndtri(level)
@@ -99,5 +67,3 @@ class TruncatedNormal:
         """P(U <= u) for u on the support."""
         return (ndtr((u - self.mean) / self.sigma) - self._f1) / self.truncation_mass
 
-
-DistSpec = Uniform | TruncatedNormal

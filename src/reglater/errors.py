@@ -23,7 +23,3 @@ class DegenerateDesignError(ReglaterError):
 
 class UnsupportedOracleError(ReglaterError):
     """No conditional-expectation oracle for the requested payoff."""
-
-
-class JensenViolationError(ReglaterError):
-    """Sample estimate violates the conditional-expectation inequality."""

@@ -9,13 +9,14 @@ whose samples fill at most one ``rng.BLOCK_SIZE`` block together
 (``_batches``).  A batch draws each repetition's sample from its own
 substream, joins them (``_fit_batch``) and fits them in one kernel call per
 block (``regress_later_fit(..., fits=)``), each fit bit for bit the fit of
-its sample alone; Regress-Later pays off the joined samples once.  A repetition longer than half a block is a batch of
-its own and streams its sample one block at a time, so memory does not grow
-with N.  Batches run serially or on any number of worker threads; a failed
-repetition is recorded in the report's ``failures`` and its batch's other
-repetitions still count (a point with none left reports ``reps=0`` and NaN
-means).  Aggregation takes values in repetition order and sums with
-``math.fsum``, so the emitted CSV is byte-identical for any worker count.
+its sample alone; Regress-Later pays off the joined samples once.  A
+repetition longer than half a block is a batch of its own and streams its
+sample one block at a time, so memory does not grow with N.  Batches run
+serially or on any number of worker threads; a failed repetition is
+recorded in the report's ``failures`` and its batch's other repetitions
+still count (a point with none left reports ``reps=0`` and NaN means).
+Aggregation takes values in repetition order and sums with ``math.fsum``,
+so the emitted CSV is byte-identical for any worker count.
 """
 from __future__ import annotations
 
@@ -157,6 +158,7 @@ class _PointSetup:
     basis: SieveBasis
     alpha: np.ndarray
     approx_ms: float
+    h_tilde: float  # E[(e^T e)^2]; the row's h_tilde is this over N
 
 
 def _slope_or_nan(xs, ys) -> SlopeFit:
@@ -322,11 +324,11 @@ def _run_points(config: ExperimentConfig, workers: int) -> ConvergenceReport:
     sweep_variable = "K" if config.sweep == "growing_K" else "N"
 
     @functools.cache
-    def per_K(K: int) -> tuple[SieveBasis, np.ndarray, float]:
+    def per_K(K: int) -> tuple[SieveBasis, np.ndarray, float, float]:
         basis = _basis(dist, K)
         alpha = projection_coefficients(config.payoff, basis, dist)
         approx = approx_error_moments(config.payoff, basis, dist, coefficients=alpha)
-        return basis, alpha, approx.mean_square
+        return basis, alpha, approx.mean_square, h_tilde(basis, dist)
 
     setups = [_PointSetup(K, N, *per_K(K)) for K, N in config.points()]
 
@@ -345,7 +347,7 @@ def _run_points(config: ExperimentConfig, workers: int) -> ConvergenceReport:
     for pt, vals in zip(setups, values):
         mean, stderr = _mean_stderr(vals)
         rows.append(ReportRow(pt.K, pt.N, len(vals), mean, stderr, pt.approx_ms,
-                              h_tilde(pt.basis, dist, pt.N), flagged=not vals))
+                              pt.h_tilde / pt.N, flagged=not vals))
 
     sf = _slope_or_nan([r.K if sweep_variable == "K" else r.N for r in rows],
                        [r.mse_mean for r in rows])

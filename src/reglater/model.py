@@ -1,18 +1,19 @@
-"""Features of a driftless Brownian motion W with W(0) = 0, and their samplers.
+"""Features of a driftless Brownian motion W with W(0) = 0, and their sampler.
 
-Simulators produce i.i.d. draws of the feature a payoff depends on (the
-value at the payoff date, or the (u, T) pair); the feature fixes every date.
-All sampling is built on counter-based substreams, so a ``SampleSet`` is a
-pure function of ``(spec, n, seed)`` whatever the execution schedule.  The
-exact two-asset tree is a table, not a process that is sampled; it lives in
-``tree``.
+The feature fixes every date.  ``simulate_conditional`` draws the value at
+one date conditioned on the fit domain; the paired comparison draws the
+earlier date's value the same way and continues it to the payoff date in
+``harness``.  All sampling is built on counter-based substreams, so a
+``SampleSet`` is a pure function of ``(law, n, seed)`` whatever the
+execution schedule.  The exact two-asset tree is a table, not a process
+that is sampled; it lives in ``tree``.
 """
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -28,8 +29,8 @@ MIN_CONDITIONAL_MASS = 1e-6
 
 @dataclass(frozen=True)
 class FeatureSpec:
-    """Path functional mapping a path to R^dim, evaluated at ``eval_time``,
-    the payoff date T; ``pair_u_T`` also fixes the earlier date u."""
+    """The feature a payoff depends on: W at ``eval_time``, the payoff date
+    T; ``pair_u_T`` also fixes the earlier date u."""
 
     kind: str
     eval_time: float
@@ -46,16 +47,11 @@ class FeatureSpec:
         elif self.intermediate_time is not None:
             raise ConfigurationError("feature.intermediate_time: only valid for pair_u_T")
 
-    @property
-    def dim(self) -> int:
-        """Number of coordinates of one feature value: 2 for ``(W_u, W_T)``."""
-        return 2 if self.kind == "pair_u_T" else 1
-
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Immutable i.i.d. draws of (feature value, payoff): one row of
-    ``features`` per draw, and a 1-D array is one column."""
+    """Immutable i.i.d. draws of (feature value, payoff): ``features`` is one
+    column, one row per draw, and a 1-D array is that column."""
 
     features: np.ndarray
     payoffs: np.ndarray | None = None
@@ -67,6 +63,8 @@ class SampleSet:
             feats = feats.reshape(-1, 1)
         elif feats.ndim != 2:
             raise ConfigurationError("sample: features must be a 1-D or 2-D array")
+        if feats.shape[1] != 1:
+            raise ConfigurationError("sample: features must be one column")
         if not np.all(np.isfinite(feats)):
             raise ConfigurationError("sample: non-finite feature values")
         feats.setflags(write=False)
@@ -79,12 +77,8 @@ class SampleSet:
     def n(self) -> int:
         return self.features.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.features.shape[1]
-
-    def feature_column(self, j: int = 0) -> np.ndarray:
-        return self.features[:, j]
+    def feature_column(self) -> np.ndarray:
+        return self.features[:, 0]
 
     def with_payoffs(self, payoffs) -> "SampleSet":
         """This sample with ``payoffs`` attached.  Only the payoffs are
@@ -126,27 +120,6 @@ def _checked_payoffs(payoffs, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # simulation
 # ---------------------------------------------------------------------------
-
-def _terminal_drawer(feat: FeatureSpec) -> Callable:
-    """Closure drawing m terminal values W(eval_time) from a generator."""
-    scale = np.sqrt(feat.eval_time)
-    return lambda gen, m: scale * gen.standard_normal(m)
-
-
-def simulate_terminal(feat: FeatureSpec, n: int, seed: int) -> SampleSet:
-    """n i.i.d. draws of the feature value; deterministic in (spec, n, seed)."""
-    if n < 1:
-        raise ConfigurationError("n: must be >= 1")
-    if feat.kind == "pair_u_T":
-        u, t = feat.intermediate_time, feat.eval_time
-        z1 = rng.block_standard_normal(n, seed, "pair-u")
-        z2 = rng.block_standard_normal(n, seed, "pair-T")
-        w_u = np.sqrt(u) * z1
-        w_t = w_u + np.sqrt(t - u) * z2
-        return SampleSet(np.column_stack([w_u, w_t]))
-    vals = rng.block_map(n, _terminal_drawer(feat), seed, "terminal", feat.kind)
-    return SampleSet(vals)
-
 
 def simulate_conditional(law: TruncatedNormal, n: int, seed: int, *,
                          first_block: int = 0) -> SampleSet:

@@ -88,13 +88,13 @@ def _feature_target_blocks(samples) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     blocks of ``rng.BLOCK_SIZE`` samples, or one pair per set of an iterable
     of per-block sample sets."""
     if isinstance(samples, SampleSet):
-        u, x = _univariate_features(samples), _targets(samples)
+        u, x = samples.feature_column(), _targets(samples)
         size = rng.BLOCK_SIZE
         for lo in range(0, samples.n, size):
             yield u[lo:lo + size], x[lo:lo + size]
     else:
         for block in samples:
-            yield _univariate_features(block), _targets(block)
+            yield block.feature_column(), _targets(block)
 
 
 def _merged(parts: list[BinnedQR]) -> BinnedQR:
@@ -204,12 +204,6 @@ def _fit_on_basis(samples, basis: SieveBasis, mode: str, fits: int | None):
     if not fits and isinstance(out[0], Exception):
         raise out[0]
     return out if fits else out[0]
-
-
-def _univariate_features(sample: SampleSet) -> np.ndarray:
-    if sample.dim != 1:
-        raise ConfigurationError("regression expects a univariate feature sample")
-    return sample.feature_column()
 
 
 def _targets(sample: SampleSet) -> np.ndarray:

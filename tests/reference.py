@@ -1,20 +1,41 @@
-"""Dense references that the tests check the per-bin kernels and fits
-against: the dense design matrix of the sieve basis, basis evaluation, and
-least squares by column-pivoted QR; the adaptive per-bin quadrature one bin
-at a time; also the JSON forms of a basis (read back) and of a fit.  No
-sweep takes these paths, so they live with the tests, not in the package."""
+"""Reference code the tests check the package against, and subjects that
+only tests reach.  No sweep or CLI verb takes these paths, so they live
+with the tests, not in the package:
+
+- dense references for the per-bin kernels and fits: the dense design
+  matrix of the sieve basis, basis evaluation, least squares by
+  column-pivoted QR, and the adaptive per-bin quadrature one bin at a time;
+- the JSON forms of a basis (read back) and of a fit;
+- a uniform law (``Uniform``), a second law to build a basis on;
+- the log-normal transfer of a basis (``GbmTransition``,
+  ``gbm_basis_condexp``), the closed form beside the package's Brownian one;
+- Gram checks of a basis: the full Gram matrix by quadrature
+  (``quadrature_gram``) and the sample Gram's distance from the identity
+  (``gram_diagnostics``);
+- unconditioned draws of a Brownian feature (``simulate_terminal``,
+  ``terminal_drawer``), and the Jensen check of a transfer on paired
+  (state, continuation) draws (``jensen_check``).
+"""
 from __future__ import annotations
 
+import warnings
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 
-from reglater import _kernels
+from reglater import _kernels, rng
 from reglater._kernels import BinnedQR
-from reglater.basis import QUAD_TOL, BinPartition, SieveBasis, gauss_legendre
+from reglater._normal import ndtr_array
+from reglater.basis import (QUAD_TOL, BinPartition, GramDiagnostics, SieveBasis,
+                            _block_stats, _gram_blocks_from_qr, bin_quadrature,
+                            gauss_legendre)
+from reglater.condexp import BrownianTransition, condexp_estimate
 from reglater.errors import ConfigurationError, DegenerateDesignError
-from reglater.regress import COLUMN_NORM_TOL, RANK_TOL, FitResult
+from reglater.model import FeatureSpec, SampleSet
+from reglater.payoff import PayoffSpec, oracle_conditional
+from reglater.regress import COLUMN_NORM_TOL, RANK_TOL, FitResult, predict
 
 
 def first_fit(qr: BinnedQR) -> BinnedQR:
@@ -141,3 +162,177 @@ def fit_json_dict(fit: FitResult) -> dict:
         "gram_lambda_min": fit.gram_lambda_min,
         "coefficients": fit.coefficients.tolist(),
     }
+
+
+# ---------------------------------------------------------------------------
+# a second law and a second transfer
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Uniform:
+    """Uniform law on [lower, upper]: all of its untruncated self, so its
+    ``truncation_mass`` is 1."""
+
+    lower: float
+    upper: float
+    truncation_mass = 1.0
+
+    def __post_init__(self):
+        if not (np.isfinite(self.lower) and np.isfinite(self.upper)
+                and self.lower < self.upper):
+            raise ConfigurationError("uniform law requires finite lower < upper")
+
+    def quantile(self, p: float) -> float:
+        return self.lower + (self.upper - self.lower) * p
+
+    def density(self, u):
+        u = np.asarray(u, dtype=np.float64)
+        inside = (u >= self.lower) & (u <= self.upper)
+        return np.where(inside, 1.0 / (self.upper - self.lower), 0.0)
+
+    def cdf(self, u: float) -> float:
+        """P(U <= u) for u on the support."""
+        return (u - self.lower) / (self.upper - self.lower)
+
+
+@dataclass(frozen=True)
+class GbmTransition:
+    """S(T) | S(t) = s is log-normal with log-mean ln s - sigma^2 (T-t)/2."""
+
+    t: float
+    T: float
+    sigma: float
+
+    def __post_init__(self):
+        if not (0 <= self.t < self.T):
+            raise ConfigurationError("transition: requires 0 <= t < T")
+        if not (self.sigma > 0):
+            raise ConfigurationError("transition: requires sigma > 0")
+
+
+def gbm_basis_condexp(transition: GbmTransition, basis: SieveBasis, state) -> np.ndarray:
+    """``reglater.basis_condexp`` under a log-normal transition: partial
+    moments on log-space edges."""
+    spot = np.atleast_1d(np.asarray(state, dtype=np.float64))
+    v = transition.sigma * np.sqrt(transition.T - transition.t)
+    edges = basis.partition.edges
+    if np.any(edges <= 0):
+        raise ConfigurationError("gbm transfer needs a positive basis domain")
+    if np.any(spot <= 0):
+        raise ConfigurationError("gbm state must be positive")
+    m = np.log(spot) - 0.5 * v * v
+    a = (np.log(edges[:-1])[None, :] - m[:, None]) / v
+    b = (np.log(edges[1:])[None, :] - m[:, None]) / v
+    mass = ndtr_array(b) - ndtr_array(a)
+    level = spot[:, None] * (ndtr_array(b - v) - ndtr_array(a - v))  # E[S 1_bin | state]
+    out = np.empty((spot.size, basis.dim))
+    out[:, 0::2] = basis.norm0[None, :] * mass
+    out[:, 1::2] = basis.norm1[None, :] * (level - basis.centers[None, :] * mass)
+    return out[0] if np.ndim(state) == 0 else out
+
+
+# ---------------------------------------------------------------------------
+# Gram checks
+# ---------------------------------------------------------------------------
+
+def quadrature_gram(basis: SieveBasis, dist, nodes_per_bin: int = 64) -> np.ndarray:
+    """Full 2K x 2K Gram matrix by per-bin Gauss-Legendre integration.
+
+    Numeric check of the normalization at one fixed order: cross-bin entries
+    are structurally zero (disjoint supports), within-bin entries are
+    integrated against the density.
+    """
+    K = basis.K
+    u, w = (a.reshape(K, nodes_per_bin) for a in bin_quadrature(basis, dist, nodes_per_bin))
+    e0 = basis.norm0[:, None]
+    e1 = basis.norm1[:, None] * (u - basis.centers[:, None])
+    G = np.zeros((2 * K, 2 * K))
+    i = 2 * np.arange(K)
+    G[i, i] = np.sum(w * e0 * e0, axis=1)
+    G[i, i + 1] = G[i + 1, i] = np.sum(w * e0 * e1, axis=1)
+    G[i + 1, i + 1] = np.sum(w * e1 * e1, axis=1)
+    return G
+
+
+def gram_diagnostics(basis: SieveBasis, sample) -> GramDiagnostics:
+    """Frobenius distance of the sample Gram matrix from the identity and its
+    smallest eigenvalue.  The Gram is block-diagonal (disjoint bin supports),
+    so both statistics reduce to per-bin 2x2 blocks."""
+    u = (sample.feature_column() if isinstance(sample, SampleSet)
+         else np.asarray(sample, dtype=np.float64))
+    n = u.shape[0]
+    if n < basis.dim:
+        warnings.warn(f"sample size {n} below basis dimension {basis.dim}: "
+                      "Gram matrix is rank deficient", RuntimeWarning, stacklevel=2)
+    qr = _kernels.binned_qr(basis.partition.edges, basis.centers,
+                            basis.norm0, basis.norm1, u, np.zeros(n), [n])
+    return GramDiagnostics(*map(float, _block_stats(_gram_blocks_from_qr(qr.R[0], n))))
+
+
+# ---------------------------------------------------------------------------
+# unconditioned draws and the Jensen check
+# ---------------------------------------------------------------------------
+
+def terminal_drawer(feat: FeatureSpec):
+    """Closure drawing m terminal values W(eval_time) from a generator."""
+    scale = np.sqrt(feat.eval_time)
+    return lambda gen, m: scale * gen.standard_normal(m)
+
+
+def simulate_terminal(feat: FeatureSpec, n: int, seed: int):
+    """n i.i.d. draws of the feature value; deterministic in (spec, n, seed).
+    A ``terminal`` feature gives a ``SampleSet``; ``pair_u_T`` gives the
+    arrays ``(states, continuations)`` of ``(W_u, W_T)``."""
+    if n < 1:
+        raise ConfigurationError("n: must be >= 1")
+    if feat.kind == "pair_u_T":
+        u, t = feat.intermediate_time, feat.eval_time
+        z1 = rng.block_standard_normal(n, seed, "pair-u")
+        z2 = rng.block_standard_normal(n, seed, "pair-T")
+        w_u = np.sqrt(u) * z1
+        return w_u, w_u + np.sqrt(t - u) * z2
+    return SampleSet(rng.block_map(n, terminal_drawer(feat), seed, "terminal", feat.kind))
+
+
+class JensenViolationError(Exception):
+    """Sample estimate violates the conditional-expectation inequality."""
+
+
+class JensenCheck(NamedTuple):
+    mse_cond: float
+    mse_payoff: float
+    mse_payoff_stderr: float
+
+
+def jensen_check(fit: FitResult, basis: SieveBasis, transition: BrownianTransition,
+                 payoff: PayoffSpec, states, continuations, payoffs,
+                 truth=None) -> JensenCheck:
+    """Check that conditioning can only shrink the mean-square error.
+
+    ``states`` at t, matched time-T ``continuations`` and the ``payoffs`` of
+    those.  Estimates E[(g_t - E[ghat | F_t])^2] and E[(X - ghat)^2] on the
+    same draws and raises if the first exceeds the second by more than three
+    standard errors of the payoff-space estimate.  ``truth`` overrides the
+    oracle with a callable on states (needed when the payoff is an in-span
+    function with no named oracle).
+    """
+    states = np.asarray(states, dtype=np.float64)
+    n = states.size
+
+    fitted = predict(basis, fit.coefficients, continuations)
+    sq_pay = (np.asarray(payoffs, dtype=np.float64) - fitted) ** 2
+    mse_payoff = float(np.mean(sq_pay))
+    stderr = float(np.std(sq_pay, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+
+    estimate = condexp_estimate(transition, basis, fit.coefficients, states)
+    if truth is None:
+        target = oracle_conditional(payoff, transition.t, transition.T, states)
+    else:
+        target = np.asarray(truth(states), dtype=np.float64)
+    mse_cond = float(np.mean((target - estimate) ** 2))
+
+    if mse_cond > mse_payoff + 3.0 * stderr:
+        raise JensenViolationError(
+            f"conditional MSE {mse_cond:.6g} exceeds payoff MSE {mse_payoff:.6g} "
+            f"+ 3 x {stderr:.2g}")
+    return JensenCheck(mse_cond, mse_payoff, stderr)

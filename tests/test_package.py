@@ -1,4 +1,5 @@
 """The package namespace and what importing it loads."""
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -93,6 +94,30 @@ def test_every_exported_name_is_its_defining_modules_attribute():
     for name in reglater.__all__:
         module = importlib.import_module(f"reglater.{reglater._EXPORTS.get(name, 'errors')}")
         assert getattr(reglater, name) is getattr(module, name), name
+
+
+def _names_used(tree: ast.AST) -> set[str]:
+    """Names a module reads: bare names, attributes and imported names."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+    return used
+
+
+def test_every_exported_name_is_used_inside_the_package():
+    # the package exports what its verbs run; a name only tests reach
+    # belongs in tests/reference.py
+    package = Path(reglater.__file__).resolve().parent
+    used = set()
+    for path in package.glob("*.py"):
+        if path.name != "__init__.py":
+            used |= _names_used(ast.parse(path.read_text(), str(path)))
+    assert sorted(set(reglater._EXPORTS) - used) == []
 
 
 def test_dir_lists_every_exported_name_and_submodule():

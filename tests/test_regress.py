@@ -5,10 +5,9 @@ from hypothesis import strategies as st
 
 import reglater as rl
 from reglater import _kernels
-from reglater.distributions import Uniform
 from reglater.errors import ConfigurationError, DegenerateDesignError
 from conftest import slope_of
-from reference import eval_basis, first_fit, fit_json_dict, ols_fit
+from reference import Uniform, eval_basis, first_fit, fit_json_dict, ols_fit, simulate_terminal
 
 
 def _tanh_sample(law, n, seed):
@@ -158,11 +157,8 @@ def test_later_residual_variance_vanishes_jointly(w10_law, basis_cache):
 
 
 def test_later_requires_univariate_payoff_bearing_sample(basis_cache):
-    feat = rl.FeatureSpec("pair_u_T", 10.0, intermediate_time=1.0)
-    s = rl.simulate_terminal(feat, 100, seed=1)
-    with pytest.raises(ConfigurationError):
-        rl.regress_later_fit(s.with_payoffs(np.zeros(100)), basis_cache(4))
-    term = rl.simulate_terminal(rl.FeatureSpec("terminal", 10.0), 100, seed=1)
+    # a two-column sample is refused when it is built (test_model)
+    term = simulate_terminal(rl.FeatureSpec("terminal", 10.0), 100, seed=1)
     with pytest.raises(ConfigurationError):
         rl.regress_later_fit(term, basis_cache(4))  # no payoffs attached
 

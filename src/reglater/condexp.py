@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._normal import ndtr_array, phi
+from ._normal import ndtr, phi
 from .basis import SieveBasis
 from .errors import ConfigurationError
 
@@ -43,7 +43,7 @@ def basis_condexp(transition: BrownianTransition, basis: SieveBasis, state) -> n
     edges = basis.partition.edges
     alpha = (edges[:-1][None, :] - mu[:, None]) / s
     beta = (edges[1:][None, :] - mu[:, None]) / s
-    mass = ndtr_array(beta) - ndtr_array(alpha)
+    mass = ndtr(beta) - ndtr(alpha)
     first = (mu[:, None] - basis.centers[None, :]) * mass + s * (phi(alpha) - phi(beta))
     out = np.empty((mu.size, basis.dim))
     out[:, 0::2] = basis.norm0[None, :] * mass

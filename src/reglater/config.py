@@ -55,6 +55,14 @@ MAX_POINT_PROPOSALS = 2**26
 # pairs; 150 and 230 B traced by tracemalloc) at 1, 2 or 8 workers on a
 # 2-vCPU x86-64 VM: about 0.16-0.26 GB per point at the cap.
 MAX_REPETITIONS = 10**6
+# Most bins of a basis (K, in K_list or basis-dump -K).  The gate builds every
+# basis a sweep fits on before it samples, at about 3.8 KB of RSS per bin:
+# validate-config took 0.36 s and 74 MB at K = 10,000, 1.7 s and 287 MB at
+# K = 65,536 and 3.1 s and 417 MB at K = 100,000 on a 2-vCPU x86-64 VM.  The
+# sample cap alone admits K up to 2**24, and by extrapolation an 8 GB host
+# runs out of memory from about K = 2,000,000; the cap keeps one basis under
+# 0.3 GB.
+MAX_BINS = 2**16
 # Most worker threads (``reglater run --workers``).  The pool starts a thread per
 # submitted task up to ``workers``, so an uncapped count near the task count (up to
 # MAX_REPETITIONS per point) asks for more threads than a Linux host allows (a few
@@ -167,7 +175,9 @@ def checked_basis(config: ExperimentConfig, dist: TruncatedNormal, K: int) -> Si
     """The basis at ``K`` on ``dist``, one of the fit laws of ``config``,
     once the checks a sweep makes on it pass: it is built and its
     ``h_tilde`` is finite.  ``ConfigurationError`` naming the field
-    otherwise."""
+    otherwise, before any build where ``K`` exceeds ``MAX_BINS``."""
+    if K > MAX_BINS:
+        raise ConfigurationError(f"K: {K} bins exceed the cap of {MAX_BINS}")
     try:
         basis = _basis(dist, K)
     except BasisConstructionError as exc:

@@ -1,9 +1,9 @@
 """The feature law the sieve basis is built on.
 
-Every sweep fits on one law: a normal truncated to a compact interval.  It
-has a quantile for the bin edges, a CDF for the bins' masses, and a density
-that every per-bin integral (the basis's moments, its projection and its
-error) is taken against by quadrature.
+Every sweep fits on one law: the centred normal of Brownian motion at one
+date, truncated to a compact interval.  It has a quantile for the bin edges,
+a CDF for the bins' masses, a mass (the sampler's acceptance rate), and a
+density that every per-bin integral is taken against by quadrature.
 """
 from __future__ import annotations
 
@@ -18,9 +18,8 @@ from .errors import ConfigurationError
 
 @dataclass(frozen=True)
 class TruncatedNormal:
-    """N(mean, var) conditioned on [lower, upper] (the truncated law itself)."""
+    """N(0, var) conditioned on [lower, upper] (the truncated law itself)."""
 
-    mean: float
     var: float
     lower: float
     upper: float
@@ -30,8 +29,7 @@ class TruncatedNormal:
             raise ConfigurationError("truncated normal requires var > 0")
         if not (np.isfinite(self.lower) and np.isfinite(self.upper) and self.lower < self.upper):
             raise ConfigurationError("truncated normal requires finite lower < upper")
-        mass = self._f2 - self._f1
-        if mass <= 0:
+        if self.truncation_mass <= 0:
             raise ConfigurationError("truncation interval carries no probability mass")
 
     # The law's constants are computed once per instance (fields are frozen;
@@ -41,29 +39,24 @@ class TruncatedNormal:
         return float(np.sqrt(self.var))
 
     @cached_property
-    def _f1(self) -> float:
-        return ndtr((self.lower - self.mean) / self.sigma)
-
-    @cached_property
-    def _f2(self) -> float:
-        return ndtr((self.upper - self.mean) / self.sigma)
+    def _ends(self) -> list[float]:
+        """The untruncated CDF at ``lower`` and at ``upper``."""
+        return ndtr(np.array([self.lower, self.upper]) / self.sigma).tolist()
 
     @cached_property
     def truncation_mass(self) -> float:
         """Mass of [lower, upper] under the untruncated normal."""
-        return self._f2 - self._f1
+        return self._ends[1] - self._ends[0]
 
     def quantile(self, p: float) -> float:
-        level = self._f1 + p * (self._f2 - self._f1)
-        return self.mean + self.sigma * ndtri(level)
+        return self.sigma * ndtri(self._ends[0] + p * self.truncation_mass)
 
     def density(self, u):
         u = np.asarray(u, dtype=np.float64)
         inside = (u >= self.lower) & (u <= self.upper)
-        vals = phi((u - self.mean) / self.sigma) / (self.sigma * self.truncation_mass)
+        vals = phi(u / self.sigma) / (self.sigma * self.truncation_mass)
         return np.where(inside, vals, 0.0)
 
-    def cdf(self, u: float) -> float:
-        """P(U <= u) for u on the support."""
-        return (ndtr((u - self.mean) / self.sigma) - self._f1) / self.truncation_mass
-
+    def cdf(self, u) -> np.ndarray:
+        """P(U <= u), elementwise, for u on the support."""
+        return (ndtr(np.divide(u, self.sigma)) - self._ends[0]) / self.truncation_mass

@@ -123,8 +123,8 @@ def _checked_payoffs(payoffs, n: int) -> np.ndarray:
 
 def simulate_conditional(law: TruncatedNormal, n: int, seed: int, *,
                          first_block: int = 0) -> SampleSet:
-    """Draws of a centred normal conditioned on ``[law.lower, law.upper]``,
-    via rejection from the untruncated ``N(0, law.var)``.
+    """Draws of ``law`` via rejection from the untruncated ``N(0, law.var)``,
+    whose acceptance rate is ``law.truncation_mass``.
 
     With ``first_block=j`` the draws start at ``rng`` block ``j``: block ``j``
     of an ``n``-sample draw, alone, is the call with ``min(rng.BLOCK_SIZE,
@@ -132,8 +132,6 @@ def simulate_conditional(law: TruncatedNormal, n: int, seed: int, *,
     """
     if n < 1:
         raise ConfigurationError("n: must be >= 1")
-    if law.mean != 0:  # every Brownian feature law is centred
-        raise ConfigurationError(f"law.mean: conditioning needs a centred law, got {law.mean!r}")
     if law.truncation_mass < MIN_CONDITIONAL_MASS:
         raise SamplingError(f"domain mass {law.truncation_mass:g} below "
                             f"{MIN_CONDITIONAL_MASS:g}; rejection would stall")
@@ -141,7 +139,7 @@ def simulate_conditional(law: TruncatedNormal, n: int, seed: int, *,
     draw = lambda gen, m: sigma * gen.standard_normal(m)
     accept = lambda u: (u >= lower) & (u <= upper)
     vals, proposals = rng.block_rejection(n, draw, accept, seed, "conditional", "terminal",
-                                          first_block=first_block)
+                                          rate=law.truncation_mass, first_block=first_block)
     return SampleSet(vals, meta={"proposals": proposals, "acceptance_rate": n / proposals})
 
 
@@ -153,4 +151,4 @@ def truncated_feature_law(feat: FeatureSpec, epsilon: float) -> TruncatedNormal:
     if not (0 < epsilon < 1):
         raise ConfigurationError("epsilon: must lie in (0, 1)")
     half = ndtri(1.0 - epsilon / 2.0) * float(np.sqrt(feat.eval_time))
-    return TruncatedNormal(0.0, feat.eval_time, -half, half)
+    return TruncatedNormal(feat.eval_time, -half, half)

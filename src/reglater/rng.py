@@ -17,6 +17,12 @@ the call with ``min(BLOCK_SIZE, n - j * BLOCK_SIZE)`` draws and
 ``first_block=j``, bit-identical to the slice of the one-shot call.  This is
 how a repetition streams through sampling and fitting in O(``BLOCK_SIZE``)
 memory.
+
+Rejection sampling reads each block's candidate sequence in rounds sized
+from the acceptance rate the caller states (the feature sampler states its
+law's truncation mass): enough proposals for the rest of the block's quota
+with three binomial standard deviations to spare, and at most a block.  The
+rate only decides where the sequence is cut, so no sample depends on it.
 """
 from __future__ import annotations
 
@@ -25,7 +31,6 @@ import math
 import numpy as np
 
 BLOCK_SIZE = 1 << 16
-MIN_ROUND = 64  # smallest rejection round, so a block's tail is not drawn in tiny rounds
 KEY_INT_BITS = 128  # an integer key part is hashed as this many bits, signed
 
 
@@ -88,36 +93,32 @@ def block_standard_normal(n: int, *parts, first_block: int = 0) -> np.ndarray:
     return block_map(n, lambda gen, m: gen.standard_normal(m), *parts, first_block=first_block)
 
 
-def _round_size(need: int, hits: int, drawn: int) -> int:
-    """Proposals for the next rejection round of a block.
-
-    Enough for ``need`` more hits with three binomial standard deviations to
-    spare at the acceptance seen so far in the block (``hits`` of ``drawn``,
-    taken as 1 before the first round), within ``[MIN_ROUND, BLOCK_SIZE]``.
-    Until the block has a hit there is no estimate, so a full block is drawn.
-    """
-    if drawn and not hits:
-        return BLOCK_SIZE
-    rate = hits / drawn if drawn else 1.0
+def _round_size(need: int, rate: float) -> int:
+    """Proposals for the next rejection round of a block: enough for ``need``
+    more hits at acceptance ``rate``, with three binomial standard deviations
+    to spare, and at most a block."""
     m = (need + 3.0 * math.sqrt(need * (1.0 - rate))) / rate
-    return min(BLOCK_SIZE, max(MIN_ROUND, math.ceil(m)))
+    return min(BLOCK_SIZE, math.ceil(m))
 
 
-def block_rejection(n: int, propose, accept, *parts,
+def block_rejection(n: int, propose, accept, *parts, rate: float,
                     first_block: int = 0) -> tuple[np.ndarray, int]:
     """Rejection-sample ``n`` values with per-block substreams.
 
     ``propose(gen, m)`` draws ``m`` candidates and must be prefix-consistent
     like ``block_map``'s ``draw_block``; ``accept(values)`` returns a boolean
-    mask.  Block ``j`` (quota ``min(BLOCK_SIZE, n - j * BLOCK_SIZE)``) reads
-    one candidate sequence from substream ``(*parts, first_block + j)`` in
-    rounds sized to the remaining quota, and keeps its first ``quota``
+    mask, true for a share ``rate`` in (0, 1] of the candidates.  Block ``j``
+    (quota ``min(BLOCK_SIZE, n - j * BLOCK_SIZE)``) reads one candidate
+    sequence from substream ``(*parts, first_block + j)`` in rounds sized
+    from ``rate`` to the remaining quota, and keeps its first ``quota``
     accepted candidates.  The round sizes only decide where that sequence is
     cut, so sample ``i`` depends only on ``(parts, first_block + i //
-    BLOCK_SIZE)``.  Returns ``(samples, proposals_used)``, counting the
-    candidates examined: each block's sequence up to and including its last
-    kept candidate.
+    BLOCK_SIZE)``, and the samples are the same for any ``rate``.  Returns
+    ``(samples, proposals_used)``, counting the candidates examined: each
+    block's sequence up to and including its last kept candidate.
     """
+    if not 0.0 < rate <= 1.0:
+        raise ValueError(f"rate must lie in (0, 1], got {rate!r}")
     out = []
     proposals = 0
     done = 0
@@ -127,10 +128,8 @@ def block_rejection(n: int, propose, accept, *parts,
         gen = substream(*parts, block)
         got = []
         have = 0
-        drawn = 0
         while have < quota:
-            cand = np.asarray(propose(gen, _round_size(quota - have, have, drawn)),
-                              dtype=np.float64)
+            cand = np.asarray(propose(gen, _round_size(quota - have, rate)), dtype=np.float64)
             hits = np.nonzero(accept(cand))[0]
             if have + hits.size >= quota:
                 need = quota - have
@@ -141,7 +140,6 @@ def block_rejection(n: int, propose, accept, *parts,
                 proposals += cand.size
                 got.append(cand[hits])
                 have += hits.size
-            drawn += cand.size
         out.append(got[0] if len(got) == 1 else np.concatenate(got))
         done += quota
         block += 1

@@ -2,7 +2,9 @@
 
 No rendering dependency: the output is assembled as plain XML so it can be
 diffed in tests.  One polyline per data series, plus a straight reference
-guide of slope -4 through the first MSE point.
+guide of a given slope through (twice) the first point of one series: slope
+-4 through the MSE of a plain report, -1 through the Regress-Now MSE of a
+paired one.
 """
 from __future__ import annotations
 
@@ -10,11 +12,13 @@ import math
 
 WIDTH, HEIGHT = 640, 480
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 20, 50
+# series name: (colour, line style)
 SERIES_STYLE = {
-    "mse_mean": 'fill="none" stroke="#1f77b4" stroke-width="2"',
-    "approx_l2": 'fill="none" stroke="#7f7f7f" stroke-width="1.5" stroke-dasharray="6 3"',
+    "mse_mean": ("#1f77b4", 'stroke-width="2"'),
+    "approx_l2": ("#7f7f7f", 'stroke-width="1.5" stroke-dasharray="6 3"'),
+    "mse_later_mean": ("#1f77b4", 'stroke-width="2"'),
+    "mse_now_mean": ("#ff7f0e", 'stroke-width="2"'),
 }
-GUIDE_SLOPE = -4.0
 
 
 def escape(text: str) -> str:
@@ -29,26 +33,28 @@ def _decades(lo: float, hi: float) -> list[int]:
 
 
 def render_loglog(xs: list[float], series: dict[str, list[float]], x_label: str,
-                  title: str = "") -> str:
-    """Log-log chart of each series against xs, with the slope -4 guide."""
+                  guide: tuple[str, float] = ("mse_mean", -4.0), title: str = "") -> str:
+    """Log-log chart of each series against xs, with a guide of slope
+    ``guide[1]`` through twice the first point of series ``guide[0]``."""
     if len(xs) < 2:
         raise ValueError("need at least two points to draw a line")
     pts = {
         name: [(x, y) for x, y in zip(xs, ys) if y is not None and y > 0 and math.isfinite(y)]
         for name, ys in series.items()
     }
-    if not pts.get("mse_mean"):
-        raise ValueError("no positive mse values to plot")
+    guided, slope = guide
+    if not pts.get(guided):
+        raise ValueError(f"no positive {guided} values to plot")
     all_x = [x for p in pts.values() for x, _ in p]
     all_y = [y for p in pts.values() for _, y in p]
     lx0, lx1 = math.log10(min(all_x)), math.log10(max(all_x))
     ly0, ly1 = math.log10(min(all_y)), math.log10(max(all_y))
 
-    # guide through twice the first mse point, clipped to the x range
-    gx0, gy0 = pts["mse_mean"][0]
-    guide = [(x, 2.0 * gy0 * (x / gx0) ** GUIDE_SLOPE) for x in (min(all_x), max(all_x))]
-    ly0 = min(ly0, math.log10(min(y for _, y in guide)))
-    ly1 = max(ly1, math.log10(max(y for _, y in guide)))
+    # the guide, clipped to the x range
+    gx0, gy0 = pts[guided][0]
+    line = [(x, 2.0 * gy0 * (x / gx0) ** slope) for x in (min(all_x), max(all_x))]
+    ly0 = min(ly0, math.log10(min(y for _, y in line)))
+    ly1 = max(ly1, math.log10(max(y for _, y in line)))
     if lx1 - lx0 < 1e-12:
         lx1 = lx0 + 1.0
     if ly1 - ly0 < 1e-12:
@@ -87,19 +93,19 @@ def render_loglog(xs: list[float], series: dict[str, list[float]], x_label: str,
         if len(p) < 2:
             continue
         coords = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in p)
-        parts.append(f'<polyline points="{coords}" {SERIES_STYLE[name]}/>')
+        colour, style = SERIES_STYLE[name]
+        parts.append(f'<polyline points="{coords}" fill="none" stroke="{colour}" {style}/>')
 
-    (x0, y0), (x1, y1) = guide
+    (x0, y0), (x1, y1) = line
     parts.append(f'<line x1="{px(x0):.2f}" y1="{py(y0):.2f}" x2="{px(x1):.2f}" '
                  f'y2="{py(y1):.2f}" stroke="#d62728" stroke-width="1" stroke-dasharray="2 3"/>')
     parts.append(f'<text x="{px(x1) - 8:.1f}" y="{py(y1) - 6:.1f}" font-size="12" '
-                 f'fill="#d62728" text-anchor="end">slope -4</text>')
+                 f'fill="#d62728" text-anchor="end">slope {slope:g}</text>')
 
-    legend_y = MARGIN_T + 14
-    parts.append(f'<text x="{WIDTH - MARGIN_R - 10}" y="{legend_y}" font-size="12" '
-                 f'text-anchor="end" fill="#1f77b4">mse_mean</text>')
-    parts.append(f'<text x="{WIDTH - MARGIN_R - 10}" y="{legend_y + 16}" font-size="12" '
-                 f'text-anchor="end" fill="#7f7f7f">approx_l2</text>')
+    for i, name in enumerate(series):
+        parts.append(f'<text x="{WIDTH - MARGIN_R - 10}" y="{MARGIN_T + 14 + 16 * i}" '
+                     f'font-size="12" text-anchor="end" fill="{SERIES_STYLE[name][0]}">'
+                     f'{name}</text>')
     parts.append(f'<text x="{(MARGIN_L + WIDTH - MARGIN_R) / 2:.1f}" y="{HEIGHT - 12}" '
                  f'font-size="13" text-anchor="middle">{escape(x_label)} (log scale)</text>')
     if title:

@@ -27,7 +27,7 @@ import scipy.linalg
 
 from reglater import _kernels, rng
 from reglater._kernels import BinnedQR
-from reglater._normal import ndtr_array
+from reglater._normal import ndtr
 from reglater.basis import (QUAD_TOL, BinPartition, GramDiagnostics, SieveBasis,
                             _block_stats, _gram_blocks_from_qr, bin_quadrature,
                             gauss_legendre)
@@ -223,8 +223,8 @@ def gbm_basis_condexp(transition: GbmTransition, basis: SieveBasis, state) -> np
     m = np.log(spot) - 0.5 * v * v
     a = (np.log(edges[:-1])[None, :] - m[:, None]) / v
     b = (np.log(edges[1:])[None, :] - m[:, None]) / v
-    mass = ndtr_array(b) - ndtr_array(a)
-    level = spot[:, None] * (ndtr_array(b - v) - ndtr_array(a - v))  # E[S 1_bin | state]
+    mass = ndtr(b) - ndtr(a)
+    level = spot[:, None] * (ndtr(b - v) - ndtr(a - v))  # E[S 1_bin | state]
     out = np.empty((spot.size, basis.dim))
     out[:, 0::2] = basis.norm0[None, :] * mass
     out[:, 1::2] = basis.norm1[None, :] * (level - basis.centers[None, :] * mass)

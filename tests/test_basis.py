@@ -25,7 +25,7 @@ def test_uniform_partition_quantile_edges():
 
 def test_symmetric_truncnorm_middle_edge_is_zero():
     a = 3.0 * np.sqrt(10.0)
-    dist = rl.TruncatedNormal(0.0, 10.0, -a, a)
+    dist = rl.TruncatedNormal(10.0, -a, a)
     part = rl.build_partition(dist, 2)
     assert abs(part.edges[1]) < 1e-12
 
@@ -54,7 +54,7 @@ def test_uniform_centers_and_norms(K):
 def test_far_tail_window_builds_an_orthonormal_basis():
     # a window 29 sd into the tail, finely split: each bin's moments are
     # integrated about its own center, so nothing cancels against the far mean
-    dist = rl.TruncatedNormal(0.0, 1.0, -30.0, -29.0)
+    dist = rl.TruncatedNormal(1.0, -30.0, -29.0)
     basis = rl.build_basis(dist, 256)
     assert np.max(np.abs(quadrature_gram(basis, dist) - np.eye(512))) <= 1e-9
 

@@ -12,8 +12,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from reglater import cli, harness, rng, svgplot
-from reglater.config import (MAX_POINT_PROPOSALS, MAX_POINT_SAMPLES, MAX_REPETITIONS,
-                             MAX_WORKERS, load_config, validate_config_dict)
+from reglater import config as config_mod
+from reglater.config import (MAX_BINS, MAX_POINT_PROPOSALS, MAX_POINT_SAMPLES,
+                             MAX_REPETITIONS, MAX_WORKERS, load_config, validate_config_dict)
 from reglater.errors import ConfigurationError, SamplingError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -522,6 +523,21 @@ def test_plot_rejects_wrong_header(tmp_path, capsys):
     assert cli.main(["plot", str(csv), "-o", str(tmp_path / "x.svg")]) == 2
 
 
+def test_plot_verb_draws_a_paired_report(tmp_path, capsys):
+    # both MSEs against N, with the slope -1 guide of Regress-Now's K/N floor
+    path = tmp_path / "paired.json"
+    path.write_text(json.dumps(TINY_PAIRED_CONFIG))
+    outdir = tmp_path / "out"
+    assert cli.main(["run", str(path), "-o", str(outdir), "--set", "repetitions=2"]) == 0
+    svg = tmp_path / "paired.svg"
+    assert cli.main(["plot", str(outdir / "report.csv"), "-o", str(svg)]) == 0
+    root = ET.fromstring(svg.read_text())
+    ns = "{http://www.w3.org/2000/svg}"
+    assert len(root.findall(f".//{ns}polyline")) == 2
+    labels = [el.text for el in root.findall(f".//{ns}text")]
+    assert {"mse_later_mean", "mse_now_mean", "slope -1", "N (log scale)"} <= set(labels)
+
+
 # ---------------------------------------------------------------------------
 # output paths that cannot be written, and basis-dump's per-K checks
 # ---------------------------------------------------------------------------
@@ -600,6 +616,24 @@ def test_basis_dump_refuses_a_K_the_gate_refuses(capsys):
     assert capsys.readouterr() == ("", gate)
 
 
+def test_a_K_above_the_bin_cap_exits_2_before_any_build(capsys, monkeypatch):
+    fig2 = str(CONFIG_DIR / "figure2.json")
+    dump = ["basis-dump", fig2, "--set", "K_list=[4]", "-K", str(MAX_BINS + 1)]
+    assert cli.main(["validate-config", fig2, "--set", "K_list=[4]"]) == 0  # caches the K = 4 basis
+
+    def no_build(*args):
+        raise AssertionError("built a basis")
+
+    monkeypatch.setattr(config_mod, "build_basis", no_build)
+    capsys.readouterr()
+    assert cli.main(["validate-config", fig2, "--set", f"K_list=[{MAX_BINS + 1}]",
+                     "--set", f"N_list=[{4 * MAX_BINS}]"]) == 2
+    gate = capsys.readouterr().err
+    assert f"config error: K: {MAX_BINS + 1} bins exceed the cap of {MAX_BINS}" in gate
+    assert cli.main(dump) == 2
+    assert capsys.readouterr() == ("", gate)
+
+
 def test_basis_dump_builds_a_fine_basis(capsys):
     # 1024 bins of the shipped law: each bin's moments are integrated about its own center
     assert cli.main(["basis-dump", str(CONFIG_DIR / "figure1.json"), "-K", "1024"]) == 0
@@ -668,3 +702,29 @@ def test_import_config_and_runs_load_no_scipy(tmp_path):
                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert out.stdout.strip().splitlines()[-1] == "[]"
     assert (tmp_path / "now_vs_later_fixed" / "report.csv").is_file()
+
+
+OPENSSL_CHILD = """
+import sys
+from pathlib import Path
+import reglater.cli
+config, out = sys.argv[1], Path(sys.argv[2])
+assert reglater.cli.main(["validate-config", config]) == 0
+assert reglater.cli.main(["basis-dump", config, "-K", "8", "-o", str(out / "basis.json")]) == 0
+print(sorted(m for m in ("_hashlib", "hashlib", "hmac") if m in sys.modules))
+"""
+
+
+def test_validate_and_basis_dump_load_no_openssl(tmp_path):
+    # hashlib loads OpenSSL; only drawing samples (rng.philox_key) needs it
+    import subprocess
+    import sys
+
+    import reglater
+
+    src = str(Path(reglater.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", OPENSSL_CHILD, str(CONFIG_DIR / "figure1.json"),
+                          str(tmp_path)], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert out.stdout.strip().splitlines()[-1] == "[]"
+    assert (tmp_path / "basis.json").is_file()

@@ -88,7 +88,7 @@ def test_conditional_acceptance_rate_matches_mass(w10_law):
 
 
 def test_conditional_stays_inside_domain():
-    law = rl.TruncatedNormal(0.0, 10.0, -1.0, 2.0)
+    law = rl.TruncatedNormal(10.0, -1.0, 2.0)
     s = rl.simulate_conditional(law, 30_000, seed=8)
     w = s.feature_column()
     assert w.min() >= law.lower and w.max() <= law.upper
@@ -121,21 +121,15 @@ def test_conditional_symmetric_mean(w10_law):
 
 
 def test_tiny_mass_is_refused():
-    law = rl.TruncatedNormal(0.0, 10.0, 12.0, 12.001)
+    law = rl.TruncatedNormal(10.0, 12.0, 12.001)
     assert law.truncation_mass < rl.model.MIN_CONDITIONAL_MASS
     with pytest.raises(SamplingError):
         rl.simulate_conditional(law, 10, seed=0)
 
 
-def test_non_centred_law_is_refused():
-    # every Brownian feature law is centred; the sampler draws N(0, var)
-    with pytest.raises(ConfigurationError, match="law.mean"):
-        rl.simulate_conditional(rl.TruncatedNormal(1.0, 10.0, -1.0, 2.0), 10, seed=0)
-
-
 def test_truncated_feature_law_is_the_central_mass(terminal10):
     law = rl.truncated_feature_law(terminal10, 1e-4)
-    assert (law.mean, law.var, law.lower) == (0.0, 10.0, -law.upper)
+    assert (law.var, law.lower) == (10.0, -law.upper)
     assert law.truncation_mass == pytest.approx(1.0 - 1e-4, rel=1e-12)
     with pytest.raises(ConfigurationError, match="epsilon"):
         rl.truncated_feature_law(terminal10, 1.0)

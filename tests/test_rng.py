@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 from reglater import model, rng
 from reglater.model import FeatureSpec
@@ -42,8 +42,9 @@ def test_key_rejects_unhashable_types():
 def test_block_rejection_deterministic_and_within_bounds():
     propose = lambda gen, m: gen.standard_normal(m)
     accept = lambda v: (v >= -1.0) & (v <= 1.0)
-    vals1, used1 = rng.block_rejection(5000, propose, accept, 9, "rej")
-    vals2, used2 = rng.block_rejection(5000, propose, accept, 9, "rej")
+    rate = ndtr(1.0) - ndtr(-1.0)
+    vals1, used1 = rng.block_rejection(5000, propose, accept, 9, "rej", rate=rate)
+    vals2, used2 = rng.block_rejection(5000, propose, accept, 9, "rej", rate=rate)
     assert np.array_equal(vals1, vals2)
     assert used1 == used2
     assert vals1.size == 5000
@@ -148,13 +149,42 @@ def test_block_map_matches_full_block_reference(n):
 def test_block_rejection_matches_full_block_reference(n, p):
     cut = ndtri(p) if p < 1 else np.inf
     accept = lambda v: v <= cut
-    new, old = _Counted(), _Counted()
-    vals, used = rng.block_rejection(n, new, accept, 5, "rej", str(p))
+    old = _Counted()
     ref_vals, ref_used = _full_block_rejection(n, old, accept, 5, "rej", str(p))
-    assert np.array_equal(vals, ref_vals)
-    assert used == ref_used
-    # right-sizing may split a block's last full round, never much more
-    assert new.rounds <= old.rounds + 2
+    # the stated rate only decides where the candidate sequence is cut: the
+    # true p, p / 4 and min(1, 4 p) all give the reference's samples and count
+    for rate in (p, p / 4.0, min(1.0, 4.0 * p)):
+        new = _Counted()
+        vals, used = rng.block_rejection(n, new, accept, 5, "rej", str(p), rate=rate)
+        assert np.array_equal(vals, ref_vals)
+        assert used == ref_used
+        if rate == p:  # right-sizing may split a block's last full round, never much more
+            assert new.rounds <= old.rounds + 2
+
+
+@pytest.mark.parametrize("rate", (0.0, -0.5, 1.5, float("nan")))
+def test_block_rejection_refuses_a_rate_outside_0_1(rate):
+    with pytest.raises(ValueError, match="rate"):
+        rng.block_rejection(10, _Counted(), lambda v: v <= 0.0, 5, "rej", rate=rate)
+
+
+def test_conditional_partial_block_takes_one_round(monkeypatch):
+    # rounds sized from the law's mass (1 - 1e-4) draw a 20,000-sample block in
+    # one proposal call.  Sized from the hits seen so far, the first round asked
+    # for exactly 20,000 candidates, and at seed 0 some of those are rejected,
+    # so a second call followed.
+    law = model.truncated_feature_law(FeatureSpec("terminal", 10.0), 1e-4)
+    real, calls = rng.block_rejection, []
+
+    def counted(n, propose, *args, **kwargs):
+        def propose_counted(gen, m):
+            calls.append(m)
+            return propose(gen, m)
+        return real(n, propose_counted, *args, **kwargs)
+
+    monkeypatch.setattr(rng, "block_rejection", counted)
+    s = model.simulate_conditional(law, 20_000, seed=0)
+    assert s.n == 20_000 and len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -173,15 +203,18 @@ def test_first_block_calls_concatenate_to_the_one_shot_draw(n):
     one_shot = rng.block_map(n, draw, 5, "map")
     assert np.array_equal(np.concatenate(pieces), one_shot)
 
-    parts = [rng.block_rejection(min(size, n - lo), draw, accept, 5, "rej", first_block=lo // size)
+    rate = ndtr(0.3)
+    parts = [rng.block_rejection(min(size, n - lo), draw, accept, 5, "rej", rate=rate,
+                                 first_block=lo // size)
              for lo in starts]
-    vals, used = rng.block_rejection(n, draw, accept, 5, "rej")
+    vals, used = rng.block_rejection(n, draw, accept, 5, "rej", rate=rate)
     assert np.array_equal(np.concatenate([v for v, _ in parts]), vals)
     assert sum(p for _, p in parts) == used
 
     if n > size:  # an offset call spanning several blocks continues the draw
         assert np.array_equal(rng.block_map(n - size, draw, 5, "map", first_block=1),
                               one_shot[size:])
-        tail, tail_used = rng.block_rejection(n - size, draw, accept, 5, "rej", first_block=1)
+        tail, tail_used = rng.block_rejection(n - size, draw, accept, 5, "rej", rate=rate,
+                                              first_block=1)
         assert np.array_equal(tail, vals[size:])
         assert tail_used == used - parts[0][1]

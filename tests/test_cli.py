@@ -498,6 +498,23 @@ def test_basis_dump_verb(tiny_config_path, tmp_path, capsys):
     assert doc["norm0"][0] == pytest.approx(np.sqrt(8))
 
 
+# sha256 of the stdout of `reglater basis-dump <config> -K 8`: pins the edges,
+# centers, normalizations and domain of the basis byte for byte.  The two
+# digests agree because both configs fit the law of W at T = 10 at
+# domain_epsilon 1e-4 (the paired sweep's first law is its payoff date's).
+BASIS_DUMP_K8_SHA256 = {
+    "figure1": "f9cb887d24143b20d718ac3bc67e3ee1fdc9d9a083a55de6b58440b8d95b27dd",
+    "now_vs_later_fixed": "f9cb887d24143b20d718ac3bc67e3ee1fdc9d9a083a55de6b58440b8d95b27dd",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BASIS_DUMP_K8_SHA256))
+def test_basis_dump_golden_digest(name, capsys):
+    assert cli.main(["basis-dump", str(CONFIG_DIR / f"{name}.json"), "-K", "8"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == BASIS_DUMP_K8_SHA256[name]
+
+
 def test_plot_verb(tiny_config_path, tmp_path, capsys):
     outdir = tmp_path / "out"
     assert cli.main(["run", str(tiny_config_path), "-o", str(outdir)]) == 0

@@ -17,9 +17,9 @@ _ERRORS = ("BasisConstructionError", "ConfigurationError", "DegenerateDesignErro
 
 # public name -> the submodule that defines it
 _EXPORTS = {name: module for module, names in {
-    "basis": ("ApproxErrorMoments", "BinPartition", "SieveBasis", "approx_error_moments",
-              "bin_central_moments", "bin_moments", "bin_quadrature", "build_basis",
-              "build_partition", "h_tilde", "projection_coefficients"),
+    "basis": ("ApproxErrorMoments", "SieveBasis", "approx_error_moments",
+              "bin_central_moments", "bin_quadrature", "build_basis", "h_tilde",
+              "projection_coefficients"),
     "condexp": ("BrownianTransition", "basis_condexp", "condexp_estimate"),
     "config": ("ExperimentConfig",),
     "distributions": ("TruncatedNormal",),

@@ -95,9 +95,9 @@ class BinnedQR(NamedTuple):
     rss_outside: np.ndarray  # (fits,): sum of x^2 over out-of-domain samples (fit is 0 there)
 
 
-def binned_qr(edges, centers, norm0, norm1, u, x, sizes) -> BinnedQR:
+def binned_qr(edges, centers, norm1, u, x, sizes) -> BinnedQR:
     """Per-bin thin QR of the two-column design [e0, e1] against targets x,
-    with the residuals each fit leaves (see ``BinnedQR``).
+    with the residuals each fit leaves (see ``BinnedQR``); e0 = sqrt(K) on bin k.
 
     ``u`` and ``x`` hold ``len(sizes)`` fits back to back, ``sizes[f]``
     samples for fit ``f``; each fit's factors, counts and residuals are
@@ -109,7 +109,7 @@ def binned_qr(edges, centers, norm0, norm1, u, x, sizes) -> BinnedQR:
     linear column is degenerate).  Such a bin's fit uses e0 alone, hence the
     first residual.
     """
-    edges, centers, norm0, norm1, u, x = map(_f64, (edges, centers, norm0, norm1, u, x))
+    edges, centers, norm1, u, x = map(_f64, (edges, centers, norm1, u, x))
     nbins = centers.size
     per_fit = np.asarray(sizes, dtype=np.intp)
     if np.sum(per_fit) != u.size:
@@ -150,7 +150,7 @@ def binned_qr(edges, centers, norm0, norm1, u, x, sizes) -> BinnedQR:
     r22 = np.sqrt(s2[:, 0])
     linear = r22 > 0
     z2 = np.divide(s2[:, 1], r22, out=np.zeros_like(r22), where=linear)
-    R[full] = np.array((norm0[k] * sq, r12, r22)).T
+    R[full] = np.array((np.sqrt(nbins) * sq, r12, r22)).T
     z[full] = np.array((z1, z2)).T
 
     # residuals v = x - z1 q1 into row 1, and v - z2 q2 (= v where r22 = 0)

@@ -12,6 +12,7 @@ bin in one adaptive Gauss-Legendre loop, ``_adaptive_bin_quad``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -27,71 +28,55 @@ QUAD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class BinPartition:
-    """Equal-probability bin edges over the fit domain ``[edges[0], edges[-1]]``,
-    and that domain's mass under the untruncated law."""
+class SieveBasis:
+    """K equal-probability bins over the fit domain ``[edges[0], edges[-1]]``,
+    each bin's center and linear normalization, and the domain's mass under
+    the untruncated law.  The indicator normalization is ``norm0`` = sqrt(K)
+    on every bin."""
 
     edges: np.ndarray
-    K: int
+    centers: np.ndarray
+    norm1: np.ndarray
     mass: float
 
     def __post_init__(self):
-        edges = np.asarray(self.edges, dtype=np.float64)
-        if edges.ndim != 1 or edges.size != self.K + 1:
-            raise BasisConstructionError("partition: needs K+1 edges")
-        if not np.all(np.diff(edges) > 0):
-            raise BasisConstructionError("partition: edges must be strictly increasing")
+        edges, centers, norm1 = (np.asarray(a, dtype=np.float64)
+                                 for a in (self.edges, self.centers, self.norm1))
+        if edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) > 0):
+            raise BasisConstructionError("basis: needs K+1 strictly increasing edges, K >= 1")
         if not (0 < self.mass <= 1):
-            raise BasisConstructionError("partition: domain mass must lie in (0, 1]")
-        edges.setflags(write=False)
-        object.__setattr__(self, "edges", edges)
-
-
-@dataclass(frozen=True)
-class SieveBasis:
-    """Partition plus the per-bin centers and normalization constants."""
-
-    partition: BinPartition
-    centers: np.ndarray
-    norm0: np.ndarray
-    norm1: np.ndarray
-
-    def __post_init__(self):
-        K = self.partition.K
-        centers = np.asarray(self.centers, dtype=np.float64)
-        norm0 = np.asarray(self.norm0, dtype=np.float64)
-        norm1 = np.asarray(self.norm1, dtype=np.float64)
-        if centers.shape != (K,) or norm0.shape != (K,) or norm1.shape != (K,):
+            raise BasisConstructionError("basis: domain mass must lie in (0, 1]")
+        K = edges.size - 1
+        if centers.shape != (K,) or norm1.shape != (K,):
             raise BasisConstructionError("basis: per-bin arrays must have length K")
-        if not np.allclose(norm0, np.sqrt(K), rtol=0, atol=0):
-            raise BasisConstructionError("basis: indicator normalization must be sqrt(K)")
+        if not np.all((edges[:-1] <= centers) & (centers <= edges[1:])):
+            raise BasisConstructionError("basis: centers must lie inside their bins")
         if not np.all((norm1 > 0) & np.isfinite(norm1)):
             raise BasisConstructionError("basis: linear normalization must be positive and finite")
-        edges = self.partition.edges
-        if np.any(centers < edges[:-1]) or np.any(centers > edges[1:]):
-            raise BasisConstructionError("basis: centers must lie inside their bins")
-        for arr in (centers, norm0, norm1):
+        for name, arr in (("edges", edges), ("centers", centers), ("norm1", norm1)):
             arr.setflags(write=False)
-        object.__setattr__(self, "centers", centers)
-        object.__setattr__(self, "norm0", norm0)
-        object.__setattr__(self, "norm1", norm1)
+            object.__setattr__(self, name, arr)
 
     @property
     def K(self) -> int:
-        return self.partition.K
+        return self.edges.size - 1
 
     @property
     def dim(self) -> int:
-        return 2 * self.partition.K
+        return 2 * self.K
+
+    @property
+    def norm0(self) -> float:
+        return math.sqrt(self.K)
 
     def to_json_dict(self) -> dict:
-        edges = self.partition.edges.tolist()
+        edges = self.edges.tolist()
         return {
             "K": self.K,
-            "domain": {"a1": edges[0], "a2": edges[-1], "mass": self.partition.mass},
+            "domain": {"a1": edges[0], "a2": edges[-1], "mass": self.mass},
             "edges": edges,
             "centers": self.centers.tolist(),
-            "norm0": self.norm0.tolist(),
+            "norm0": [self.norm0] * self.K,
             "norm1": self.norm1.tolist(),
         }
 
@@ -99,44 +84,24 @@ class SieveBasis:
         return json.dumps(self.to_json_dict(), indent=indent)
 
 
-# ---------------------------------------------------------------------------
-# construction
-# ---------------------------------------------------------------------------
-
-def build_partition(dist: TruncatedNormal, K: int) -> BinPartition:
-    """Equal-probability edges from the law's inverse CDF, each bin's mass
-    checked against 1/K by CDF differences."""
+def build_basis(dist: TruncatedNormal, K: int) -> SieveBasis:
+    """The basis on K bins under ``dist``: equal-probability edges from the
+    law's inverse CDF, each bin's mass checked against 1/K by CDF
+    differences; each bin's center is its conditional mean m1 / m0, and its
+    ``norm1`` one over the root of its second moment about that center, both
+    by per-bin quadrature."""
     if K < 1:
         raise ConfigurationError("K: must be >= 1")
     edges = np.array([dist.quantile(k / K) for k in range(K + 1)])
     edges[0], edges[-1] = dist.lower, dist.upper  # pin the outer edges exactly
-    part = BinPartition(edges, K, dist.truncation_mass)
-    masses = np.diff(dist.cdf(edges))
-    if np.max(np.abs(masses - 1.0 / K)) > ANALYTIC_MASS_TOL:
-        raise BasisConstructionError(
-            f"partition masses deviate from 1/K by {np.max(np.abs(masses - 1.0/K)):.2e} "
-            f"(tolerance {ANALYTIC_MASS_TOL:.0e})")
-    return part
-
-
-def bin_moments(partition: BinPartition, dist: TruncatedNormal
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Centers and normalization constants (c, C0, C1): each bin's center is
-    its conditional mean m1 / m0, and C1 is one over the root of its second
-    moment about that center, both by per-bin quadrature."""
-    K = partition.K
-    edges = partition.edges
+    deviation = np.max(np.abs(np.diff(dist.cdf(edges)) - 1.0 / K))
+    if deviation > ANALYTIC_MASS_TOL:
+        raise BasisConstructionError(f"partition masses deviate from 1/K by {deviation:.2e} "
+                                     f"(tolerance {ANALYTIC_MASS_TOL:.0e})")
     m01 = _adaptive_bin_quad(lambda ks, u: np.stack([np.ones_like(u), u], axis=1), edges, dist)
     c = m01[:, 1] / m01[:, 0]
     m2 = _adaptive_bin_quad(lambda ks, u: (u - c[ks, None]) ** 2, edges, dist)[:, 0]
-    c0 = np.full(K, np.sqrt(K))
-    return c, c0, 1.0 / np.sqrt(m2)
-
-
-def build_basis(dist: TruncatedNormal, K: int) -> SieveBasis:
-    part = build_partition(dist, K)
-    c, c0, c1 = bin_moments(part, dist)
-    return SieveBasis(part, c, c0, c1)
+    return SieveBasis(edges, c, 1.0 / np.sqrt(m2), dist.truncation_mass)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +152,7 @@ def bin_quadrature(basis: SieveBasis, dist: TruncatedNormal, nodes_per_bin: int
     ``basis``: the nodes, bin after bin, and their weights times the
     density of ``dist``.  ``sum(weights * f(nodes))`` is ``E[f(U)]``."""
     xg, wg = gauss_legendre(nodes_per_bin)
-    edges = basis.partition.edges
+    edges = basis.edges
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
@@ -199,7 +164,7 @@ def bin_central_moments(basis: SieveBasis, dist: TruncatedNormal) -> np.ndarray:
     """Per bin k (one row each), E[1_k(U) (U - c_k)^j] for j = 0..4."""
     powers = np.arange(5)[:, None]
     return _adaptive_bin_quad(lambda ks, u: (u - basis.centers[ks, None])[:, None] ** powers,
-                              basis.partition.edges, dist)
+                              basis.edges, dist)
 
 
 def h_tilde(basis: SieveBasis, dist: TruncatedNormal) -> float:
@@ -266,7 +231,7 @@ def projection_coefficients(g, basis: SieveBasis, dist: TruncatedNormal) -> np.n
         gu = gf(u)
         return np.stack([gu, gu * (u - basis.centers[ks, None])], axis=1)
 
-    pairs = _adaptive_bin_quad(moments, basis.partition.edges, dist)
+    pairs = _adaptive_bin_quad(moments, basis.edges, dist)
     alpha = np.empty(basis.dim)
     alpha[0::2] = basis.norm0 * pairs[:, 0]
     alpha[1::2] = basis.norm1 * pairs[:, 1]
@@ -294,15 +259,14 @@ def approx_error_moments(gT, basis: SieveBasis, dist: TruncatedNormal,
     alpha = projection_coefficients(gf, basis, dist) if coefficients is None else coefficients
 
     def moments(ks, u):
-        err = (gf(u) - (alpha[2 * ks] * basis.norm0[ks])[:, None]
+        err = (gf(u) - (alpha[2 * ks] * basis.norm0)[:, None]
                - (alpha[2 * ks + 1] * basis.norm1[ks])[:, None] * (u - basis.centers[ks, None]))
         e2 = err * err
         return np.stack([e2, e2 * e2], axis=1)
 
     m2 = 0.0
     m4 = 0.0
-    edges = basis.partition.edges
-    for pair in _adaptive_bin_quad(moments, edges, dist):  # in bin order, not np.sum
+    for pair in _adaptive_bin_quad(moments, basis.edges, dist):  # in bin order, not np.sum
         m2 += pair[0]
         m4 += pair[1]
     return ApproxErrorMoments(float(np.sqrt(max(m2, 0.0))), float(np.sqrt(max(m4, 0.0))))

@@ -40,13 +40,13 @@ def basis_condexp(transition: BrownianTransition, basis: SieveBasis, state) -> n
     per bin, the mass and first moment about its center of W_T ~ N(w, T - t)."""
     mu = np.atleast_1d(np.asarray(state, dtype=np.float64))
     s = np.sqrt(transition.T - transition.t)
-    edges = basis.partition.edges
+    edges = basis.edges
     alpha = (edges[:-1][None, :] - mu[:, None]) / s
     beta = (edges[1:][None, :] - mu[:, None]) / s
     mass = ndtr(beta) - ndtr(alpha)
     first = (mu[:, None] - basis.centers[None, :]) * mass + s * (phi(alpha) - phi(beta))
     out = np.empty((mu.size, basis.dim))
-    out[:, 0::2] = basis.norm0[None, :] * mass
+    out[:, 0::2] = basis.norm0 * mass
     out[:, 1::2] = basis.norm1[None, :] * first
     return out[0] if np.ndim(state) == 0 else out
 

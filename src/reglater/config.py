@@ -13,6 +13,7 @@ import functools
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -118,6 +119,9 @@ class ExperimentConfig:
                 raise ConfigurationError("N_rule: fixed_K takes its N from N_list, not a rule")
         if not (0 < self.domain_epsilon < 1):
             raise ConfigurationError("domain_epsilon: must lie in (0, 1)")
+        if 1.0 - self.domain_epsilon / 2.0 == 1.0:  # the domain's ends, ndtri(1.0), are inf
+            raise ConfigurationError(f"domain_epsilon: {self.domain_epsilon!r} leaves no finite "
+                                     "domain (1 - domain_epsilon/2 rounds to 1)")
         mass = 1.0 - self.domain_epsilon
         if mass < MIN_CONDITIONAL_MASS:  # the sampler refuses it, rejection would stall
             raise ConfigurationError(
@@ -129,10 +133,10 @@ class ExperimentConfig:
         for K, N in self.points():
             if N < 2 * K + 1:
                 raise ConfigurationError(f"{n_field}: point (K={K}, N={N}) needs N >= 2K+1")
-            if N > MAX_POINT_SAMPLES:
-                raise ConfigurationError(
-                    f"{n_field}: point (K={K}, N={N}) draws {N} samples per repetition, "
-                    f"above the cap of {MAX_POINT_SAMPLES}")
+            if N > MAX_POINT_SAMPLES:  # .3g raises OverflowError on an int past the float range
+                n = f"{N:.3g}" if N <= sys.float_info.max else f"~1e+{len(str(N)) - 1}"
+                raise ConfigurationError(f"{n_field}: point (K={K}, N={n}) draws more samples "
+                                         f"per repetition than the cap of {MAX_POINT_SAMPLES}")
             if N / mass > MAX_POINT_PROPOSALS:
                 raise ConfigurationError(
                     f"domain_epsilon: {self.domain_epsilon!r} makes point (K={K}, N={N}) draw "

@@ -74,11 +74,11 @@ def predict(basis: SieveBasis, coefficients: np.ndarray, u) -> np.ndarray:
     """Fitted piecewise-linear function at u (zero outside the domain)."""
     coefficients = np.asarray(coefficients, dtype=np.float64)
     arr = np.atleast_1d(np.asarray(u, dtype=np.float64))
-    idx = _kernels.bin_indices(basis.partition.edges, arr)
+    idx = _kernels.bin_indices(basis.edges, arr)
     out = np.zeros(arr.shape)
     inside = idx >= 0
     k = idx[inside]
-    out[inside] = (coefficients[2 * k] * basis.norm0[k]
+    out[inside] = (coefficients[2 * k] * basis.norm0
                    + coefficients[2 * k + 1] * basis.norm1[k] * (arr[inside] - basis.centers[k]))
     return float(out[0]) if np.ndim(u) == 0 else out
 
@@ -153,8 +153,7 @@ def _binned_factors(samples, basis: SieveBasis, fits: int) -> tuple[BinnedQR, in
         if rest:
             raise ConfigurationError(f"a block of {u.shape[0]} samples does not hold "
                                      f"{fits} fits of equal size")
-        parts.append(_kernels.binned_qr(basis.partition.edges, basis.centers,
-                                        basis.norm0, basis.norm1, u, x,
+        parts.append(_kernels.binned_qr(basis.edges, basis.centers, basis.norm1, u, x,
                                         np.full(fits, size)))
         n += size
         if len(parts) > MERGE_BLOCKS:

@@ -28,7 +28,7 @@ import scipy.linalg
 from reglater import _kernels, rng
 from reglater._kernels import BinnedQR
 from reglater._normal import ndtr
-from reglater.basis import (QUAD_TOL, BinPartition, GramDiagnostics, SieveBasis,
+from reglater.basis import (QUAD_TOL, GramDiagnostics, SieveBasis,
                             _block_stats, _gram_blocks_from_qr, bin_quadrature,
                             gauss_legendre)
 from reglater.condexp import BrownianTransition, condexp_estimate
@@ -43,9 +43,9 @@ def first_fit(qr: BinnedQR) -> BinnedQR:
     return BinnedQR(*(field[0] for field in qr))
 
 
-def design_matrix(edges, centers, norm0, norm1, u) -> np.ndarray:
+def design_matrix(edges, centers, norm1, u) -> np.ndarray:
     """Dense (n, 2K) basis matrix; at most two nonzeros per row, interleaved
-    as (indicator, centered-linear) per bin."""
+    as (indicator, centered-linear) per bin, the indicator sqrt(K)."""
     u = np.asarray(u, dtype=np.float64)
     nbins = len(centers)
     idx = _kernels.bin_indices(edges, u)
@@ -53,7 +53,7 @@ def design_matrix(edges, centers, norm0, norm1, u) -> np.ndarray:
     inside = idx >= 0
     rows = np.nonzero(inside)[0]
     k = idx[inside]
-    out[rows, 2 * k] = np.asarray(norm0)[k]
+    out[rows, 2 * k] = np.sqrt(nbins)
     out[rows, 2 * k + 1] = np.asarray(norm1)[k] * (u[inside] - np.asarray(centers)[k])
     return out
 
@@ -83,7 +83,7 @@ def eval_basis(basis: SieveBasis, u) -> np.ndarray:
     """Basis vector(s) at u: zero outside the domain, at most two nonzero
     entries (the owning bin's pair), top bin right-closed."""
     arr = np.atleast_1d(np.asarray(u, dtype=np.float64))
-    mat = design_matrix(basis.partition.edges, basis.centers, basis.norm0, basis.norm1, arr)
+    mat = design_matrix(basis.edges, basis.centers, basis.norm1, arr)
     return mat[0] if np.ndim(u) == 0 else mat
 
 
@@ -144,10 +144,8 @@ def ols_fit(design_rows, targets) -> DenseFit:
 
 def basis_from_json_dict(doc: dict) -> SieveBasis:
     """The basis that ``SieveBasis.to_json_dict`` serialized."""
-    part = BinPartition(np.asarray(doc["edges"], dtype=np.float64), int(doc["K"]),
-                        doc["domain"]["mass"])
-    return SieveBasis(part, np.asarray(doc["centers"]), np.asarray(doc["norm0"]),
-                      np.asarray(doc["norm1"]))
+    return SieveBasis(np.asarray(doc["edges"]), np.asarray(doc["centers"]),
+                      np.asarray(doc["norm1"]), doc["domain"]["mass"])
 
 
 def fit_json_dict(fit: FitResult) -> dict:
@@ -215,7 +213,7 @@ def gbm_basis_condexp(transition: GbmTransition, basis: SieveBasis, state) -> np
     moments on log-space edges."""
     spot = np.atleast_1d(np.asarray(state, dtype=np.float64))
     v = transition.sigma * np.sqrt(transition.T - transition.t)
-    edges = basis.partition.edges
+    edges = basis.edges
     if np.any(edges <= 0):
         raise ConfigurationError("gbm transfer needs a positive basis domain")
     if np.any(spot <= 0):
@@ -226,7 +224,7 @@ def gbm_basis_condexp(transition: GbmTransition, basis: SieveBasis, state) -> np
     mass = ndtr(b) - ndtr(a)
     level = spot[:, None] * (ndtr(b - v) - ndtr(a - v))  # E[S 1_bin | state]
     out = np.empty((spot.size, basis.dim))
-    out[:, 0::2] = basis.norm0[None, :] * mass
+    out[:, 0::2] = basis.norm0 * mass
     out[:, 1::2] = basis.norm1[None, :] * (level - basis.centers[None, :] * mass)
     return out[0] if np.ndim(state) == 0 else out
 
@@ -244,7 +242,7 @@ def quadrature_gram(basis: SieveBasis, dist, nodes_per_bin: int = 64) -> np.ndar
     """
     K = basis.K
     u, w = (a.reshape(K, nodes_per_bin) for a in bin_quadrature(basis, dist, nodes_per_bin))
-    e0 = basis.norm0[:, None]
+    e0 = basis.norm0
     e1 = basis.norm1[:, None] * (u - basis.centers[:, None])
     G = np.zeros((2 * K, 2 * K))
     i = 2 * np.arange(K)
@@ -264,8 +262,7 @@ def gram_diagnostics(basis: SieveBasis, sample) -> GramDiagnostics:
     if n < basis.dim:
         warnings.warn(f"sample size {n} below basis dimension {basis.dim}: "
                       "Gram matrix is rank deficient", RuntimeWarning, stacklevel=2)
-    qr = _kernels.binned_qr(basis.partition.edges, basis.centers,
-                            basis.norm0, basis.norm1, u, np.zeros(n), [n])
+    qr = _kernels.binned_qr(basis.edges, basis.centers, basis.norm1, u, np.zeros(n), [n])
     return GramDiagnostics(*map(float, _block_stats(_gram_blocks_from_qr(qr.R[0], n))))
 
 

@@ -207,13 +207,13 @@ def test_criterion_9_closed_form_transfer(w10_law, basis_cache, capsys):
 
     def reference(basis, density):
         xg, wg = leggauss(256)
-        edges = basis.partition.edges
+        edges = basis.edges
         out = np.zeros(basis.dim)
         for k in range(basis.K):
             lo, hi = edges[k], edges[k + 1]
             u = 0.5 * (hi + lo) + 0.5 * (hi - lo) * xg
             w = 0.5 * (hi - lo) * wg * density(u)
-            out[2 * k] = basis.norm0[k] * np.sum(w)
+            out[2 * k] = basis.norm0 * np.sum(w)
             out[2 * k + 1] = basis.norm1[k] * np.sum(w * (u - basis.centers[k]))
         return out
 

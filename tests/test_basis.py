@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -15,25 +16,25 @@ UNIF = Uniform(0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
-# partitions
+# bin edges
 # ---------------------------------------------------------------------------
 
 def test_uniform_partition_quantile_edges():
-    part = rl.build_partition(UNIF, 4)
-    assert np.allclose(part.edges, [0.0, 0.25, 0.5, 0.75, 1.0], atol=1e-14)
+    basis = rl.build_basis(UNIF, 4)
+    assert np.allclose(basis.edges, [0.0, 0.25, 0.5, 0.75, 1.0], atol=1e-14)
 
 
 def test_symmetric_truncnorm_middle_edge_is_zero():
     a = 3.0 * np.sqrt(10.0)
     dist = rl.TruncatedNormal(10.0, -a, a)
-    part = rl.build_partition(dist, 2)
-    assert abs(part.edges[1]) < 1e-12
+    basis = rl.build_basis(dist, 2)
+    assert abs(basis.edges[1]) < 1e-12
 
 
 def test_truncnorm_bin_masses_recomputed(w10_law):
     dist = w10_law
-    part = rl.build_partition(dist, 10)
-    for lo, hi in zip(part.edges[:-1], part.edges[1:]):
+    basis = rl.build_basis(dist, 10)
+    for lo, hi in zip(basis.edges[:-1], basis.edges[1:]):
         mass = dist.cdf(hi) - dist.cdf(lo)
         assert abs(mass - 0.1) < 1e-12
 
@@ -47,7 +48,7 @@ def test_uniform_centers_and_norms(K):
     basis = rl.build_basis(UNIF, K)
     expect_c = (2 * np.arange(1, K + 1) - 1) / (2.0 * K)
     assert np.allclose(basis.centers, expect_c, atol=1e-13)
-    assert np.all(basis.norm0 == np.sqrt(K))
+    assert basis.norm0 == np.sqrt(K)
     assert np.allclose(basis.norm1, np.sqrt(12.0 * K**3), rtol=1e-12)
 
 
@@ -95,7 +96,7 @@ def test_eval_basis_outside_domain_is_zero():
 def test_eval_basis_at_most_two_nonzeros_and_indicator_partition(w10_law, basis_cache):
     basis = basis_cache(16)
     gen = np.random.default_rng(3)
-    us = gen.uniform(basis.partition.edges[0], basis.partition.edges[-1], 500)
+    us = gen.uniform(basis.edges[0], basis.edges[-1], 500)
     mat = eval_basis(basis, us)
     assert np.max(np.count_nonzero(mat, axis=1)) <= 2
     indicator_sq = np.sum((mat[:, 0::2] / np.sqrt(16)) ** 2, axis=1)
@@ -117,7 +118,7 @@ def test_bin_quadrature_integrates_each_bin(K, w10_law, basis_cache):
     basis = basis_cache(K)
     nodes, weights = rl.bin_quadrature(basis, w10_law, 24)
     assert nodes.shape == weights.shape == (24 * K,)
-    edges = basis.partition.edges
+    edges = basis.edges
     per_bin = nodes.reshape(K, 24)
     assert np.all((per_bin > edges[:-1, None]) & (per_bin < edges[1:, None]))
     # each bin carries 1/K of the law, and its mean is the basis center
@@ -127,10 +128,34 @@ def test_bin_quadrature_integrates_each_bin(K, w10_law, basis_cache):
     assert np.max(np.abs(means - basis.centers)) < 1e-10
 
 
-@pytest.mark.parametrize("mass", [0.0, -0.5, 1.5])
-def test_partition_refuses_a_mass_outside_the_unit_interval(mass):
-    with pytest.raises(BasisConstructionError, match="domain mass"):
-        rl.BinPartition(np.array([0.0, 0.5, 1.0]), 2, mass)
+# A well-formed two-bin basis on [0, 1], and one field of it changed per case.
+VALID_BASIS = {"edges": [0.0, 0.5, 1.0], "centers": [0.25, 0.75], "norm1": [1.0, 1.0],
+               "mass": 1.0}
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("edges", [0.0, 0.25, 0.5, 1.0], "per-bin arrays must have length K"),  # K+2 edges
+    ("edges", [0.0, 0.0, 1.0], "strictly increasing"),
+    ("mass", 0.0, "domain mass"),
+    ("mass", -0.5, "domain mass"),
+    ("mass", 1.5, "domain mass"),
+    ("centers", [0.25, 0.25], "inside their bins"),
+    ("centers", [0.25, np.nan], "inside their bins"),
+    ("norm1", [1.0, 0.0], "positive and finite"),
+    ("norm1", [1.0, np.nan], "positive and finite"),
+], ids=["K+2_edges", "repeated_edge", "mass=0.0", "mass=-0.5", "mass=1.5",
+        "center_outside_its_bin", "center_nan", "norm1=0", "norm1=nan"])
+def test_basis_refuses_a_malformed_construction(field, value, message):
+    with pytest.raises(BasisConstructionError, match=message):
+        rl.SieveBasis(**{**VALID_BASIS, field: value})
+
+
+def test_basis_fields_are_read_only_and_norm0_is_derived():
+    assert [f.name for f in dataclasses.fields(rl.SieveBasis)] == list(VALID_BASIS)
+    basis = rl.SieveBasis(**VALID_BASIS)
+    assert (basis.K, basis.dim, basis.norm0) == (2, 4, np.sqrt(2))
+    for arr in (basis.edges, basis.centers, basis.norm1):
+        assert arr.dtype == np.float64 and not arr.flags.writeable
 
 
 @pytest.mark.parametrize("K", [2, 5, 16, 64])
@@ -189,7 +214,7 @@ def test_h_tilde_matches_brute_force_quadrature(w10_law, basis_cache):
     # independent check: integrate (e^T e)^2 on a fine global grid
     dist = w10_law
     basis = basis_cache(6)
-    edges = basis.partition.edges
+    edges = basis.edges
     total = 0.0
     from numpy.polynomial.legendre import leggauss
     xg, wg = leggauss(200)
@@ -212,7 +237,7 @@ def test_h_tilde_on_narrow_bins_matches_scipy_quad(eval_time):
     dist = rl.truncated_feature_law(rl.FeatureSpec("terminal", eval_time), 0.999)
     K = 4
     basis = rl.build_basis(dist, K)
-    edges = basis.partition.edges
+    edges = basis.edges
     total = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
         def moment(f):
@@ -278,9 +303,10 @@ def test_projection_coefficients_match_sample_projection(w10_law, basis_cache, t
 def test_basis_json_roundtrip(basis_cache):
     basis = basis_cache(5)
     back = basis_from_json_dict(json.loads(basis.to_json()))
-    assert np.array_equal(back.partition.edges, basis.partition.edges)
+    assert np.array_equal(back.edges, basis.edges)
     assert np.array_equal(back.centers, basis.centers)
     assert np.array_equal(back.norm1, basis.norm1)
+    assert back.mass == basis.mass
 
 
 def test_quadrature_tolerance_honoured(w10_law, basis_cache, tanh_payoff):
@@ -289,9 +315,9 @@ def test_quadrature_tolerance_honoured(w10_law, basis_cache, tanh_payoff):
     basis = basis_cache(8)
     a16 = rl.projection_coefficients(tanh_payoff, basis, dist)
     from reglater.basis import _adaptive_bin_quad
-    a64 = _adaptive_bin_quad(lambda ks, u: np.tanh(u), basis.partition.edges, dist, start=64)
+    a64 = _adaptive_bin_quad(lambda ks, u: np.tanh(u), basis.edges, dist, start=64)
     for k in (0, 4, 7):
-        assert abs(a64[k, 0] - a16[2 * k] / basis.norm0[k]) < 10 * QUAD_TOL
+        assert abs(a64[k, 0] - a16[2 * k] / basis.norm0) < 10 * QUAD_TOL
 
 
 @pytest.mark.parametrize("K", [1, 7, 64])
@@ -300,7 +326,7 @@ def test_adaptive_quadrature_of_all_bins_is_the_per_bin_loop(K, w10_law, tanh_pa
     # bits of its own loop, for one integrand row and for a stack of them
     from reglater.basis import _adaptive_bin_quad
 
-    edges = rl.build_partition(w10_law, K).edges
+    edges = rl.build_basis(w10_law, K).edges
     for integrand in (lambda ks, u: np.tanh(u),
                       lambda ks, u: np.stack([np.tanh(u), (u - edges[ks, None]) ** 3], axis=1)):
         assert np.array_equal(_adaptive_bin_quad(integrand, edges, w10_law),

@@ -77,6 +77,8 @@ MUTATIONS = [
     ("N_rule.c=0.001", "N >= 2K+1"),
     ("typo_key=1", "typo_key"),
     ("domain_epsilon=2.0", "domain_epsilon"),
+    # 1 - epsilon/2 rounds to 1, so the domain's ends would be infinite
+    ("domain_epsilon=1e-17", "domain_epsilon"),
     # configs no sweep can run
     ('payoff={"kind":"basket_call","strike":1}', "payoff.kind"),
     ('feature={"kind":"pair_u_T","eval_time":10.0,"intermediate_time":1.0}', "payoff.kind"),
@@ -120,6 +122,9 @@ MUTATIONS = [
     pytest.param(('payoff={"kind":"square"}', "domain_epsilon=0.9999", "N_rule.c=3000",
                   'feature={"kind":"pair_u_T","eval_time":10.0,"intermediate_time":1.0}'),
                  "domain_epsilon", id="paired_runaway_rejection-domain_epsilon"),
+    # N = ceil(1e300 * 4**2) at K = 4, named in .3g form
+    pytest.param('N_rule={"c":1e300,"b":2}', "N_rule: point (K=4, N=1.6e+301) draws more",
+                 id="huge_N-N_rule"),
     # a repeated point redraws the same samples
     ("K_list=[4,4,8]", "K_list"),
     # removed kinds
@@ -283,7 +288,7 @@ def test_run_oversized_point_exits_2_before_sampling(tmp_path, capsys, monkeypat
         tracemalloc.stop()
     assert code == 2
     err = capsys.readouterr().err
-    assert "point (K=2000, N=431588925)" in err
+    assert "point (K=2000, N=4.32e+08)" in err
     assert str(MAX_POINT_SAMPLES) in err
     assert peak < 2**20
     assert not outdir.exists()
@@ -344,6 +349,12 @@ def test_non_finite_N_rule_exits_2(override, tmp_path, monkeypatch, capsys):
     err = _run_refused_before_sampling([figure1, "--set", override], tmp_path, monkeypatch,
                                        capsys)
     assert "config error: N_rule" in err
+
+
+def test_a_sample_count_past_the_float_range_is_refused_by_name():
+    doc = {key: value for key, value in TINY_CONFIG.items() if key != "N_rule"}
+    with pytest.raises(ConfigurationError, match=r"^N_list: point \(K=8, N=~1e\+400\) draws"):
+        validate_config_dict(dict(doc, N_list=[100, 200, 10**400]))
 
 
 def test_seed_outside_the_rng_key_range_exits_2(tmp_path, monkeypatch, capsys):

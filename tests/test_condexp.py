@@ -12,14 +12,14 @@ from reference import (GbmTransition, JensenViolationError, Uniform, eval_basis,
 def quad_condexp_reference(basis, density, nodes_per_bin=256):
     """Oracle: integrate each basis function against a transition density with
     per-bin Gauss-Legendre (256 nodes)."""
-    edges = basis.partition.edges
+    edges = basis.edges
     xg, wg = leggauss(nodes_per_bin)
     out = np.zeros(basis.dim)
     for k in range(basis.K):
         lo, hi = edges[k], edges[k + 1]
         u = 0.5 * (hi + lo) + 0.5 * (hi - lo) * xg
         w = 0.5 * (hi - lo) * wg * density(u)
-        out[2 * k] = basis.norm0[k] * np.sum(w)
+        out[2 * k] = basis.norm0 * np.sum(w)
         out[2 * k + 1] = basis.norm1[k] * np.sum(w * (u - basis.centers[k]))
     return out
 
@@ -64,7 +64,7 @@ def test_indicator_entries_telescope_to_domain_mass(basis_cache):
     basis = basis_cache(16)
     tr = rl.BrownianTransition(1.0, 10.0)
     s = 3.0
-    a1, a2 = basis.partition.edges[0], basis.partition.edges[-1]
+    a1, a2 = basis.edges[0], basis.edges[-1]
     for state in (-4.0, 0.0, 1.7):
         vec = rl.basis_condexp(tr, basis, state)
         total = np.sum(vec[0::2] / basis.norm0)
@@ -127,7 +127,7 @@ def test_unit_coefficient_gives_bin_transition_mass(basis_cache):
     coef = np.zeros(8)
     coef[0] = 1.0
     tr = rl.BrownianTransition(1.0, 10.0)
-    edges = basis.partition.edges
+    edges = basis.edges
     for state in (-2.0, 0.5, 3.0):
         expected = np.sqrt(4) * (ndtr((edges[1] - state) / 3.0) - ndtr((edges[0] - state) / 3.0))
         assert rl.condexp_estimate(tr, basis, coef, state) == pytest.approx(expected, abs=1e-12)

@@ -264,9 +264,9 @@ def test_one_kernel_call_per_batch(monkeypatch):
     sizes = []
     kernel = rl._kernels.binned_qr
 
-    def counting(edges, centers, norm0, norm1, u, x, sizes_=None):
+    def counting(edges, centers, norm1, u, x, sizes_=None):
         sizes.append((len(u), None if sizes_ is None else len(sizes_)))
-        return kernel(edges, centers, norm0, norm1, u, x, sizes_)
+        return kernel(edges, centers, norm1, u, x, sizes_)
 
     monkeypatch.setattr(rl._kernels, "binned_qr", counting)
     rl.run_growing_K(cfg)

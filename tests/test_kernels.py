@@ -15,7 +15,7 @@ from reference import design_matrix, first_fit, ols_fit
 def problem(basis_cache, w10_law):
     basis = basis_cache(12)
     gen = np.random.default_rng(42)
-    a1, a2 = basis.partition.edges[0], basis.partition.edges[-1]
+    a1, a2 = basis.edges[0], basis.edges[-1]
     u = gen.uniform(a1 - 1.0, a2 + 1.0, 20_000)  # includes out-of-domain points
     x = np.tanh(u) + 0.1 * gen.standard_normal(u.size)
     return basis, u, x
@@ -23,7 +23,7 @@ def problem(basis_cache, w10_law):
 
 def test_bin_indices_conventions(basis_cache):
     basis = basis_cache(4)
-    e = basis.partition.edges
+    e = basis.edges
     u = np.array([e[0] - 1.0, e[0], 0.5 * (e[1] + e[2]), e[2], e[4], e[4] + 1e-9])
     idx = _kernels.bin_indices(e, u)
     assert list(idx) == [-1, 0, 1, 2, 3, -1]
@@ -31,10 +31,9 @@ def test_bin_indices_conventions(basis_cache):
 
 def test_binned_qr_matches_dense_ols(problem):
     basis, u, x = problem
-    inside = _kernels.bin_indices(basis.partition.edges, u) >= 0
+    inside = _kernels.bin_indices(basis.edges, u) >= 0
     u_in, x_in = u[inside], x[inside]
-    design = design_matrix(basis.partition.edges, basis.centers, basis.norm0,
-                           basis.norm1, u_in)
+    design = design_matrix(basis.edges, basis.centers, basis.norm1, u_in)
     dense = ols_fit(design, x_in)
     samp = rl.SampleSet(u_in.reshape(-1, 1), x_in)
     binned = rl.regress_later_fit(samp, basis)
@@ -46,15 +45,15 @@ def test_binned_qr_matches_dense_ols(problem):
 def test_qr_factor_reproduces_gram(problem):
     basis, u, x = problem
     R, _, counts, _, _ = first_fit(_kernels.binned_qr(
-        basis.partition.edges, basis.centers, basis.norm0, basis.norm1, u, x, [u.size]))
-    D = design_matrix(basis.partition.edges, basis.centers, basis.norm0, basis.norm1, u)
+        basis.edges, basis.centers, basis.norm1, u, x, [u.size]))
+    D = design_matrix(basis.edges, basis.centers, basis.norm1, u)
     G = D.T @ D
     for k in range(basis.K):
         r11, r12, r22 = R[k]
         assert r11**2 == pytest.approx(G[2 * k, 2 * k], rel=1e-10, abs=1e-9)
         assert r11 * r12 == pytest.approx(G[2 * k, 2 * k + 1], rel=1e-8, abs=1e-8)
         assert r12**2 + r22**2 == pytest.approx(G[2 * k + 1, 2 * k + 1], rel=1e-9, abs=1e-9)
-    assert counts.sum() == np.sum(_kernels.bin_indices(basis.partition.edges, u) >= 0)
+    assert counts.sum() == np.sum(_kernels.bin_indices(basis.edges, u) >= 0)
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +69,7 @@ def _searchsorted_bin_indices(edges, u):
     return idx.astype(np.int64)
 
 
-def _argsort_binned_qr(edges, centers, norm0, norm1, u, x):
+def _argsort_binned_qr(edges, centers, norm1, u, x):
     nbins = centers.size
     R, z, counts = np.zeros((nbins, 3)), np.zeros((nbins, 2)), np.zeros(nbins, dtype=np.int64)
     idx = _searchsorted_bin_indices(edges, u)
@@ -91,7 +90,7 @@ def _argsort_binned_qr(edges, centers, norm0, norm1, u, x):
         r12 = np.sum(d) / sq
         w = d - r12 / sq
         r22 = np.sqrt(np.sum(w * w))
-        R[k] = (norm0[k] * sq, r12, r22)
+        R[k] = (np.sqrt(nbins) * sq, r12, r22)
         z[k] = (np.sum(y) / sq, np.sum(w * y) / r22 if r22 > 0 else 0.0)
     return R, z, counts
 
@@ -131,13 +130,13 @@ def test_binned_qr_bit_equal_to_argsort_version(lo_bins, hi_bins, data):
     edges, u, gen = _kernel_case(data, lo_bins, hi_bins)
     nbins = edges.size - 1
     centers = 0.5 * (edges[:-1] + edges[1:])
-    norm0, norm1 = gen.uniform(0.5, 2.0, nbins), gen.uniform(0.5, 2.0, nbins)
+    norm1 = gen.uniform(0.5, 2.0, nbins)
     if data.draw(st.booleans(), label="flat_bin"):  # every value at the center: r22 = 0
         k = gen.integers(nbins)
         u[(u >= edges[k]) & (u < edges[k + 1])] = centers[k]
     x = np.tanh(u) + gen.standard_normal(u.size)
-    got = first_fit(_kernels.binned_qr(edges, centers, norm0, norm1, u, x, [u.size]))
-    want = _argsort_binned_qr(edges, centers, norm0, norm1, u, x)
+    got = first_fit(_kernels.binned_qr(edges, centers, norm1, u, x, [u.size]))
+    want = _argsort_binned_qr(edges, centers, norm1, u, x)
     for g, w in zip((got.R, got.z, got.counts), want):
         assert g.dtype == w.dtype
         assert np.array_equal(g, w)
@@ -147,7 +146,7 @@ def test_binned_qr_bit_equal_to_argsort_version(lo_bins, hi_bins, data):
     assert np.array_equal(got.rss[flat, 1], got.rss[flat, 0])
 
 
-def _einsum_rss(edges, centers, norm0, norm1, u, x):
+def _einsum_rss(edges, centers, norm1, u, x):
     """Per-bin residual sums of squares of the augmented QR, one bin at a
     time: the factors from np.sum as in the bit-equality reference above,
     the squared residual norms after fitting e0, and after [e0, e1] where
@@ -182,7 +181,7 @@ def test_binned_qr_rss_matches_einsum_reference(lo_bins, hi_bins, data):
     edges = data.draw(st.floats(-50.0, 50.0), label="a1") + np.cumsum(
         np.concatenate([[0.0], gen.uniform(1e-3, 2.0, nbins)]))
     centers = 0.5 * (edges[:-1] + edges[1:])
-    norm0, norm1 = gen.uniform(0.5, 2.0, nbins), gen.uniform(0.5, 2.0, nbins)
+    norm1 = gen.uniform(0.5, 2.0, nbins)
     n = data.draw(st.integers(1, 600), label="n")
     u = gen.uniform(edges[0] - 1.0, edges[-1] + 1.0, n)
     k = gen.integers(nbins, size=4)
@@ -194,8 +193,8 @@ def test_binned_qr_rss_matches_einsum_reference(lo_bins, hi_bins, data):
         u = np.where(gen.random(n) < 0.5, edges[0] - 1.0, edges[-1] + 1.0)
     x = (np.tanh(np.nan_to_num(u)) if data.draw(st.booleans(), label="smooth") else
          gen.standard_normal(n) * 10.0 ** gen.uniform(-6, 6))
-    got = first_fit(_kernels.binned_qr(edges, centers, norm0, norm1, u, x, [u.size]))
-    rss, rss_outside = _einsum_rss(edges, centers, norm0, norm1, u, x)
+    got = first_fit(_kernels.binned_qr(edges, centers, norm1, u, x, [u.size]))
+    rss, rss_outside = _einsum_rss(edges, centers, norm1, u, x)
     assert np.all(got.rss >= 0)
     assert np.allclose(got.rss, rss, rtol=1e-12, atol=0)
     assert got.rss_outside == pytest.approx(rss_outside, rel=1e-12, abs=0)
@@ -219,7 +218,7 @@ def test_batched_binned_qr_matches_one_call_per_fit(data):
     edges = data.draw(st.floats(-50.0, 50.0), label="a1") + np.cumsum(
         np.concatenate([[0.0], gen.uniform(1e-3, 2.0, nbins)]))
     centers = 0.5 * (edges[:-1] + edges[1:])
-    norm0, norm1 = gen.uniform(0.5, 2.0, nbins), gen.uniform(0.5, 2.0, nbins)
+    norm1 = gen.uniform(0.5, 2.0, nbins)
     us = [gen.uniform(edges[0] - 1.0, edges[-1] + 1.0, data.draw(st.integers(1, 400)))
           for _ in range(fits)]
     k = gen.integers(nbins, size=2)
@@ -234,11 +233,11 @@ def test_batched_binned_qr_matches_one_call_per_fit(data):
         us[f[2]][:] = np.where(gen.random(us[f[2]].size) < 0.5, edges[0] - 1.0, edges[-1] + 1.0)
     xs = [np.tanh(u) + gen.standard_normal(u.size) * 10.0 ** gen.uniform(-3, 3) for u in us]
 
-    got = _kernels.binned_qr(edges, centers, norm0, norm1, np.concatenate(us),
+    got = _kernels.binned_qr(edges, centers, norm1, np.concatenate(us),
                              np.concatenate(xs), [u.size for u in us])
     assert got.R.shape == (fits, nbins, 3) and got.rss_outside.shape == (fits,)
     for i, (u, x) in enumerate(zip(us, xs)):
-        want = first_fit(_kernels.binned_qr(edges, centers, norm0, norm1, u, x, [u.size]))
+        want = first_fit(_kernels.binned_qr(edges, centers, norm1, u, x, [u.size]))
         for g, w in zip((got.R[i], got.z[i], got.counts[i]), want[:3]):
             assert g.dtype == w.dtype
             assert np.array_equal(g, w)
@@ -252,7 +251,7 @@ def test_batched_binned_qr_checks_the_sizes():
     e = np.linspace(0.0, 1.0, 5)
     c, ones = 0.5 * (e[1:] + e[:-1]), np.ones(4)
     with pytest.raises(ValueError, match="sizes"):
-        _kernels.binned_qr(e, c, ones, ones, np.full(5, 0.5), np.ones(5), np.array([2, 2]))
+        _kernels.binned_qr(e, c, ones, np.full(5, 0.5), np.ones(5), np.array([2, 2]))
 
 
 @settings(max_examples=20, deadline=None)

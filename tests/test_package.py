@@ -44,7 +44,7 @@ def test_import_and_load_config_leave_the_sweep_engine_unloaded():
     loaded = _child_modules(GATE_CHILD, str(CONFIG_DIR))
     assert "reglater.config" in loaded and "reglater.basis" in loaded
     assert sorted(loaded.intersection(NOT_LOADED_BY_THE_GATE)) == []
-    assert sorted(m for m in loaded if m.partition(".")[0] == "scipy") == []
+    assert sorted(m for m in loaded if m.split(".")[0] == "scipy") == []
 
 
 VALIDATE_CHILD = """
@@ -85,7 +85,7 @@ def test_cli_import_loads_no_network_or_xml_module():
     # urllib.parse is left out: pathlib imports it, with or without reglater
     loaded = _child_modules("import reglater.cli")
     network = {m for m in loaded
-               if m.partition(".")[0] in ("http", "email", "ssl", "xml")
+               if m.split(".")[0] in ("http", "email", "ssl", "xml")
                or (m.startswith("urllib.") and m != "urllib.parse")}
     assert sorted(network) == []
 

@@ -125,7 +125,7 @@ def test_tanh_out_of_sample_mse_near_approx_floor(basis_cache, w10_law, tanh_pay
 
 def test_empty_bins_reported_dropped(basis_cache, w10_law):
     basis = basis_cache(8)
-    edges = basis.partition.edges
+    edges = basis.edges
     # only populate bins 0 and 1
     gen = np.random.default_rng(5)
     u = gen.uniform(edges[0], edges[2], 400)
@@ -231,7 +231,7 @@ def _residual_case(data, lo_bins, hi_bins):
     K = data.draw(st.integers(lo_bins, hi_bins), label="K")
     gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     basis = rl.build_basis(Uniform(-1.0, 2.0), K)
-    edges = basis.partition.edges
+    edges = basis.edges
     full = gen.permutation(K)[:max(1, K - data.draw(st.integers(0, K - 1), label="empty"))]
     k0 = full[0]
     n_in = data.draw(st.integers(2 * K + 1, 40 * K), label="n_in")
@@ -296,7 +296,7 @@ def _fold_case(gen, K, block, n, in_span):
     in some blocks, and one holds one distinct value in the first block only
     (a degenerate linear column there, not overall)."""
     basis = rl.build_basis(Uniform(-1.0, 2.0), K)
-    edges = basis.partition.edges
+    edges = basis.edges
     k = gen.integers(0, K, n)
     u = edges[k] + gen.uniform(0.0, 1.0, n) * (edges[k + 1] - edges[k])
     j = np.arange(n) // block
@@ -325,8 +325,8 @@ def _assert_fold_matches_single_pass(basis, samp, one_distinct_bin):
     values may differ by that much.
     """
     u, x = samp.feature_column(), samp.payoffs
-    ref = first_fit(_kernels.binned_qr(basis.partition.edges, basis.centers, basis.norm0,
-                                       basis.norm1, u, x, [u.size]))
+    ref = first_fit(_kernels.binned_qr(basis.edges, basis.centers, basis.norm1, u, x,
+                                       [u.size]))
     got, n = rl.regress._binned_factors(samp, basis, 1)
     got = first_fit(got)
     assert n == samp.n
@@ -398,7 +398,7 @@ def test_single_block_fit_is_the_kernel_result(basis_cache, w10_law):
     samp = _tanh_sample(w10_law, rl.rng.BLOCK_SIZE, 31)
     basis = basis_cache(8)
     got, n = rl.regress._binned_factors(samp, basis, 1)
-    ref = _kernels.binned_qr(basis.partition.edges, basis.centers, basis.norm0, basis.norm1,
+    ref = _kernels.binned_qr(basis.edges, basis.centers, basis.norm1,
                              samp.feature_column(), samp.payoffs, [samp.n])
     assert n == samp.n
     for a, b in zip(got, ref):

@@ -356,6 +356,15 @@ def load_config_dict(path: str | Path) -> dict:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config file: malformed JSON ({exc})") from exc
+    except ValueError as exc:
+        raise ConfigurationError(f"config file {path}: {_too_many_digits()}") from exc
+
+
+def _too_many_digits() -> str:
+    """Why ``json.loads`` raised a ``ValueError`` that is no
+    ``JSONDecodeError``: an integer literal past Python's limit on the
+    digits of an integer string conversion."""
+    return f"an integer has more than {sys.get_int_max_str_digits()} digits"
 
 
 def apply_overrides(doc: dict, overrides: list[str]) -> dict:
@@ -369,6 +378,8 @@ def apply_overrides(doc: dict, overrides: list[str]) -> dict:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
+        except ValueError as exc:
+            raise ConfigurationError(f"override {path}: {_too_many_digits()}") from exc
         keys = path.split(".")
         cursor = out
         for k in keys[:-1]:

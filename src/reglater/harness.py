@@ -7,16 +7,16 @@ is a pure function of (config, seed).  All three sweeps run on one engine,
 ``_sweep``, whose task is a batch: the consecutive repetitions of one point
 whose samples fill at most one ``rng.BLOCK_SIZE`` block together
 (``_batches``).  A batch draws each repetition's sample from its own
-substream, joins them (``_fit_batch``) and fits them in one kernel call per
-block (``regress_later_fit(..., fits=)``), each fit bit for bit the fit of
-its sample alone; Regress-Later pays off the joined samples once.  A
-repetition longer than half a block is a batch of its own and streams its
-sample one block at a time, so memory does not grow with N.  Batches run
-serially or on any number of worker threads; a failed repetition is
-recorded in the report's ``failures`` and its batch's other repetitions
-still count (a point with none left reports ``reps=0`` and NaN means).
-Aggregation takes values in repetition order and sums with ``math.fsum``,
-so the emitted CSV is byte-identical for any worker count.
+substream, joins them block by block (``_fit_batch``) and fits them in one
+kernel call per block (``regress_later_fit(blocks, basis, fits)``), each fit
+bit for bit the fit of its sample alone; Regress-Later pays off the joined
+samples once.  A repetition longer than half a block is a batch of its own
+and streams its sample one block at a time, so memory does not grow with N.
+Batches run serially or on any number of worker threads; a failed
+repetition is recorded in the report's ``failures`` and its batch's other
+repetitions still count (a point with none left reports ``reps=0`` and
+NaN means).  Aggregation takes values in repetition order and sums with
+``math.fsum``, so the emitted CSV is byte-identical for any worker count.
 """
 from __future__ import annotations
 
@@ -309,7 +309,7 @@ def _sample_blocks(law: TruncatedNormal, n: int, seed: int) -> Iterator[SampleSe
 def _payoff_blocks(payoff: PayoffSpec, blocks: Iterable[SampleSet]) -> Iterator[SampleSet]:
     """Each sample block with the payoff of its own feature attached."""
     for block in blocks:
-        yield block.with_payoffs(eval_payoff(payoff, block.feature_column()))
+        yield block.with_payoffs(eval_payoff(payoff, block.features))
 
 
 def _run_points(config: ExperimentConfig, workers: int) -> ConvergenceReport:
@@ -507,6 +507,6 @@ def _continued_blocks(payoff: PayoffSpec, scale: float, seed: int,
     attached, where block ``j`` of the continuation normals ``xi`` is rng
     block ``j`` of ``rng.block_standard_normal(n, seed)``."""
     for j, block in enumerate(blocks):
-        w = block.feature_column()
+        w = block.features
         xi = rng.block_standard_normal(w.size, seed, first_block=j)
         yield block.with_payoffs(eval_payoff(payoff, w + scale * xi))

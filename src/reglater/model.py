@@ -50,8 +50,8 @@ class FeatureSpec:
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Immutable i.i.d. draws of (feature value, payoff): ``features`` is one
-    column, one row per draw, and a 1-D array is that column."""
+    """Immutable i.i.d. draws of (feature value, payoff): ``features`` is a
+    1-D array, one value per draw."""
 
     features: np.ndarray
     payoffs: np.ndarray | None = None
@@ -59,12 +59,8 @@ class SampleSet:
 
     def __post_init__(self):
         feats = np.asarray(self.features, dtype=np.float64)
-        if feats.ndim == 1:
-            feats = feats.reshape(-1, 1)
-        elif feats.ndim != 2:
-            raise ConfigurationError("sample: features must be a 1-D or 2-D array")
-        if feats.shape[1] != 1:
-            raise ConfigurationError("sample: features must be one column")
+        if feats.ndim != 1:
+            raise ConfigurationError("sample: features must be a 1-D array")
         if not np.all(np.isfinite(feats)):
             raise ConfigurationError("sample: non-finite feature values")
         feats.setflags(write=False)
@@ -76,9 +72,6 @@ class SampleSet:
     @property
     def n(self) -> int:
         return self.features.shape[0]
-
-    def feature_column(self) -> np.ndarray:
-        return self.features[:, 0]
 
     def with_payoffs(self, payoffs) -> "SampleSet":
         """This sample with ``payoffs`` attached.  Only the payoffs are

@@ -9,27 +9,25 @@ relative tolerance and reported.  The same kernel pass carries the target as
 a third QR column, so the residual norm is summed from the per-bin residuals
 it leaves, with no prediction pass.
 
-The fits run block by block: the kernel sees consecutive blocks of at most
-``rng.BLOCK_SIZE`` samples, and each bin's factors are merged in block order
-(TSQR), so a fit holds one block at a time.  A fit of at most
-``rng.BLOCK_SIZE`` samples is one kernel pass, bit for bit; a longer one
-agrees with a single pass to rounding error (both are backward stable).
-
-Several fits on one basis can share those passes (``fits=``): their samples
-lie back to back in every block, the kernel factors every bin of every fit
-in one call, and the per-bin solves are array operations over all of them.
-Each fit's result is bit for bit the one of its samples alone; a fit that
-is degenerate fails alone.
+A fit takes its samples as an iterable of sample blocks (for example a
+generator, so only one block is ever held), and a batch of ``fits`` fits on
+one basis: every block holds each fit's samples back to back, in equal
+shares, the kernel factors every bin of every fit in one call per block,
+and each bin's factors are merged in block order (TSQR).  The per-bin
+solves are array operations over all fits.  Each fit's result is bit for
+bit the one of its samples alone in the same blocks; a fit that is
+degenerate fails alone.  A fit of one block is one kernel pass; more blocks
+agree with one pass to rounding error (both are backward stable).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable
 
 import numpy as np
 
-from . import _kernels, rng
+from . import _kernels
 from ._kernels import BinnedQR
 from .basis import SieveBasis, _block_stats, _gram_blocks_from_qr
 from .errors import ConfigurationError, DegenerateDesignError
@@ -83,20 +81,6 @@ def predict(basis: SieveBasis, coefficients: np.ndarray, u) -> np.ndarray:
     return float(out[0]) if np.ndim(u) == 0 else out
 
 
-def _feature_target_blocks(samples) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(features, targets) per block: a ``SampleSet`` sliced into consecutive
-    blocks of ``rng.BLOCK_SIZE`` samples, or one pair per set of an iterable
-    of per-block sample sets."""
-    if isinstance(samples, SampleSet):
-        u, x = samples.feature_column(), _targets(samples)
-        size = rng.BLOCK_SIZE
-        for lo in range(0, samples.n, size):
-            yield u[lo:lo + size], x[lo:lo + size]
-    else:
-        for block in samples:
-            yield block.feature_column(), _targets(block)
-
-
 def _merged(parts: list[BinnedQR]) -> BinnedQR:
     """The factors of consecutive sample blocks of a batch of fits merged
     into those of their union: each bin's QR of its blocks' triangular
@@ -135,7 +119,8 @@ def _merged(parts: list[BinnedQR]) -> BinnedQR:
                     rss_outside=np.array([math.fsum(col) for col in outside.T]))
 
 
-def _binned_factors(samples, basis: SieveBasis, fits: int) -> tuple[BinnedQR, int]:
+def _binned_factors(blocks: Iterable[SampleSet], basis: SieveBasis,
+                    fits: int) -> tuple[BinnedQR, int]:
     """``_kernels.binned_qr`` folded over the sample blocks, with the sample
     count of one fit.
 
@@ -148,13 +133,13 @@ def _binned_factors(samples, basis: SieveBasis, fits: int) -> tuple[BinnedQR, in
     """
     parts: list[BinnedQR] = []
     n = 0
-    for u, x in _feature_target_blocks(samples):
-        size, rest = divmod(u.shape[0], fits)
+    for block in blocks:
+        size, rest = divmod(block.n, fits)
         if rest:
-            raise ConfigurationError(f"a block of {u.shape[0]} samples does not hold "
+            raise ConfigurationError(f"a block of {block.n} samples does not hold "
                                      f"{fits} fits of equal size")
-        parts.append(_kernels.binned_qr(basis.edges, basis.centers, basis.norm1, u, x,
-                                        np.full(fits, size)))
+        parts.append(_kernels.binned_qr(basis.edges, basis.centers, basis.norm1,
+                                        block.features, _targets(block), np.full(fits, size)))
         n += size
         if len(parts) > MERGE_BLOCKS:
             parts = [_merged(parts)]
@@ -163,13 +148,14 @@ def _binned_factors(samples, basis: SieveBasis, fits: int) -> tuple[BinnedQR, in
     return (parts[0] if len(parts) == 1 else _merged(parts)), n
 
 
-def _fit_on_basis(samples, basis: SieveBasis, mode: str, fits: int | None):
+def _fit_on_basis(blocks: Iterable[SampleSet], basis: SieveBasis, mode: str,
+                  fits: int) -> list:
     """The fits of a batch (see ``_binned_factors``), solved bin by bin with
     array operations over every bin of every fit: per fit its ``FitResult``,
-    or the ``DegenerateDesignError`` that fails it.  Without ``fits``, the
-    one fit's ``FitResult``, or its error raised."""
-    batch = fits or 1
-    qr, n = _binned_factors(samples, basis, batch)
+    or the ``DegenerateDesignError`` that fails it."""
+    if isinstance(fits, bool) or not isinstance(fits, int) or fits < 1:
+        raise ConfigurationError(f"fits: must be a positive int, got {fits!r}")
+    qr, n = _binned_factors(blocks, basis, fits)
     r11, r12, r22 = qr.R[..., 0], qr.R[..., 1], qr.R[..., 2]
     z0, z1 = qr.z[..., 0], qr.z[..., 1]
     floor = COLUMN_NORM_TOL * np.sqrt(n)
@@ -179,13 +165,13 @@ def _fit_on_basis(samples, basis: SieveBasis, mode: str, fits: int | None):
     a1 = np.divide(z1, r22, out=np.zeros_like(r22), where=linear)
     a0 = np.divide(np.where(linear, z0 - r12 * a1, z0), r11, out=np.zeros_like(r11),
                    where=~empty)
-    coef = np.stack((a0, a1), axis=-1).reshape(batch, -1)
-    dropped = np.stack((empty, ~linear), axis=-1).reshape(batch, -1)
+    coef = np.stack((a0, a1), axis=-1).reshape(fits, -1)
+    dropped = np.stack((empty, ~linear), axis=-1).reshape(fits, -1)
     # squared residual per bin, as the fit leaves it
     rss = np.where(linear, qr.rss[..., 1], np.where(empty, 0.0, qr.rss[..., 0]))
     stats = _block_stats(_gram_blocks_from_qr(qr.R, n))
     out: list = []
-    for f in range(batch):
+    for f in range(fits):
         cols = tuple(np.flatnonzero(dropped[f]).tolist())
         if len(cols) == 2 * basis.K:
             out.append(DegenerateDesignError("every basis column is empty on this sample"))
@@ -200,9 +186,7 @@ def _fit_on_basis(samples, basis: SieveBasis, mode: str, fits: int | None):
             mode=mode,
             n=n,
         ))
-    if not fits and isinstance(out[0], Exception):
-        raise out[0]
-    return out if fits else out[0]
+    return out
 
 
 def _targets(sample: SampleSet) -> np.ndarray:
@@ -211,29 +195,26 @@ def _targets(sample: SampleSet) -> np.ndarray:
     return sample.payoffs
 
 
-def regress_later_fit(samples, basis: SieveBasis, fits: int | None = None):
+def regress_later_fit(blocks: Iterable[SampleSet], basis: SieveBasis, fits: int) -> list:
     """Regress the payoff on basis functions of the same-date feature.
 
-    ``samples`` is a ``SampleSet`` or an iterable of per-block sample sets
-    (for example a generator, so only one block is ever held); either way
-    the fit runs block by block.  Returns the ``FitResult``.
-
-    With ``fits``, every block holds that many fits' samples back to back,
-    in equal shares, all factored in one kernel call per block; returns one
-    entry per fit: its ``FitResult``, or the ``DegenerateDesignError`` that
-    fails it.  Each entry is the result of fitting that fit's samples alone.
+    ``blocks`` is an iterable of payoff-bearing sample blocks, each holding
+    ``fits`` (a positive int) fits' samples back to back, in equal shares;
+    all are factored in one kernel call per block.  Returns one entry per
+    fit: its ``FitResult``, or the ``DegenerateDesignError`` that fails it.
+    Each entry is the result of fitting that fit's samples alone.
     """
-    return _fit_on_basis(samples, basis, "later", fits)
+    return _fit_on_basis(blocks, basis, "later", fits)
 
 
-def regress_now_fit(samples, basis: SieveBasis, fits: int | None = None):
+def regress_now_fit(blocks: Iterable[SampleSet], basis: SieveBasis, fits: int) -> list:
     """Regress the payoff on basis functions of the earlier-date feature.
 
-    ``samples``, ``fits`` and the results as for ``regress_later_fit``.  The
+    ``blocks``, ``fits`` and the results as for ``regress_later_fit``.  The
     residual now contains an irreducible projection error; its variance is
     ``FitResult.residual_variance``.
     """
-    return _fit_on_basis(samples, basis, "now", fits)
+    return _fit_on_basis(blocks, basis, "now", fits)
 
 
 def coefficient_error(fit: FitResult, alpha: np.ndarray) -> float:

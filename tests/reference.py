@@ -5,6 +5,8 @@ with the tests, not in the package:
 - dense references for the per-bin kernels and fits: the dense design
   matrix of the sieve basis, basis evaluation, least squares by
   column-pivoted QR, and the adaptive per-bin quadrature one bin at a time;
+- one whole sample fitted alone (``fit_sample``), sliced into sample
+  blocks (``sample_blocks``) as a batch of one fit;
 - the JSON forms of a basis (read back) and of a fit;
 - a uniform law (``Uniform``), a second law to build a basis on;
 - the log-normal transfer of a basis (``GbmTransition``,
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -148,6 +150,27 @@ def basis_from_json_dict(doc: dict) -> SieveBasis:
                       np.asarray(doc["norm1"]), doc["domain"]["mass"])
 
 
+def sample_blocks(sample: SampleSet, block: int = rng.BLOCK_SIZE) -> Iterator[SampleSet]:
+    """``sample`` in consecutive blocks of ``block`` samples, the last one
+    shorter; a block carries its slice of the payoffs where the sample has
+    them."""
+    pays = sample.payoffs
+    for lo in range(0, sample.n, block):
+        yield SampleSet(sample.features[lo:lo + block],
+                        None if pays is None else pays[lo:lo + block])
+
+
+def fit_sample(fit: Callable, sample: SampleSet, basis: SieveBasis,
+               block: int = rng.BLOCK_SIZE) -> FitResult:
+    """``fit`` (``regress_later_fit`` or ``regress_now_fit``) of one whole
+    sample: a batch of one fit on ``sample_blocks(sample, block)``.  Returns
+    its ``FitResult``, or raises the error that fails it."""
+    (result,) = fit(sample_blocks(sample, block), basis, fits=1)
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
 def fit_json_dict(fit: FitResult) -> dict:
     """A fit's coefficients and diagnostics as plain JSON values."""
     return {
@@ -256,7 +279,7 @@ def gram_diagnostics(basis: SieveBasis, sample) -> GramDiagnostics:
     """Frobenius distance of the sample Gram matrix from the identity and its
     smallest eigenvalue.  The Gram is block-diagonal (disjoint bin supports),
     so both statistics reduce to per-bin 2x2 blocks."""
-    u = (sample.feature_column() if isinstance(sample, SampleSet)
+    u = (sample.features if isinstance(sample, SampleSet)
          else np.asarray(sample, dtype=np.float64))
     n = u.shape[0]
     if n < basis.dim:

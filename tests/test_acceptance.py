@@ -16,7 +16,7 @@ from numpy.polynomial.legendre import leggauss
 import reglater as rl
 from reglater import cli
 from reglater.config import load_config
-from reference import (GbmTransition, Uniform, gbm_basis_condexp, gram_diagnostics,
+from reference import (GbmTransition, Uniform, fit_sample, gbm_basis_condexp, gram_diagnostics,
                        jensen_check, quadrature_gram, simulate_terminal)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -167,12 +167,12 @@ def test_criterion_8_jensen_transfer(w10_law, basis_cache, capsys):
         basis = basis_cache(K)
         train = rl.simulate_conditional(law, n, 70_000 + K)
         if isinstance(payoff, rl.PayoffSpec):
-            x = rl.eval_payoff(payoff, train.feature_column())
+            x = rl.eval_payoff(payoff, train.features)
             spec = payoff
         else:
-            x = payoff(train.feature_column())
+            x = payoff(train.features)
             spec = rl.PayoffSpec("identity")
-        fit = rl.regress_later_fit(train.with_payoffs(x), basis)
+        fit = fit_sample(rl.regress_later_fit, train.with_payoffs(x), basis)
         feat = rl.FeatureSpec("pair_u_T", 10.0, intermediate_time=t)
         states, cont = simulate_terminal(feat, n, 80_000 + K)
         pays = rl.eval_payoff(spec, cont) if truth is None else payoff(cont)

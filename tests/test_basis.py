@@ -9,7 +9,7 @@ from reglater.basis import QUAD_TOL, gauss_legendre
 from reglater.errors import BasisConstructionError
 from conftest import slope_of
 from reference import (Uniform, adaptive_bin_quad_per_bin, basis_from_json_dict, eval_basis,
-                       gram_diagnostics, quadrature_gram)
+                       fit_sample, gram_diagnostics, quadrature_gram)
 
 
 UNIF = Uniform(0.0, 1.0)
@@ -295,8 +295,8 @@ def test_projection_coefficients_match_sample_projection(w10_law, basis_cache, t
     basis = basis_cache(4)
     alpha = rl.projection_coefficients(tanh_payoff, basis, dist)
     samp = rl.simulate_conditional(dist, 400_000, seed=77)
-    fit = rl.regress_later_fit(
-        samp.with_payoffs(rl.eval_payoff(tanh_payoff, samp.feature_column())), basis)
+    fit = fit_sample(rl.regress_later_fit,
+                     samp.with_payoffs(rl.eval_payoff(tanh_payoff, samp.features)), basis)
     assert np.max(np.abs(fit.coefficients - alpha)) < 0.01
 
 

@@ -127,6 +127,9 @@ MUTATIONS = [
                  id="huge_N-N_rule"),
     # a repeated point redraws the same samples
     ("K_list=[4,4,8]", "K_list"),
+    # an integer past Python's int_max_str_digits, which json.loads refuses
+    pytest.param("seed=" + "9" * 5001, "override seed: an integer has more than 4300 digits",
+                 id="huge_integer-seed"),
     # removed kinds
     ('feature.kind="path_integral"', "feature.kind"),
     ('payoff={"kind":"asian_call","strike":1}', "payoff.kind"),
@@ -157,9 +160,8 @@ def _override_list(override) -> list[str]:
 def test_mutated_configs_rejected_with_field_message(override, needle):
     from reglater.config import apply_overrides
 
-    doc = apply_overrides(TINY_CONFIG, _override_list(override))
     with pytest.raises(ConfigurationError) as err:
-        validate_config_dict(doc)
+        validate_config_dict(apply_overrides(TINY_CONFIG, _override_list(override)))
     key = needle.split("=")[0].split(".")[-1].replace(" >= 2K+1", "")
     assert key.split(".")[-1] in str(err.value) or needle in str(err.value)
 
@@ -261,6 +263,19 @@ def test_multi_block_report_csv_golden_digest(tmp_path):
     assert cli.main(args) == 0
     digest = hashlib.sha256((tmp_path / "report.csv").read_bytes()).hexdigest()
     assert digest == FIGURE2_TWO_BLOCK_CSV_SHA256
+
+
+@pytest.mark.parametrize("verb", ["validate-config", "run"])
+def test_a_config_file_with_a_huge_integer_exits_2_naming_the_file(verb, tmp_path, capsys):
+    # json.loads raises a plain ValueError for an integer past int_max_str_digits
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(TINY_CONFIG).replace('"seed": 99', '"seed": ' + "9" * 5001))
+    outdir = tmp_path / "out"
+    args = [verb, str(path)] + (["-o", str(outdir)] if verb == "run" else [])
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: config file {path}: an integer has more than 4300 digits\n"
+    assert not outdir.exists()
 
 
 def test_run_malformed_config_exits_2_without_partial_files(tmp_path, capsys):

@@ -5,7 +5,7 @@ from scipy.special import ndtr
 
 import reglater as rl
 from reglater.errors import ConfigurationError
-from reference import (GbmTransition, JensenViolationError, Uniform, eval_basis,
+from reference import (GbmTransition, JensenViolationError, Uniform, eval_basis, fit_sample,
                        gbm_basis_condexp, jensen_check, simulate_terminal)
 
 
@@ -141,7 +141,7 @@ def test_identity_payoff_estimate_tracks_state(w10_law, basis_cache):
     basis = basis_cache(32)
     s_cond = 3.0  # sd of W(10) given W(1)
     s = rl.simulate_conditional(dist, 200_000, seed=50)
-    fit = rl.regress_later_fit(s.with_payoffs(s.feature_column().copy()), basis)
+    fit = fit_sample(rl.regress_later_fit, s.with_payoffs(s.features.copy()), basis)
     tr = rl.BrownianTransition(1.0, 10.0)
     approx = rl.approx_error_moments(rl.PayoffSpec("identity"), basis, dist)
     coef_err = rl.coefficient_error(
@@ -178,8 +178,8 @@ def test_jensen_square_payoff(w10_law, basis_cache):
     payoff = rl.PayoffSpec("square")
     basis = basis_cache(8)
     train = rl.simulate_conditional(law, 10_000, seed=60)
-    fit = rl.regress_later_fit(
-        train.with_payoffs(rl.eval_payoff(payoff, train.feature_column())), basis)
+    fit = fit_sample(rl.regress_later_fit,
+                     train.with_payoffs(rl.eval_payoff(payoff, train.features)), basis)
     paired = _paired_sample(1.0, 10_000, 61, payoff)
     res = jensen_check(fit, basis, rl.BrownianTransition(1.0, 10.0), payoff, *paired)
     assert res.mse_cond <= res.mse_payoff + 3.0 * res.mse_payoff_stderr
@@ -193,7 +193,7 @@ def test_jensen_exact_span_both_errors_vanish(w10_law, basis_cache):
     alpha = np.linspace(-1.0, 1.0, 16)
     payoff_fn = lambda u: rl.predict(basis, alpha, np.atleast_1d(u))
     train = rl.simulate_conditional(dist, 30_000, seed=62)
-    fit = rl.regress_later_fit(train.with_payoffs(payoff_fn(train.feature_column())), basis)
+    fit = fit_sample(rl.regress_later_fit, train.with_payoffs(payoff_fn(train.features)), basis)
     tr = rl.BrownianTransition(1.0, 10.0)
     feat = rl.FeatureSpec("pair_u_T", 10.0, intermediate_time=1.0)
     states, cont = simulate_terminal(feat, 5_000, 63)
@@ -210,8 +210,8 @@ def test_jensen_degenerate_time_ratio_near_one(w10_law, basis_cache, tanh_payoff
     basis = basis_cache(8)
     t = 10.0 - 1e-6  # s = 1e-3
     train = rl.simulate_conditional(law, 20_000, seed=64)
-    fit = rl.regress_later_fit(
-        train.with_payoffs(rl.eval_payoff(tanh_payoff, train.feature_column())), basis)
+    fit = fit_sample(rl.regress_later_fit,
+                     train.with_payoffs(rl.eval_payoff(tanh_payoff, train.features)), basis)
     paired = _paired_sample(t, 20_000, 65, tanh_payoff)
     res = jensen_check(fit, basis, rl.BrownianTransition(t, 10.0), tanh_payoff, *paired)
     assert 0.9 <= res.mse_cond / res.mse_payoff <= 1.0
@@ -223,8 +223,8 @@ def test_jensen_violation_raises(basis_cache, w10_law):
     basis = basis_cache(4)
     payoff = rl.PayoffSpec("identity")
     train = rl.simulate_conditional(law, 5_000, seed=66)
-    fit = rl.regress_later_fit(
-        train.with_payoffs(rl.eval_payoff(payoff, train.feature_column())), basis)
+    fit = fit_sample(rl.regress_later_fit,
+                     train.with_payoffs(rl.eval_payoff(payoff, train.features)), basis)
     paired = _paired_sample(1.0, 2_000, 67, payoff)
     with pytest.raises(JensenViolationError):
         jensen_check(fit, basis, rl.BrownianTransition(1.0, 10.0), payoff, *paired,

@@ -13,6 +13,7 @@ import reglater as rl
 from reglater import config, harness
 from reglater.config import load_config
 from reglater.errors import ConfigurationError
+from reference import fit_sample
 
 
 def small_growing_config(seed=301, reps=5, payoff="tanh"):
@@ -192,8 +193,8 @@ def _fit_alone(cfg, K, N, rep):
     alpha = rl.projection_coefficients(cfg.payoff, basis, dist)
     approx = rl.approx_error_moments(cfg.payoff, basis, dist, coefficients=alpha).mean_square
     sample = rl.simulate_conditional(dist, N, rl.rng.derive_seed(cfg.seed, K, N, rep))
-    sample = sample.with_payoffs(rl.eval_payoff(cfg.payoff, sample.feature_column()))
-    return basis, rl.regress_later_fit(sample, basis), alpha, approx
+    sample = sample.with_payoffs(rl.eval_payoff(cfg.payoff, sample.features))
+    return basis, fit_sample(rl.regress_later_fit, sample, basis), alpha, approx
 
 
 def _rep_alone(cfg, K, N, rep):
@@ -210,7 +211,7 @@ def test_fresh_sample_eval_agrees_with_quadrature():
     for K, N in cfg.points():
         basis, fit, alpha, approx = _fit_alone(cfg, K, N, 0)
         fresh = rl.simulate_conditional(law, 10 * N, rl.rng.derive_seed(cfg.seed, K, N, 0, "eval"))
-        v = fresh.feature_column()
+        v = fresh.features
         err = rl.eval_payoff(cfg.payoff, v) - rl.predict(basis, fit.coefficients, v)
         assert np.mean(err * err) == pytest.approx(approx + rl.coefficient_error(fit, alpha),
                                                    rel=0.2)
@@ -231,7 +232,7 @@ def test_failures_in_a_batch_stay_per_repetition(monkeypatch):
             raise rl.SamplingError("synthetic failure")
         sample = real(law, n, seed, **kwargs)
         if rep == 3:
-            return rl.SampleSet(np.full((n, 1), 1e3))
+            return rl.SampleSet(np.full(n, 1e3))
         return sample
 
     monkeypatch.setattr(harness, "simulate_conditional", failing)
@@ -336,9 +337,9 @@ def test_paired_failures_are_recorded_not_raised(monkeypatch):
     cfg = paired_config("fixed_K", seed=314, reps=2)
     real = harness.regress_now_fit
 
-    def failing(blocks, basis, fits=None):
+    def failing(blocks, basis, fits):
         blocks = list(blocks)
-        if sum(b.n for b in blocks) == 10000 * (fits or 1):  # the middle point
+        if sum(b.n for b in blocks) == 10000 * fits:  # the middle point
             raise rl.DegenerateDesignError("synthetic failure")
         return real(iter(blocks), basis, fits=fits)
 
@@ -435,8 +436,8 @@ def test_sample_blocks_concatenate_to_the_one_shot_draws():
     blocks = list(harness._sample_blocks(law, n, 41))
     assert [b.n for b in blocks] == [rl.rng.BLOCK_SIZE, rl.rng.BLOCK_SIZE, 17]
     one_shot = rl.simulate_conditional(law, n, 41)
-    w = one_shot.feature_column()
-    assert np.array_equal(np.concatenate([b.feature_column() for b in blocks]), w)
+    w = one_shot.features
+    assert np.array_equal(np.concatenate([b.features for b in blocks]), w)
     assert sum(b.meta["proposals"] for b in blocks) == one_shot.meta["proposals"]
     # Regress-Now: states block j pairs with block j of the continuation normals
     square = rl.PayoffSpec("square")
@@ -508,5 +509,5 @@ def test_streamed_block_checks_its_features_once(monkeypatch):
                                          harness._sample_blocks(law, n, 43)))
     assert built == [rl.rng.BLOCK_SIZE, rl.rng.BLOCK_SIZE, 5]
     for b in blocks:
-        assert np.array_equal(b.payoffs, np.tanh(b.feature_column()))
+        assert np.array_equal(b.payoffs, np.tanh(b.features))
         assert not b.payoffs.flags.writeable

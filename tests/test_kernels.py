@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import reglater as rl
 from reglater import _kernels
-from reference import design_matrix, first_fit, ols_fit
+from reference import design_matrix, first_fit, fit_sample, ols_fit
 
 
 @pytest.fixture(scope="module")
@@ -35,8 +35,8 @@ def test_binned_qr_matches_dense_ols(problem):
     u_in, x_in = u[inside], x[inside]
     design = design_matrix(basis.edges, basis.centers, basis.norm1, u_in)
     dense = ols_fit(design, x_in)
-    samp = rl.SampleSet(u_in.reshape(-1, 1), x_in)
-    binned = rl.regress_later_fit(samp, basis)
+    samp = rl.SampleSet(u_in, x_in)
+    binned = fit_sample(rl.regress_later_fit, samp, basis)
     assert np.max(np.abs(dense.coefficients - binned.coefficients)) < 1e-9
     assert binned.residual_l2 == pytest.approx(dense.residual_l2, rel=1e-10)
     assert dense.rank == binned.rank

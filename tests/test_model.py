@@ -16,18 +16,18 @@ from reference import simulate_terminal, terminal_drawer
 
 def test_brownian_terminal_mean_within_band(terminal10):
     s = simulate_terminal(terminal10, 50_000, seed=11)
-    w = s.feature_column()
+    w = s.features
     assert abs(w.mean()) < 4.0 * np.sqrt(10.0 / w.size)
 
 
 def test_brownian_terminal_variance_closed_form(terminal10):
     s = simulate_terminal(terminal10, 1_000_000, seed=3)
-    assert abs(s.feature_column().var() - 10.0) < 0.02 * 10.0
+    assert abs(s.features.var() - 10.0) < 0.02 * 10.0
 
 
 def test_brownian_terminal_matches_normal_cdf(terminal10):
     s = simulate_terminal(terminal10, 100_000, seed=17)
-    stat = kstest(s.feature_column(), "norm", args=(0.0, np.sqrt(10.0))).statistic
+    stat = kstest(s.features, "norm", args=(0.0, np.sqrt(10.0))).statistic
     # 1% critical value of the one-sample KS statistic
     assert stat < 1.63 / np.sqrt(s.n)
 
@@ -60,18 +60,18 @@ def test_feature_times_are_positive():
 def test_sampleset_is_immutable(terminal10):
     s = simulate_terminal(terminal10, 100, seed=1)
     with pytest.raises(ValueError):
-        s.features[0, 0] = 99.0
+        s.features[0] = 99.0
 
 
 def test_joined_samples_lie_back_to_back_unchecked(monkeypatch):
-    a = rl.SampleSet(np.array([[1.0], [2.0]]), np.array([10.0, 20.0]), meta={"k": 1})
-    b = rl.SampleSet(np.array([[3.0]]), np.array([30.0]))
-    bare = rl.SampleSet(np.array([[4.0]]))
+    a = rl.SampleSet(np.array([1.0, 2.0]), np.array([10.0, 20.0]), meta={"k": 1})
+    b = rl.SampleSet(np.array([3.0]), np.array([30.0]))
+    bare = rl.SampleSet(np.array([4.0]))
     assert rl.SampleSet.joined([a]) is a
     monkeypatch.setattr(rl.SampleSet, "__post_init__", lambda self: pytest.fail("checked"))
     ab = rl.SampleSet.joined([a, b])
     assert ab.n == 3 and dict(ab.meta) == {}
-    assert np.array_equal(ab.feature_column(), [1.0, 2.0, 3.0])
+    assert np.array_equal(ab.features, [1.0, 2.0, 3.0])
     assert np.array_equal(ab.payoffs, [10.0, 20.0, 30.0])
     assert not ab.features.flags.writeable and not ab.payoffs.flags.writeable
     assert rl.SampleSet.joined([a, bare]).payoffs is None
@@ -90,7 +90,7 @@ def test_conditional_acceptance_rate_matches_mass(w10_law):
 def test_conditional_stays_inside_domain():
     law = rl.TruncatedNormal(10.0, -1.0, 2.0)
     s = rl.simulate_conditional(law, 30_000, seed=8)
-    w = s.feature_column()
+    w = s.features
     assert w.min() >= law.lower and w.max() <= law.upper
 
 
@@ -98,7 +98,7 @@ def test_conditional_on_near_full_support_matches_unconditional(terminal10):
     law = rl.truncated_feature_law(terminal10, epsilon=1e-9)
     cond = rl.simulate_conditional(law, 50_000, seed=31)
     free = simulate_terminal(terminal10, 50_000, seed=32)
-    stat = ks_2samp(cond.feature_column(), free.feature_column()).statistic
+    stat = ks_2samp(cond.features, free.features).statistic
     # 1% critical value for the two-sample statistic
     assert stat < 1.63 * np.sqrt(2.0 / 50_000)
 
@@ -111,12 +111,12 @@ def test_conditional_draws_are_the_terminal_stream_kept(terminal10, w10_law):
     drawn = rl.rng.block_map(s.meta["proposals"], terminal_drawer(terminal10), 5,
                              "conditional", "terminal")
     kept = drawn[(drawn >= w10_law.lower) & (drawn <= w10_law.upper)]
-    assert np.array_equal(s.feature_column(), kept[:n])
+    assert np.array_equal(s.features, kept[:n])
 
 
 def test_conditional_symmetric_mean(w10_law):
     s = rl.simulate_conditional(w10_law, 40_000, seed=4)
-    w = s.feature_column()
+    w = s.features
     assert abs(w.mean()) < 4.0 * w.std(ddof=1) / np.sqrt(w.size)
 
 
@@ -177,7 +177,7 @@ def test_tree_tower_property():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_with_payoffs_refuses_non_finite_payoffs(bad):
-    s = rl.SampleSet(np.arange(4.0).reshape(-1, 1), meta={"proposals": 4})
+    s = rl.SampleSet(np.arange(4.0), meta={"proposals": 4})
     pays = np.ones(4)
     pays[2] = bad
     with pytest.raises(ConfigurationError, match="non-finite payoff"):
@@ -189,23 +189,22 @@ def test_with_payoffs_refuses_non_finite_payoffs(bad):
     assert (paid.n, dict(paid.meta)) == (4, {"proposals": 4})
     assert s.payoffs is None
     with pytest.raises(ConfigurationError, match="non-finite feature"):
-        rl.SampleSet(np.array([[0.0], [np.nan]]), np.ones(2))
+        rl.SampleSet(np.array([0.0, np.nan]), np.ones(2))
 
 
 def test_sample_set_shape_comes_from_its_features():
     s = rl.SampleSet(np.arange(5.0), np.ones(5))
-    assert s.features.shape == (5, 1) and s.n == 5
-    assert np.array_equal(s.feature_column(), np.arange(5.0))
-    with pytest.raises(ConfigurationError, match="1-D or 2-D"):
-        rl.SampleSet(np.zeros((2, 2, 1)))
+    assert s.features.shape == (5,) and s.n == 5
+    assert np.array_equal(s.features, np.arange(5.0))
     with pytest.raises(ConfigurationError, match="payoff length"):
         rl.SampleSet(np.arange(5.0), np.ones(4))
 
 
 def test_sample_set_refuses_two_feature_columns():
-    # every fit regresses on one feature; a (W_u, W_T) pair is two
-    with pytest.raises(ConfigurationError, match="one column"):
-        rl.SampleSet(np.zeros((3, 2)))
-    with pytest.raises(ConfigurationError, match="one column"):
+    # every fit regresses on one feature, one value per draw: a (W_u, W_T)
+    # pair is two columns, and a one-column array is not the 1-D form either
+    for shape in ((3, 2), (3, 1), (2, 2, 1), ()):
+        with pytest.raises(ConfigurationError, match="1-D array"):
+            rl.SampleSet(np.zeros(shape))
+    with pytest.raises(ConfigurationError, match="1-D array"):
         rl.SampleSet(np.zeros((3, 2)), np.zeros(3))
-    assert rl.SampleSet(np.zeros((3, 1))).features.shape == (3, 1)

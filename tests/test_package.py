@@ -13,8 +13,9 @@ import pytest
 
 import reglater
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
+TRACER = ROOT / "perfbench" / "tracer.py"
 SRC = str(Path(reglater.__file__).resolve().parent.parent)
 
 
@@ -165,3 +166,15 @@ def test_benchmark_hooks_resolve(monkeypatch):
             params = set(inspect.signature(target).parameters)
             assert COUNTER_READS[counter.__name__] <= params, f"{module_name}.{attr}"
     assert reglater._kernels.BACKEND
+
+
+def test_benchmark_selftest_passes(monkeypatch, tmp_path):
+    # the benchmark's self-test on a tiny figure1 sweep: every kept sample
+    # reaches the fit kernel once (rng.kept == sum N * reps ==
+    # _kernels.binned_qr_samples), and tracing leaves report.csv byte-identical
+    for name in ("tracer", "selftest"):  # selftest imports tracer by that name
+        spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, name, module)
+        spec.loader.exec_module(module)
+    sys.modules["selftest"].check(reglater, ROOT, tmp_path)

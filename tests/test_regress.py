@@ -7,12 +7,13 @@ import reglater as rl
 from reglater import _kernels
 from reglater.errors import ConfigurationError, DegenerateDesignError
 from conftest import slope_of
-from reference import Uniform, eval_basis, first_fit, fit_json_dict, ols_fit, simulate_terminal
+from reference import (Uniform, eval_basis, first_fit, fit_json_dict, fit_sample, ols_fit,
+                       sample_blocks, simulate_terminal)
 
 
 def _tanh_sample(law, n, seed):
     s = rl.simulate_conditional(law, n, seed)
-    return s.with_payoffs(np.tanh(s.feature_column()))
+    return s.with_payoffs(np.tanh(s.features))
 
 
 # ---------------------------------------------------------------------------
@@ -90,8 +91,8 @@ def test_single_basis_function_payoff_recovered_exactly(basis_cache, w10_law):
     dist = w10_law
     basis = basis_cache(6)
     s = rl.simulate_conditional(dist, 5000, seed=9)
-    x = eval_basis(basis, s.feature_column())[:, 0]  # X = e_{0,1}(W_T)
-    fit = rl.regress_later_fit(s.with_payoffs(x), basis)
+    x = eval_basis(basis, s.features)[:, 0]  # X = e_{0,1}(W_T)
+    fit = fit_sample(rl.regress_later_fit, s.with_payoffs(x), basis)
     expected = np.zeros(12)
     expected[0] = 1.0
     assert np.max(np.abs(fit.coefficients - expected)) < 1e-8
@@ -105,8 +106,8 @@ def test_in_span_payoff_zero_residual(basis_cache, w10_law):
     n = 50 * K
     s = rl.simulate_conditional(dist, n, seed=10)
     alpha = np.arange(2 * K, dtype=float) / 7.0 - 1.0
-    x = eval_basis(basis, s.feature_column()) @ alpha
-    fit = rl.regress_later_fit(s.with_payoffs(x), basis)
+    x = eval_basis(basis, s.features) @ alpha
+    fit = fit_sample(rl.regress_later_fit, s.with_payoffs(x), basis)
     assert fit.residual_l2 / np.sqrt(n) < 1e-8
 
 
@@ -114,10 +115,10 @@ def test_tanh_out_of_sample_mse_near_approx_floor(basis_cache, w10_law, tanh_pay
     dist = w10_law
     basis = basis_cache(5)
     samp = _tanh_sample(dist, 10_000, 12)
-    fit = rl.regress_later_fit(samp, basis)
+    fit = fit_sample(rl.regress_later_fit, samp, basis)
     approx = rl.approx_error_moments(tanh_payoff, basis, dist).mean_square
     fresh = rl.simulate_conditional(dist, 100_000, 13)
-    v = fresh.feature_column()
+    v = fresh.features
     mse = float(np.mean((np.tanh(v) - rl.predict(basis, fit.coefficients, v)) ** 2))
     assert mse <= 2.0 * approx
     assert mse >= 0.5 * approx
@@ -129,8 +130,8 @@ def test_empty_bins_reported_dropped(basis_cache, w10_law):
     # only populate bins 0 and 1
     gen = np.random.default_rng(5)
     u = gen.uniform(edges[0], edges[2], 400)
-    samp = rl.SampleSet(u.reshape(-1, 1), np.tanh(u))
-    fit = rl.regress_later_fit(samp, basis)
+    samp = rl.SampleSet(u, np.tanh(u))
+    fit = fit_sample(rl.regress_later_fit, samp, basis)
     assert set(fit.dropped_columns) == set(range(4, 16))
     assert np.all(fit.coefficients[4:] == 0.0)
     assert fit.rank == 4
@@ -143,7 +144,7 @@ def test_later_in_sample_mse_non_increasing_under_refinement(w10_law, basis_cach
     samp = _tanh_sample(law, 20_000, 14)
     prev = np.inf
     for K in (4, 8, 16, 32):
-        fit = rl.regress_later_fit(samp, basis_cache(K))
+        fit = fit_sample(rl.regress_later_fit, samp, basis_cache(K))
         rss = fit.residual_l2**2 / samp.n
         assert rss <= prev + 1e-15
         prev = rss
@@ -151,16 +152,17 @@ def test_later_in_sample_mse_non_increasing_under_refinement(w10_law, basis_cach
 
 def test_later_residual_variance_vanishes_jointly(w10_law, basis_cache):
     law = w10_law
-    small = rl.regress_later_fit(_tanh_sample(law, 1_000, 15), basis_cache(4))
-    big = rl.regress_later_fit(_tanh_sample(law, 100_000, 16), basis_cache(32))
+    small = fit_sample(rl.regress_later_fit, _tanh_sample(law, 1_000, 15), basis_cache(4))
+    big = fit_sample(rl.regress_later_fit, _tanh_sample(law, 100_000, 16), basis_cache(32))
     assert (big.residual_l2**2 / big.n) < 0.1 * (small.residual_l2**2 / small.n)
 
 
 def test_later_requires_univariate_payoff_bearing_sample(basis_cache):
-    # a two-column sample is refused when it is built (test_model)
+    # a sample of more than one feature column is refused when it is built
+    # (test_model)
     term = simulate_terminal(rl.FeatureSpec("terminal", 10.0), 100, seed=1)
-    with pytest.raises(ConfigurationError):
-        rl.regress_later_fit(term, basis_cache(4))  # no payoffs attached
+    with pytest.raises(ConfigurationError, match="no payoffs"):
+        rl.regress_later_fit(sample_blocks(term), basis_cache(4), fits=1)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +175,7 @@ def _now_problem(n, seed, K, eps=1e-4):
     dist_t = rl.truncated_feature_law(feat_t, eps)
     basis_t = rl.build_basis(dist_t, K)
     s = rl.simulate_conditional(dist_t, n, seed)
-    w = s.feature_column()
+    w = s.features
     xi = rl.rng.block_standard_normal(n, seed, "cont")
     x = (w + 3.0 * xi) ** 2
     return s.with_payoffs(x), basis_t, dist_t
@@ -186,9 +188,9 @@ def test_now_identity_target_fits_identity():
     basis_t = rl.build_basis(dist_t, 8)
     n = 50_000
     s = rl.simulate_conditional(dist_t, n, seed=20)
-    w = s.feature_column()
+    w = s.features
     x = w + 3.0 * rl.rng.block_standard_normal(n, 20, "cont")
-    fit = rl.regress_now_fit(s.with_payoffs(x), basis_t)
+    fit = fit_sample(rl.regress_now_fit, s.with_payoffs(x), basis_t)
     stderr = 3.0 * np.sqrt(2 * 8 / n)  # noise sd over sqrt(per-coef sample size), rough
     assert abs(rl.predict(basis_t, fit.coefficients, 0.0)) < 4.0 * stderr
     assert fit.mode == "now"
@@ -202,7 +204,7 @@ def test_now_mse_improves_with_sample_size():
         errs = {}
         for n in (1_000, 100_000):
             samp, basis_t, dist_t = _now_problem(n, 3000 + seed, K=8)
-            fit = rl.regress_now_fit(samp, basis_t)
+            fit = fit_sample(rl.regress_now_fit, samp, basis_t)
             approx = rl.approx_error_moments(g0t, basis_t, dist_t)
             errs[n] = approx.mean_square + rl.coefficient_error(
                 fit, rl.projection_coefficients(g0t, basis_t, dist_t))
@@ -215,8 +217,8 @@ def test_now_in_span_measurable_payoff_has_no_projection_error():
     dist_t = rl.truncated_feature_law(feat_t, 1e-4)
     basis_t = rl.build_basis(dist_t, 6)
     s = rl.simulate_conditional(dist_t, 4000, seed=22)
-    x = eval_basis(basis_t, s.feature_column())[:, 0]  # t-measurable, in span
-    fit = rl.regress_now_fit(s.with_payoffs(x), basis_t)
+    x = eval_basis(basis_t, s.features)[:, 0]  # t-measurable, in span
+    fit = fit_sample(rl.regress_now_fit, s.with_payoffs(x), basis_t)
     assert fit.residual_variance < 1e-8
 
 
@@ -247,7 +249,7 @@ def _residual_case(data, lo_bins, hi_bins):
         x = rl.predict(basis, gen.standard_normal(2 * K), u)
     else:
         x = np.sin(3.0 * u) + gen.standard_normal(u.size)
-    return basis, rl.SampleSet(u.reshape(-1, 1), x)
+    return basis, rl.SampleSet(u, x)
 
 
 @pytest.mark.parametrize("lo_bins,hi_bins", [(1, _kernels.COMPARE_MAX_BINS),
@@ -256,12 +258,12 @@ def _residual_case(data, lo_bins, hi_bins):
 @given(data=st.data())
 def test_residual_matches_prediction_residual(lo_bins, hi_bins, data):
     basis, samp = _residual_case(data, lo_bins, hi_bins)
-    u, x = samp.feature_column(), samp.payoffs
+    u, x = samp.features, samp.payoffs
     floor = 1e-12 * (np.linalg.norm(x) + 1.0)
-    later = rl.regress_later_fit(samp, basis)
+    later = fit_sample(rl.regress_later_fit, samp, basis)
     want = np.linalg.norm(x - rl.predict(basis, later.coefficients, u))
     assert later.residual_l2 == pytest.approx(want, rel=1e-10, abs=floor)
-    now = rl.regress_now_fit(samp, basis)
+    now = fit_sample(rl.regress_now_fit, samp, basis)
     want = np.linalg.norm(x - rl.predict(basis, now.coefficients, u))
     df = samp.n - now.rank
     assert now.residual_variance == pytest.approx(
@@ -278,10 +280,10 @@ def test_fits_make_no_bin_lookup(monkeypatch, basis_cache, w10_law):
 
     monkeypatch.setattr(_kernels, "bin_indices", counting)
     samp = _tanh_sample(w10_law, 5000, 30)
-    rl.regress_later_fit(samp, basis_cache(8))
-    rl.regress_now_fit(samp, basis_cache(8))
+    fit_sample(rl.regress_later_fit, samp, basis_cache(8))
+    fit_sample(rl.regress_now_fit, samp, basis_cache(8))
     assert calls == []
-    rl.predict(basis_cache(8), np.zeros(16), samp.feature_column())
+    rl.predict(basis_cache(8), np.zeros(16), samp.features)
     assert calls == [5000]  # predict looks the kernel up at call time
 
 
@@ -312,22 +314,22 @@ def _fold_case(gen, K, block, n, in_span):
         x = rl.predict(basis, gen.standard_normal(2 * K), u)
     else:
         x = np.sin(3.0 * u) + gen.standard_normal(n)
-    return basis, rl.SampleSet(u.reshape(-1, 1), x), one
+    return basis, rl.SampleSet(u, x), one
 
 
-def _assert_fold_matches_single_pass(basis, samp, one_distinct_bin):
-    """The block-wise factors and fit (``rng.BLOCK_SIZE`` as set by the
-    caller) against a single ``_kernels.binned_qr`` pass and a one-block fit.
+def _assert_fold_matches_single_pass(basis, samp, block, one_distinct_bin):
+    """The factors and fit of ``samp`` in blocks of ``block`` samples against
+    a single ``_kernels.binned_qr`` pass and a one-block fit.
 
     Each bin agrees to 1e-12 relative, times the squared condition number of
     the bin's design (``col / r22``; 1 where the linear column is dropped):
     both results are backward stable, so a bin holding two nearly equal
     values may differ by that much.
     """
-    u, x = samp.feature_column(), samp.payoffs
+    u, x = samp.features, samp.payoffs
     ref = first_fit(_kernels.binned_qr(basis.edges, basis.centers, basis.norm1, u, x,
                                        [u.size]))
-    got, n = rl.regress._binned_factors(samp, basis, 1)
+    got, n = rl.regress._binned_factors(sample_blocks(samp, block), basis, 1)
     got = first_fit(got)
     assert n == samp.n
     assert np.array_equal(got.counts, ref.counts)
@@ -350,10 +352,8 @@ def _assert_fold_matches_single_pass(basis, samp, one_distinct_bin):
     close(got.z[:, 1], ref.z[:, 1], xk, full)
     close(got.rss[:, 1], ref.rss[:, 1], xk**2, full)
 
-    blocked = rl.regress_later_fit(samp, basis)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rl.rng, "BLOCK_SIZE", samp.n)
-        single = rl.regress_later_fit(samp, basis)
+    blocked = fit_sample(rl.regress_later_fit, samp, basis, block=block)
+    single = fit_sample(rl.regress_later_fit, samp, basis, block=samp.n)
     assert 2 * one_distinct_bin + 1 in blocked.dropped_columns
     assert blocked.dropped_columns == single.dropped_columns
     assert blocked.rank == single.rank
@@ -362,7 +362,6 @@ def _assert_fold_matches_single_pass(basis, samp, one_distinct_bin):
     close(worst, 0.0, np.abs(pairs).max(axis=1) + xk / np.where(col > 0, col, 1.0))
     assert blocked.residual_l2 == pytest.approx(
         single.residual_l2, rel=1e-12, abs=1e-12 * (np.linalg.norm(cond * xk) + np.linalg.norm(x)))
-    return blocked
 
 
 @settings(max_examples=60, deadline=None)
@@ -374,32 +373,24 @@ def test_blockwise_fit_matches_single_pass(K, block, size, in_span, merge_blocks
     n = {"block": block, "block+1": block + 1, "3*block+17": 3 * block + 17}[size]
     basis, samp, one = _fold_case(np.random.default_rng(seed), K, block, n, in_span)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rl.rng, "BLOCK_SIZE", block)
         mp.setattr(rl.regress, "MERGE_BLOCKS", merge_blocks)  # merges of merged factors too
-        blocked = _assert_fold_matches_single_pass(basis, samp, one)
-        blocks = [rl.SampleSet(samp.features[lo:lo + block], samp.payoffs[lo:lo + block])
-                  for lo in range(0, n, block)]
-        from_blocks = rl.regress_later_fit(iter(blocks), basis)
-    # an iterable of block sample sets is the same fit as the sliced set
-    assert np.array_equal(from_blocks.coefficients, blocked.coefficients)
-    assert from_blocks.residual_l2 == blocked.residual_l2
-    assert from_blocks.n == n
+        _assert_fold_matches_single_pass(basis, samp, block, one)
 
 
 @pytest.mark.parametrize("extra", [0, 1, 2 * rl.rng.BLOCK_SIZE + 17])
 def test_blockwise_fit_at_the_rng_block_size(extra):
     n = rl.rng.BLOCK_SIZE + extra
     basis, samp, one = _fold_case(np.random.default_rng(extra), 12, rl.rng.BLOCK_SIZE, n, False)
-    _assert_fold_matches_single_pass(basis, samp, one)
+    _assert_fold_matches_single_pass(basis, samp, rl.rng.BLOCK_SIZE, one)
 
 
 def test_single_block_fit_is_the_kernel_result(basis_cache, w10_law):
     # with one block nothing is merged: the fit reads the kernel's own bits
     samp = _tanh_sample(w10_law, rl.rng.BLOCK_SIZE, 31)
     basis = basis_cache(8)
-    got, n = rl.regress._binned_factors(samp, basis, 1)
+    got, n = rl.regress._binned_factors(sample_blocks(samp), basis, 1)
     ref = _kernels.binned_qr(basis.edges, basis.centers, basis.norm1,
-                             samp.feature_column(), samp.payoffs, [samp.n])
+                             samp.features, samp.payoffs, [samp.n])
     assert n == samp.n
     for a, b in zip(got, ref):
         assert np.array_equal(a, b)
@@ -412,32 +403,40 @@ def test_batched_fits_are_the_fits_of_each_sample_alone(K, fits, n, seed):
     # one fit of the batch lies outside the domain: it alone is degenerate
     gen = np.random.default_rng(seed)
     basis = rl.build_basis(Uniform(-1.0, 2.0), K)
-    samples = [rl.SampleSet(u.reshape(-1, 1), np.sin(3.0 * u) + gen.standard_normal(n))
+    samples = [rl.SampleSet(u, np.sin(3.0 * u) + gen.standard_normal(n))
                for u in gen.uniform(-1.5, 2.5, (fits, n))]
     if fits > 1:
-        samples[1] = rl.SampleSet(np.full((n, 1), 5.0), np.ones(n))
+        samples[1] = rl.SampleSet(np.full(n, 5.0), np.ones(n))
     batch = rl.SampleSet.joined(samples)
-    later = rl.regress_later_fit(batch, basis, fits=fits)
-    now = rl.regress_now_fit(batch, basis, fits=fits)
+    later = rl.regress_later_fit([batch], basis, fits=fits)
+    now = rl.regress_now_fit([batch], basis, fits=fits)
     assert len(later) == len(now) == fits
     for sample, got_later, got_now in zip(samples, later, now):
         try:
-            want = rl.regress_later_fit(sample, basis)
+            want = fit_sample(rl.regress_later_fit, sample, basis)
         except DegenerateDesignError as exc:  # the fit outside, or by chance
             assert repr(got_later) == repr(got_now) == repr(exc)
             continue
         assert fit_json_dict(got_later) == fit_json_dict(want)
-        fit = rl.regress_now_fit(sample, basis)
+        fit = fit_sample(rl.regress_now_fit, sample, basis)
         assert fit_json_dict(got_now) == fit_json_dict(fit)
         assert repr(got_now.residual_variance) == repr(fit.residual_variance)  # NaN if n = rank
     if fits > 1:
         assert isinstance(later[1], DegenerateDesignError)
 
 
+@pytest.mark.parametrize("fits", [0, -1, True, None, 1.0, "1"])
+def test_fits_must_be_a_positive_int(fits, basis_cache):
+    samp = rl.SampleSet(np.linspace(-1.0, 1.0, 6), np.ones(6))
+    for fit in (rl.regress_later_fit, rl.regress_now_fit):
+        with pytest.raises(ConfigurationError, match="fits: must be a positive int"):
+            fit([samp], basis_cache(2), fits=fits)
+
+
 def test_batched_fit_needs_equal_shares(basis_cache):
-    samp = rl.SampleSet(np.zeros((7, 1)), np.zeros(7))
+    samp = rl.SampleSet(np.zeros(7), np.zeros(7))
     with pytest.raises(ConfigurationError, match="equal size"):
-        rl.regress_later_fit(samp, basis_cache(2), fits=2)
+        rl.regress_later_fit([samp], basis_cache(2), fits=2)
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +448,7 @@ def test_coefficient_error_zero_for_exact_span(basis_cache, w10_law):
     basis = basis_cache(4)
     s = rl.simulate_conditional(dist, 2000, seed=23)
     g = lambda u: rl.predict(basis, np.ones(8), np.atleast_1d(u))
-    fit = rl.regress_later_fit(s.with_payoffs(g(s.feature_column())), basis)
+    fit = fit_sample(rl.regress_later_fit, s.with_payoffs(g(s.features)), basis)
     assert rl.coefficient_error(fit, rl.projection_coefficients(g, basis, dist)) < 1e-12
 
 
@@ -461,7 +460,7 @@ def test_coefficient_error_shrinks_with_n(basis_cache, w10_law, tanh_payoff):
     for seed in range(50):
         for n in errs:
             samp = _tanh_sample(dist, n, 5000 + seed + n)
-            fit = rl.regress_later_fit(samp, basis)
+            fit = fit_sample(rl.regress_later_fit, samp, basis)
             errs[n].append(rl.coefficient_error(fit, alpha))
     assert np.median(errs[100_000]) < np.median(errs[1_000])
 
@@ -471,7 +470,7 @@ def test_fit_result_serializes_to_json(basis_cache, w10_law):
 
     law = w10_law
     samp = _tanh_sample(law, 2000, 30)
-    fit = rl.regress_later_fit(samp, basis_cache(4))
+    fit = fit_sample(rl.regress_later_fit, samp, basis_cache(4))
     doc = json.loads(json.dumps(fit_json_dict(fit)))
     assert doc["mode"] == "later"
     assert doc["rank"] == 8
@@ -491,7 +490,7 @@ def test_now_coefficient_error_scales_like_one_over_n():
         errs = []
         for seed in range(15):
             samp, _, _ = _now_problem(n, 7000 + seed, K=8)
-            fit = rl.regress_now_fit(samp, basis_t)
+            fit = fit_sample(rl.regress_now_fit, samp, basis_t)
             errs.append(rl.coefficient_error(fit, alpha))
         medians.append(np.median(errs))
     assert -1.3 <= slope_of(ns, medians) <= -0.7

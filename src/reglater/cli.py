@@ -156,12 +156,16 @@ def _cmd_plot(args) -> int:
 
     path = Path(args.report_csv)
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             rows = list(reader)
     except OSError as exc:
         raise ConfigurationError(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"report CSV {path}: not UTF-8 text ({exc})") from exc
+    except csv.Error as exc:
+        raise ConfigurationError(f"report CSV {path}: malformed CSV ({exc})") from exc
     paired = header == config_mod.PAIRED_CSV_HEADER.split(",")
     if not paired and header != config_mod.CSV_HEADER.split(","):
         raise ConfigurationError(f"CSV header must be exactly {config_mod.CSV_HEADER!r} "

@@ -348,16 +348,28 @@ def validate_config_dict(doc: dict) -> ExperimentConfig:
 
 
 def load_config_dict(path: str | Path) -> dict:
+    """The JSON object in the UTF-8 file at ``path``; ``ConfigurationError``
+    naming the file where it cannot be read or holds no such object."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigurationError(f"config file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"config file {path}: not UTF-8 text ({exc})") from exc
     try:
-        return json.loads(text)
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config file: malformed JSON ({exc})") from exc
     except ValueError as exc:
         raise ConfigurationError(f"config file {path}: {_too_many_digits()}") from exc
+    except RecursionError as exc:
+        raise ConfigurationError(f"config file {path}: {_TOO_DEEP}") from exc
+    # before any override indexes into it
+    _require_mapping(doc, f"config file {path}")
+    return doc
+
+
+_TOO_DEEP = "JSON nested too deeply to parse"
 
 
 def _too_many_digits() -> str:
@@ -380,6 +392,8 @@ def apply_overrides(doc: dict, overrides: list[str]) -> dict:
             value = raw
         except ValueError as exc:
             raise ConfigurationError(f"override {path}: {_too_many_digits()}") from exc
+        except RecursionError as exc:
+            raise ConfigurationError(f"override {path}: {_TOO_DEEP}") from exc
         keys = path.split(".")
         cursor = out
         for k in keys[:-1]:

@@ -3,26 +3,26 @@ sweeps, and the paired comparison of the two estimators.
 
 Every repetition draws its sample from a substream keyed by
 ``(seed, K, N, rep)``, so points are independently reproducible and a report
-is a pure function of (config, seed).  All three sweeps run on one engine,
-``_sweep``, whose task is a batch: the consecutive repetitions of one point
-whose samples fill at most one ``rng.BLOCK_SIZE`` block together
-(``_batches``).  A batch draws each repetition's sample from its own
-substream, joins them block by block (``_fit_batch``) and fits them in one
-kernel call per block (``regress_later_fit(blocks, basis, fits)``), each fit
-bit for bit the fit of its sample alone; Regress-Later pays off the joined
-samples once.  A repetition longer than half a block is a batch of its own
-and streams its sample one block at a time, so memory does not grow with N.
-Batches run serially or on any number of worker threads; a failed
-repetition is recorded in the report's ``failures`` and its batch's other
-repetitions still count (a point with none left reports ``reps=0`` and
-NaN means).  Aggregation takes values in repetition order and sums with
-``math.fsum``, so the emitted CSV is byte-identical for any worker count.
+is a pure function of (config, seed).  A sweep point is a plain ``(K, N)``;
+what depends on K alone is built once per distinct K, into a table, before
+the sweep.  All three sweeps run on one engine, ``_sweep``, whose task is a
+batch: the consecutive repetitions of one point whose samples fill at most
+one ``rng.BLOCK_SIZE`` block together (``_batches``).  ``_fit_batch`` joins
+the repetitions' samples block by block, fits them in one kernel call per
+block, each fit bit for bit the fit of its sample alone, and scores each
+fit; Regress-Later pays off the joined samples once.  A repetition longer
+than half a block is a batch of its own and streams its sample one block at
+a time, so memory does not grow with N.  Batches run serially or on any
+number of worker threads; a failed repetition is recorded in the report's
+``failures`` and its batch's other repetitions still count (a point with
+none left reports ``reps=0`` and NaN means).  Aggregation takes values in
+repetition order and sums with ``math.fsum``, so the emitted CSV is
+byte-identical for any worker count.
 """
 from __future__ import annotations
 
 import collections
 import ctypes
-import functools
 import itertools
 import math
 import time
@@ -151,16 +151,6 @@ def _mean_stderr(values: list[float]) -> tuple[float, float]:
     return mean, math.sqrt(var / m)
 
 
-@dataclass(frozen=True)
-class _PointSetup:
-    K: int
-    N: int
-    basis: SieveBasis
-    alpha: np.ndarray
-    approx_ms: float
-    h_tilde: float  # E[(e^T e)^2]; the row's h_tilde is this over N
-
-
 def _slope_or_nan(xs, ys) -> SlopeFit:
     """``fit_loglog_slope``, quiet, and all NaN below 3 usable points."""
     with warnings.catch_warnings():
@@ -178,29 +168,29 @@ def _batches(N: int, reps: int) -> list[range]:
     return [range(lo, min(lo + size, reps)) for lo in range(0, reps, size)]
 
 
-def _sweep(setups: list, reps: int, run_batch: Callable, workers: int
+def _sweep(points: list[tuple[int, int]], reps: int, run_batch: Callable, workers: int
            ) -> tuple[list[list], list[str]]:
-    """``run_batch(setup, batch)`` for every point and every batch of its
-    repetitions (``_batches``), serially or on ``workers`` threads.
+    """``run_batch(K, N, batch)`` for every point ``(K, N)`` and every batch
+    of its repetitions (``_batches``), serially or on ``workers`` threads.
 
     ``run_batch`` returns one entry per repetition of ``batch``: its value,
     or the exception of ``_POINT_ERRORS`` that failed it.  Returns each
     point's values in repetition order, and one message per failed
     repetition."""
-    tasks = ((i, batch) for i, pt in enumerate(setups) for batch in _batches(pt.N, reps))
+    tasks = ((i, batch) for i, (_, N) in enumerate(points) for batch in _batches(N, reps))
 
     def run_task(task):
         i, batch = task
-        return i, batch, run_batch(setups[i], batch)
+        return i, batch, run_batch(*points[i], batch)
 
-    values: list[list] = [[] for _ in setups]
+    values: list[list] = [[] for _ in points]
     failures = []
     outcomes = map(run_task, tasks) if workers <= 1 else _in_order(run_task, tasks, workers)
     for i, batch, results in outcomes:
-        pt = setups[i]
+        K, N = points[i]
         for rep, result in zip(batch, results):
             if isinstance(result, Exception):
-                failures.append(f"point (K={pt.K}, N={pt.N}) rep {rep}: {result}")
+                failures.append(f"point (K={K}, N={N}) rep {rep}: {result}")
             else:
                 values[i].append(result)
     return values, failures
@@ -223,22 +213,20 @@ def _in_order(fn: Callable, tasks: Iterable, workers: int) -> Iterator:
             yield pending.popleft().result()
 
 
-def _fit_batch(fit: Callable, streams: list) -> list:
-    """``fit(blocks, fits)`` of every repetition of a batch in one call.
+def _fit_batch(fit: Callable, streams: list[Iterator[SampleSet]], value: Callable) -> list:
+    """``fit(blocks, fits)`` of every repetition of a batch in one call, and
+    ``value`` of each repetition's fit.
 
-    ``streams`` has one entry per repetition: an iterator of its sample
-    blocks, or the exception that already failed it.  Block 0 of each
-    stream is drawn first, so a repetition whose sampling fails drops out
-    alone; the rest are fitted together on their blocks joined block by
-    block (only a repetition alone in its batch has more than one).
-    Returns one entry per repetition: what ``fit`` returned for it, or the
-    exception of ``_POINT_ERRORS`` that failed it; an exception the call
-    itself raises fails all of its repetitions."""
-    out = list(streams)
+    ``streams`` has one iterator of sample blocks per repetition.  Block 0
+    of each stream is drawn first, so a repetition whose sampling fails
+    drops out alone; the rest are fitted together on their blocks joined
+    block by block (only a repetition alone in its batch has more than one).
+    Returns one entry per repetition: ``value(fit)``, or the exception of
+    ``_POINT_ERRORS`` that failed its sampling, its fit or its value; an
+    exception the call itself raises fails all of its repetitions."""
+    out: list = [None] * len(streams)
     live, first = [], []
     for i, stream in enumerate(streams):
-        if isinstance(stream, Exception):
-            continue
         try:
             first.append(next(stream))
         except _POINT_ERRORS as exc:
@@ -255,22 +243,12 @@ def _fit_batch(fit: Callable, streams: list) -> list:
     except _POINT_ERRORS as exc:
         results = [exc] * len(live)
     for i, result in zip(live, results):
-        out[i] = result
-    return out
-
-
-def _each(fn: Callable, batch: range, results: list) -> list:
-    """``fn(rep, result)`` for every repetition of ``batch`` whose result is
-    not an exception; an exception of ``_POINT_ERRORS`` it raises takes the
-    repetition's place."""
-    out = []
-    for rep, result in zip(batch, results):
         if not isinstance(result, Exception):
             try:
-                result = fn(rep, result)
+                result = value(result)
             except _POINT_ERRORS as exc:
                 result = exc
-        out.append(result)
+        out[i] = result
     return out
 
 
@@ -312,6 +290,15 @@ def _payoff_blocks(payoff: PayoffSpec, blocks: Iterable[SampleSet]) -> Iterator[
         yield block.with_payoffs(eval_payoff(payoff, block.features))
 
 
+def _later_fits(payoff: PayoffSpec, dist: TruncatedNormal, basis: SieveBasis, N: int,
+                seeds: list[int], value: Callable) -> list:
+    """``value`` of each seed's Regress-Later fit on ``basis`` to ``N`` draws from
+    ``dist``, all in one ``_fit_batch`` that pays off the joined blocks once."""
+    return _fit_batch(lambda blocks, g: regress_later_fit(
+        _payoff_blocks(payoff, blocks), basis, fits=g),
+        [_sample_blocks(dist, N, seed) for seed in seeds], value)
+
+
 def _run_points(config: ExperimentConfig, workers: int) -> ConvergenceReport:
     """The growing-K or fixed-K sweep of ``config``, on the feature law at
     the payoff date; its slope is against K or N, as ``config.sweep`` says."""
@@ -323,31 +310,29 @@ def _run_points(config: ExperimentConfig, workers: int) -> ConvergenceReport:
     dist = _sweep_laws(config)[0]
     sweep_variable = "K" if config.sweep == "growing_K" else "N"
 
-    @functools.cache
-    def per_K(K: int) -> tuple[SieveBasis, np.ndarray, float, float]:
+    # per distinct K: the basis, the projection, the floor and E[(e^T e)^2]
+    tables = {}
+    for K in dict.fromkeys(config.K_list):
         basis = _basis(dist, K)
         alpha = projection_coefficients(config.payoff, basis, dist)
         approx = approx_error_moments(config.payoff, basis, dist, coefficients=alpha)
-        return basis, alpha, approx.mean_square, h_tilde(basis, dist)
+        tables[K] = basis, alpha, approx.mean_square, h_tilde(basis, dist)
+    points = config.points()
 
-    setups = [_PointSetup(K, N, *per_K(K)) for K, N in config.points()]
-
-    def run_batch(pt: _PointSetup, batch: range) -> list:
-        streams = [_sample_blocks(dist, pt.N, rng.derive_seed(config.seed, pt.K, pt.N, rep))
-                   for rep in batch]
-        fits = _fit_batch(lambda blocks, g: regress_later_fit(
-            _payoff_blocks(config.payoff, blocks), pt.basis, fits=g), streams)
+    def run_batch(K: int, N: int, batch: range) -> list:
+        basis, alpha, floor, _ = tables[K]
         # the basis is orthonormal, so the MSE is the floor plus the
         # coefficients' squared error, exactly
-        return _each(lambda rep, fit: pt.approx_ms + coefficient_error(fit, pt.alpha),
-                     batch, fits)
+        return _later_fits(config.payoff, dist, basis, N,
+                           [rng.derive_seed(config.seed, K, N, rep) for rep in batch],
+                           lambda fit: floor + coefficient_error(fit, alpha))
 
-    values, failures = _sweep(setups, config.repetitions, run_batch, workers)
+    values, failures = _sweep(points, config.repetitions, run_batch, workers)
     rows = []
-    for pt, vals in zip(setups, values):
-        mean, stderr = _mean_stderr(vals)
-        rows.append(ReportRow(pt.K, pt.N, len(vals), mean, stderr, pt.approx_ms,
-                              pt.h_tilde / pt.N, flagged=not vals))
+    for (K, N), vals in zip(points, values):
+        _, _, floor, moment = tables[K]
+        rows.append(ReportRow(K, N, len(vals), *_mean_stderr(vals), floor, moment / N,
+                              flagged=not vals))
 
     sf = _slope_or_nan([r.K if sweep_variable == "K" else r.N for r in rows],
                        [r.mse_mean for r in rows])
@@ -421,18 +406,6 @@ class PairedReport:
         }
 
 
-@dataclass(frozen=True)
-class _PairedSetup:
-    K: int
-    N: int
-    basis_T: SieveBasis  # Regress-Later basis, on the law at T
-    basis_t: SieveBasis  # Regress-Now basis, on the law at t
-    grid: np.ndarray  # evaluation states at t: 24 Gauss-Legendre nodes per bin of basis_t
-    wq: np.ndarray  # quadrature weights times the density at t
-    truth: np.ndarray  # closed-form E[payoff | state at t] on the grid
-    transfer: np.ndarray  # E[e_k(W_T) | W_t = grid], one row per grid state
-
-
 def now_vs_later_compare(config: ExperimentConfig, workers: int = 1) -> PairedReport:
     """Both estimators of the time-t conditional expectation on matched
     (K, N) points; MSEs against the closed-form truth, slopes versus N.
@@ -449,51 +422,43 @@ def now_vs_later_compare(config: ExperimentConfig, workers: int = 1) -> PairedRe
     T = config.feature.eval_time
     dist_T, dist_t = _sweep_laws(config)
 
-    @functools.cache
-    def per_K(K: int) -> tuple:
+    # per distinct K: both bases, a grid at t of 24 Gauss-Legendre nodes per bin of
+    # basis_t, its weights times the density at t, the closed-form E[payoff | W_t]
+    # on it, and E[e_k(W_T) | W_t], one row per grid state
+    tables = {}
+    for K in dict.fromkeys(config.K_list):
         basis_T = _basis(dist_T, K)
         basis_t = _basis(dist_t, K)
         grid, wq = bin_quadrature(basis_t, dist_t, 24)
         truth = oracle_conditional(config.payoff, t, T, grid)
         transfer = basis_condexp(BrownianTransition(t, T), basis_T, grid)
-        return basis_T, basis_t, grid, wq, truth, transfer
-
-    setups = [_PairedSetup(K, N, *per_K(K)) for K, N in config.points()]
-
+        tables[K] = basis_T, basis_t, grid, wq, truth, transfer
+    points = config.points()
     scale = math.sqrt(T - t)
 
-    def run_batch(pt: _PairedSetup, batch: range) -> list:
-        K, N, grid, wq, truth = pt.K, pt.N, pt.grid, pt.wq, pt.truth
+    def run_batch(K: int, N: int, batch: range) -> list:
+        basis_T, basis_t, grid, wq, truth, transfer = tables[K]
         # Regress-Later: fit the payoff at T, transfer exactly to time t
-        later = _fit_batch(lambda blocks, g: regress_later_fit(
-            _payoff_blocks(config.payoff, blocks), pt.basis_T, fits=g),
-            [_sample_blocks(dist_T, N, rng.derive_seed(config.seed, "later", K, N, rep))
-             for rep in batch])
-
-        def transfer_mse(rep: int, fit) -> float:
-            return float(np.sum(wq * (truth - pt.transfer @ fit.coefficients) ** 2))
-
-        mse_lat = _each(transfer_mse, batch, later)
+        later = _later_fits(
+            config.payoff, dist_T, basis_T, N,
+            [rng.derive_seed(config.seed, "later", K, N, rep) for rep in batch],
+            lambda fit: float(np.sum(wq * (truth - transfer @ fit.coefficients) ** 2)))
         # Regress-Now: states at t, fresh continuations to T, direct regression
-        streams = [mse if isinstance(mse, Exception) else _continued_blocks(
-            config.payoff, scale, rng.derive_seed(config.seed, "cont", K, N, rep),
-            _sample_blocks(dist_t, N, rng.derive_seed(config.seed, "now", K, N, rep)))
-            for rep, mse in zip(batch, mse_lat)]
-        now = _fit_batch(lambda blocks, g: regress_now_fit(blocks, pt.basis_t, fits=g), streams)
+        now = _fit_batch(
+            lambda blocks, g: regress_now_fit(blocks, basis_t, fits=g),
+            [_continued_blocks(
+                config.payoff, scale, rng.derive_seed(config.seed, "cont", K, N, rep),
+                _sample_blocks(dist_t, N, rng.derive_seed(config.seed, "now", K, N, rep)))
+             for rep in batch],
+            lambda fit: float(np.sum(wq * (truth - predict(basis_t, fit.coefficients, grid)) ** 2)))
+        # a repetition that failed either estimator counts in neither mean
+        return [lat if isinstance(lat, Exception) else mse if isinstance(mse, Exception)
+                else (lat, mse) for lat, mse in zip(later, now)]
 
-        def now_mse(rep: int, fit) -> float:
-            return float(np.sum(wq * (truth - predict(pt.basis_t, fit.coefficients, grid)) ** 2))
-
-        # a repetition that failed the Regress-Later stage failed this one too
-        return [mse if isinstance(mse, Exception) else (lat, mse)
-                for lat, mse in zip(mse_lat, _each(now_mse, batch, now))]
-
-    values, failures = _sweep(setups, config.repetitions, run_batch, workers)
-    rows = []
-    for pt, vals in zip(setups, values):
-        ml, sl = _mean_stderr([lat for lat, _ in vals])
-        mn, sn = _mean_stderr([now for _, now in vals])
-        rows.append(PairedRow(pt.K, pt.N, len(vals), ml, sl, mn, sn))
+    values, failures = _sweep(points, config.repetitions, run_batch, workers)
+    rows = [PairedRow(K, N, len(vals), *_mean_stderr([lat for lat, _ in vals]),
+                      *_mean_stderr([now for _, now in vals]))
+            for (K, N), vals in zip(points, values)]
 
     ns = [r.N for r in rows]
     return PairedReport(rows, _slope_or_nan(ns, [r.mse_later_mean for r in rows]),

@@ -278,6 +278,34 @@ def test_a_config_file_with_a_huge_integer_exits_2_naming_the_file(verb, tmp_pat
     assert not outdir.exists()
 
 
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("content,verb,sets,message", [
+    (b"[1, 2]", "run", ["seed=1"], "config file {path}: expected an object"),
+    (b'"a string"', "validate-config", ["seed=1"], "config file {path}: expected an object"),
+    (b"\xff\xfe{}", "run", [], "config file {path}: not UTF-8 text"),
+    (DEEP_JSON.encode(), "validate-config", [],
+     "config file {path}: JSON nested too deeply to parse"),
+    (json.dumps(TINY_CONFIG).encode(), "run", [f"seed={DEEP_JSON}"],
+     "override seed: JSON nested too deeply to parse"),
+    (b"\xff\xfeK,N\n", "plot", [], "report CSV {path}: not UTF-8 text"),
+    (b"K," + b"1" * 200_000 + b"\n", "plot", [], "report CSV {path}: malformed CSV"),
+], ids=["array-with-set", "string-with-set", "config-not-utf8", "config-nested-deep",
+        "override-nested-deep", "csv-not-utf8", "csv-field-too-long"])
+def test_an_unparseable_input_exits_2_naming_the_file_or_key(content, verb, sets, message,
+                                                             tmp_path, capsys):
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    out = tmp_path / "out"
+    args = [verb, str(path)] + (["-o", str(out)] if verb != "validate-config" else [])
+    assert cli.main(args + [a for s in sets for a in ("--set", s)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message.format(path=path)}")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_run_malformed_config_exits_2_without_partial_files(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"schema_version": 2,')

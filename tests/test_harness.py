@@ -4,7 +4,6 @@ import threading
 import tracemalloc
 import warnings
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -355,6 +354,33 @@ def test_paired_failures_are_recorded_not_raised(monkeypatch):
     assert rep.to_json_dict()["failures"] == rep.failures
 
 
+def test_paired_later_failures_are_recorded_not_raised(monkeypatch):
+    cfg = paired_config("fixed_K", seed=315, reps=3)
+    clean = rl.now_vs_later_compare(cfg, workers=1)
+    real = harness.regress_later_fit
+
+    def failing(blocks, basis, fits):
+        blocks = list(blocks)
+        n = sum(b.n for b in blocks) // fits
+        if n == 1000:  # the whole call fails: every repetition of the first point
+            raise rl.DegenerateDesignError("synthetic later failure")
+        out = real(iter(blocks), basis, fits=fits)
+        if n == 10000:  # one fit of the middle point's batch (all three repetitions)
+            assert fits == 3
+            out[1] = rl.DegenerateDesignError("synthetic later failure")
+        return out
+
+    monkeypatch.setattr(harness, "regress_later_fit", failing)
+    rep = rl.now_vs_later_compare(cfg, workers=2)
+    assert [r.reps for r in rep.rows] == [0, 2, 3]
+    assert np.isnan([rep.rows[0].mse_later_mean, rep.rows[0].mse_now_mean]).all()
+    assert np.isfinite([rep.rows[1].mse_later_mean, rep.rows[1].mse_now_mean]).all()
+    assert rep.failures == (
+        [f"point (K=8, N=1000) rep {r}: synthetic later failure" for r in (0, 1, 2)]
+        + ["point (K=8, N=10000) rep 1: synthetic later failure"])
+    assert rep.rows[2] == clean.rows[2]
+
+
 def test_paired_requires_supported_payoff():
     with pytest.raises(ConfigurationError):
         rl.ExperimentConfig(
@@ -400,14 +426,14 @@ def test_threaded_sweep_keeps_a_bounded_window_of_tasks(workers):
     # one repetition per batch: while the head task waits, only the tasks of
     # its window may start; with every task submitted up front all would
     window = harness._TASKS_PER_WORKER * workers
-    setups = [SimpleNamespace(K=K, N=rl.rng.BLOCK_SIZE) for K in (1, 2, 3)]
+    points = [(K, rl.rng.BLOCK_SIZE) for K in (1, 2, 3)]
     reps = 4 * window
     lock = threading.Lock()
     others = threading.Condition(lock)
     state = {"started": 0, "head_done": False, "ahead": 0}
 
-    def run_batch(pt, batch):
-        if pt is setups[0] and batch[0] == 0:
+    def run_batch(K, N, batch):
+        if K == 1 and batch[0] == 0:
             with others:  # head: wait until its window is full, then a little more
                 others.wait_for(lambda: state["started"] >= window - 1, timeout=5.0)
                 others.wait(timeout=0.05)
@@ -420,7 +446,7 @@ def test_threaded_sweep_keeps_a_bounded_window_of_tasks(workers):
                     others.notify_all()
         return [float(rep) for rep in batch]
 
-    values, failures = harness._sweep(setups, reps, run_batch, workers)
+    values, failures = harness._sweep(points, reps, run_batch, workers)
     assert failures == []
     assert values == [[float(rep) for rep in range(reps)]] * 3
     assert state["ahead"] == window - 1

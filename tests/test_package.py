@@ -1,5 +1,6 @@
 """The package namespace and what importing it loads."""
 import ast
+import collections
 import importlib
 import importlib.util
 import inspect
@@ -152,13 +153,19 @@ COUNTER_READS = {"_count_rejection": {"n", "propose"}, "_count_block_map": {"n",
                  "_count_condexp": {"state"}}
 
 
-def test_benchmark_hooks_resolve(monkeypatch):
-    # the benchmark's tracer wraps these names and reads these arguments, and its
-    # metadata reads the kernel backend: a rename must fail here, not in a benchmark run
+def _load_tracer(monkeypatch):
+    """``perfbench/tracer.py``, loaded by path."""
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, tracer)  # its dataclass looks itself up
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_benchmark_hooks_resolve(monkeypatch):
+    # the benchmark's tracer wraps these names and reads these arguments, and its
+    # metadata reads the kernel backend: a rename must fail here, not in a benchmark run
+    tracer = _load_tracer(monkeypatch)
     for module_name, attr, _layer, counter in tracer.TARGETS:
         target = getattr(importlib.import_module(module_name), attr, None)
         assert target is not None, f"{module_name}.{attr}"
@@ -178,3 +185,34 @@ def test_benchmark_selftest_passes(monkeypatch, tmp_path):
         monkeypatch.setitem(sys.modules, name, module)
         spec.loader.exec_module(module)
     sys.modules["selftest"].check(reglater, ROOT, tmp_path)
+
+
+# Spans per wrapped name of one traced run at --workers 2 and two repetitions.
+# A change that calls a wrapped name some other way (not through its module's
+# globals, or a different number of times) shows here before it zeroes or
+# skews a benchmark metric.
+SPAN_COUNTS = {
+    "figure1": {
+        "_kernels.binned_qr": 5, "basis.approx_error_moments": 5, "basis.h_tilde": 5,
+        "basis.projection_coefficients": 5, "cli.atomic_write": 2, "cli.main": 1,
+        "config.load_config": 1, "harness.run_growing_K": 1,
+        "model.simulate_conditional": 10, "payoff.eval_payoff": 5,
+        "regress.coefficient_error": 10, "regress.regress_later_fit": 5,
+        "rng.block_rejection": 10},
+    "now_vs_later_fixed": {
+        "_kernels.bin_indices": 6, "_kernels.binned_qr": 12, "cli.atomic_write": 2,
+        "cli.main": 1, "config.load_config": 1, "harness.now_vs_later_compare": 1,
+        "model.simulate_conditional": 16, "payoff.eval_payoff": 14,
+        "payoff.oracle_conditional": 1, "regress.predict": 6, "regress.regress_later_fit": 4,
+        "regress.regress_now_fit": 4, "rng.block_map": 8, "rng.block_rejection": 16},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPAN_COUNTS))
+def test_benchmark_span_counts_per_name(name, monkeypatch, tmp_path):
+    from reglater import cli
+
+    with _load_tracer(monkeypatch).Tracer() as t:
+        assert cli.main(["run", str(CONFIG_DIR / f"{name}.json"), "-o", str(tmp_path),
+                         "--workers", "2", "--set", "repetitions=2"]) == 0
+    assert collections.Counter(s.name for s in t.spans) == SPAN_COUNTS[name]

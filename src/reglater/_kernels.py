@@ -10,6 +10,9 @@ as a third column: the squared residuals it leaves are accumulated from the
 residual vectors themselves, so a fit's residual norm needs no second bin
 lookup or prediction.
 
+A fit's samples lie in its basis domain: ``binned_qr`` refuses others (NaN
+too), which ``bin_indices`` maps to -1.
+
 One ``binned_qr`` call factors a batch of fits whose samples lie back to
 back (``sizes``; one fit is a batch of one): each sample's sort key is its
 bin offset by its fit, so the call sorts, reduces and factors every (fit,
@@ -31,6 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import rng
+from .errors import ConfigurationError
 
 BACKEND = "python"
 
@@ -67,12 +71,6 @@ def _f64(a) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.float64)
 
 
-def _sum_sq(a: np.ndarray) -> float:
-    # not a @ a: BLAS threads its dot above 1e4 elements, and those threads
-    # stall behind sweep workers that already keep every core busy
-    return float(np.einsum("i,i->", a, a))
-
-
 def bin_indices(edges: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Owning bin per value: [b_k, b_{k+1}) except the last bin, which is
     right-closed; -1 outside the domain."""
@@ -83,16 +81,14 @@ def bin_indices(edges: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 class BinnedQR(NamedTuple):
     """Per-bin factors of the augmented design [e0, e1, x] of a batch of
-    fits; every field has a leading fit axis."""
+    fits; every field has a leading fit axis.  A bin holds R[..., 0]**2 / K samples."""
 
     R: np.ndarray  # (fits, K, 3): r11, r12, r22, nonnegative diagonal
     z: np.ndarray  # (fits, K, 2): Q^T x in the bin's two directions
-    counts: np.ndarray  # (fits, K): samples owned by each bin
     # (fits, K, 2): squared residual norm of x in the bin after fitting e0
     # alone, and after fitting [e0, e1] (r33^2 of the augmented QR; equal to
     # the first when r22 = 0)
     rss: np.ndarray
-    rss_outside: np.ndarray  # (fits,): sum of x^2 over out-of-domain samples (fit is 0 there)
 
 
 def binned_qr(edges, centers, norm1, u, x, sizes) -> BinnedQR:
@@ -100,8 +96,9 @@ def binned_qr(edges, centers, norm1, u, x, sizes) -> BinnedQR:
     with the residuals each fit leaves (see ``BinnedQR``); e0 = sqrt(K) on bin k.
 
     ``u`` and ``x`` hold ``len(sizes)`` fits back to back, ``sizes[f]``
-    samples for fit ``f``; each fit's factors, counts and residuals are
-    those of a call on its samples alone.
+    samples for fit ``f``; each fit's factors and residuals are those of a
+    call on its samples alone.  Every ``u`` lies in ``[edges[0], edges[-1]]``;
+    ``ConfigurationError`` names how many do not (NaN among them).
 
     The residual after both columns is x - z1 q1 - z2 q2, exactly the
     expression a prediction from the solved coefficients evaluates, so it
@@ -120,21 +117,24 @@ def binned_qr(edges, centers, norm1, u, x, sizes) -> BinnedQR:
     z = np.zeros((segments, 2))
     rss = np.zeros((segments, 2))
 
-    # Key 0 outside the domain, 1 + segment inside, in the narrowest unsigned
-    # type holding them, so the stable argsort is a radix sort.
+    # Key 1 + segment, in the narrowest unsigned type holding them, so the
+    # stable argsort is a radix sort; key 0 (outside the domain) is refused.
     key_type = np.min_scalar_type(segments)
     offsets = None
     if fits > 1:
         offsets = np.repeat(np.arange(0, segments, nbins, dtype=key_type), per_fit)
     keys = _bin_keys(edges, u, key_type, offsets)
     counts = np.bincount(keys, minlength=segments + 1)
-    a, x_out = _sorted_rows(keys, u, x, counts[0])  # a: rows [u; x] in segment order
+    if counts[0]:
+        raise ConfigurationError(
+            f"binned_qr: {counts[0]} of {u.size} samples lie outside the basis domain "
+            f"[{edges[0]}, {edges[-1]}] or are NaN")
+    a = _sorted_rows(keys, u, x)  # rows [u; x] in segment order
     counts = counts[1:]
 
-    # Whole-batch passes over the in-domain samples in segment order, with
-    # each non-empty segment's scalars spread over its samples by np.repeat;
-    # per segment only the two reductions of _bin_sums, which give np.sum's
-    # bits.
+    # Whole-batch passes over the samples in segment order, with each
+    # non-empty segment's scalars spread over its samples by np.repeat; per
+    # segment only the two reductions of _bin_sums, which give np.sum's bits.
     full = np.flatnonzero(counts)
     n = counts[full]
     lo = np.cumsum(counts)[full] - n  # where each non-empty segment starts in `a`
@@ -160,29 +160,20 @@ def binned_qr(edges, centers, norm1, u, x, sizes) -> BinnedQR:
     np.subtract(a[1], a[0], out=a[0])
     rss2, rss1 = np.add.reduceat(np.square(a, out=a), lo, axis=1)
     rss[full] = np.array((rss1, rss2)).T
-
-    # each fit's out-of-domain samples lie together, in fit order
-    out_counts = per_fit - counts.reshape(fits, nbins).sum(axis=1)
-    ends = np.cumsum(out_counts)
-    rss_outside = np.zeros(fits)
-    for f in np.flatnonzero(out_counts):
-        rss_outside[f] = _sum_sq(x_out[ends[f] - out_counts[f]:ends[f]])
     return BinnedQR(R.reshape(fits, nbins, 3), z.reshape(fits, nbins, 2),
-                    counts.reshape(fits, nbins), rss.reshape(fits, nbins, 2), rss_outside)
+                    rss.reshape(fits, nbins, 2))
 
 
-def _sorted_rows(keys: np.ndarray, u: np.ndarray, x: np.ndarray, n_out: int
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Rows [u; x] of the in-domain samples sorted by key (segment by
-    segment, input order within each), and x of the ``n_out`` out-of-domain
-    samples (key 0) in input order.  The sort order is dropped on return,
-    before the passes that need the most memory."""
+def _sorted_rows(keys: np.ndarray, u: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Rows [u; x] sorted by key (segment by segment, input order within
+    each).  The sort order is dropped on return, before the passes that need
+    the most memory."""
     order = np.argsort(keys, kind="stable")  # a radix sort for 8- and 16-bit keys
-    rows = np.empty((2, u.size - n_out))
+    rows = np.empty((2, u.size))
     # mode="clip" only so that take writes straight into its out= buffer
-    np.take(u, order[n_out:], out=rows[0], mode="clip")
-    np.take(x, order[n_out:], out=rows[1], mode="clip")
-    return rows, x[order[:n_out]]
+    np.take(u, order, out=rows[0], mode="clip")
+    np.take(x, order, out=rows[1], mode="clip")
+    return rows
 
 
 def _bin_sums(rows: np.ndarray, lo: np.ndarray, n: np.ndarray) -> np.ndarray:

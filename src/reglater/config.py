@@ -192,10 +192,10 @@ def checked_basis(config: ExperimentConfig, dist: TruncatedNormal, K: int) -> Si
     # every N once this is; at a time scale far from 1 its fourth moments
     # overflow or underflow
     with np.errstate(all="ignore"):  # the value is checked, not warned about
-        if not math.isfinite(h_tilde(basis, dist)):
-            raise ConfigurationError(
-                f"feature.eval_time: {config.feature.eval_time!r} gives a non-finite "
-                f"h_tilde at K={K}")
+        if not math.isfinite(h_tilde(basis, dist)):  # name the date of dist's law
+            date = "eval_time" if dist.var == config.feature.eval_time else "intermediate_time"
+            raise ConfigurationError(f"feature.{date}: {getattr(config.feature, date)!r} "
+                                     f"gives a non-finite h_tilde at K={K}")
     return basis
 
 

@@ -7,7 +7,8 @@ factors (identical solution to a global orthogonal decomposition).  Empty
 bins and numerically degenerate linear columns are dropped at a 1e-10
 relative tolerance and reported.  The same kernel pass carries the target as
 a third QR column, so the residual norm is summed from the per-bin residuals
-it leaves, with no prediction pass.
+it leaves, with no prediction pass.  A fit's samples, drawn from the law its
+basis is built on, lie in the basis domain (the kernel refuses others).
 
 A fit takes its samples as an iterable of sample blocks (for example a
 generator, so only one block is ever held), and a batch of ``fits`` fits on
@@ -15,9 +16,9 @@ one basis: every block holds each fit's samples back to back, in equal
 shares, the kernel factors every bin of every fit in one call per block,
 and each bin's factors are merged in block order (TSQR).  The per-bin
 solves are array operations over all fits.  Each fit's result is bit for
-bit the one of its samples alone in the same blocks; a fit that is
-degenerate fails alone.  A fit of one block is one kernel pass; more blocks
-agree with one pass to rounding error (both are backward stable).
+bit the one of its samples alone in the same blocks.  A fit of one block is
+one kernel pass; more blocks agree with one pass to rounding error (both
+are backward stable).
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ import numpy as np
 from . import _kernels
 from ._kernels import BinnedQR
 from .basis import SieveBasis, _block_stats, _gram_blocks_from_qr
-from .errors import ConfigurationError, DegenerateDesignError
+from .errors import ConfigurationError
 from .model import SampleSet
 
 COLUMN_NORM_TOL = 1e-10
@@ -94,7 +95,8 @@ def _merged(parts: list[BinnedQR]) -> BinnedQR:
     norm, e.g. one distinct value), its ``q2`` means nothing: the kernel's
     ``z2`` and ``r33`` then do not factor the block's Gram matrix, so its 3x3
     factor takes the residual after ``e0`` as its ``x`` row instead.  That
-    drops ``q2 . x``, at most ``r22`` times that residual.
+    drops ``q2 . x``, at most ``r22`` times that residual.  Every sample
+    lies in some bin, so these are all the factors there are to merge.
     """
     R = np.stack([p.R for p in parts], axis=-2)  # (fits, K, blocks, 3)
     z = np.stack([p.z for p in parts], axis=-2)
@@ -112,11 +114,8 @@ def _merged(parts: list[BinnedQR]) -> BinnedQR:
     T = np.linalg.qr(f.reshape(-1, 3 * m, 3), mode="r")
     T *= np.where(np.diagonal(T, axis1=1, axis2=2) < 0.0, -1.0, 1.0)[:, :, None]
     f3, f2 = T.reshape(2, *lead, 3, 3)
-    outside = np.array([p.rss_outside for p in parts])  # (blocks, fits)
     return BinnedQR(R=f3[..., [0, 0, 1], [0, 1, 1]], z=f3[..., [0, 1], [2, 2]],
-                    counts=np.sum([p.counts for p in parts], axis=0),
-                    rss=np.stack((f2[..., 1, 1] ** 2, f3[..., 2, 2] ** 2), axis=-1),
-                    rss_outside=np.array([math.fsum(col) for col in outside.T]))
+                    rss=np.stack((f2[..., 1, 1] ** 2, f3[..., 2, 2] ** 2), axis=-1))
 
 
 def _binned_factors(blocks: Iterable[SampleSet], basis: SieveBasis,
@@ -143,16 +142,17 @@ def _binned_factors(blocks: Iterable[SampleSet], basis: SieveBasis,
         n += size
         if len(parts) > MERGE_BLOCKS:
             parts = [_merged(parts)]
-    if not parts:
+    if n == 0:
         raise ConfigurationError("need at least one sample")
     return (parts[0] if len(parts) == 1 else _merged(parts)), n
 
 
 def _fit_on_basis(blocks: Iterable[SampleSet], basis: SieveBasis, mode: str,
-                  fits: int) -> list:
+                  fits: int) -> list[FitResult]:
     """The fits of a batch (see ``_binned_factors``), solved bin by bin with
-    array operations over every bin of every fit: per fit its ``FitResult``,
-    or the ``DegenerateDesignError`` that fails it."""
+    array operations over every bin of every fit: per fit its ``FitResult``.
+    Each fit holds a sample, in some bin, so it keeps a column there
+    (``r11 >= sqrt(K)``, far above the column floor)."""
     if isinstance(fits, bool) or not isinstance(fits, int) or fits < 1:
         raise ConfigurationError(f"fits: must be a positive int, got {fits!r}")
     qr, n = _binned_factors(blocks, basis, fits)
@@ -170,23 +170,13 @@ def _fit_on_basis(blocks: Iterable[SampleSet], basis: SieveBasis, mode: str,
     # squared residual per bin, as the fit leaves it
     rss = np.where(linear, qr.rss[..., 1], np.where(empty, 0.0, qr.rss[..., 0]))
     stats = _block_stats(_gram_blocks_from_qr(qr.R, n))
-    out: list = []
-    for f in range(fits):
-        cols = tuple(np.flatnonzero(dropped[f]).tolist())
-        if len(cols) == 2 * basis.K:
-            out.append(DegenerateDesignError("every basis column is empty on this sample"))
-            continue
-        out.append(FitResult(
-            coefficients=coef[f],
-            rank=2 * basis.K - len(cols),
-            dropped_columns=cols,
-            residual_l2=math.sqrt(math.fsum([qr.rss_outside[f], *rss[f].tolist()])),
-            gram_frobenius_dist=float(stats.frobenius_dist[f]),
-            gram_lambda_min=float(stats.lambda_min[f]),
-            mode=mode,
-            n=n,
-        ))
-    return out
+    cols = [tuple(np.flatnonzero(d).tolist()) for d in dropped]
+    return [FitResult(coefficients=coef[f], rank=2 * basis.K - len(cols[f]),
+                      dropped_columns=cols[f],
+                      residual_l2=math.sqrt(math.fsum(rss[f].tolist())),
+                      gram_frobenius_dist=float(stats.frobenius_dist[f]),
+                      gram_lambda_min=float(stats.lambda_min[f]), mode=mode, n=n)
+            for f in range(fits)]
 
 
 def _targets(sample: SampleSet) -> np.ndarray:
@@ -195,24 +185,27 @@ def _targets(sample: SampleSet) -> np.ndarray:
     return sample.payoffs
 
 
-def regress_later_fit(blocks: Iterable[SampleSet], basis: SieveBasis, fits: int) -> list:
+def regress_later_fit(blocks: Iterable[SampleSet], basis: SieveBasis,
+                      fits: int) -> list[FitResult]:
     """Regress the payoff on basis functions of the same-date feature.
 
     ``blocks`` is an iterable of payoff-bearing sample blocks, each holding
     ``fits`` (a positive int) fits' samples back to back, in equal shares;
-    all are factored in one kernel call per block.  Returns one entry per
-    fit: its ``FitResult``, or the ``DegenerateDesignError`` that fails it.
-    Each entry is the result of fitting that fit's samples alone.
+    all are factored in one kernel call per block.  Returns one
+    ``FitResult`` per fit, the result of fitting that fit's samples alone.
+    ``ConfigurationError`` where a sample lies outside the basis domain
+    (failing the whole batch) or the blocks hold no sample.
     """
     return _fit_on_basis(blocks, basis, "later", fits)
 
 
-def regress_now_fit(blocks: Iterable[SampleSet], basis: SieveBasis, fits: int) -> list:
+def regress_now_fit(blocks: Iterable[SampleSet], basis: SieveBasis,
+                    fits: int) -> list[FitResult]:
     """Regress the payoff on basis functions of the earlier-date feature.
 
-    ``blocks``, ``fits`` and the results as for ``regress_later_fit``.  The
-    residual now contains an irreducible projection error; its variance is
-    ``FitResult.residual_variance``.
+    ``blocks``, ``fits``, the results and refusals as for
+    ``regress_later_fit``.  The residual now contains an irreducible
+    projection error; its variance is ``FitResult.residual_variance``.
     """
     return _fit_on_basis(blocks, basis, "now", fits)
 

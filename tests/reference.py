@@ -163,11 +163,8 @@ def sample_blocks(sample: SampleSet, block: int = rng.BLOCK_SIZE) -> Iterator[Sa
 def fit_sample(fit: Callable, sample: SampleSet, basis: SieveBasis,
                block: int = rng.BLOCK_SIZE) -> FitResult:
     """``fit`` (``regress_later_fit`` or ``regress_now_fit``) of one whole
-    sample: a batch of one fit on ``sample_blocks(sample, block)``.  Returns
-    its ``FitResult``, or raises the error that fails it."""
+    sample: a batch of one fit on ``sample_blocks(sample, block)``."""
     (result,) = fit(sample_blocks(sample, block), basis, fits=1)
-    if isinstance(result, Exception):
-        raise result
     return result
 
 

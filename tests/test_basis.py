@@ -1,11 +1,14 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import reglater as rl
+from reglater import _kernels
 from reglater.basis import QUAD_TOL, gauss_legendre
+from reglater.config import _sweep_laws, load_config
 from reglater.errors import BasisConstructionError
 from conftest import slope_of
 from reference import (Uniform, adaptive_bin_quad_per_bin, basis_from_json_dict, eval_basis,
@@ -13,6 +16,7 @@ from reference import (Uniform, adaptive_bin_quad_per_bin, basis_from_json_dict,
 
 
 UNIF = Uniform(0.0, 1.0)
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 # ---------------------------------------------------------------------------
@@ -69,6 +73,20 @@ def test_fine_bases_are_orthonormal_to_rounding(K, w10_law):
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.stem)
+def test_sweep_samples_lie_in_their_basis_domain(path):
+    # the contract the fits rest on (the kernel refuses a sample outside):
+    # every law a shipped sweep fits on puts its basis's ends at its own, and
+    # draws inside them
+    cfg = load_config(path)
+    for law in _sweep_laws(cfg):
+        u = rl.simulate_conditional(law, 2 * rl.rng.BLOCK_SIZE, cfg.seed).features
+        for K in cfg.K_list:
+            edges = rl.build_basis(law, K).edges
+            assert (edges[0], edges[-1]) == (law.lower, law.upper)
+            assert np.all(_kernels.bin_indices(edges, u) >= 0)
+
 
 def test_eval_basis_uniform_example():
     basis = rl.build_basis(UNIF, 4)

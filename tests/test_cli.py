@@ -109,6 +109,10 @@ MUTATIONS = [
                  id="paired_overflowing_moments-feature.eval_time"),
     pytest.param((PAIRED_SQUARE, _pair(1e-300, 1e-301)), "feature.eval_time",
                  id="paired_underflowing_moments-feature.eval_time"),
+    # the law at the intermediate date fails alone: the gate names that date
+    pytest.param((PAIRED_SQUARE, _pair(10.0, 1e-300)),
+                 "feature.intermediate_time: 1e-300 gives a non-finite h_tilde at K=4",
+                 id="paired_underflowing_intermediate-feature.intermediate_time"),
     # MSEs whose standard error squares past the float range (OverflowError)
     pytest.param((PAIRED_SQUARE, _pair(1e80, 1e79)), "feature.eval_time",
                  id="paired_overflowing_stderr-feature.eval_time"),

@@ -218,27 +218,30 @@ def test_fresh_sample_eval_agrees_with_quadrature():
 
 def test_failures_in_a_batch_stay_per_repetition(monkeypatch):
     # K=4, N=1629: all five repetitions share one batch (one kernel call);
-    # rep 1 fails to sample, and rep 3's sample lies outside every bin
+    # rep 1 fails to sample, and rep 3 fails in its value
     cfg = small_growing_config(seed=316, reps=5)
     K, N = cfg.points()[0]
     assert len(harness._batches(N, cfg.repetitions)) == 1
     seeds = {rl.rng.derive_seed(cfg.seed, K, N, rep): rep for rep in range(cfg.repetitions)}
-    real = harness.simulate_conditional
+    real_sample, real_error = harness.simulate_conditional, harness.coefficient_error
+    rep3 = _fit_alone(cfg, K, N, 3)[1]  # the batch fits rep 3 to these bits
 
-    def failing(law, n, seed, **kwargs):
-        rep = seeds.get(seed) if n == N else None
-        if rep == 1:
+    def failing_sample(law, n, seed, **kwargs):
+        if n == N and seeds.get(seed) == 1:
             raise rl.SamplingError("synthetic failure")
-        sample = real(law, n, seed, **kwargs)
-        if rep == 3:
-            return rl.SampleSet(np.full(n, 1e3))
-        return sample
+        return real_sample(law, n, seed, **kwargs)
 
-    monkeypatch.setattr(harness, "simulate_conditional", failing)
+    def failing_error(fit, alpha):
+        if fit.n == N and np.array_equal(fit.coefficients, rep3.coefficients):
+            raise FloatingPointError("synthetic value failure")
+        return real_error(fit, alpha)
+
+    monkeypatch.setattr(harness, "simulate_conditional", failing_sample)
+    monkeypatch.setattr(harness, "coefficient_error", failing_error)
     report = rl.run_growing_K(cfg)
     assert report.failures == [
         f"point (K={K}, N={N}) rep 1: synthetic failure",
-        f"point (K={K}, N={N}) rep 3: every basis column is empty on this sample"]
+        f"point (K={K}, N={N}) rep 3: synthetic value failure"]
     row = report.rows[0]
     assert row.reps == 3 and not row.flagged
     want = harness._mean_stderr([_rep_alone(cfg, K, N, rep) for rep in (0, 2, 4)])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import reglater as rl
 from reglater import _kernels
+from reglater.errors import ConfigurationError
 from reference import design_matrix, first_fit, fit_sample, ols_fit
 
 
@@ -16,7 +17,7 @@ def problem(basis_cache, w10_law):
     basis = basis_cache(12)
     gen = np.random.default_rng(42)
     a1, a2 = basis.edges[0], basis.edges[-1]
-    u = gen.uniform(a1 - 1.0, a2 + 1.0, 20_000)  # includes out-of-domain points
+    u = gen.uniform(a1, a2, 20_000)
     x = np.tanh(u) + 0.1 * gen.standard_normal(u.size)
     return basis, u, x
 
@@ -31,11 +32,9 @@ def test_bin_indices_conventions(basis_cache):
 
 def test_binned_qr_matches_dense_ols(problem):
     basis, u, x = problem
-    inside = _kernels.bin_indices(basis.edges, u) >= 0
-    u_in, x_in = u[inside], x[inside]
-    design = design_matrix(basis.edges, basis.centers, basis.norm1, u_in)
-    dense = ols_fit(design, x_in)
-    samp = rl.SampleSet(u_in, x_in)
+    design = design_matrix(basis.edges, basis.centers, basis.norm1, u)
+    dense = ols_fit(design, x)
+    samp = rl.SampleSet(u, x)
     binned = fit_sample(rl.regress_later_fit, samp, basis)
     assert np.max(np.abs(dense.coefficients - binned.coefficients)) < 1e-9
     assert binned.residual_l2 == pytest.approx(dense.residual_l2, rel=1e-10)
@@ -44,7 +43,7 @@ def test_binned_qr_matches_dense_ols(problem):
 
 def test_qr_factor_reproduces_gram(problem):
     basis, u, x = problem
-    R, _, counts, _, _ = first_fit(_kernels.binned_qr(
+    R, _, _ = first_fit(_kernels.binned_qr(
         basis.edges, basis.centers, basis.norm1, u, x, [u.size]))
     D = design_matrix(basis.edges, basis.centers, basis.norm1, u)
     G = D.T @ D
@@ -53,7 +52,8 @@ def test_qr_factor_reproduces_gram(problem):
         assert r11**2 == pytest.approx(G[2 * k, 2 * k], rel=1e-10, abs=1e-9)
         assert r11 * r12 == pytest.approx(G[2 * k, 2 * k + 1], rel=1e-8, abs=1e-8)
         assert r12**2 + r22**2 == pytest.approx(G[2 * k + 1, 2 * k + 1], rel=1e-9, abs=1e-9)
-    assert counts.sum() == np.sum(_kernels.bin_indices(basis.edges, u) >= 0)
+    counts = np.bincount(_kernels.bin_indices(basis.edges, u), minlength=basis.K)
+    assert np.array_equal(R[:, 0], np.sqrt(basis.K) * np.sqrt(counts))
 
 
 # ---------------------------------------------------------------------------
@@ -71,17 +71,14 @@ def _searchsorted_bin_indices(edges, u):
 
 def _argsort_binned_qr(edges, centers, norm1, u, x):
     nbins = centers.size
-    R, z, counts = np.zeros((nbins, 3)), np.zeros((nbins, 2)), np.zeros(nbins, dtype=np.int64)
+    R, z = np.zeros((nbins, 3)), np.zeros((nbins, 2))
     idx = _searchsorted_bin_indices(edges, u)
-    inside = idx >= 0
-    idx_in, u_in, x_in = idx[inside], u[inside], x[inside]
-    order = np.argsort(idx_in, kind="stable")
-    idx_s, u_s, x_s = idx_in[order], u_in[order], x_in[order]
+    order = np.argsort(idx, kind="stable")
+    idx_s, u_s, x_s = idx[order], u[order], x[order]
     bounds = np.searchsorted(idx_s, np.arange(nbins + 1))
     for k in range(nbins):
         lo, hi = bounds[k], bounds[k + 1]
         nk = hi - lo
-        counts[k] = nk
         if nk == 0:
             continue
         d = norm1[k] * (u_s[lo:hi] - centers[k])
@@ -92,7 +89,7 @@ def _argsort_binned_qr(edges, centers, norm1, u, x):
         r22 = np.sqrt(np.sum(w * w))
         R[k] = (np.sqrt(nbins) * sq, r12, r22)
         z[k] = (np.sum(y) / sq, np.sum(w * y) / r22 if r22 > 0 else 0.0)
-    return R, z, counts
+    return R, z
 
 
 def _kernel_case(data, lo_bins, hi_bins):
@@ -128,6 +125,7 @@ def test_bin_indices_match_searchsorted(lo_bins, hi_bins, data):
 @given(data=st.data())
 def test_binned_qr_bit_equal_to_argsort_version(lo_bins, hi_bins, data):
     edges, u, gen = _kernel_case(data, lo_bins, hi_bins)
+    u = u[_searchsorted_bin_indices(edges, u) >= 0]  # the values a fit takes
     nbins = edges.size - 1
     centers = 0.5 * (edges[:-1] + edges[1:])
     norm1 = gen.uniform(0.5, 2.0, nbins)
@@ -137,7 +135,7 @@ def test_binned_qr_bit_equal_to_argsort_version(lo_bins, hi_bins, data):
     x = np.tanh(u) + gen.standard_normal(u.size)
     got = first_fit(_kernels.binned_qr(edges, centers, norm1, u, x, [u.size]))
     want = _argsort_binned_qr(edges, centers, norm1, u, x)
-    for g, w in zip((got.R, got.z, got.counts), want):
+    for g, w in zip((got.R, got.z), want):  # R[:, 0] = sqrt(K count) per bin
         assert g.dtype == w.dtype
         assert np.array_equal(g, w)
     # a bin without a linear direction (r22 = 0) leaves its first residual
@@ -167,8 +165,7 @@ def _einsum_rss(edges, centers, norm1, u, x):
         if r22 > 0:
             v = v - np.sum(w * y) / r22 / r22 * w
         rss[k, 1] = np.einsum("i,i->", v, v)
-    out = x[idx < 0]
-    return rss, np.einsum("i,i->", out, out)
+    return rss
 
 
 @pytest.mark.parametrize("lo_bins,hi_bins", [(1, 40),
@@ -183,26 +180,28 @@ def test_binned_qr_rss_matches_einsum_reference(lo_bins, hi_bins, data):
     centers = 0.5 * (edges[:-1] + edges[1:])
     norm1 = gen.uniform(0.5, 2.0, nbins)
     n = data.draw(st.integers(1, 600), label="n")
-    u = gen.uniform(edges[0] - 1.0, edges[-1] + 1.0, n)
-    k = gen.integers(nbins, size=4)
-    u[(u >= edges[k[0]]) & (u < edges[k[0] + 1])] = centers[k[0]]  # flat bin: r22 = 0
-    u[(u >= edges[k[1]]) & (u < edges[k[1] + 1])] = np.nan  # empty bin
-    one = (u >= edges[k[2]]) & (u < edges[k[2] + 1])  # one-sample bin
-    u[one & (np.cumsum(one) > 1)] = edges[-1] + 0.5
-    if data.draw(st.booleans(), label="all_outside"):
-        u = np.where(gen.random(n) < 0.5, edges[0] - 1.0, edges[-1] + 1.0)
-    x = (np.tanh(np.nan_to_num(u)) if data.draw(st.booleans(), label="smooth") else
+    u = gen.uniform(edges[0], edges[-1], n)
+    k = gen.integers(nbins, size=3)
+    # bin k[0] is flat (every value at its center: r22 = 0), and the values
+    # moved out of bins k[1] and k[2] go there too
+    sink = centers[k[0]]
+    u[_searchsorted_bin_indices(edges, u) == k[0]] = sink
+    u[_searchsorted_bin_indices(edges, u) == k[1]] = sink  # empty bin, unless k[1] = k[0]
+    one = _searchsorted_bin_indices(edges, u) == k[2]  # one-sample bin, unless k[2] = k[0]
+    u[one & (np.cumsum(one) > 1)] = sink
+    x = (np.tanh(u) if data.draw(st.booleans(), label="smooth") else
          gen.standard_normal(n) * 10.0 ** gen.uniform(-6, 6))
     got = first_fit(_kernels.binned_qr(edges, centers, norm1, u, x, [u.size]))
-    rss, rss_outside = _einsum_rss(edges, centers, norm1, u, x)
     assert np.all(got.rss >= 0)
-    assert np.allclose(got.rss, rss, rtol=1e-12, atol=0)
-    assert got.rss_outside == pytest.approx(rss_outside, rel=1e-12, abs=0)
-    assert np.array_equal(got.rss[got.counts == 0], np.zeros((np.sum(got.counts == 0), 2)))
-    flat = (got.counts > 0) & (got.R[:, 2] == 0)
+    assert np.allclose(got.rss, _einsum_rss(edges, centers, norm1, u, x), rtol=1e-12, atol=0)
+    empty = got.R[:, 0] == 0
+    assert np.array_equal(got.rss[empty], np.zeros((np.sum(empty), 2)))
+    flat = ~empty & (got.R[:, 2] == 0)
     assert np.array_equal(got.rss[flat, 1], got.rss[flat, 0])
-    assert got.counts[k[1]] == 0
-    assert got.counts.sum() == np.sum(_searchsorted_bin_indices(edges, u) >= 0)
+    if k[1] != k[0]:
+        assert empty[k[1]]
+    counts = np.bincount(_searchsorted_bin_indices(edges, u), minlength=nbins)
+    assert np.array_equal(got.R[:, 0], np.sqrt(nbins) * np.sqrt(counts))
 
 
 # ---------------------------------------------------------------------------
@@ -219,31 +218,29 @@ def test_batched_binned_qr_matches_one_call_per_fit(data):
         np.concatenate([[0.0], gen.uniform(1e-3, 2.0, nbins)]))
     centers = 0.5 * (edges[:-1] + edges[1:])
     norm1 = gen.uniform(0.5, 2.0, nbins)
-    us = [gen.uniform(edges[0] - 1.0, edges[-1] + 1.0, data.draw(st.integers(1, 400)))
+    us = [gen.uniform(edges[0], edges[-1], data.draw(st.integers(1, 400)))
           for _ in range(fits)]
     k = gen.integers(nbins, size=2)
-    f = gen.integers(fits, size=3)
+    f = gen.integers(fits, size=2)
     for u in us:  # every fit holds bin k[0] ...
         u[0] = centers[k[0]]
-    inside = (us[f[0]] >= edges[k[0]]) & (us[f[0]] < edges[k[0] + 1])
-    us[f[0]][inside] = edges[-1] + 0.5  # ... but one, where it is empty
-    flat = (us[f[1]] >= edges[k[1]]) & (us[f[1]] < edges[k[1] + 1])
+    # ... but one, where its values move to the next bin (with one bin, nowhere)
+    inside = _searchsorted_bin_indices(edges, us[f[0]]) == k[0]
+    us[f[0]][inside] = centers[(k[0] + 1) % nbins]
+    flat = _searchsorted_bin_indices(edges, us[f[1]]) == k[1]
     us[f[1]][flat] = centers[k[1]]  # one value in this bin of this fit: r22 = 0
-    if data.draw(st.booleans(), label="one_fit_outside"):
-        us[f[2]][:] = np.where(gen.random(us[f[2]].size) < 0.5, edges[0] - 1.0, edges[-1] + 1.0)
     xs = [np.tanh(u) + gen.standard_normal(u.size) * 10.0 ** gen.uniform(-3, 3) for u in us]
 
     got = _kernels.binned_qr(edges, centers, norm1, np.concatenate(us),
                              np.concatenate(xs), [u.size for u in us])
-    assert got.R.shape == (fits, nbins, 3) and got.rss_outside.shape == (fits,)
+    assert got.R.shape == (fits, nbins, 3)
     for i, (u, x) in enumerate(zip(us, xs)):
         want = first_fit(_kernels.binned_qr(edges, centers, norm1, u, x, [u.size]))
-        for g, w in zip((got.R[i], got.z[i], got.counts[i]), want[:3]):
+        for g, w in zip((got.R[i], got.z[i]), want[:2]):
             assert g.dtype == w.dtype
             assert np.array_equal(g, w)
         assert np.allclose(got.rss[i], want.rss, rtol=1e-12, atol=0)
-        assert got.rss_outside[i] == pytest.approx(want.rss_outside, rel=1e-12, abs=0)
-    assert got.counts[f[0], k[0]] == 0
+    assert (got.R[f[0], k[0], 0] == 0) == (nbins > 1)
     assert got.R[f[1], k[1], 2] == 0
 
 
@@ -252,6 +249,19 @@ def test_batched_binned_qr_checks_the_sizes():
     c, ones = 0.5 * (e[1:] + e[:-1]), np.ones(4)
     with pytest.raises(ValueError, match="sizes"):
         _kernels.binned_qr(e, c, ones, np.full(5, 0.5), np.ones(5), np.array([2, 2]))
+
+
+@pytest.mark.parametrize("value", [np.nextafter(0.0, -1.0), np.nextafter(1.0, 2.0), -np.inf,
+                                   np.inf, np.nan], ids=["below", "above", "-inf", "inf", "nan"])
+def test_binned_qr_refuses_values_outside_the_domain(value):
+    e = np.linspace(0.0, 1.0, 5)
+    c, ones = 0.5 * (e[1:] + e[:-1]), np.ones(4)
+    _kernels.binned_qr(e, c, ones, np.array([0.0, 0.5, 1.0]), np.ones(3), [3])  # the ends lie in it
+    with pytest.raises(ConfigurationError, match=r"2 of 5 samples lie outside .*\[0\.0, 1\.0\]"):
+        _kernels.binned_qr(e, c, ones, np.array([0.5, value, 0.25, value, 1.0]), np.ones(5), [5])
+    # in a batch, one fit outside refuses the call
+    with pytest.raises(ConfigurationError, match="1 of 4 samples lie outside"):
+        _kernels.binned_qr(e, c, ones, np.array([0.5, 0.25, 0.5, value]), np.ones(4), [2, 2])
 
 
 @settings(max_examples=20, deadline=None)

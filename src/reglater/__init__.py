@@ -7,13 +7,13 @@ config (``reglater.config``) never loads the sweep engine (``harness``).
 """
 import importlib
 
-from .errors import (BasisConstructionError, ConfigurationError, DegenerateDesignError,
-                     ReglaterError, SamplingError, UnsupportedOracleError)
+from .errors import (BasisConstructionError, ConfigurationError, ReglaterError,
+                     SamplingError, UnsupportedOracleError)
 
 __version__ = "0.1.0"
 
-_ERRORS = ("BasisConstructionError", "ConfigurationError", "DegenerateDesignError",
-           "ReglaterError", "SamplingError", "UnsupportedOracleError")
+_ERRORS = ("BasisConstructionError", "ConfigurationError", "ReglaterError",
+           "SamplingError", "UnsupportedOracleError")
 
 # public name -> the submodule that defines it
 _EXPORTS = {name: module for module, names in {

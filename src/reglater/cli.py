@@ -168,26 +168,28 @@ def _cmd_plot(args) -> int:
         raise ConfigurationError(f"report CSV {path}: malformed CSV ({exc})") from exc
     paired = header == config_mod.PAIRED_CSV_HEADER.split(",")
     if not paired and header != config_mod.CSV_HEADER.split(","):
-        raise ConfigurationError(f"CSV header must be exactly {config_mod.CSV_HEADER!r} "
-                                 f"or {config_mod.PAIRED_CSV_HEADER!r}")
+        raise ConfigurationError(f"report CSV {path}: header must be exactly "
+                                 f"{config_mod.CSV_HEADER!r} or {config_mod.PAIRED_CSV_HEADER!r}")
     if len(rows) < 2:
-        raise ConfigurationError("cannot plot a line through fewer than 2 rows")
+        raise ConfigurationError(f"report CSV {path}: cannot plot a line through fewer than 2 rows")
     # columns 3 and 5: mse_mean and approx_l2, or mse_later_mean and mse_now_mean
     try:
         ks = [int(r[0]) for r in rows]
         ns = [int(r[1]) for r in rows]
         series = {header[c]: [float(r[c]) for r in rows] for c in (3, 5)}
     except (ValueError, IndexError) as exc:
-        raise ConfigurationError(f"malformed CSV row ({exc})") from exc
-    if paired or len(set(ks)) == 1:
-        xs, x_label = [float(n) for n in ns], "N"
-    else:
-        xs, x_label = [float(k) for k in ks], "K"
+        raise ConfigurationError(f"report CSV {path}: malformed row ({exc})") from exc
+    if min(ks + ns) < 1:
+        raise ConfigurationError(f"report CSV {path}: K and N must be positive")
+    x_label = "N" if paired or len(set(ks)) == 1 else "K"
     guide = ("mse_now_mean", -1.0) if paired else ("mse_mean", -4.0)
     try:
+        xs = [float(x) for x in (ns if x_label == "N" else ks)]
         text = svgplot.render_loglog(xs, series, x_label, guide, title=path.stem)
+    except OverflowError as exc:  # an x, or the guide through the first point, beyond a float
+        raise ConfigurationError(f"report CSV {path}: values too large to plot ({exc})") from exc
     except ValueError as exc:
-        raise ConfigurationError(str(exc)) from exc
+        raise ConfigurationError(f"report CSV {path}: {exc}") from exc
     atomic_write(Path(args.out_svg), text)
     print(f"wrote {args.out_svg}")
     return EXIT_OK

@@ -17,9 +17,5 @@ class BasisConstructionError(ReglaterError):
     """Sieve basis cannot be built (degenerate bins, bin masses off 1/K, ...)."""
 
 
-class DegenerateDesignError(ReglaterError):
-    """Least squares design has no usable columns."""
-
-
 class UnsupportedOracleError(ReglaterError):
     """No conditional-expectation oracle for the requested payoff."""

@@ -41,16 +41,14 @@ from .basis import build_basis  # noqa: F401
 from .condexp import BrownianTransition, basis_condexp
 from .condexp import condexp_estimate  # noqa: F401  (not called; perfbench/tracer.py wraps it here)
 from .config import CSV_HEADER, PAIRED_CSV_HEADER, ExperimentConfig, _basis, _sweep_laws
-from .errors import (BasisConstructionError, ConfigurationError, DegenerateDesignError,
-                     SamplingError)
+from .errors import BasisConstructionError, ConfigurationError, SamplingError
 from .distributions import TruncatedNormal
 from .model import SampleSet, simulate_conditional
 from .model import truncated_feature_law  # noqa: F401
 from .payoff import PayoffSpec, eval_payoff, oracle_conditional
 from .regress import coefficient_error, predict, regress_later_fit, regress_now_fit
 
-_POINT_ERRORS = (DegenerateDesignError, BasisConstructionError, SamplingError,
-                 FloatingPointError)
+_POINT_ERRORS = (BasisConstructionError, SamplingError, FloatingPointError)
 # Tasks per worker thread that a threaded sweep keeps submitted and not yet
 # consumed: enough that a worker finishing early finds the next task queued,
 # and a bound, so the futures held do not grow with the repetition count.
@@ -472,6 +470,8 @@ def _continued_blocks(payoff: PayoffSpec, scale: float, seed: int,
     attached, where block ``j`` of the continuation normals ``xi`` is rng
     block ``j`` of ``rng.block_standard_normal(n, seed)``."""
     for j, block in enumerate(blocks):
-        w = block.features
-        xi = rng.block_standard_normal(w.size, seed, first_block=j)
-        yield block.with_payoffs(eval_payoff(payoff, w + scale * xi))
+        xi = rng.block_standard_normal(block.n, seed, first_block=j)
+        # w + scale * xi, formed in xi: products and sums commute, so bit for bit
+        xi *= scale
+        xi += block.features
+        yield block.with_payoffs(eval_payoff(payoff, xi))

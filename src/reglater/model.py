@@ -129,7 +129,11 @@ def simulate_conditional(law: TruncatedNormal, n: int, seed: int, *,
         raise SamplingError(f"domain mass {law.truncation_mass:g} below "
                             f"{MIN_CONDITIONAL_MASS:g}; rejection would stall")
     sigma, lower, upper = law.sigma, law.lower, law.upper
-    draw = lambda gen, m: sigma * gen.standard_normal(m)
+
+    def draw(gen, m):  # scaled in place: a round holds one array of normals
+        z = gen.standard_normal(m)
+        return np.multiply(z, sigma, out=z)
+
     accept = lambda u: (u >= lower) & (u <= upper)
     vals, proposals = rng.block_rejection(n, draw, accept, seed, "conditional", "terminal",
                                           rate=law.truncation_mass, first_block=first_block)

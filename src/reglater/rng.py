@@ -26,6 +26,7 @@ rate only decides where the sequence is cut, so no sample depends on it.
 """
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -73,6 +74,7 @@ def block_map(n: int, draw_block, *parts, first_block: int = 0) -> np.ndarray:
     leading values of a longer one.  Block ``j`` draws ``min(BLOCK_SIZE,
     n - j * BLOCK_SIZE)`` values from substream ``(*parts, first_block + j)``,
     so draw ``i`` depends only on ``(parts, first_block + i // BLOCK_SIZE)``.
+    A draw of one block is returned as ``draw_block`` gave it, not copied.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -86,7 +88,7 @@ def block_map(n: int, draw_block, *parts, first_block: int = 0) -> np.ndarray:
         block += 1
     if not pieces:
         return np.empty(0, dtype=np.float64)
-    return np.concatenate(pieces)
+    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
 
 def block_standard_normal(n: int, *parts, first_block: int = 0) -> np.ndarray:
@@ -99,6 +101,23 @@ def _round_size(need: int, rate: float) -> int:
     to spare, and at most a block."""
     m = (need + 3.0 * math.sqrt(need * (1.0 - rate))) / rate
     return min(BLOCK_SIZE, math.ceil(m))
+
+
+def _round(gen: np.random.Generator, m: int, need: int, propose, accept
+           ) -> tuple[np.ndarray, int]:
+    """One rejection round of ``m`` proposals: its first ``need`` hits or all
+    of them if fewer, and the proposals examined, up to and including the
+    ``need``-th hit when there is one.  That count is ``need`` plus the misses
+    before the ``need``-th hit, and a miss comes before it exactly when fewer
+    than ``need`` hits come before the miss."""
+    cand = np.asarray(propose(gen, m), dtype=np.float64)
+    ok = accept(cand)
+    hits = cand[ok]
+    if hits.size < need:
+        return hits, cand.size
+    misses = np.flatnonzero(~ok)  # miss j has misses[j] - j hits before it
+    return hits[:need], need + bisect.bisect_left(range(misses.size), need,
+                                                  key=lambda j: misses[j] - j)
 
 
 def block_rejection(n: int, propose, accept, *parts, rate: float,
@@ -129,17 +148,11 @@ def block_rejection(n: int, propose, accept, *parts, rate: float,
         got = []
         have = 0
         while have < quota:
-            cand = np.asarray(propose(gen, _round_size(quota - have, rate)), dtype=np.float64)
-            hits = np.nonzero(accept(cand))[0]
-            if have + hits.size >= quota:
-                need = quota - have
-                proposals += int(hits[need - 1]) + 1  # proposals examined this round
-                got.append(cand[hits[:need]])
-                have = quota
-            else:
-                proposals += cand.size
-                got.append(cand[hits])
-                have += hits.size
+            need = quota - have
+            hits, examined = _round(gen, _round_size(need, rate), need, propose, accept)
+            got.append(hits)
+            have += hits.size
+            proposals += examined
         out.append(got[0] if len(got) == 1 else np.concatenate(got))
         done += quota
         block += 1

@@ -16,7 +16,9 @@ with the tests, not in the package:
   (``gram_diagnostics``);
 - unconditioned draws of a Brownian feature (``simulate_terminal``,
   ``terminal_drawer``), and the Jensen check of a transfer on paired
-  (state, continuation) draws (``jensen_check``).
+  (state, continuation) draws (``jensen_check``);
+- the rejection sampler that kept each round's hits by an index array and
+  a gather (``block_rejection_by_index``).
 """
 from __future__ import annotations
 
@@ -34,7 +36,7 @@ from reglater.basis import (QUAD_TOL, GramDiagnostics, SieveBasis,
                             _block_stats, _gram_blocks_from_qr, bin_quadrature,
                             gauss_legendre)
 from reglater.condexp import BrownianTransition, condexp_estimate
-from reglater.errors import ConfigurationError, DegenerateDesignError
+from reglater.errors import ConfigurationError
 from reglater.model import FeatureSpec, SampleSet
 from reglater.payoff import PayoffSpec, oracle_conditional
 from reglater.regress import COLUMN_NORM_TOL, RANK_TOL, FitResult, predict
@@ -87,6 +89,10 @@ def eval_basis(basis: SieveBasis, u) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(u, dtype=np.float64))
     mat = design_matrix(basis.edges, basis.centers, basis.norm1, arr)
     return mat[0] if np.ndim(u) == 0 else mat
+
+
+class DegenerateDesignError(Exception):
+    """``ols_fit``'s design has no usable column."""
 
 
 class DenseFit(NamedTuple):
@@ -353,3 +359,45 @@ def jensen_check(fit: FitResult, basis: SieveBasis, transition: BrownianTransiti
             f"conditional MSE {mse_cond:.6g} exceeds payoff MSE {mse_payoff:.6g} "
             f"+ 3 x {stderr:.2g}")
     return JensenCheck(mse_cond, mse_payoff, stderr)
+
+
+# ---------------------------------------------------------------------------
+# rejection sampling by index arrays
+# ---------------------------------------------------------------------------
+
+def block_rejection_by_index(n: int, propose, accept, *parts, rate: float,
+                             first_block: int = 0) -> tuple[np.ndarray, int]:
+    """``rng.block_rejection`` with each round's hits found as an index array
+    (``np.nonzero``) and gathered by it, and the proposals a round examines
+    read off the index of its ``need``-th hit: the same rounds, samples and
+    count."""
+    if not 0.0 < rate <= 1.0:
+        raise ValueError(f"rate must lie in (0, 1], got {rate!r}")
+    out = []
+    proposals = 0
+    done = 0
+    block = first_block
+    while done < n:
+        quota = min(rng.BLOCK_SIZE, n - done)
+        gen = rng.substream(*parts, block)
+        got = []
+        have = 0
+        while have < quota:
+            cand = np.asarray(propose(gen, rng._round_size(quota - have, rate)),
+                              dtype=np.float64)
+            hits = np.nonzero(accept(cand))[0]
+            if have + hits.size >= quota:
+                need = quota - have
+                proposals += int(hits[need - 1]) + 1  # proposals examined this round
+                got.append(cand[hits[:need]])
+                have = quota
+            else:
+                proposals += cand.size
+                got.append(cand[hits])
+                have += hits.size
+        out.append(got[0] if len(got) == 1 else np.concatenate(got))
+        done += quota
+        block += 1
+    if not out:
+        return np.empty(0, dtype=np.float64), 0
+    return (out[0] if len(out) == 1 else np.concatenate(out)), proposals

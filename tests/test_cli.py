@@ -598,6 +598,29 @@ def test_plot_rejects_wrong_header(tmp_path, capsys):
     assert cli.main(["plot", str(csv), "-o", str(tmp_path / "x.svg")]) == 2
 
 
+PLOT_HEADER = "K,N,reps,mse_mean,mse_stderr,approx_l2,h_tilde\n"
+
+
+@pytest.mark.parametrize("rows,message", [
+    ("0,100,1,0.1,0.01,0.09,0.5\n8,100,1,0.01,0.001,0.009,0.5\n", "K and N must be positive"),
+    (f"{10**400},100,1,0.1,0.01,0.09,0.5\n8,100,1,0.01,0.001,0.009,0.5\n",
+     "values too large to plot"),
+    ("4,100,1,1e308,0.01,0.09,0.5\n8,100,1,0.01,0.001,0.009,0.5\n", "values too large to plot"),
+    (f"{10**100},100,1,0.1,0.01,0.09,0.5\n1,100,1,0.01,0.001,0.009,0.5\n",
+     "values too large to plot"),
+], ids=["zero-K", "K-beyond-a-float", "guide-beyond-a-float", "x-falls-by-1e100"])
+def test_plot_of_finite_values_it_cannot_draw_exits_2_naming_the_csv(rows, message,
+                                                                      tmp_path, capsys):
+    csv = tmp_path / "report.csv"
+    csv.write_text(PLOT_HEADER + rows)
+    svg = tmp_path / "x.svg"
+    assert cli.main(["plot", str(csv), "-o", str(svg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: report CSV {csv}: {message}")
+    assert err.count("\n") == 1
+    assert not svg.exists()
+
+
 def test_plot_verb_draws_a_paired_report(tmp_path, capsys):
     # both MSEs against N, with the slope -1 guide of Regress-Now's K/N floor
     path = tmp_path / "paired.json"

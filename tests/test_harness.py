@@ -342,7 +342,7 @@ def test_paired_failures_are_recorded_not_raised(monkeypatch):
     def failing(blocks, basis, fits):
         blocks = list(blocks)
         if sum(b.n for b in blocks) == 10000 * fits:  # the middle point
-            raise rl.DegenerateDesignError("synthetic failure")
+            raise FloatingPointError("synthetic failure")
         return real(iter(blocks), basis, fits=fits)
 
     monkeypatch.setattr(harness, "regress_now_fit", failing)
@@ -366,11 +366,11 @@ def test_paired_later_failures_are_recorded_not_raised(monkeypatch):
         blocks = list(blocks)
         n = sum(b.n for b in blocks) // fits
         if n == 1000:  # the whole call fails: every repetition of the first point
-            raise rl.DegenerateDesignError("synthetic later failure")
+            raise FloatingPointError("synthetic later failure")
         out = real(iter(blocks), basis, fits=fits)
         if n == 10000:  # one fit of the middle point's batch (all three repetitions)
             assert fits == 3
-            out[1] = rl.DegenerateDesignError("synthetic later failure")
+            out[1] = FloatingPointError("synthetic later failure")
         return out
 
     monkeypatch.setattr(harness, "regress_later_fit", failing)
@@ -506,6 +506,31 @@ def test_streamed_repetition_memory_is_flat_in_n(paired):
             tracemalloc.stop()
     assert peaks[2**20] <= 1.1 * peaks[2**17]
     assert peaks[2**20] < 6 * 2**20
+
+
+def _traced_peak(fn) -> int:
+    """The ``tracemalloc`` peak of ``fn()`` after a warm-up call."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_one_sample_block_peaks_below_two_and_a_half_block_lengths():
+    # a block holds its normals, its kept samples and masks: the sampler keeps
+    # a round's hits by mask and scales its normals in place, and a
+    # continuation is formed in place in its normals (3.0 block-lengths with
+    # an index array, a gathered copy and a scaled copy)
+    bound = 2.5 * 8 * rl.rng.BLOCK_SIZE
+    law = rl.truncated_feature_law(rl.FeatureSpec("terminal", 10.0), 1e-4)
+    assert _traced_peak(lambda: rl.simulate_conditional(law, rl.rng.BLOCK_SIZE, 7)) <= bound
+    states = rl.simulate_conditional(law, rl.rng.BLOCK_SIZE, 8)
+    square = rl.PayoffSpec("square")
+    assert _traced_peak(
+        lambda: next(harness._continued_blocks(square, 3.0, 9, iter([states])))) <= bound
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="allocator thresholds are glibc's")

@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 import reglater as rl
 from reglater import _kernels
-from reglater.errors import ConfigurationError, DegenerateDesignError
+from reglater.errors import ConfigurationError
 from conftest import slope_of
-from reference import (Uniform, eval_basis, first_fit, fit_json_dict, fit_sample, ols_fit,
-                       sample_blocks, simulate_terminal)
+from reference import (DegenerateDesignError, Uniform, eval_basis, first_fit, fit_json_dict,
+                       fit_sample, ols_fit, sample_blocks, simulate_terminal)
 
 
 def _tanh_sample(law, n, seed):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr, ndtri
 
 from reglater import model, rng
 from reglater.model import FeatureSpec
-from reference import terminal_drawer
+from reference import block_rejection_by_index, terminal_drawer
 
 
 def test_substream_is_reproducible():
@@ -160,6 +162,36 @@ def test_block_rejection_matches_full_block_reference(n, p):
         assert used == ref_used
         if rate == p:  # right-sizing may split a block's last full round, never much more
             assert new.rounds <= old.rounds + 2
+
+
+# expected proposals per case, n / p, at most this: n is cut to it at low rates
+REJECTION_PROPOSALS = 1_000_000
+
+
+@st.composite
+def rejection_cases(draw):
+    """A uniform proposal accepted on a window of true rate p in [1e-3, 1],
+    a stated rate from p / 2 to 2 p (at most 1), so that blocks take several
+    rounds, from 1 draw to three blocks, and a first block from 0 to 2."""
+    p = 10.0 ** draw(st.floats(-3.0, 0.0))
+    lo = draw(st.floats(0.0, 1.0)) * (1.0 - p)
+    stated = min(1.0, p * draw(st.floats(0.5, 2.0)))
+    n = draw(st.integers(1, min(3 * rng.BLOCK_SIZE, max(1, int(REJECTION_PROPOSALS * p)))))
+    return lo, p, stated, n, draw(st.integers(0, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rejection_cases(), st.integers(0, 2**32))
+def test_block_rejection_keeps_the_index_array_samples_and_count(case, seed):
+    lo, p, stated, n, first_block = case
+    propose = lambda gen, m: gen.random(m)
+    accept = lambda v: (v >= lo) & (v < lo + p)
+    vals, used = rng.block_rejection(n, propose, accept, seed, "rej", rate=stated,
+                                     first_block=first_block)
+    ref_vals, ref_used = block_rejection_by_index(n, propose, accept, seed, "rej", rate=stated,
+                                                  first_block=first_block)
+    assert np.array_equal(vals, ref_vals)
+    assert used == ref_used
 
 
 @pytest.mark.parametrize("rate", (0.0, -0.5, 1.5, float("nan")))

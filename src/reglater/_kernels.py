@@ -17,12 +17,16 @@ One ``binned_qr`` call factors a batch of fits whose samples lie back to
 back (``sizes``; one fit is a batch of one): each sample's sort key is its
 bin offset by its fit, so the call sorts, reduces and factors every (fit,
 bin) segment of the batch at once, with the same values in the same order
-as separate calls would, and the same bits.  Bin lookup, the sort and every
-elementwise step of the QR are whole-batch passes over the samples, with
-per-segment scalars spread over each segment's samples by ``np.repeat``; a
-non-empty segment costs two numpy reductions, and the residuals one
-``np.add.reduceat`` per call.  Few calls matter because each numpy call on a
-large array hands the GIL to the other worker thread and back.  The fits
+as separate calls would, and the same bits.  The sort puts a slot ahead of
+each segment's samples: at +0.0, the slots let one ``np.add.reduceat`` sum
+each segment with the bits of ``np.add.reduce`` (pairwise, as ``np.sum``),
+so a call takes all its sums in four ``reduceat`` calls.  Bin lookup, the
+sort and every elementwise step of the QR are whole-batch passes, with
+per-segment scalars spread over each segment by ``np.repeat``.  Few calls
+matter because each numpy call on a large array hands the GIL to the other
+worker thread and back.  Beside its inputs a call peaks at three
+block-lengths of float64: the sort order and the sorted rows [u; x] while
+it gathers, then the rows and one spread or product row at a time.  The fits
 call it on one rng block of samples at a time, holding one repetition or
 several short ones, and merge the per-bin factors of consecutive blocks
 (``regress._binned_factors``).
@@ -113,74 +117,70 @@ def binned_qr(edges, centers, norm1, u, x, sizes) -> BinnedQR:
         raise ValueError("binned_qr: sizes must add up to the number of samples")
     fits = per_fit.size
     segments = fits * nbins  # segment f * nbins + k is bin k of fit f
-    R = np.zeros((segments, 3))
-    z = np.zeros((segments, 2))
-    rss = np.zeros((segments, 2))
+    if u.size == 0:
+        return BinnedQR(np.zeros((fits, nbins, 3)), np.zeros((fits, nbins, 2)),
+                        np.zeros((fits, nbins, 2)))
 
     # Key 1 + segment, in the narrowest unsigned type holding them, so the
-    # stable argsort is a radix sort; key 0 (outside the domain) is refused.
+    # stable argsort is a radix sort; key 0 (outside the domain) sorts first
+    # and is refused.  The keys 1..segments ahead of the samples' are one
+    # slot per segment, which the sort puts first in its segment.
     key_type = np.min_scalar_type(segments)
     offsets = None
     if fits > 1:
         offsets = np.repeat(np.arange(0, segments, nbins, dtype=key_type), per_fit)
-    keys = _bin_keys(edges, u, key_type, offsets)
-    counts = np.bincount(keys, minlength=segments + 1)
-    if counts[0]:
+    keys = np.empty(segments + u.size, key_type)
+    keys[:segments] = np.arange(1, segments + 1)
+    keys[segments:] = _bin_keys(edges, u, key_type, offsets)
+    order = np.argsort(keys, kind="stable")
+    del offsets, keys  # not held through the passes
+    order -= segments  # a sample's index; negative at a slot
+    pad = np.flatnonzero(order < 0)  # where each segment's slot lies
+    if pad[0]:
         raise ConfigurationError(
-            f"binned_qr: {counts[0]} of {u.size} samples lie outside the basis domain "
+            f"binned_qr: {pad[0]} of {u.size} samples lie outside the basis domain "
             f"[{edges[0]}, {edges[-1]}] or are NaN")
-    a = _sorted_rows(keys, u, x)  # rows [u; x] in segment order
-    counts = counts[1:]
-
-    # Whole-batch passes over the samples in segment order, with each
-    # non-empty segment's scalars spread over its samples by np.repeat; per
-    # segment only the two reductions of _bin_sums, which give np.sum's bits.
-    full = np.flatnonzero(counts)
-    n = counts[full]
-    lo = np.cumsum(counts)[full] - n  # where each non-empty segment starts in `a`
-    k = full % nbins
-    sq = np.sqrt(n)
-    a[0] -= np.repeat(centers[k], n)  # row 0 becomes d = norm1 (u - c)
-    a[0] *= np.repeat(norm1[k], n)
-    s1 = _bin_sums(a, lo, n)  # [sum d, sum x]
-    r12 = s1[:, 0] / sq
-    z1 = s1[:, 1] / sq
-    a[0] -= np.repeat(r12 / sq, n)  # w: MGS, subtract the q1 component elementwise
-    s2 = _bin_sums(np.multiply(a[0], a), lo, n)  # [sum w w, sum w x]
-    r22 = np.sqrt(s2[:, 0])
-    linear = r22 > 0
-    z2 = np.divide(s2[:, 1], r22, out=np.zeros_like(r22), where=linear)
-    R[full] = np.array((np.sqrt(nbins) * sq, r12, r22)).T
-    z[full] = np.array((z1, z2)).T
-
-    # residuals v = x - z1 q1 into row 1, and v - z2 q2 (= v where r22 = 0)
-    # into row 0
-    a[1] -= np.repeat(z1 / sq, n)
-    a[0] *= np.repeat(np.divide(z2, r22, out=np.zeros_like(r22), where=linear), n)
-    np.subtract(a[1], a[0], out=a[0])
-    rss2, rss1 = np.add.reduceat(np.square(a, out=a), lo, axis=1)
-    rss[full] = np.array((rss1, rss2)).T
-    return BinnedQR(R.reshape(fits, nbins, 3), z.reshape(fits, nbins, 2),
-                    rss.reshape(fits, nbins, 2))
-
-
-def _sorted_rows(keys: np.ndarray, u: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Rows [u; x] sorted by key (segment by segment, input order within
-    each).  The sort order is dropped on return, before the passes that need
-    the most memory."""
-    order = np.argsort(keys, kind="stable")  # a radix sort for 8- and 16-bit keys
-    rows = np.empty((2, u.size))
+    n = np.diff(pad, append=order.size) - 1  # samples per segment
+    rows = np.empty((2, order.size))  # [u; x] in segment order
     # mode="clip" only so that take writes straight into its out= buffer
+    # (a slot takes sample 0); the sort order is dropped before the passes
     np.take(u, order, out=rows[0], mode="clip")
     np.take(x, order, out=rows[1], mode="clip")
-    return rows
+    del order
 
+    # Whole-batch passes, with each segment's scalars spread over its slot
+    # and samples by np.repeat.  With its slot at +0.0, np.add.reduceat from
+    # the slot gives a segment's samples the bits of np.add.reduce (pairwise,
+    # as np.sum); an empty segment sums its slot alone, so its factors are 0.
+    span = n + 1
+    sq = np.sqrt(n)
+    div = np.maximum(sq, 1.0)  # sq, or 1 in an empty segment, whose sums are 0
+    rows[0] -= np.repeat(np.tile(centers, fits), span)  # row 0 becomes d = norm1 (u - c)
+    rows[0] *= np.repeat(np.tile(norm1, fits), span)
+    rows[:, pad] = 0.0
+    s1 = np.add.reduceat(rows, pad, axis=1)  # [sum d, sum x]
+    r12 = s1[0] / div
+    z1 = s1[1] / div
+    rows[0] -= np.repeat(r12 / div, span)  # w: MGS, subtract the q1 component elementwise
+    rows[0, pad] = 0.0  # so the slots' products are +0.0 too
+    s2 = np.empty((2, segments))  # [sum w w, sum w x], the products formed in one row
+    prod = np.empty(rows.shape[1])
+    for row, sums in zip(rows, s2):
+        np.add.reduceat(np.multiply(rows[0], row, out=prod), pad, out=sums)
+    del prod
+    r22 = np.sqrt(s2[0])
+    linear = r22 > 0
+    z2 = np.divide(s2[1], r22, out=np.zeros_like(r22), where=linear)
 
-def _bin_sums(rows: np.ndarray, lo: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Sums of each row over the spans [lo, lo + n): one np.add.reduce per
-    span, pairwise along each row, so the same bits as np.sum of the row's
-    slice."""
-    out = np.empty((lo.size, rows.shape[0]))
-    for i, (start, size) in enumerate(zip(lo.tolist(), n.tolist())):
-        np.add.reduce(rows[:, start:start + size], axis=1, out=out[i])
-    return out
+    # residuals v = x - z1 q1 into row 1, and v - z2 q2 (= v where r22 = 0)
+    # into row 0, summed as by np.add.reduceat over the samples alone (from
+    # the first sample, not the slot): every slot is a cut and its own sum
+    # is dropped; an empty segment sums its slot, at 0
+    rows[1] -= np.repeat(z1 / div, span)
+    rows[0] *= np.repeat(np.divide(z2, r22, out=np.zeros_like(r22), where=linear), span)
+    np.subtract(rows[1], rows[0], out=rows[0])
+    rows[:, pad] = 0.0
+    cuts = np.stack((pad, pad + (n > 0)), axis=-1).ravel()
+    rss2, rss1 = np.add.reduceat(np.square(rows, out=rows), cuts, axis=1)[:, 1::2]
+    return BinnedQR(*(np.stack(cols, axis=-1).reshape(fits, nbins, -1) for cols in
+                      ((np.sqrt(nbins) * sq, r12, r22), (z1, z2), (rss1, rss2))))

@@ -255,8 +255,9 @@ def _keep_block_memory() -> None:
 
     A batch allocates and frees a few MB of block-sized numpy temporaries
     per rng block: the sampler's, the joined sample and its payoffs, and
-    those of the whole-block passes of ``_kernels.binned_qr`` (two arrays of
-    two block-length rows and the ``np.repeat`` spreads of per-bin scalars).
+    those of the whole-block passes of ``_kernels.binned_qr`` (its sort
+    order, one array of two block-length rows, a product row and the
+    ``np.repeat`` spreads of per-bin scalars).
     Under glibc's default dynamic thresholds such arrays are mmapped, or the
     freed top of the heap is handed back to the system, so every block
     page-faults its memory in again (about 1e5 minor faults per

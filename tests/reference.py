@@ -18,7 +18,9 @@ with the tests, not in the package:
   ``terminal_drawer``), and the Jensen check of a transfer on paired
   (state, continuation) draws (``jensen_check``);
 - the rejection sampler that kept each round's hits by an index array and
-  a gather (``block_rejection_by_index``).
+  a gather (``block_rejection_by_index``);
+- the per-bin QR kernel that took each segment's sums with one
+  ``np.add.reduce`` per segment (``looped_binned_qr``).
 """
 from __future__ import annotations
 
@@ -401,3 +403,68 @@ def block_rejection_by_index(n: int, propose, accept, *parts, rate: float,
     if not out:
         return np.empty(0, dtype=np.float64), 0
     return (out[0] if len(out) == 1 else np.concatenate(out)), proposals
+
+
+# ---------------------------------------------------------------------------
+# the per-bin QR with one reduction per segment
+# ---------------------------------------------------------------------------
+
+def looped_binned_qr(edges, centers, norm1, u, x, sizes) -> BinnedQR:
+    """``_kernels.binned_qr`` with the samples sorted without slots, counted
+    by ``np.bincount``, and each non-empty segment's sums taken by its own
+    ``np.add.reduce`` calls: the same factors and residuals, bit for bit."""
+    edges, centers, norm1, u, x = map(_kernels._f64, (edges, centers, norm1, u, x))
+    nbins = centers.size
+    per_fit = np.asarray(sizes, dtype=np.intp)
+    if np.sum(per_fit) != u.size:
+        raise ValueError("binned_qr: sizes must add up to the number of samples")
+    fits = per_fit.size
+    segments = fits * nbins
+    R = np.zeros((segments, 3))
+    z = np.zeros((segments, 2))
+    rss = np.zeros((segments, 2))
+    key_type = np.min_scalar_type(segments)
+    offsets = None
+    if fits > 1:
+        offsets = np.repeat(np.arange(0, segments, nbins, dtype=key_type), per_fit)
+    keys = _kernels._bin_keys(edges, u, key_type, offsets)
+    counts = np.bincount(keys, minlength=segments + 1)
+    if counts[0]:
+        raise ConfigurationError(
+            f"binned_qr: {counts[0]} of {u.size} samples lie outside the basis domain "
+            f"[{edges[0]}, {edges[-1]}] or are NaN")
+    order = np.argsort(keys, kind="stable")
+    a = np.stack((u[order], x[order]))  # rows [u; x] in segment order
+    counts = counts[1:]
+
+    full = np.flatnonzero(counts)
+    n = counts[full]
+    lo = np.cumsum(counts)[full] - n  # where each non-empty segment starts in `a`
+    k = full % nbins
+    sq = np.sqrt(n)
+
+    def sums(rows):  # per segment, one np.add.reduce of each row
+        out = np.empty((lo.size, rows.shape[0]))
+        for i, (start, size) in enumerate(zip(lo.tolist(), n.tolist())):
+            np.add.reduce(rows[:, start:start + size], axis=1, out=out[i])
+        return out
+
+    a[0] -= np.repeat(centers[k], n)
+    a[0] *= np.repeat(norm1[k], n)
+    s1 = sums(a)
+    r12 = s1[:, 0] / sq
+    z1 = s1[:, 1] / sq
+    a[0] -= np.repeat(r12 / sq, n)
+    s2 = sums(np.multiply(a[0], a))
+    r22 = np.sqrt(s2[:, 0])
+    linear = r22 > 0
+    z2 = np.divide(s2[:, 1], r22, out=np.zeros_like(r22), where=linear)
+    R[full] = np.array((np.sqrt(nbins) * sq, r12, r22)).T
+    z[full] = np.array((z1, z2)).T
+    a[1] -= np.repeat(z1 / sq, n)
+    a[0] *= np.repeat(np.divide(z2, r22, out=np.zeros_like(r22), where=linear), n)
+    np.subtract(a[1], a[0], out=a[0])
+    rss2, rss1 = np.add.reduceat(np.square(a, out=a), lo, axis=1)
+    rss[full] = np.array((rss1, rss2)).T
+    return BinnedQR(R.reshape(fits, nbins, 3), z.reshape(fits, nbins, 2),
+                    rss.reshape(fits, nbins, 2))

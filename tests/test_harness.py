@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import reglater as rl
-from reglater import config, harness
+from reglater import _kernels, config, harness
 from reglater.config import load_config
 from reglater.errors import ConfigurationError
 from reference import fit_sample
@@ -531,6 +531,21 @@ def test_one_sample_block_peaks_below_two_and_a_half_block_lengths():
     square = rl.PayoffSpec("square")
     assert _traced_peak(
         lambda: next(harness._continued_blocks(square, 3.0, 9, iter([states])))) <= bound
+
+
+@pytest.mark.parametrize("fits", [1, 2, 40])
+@pytest.mark.parametrize("K", [4, 5, 8, 16])
+def test_one_kernel_call_peaks_below_three_and_a_quarter_block_lengths(basis_cache, K, fits):
+    # binned_qr holds the sort order and the two sorted rows while it
+    # gathers, then the rows and one block-length temporary (a spread of
+    # per-bin scalars, or a product row) at a time
+    n = rl.rng.BLOCK_SIZE // fits * fits
+    law = rl.truncated_feature_law(rl.FeatureSpec("terminal", 10.0), 1e-4)
+    u = rl.simulate_conditional(law, n, 7).features
+    x, sizes = np.tanh(u), np.full(fits, n // fits)
+    basis = basis_cache(K)
+    assert _traced_peak(lambda: _kernels.binned_qr(
+        basis.edges, basis.centers, basis.norm1, u, x, sizes)) <= 3.25 * 8 * rl.rng.BLOCK_SIZE
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="allocator thresholds are glibc's")

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import reglater as rl
 from reglater import _kernels
 from reglater.errors import ConfigurationError
-from reference import design_matrix, first_fit, fit_sample, ols_fit
+from reference import design_matrix, first_fit, fit_sample, looped_binned_qr, ols_fit
 
 
 @pytest.fixture(scope="module")
@@ -202,6 +202,74 @@ def test_binned_qr_rss_matches_einsum_reference(lo_bins, hi_bins, data):
         assert empty[k[1]]
     counts = np.bincount(_searchsorted_bin_indices(edges, u), minlength=nbins)
     assert np.array_equal(got.R[:, 0], np.sqrt(nbins) * np.sqrt(counts))
+
+
+# ---------------------------------------------------------------------------
+# the slotted layout: a +0.0 slot ahead of each segment, and one reduceat
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_a_zero_slot_makes_reduceat_sum_each_segment_as_reduce(data):
+    # np.add.reduceat from a segment's +0.0 slot gives the bits of
+    # np.add.reduce of the segment's values, signed zeros included; the
+    # pairwise sum changes its scheme at 8 and at 128 values
+    lengths = data.draw(st.lists(st.one_of(st.integers(0, 300),
+                                           st.sampled_from([0, 1, 7, 8, 9, 127, 128, 129])),
+                                 min_size=1, max_size=8), label="lengths")
+    gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    pad = np.cumsum([0] + [m + 1 for m in lengths[:-1]])
+    rows = np.zeros((2, sum(lengths) + len(lengths)))
+    for p, m in zip(pad, lengths):
+        seg = gen.standard_normal((2, m)) * 10.0 ** gen.uniform(-8, 8, (2, m))
+        zeros = gen.random((2, m)) < data.draw(st.sampled_from([0.0, 0.5, 1.0]), label="zeros")
+        seg[zeros] = np.copysign(0.0, gen.standard_normal(np.sum(zeros)))
+        rows[:, p + 1:p + 1 + m] = seg
+    want = np.stack([np.add.reduce(rows[:, p + 1:p + 1 + m], axis=1)
+                     for p, m in zip(pad, lengths)], axis=1)
+    got = np.add.reduceat(rows, pad, axis=1)
+    assert got.tobytes() == want.tobytes()
+    for row, w in zip(rows, want):
+        assert np.add.reduceat(row, pad).tobytes() == w.tobytes()
+
+
+def _emptied(us, edges, f, k, keep, to):
+    """Fit ``f``'s values in bin ``k`` beyond the first ``keep`` moved to ``to``."""
+    inside = _searchsorted_bin_indices(edges, us[f]) == k
+    us[f][inside & (np.cumsum(inside) > keep)] = to
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_binned_qr_bit_equal_to_looped_reference(data):
+    nbins = data.draw(st.integers(1, _kernels.COMPARE_MAX_BINS + 20), label="nbins")
+    fits = data.draw(st.integers(1, 40), label="fits")
+    gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    edges = data.draw(st.floats(-50.0, 50.0), label="a1") + np.cumsum(
+        np.concatenate([[0.0], gen.uniform(1e-3, 2.0, nbins)]))
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    norm1 = gen.uniform(0.5, 2.0, nbins)
+    us = [gen.uniform(edges[0], edges[-1], data.draw(st.integers(0, 80)))
+          for _ in range(fits)]
+    f = gen.integers(fits, size=4)
+    k = gen.integers(nbins, size=4)
+    _emptied(us, edges, f[1], k[1], 0, centers[(k[1] + 1) % nbins])  # an empty bin
+    _emptied(us, edges, f[2], k[2], 1, centers[(k[2] + 1) % nbins])  # one sample
+    flat = _searchsorted_bin_indices(edges, us[f[3]]) == k[3]
+    us[f[3]][flat] = centers[k[3]]  # every value at the center: r22 = 0
+    _emptied(us, edges, f[0], nbins - 1, 0, centers[0])  # an empty last bin
+    xs = [np.tanh(u) + gen.standard_normal(u.size) * 10.0 ** gen.uniform(-6, 6) for u in us]
+    if data.draw(st.booleans(), label="signed_zeros"):
+        for x in xs:
+            x[gen.random(x.size) < 0.5] = -0.0
+    args = (edges, centers, norm1, np.concatenate(us), np.concatenate(xs), [u.size for u in us])
+    got, want = _kernels.binned_qr(*args), looped_binned_qr(*args)
+    assert got.R.shape == (fits, nbins, 3)
+    for g, w in zip(got, want):  # the same bits, signed zeros too
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+    if nbins > 1:
+        assert got.R[f[0], nbins - 1, 0] == 0
 
 
 # ---------------------------------------------------------------------------

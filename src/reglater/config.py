@@ -37,10 +37,11 @@ REMOVED_SECTIONS = {
 }
 
 # Most samples one repetition may draw: N.  Repetitions stream their samples
-# one rng block at a time, so memory does not grow with N (peak RSS about 5 MB
-# above the import floor at N = 2**20 and at 2**25); the cap bounds the time
-# of one repetition instead, about 2.3 s at the cap for a K = 5 fit on a 2-vCPU
-# x86-64 VM.
+# one rng block at a time, so memory does not grow with N (peak RSS about 9 MB
+# above the import floor at N = 2**20 and at 2**25, and about 3 MB above that
+# of a process that has already run one small repetition); the cap bounds the
+# time of one repetition instead, about 1.5-1.9 s at the cap for a K = 5 fit
+# on a 2-vCPU x86-64 VM.
 MAX_POINT_SAMPLES = 2**25
 # Most rejection proposals one repetition may draw: its samples over the
 # domain's mass, 1 - domain_epsilon.  Rejection draws every proposal, and a

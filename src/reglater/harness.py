@@ -12,8 +12,10 @@ the repetitions' samples block by block, fits them in one kernel call per
 block, each fit bit for bit the fit of its sample alone, and scores each
 fit; Regress-Later pays off the joined samples once.  A repetition longer
 than half a block is a batch of its own and streams its sample one block at
-a time, so memory does not grow with N.  Batches run serially or on any
-number of worker threads; a failed repetition is recorded in the report's
+a time: each block, its payoffs and its continuation normals are let go of
+before the next block is drawn, so a repetition holds one block and its
+memory does not grow with N.  Batches run serially or on any number of
+worker threads; a failed repetition is recorded in the report's
 ``failures`` and its batch's other repetitions still count (a point with
 none left reports ``reps=0`` and NaN means).  Aggregation takes values in
 repetition order and sums with ``math.fsum``, so the emitted CSV is
@@ -233,8 +235,12 @@ def _fit_batch(fit: Callable, streams: list[Iterator[SampleSet]], value: Callabl
             live.append(i)
     if not live:
         return out
-    blocks = itertools.chain([SampleSet.joined(first)],
-                             map(SampleSet.joined, zip(*(streams[i] for i in live))))
+    # No block outlives the draw of the next: a list iterator lets go of its
+    # list once exhausted (a list among chain's arguments would hold block 0
+    # for the whole fit), and map, unlike zip, keeps no tuple of the last parts.
+    blocks = itertools.chain(iter([SampleSet.joined(first)]),
+                             map(lambda *parts: SampleSet.joined(parts),
+                                 *(streams[i] for i in live)))
     first.clear()  # the joined block holds these samples now
     try:
         results = fit(blocks, len(live))
@@ -284,9 +290,9 @@ def _sample_blocks(law: TruncatedNormal, n: int, seed: int) -> Iterator[SampleSe
 
 
 def _payoff_blocks(payoff: PayoffSpec, blocks: Iterable[SampleSet]) -> Iterator[SampleSet]:
-    """Each sample block with the payoff of its own feature attached."""
-    for block in blocks:
-        yield block.with_payoffs(eval_payoff(payoff, block.features))
+    """Each sample block with the payoff of its own feature attached; no
+    block is held once it is handed on."""
+    return map(lambda block: block.with_payoffs(eval_payoff(payoff, block.features)), blocks)
 
 
 def _later_fits(payoff: PayoffSpec, dist: TruncatedNormal, basis: SieveBasis, N: int,
@@ -469,10 +475,13 @@ def _continued_blocks(payoff: PayoffSpec, scale: float, seed: int,
                       blocks: Iterable[SampleSet]) -> Iterator[SampleSet]:
     """Each block of states ``w`` with the payoff of ``w + scale * xi``
     attached, where block ``j`` of the continuation normals ``xi`` is rng
-    block ``j`` of ``rng.block_standard_normal(n, seed)``."""
-    for j, block in enumerate(blocks):
+    block ``j`` of ``rng.block_standard_normal(n, seed)``.  Neither a block
+    nor its ``xi`` is held once the block is handed on."""
+    def continued(j: int, block: SampleSet) -> SampleSet:
         xi = rng.block_standard_normal(block.n, seed, first_block=j)
         # w + scale * xi, formed in xi: products and sums commute, so bit for bit
         xi *= scale
         xi += block.features
-        yield block.with_payoffs(eval_payoff(payoff, xi))
+        return block.with_payoffs(eval_payoff(payoff, xi))
+
+    return map(continued, itertools.count(), blocks)

@@ -127,8 +127,9 @@ def _binned_factors(blocks: Iterable[SampleSet], basis: SieveBasis,
     and the factors carry a leading fit axis.  Block factors are merged in
     block order, ``MERGE_BLOCKS`` at a time into the merged factor so far,
     which keeps the result a pure function of the samples and the held
-    factors O(K); only one block of samples is held.  With one block nothing
-    is merged: the result is the kernel's own.
+    factors O(K).  Only one block of samples is held: each is let go of
+    before the next is drawn.  With one block nothing is merged: the result
+    is the kernel's own.
     """
     parts: list[BinnedQR] = []
     n = 0
@@ -139,6 +140,7 @@ def _binned_factors(blocks: Iterable[SampleSet], basis: SieveBasis,
                                      f"{fits} fits of equal size")
         parts.append(_kernels.binned_qr(basis.edges, basis.centers, basis.norm1,
                                         block.features, _targets(block), np.full(fits, size)))
+        del block  # freed before the next block is drawn
         n += size
         if len(parts) > MERGE_BLOCKS:
             parts = [_merged(parts)]

@@ -27,8 +27,7 @@ _EXPORTS = {name: module for module, names in {
                 "now_vs_later_compare", "run_fixed_K", "run_growing_K"),
     "model": ("FeatureSpec", "SampleSet", "simulate_conditional", "truncated_feature_law"),
     "payoff": ("PayoffSpec", "eval_payoff", "oracle_conditional"),
-    "regress": ("FitResult", "coefficient_error", "predict",
-                "regress_later_fit", "regress_now_fit"),
+    "regress": ("coefficient_error", "predict", "regress_later_fit", "regress_now_fit"),
     "tree": ("basket_tree_expectations", "basket_tree_expectations_from_leaves",
              "basket_tree_leaf_enumeration"),
 }.items() for name in names}

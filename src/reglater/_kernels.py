@@ -1,14 +1,12 @@
 """Hot kernels: bin lookup with a right-closed top bin, and the per-bin thin
-QR of the piecewise-linear regression augmented with its target.
+QR of the piecewise-linear regression against its target.
 
 Each kernel converts its own inputs to contiguous float64.  ``BACKEND``
 names the implementation in reports.
 
 The QR is modified Gram-Schmidt (the second column is centered against the
-bin mean explicitly, never via sums of squares), augmented with the target
-as a third column: the squared residuals it leaves are accumulated from the
-residual vectors themselves, so a fit's residual norm needs no second bin
-lookup or prediction.
+bin mean explicitly, never via sums of squares), with the target projected
+on each bin's two directions.
 
 A fit's samples lie in its basis domain: ``binned_qr`` refuses others (NaN
 too), which ``bin_indices`` maps to -1.
@@ -20,7 +18,7 @@ bin) segment of the batch at once, with the same values in the same order
 as separate calls would, and the same bits.  The sort puts a slot ahead of
 each segment's samples: at +0.0, the slots let one ``np.add.reduceat`` sum
 each segment with the bits of ``np.add.reduce`` (pairwise, as ``np.sum``),
-so a call takes all its sums in four ``reduceat`` calls.  Bin lookup, the
+so a call takes all its sums in three ``reduceat`` calls.  Bin lookup, the
 sort and every elementwise step of the QR are whole-batch passes, with
 per-segment scalars spread over each segment by ``np.repeat``.  Few calls
 matter because each numpy call on a large array hands the GIL to the other
@@ -84,31 +82,22 @@ def bin_indices(edges: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 class BinnedQR(NamedTuple):
-    """Per-bin factors of the augmented design [e0, e1, x] of a batch of
-    fits; every field has a leading fit axis.  A bin holds R[..., 0]**2 / K samples."""
+    """Per-bin factors of the design [e0, e1] of a batch of fits, and its
+    target's coordinates; every field has a leading fit axis.  A bin holds
+    R[..., 0]**2 / K samples."""
 
     R: np.ndarray  # (fits, K, 3): r11, r12, r22, nonnegative diagonal
     z: np.ndarray  # (fits, K, 2): Q^T x in the bin's two directions
-    # (fits, K, 2): squared residual norm of x in the bin after fitting e0
-    # alone, and after fitting [e0, e1] (r33^2 of the augmented QR; equal to
-    # the first when r22 = 0)
-    rss: np.ndarray
 
 
 def binned_qr(edges, centers, norm1, u, x, sizes) -> BinnedQR:
-    """Per-bin thin QR of the two-column design [e0, e1] against targets x,
-    with the residuals each fit leaves (see ``BinnedQR``); e0 = sqrt(K) on bin k.
+    """Per-bin thin QR of the two-column design [e0, e1] against targets x
+    (see ``BinnedQR``); e0 = sqrt(K) on bin k.
 
     ``u`` and ``x`` hold ``len(sizes)`` fits back to back, ``sizes[f]``
-    samples for fit ``f``; each fit's factors and residuals are those of a
-    call on its samples alone.  Every ``u`` lies in ``[edges[0], edges[-1]]``;
+    samples for fit ``f``; each fit's factors are those of a call on its
+    samples alone.  Every ``u`` lies in ``[edges[0], edges[-1]]``;
     ``ConfigurationError`` names how many do not (NaN among them).
-
-    The residual after both columns is x - z1 q1 - z2 q2, exactly the
-    expression a prediction from the solved coefficients evaluates, so it
-    holds even where q2 is numerically not orthogonal to q1 (a bin whose
-    linear column is degenerate).  Such a bin's fit uses e0 alone, hence the
-    first residual.
     """
     edges, centers, norm1, u, x = map(_f64, (edges, centers, norm1, u, x))
     nbins = centers.size
@@ -118,8 +107,7 @@ def binned_qr(edges, centers, norm1, u, x, sizes) -> BinnedQR:
     fits = per_fit.size
     segments = fits * nbins  # segment f * nbins + k is bin k of fit f
     if u.size == 0:
-        return BinnedQR(np.zeros((fits, nbins, 3)), np.zeros((fits, nbins, 2)),
-                        np.zeros((fits, nbins, 2)))
+        return BinnedQR(np.zeros((fits, nbins, 3)), np.zeros((fits, nbins, 2)))
 
     # Key 1 + segment, in the narrowest unsigned type holding them, so the
     # stable argsort is a radix sort; key 0 (outside the domain) sorts first
@@ -171,16 +159,5 @@ def binned_qr(edges, centers, norm1, u, x, sizes) -> BinnedQR:
     r22 = np.sqrt(s2[0])
     linear = r22 > 0
     z2 = np.divide(s2[1], r22, out=np.zeros_like(r22), where=linear)
-
-    # residuals v = x - z1 q1 into row 1, and v - z2 q2 (= v where r22 = 0)
-    # into row 0, summed as by np.add.reduceat over the samples alone (from
-    # the first sample, not the slot): every slot is a cut and its own sum
-    # is dropped; an empty segment sums its slot, at 0
-    rows[1] -= np.repeat(z1 / div, span)
-    rows[0] *= np.repeat(np.divide(z2, r22, out=np.zeros_like(r22), where=linear), span)
-    np.subtract(rows[1], rows[0], out=rows[0])
-    rows[:, pad] = 0.0
-    cuts = np.stack((pad, pad + (n > 0)), axis=-1).ravel()
-    rss2, rss1 = np.add.reduceat(np.square(rows, out=rows), cuts, axis=1)[:, 1::2]
     return BinnedQR(*(np.stack(cols, axis=-1).reshape(fits, nbins, -1) for cols in
-                      ((np.sqrt(nbins) * sq, r12, r22), (z1, z2), (rss1, rss2))))
+                      ((np.sqrt(nbins) * sq, r12, r22), (z1, z2))))

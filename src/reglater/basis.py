@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -105,34 +105,8 @@ def build_basis(dist: TruncatedNormal, K: int) -> SieveBasis:
 
 
 # ---------------------------------------------------------------------------
-# Gram diagnostics and the admissible-growth net
+# per-bin quadrature and the admissible-growth net
 # ---------------------------------------------------------------------------
-
-class GramDiagnostics(NamedTuple):
-    frobenius_dist: float
-    lambda_min: float
-
-
-def _gram_blocks_from_qr(R: np.ndarray, n: int) -> np.ndarray:
-    """Per-bin 2x2 blocks of (1/n) E^T E recovered from the thin-QR factors
-    (``R`` of shape (..., K, 3), leading axes kept)."""
-    g = np.empty(R.shape)
-    g[..., 0] = R[..., 0] ** 2 / n
-    g[..., 1] = R[..., 0] * R[..., 1] / n
-    g[..., 2] = (R[..., 1] ** 2 + R[..., 2] ** 2) / n
-    return g
-
-
-def _block_stats(blocks: np.ndarray) -> GramDiagnostics:
-    """``GramDiagnostics`` of the per-bin blocks over the bin axis, one per
-    entry of the leading axes (numpy values, not floats)."""
-    b0, b1, b2 = blocks[..., 0], blocks[..., 1], blocks[..., 2]
-    fro2 = np.sum((b0 - 1.0) ** 2 + 2.0 * b1 ** 2 + (b2 - 1.0) ** 2, axis=-1)
-    tr = b0 + b2
-    det = b0 * b2 - b1 ** 2
-    lmin = np.min(0.5 * tr - np.sqrt(np.maximum(0.25 * tr**2 - det, 0.0)), axis=-1)
-    return GramDiagnostics(np.sqrt(fro2), lmin)
-
 
 @lru_cache(maxsize=32)
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -215,15 +215,16 @@ def _in_order(fn: Callable, tasks: Iterable, workers: int) -> Iterator:
 
 def _fit_batch(fit: Callable, streams: list[Iterator[SampleSet]], value: Callable) -> list:
     """``fit(blocks, fits)`` of every repetition of a batch in one call, and
-    ``value`` of each repetition's fit.
+    ``value`` of each repetition's coefficients (its row of the result).
 
     ``streams`` has one iterator of sample blocks per repetition.  Block 0
     of each stream is drawn first, so a repetition whose sampling fails
     drops out alone; the rest are fitted together on their blocks joined
     block by block (only a repetition alone in its batch has more than one).
-    Returns one entry per repetition: ``value(fit)``, or the exception of
-    ``_POINT_ERRORS`` that failed its sampling, its fit or its value; an
-    exception the call itself raises fails all of its repetitions."""
+    Returns one entry per repetition: ``value(coefficients)``, or the
+    exception of ``_POINT_ERRORS`` that failed its sampling, its fit or its
+    value; an exception the call itself raises fails all of its
+    repetitions."""
     out: list = [None] * len(streams)
     live, first = [], []
     for i, stream in enumerate(streams):
@@ -330,7 +331,7 @@ def _run_points(config: ExperimentConfig, workers: int) -> ConvergenceReport:
         # coefficients' squared error, exactly
         return _later_fits(config.payoff, dist, basis, N,
                            [rng.derive_seed(config.seed, K, N, rep) for rep in batch],
-                           lambda fit: floor + coefficient_error(fit, alpha))
+                           lambda coef: floor + coefficient_error(coef, alpha))
 
     values, failures = _sweep(points, config.repetitions, run_batch, workers)
     rows = []
@@ -447,7 +448,7 @@ def now_vs_later_compare(config: ExperimentConfig, workers: int = 1) -> PairedRe
         later = _later_fits(
             config.payoff, dist_T, basis_T, N,
             [rng.derive_seed(config.seed, "later", K, N, rep) for rep in batch],
-            lambda fit: float(np.sum(wq * (truth - transfer @ fit.coefficients) ** 2)))
+            lambda coef: float(np.sum(wq * (truth - transfer @ coef) ** 2)))
         # Regress-Now: states at t, fresh continuations to T, direct regression
         now = _fit_batch(
             lambda blocks, g: regress_now_fit(blocks, basis_t, fits=g),
@@ -455,7 +456,7 @@ def now_vs_later_compare(config: ExperimentConfig, workers: int = 1) -> PairedRe
                 config.payoff, scale, rng.derive_seed(config.seed, "cont", K, N, rep),
                 _sample_blocks(dist_t, N, rng.derive_seed(config.seed, "now", K, N, rep)))
              for rep in batch],
-            lambda fit: float(np.sum(wq * (truth - predict(basis_t, fit.coefficients, grid)) ** 2)))
+            lambda coef: float(np.sum(wq * (truth - predict(basis_t, coef, grid)) ** 2)))
         # a repetition that failed either estimator counts in neither mean
         return [lat if isinstance(lat, Exception) else mse if isinstance(mse, Exception)
                 else (lat, mse) for lat, mse in zip(later, now)]

@@ -5,32 +5,29 @@ supports of the sieve basis: the global least squares problem decouples into
 per-bin two-column problems, solved from the kernel's per-bin thin-QR
 factors (identical solution to a global orthogonal decomposition).  Empty
 bins and numerically degenerate linear columns are dropped at a 1e-10
-relative tolerance and reported.  The same kernel pass carries the target as
-a third QR column, so the residual norm is summed from the per-bin residuals
-it leaves, with no prediction pass.  A fit's samples, drawn from the law its
-basis is built on, lie in the basis domain (the kernel refuses others).
+relative tolerance: their coefficients are zero.  A fit's samples, drawn
+from the law its basis is built on, lie in the basis domain (the kernel
+refuses others).  A fit returns its coefficients alone.
 
 A fit takes its samples as an iterable of sample blocks (for example a
 generator, so only one block is ever held), and a batch of ``fits`` fits on
 one basis: every block holds each fit's samples back to back, in equal
 shares, the kernel factors every bin of every fit in one call per block,
 and each bin's factors are merged in block order (TSQR).  The per-bin
-solves are array operations over all fits.  Each fit's result is bit for
-bit the one of its samples alone in the same blocks.  A fit of one block is
-one kernel pass; more blocks agree with one pass to rounding error (both
+solves are array operations over all fits.  Each fit's coefficients are bit
+for bit those of its samples alone in the same blocks.  A fit of one block
+is one kernel pass; more blocks agree with one pass to rounding error (both
 are backward stable).
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from . import _kernels
 from ._kernels import BinnedQR
-from .basis import SieveBasis, _block_stats, _gram_blocks_from_qr
+from .basis import SieveBasis
 from .errors import ConfigurationError
 from .model import SampleSet
 
@@ -40,33 +37,6 @@ RANK_TOL = 1e-10
 # interpreter time (which threads cannot share), and the held factors stay
 # O(K) at any N.
 MERGE_BLOCKS = 32
-
-
-@dataclass(frozen=True)
-class FitResult:
-    """Estimated coefficients plus rank / conditioning diagnostics."""
-
-    coefficients: np.ndarray
-    rank: int
-    dropped_columns: tuple[int, ...]
-    residual_l2: float
-    gram_frobenius_dist: float
-    gram_lambda_min: float
-    mode: str  # later | now
-    n: int
-
-    def __post_init__(self):
-        coef = np.asarray(self.coefficients, dtype=np.float64)
-        coef.setflags(write=False)
-        object.__setattr__(self, "coefficients", coef)
-
-    @property
-    def residual_variance(self) -> float:
-        """RSS / (n - rank), NaN if n <= rank.  Of a Regress-Now fit, sigma2:
-        the mean projection-error variance, the one that enters the K/N term
-        (the rate theory's constant conditional variance is not tested)."""
-        df = self.n - self.rank
-        return float(self.residual_l2 ** 2 / df) if df > 0 else float("nan")
 
 
 def predict(basis: SieveBasis, coefficients: np.ndarray, u) -> np.ndarray:
@@ -88,34 +58,28 @@ def _merged(parts: list[BinnedQR]) -> BinnedQR:
     factors stacked in block order, a TSQR step (Demmel, Grigori, Hoemmen &
     Langou, SISC 2012).
 
-    The 3x3 factors of [e0 e1 x] and the 2x2 factors of [e0 x] are merged
-    apart (the 2x2 ones padded with a zero column, so one batched QR does
-    both), so both residuals of ``BinnedQR.rss`` survive.  Where a block's
-    linear column is degenerate (``r22`` within ``RANK_TOL`` of its column
-    norm, e.g. one distinct value), its ``q2`` means nothing: the kernel's
-    ``z2`` and ``r33`` then do not factor the block's Gram matrix, so its 3x3
-    factor takes the residual after ``e0`` as its ``x`` row instead.  That
-    drops ``q2 . x``, at most ``r22`` times that residual.  Every sample
-    lies in some bin, so these are all the factors there are to merge.
+    Each block enters as the 3x3 factor of [e0 e1 x] with a zero third row:
+    a Householder QR leaves the first two rows of its ``x`` column
+    independent of that row.  Where a block's linear column is degenerate
+    (``r22`` within ``RANK_TOL`` of its column norm, e.g. one distinct
+    value), its ``q2`` means nothing: the kernel's ``z2`` then does not
+    factor the block's Gram matrix, so its factor takes ``z2`` as 0.  That
+    drops ``q2 . x``, at most ``r22`` times the block's residual after
+    ``e0``.  Every sample lies in some bin, so these are all the factors
+    there are to merge.
     """
     R = np.stack([p.R for p in parts], axis=-2)  # (fits, K, blocks, 3)
     z = np.stack([p.z for p in parts], axis=-2)
-    rss = np.stack([p.rss for p in parts], axis=-2)
     lead, m = R.shape[:-2], R.shape[-2]
-    r0 = np.sqrt(rss[..., 0])
     degenerate = R[..., 2] <= RANK_TOL * np.hypot(R[..., 1], R[..., 2])
-    f = np.zeros((2, *lead, m, 3, 3))
-    f[0, ..., 0, :] = np.stack((R[..., 0], R[..., 1], z[..., 0]), axis=-1)
-    f[0, ..., 1, 1] = R[..., 2]
-    f[0, ..., 1, 2] = np.where(degenerate, 0.0, z[..., 1])
-    f[0, ..., 2, 2] = np.where(degenerate, r0, np.sqrt(rss[..., 1]))
-    f[1, ..., 0, :2] = np.stack((R[..., 0], z[..., 0]), axis=-1)
-    f[1, ..., 1, 1] = r0
+    f = np.zeros((*lead, m, 3, 3))
+    f[..., 0, :] = np.stack((R[..., 0], R[..., 1], z[..., 0]), axis=-1)
+    f[..., 1, 1] = R[..., 2]
+    f[..., 1, 2] = np.where(degenerate, 0.0, z[..., 1])
     T = np.linalg.qr(f.reshape(-1, 3 * m, 3), mode="r")
     T *= np.where(np.diagonal(T, axis1=1, axis2=2) < 0.0, -1.0, 1.0)[:, :, None]
-    f3, f2 = T.reshape(2, *lead, 3, 3)
-    return BinnedQR(R=f3[..., [0, 0, 1], [0, 1, 1]], z=f3[..., [0, 1], [2, 2]],
-                    rss=np.stack((f2[..., 1, 1] ** 2, f3[..., 2, 2] ** 2), axis=-1))
+    T = T.reshape(*lead, 3, 3)
+    return BinnedQR(R=T[..., [0, 0, 1], [0, 1, 1]], z=T[..., [0, 1], [2, 2]])
 
 
 def _binned_factors(blocks: Iterable[SampleSet], basis: SieveBasis,
@@ -149,12 +113,12 @@ def _binned_factors(blocks: Iterable[SampleSet], basis: SieveBasis,
     return (parts[0] if len(parts) == 1 else _merged(parts)), n
 
 
-def _fit_on_basis(blocks: Iterable[SampleSet], basis: SieveBasis, mode: str,
-                  fits: int) -> list[FitResult]:
+def _fit_on_basis(blocks: Iterable[SampleSet], basis: SieveBasis,
+                  fits: int) -> np.ndarray:
     """The fits of a batch (see ``_binned_factors``), solved bin by bin with
-    array operations over every bin of every fit: per fit its ``FitResult``.
-    Each fit holds a sample, in some bin, so it keeps a column there
-    (``r11 >= sqrt(K)``, far above the column floor)."""
+    array operations over every bin of every fit: one read-only row of
+    coefficients per fit.  Each fit holds a sample, in some bin, so it keeps
+    a column there (``r11 >= sqrt(K)``, far above the column floor)."""
     if isinstance(fits, bool) or not isinstance(fits, int) or fits < 1:
         raise ConfigurationError(f"fits: must be a positive int, got {fits!r}")
     qr, n = _binned_factors(blocks, basis, fits)
@@ -168,17 +132,8 @@ def _fit_on_basis(blocks: Iterable[SampleSet], basis: SieveBasis, mode: str,
     a0 = np.divide(np.where(linear, z0 - r12 * a1, z0), r11, out=np.zeros_like(r11),
                    where=~empty)
     coef = np.stack((a0, a1), axis=-1).reshape(fits, -1)
-    dropped = np.stack((empty, ~linear), axis=-1).reshape(fits, -1)
-    # squared residual per bin, as the fit leaves it
-    rss = np.where(linear, qr.rss[..., 1], np.where(empty, 0.0, qr.rss[..., 0]))
-    stats = _block_stats(_gram_blocks_from_qr(qr.R, n))
-    cols = [tuple(np.flatnonzero(d).tolist()) for d in dropped]
-    return [FitResult(coefficients=coef[f], rank=2 * basis.K - len(cols[f]),
-                      dropped_columns=cols[f],
-                      residual_l2=math.sqrt(math.fsum(rss[f].tolist())),
-                      gram_frobenius_dist=float(stats.frobenius_dist[f]),
-                      gram_lambda_min=float(stats.lambda_min[f]), mode=mode, n=n)
-            for f in range(fits)]
+    coef.setflags(write=False)
+    return coef
 
 
 def _targets(sample: SampleSet) -> np.ndarray:
@@ -188,35 +143,38 @@ def _targets(sample: SampleSet) -> np.ndarray:
 
 
 def regress_later_fit(blocks: Iterable[SampleSet], basis: SieveBasis,
-                      fits: int) -> list[FitResult]:
+                      fits: int) -> np.ndarray:
     """Regress the payoff on basis functions of the same-date feature.
 
     ``blocks`` is an iterable of payoff-bearing sample blocks, each holding
     ``fits`` (a positive int) fits' samples back to back, in equal shares;
-    all are factored in one kernel call per block.  Returns one
-    ``FitResult`` per fit, the result of fitting that fit's samples alone.
-    ``ConfigurationError`` where a sample lies outside the basis domain
-    (failing the whole batch) or the blocks hold no sample.
+    all are factored in one kernel call per block.  Returns the
+    coefficients, a read-only float64 array of shape ``(fits, 2K)``: row
+    ``f`` is the fit of fit ``f``'s samples alone.  ``ConfigurationError``
+    where a sample lies outside the basis domain (failing the whole batch)
+    or the blocks hold no sample.
     """
-    return _fit_on_basis(blocks, basis, "later", fits)
+    return _fit_on_basis(blocks, basis, fits)
 
 
 def regress_now_fit(blocks: Iterable[SampleSet], basis: SieveBasis,
-                    fits: int) -> list[FitResult]:
+                    fits: int) -> np.ndarray:
     """Regress the payoff on basis functions of the earlier-date feature.
 
-    ``blocks``, ``fits``, the results and refusals as for
-    ``regress_later_fit``.  The residual now contains an irreducible
-    projection error; its variance is ``FitResult.residual_variance``.
+    ``blocks``, ``fits``, the coefficients and refusals as for
+    ``regress_later_fit``; the target now carries an irreducible projection
+    error.
     """
-    return _fit_on_basis(blocks, basis, "now", fits)
+    return _fit_on_basis(blocks, basis, fits)
 
 
-def coefficient_error(fit: FitResult, alpha: np.ndarray) -> float:
-    """(alpha_hat - alpha)^T (alpha_hat - alpha) against the true
-    coefficients ``alpha``; dropped coordinates enter at zero."""
+def coefficient_error(coefficients: np.ndarray, alpha: np.ndarray) -> float:
+    """(alpha_hat - alpha)^T (alpha_hat - alpha) of fitted ``coefficients``
+    against the true coefficients ``alpha``; dropped coordinates enter at
+    zero."""
+    coefficients = np.asarray(coefficients, dtype=np.float64)
     alpha = np.asarray(alpha, dtype=np.float64)
-    if alpha.shape != fit.coefficients.shape:
+    if alpha.shape != coefficients.shape:
         raise ConfigurationError("coefficient vectors disagree in length")
-    diff = fit.coefficients - alpha
+    diff = coefficients - alpha
     return float(diff @ diff)

@@ -7,13 +7,14 @@ with the tests, not in the package:
   column-pivoted QR, and the adaptive per-bin quadrature one bin at a time;
 - one whole sample fitted alone (``fit_sample``), sliced into sample
   blocks (``sample_blocks``) as a batch of one fit;
-- the JSON forms of a basis (read back) and of a fit;
+- the JSON form of a basis, read back;
 - a uniform law (``Uniform``), a second law to build a basis on;
 - the log-normal transfer of a basis (``GbmTransition``,
   ``gbm_basis_condexp``), the closed form beside the package's Brownian one;
 - Gram checks of a basis: the full Gram matrix by quadrature
   (``quadrature_gram``) and the sample Gram's distance from the identity
-  (``gram_diagnostics``);
+  and smallest eigenvalue (``gram_diagnostics``), from the kernel's
+  per-bin factors;
 - unconditioned draws of a Brownian feature (``simulate_terminal``,
   ``terminal_drawer``), and the Jensen check of a transfer on paired
   (state, continuation) draws (``jensen_check``);
@@ -34,14 +35,12 @@ import scipy.linalg
 from reglater import _kernels, rng
 from reglater._kernels import BinnedQR
 from reglater._normal import ndtr
-from reglater.basis import (QUAD_TOL, GramDiagnostics, SieveBasis,
-                            _block_stats, _gram_blocks_from_qr, bin_quadrature,
-                            gauss_legendre)
+from reglater.basis import QUAD_TOL, SieveBasis, bin_quadrature, gauss_legendre
 from reglater.condexp import BrownianTransition, condexp_estimate
 from reglater.errors import ConfigurationError
 from reglater.model import FeatureSpec, SampleSet
 from reglater.payoff import PayoffSpec, oracle_conditional
-from reglater.regress import COLUMN_NORM_TOL, RANK_TOL, FitResult, predict
+from reglater.regress import COLUMN_NORM_TOL, RANK_TOL, predict
 
 
 def first_fit(qr: BinnedQR) -> BinnedQR:
@@ -98,16 +97,13 @@ class DegenerateDesignError(Exception):
 
 
 class DenseFit(NamedTuple):
-    """Coefficients of a dense least squares fit plus rank / conditioning
-    diagnostics, as in ``reglater.FitResult``."""
+    """Coefficients of a dense least squares fit, its rank, the columns it
+    dropped and its residual norm."""
 
     coefficients: np.ndarray
     rank: int
     dropped_columns: tuple[int, ...]
     residual_l2: float
-    gram_frobenius_dist: float
-    gram_lambda_min: float
-    n: int
 
 
 def ols_fit(design_rows, targets) -> DenseFit:
@@ -138,18 +134,8 @@ def ols_fit(design_rows, targets) -> DenseFit:
     coef = np.zeros(p)
     coef[keep[piv[:rank]]] = sub
     dropped = sorted(set(range(p)) - set(keep[piv[:rank]].tolist()))
-    resid = y - A @ coef
-    gram = A.T @ A / n
-    eig = np.linalg.eigvalsh(gram)
-    return DenseFit(
-        coefficients=coef,
-        rank=rank,
-        dropped_columns=tuple(dropped),
-        residual_l2=float(np.linalg.norm(resid)),
-        gram_frobenius_dist=float(np.linalg.norm(gram - np.eye(p), "fro")),
-        gram_lambda_min=float(eig[0]),
-        n=n,
-    )
+    return DenseFit(coefficients=coef, rank=rank, dropped_columns=tuple(dropped),
+                    residual_l2=float(np.linalg.norm(y - A @ coef)))
 
 
 def basis_from_json_dict(doc: dict) -> SieveBasis:
@@ -169,25 +155,12 @@ def sample_blocks(sample: SampleSet, block: int = rng.BLOCK_SIZE) -> Iterator[Sa
 
 
 def fit_sample(fit: Callable, sample: SampleSet, basis: SieveBasis,
-               block: int = rng.BLOCK_SIZE) -> FitResult:
-    """``fit`` (``regress_later_fit`` or ``regress_now_fit``) of one whole
-    sample: a batch of one fit on ``sample_blocks(sample, block)``."""
-    (result,) = fit(sample_blocks(sample, block), basis, fits=1)
-    return result
-
-
-def fit_json_dict(fit: FitResult) -> dict:
-    """A fit's coefficients and diagnostics as plain JSON values."""
-    return {
-        "mode": fit.mode,
-        "n": fit.n,
-        "rank": fit.rank,
-        "dropped_columns": list(fit.dropped_columns),
-        "residual_l2": fit.residual_l2,
-        "gram_frobenius_dist": fit.gram_frobenius_dist,
-        "gram_lambda_min": fit.gram_lambda_min,
-        "coefficients": fit.coefficients.tolist(),
-    }
+               block: int = rng.BLOCK_SIZE) -> np.ndarray:
+    """The coefficients of ``fit`` (``regress_later_fit`` or
+    ``regress_now_fit``) of one whole sample: a batch of one fit on
+    ``sample_blocks(sample, block)``."""
+    (coefficients,) = fit(sample_blocks(sample, block), basis, fits=1)
+    return coefficients
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +253,32 @@ def quadrature_gram(basis: SieveBasis, dist, nodes_per_bin: int = 64) -> np.ndar
     return G
 
 
+class GramDiagnostics(NamedTuple):
+    frobenius_dist: float
+    lambda_min: float
+
+
+def _gram_blocks_from_qr(R: np.ndarray, n: int) -> np.ndarray:
+    """Per-bin 2x2 blocks of (1/n) E^T E recovered from the thin-QR factors
+    (``R`` of shape (..., K, 3), leading axes kept)."""
+    g = np.empty(R.shape)
+    g[..., 0] = R[..., 0] ** 2 / n
+    g[..., 1] = R[..., 0] * R[..., 1] / n
+    g[..., 2] = (R[..., 1] ** 2 + R[..., 2] ** 2) / n
+    return g
+
+
+def _block_stats(blocks: np.ndarray) -> GramDiagnostics:
+    """``GramDiagnostics`` of the per-bin blocks over the bin axis, one per
+    entry of the leading axes (numpy values, not floats)."""
+    b0, b1, b2 = blocks[..., 0], blocks[..., 1], blocks[..., 2]
+    fro2 = np.sum((b0 - 1.0) ** 2 + 2.0 * b1 ** 2 + (b2 - 1.0) ** 2, axis=-1)
+    tr = b0 + b2
+    det = b0 * b2 - b1 ** 2
+    lmin = np.min(0.5 * tr - np.sqrt(np.maximum(0.25 * tr**2 - det, 0.0)), axis=-1)
+    return GramDiagnostics(np.sqrt(fro2), lmin)
+
+
 def gram_diagnostics(basis: SieveBasis, sample) -> GramDiagnostics:
     """Frobenius distance of the sample Gram matrix from the identity and its
     smallest eigenvalue.  The Gram is block-diagonal (disjoint bin supports),
@@ -329,27 +328,28 @@ class JensenCheck(NamedTuple):
     mse_payoff_stderr: float
 
 
-def jensen_check(fit: FitResult, basis: SieveBasis, transition: BrownianTransition,
+def jensen_check(coefficients: np.ndarray, basis: SieveBasis, transition: BrownianTransition,
                  payoff: PayoffSpec, states, continuations, payoffs,
                  truth=None) -> JensenCheck:
     """Check that conditioning can only shrink the mean-square error.
 
-    ``states`` at t, matched time-T ``continuations`` and the ``payoffs`` of
-    those.  Estimates E[(g_t - E[ghat | F_t])^2] and E[(X - ghat)^2] on the
-    same draws and raises if the first exceeds the second by more than three
-    standard errors of the payoff-space estimate.  ``truth`` overrides the
+    ``coefficients`` are those of the fit ``ghat``; ``states`` at t, matched
+    time-T ``continuations`` and the ``payoffs`` of those.  Estimates
+    E[(g_t - E[ghat | F_t])^2] and E[(X - ghat)^2] on the same draws and
+    raises if the first exceeds the second by more than three standard
+    errors of the payoff-space estimate.  ``truth`` overrides the
     oracle with a callable on states (needed when the payoff is an in-span
     function with no named oracle).
     """
     states = np.asarray(states, dtype=np.float64)
     n = states.size
 
-    fitted = predict(basis, fit.coefficients, continuations)
+    fitted = predict(basis, coefficients, continuations)
     sq_pay = (np.asarray(payoffs, dtype=np.float64) - fitted) ** 2
     mse_payoff = float(np.mean(sq_pay))
     stderr = float(np.std(sq_pay, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
 
-    estimate = condexp_estimate(transition, basis, fit.coefficients, states)
+    estimate = condexp_estimate(transition, basis, coefficients, states)
     if truth is None:
         target = oracle_conditional(payoff, transition.t, transition.T, states)
     else:
@@ -412,7 +412,7 @@ def block_rejection_by_index(n: int, propose, accept, *parts, rate: float,
 def looped_binned_qr(edges, centers, norm1, u, x, sizes) -> BinnedQR:
     """``_kernels.binned_qr`` with the samples sorted without slots, counted
     by ``np.bincount``, and each non-empty segment's sums taken by its own
-    ``np.add.reduce`` calls: the same factors and residuals, bit for bit."""
+    ``np.add.reduce`` calls: the same factors, bit for bit."""
     edges, centers, norm1, u, x = map(_kernels._f64, (edges, centers, norm1, u, x))
     nbins = centers.size
     per_fit = np.asarray(sizes, dtype=np.intp)
@@ -422,7 +422,6 @@ def looped_binned_qr(edges, centers, norm1, u, x, sizes) -> BinnedQR:
     segments = fits * nbins
     R = np.zeros((segments, 3))
     z = np.zeros((segments, 2))
-    rss = np.zeros((segments, 2))
     key_type = np.min_scalar_type(segments)
     offsets = None
     if fits > 1:
@@ -461,10 +460,4 @@ def looped_binned_qr(edges, centers, norm1, u, x, sizes) -> BinnedQR:
     z2 = np.divide(s2[:, 1], r22, out=np.zeros_like(r22), where=linear)
     R[full] = np.array((np.sqrt(nbins) * sq, r12, r22)).T
     z[full] = np.array((z1, z2)).T
-    a[1] -= np.repeat(z1 / sq, n)
-    a[0] *= np.repeat(np.divide(z2, r22, out=np.zeros_like(r22), where=linear), n)
-    np.subtract(a[1], a[0], out=a[0])
-    rss2, rss1 = np.add.reduceat(np.square(a, out=a), lo, axis=1)
-    rss[full] = np.array((rss1, rss2)).T
-    return BinnedQR(R.reshape(fits, nbins, 3), z.reshape(fits, nbins, 2),
-                    rss.reshape(fits, nbins, 2))
+    return BinnedQR(R.reshape(fits, nbins, 3), z.reshape(fits, nbins, 2))

@@ -315,7 +315,7 @@ def test_projection_coefficients_match_sample_projection(w10_law, basis_cache, t
     samp = rl.simulate_conditional(dist, 400_000, seed=77)
     fit = fit_sample(rl.regress_later_fit,
                      samp.with_payoffs(rl.eval_payoff(tanh_payoff, samp.features)), basis)
-    assert np.max(np.abs(fit.coefficients - alpha)) < 0.01
+    assert np.max(np.abs(fit - alpha)) < 0.01
 
 
 def test_basis_json_roundtrip(basis_cache):

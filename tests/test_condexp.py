@@ -158,7 +158,7 @@ def test_identity_payoff_estimate_tracks_state(w10_law, basis_cache):
 
     band = 3.0 * np.sqrt(approx.mean_square + coef_err)
     for w in np.linspace(-2, 2, 9):
-        assert abs(rl.condexp_estimate(tr, basis, fit.coefficients, w) - w) < (
+        assert abs(rl.condexp_estimate(tr, basis, fit, w) - w) < (
             band + tail_term(w) + 1e-9)
 
 

@@ -186,8 +186,8 @@ def test_point_failures_are_flagged(monkeypatch):
 
 def _fit_alone(cfg, K, N, rep):
     """One repetition of a Regress-Later sweep point, sampled, paid off and
-    fitted on its own (no batch): its basis, fit, projection coefficients
-    and approximation floor."""
+    fitted on its own (no batch): its basis, fitted and projection
+    coefficients and approximation floor."""
     dist = rl.truncated_feature_law(cfg.feature, cfg.domain_epsilon)
     basis = rl.build_basis(dist, K)
     alpha = rl.projection_coefficients(cfg.payoff, basis, dist)
@@ -199,8 +199,8 @@ def _fit_alone(cfg, K, N, rep):
 
 def _rep_alone(cfg, K, N, rep):
     """The sweep's value for one repetition fitted on its own (``_fit_alone``)."""
-    _, fit, alpha, approx = _fit_alone(cfg, K, N, rep)
-    return approx + rl.coefficient_error(fit, alpha)
+    _, coef, alpha, approx = _fit_alone(cfg, K, N, rep)
+    return approx + rl.coefficient_error(coef, alpha)
 
 
 def test_fresh_sample_eval_agrees_with_quadrature():
@@ -209,11 +209,11 @@ def test_fresh_sample_eval_agrees_with_quadrature():
     cfg = small_growing_config(seed=307)
     law = rl.truncated_feature_law(cfg.feature, cfg.domain_epsilon)
     for K, N in cfg.points():
-        basis, fit, alpha, approx = _fit_alone(cfg, K, N, 0)
+        basis, coef, alpha, approx = _fit_alone(cfg, K, N, 0)
         fresh = rl.simulate_conditional(law, 10 * N, rl.rng.derive_seed(cfg.seed, K, N, 0, "eval"))
         v = fresh.features
-        err = rl.eval_payoff(cfg.payoff, v) - rl.predict(basis, fit.coefficients, v)
-        assert np.mean(err * err) == pytest.approx(approx + rl.coefficient_error(fit, alpha),
+        err = rl.eval_payoff(cfg.payoff, v) - rl.predict(basis, coef, v)
+        assert np.mean(err * err) == pytest.approx(approx + rl.coefficient_error(coef, alpha),
                                                    rel=0.2)
 
 
@@ -232,10 +232,10 @@ def test_failures_in_a_batch_stay_per_repetition(monkeypatch):
             raise rl.SamplingError("synthetic failure")
         return real_sample(law, n, seed, **kwargs)
 
-    def failing_error(fit, alpha):
-        if fit.n == N and np.array_equal(fit.coefficients, rep3.coefficients):
+    def failing_error(coef, alpha):
+        if np.array_equal(coef, rep3):
             raise FloatingPointError("synthetic value failure")
-        return real_error(fit, alpha)
+        return real_error(coef, alpha)
 
     monkeypatch.setattr(harness, "simulate_conditional", failing_sample)
     monkeypatch.setattr(harness, "coefficient_error", failing_error)
@@ -368,7 +368,7 @@ def test_paired_later_failures_are_recorded_not_raised(monkeypatch):
         n = sum(b.n for b in blocks) // fits
         if n == 1000:  # the whole call fails: every repetition of the first point
             raise FloatingPointError("synthetic later failure")
-        out = real(iter(blocks), basis, fits=fits)
+        out = list(real(iter(blocks), basis, fits=fits))
         if n == 10000:  # one fit of the middle point's batch (all three repetitions)
             assert fits == 3
             out[1] = FloatingPointError("synthetic later failure")

@@ -108,16 +108,53 @@ def build_basis(dist: TruncatedNormal, K: int) -> SieveBasis:
 # per-bin quadrature and the admissible-growth net
 # ---------------------------------------------------------------------------
 
+def _legendre_series(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The Legendre series with coefficients ``c`` (low degree first) at
+    ``x``, by the Clenshaw recurrence of ``numpy.polynomial.legendre.legval``,
+    operation for operation."""
+    if c.size == 1:
+        c0, c1 = c[0], 0.0
+    else:
+        c0, c1 = c[-2], c[-1]
+        for nd in range(c.size - 1, 1, -1):
+            c0, c1 = c[nd - 2] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
 @lru_cache(maxsize=32)
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights of order n on [-1, 1], computed once
-    per order and shared (read-only)."""
-    from numpy.polynomial.legendre import leggauss  # loaded when a rule is first needed
+    per order and shared (read-only).
 
-    xg, wg = leggauss(n)
-    xg.setflags(write=False)
-    wg.setflags(write=False)
-    return xg, wg
+    The rule is that of ``numpy.polynomial.legendre.leggauss``, bit for bit,
+    by its operations without importing ``numpy.polynomial``: the
+    eigenvalues of the symmetric companion matrix of P_n, one Newton step
+    on P_n, and weights from P_{n-1} and P_n' scaled to sum to 2.
+    """
+    c = np.zeros(n + 1)
+    c[n] = 1.0  # P_n
+    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
+    companion = np.zeros((n, n))
+    off = np.arange(1, n) * scl[:n - 1] * scl[1:n]
+    companion.reshape(-1)[1::n + 1] = off
+    companion.reshape(-1)[n::n + 1] = off
+    x = np.linalg.eigvalsh(companion)
+    # P_n' = sum over j = n-1, n-3, ... of (2 j + 1) P_j
+    d = np.zeros(n)
+    d[n - 1::-2] = 2 * np.arange(n - 1, -1, -2) + 1
+    dy = _legendre_series(x, c)
+    df = _legendre_series(x, d)
+    x -= dy / df
+    fm = _legendre_series(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2  # symmetrize
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 def bin_quadrature(basis: SieveBasis, dist: TruncatedNormal, nodes_per_bin: int

@@ -10,21 +10,24 @@ batch: the consecutive repetitions of one point whose samples fill at most
 one ``rng.BLOCK_SIZE`` block together (``_batches``).  ``_fit_batch`` joins
 the repetitions' samples block by block, fits them in one kernel call per
 block, each fit bit for bit the fit of its sample alone, and scores each
-fit; Regress-Later pays off the joined samples once.  A repetition longer
-than half a block is a batch of its own and streams its sample one block at
-a time: each block, its payoffs and its continuation normals are let go of
-before the next block is drawn, so a repetition holds one block and its
-memory does not grow with N.  Batches run serially or on any number of
-worker threads; a failed repetition is recorded in the report's
-``failures`` and its batch's other repetitions still count (a point with
-none left reports ``reps=0`` and NaN means).  Aggregation takes values in
-repetition order and sums with ``math.fsum``, so the emitted CSV is
-byte-identical for any worker count.
+fit.  Regress-Later hands the kernel its payoff as a function of the
+feature, which the kernel evaluates on each joined block in bin order, so no
+block carries payoffs; Regress-Now attaches each block's payoffs from its
+continuation normals.  A repetition longer than half a block is a batch of
+its own and streams its sample one block at a time: each block (and
+Regress-Now's payoffs and continuation normals) is let go of before the next
+block is drawn, so a repetition holds one block and its memory does not grow
+with N.  Batches run serially or on any number of worker threads; a failed
+repetition is recorded in the report's ``failures`` and its batch's other
+repetitions still count (a point with none left reports ``reps=0`` and NaN
+means).  Aggregation takes values in repetition order and sums with
+``math.fsum``, so the emitted CSV is byte-identical for any worker count.
 """
 from __future__ import annotations
 
 import collections
 import ctypes
+import functools
 import itertools
 import math
 import time
@@ -261,10 +264,10 @@ def _keep_block_memory() -> None:
     """Let the C allocator reuse one sample block's memory for the next.
 
     A batch allocates and frees a few MB of block-sized numpy temporaries
-    per rng block: the sampler's, the joined sample and its payoffs, and
-    those of the whole-block passes of ``_kernels.binned_qr`` (its sort
-    order, one array of two block-length rows, a product row and the
-    ``np.repeat`` spreads of per-bin scalars).
+    per rng block: the sampler's, the joined sample (and Regress-Now's
+    payoffs), and those of the whole-block passes of ``_kernels.binned_qr``
+    (its sort order, one array of two block-length rows, a product row and
+    the ``np.repeat`` spreads of per-bin scalars).
     Under glibc's default dynamic thresholds such arrays are mmapped, or the
     freed top of the heap is handed back to the system, so every block
     page-faults its memory in again (about 1e5 minor faults per
@@ -290,19 +293,16 @@ def _sample_blocks(law: TruncatedNormal, n: int, seed: int) -> Iterator[SampleSe
         yield simulate_conditional(law, min(size, n - j * size), seed, first_block=j)
 
 
-def _payoff_blocks(payoff: PayoffSpec, blocks: Iterable[SampleSet]) -> Iterator[SampleSet]:
-    """Each sample block with the payoff of its own feature attached; no
-    block is held once it is handed on."""
-    return map(lambda block: block.with_payoffs(eval_payoff(payoff, block.features)), blocks)
-
-
 def _later_fits(payoff: PayoffSpec, dist: TruncatedNormal, basis: SieveBasis, N: int,
                 seeds: list[int], value: Callable) -> list:
-    """``value`` of each seed's Regress-Later fit on ``basis`` to ``N`` draws from
-    ``dist``, all in one ``_fit_batch`` that pays off the joined blocks once."""
-    return _fit_batch(lambda blocks, g: regress_later_fit(
-        _payoff_blocks(payoff, blocks), basis, fits=g),
-        [_sample_blocks(dist, N, seed) for seed in seeds], value)
+    """``value`` of each seed's Regress-Later fit of ``payoff`` on ``basis`` to
+    ``N`` draws from ``dist``, all in one ``_fit_batch``; the kernel pays off
+    each joined block once, in bin order."""
+    # built per call from the module global, so a wrapper of harness.eval_payoff
+    # sees each kernel call's payoffs
+    target = functools.partial(eval_payoff, payoff)
+    return _fit_batch(lambda blocks, g: regress_later_fit(blocks, basis, g, target),
+                      [_sample_blocks(dist, N, seed) for seed in seeds], value)
 
 
 def _run_points(config: ExperimentConfig, workers: int) -> ConvergenceReport:

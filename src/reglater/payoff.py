@@ -1,11 +1,13 @@
 """Payoff functions and the conditional-expectation oracle.
 
 ``eval_payoff`` is exact pointwise evaluation of the payoff on feature
-values.  ``oracle_conditional`` supplies the *true* conditional expectation
-g(t, state) of a payoff of the Brownian state at the payoff date T wherever
-it is knowable, by the payoff: closed forms for identity and square, and
-adaptive Gauss-Hermite quadrature against the Gaussian transition density for
-tanh, which admits no closed form.
+values, with numpy's ``out=``, so that the Regress-Later kernel writes a
+block's payoffs straight into its own rows.  ``oracle_conditional``
+supplies the *true* conditional expectation g(t, state) of a payoff of the
+Brownian state at the payoff date T wherever it is knowable, by the payoff:
+closed forms for identity and square, and adaptive Gauss-Hermite quadrature
+against the Gaussian transition density for tanh, which admits no closed
+form.
 """
 from __future__ import annotations
 
@@ -39,17 +41,18 @@ class PayoffSpec:
             raise ConfigurationError(f"payoff.strike: not meaningful for {self.kind!r}")
 
 
-def eval_payoff(spec: PayoffSpec, feature) -> np.ndarray | float:
-    """Pointwise payoff value(s), elementwise."""
+def eval_payoff(spec: PayoffSpec, feature, out=None) -> np.ndarray | float:
+    """Pointwise payoff value(s), elementwise; written into the float64
+    array ``out`` where one is given, as numpy's ``out=``."""
     x = np.asarray(feature, dtype=np.float64)
     if spec.kind == "call":
-        out = np.maximum(x - spec.strike, 0.0)
+        out = np.maximum(np.subtract(x, spec.strike, out=out), 0.0, out=out)
     elif spec.kind == "tanh":
-        out = np.tanh(x)
+        out = np.tanh(x, out=out)
     elif spec.kind == "square":
-        out = np.square(x)
+        out = np.square(x, out=out)
     elif spec.kind == "identity":
-        out = x + 0.0
+        out = np.add(x, 0.0, out=out)
     else:  # pragma: no cover - blocked by PayoffSpec validation
         raise ConfigurationError(spec.kind)
     return float(out) if out.ndim == 0 else out

@@ -9,6 +9,12 @@ relative tolerance: their coefficients are zero.  A fit's samples, drawn
 from the law its basis is built on, lie in the basis domain (the kernel
 refuses others).  A fit returns its coefficients alone.
 
+The two fits differ in their input.  Regress-Later's target is a known
+function of the feature it regresses on, so it is passed as that function
+and the kernel evaluates it on each block's features in bin order: no block
+carries a target array.  Regress-Now's target is drawn beside its feature,
+so it is read from each block's payoffs.
+
 A fit takes its samples as an iterable of sample blocks (for example a
 generator, so only one block is ever held), and a batch of ``fits`` fits on
 one basis: every block holds each fit's samples back to back, in equal
@@ -21,7 +27,7 @@ are backward stable).
 """
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -82,10 +88,11 @@ def _merged(parts: list[BinnedQR]) -> BinnedQR:
     return BinnedQR(R=T[..., [0, 0, 1], [0, 1, 1]], z=T[..., [0, 1], [2, 2]])
 
 
-def _binned_factors(blocks: Iterable[SampleSet], basis: SieveBasis,
-                    fits: int) -> tuple[BinnedQR, int]:
+def _binned_factors(blocks: Iterable[SampleSet], basis: SieveBasis, fits: int,
+                    target: Callable | None = None) -> tuple[BinnedQR, int]:
     """``_kernels.binned_qr`` folded over the sample blocks, with the sample
-    count of one fit.
+    count of one fit.  The kernel regresses ``target``, an elementwise
+    function of the feature, or each block's payoffs where it is None.
 
     Every block holds ``fits`` fits' samples back to back, in equal shares,
     and the factors carry a leading fit axis.  Block factors are merged in
@@ -102,8 +109,9 @@ def _binned_factors(blocks: Iterable[SampleSet], basis: SieveBasis,
         if rest:
             raise ConfigurationError(f"a block of {block.n} samples does not hold "
                                      f"{fits} fits of equal size")
-        parts.append(_kernels.binned_qr(basis.edges, basis.centers, basis.norm1,
-                                        block.features, _targets(block), np.full(fits, size)))
+        parts.append(_kernels.binned_qr(
+            basis.edges, basis.centers, basis.norm1, block.features,
+            _targets(block) if target is None else target, np.full(fits, size)))
         del block  # freed before the next block is drawn
         n += size
         if len(parts) > MERGE_BLOCKS:
@@ -113,15 +121,15 @@ def _binned_factors(blocks: Iterable[SampleSet], basis: SieveBasis,
     return (parts[0] if len(parts) == 1 else _merged(parts)), n
 
 
-def _fit_on_basis(blocks: Iterable[SampleSet], basis: SieveBasis,
-                  fits: int) -> np.ndarray:
+def _fit_on_basis(blocks: Iterable[SampleSet], basis: SieveBasis, fits: int,
+                  target: Callable | None = None) -> np.ndarray:
     """The fits of a batch (see ``_binned_factors``), solved bin by bin with
     array operations over every bin of every fit: one read-only row of
     coefficients per fit.  Each fit holds a sample, in some bin, so it keeps
     a column there (``r11 >= sqrt(K)``, far above the column floor)."""
     if isinstance(fits, bool) or not isinstance(fits, int) or fits < 1:
         raise ConfigurationError(f"fits: must be a positive int, got {fits!r}")
-    qr, n = _binned_factors(blocks, basis, fits)
+    qr, n = _binned_factors(blocks, basis, fits, target)
     r11, r12, r22 = qr.R[..., 0], qr.R[..., 1], qr.R[..., 2]
     z0, z1 = qr.z[..., 0], qr.z[..., 1]
     floor = COLUMN_NORM_TOL * np.sqrt(n)
@@ -142,28 +150,36 @@ def _targets(sample: SampleSet) -> np.ndarray:
     return sample.payoffs
 
 
-def regress_later_fit(blocks: Iterable[SampleSet], basis: SieveBasis,
-                      fits: int) -> np.ndarray:
-    """Regress the payoff on basis functions of the same-date feature.
+def regress_later_fit(blocks: Iterable[SampleSet], basis: SieveBasis, fits: int,
+                      target: Callable) -> np.ndarray:
+    """Regress ``target`` of the feature on basis functions of that feature.
 
-    ``blocks`` is an iterable of payoff-bearing sample blocks, each holding
-    ``fits`` (a positive int) fits' samples back to back, in equal shares;
-    all are factored in one kernel call per block.  Returns the
-    coefficients, a read-only float64 array of shape ``(fits, 2K)``: row
-    ``f`` is the fit of fit ``f``'s samples alone.  ``ConfigurationError``
-    where a sample lies outside the basis domain (failing the whole batch)
-    or the blocks hold no sample.
+    ``blocks`` is an iterable of sample blocks, each holding ``fits`` (a
+    positive int) fits' samples back to back, in equal shares; all are
+    factored in one kernel call per block, and only their features are
+    read.  ``target`` is an elementwise function in numpy's ``out=``
+    convention, such as ``np.tanh`` or ``functools.partial(eval_payoff,
+    spec)``: the kernel writes the targets of a block's features, in bin
+    order, with ``target(values, out=row)``, so no target array is held.
+    Returns the coefficients, a read-only float64 array of shape ``(fits,
+    2K)``: row ``f`` is the fit of fit ``f``'s samples alone.
+    ``ConfigurationError`` where a sample lies outside the basis domain or
+    its target is not finite (failing the whole batch), or the blocks hold
+    no sample.
     """
-    return _fit_on_basis(blocks, basis, fits)
+    if not callable(target):
+        raise ConfigurationError("target: must be an elementwise function of the feature")
+    return _fit_on_basis(blocks, basis, fits, target)
 
 
 def regress_now_fit(blocks: Iterable[SampleSet], basis: SieveBasis,
                     fits: int) -> np.ndarray:
     """Regress the payoff on basis functions of the earlier-date feature.
 
-    ``blocks``, ``fits``, the coefficients and refusals as for
-    ``regress_later_fit``; the target now carries an irreducible projection
-    error.
+    ``blocks`` are payoff-bearing sample blocks; ``fits``, the coefficients
+    and refusals as for ``regress_later_fit``.  The payoff is not a function
+    of the feature, so it is read from each block, and it carries an
+    irreducible projection error.
     """
     return _fit_on_basis(blocks, basis, fits)
 

@@ -6,7 +6,8 @@ with the tests, not in the package:
   matrix of the sieve basis, basis evaluation, least squares by
   column-pivoted QR, and the adaptive per-bin quadrature one bin at a time;
 - one whole sample fitted alone (``fit_sample``), sliced into sample
-  blocks (``sample_blocks``) as a batch of one fit;
+  blocks (``sample_blocks``) as a batch of one fit, and any function of
+  the feature as a Regress-Later target (``elementwise``);
 - the JSON form of a basis, read back;
 - a uniform law (``Uniform``), a second law to build a basis on;
 - the log-normal transfer of a basis (``GbmTransition``,
@@ -155,12 +156,25 @@ def sample_blocks(sample: SampleSet, block: int = rng.BLOCK_SIZE) -> Iterator[Sa
 
 
 def fit_sample(fit: Callable, sample: SampleSet, basis: SieveBasis,
-               block: int = rng.BLOCK_SIZE) -> np.ndarray:
-    """The coefficients of ``fit`` (``regress_later_fit`` or
-    ``regress_now_fit``) of one whole sample: a batch of one fit on
-    ``sample_blocks(sample, block)``."""
-    (coefficients,) = fit(sample_blocks(sample, block), basis, fits=1)
+               block: int = rng.BLOCK_SIZE, target: Callable | None = None) -> np.ndarray:
+    """The coefficients of ``fit`` of one whole sample: a batch of one fit
+    on ``sample_blocks(sample, block)``.  ``regress_later_fit`` takes its
+    ``target`` (an elementwise function in numpy's ``out=`` convention, see
+    ``elementwise``); ``regress_now_fit`` reads the sample's payoffs."""
+    extra = () if target is None else (target,)
+    (coefficients,) = fit(sample_blocks(sample, block), basis, 1, *extra)
     return coefficients
+
+
+def elementwise(g: Callable) -> Callable:
+    """``g``, a function of a 1-D array of feature values, as a
+    Regress-Later target: ``target(u, out=row)`` writes ``g(u)`` into
+    ``row``."""
+    def target(u, out):
+        out[...] = g(u)
+        return out
+
+    return target
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines live.
 The figure-scale criteria (4, 5, 7) take 11-13 s combined on a 2-vCPU x86-64
 VM, 9-11 s of it criterion 7; everything else is about a second or less.
 """
+import functools
 import json
 import time
 from fractions import Fraction
@@ -11,13 +12,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from numpy.polynomial.legendre import leggauss
 
 import reglater as rl
 from reglater import cli
+from reglater.basis import gauss_legendre
 from reglater.config import load_config
-from reference import (GbmTransition, Uniform, fit_sample, gbm_basis_condexp, gram_diagnostics,
-                       jensen_check, quadrature_gram, simulate_terminal)
+from reference import (GbmTransition, Uniform, elementwise, fit_sample, gbm_basis_condexp,
+                       gram_diagnostics, jensen_check, quadrature_gram, simulate_terminal)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -167,12 +168,12 @@ def test_criterion_8_jensen_transfer(w10_law, basis_cache, capsys):
         basis = basis_cache(K)
         train = rl.simulate_conditional(law, n, 70_000 + K)
         if isinstance(payoff, rl.PayoffSpec):
-            x = rl.eval_payoff(payoff, train.features)
+            target = functools.partial(rl.eval_payoff, payoff)
             spec = payoff
         else:
-            x = payoff(train.features)
+            target = elementwise(payoff)
             spec = rl.PayoffSpec("identity")
-        fit = fit_sample(rl.regress_later_fit, train.with_payoffs(x), basis)
+        fit = fit_sample(rl.regress_later_fit, train, basis, target=target)
         feat = rl.FeatureSpec("pair_u_T", 10.0, intermediate_time=t)
         states, cont = simulate_terminal(feat, n, 80_000 + K)
         pays = rl.eval_payoff(spec, cont) if truth is None else payoff(cont)
@@ -206,7 +207,7 @@ def test_criterion_9_closed_form_transfer(w10_law, basis_cache, capsys):
     worst = 0.0
 
     def reference(basis, density):
-        xg, wg = leggauss(256)
+        xg, wg = gauss_legendre(256)
         edges = basis.edges
         out = np.zeros(basis.dim)
         for k in range(basis.K):

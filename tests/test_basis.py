@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 from pathlib import Path
 
@@ -234,8 +235,7 @@ def test_h_tilde_matches_brute_force_quadrature(w10_law, basis_cache):
     basis = basis_cache(6)
     edges = basis.edges
     total = 0.0
-    from numpy.polynomial.legendre import leggauss
-    xg, wg = leggauss(200)
+    xg, wg = gauss_legendre(200)
     for lo, hi in zip(edges[:-1], edges[1:]):
         u = 0.5 * (hi + lo) + 0.5 * (hi - lo) * xg
         e = eval_basis(basis, u)
@@ -313,8 +313,8 @@ def test_projection_coefficients_match_sample_projection(w10_law, basis_cache, t
     basis = basis_cache(4)
     alpha = rl.projection_coefficients(tanh_payoff, basis, dist)
     samp = rl.simulate_conditional(dist, 400_000, seed=77)
-    fit = fit_sample(rl.regress_later_fit,
-                     samp.with_payoffs(rl.eval_payoff(tanh_payoff, samp.features)), basis)
+    fit = fit_sample(rl.regress_later_fit, samp, basis,
+                     target=functools.partial(rl.eval_payoff, tanh_payoff))
     assert np.max(np.abs(fit - alpha)) < 0.01
 
 
@@ -351,12 +351,20 @@ def test_adaptive_quadrature_of_all_bins_is_the_per_bin_loop(K, w10_law, tanh_pa
                               adaptive_bin_quad_per_bin(integrand, edges, w10_law))
 
 
-def test_gauss_legendre_rule_is_cached_and_read_only():
+def test_gauss_legendre_is_numpys_rule_bit_for_bit():
+    # the one test that imports numpy.polynomial: the package computes the
+    # rule by leggauss's own operations without it
     from numpy.polynomial.legendre import leggauss
-    for n in (16, 24, 64, 2048):
+
+    for n in [*range(1, 130), 256, 512, 1024, 2048]:
         xg, wg = gauss_legendre(n)
         want = leggauss(n)
-        assert np.array_equal(xg, want[0]) and np.array_equal(wg, want[1])
+        assert xg.tobytes() == want[0].tobytes() and wg.tobytes() == want[1].tobytes(), n
+
+
+def test_gauss_legendre_rule_is_cached_and_read_only():
+    for n in (16, 24, 64, 2048):
+        xg, wg = gauss_legendre(n)
         assert not xg.flags.writeable and not wg.flags.writeable
         with pytest.raises(ValueError):
             xg[0] = 0.0

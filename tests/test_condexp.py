@@ -1,19 +1,21 @@
+import functools
+
 import numpy as np
 import pytest
-from numpy.polynomial.legendre import leggauss
 from scipy.special import ndtr
 
 import reglater as rl
+from reglater.basis import gauss_legendre
 from reglater.errors import ConfigurationError
-from reference import (GbmTransition, JensenViolationError, Uniform, eval_basis, fit_sample,
-                       gbm_basis_condexp, jensen_check, simulate_terminal)
+from reference import (GbmTransition, JensenViolationError, Uniform, elementwise, eval_basis,
+                       fit_sample, gbm_basis_condexp, jensen_check, simulate_terminal)
 
 
 def quad_condexp_reference(basis, density, nodes_per_bin=256):
     """Oracle: integrate each basis function against a transition density with
     per-bin Gauss-Legendre (256 nodes)."""
     edges = basis.edges
-    xg, wg = leggauss(nodes_per_bin)
+    xg, wg = gauss_legendre(nodes_per_bin)
     out = np.zeros(basis.dim)
     for k in range(basis.K):
         lo, hi = edges[k], edges[k + 1]
@@ -141,7 +143,8 @@ def test_identity_payoff_estimate_tracks_state(w10_law, basis_cache):
     basis = basis_cache(32)
     s_cond = 3.0  # sd of W(10) given W(1)
     s = rl.simulate_conditional(dist, 200_000, seed=50)
-    fit = fit_sample(rl.regress_later_fit, s.with_payoffs(s.features.copy()), basis)
+    fit = fit_sample(rl.regress_later_fit, s, basis,
+                     target=functools.partial(rl.eval_payoff, rl.PayoffSpec("identity")))
     tr = rl.BrownianTransition(1.0, 10.0)
     approx = rl.approx_error_moments(rl.PayoffSpec("identity"), basis, dist)
     coef_err = rl.coefficient_error(
@@ -178,8 +181,8 @@ def test_jensen_square_payoff(w10_law, basis_cache):
     payoff = rl.PayoffSpec("square")
     basis = basis_cache(8)
     train = rl.simulate_conditional(law, 10_000, seed=60)
-    fit = fit_sample(rl.regress_later_fit,
-                     train.with_payoffs(rl.eval_payoff(payoff, train.features)), basis)
+    fit = fit_sample(rl.regress_later_fit, train, basis,
+                     target=functools.partial(rl.eval_payoff, payoff))
     paired = _paired_sample(1.0, 10_000, 61, payoff)
     res = jensen_check(fit, basis, rl.BrownianTransition(1.0, 10.0), payoff, *paired)
     assert res.mse_cond <= res.mse_payoff + 3.0 * res.mse_payoff_stderr
@@ -193,7 +196,7 @@ def test_jensen_exact_span_both_errors_vanish(w10_law, basis_cache):
     alpha = np.linspace(-1.0, 1.0, 16)
     payoff_fn = lambda u: rl.predict(basis, alpha, np.atleast_1d(u))
     train = rl.simulate_conditional(dist, 30_000, seed=62)
-    fit = fit_sample(rl.regress_later_fit, train.with_payoffs(payoff_fn(train.features)), basis)
+    fit = fit_sample(rl.regress_later_fit, train, basis, target=elementwise(payoff_fn))
     tr = rl.BrownianTransition(1.0, 10.0)
     feat = rl.FeatureSpec("pair_u_T", 10.0, intermediate_time=1.0)
     states, cont = simulate_terminal(feat, 5_000, 63)
@@ -210,8 +213,8 @@ def test_jensen_degenerate_time_ratio_near_one(w10_law, basis_cache, tanh_payoff
     basis = basis_cache(8)
     t = 10.0 - 1e-6  # s = 1e-3
     train = rl.simulate_conditional(law, 20_000, seed=64)
-    fit = fit_sample(rl.regress_later_fit,
-                     train.with_payoffs(rl.eval_payoff(tanh_payoff, train.features)), basis)
+    fit = fit_sample(rl.regress_later_fit, train, basis,
+                     target=functools.partial(rl.eval_payoff, tanh_payoff))
     paired = _paired_sample(t, 20_000, 65, tanh_payoff)
     res = jensen_check(fit, basis, rl.BrownianTransition(t, 10.0), tanh_payoff, *paired)
     assert 0.9 <= res.mse_cond / res.mse_payoff <= 1.0
@@ -223,8 +226,8 @@ def test_jensen_violation_raises(basis_cache, w10_law):
     basis = basis_cache(4)
     payoff = rl.PayoffSpec("identity")
     train = rl.simulate_conditional(law, 5_000, seed=66)
-    fit = fit_sample(rl.regress_later_fit,
-                     train.with_payoffs(rl.eval_payoff(payoff, train.features)), basis)
+    fit = fit_sample(rl.regress_later_fit, train, basis,
+                     target=functools.partial(rl.eval_payoff, payoff))
     paired = _paired_sample(1.0, 2_000, 67, payoff)
     with pytest.raises(JensenViolationError):
         jensen_check(fit, basis, rl.BrownianTransition(1.0, 10.0), payoff, *paired,

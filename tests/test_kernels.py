@@ -34,8 +34,7 @@ def test_binned_qr_matches_dense_ols(problem):
     basis, u, x = problem
     design = design_matrix(basis.edges, basis.centers, basis.norm1, u)
     dense = ols_fit(design, x)
-    samp = rl.SampleSet(u, x)
-    binned = fit_sample(rl.regress_later_fit, samp, basis)
+    binned = fit_sample(rl.regress_now_fit, rl.SampleSet(u, x), basis)  # x is noisy
     assert np.max(np.abs(dense.coefficients - binned)) < 1e-9
 
 
@@ -243,6 +242,36 @@ def test_batched_binned_qr_matches_one_call_per_fit(data):
             assert np.array_equal(g, w)
     assert (got.R[f[0], k[0], 0] == 0) == (nbins > 1)
     assert got.R[f[1], k[1], 2] == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_binned_qr_of_a_target_function_is_that_of_its_values(data):
+    # the kernel pays off the bin-sorted features into its own row, with
+    # the bits of the payoffs gathered from sample order
+    nbins = data.draw(st.integers(1, _kernels.COMPARE_MAX_BINS + 20), label="nbins")
+    fits = data.draw(st.integers(1, 6), label="fits")
+    gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    edges = data.draw(st.floats(-50.0, 50.0), label="a1") + np.cumsum(
+        np.concatenate([[0.0], gen.uniform(1e-3, 2.0, nbins)]))
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    norm1 = gen.uniform(0.5, 2.0, nbins)
+    size = data.draw(st.integers(0, 300), label="size")
+    u = gen.uniform(edges[0], edges[-1], fits * size)
+    kind = data.draw(st.sampled_from(rl.payoff.PAYOFF_KINDS), label="kind")
+    spec = rl.PayoffSpec(kind, float(np.median(edges)) if kind == "call" else None)
+    calls = []
+
+    def target(values, out=None):
+        calls.append(out is not None and out.size == values.size)
+        return rl.eval_payoff(spec, values, out=out)
+
+    args = (edges, centers, norm1, u)
+    got = _kernels.binned_qr(*args, target, np.full(fits, size))
+    want = _kernels.binned_qr(*args, rl.eval_payoff(spec, u), np.full(fits, size))
+    assert calls == ([True] if size else [])
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
 
 
 def test_batched_binned_qr_checks_the_sizes():

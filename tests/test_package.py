@@ -36,10 +36,11 @@ for path in sorted(Path(sys.argv[1]).glob("*.json")):
     reglater.config.load_config(path)
 """
 
-# what the config gate does not need: the sweep engine and what only it loads
+# what the config gate does not need: the sweep engine and what only it loads,
+# and numpy.polynomial (basis.gauss_legendre computes leggauss's rule itself)
 NOT_LOADED_BY_THE_GATE = ("reglater.harness", "reglater.regress", "reglater.condexp",
                           "reglater.cli", "reglater.svgplot", "reglater.tree",
-                          "concurrent.futures", "fractions")
+                          "concurrent.futures", "fractions", "numpy.polynomial")
 
 
 def test_import_and_load_config_leave_the_sweep_engine_unloaded():
@@ -81,6 +82,19 @@ def test_plot_verb_leaves_the_sweep_engine_unloaded(tmp_path):
     assert "reglater.svgplot" in loaded and (tmp_path / "r.svg").exists()
     assert sorted(loaded.intersection(("reglater.harness", "reglater.regress",
                                        "reglater.condexp"))) == []
+
+
+RUN_CHILD = """
+import sys
+import reglater.cli
+assert reglater.cli.main(["run", sys.argv[1], "-o", sys.argv[2], "--set", "repetitions=2"]) == 0
+"""
+
+
+def test_run_verb_loads_no_numpy_polynomial(tmp_path):
+    loaded = _child_modules(RUN_CHILD, str(CONFIG_DIR / "figure1.json"), str(tmp_path))
+    assert "reglater.harness" in loaded and (tmp_path / "report.csv").exists()
+    assert sorted(m for m in loaded if m.startswith("numpy.polynomial")) == []
 
 
 def test_cli_import_loads_no_network_or_xml_module():

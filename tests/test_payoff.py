@@ -18,6 +18,19 @@ def test_tanh_and_friends_pointwise():
     assert rl.eval_payoff(rl.PayoffSpec("identity"), 2.5) == 2.5
 
 
+@pytest.mark.parametrize("spec", [rl.PayoffSpec("call", 0.5), rl.PayoffSpec("tanh"),
+                                  rl.PayoffSpec("square"), rl.PayoffSpec("identity")],
+                         ids=lambda spec: spec.kind)
+def test_payoff_into_out_is_the_payoff(spec):
+    # numpy's out= convention: the values are written into out, with the
+    # bits of a fresh result, and out is returned
+    x = np.array([-2.0, -0.0, 0.0, 0.5, 3.0])
+    out = np.full(x.size, np.nan)
+    assert rl.eval_payoff(spec, x, out=out) is out
+    assert out.tobytes() == rl.eval_payoff(spec, x).tobytes()
+    assert isinstance(rl.eval_payoff(spec, 0.25), float)
+
+
 def test_payoff_spec_validation():
     with pytest.raises(ConfigurationError):
         rl.PayoffSpec("call")  # no strike

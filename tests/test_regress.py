@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,14 @@ import reglater as rl
 from reglater import _kernels
 from reglater.errors import ConfigurationError
 from conftest import slope_of
-from reference import (DegenerateDesignError, Uniform, eval_basis, first_fit, fit_sample,
-                       ols_fit, sample_blocks, simulate_terminal)
+from reference import (DegenerateDesignError, Uniform, elementwise, eval_basis, first_fit,
+                       fit_sample, ols_fit, sample_blocks)
+
+# Regress-Later of the tanh of the feature; with the payoffs tanh(feature),
+# Regress-Now regresses the same targets
+LATER_TANH = functools.partial(rl.regress_later_fit, target=np.tanh)
+FITS = [pytest.param(LATER_TANH, id="regress_later_fit"),
+        pytest.param(rl.regress_now_fit, id="regress_now_fit")]
 
 
 def _tanh_sample(law, n, seed):
@@ -96,8 +104,9 @@ def test_single_basis_function_payoff_recovered_exactly(basis_cache, w10_law):
     dist = w10_law
     basis = basis_cache(6)
     s = rl.simulate_conditional(dist, 5000, seed=9)
-    x = eval_basis(basis, s.features)[:, 0]  # X = e_{0,1}(W_T)
-    coef = fit_sample(rl.regress_later_fit, s.with_payoffs(x), basis)
+    # X = e_{0,1}(W_T)
+    coef = fit_sample(rl.regress_later_fit, s, basis,
+                      target=elementwise(lambda u: eval_basis(basis, u)[:, 0]))
     expected = np.zeros(12)
     expected[0] = 1.0
     assert np.max(np.abs(coef - expected)) < 1e-8
@@ -110,8 +119,8 @@ def test_in_span_payoff_zero_residual(basis_cache, w10_law):
     n = 50 * K
     s = rl.simulate_conditional(dist, n, seed=10)
     alpha = np.arange(2 * K, dtype=float) / 7.0 - 1.0
-    x = eval_basis(basis, s.features) @ alpha
-    coef = fit_sample(rl.regress_later_fit, s.with_payoffs(x), basis)
+    coef = fit_sample(rl.regress_later_fit, s, basis,
+                      target=elementwise(lambda u: eval_basis(basis, u) @ alpha))
     assert np.max(np.abs(coef - alpha)) < 1e-8
 
 
@@ -119,7 +128,7 @@ def test_tanh_out_of_sample_mse_near_approx_floor(basis_cache, w10_law, tanh_pay
     dist = w10_law
     basis = basis_cache(5)
     samp = _tanh_sample(dist, 10_000, 12)
-    coef = fit_sample(rl.regress_later_fit, samp, basis)
+    coef = fit_sample(rl.regress_later_fit, samp, basis, target=np.tanh)
     approx = rl.approx_error_moments(tanh_payoff, basis, dist).mean_square
     fresh = rl.simulate_conditional(dist, 100_000, 13)
     v = fresh.features
@@ -134,8 +143,7 @@ def test_empty_bins_reported_dropped(basis_cache, w10_law):
     # only populate bins 0 and 1
     gen = np.random.default_rng(5)
     u = gen.uniform(edges[0], edges[2], 400)
-    samp = rl.SampleSet(u, np.tanh(u))
-    coef = fit_sample(rl.regress_later_fit, samp, basis)
+    coef = fit_sample(rl.regress_later_fit, rl.SampleSet(u), basis, target=np.tanh)
     assert np.all(coef[:4] != 0.0)
     assert np.all(coef[4:] == 0.0)
 
@@ -147,7 +155,8 @@ def test_later_in_sample_mse_non_increasing_under_refinement(w10_law, basis_cach
     prev = np.inf
     for K in (4, 8, 16, 32):
         basis = basis_cache(K)
-        mse = _in_sample_mse(fit_sample(rl.regress_later_fit, samp, basis), basis, samp)
+        mse = _in_sample_mse(fit_sample(rl.regress_later_fit, samp, basis, target=np.tanh),
+                             basis, samp)
         assert mse <= prev + 1e-15
         prev = mse
 
@@ -156,16 +165,9 @@ def test_later_residual_variance_vanishes_jointly(w10_law, basis_cache):
     mse = []
     for n, seed, K in ((1_000, 15, 4), (100_000, 16, 32)):
         samp, basis = _tanh_sample(w10_law, n, seed), basis_cache(K)
-        mse.append(_in_sample_mse(fit_sample(rl.regress_later_fit, samp, basis), basis, samp))
+        coef = fit_sample(rl.regress_later_fit, samp, basis, target=np.tanh)
+        mse.append(_in_sample_mse(coef, basis, samp))
     assert mse[1] < 0.1 * mse[0]
-
-
-def test_later_requires_univariate_payoff_bearing_sample(basis_cache):
-    # a sample of more than one feature column is refused when it is built
-    # (test_model)
-    term = simulate_terminal(rl.FeatureSpec("terminal", 10.0), 100, seed=1)
-    with pytest.raises(ConfigurationError, match="no payoffs"):
-        rl.regress_later_fit(sample_blocks(term), basis_cache(4), fits=1)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +241,7 @@ def test_fits_make_no_bin_lookup(monkeypatch, basis_cache, w10_law):
 
     monkeypatch.setattr(_kernels, "bin_indices", counting)
     samp = _tanh_sample(w10_law, 5000, 30)
-    fit_sample(rl.regress_later_fit, samp, basis_cache(8))
+    fit_sample(rl.regress_later_fit, samp, basis_cache(8), target=np.tanh)
     fit_sample(rl.regress_now_fit, samp, basis_cache(8))
     assert calls == []
     rl.predict(basis_cache(8), np.zeros(16), samp.features)
@@ -307,8 +309,8 @@ def _assert_fold_matches_single_pass(basis, samp, block, one_distinct_bin):
     close(got.R[:, 2], ref.R[:, 2], col, full)
     close(got.z[:, 1], ref.z[:, 1], xk, full)
 
-    blocked = fit_sample(rl.regress_later_fit, samp, basis, block=block)
-    single = fit_sample(rl.regress_later_fit, samp, basis, block=samp.n)
+    blocked = fit_sample(rl.regress_now_fit, samp, basis, block=block)
+    single = fit_sample(rl.regress_now_fit, samp, basis, block=samp.n)
     assert blocked[2 * one_distinct_bin + 1] == 0.0  # the dropped linear column
     assert np.array_equal(blocked == 0.0, single == 0.0)  # the same columns dropped
     pairs = single.reshape(-1, 2)
@@ -337,22 +339,26 @@ def test_blockwise_fit_at_the_rng_block_size(extra):
 
 
 def test_single_block_fit_is_the_kernel_result(basis_cache, w10_law):
-    # with one block nothing is merged: the fit reads the kernel's own bits
+    # with one block nothing is merged: the fit reads the kernel's own bits,
+    # and a target function pays off the block with the bits of its payoffs
     samp = _tanh_sample(w10_law, rl.rng.BLOCK_SIZE, 31)
     basis = basis_cache(8)
-    got, n = rl.regress._binned_factors(sample_blocks(samp), basis, 1)
     ref = _kernels.binned_qr(basis.edges, basis.centers, basis.norm1,
                              samp.features, samp.payoffs, [samp.n])
-    assert n == samp.n
-    for a, b in zip(got, ref):
-        assert np.array_equal(a, b)
+    for target in (None, np.tanh):
+        got, n = rl.regress._binned_factors(sample_blocks(samp), basis, 1, target)
+        assert n == samp.n
+        for a, b in zip(got, ref):
+            assert a.tobytes() == b.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
 @given(K=st.integers(1, 80), fits=st.integers(1, 5), n=st.integers(3, 400),
        seed=st.integers(0, 2**32 - 1))
 def test_batched_fits_are_the_fits_of_each_sample_alone(K, fits, n, seed):
-    # one fit of the batch holds one distinct value: it alone keeps one column
+    # one fit of the batch holds one distinct value: it alone keeps one column;
+    # Regress-Later regresses a function of the feature, Regress-Now a noisy
+    # payoff
     gen = np.random.default_rng(seed)
     basis = rl.build_basis(Uniform(-1.0, 2.0), K)
     samples = [rl.SampleSet(u, np.sin(3.0 * u) + gen.standard_normal(n))
@@ -360,13 +366,15 @@ def test_batched_fits_are_the_fits_of_each_sample_alone(K, fits, n, seed):
     if fits > 1:
         samples[1] = rl.SampleSet(np.full(n, 0.5), np.ones(n))
     batch = rl.SampleSet.joined(samples)
-    later = rl.regress_later_fit([batch], basis, fits=fits)
+    wave = elementwise(lambda u: np.sin(3.0 * u))
+    later = rl.regress_later_fit([batch], basis, fits, wave)
     now = rl.regress_now_fit([batch], basis, fits=fits)
     for coef in (later, now):
         assert coef.dtype == np.float64 and coef.shape == (fits, basis.dim)
         assert not coef.flags.writeable
     for sample, got_later, got_now in zip(samples, later, now):
-        assert got_later.tobytes() == fit_sample(rl.regress_later_fit, sample, basis).tobytes()
+        alone = fit_sample(rl.regress_later_fit, sample, basis, target=wave)
+        assert got_later.tobytes() == alone.tobytes()
         assert got_now.tobytes() == fit_sample(rl.regress_now_fit, sample, basis).tobytes()
     if fits > 1:
         assert np.count_nonzero(later[1]) == np.count_nonzero(now[1]) == 1
@@ -375,7 +383,7 @@ def test_batched_fits_are_the_fits_of_each_sample_alone(K, fits, n, seed):
 @pytest.mark.parametrize("fits", [0, -1, True, None, 1.0, "1"])
 def test_fits_must_be_a_positive_int(fits, basis_cache):
     samp = rl.SampleSet(np.linspace(-1.0, 1.0, 6), np.ones(6))
-    for fit in (rl.regress_later_fit, rl.regress_now_fit):
+    for fit in (LATER_TANH, rl.regress_now_fit):
         with pytest.raises(ConfigurationError, match="fits: must be a positive int"):
             fit([samp], basis_cache(2), fits=fits)
 
@@ -383,14 +391,32 @@ def test_fits_must_be_a_positive_int(fits, basis_cache):
 def test_batched_fit_needs_equal_shares(basis_cache):
     samp = rl.SampleSet(np.zeros(7), np.zeros(7))
     with pytest.raises(ConfigurationError, match="equal size"):
-        rl.regress_later_fit([samp], basis_cache(2), fits=2)
+        rl.regress_later_fit([samp], basis_cache(2), 2, np.tanh)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_later_refuses_a_non_finite_target(bad, basis_cache):
+    # one sample's target is not finite: the whole batch is refused
+    basis = basis_cache(4)
+    u = np.linspace(basis.edges[0], basis.edges[-1], 9)
+    hit = u[4]
+    target = elementwise(lambda v: np.where(v == hit, bad, np.tanh(v)))
+    rl.regress_later_fit([rl.SampleSet(u)], basis, 1, np.tanh)
+    with pytest.raises(ConfigurationError, match="non-finite payoff values"):
+        rl.regress_later_fit([rl.SampleSet(u)], basis, 1, target)
+
+
+def test_later_target_must_be_a_function(basis_cache):
+    u = np.linspace(-1.0, 1.0, 6)
+    with pytest.raises(ConfigurationError, match="target: must be an elementwise function"):
+        rl.regress_later_fit([rl.SampleSet(u)], basis_cache(2), 1, np.tanh(u))
 
 
 # ---------------------------------------------------------------------------
 # the fits' refusals: a sample outside the basis domain, and no sample
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("fit", [rl.regress_later_fit, rl.regress_now_fit])
+@pytest.mark.parametrize("fit", FITS)
 @pytest.mark.parametrize("end,side", [(0, -np.inf), (-1, np.inf)], ids=["below", "above"])
 def test_fits_refuse_a_sample_outside_the_domain(fit, end, side, basis_cache):
     basis = basis_cache(4)
@@ -402,7 +428,7 @@ def test_fits_refuse_a_sample_outside_the_domain(fit, end, side, basis_cache):
         fit([rl.SampleSet(u, np.tanh(u))], basis, fits=1)
 
 
-@pytest.mark.parametrize("fit", [rl.regress_later_fit, rl.regress_now_fit])
+@pytest.mark.parametrize("fit", FITS)
 def test_one_fit_outside_the_domain_refuses_the_batch(fit, basis_cache):
     # fit 1 of three lies above the domain in the second block
     basis = basis_cache(4)
@@ -413,7 +439,7 @@ def test_one_fit_outside_the_domain_refuses_the_batch(fit, basis_cache):
         fit([ok, bad], basis, fits=3)
 
 
-@pytest.mark.parametrize("fit", [rl.regress_later_fit, rl.regress_now_fit])
+@pytest.mark.parametrize("fit", FITS)
 @pytest.mark.parametrize("blocks", [0, 1, 3], ids=lambda m: f"{m}_empty_blocks")
 def test_fits_need_a_sample(fit, blocks, basis_cache):
     empty = rl.SampleSet(np.zeros(0), np.zeros(0))
@@ -430,7 +456,7 @@ def test_coefficient_error_zero_for_exact_span(basis_cache, w10_law):
     basis = basis_cache(4)
     s = rl.simulate_conditional(dist, 2000, seed=23)
     g = lambda u: rl.predict(basis, np.ones(8), np.atleast_1d(u))
-    fit = fit_sample(rl.regress_later_fit, s.with_payoffs(g(s.features)), basis)
+    fit = fit_sample(rl.regress_later_fit, s, basis, target=elementwise(g))
     assert rl.coefficient_error(fit, rl.projection_coefficients(g, basis, dist)) < 1e-12
 
 
@@ -441,8 +467,8 @@ def test_coefficient_error_shrinks_with_n(basis_cache, w10_law, tanh_payoff):
     errs = {1_000: [], 100_000: []}
     for seed in range(50):
         for n in errs:
-            samp = _tanh_sample(dist, n, 5000 + seed + n)
-            fit = fit_sample(rl.regress_later_fit, samp, basis)
+            samp = rl.simulate_conditional(dist, n, 5000 + seed + n)
+            fit = fit_sample(rl.regress_later_fit, samp, basis, target=np.tanh)
             errs[n].append(rl.coefficient_error(fit, alpha))
     assert np.median(errs[100_000]) < np.median(errs[1_000])
 
